@@ -34,24 +34,27 @@
 // Allocation counting: replace the global unaligned new/delete with a
 // counting passthrough.  Relaxed atomics keep the hook usable if a future
 // bench revision threads the measured loop; the aligned overloads stay at
-// their defaults (they pair with the default aligned deletes).
+// their defaults (they pair with the default aligned deletes).  The pair is
+// kept out of line: inlined into a caller, GCC matches malloc() against
+// operator delete, or operator new against free(), and reports a
+// mismatched pair that is not one.
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_alloc_bytes{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   void* p = std::malloc(n != 0 ? n : 1);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t n) { return ::operator new(n); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 

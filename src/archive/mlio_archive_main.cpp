@@ -88,7 +88,7 @@ struct Args {
   unsigned clients = 4;
   std::uint64_t warmup = 4;
   std::uint64_t cache_mb = 256;
-  std::uint64_t merged_cache_mb = 64;  ///< 0 = no whole-answer memoization
+  std::uint64_t merged_cache_mb = 64;  ///< 0 = no answer memoization
   unsigned merge_threads = 0;          ///< 0 = serial shard loads + fold
   unsigned weight_get = 90;
   unsigned weight_ingest = 8;

@@ -98,6 +98,16 @@ void AccessPatterns::save(util::ByteWriter& w) const {
   }
 }
 
+std::uint64_t AccessPatterns::serialized_size() const {
+  std::uint64_t n = 0;
+  for (const LayerStats& st : layers_) {
+    n += 8 * 7 + st.read_transfer.serialized_size() + st.write_transfer.serialized_size() +
+         st.read_requests.serialized_size() + st.write_requests.serialized_size() +
+         st.read_requests_large.serialized_size() + st.write_requests_large.serialized_size();
+  }
+  return n;
+}
+
 void AccessPatterns::load(util::ByteReader& r) {
   for (LayerStats& st : layers_) {
     st.files = r.u64();

@@ -39,6 +39,8 @@ class AccessPatterns {
 
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
+  /// Byte count save() would write, from container sizes alone.
+  std::uint64_t serialized_size() const;
 
   struct LayerStats {
     std::uint64_t files = 0;

@@ -185,6 +185,11 @@ void Analysis::save(util::ByteWriter& w) const {
   w.u64(unattributed_);
 }
 
+std::uint64_t Analysis::serialized_size() const {
+  return summary_.serialized_size() + access_.serialized_size() + layers_.serialized_size() +
+         interfaces_.serialized_size() + performance_.serialized_size() + 8;
+}
+
 void Analysis::load(util::ByteReader& r) {
   summary_.load(r);
   access_.load(r);

@@ -91,6 +91,8 @@ class Analysis {
   void save(util::ByteWriter& w) const;
   /// Throws util::FormatError on structurally invalid input.
   void load(util::ByteReader& r);
+  /// Byte count save() would write, from container sizes alone.
+  std::uint64_t serialized_size() const;
 
   const Summary& summary() const { return summary_; }
   const AccessPatterns& access() const { return access_; }

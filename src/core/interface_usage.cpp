@@ -106,6 +106,17 @@ void InterfaceUsage::save(util::ByteWriter& w) const {
   }
 }
 
+std::uint64_t InterfaceUsage::serialized_size() const {
+  std::uint64_t n = 24 * (counts_.size() + stdio_classes_.size());
+  for (const util::Histogram& h : transfer_) n += h.serialized_size();
+  n += 8 + 20 * stdio_domains_.size();
+  for (const auto& [name, d] : stdio_domains_) n += name.size();
+  n += 8 + 8 * stdio_jobs_.size() + 8;
+  n += 8 + 12 * stdio_extensions_.size();
+  for (const auto& [ext, count] : stdio_extensions_) n += ext.size();
+  return n;
+}
+
 void InterfaceUsage::load(util::ByteReader& r) {
   for (IfaceCounts& ic : counts_) {
     ic.posix = r.u64();

@@ -40,6 +40,8 @@ class InterfaceUsage {
   /// Canonical serialization (the STDIO job set is emitted sorted).
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
+  /// Byte count save() would write, from container sizes alone.
+  std::uint64_t serialized_size() const;
 
   /// Table 6 counts: files whose records include the given module.
   struct IfaceCounts {

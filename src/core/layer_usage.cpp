@@ -117,6 +117,16 @@ void LayerUsage::save(util::ByteWriter& w) const {
   }
 }
 
+std::uint64_t LayerUsage::serialized_size() const {
+  std::uint64_t n = 8 + 9 * job_mask_.size();
+  n += 8 + 12 * insys_job_domain_.size();
+  for (const auto& [id, dom] : insys_job_domain_) n += dom.size();
+  n += 24 * classes_.size();
+  n += 8 + 28 * domains_.size();
+  for (const auto& [name, d] : domains_) n += name.size();
+  return n;
+}
+
 void LayerUsage::load(util::ByteReader& r) {
   job_mask_.clear();
   const std::uint64_t n_masks = r.u64();

@@ -41,6 +41,8 @@ class LayerUsage {
   /// order).
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
+  /// Byte count save() would write, from container sizes alone.
+  std::uint64_t serialized_size() const;
 
   struct JobExclusivity {
     std::uint64_t pfs_only = 0;

@@ -48,6 +48,12 @@ void Performance::save(util::ByteWriter& w) const {
   w.u64(observations_);
 }
 
+std::uint64_t Performance::serialized_size() const {
+  std::uint64_t n = 8 + 8;
+  for (const util::ReservoirQuantiles& cell : cells_) n += cell.serialized_size();
+  return n;
+}
+
 void Performance::load(util::ByteReader& r) {
   const std::uint64_t n = r.u64();
   if (n != cells_.size()) throw util::FormatError("Performance: cell count mismatch");

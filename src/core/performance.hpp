@@ -35,6 +35,8 @@ class Performance {
   /// so a restored Performance merges and quantiles bit-identically.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
+  /// Byte count save() would write, from container sizes alone.
+  std::uint64_t serialized_size() const;
 
   /// Five-number summary of MB/s for one cell.  `iface`: 0 POSIX, 1 STDIO.
   util::FiveNumber cell(Layer layer, std::size_t iface, std::size_t transfer_bin,

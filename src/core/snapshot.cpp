@@ -30,9 +30,7 @@ std::vector<std::byte> write_snapshot_bytes(const Analysis& analysis, std::uint6
 }
 
 std::uint64_t serialized_analysis_bytes(const Analysis& analysis) {
-  util::ByteWriter w;
-  analysis.save(w);
-  return w.size();
+  return analysis.serialized_size();
 }
 
 void write_snapshot_file(const Analysis& analysis, std::uint64_t tag,

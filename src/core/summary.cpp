@@ -36,6 +36,8 @@ void Summary::save(util::ByteWriter& w) const {
   }
 }
 
+std::uint64_t Summary::serialized_size() const { return 8 * 4 + 16 * per_job_logs_.size(); }
+
 void Summary::load(util::ByteReader& r) {
   logs_ = r.u64();
   files_ = r.u64();

@@ -23,6 +23,8 @@ class Summary {
   /// identical state always produces identical bytes.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
+  /// Byte count save() would write, from container sizes alone.
+  std::uint64_t serialized_size() const;
 
   std::uint64_t logs() const { return logs_; }
   std::uint64_t jobs() const { return per_job_logs_.size(); }

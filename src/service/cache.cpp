@@ -106,102 +106,101 @@ std::size_t SnapshotCache::purge(const std::function<bool(const CacheKey&)>& sta
 MergedResultCache::MergedResultCache(const Options& opts)
     : capacity_bytes_(opts.capacity_bytes), max_entries_(std::max<std::size_t>(1, opts.max_entries)) {}
 
-std::shared_ptr<const MergedResult> MergedResultCache::get(std::uint64_t generation) {
+std::shared_ptr<const MergedResult> MergedResultCache::lookup(std::span<const CacheKey> identity) {
   if (!enabled()) return nullptr;
   const std::scoped_lock lock(mu_);
   counters_.lookups += 1;
-  const auto it = index_.find(generation);
-  if (it == index_.end()) {
+  auto best = lru_.end();
+  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+    const std::vector<CacheKey>& id = it->value->identity;
+    if (id.size() > identity.size() || (id.empty() && !identity.empty())) continue;
+    if (best != lru_.end() && id.size() <= best->value->identity.size()) continue;
+    if (std::equal(id.begin(), id.end(), identity.begin())) best = it;
+  }
+  if (best == lru_.end()) {
     counters_.misses += 1;
     return nullptr;
   }
-  counters_.hits += 1;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->value;
-}
-
-std::shared_ptr<const MergedResult> MergedResultCache::best_prefix(
-    std::span<const CacheKey> identity) {
-  if (!enabled()) return nullptr;
-  const std::scoped_lock lock(mu_);
-  auto best = lru_.end();
-  std::size_t best_len = 0;
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    const std::vector<CacheKey>& id = it->value->identity;
-    if (id.empty() || id.size() > identity.size() || id.size() <= best_len) continue;
-    if (std::equal(id.begin(), id.end(), identity.begin())) {
-      best = it;
-      best_len = id.size();
-    }
+  if (best->value->identity.size() == identity.size()) {
+    counters_.hits += 1;
+  } else {
+    counters_.misses += 1;
+    counters_.prefix_hits += 1;
   }
-  if (best == lru_.end()) return nullptr;
-  counters_.prefix_hits += 1;
   lru_.splice(lru_.begin(), lru_, best);
   return best->value;
 }
 
-bool MergedResultCache::insert(std::uint64_t generation,
-                               std::shared_ptr<const MergedResult> value,
-                               std::uint64_t size_bytes) {
+bool MergedResultCache::insert(std::shared_ptr<const MergedResult> value, std::uint64_t size_bytes,
+                               const MergedResult* base) {
   if (!enabled()) return false;
+  std::vector<Entry> dropped;  // declared first: destroyed after the lock is released
   const std::scoped_lock lock(mu_);
-  if (const auto it = index_.find(generation); it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return true;  // concurrent readers raced to memoize the same generation
+  const auto resident = std::find_if(lru_.begin(), lru_.end(), [&](const Entry& e) {
+    return e.value->identity == value->identity;
+  });
+  if (resident != lru_.end()) {
+    lru_.splice(lru_.begin(), lru_, resident);
+    return true;  // concurrent readers raced to memoize the same identity
   }
   if (size_bytes > capacity_bytes_) {
     counters_.rejected += 1;
     return false;
   }
 
-  // Admission mirrors SnapshotCache: walk would-be victims from the cold
-  // end; reject the candidate if they are costlier to recompute than it is.
-  // Costs are cumulative from scratch, so an answer extended incrementally
-  // from an ancestor always outbids that ancestor.
+  // The superseded base leaves first and for free.  Admission then mirrors
+  // SnapshotCache: walk would-be victims from the cold end; reject the
+  // candidate if they are costlier to recompute than it is.
+  const auto base_it = std::find_if(lru_.begin(), lru_.end(), [&](const Entry& e) {
+    return base != nullptr && e.value.get() == base;
+  });
+  std::vector<std::list<Entry>::iterator> victims;
   std::uint64_t victim_bytes = 0;
+  if (base_it != lru_.end()) {
+    victims.push_back(base_it);
+    victim_bytes = base_it->size_bytes;
+  }
   std::uint64_t victim_cost = 0;
-  std::size_t victims = 0;
-  for (auto it = lru_.rbegin(); bytes_used_ - victim_bytes + size_bytes > capacity_bytes_ ||
-                                lru_.size() - victims + 1 > max_entries_;
-       ++it, ++victims) {
+  for (auto it = lru_.end(); it != lru_.begin() &&
+                             (bytes_used_ - victim_bytes + size_bytes > capacity_bytes_ ||
+                              lru_.size() - victims.size() + 1 > max_entries_);) {
+    if (--it == base_it) continue;
     victim_bytes += it->size_bytes;
     victim_cost += it->value->cost_ns;
     if (victim_cost > value->cost_ns) {
       counters_.rejected += 1;
       return false;
     }
+    victims.push_back(it);
   }
-  for (std::size_t i = 0; i < victims; ++i) {
-    const Entry& victim = lru_.back();
-    bytes_used_ -= victim.size_bytes;
-    index_.erase(victim.generation);
-    lru_.pop_back();
+  for (const auto it : victims) {
+    bytes_used_ -= it->size_bytes;
+    dropped.push_back(std::move(*it));
+    lru_.erase(it);
     counters_.evictions += 1;
   }
 
-  lru_.push_front(Entry{generation, std::move(value), size_bytes});
-  index_.emplace(generation, lru_.begin());
+  lru_.push_front(Entry{std::move(value), size_bytes});
   bytes_used_ += size_bytes;
   counters_.insertions += 1;
   return true;
 }
 
-std::size_t MergedResultCache::purge(
-    const std::function<bool(std::uint64_t, const MergedResult&)>& stale) {
+std::size_t MergedResultCache::purge(const std::function<bool(const CacheKey&)>& dead) {
+  std::vector<Entry> dropped;  // declared first: destroyed after the lock is released
   const std::scoped_lock lock(mu_);
-  std::size_t dropped = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
-    if (stale(it->generation, *it->value)) {
+    const std::vector<CacheKey>& id = it->value->identity;
+    if (std::any_of(id.begin(), id.end(), dead)) {
       bytes_used_ -= it->size_bytes;
-      index_.erase(it->generation);
+      dropped.push_back(std::move(*it));
       it = lru_.erase(it);
       counters_.purged += 1;
-      dropped += 1;
     } else {
       ++it;
     }
   }
-  return dropped;
+  return dropped.size();
 }
 
 CacheCounters MergedResultCache::counters() const {

@@ -5,7 +5,7 @@
 // compaction gets a new data generation, so entries for the old bytes are
 // simply unreachable — generation-keyed invalidation without any epoch
 // bookkeeping.  The writer additionally calls purge() after each publish to
-// reclaim the bytes of unreachable entries eagerly.
+// reclaim the bytes of entries for partitions the new manifest dropped.
 //
 // The cache is split into independently locked shards (partition id hashed
 // to a shard) so concurrent readers do not serialize on one mutex; each
@@ -56,12 +56,11 @@ struct CacheCounters {
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
   std::uint64_t rejected = 0;  ///< admissions refused (size or cost policy)
-  std::uint64_t purged = 0;    ///< entries dropped by generation purge
+  std::uint64_t purged = 0;    ///< entries dropped by a publish-time purge
   std::uint64_t entries = 0;   ///< resident entries right now
   std::uint64_t bytes_used = 0;
-  /// Longest-prefix matches served by MergedResultCache::best_prefix —
-  /// counted apart from lookups/hits/misses, whose reconciliation invariant
-  /// covers exact-generation gets only.  Always 0 for SnapshotCache.
+  /// MergedResultCache lookups that missed but returned a shorter resident
+  /// prefix to extend (a subset of misses).  Always 0 for SnapshotCache.
   std::uint64_t prefix_hits = 0;
 };
 
@@ -95,16 +94,16 @@ class SnapshotCache {
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
   unsigned shard_count() const { return static_cast<unsigned>(shards_.size()); }
 
+  struct KeyHash {
+    std::size_t operator()(const CacheKey& k) const;
+  };
+
  private:
   struct Entry {
     CacheKey key;
     std::shared_ptr<const core::Analysis> value;
     std::uint64_t size_bytes = 0;
     std::uint64_t cost_ns = 0;
-  };
-
-  struct KeyHash {
-    std::size_t operator()(const CacheKey& k) const;
   };
 
   /// One lock domain: LRU list (front = most recent) plus key index.
@@ -123,16 +122,18 @@ class SnapshotCache {
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-/// One memoized whole-archive answer: the merged analysis, its fingerprint,
-/// and the identity it was merged over.
+/// One memoized answer: the left fold of an ordered run of partitions, its
+/// fingerprint, and the identity it folded.
 struct MergedResult {
   std::shared_ptr<const core::Analysis> analysis;
   std::uint64_t fingerprint = 0;
   /// (partition id, data generation) in manifest order — exactly the shards
-  /// folded, in the order they were folded.  The prefix-validity rule
-  /// (DESIGN.md §12) matches against this: a manifest whose partition list
-  /// starts with this identity can extend the answer incrementally, because
-  /// ingest only appends and the merge is a left fold.
+  /// folded, in the order they were folded.  This is the memo key: a whole
+  /// get folds the full partition list, a windowed get a suffix of it, and
+  /// equal identities are equal answers whatever the manifest generation.
+  /// The prefix-validity rule (DESIGN.md §12) matches against it too: a
+  /// request whose identity starts with this one can extend the answer
+  /// incrementally, because the merge is a left fold.
   std::vector<CacheKey> identity;
   /// Cumulative cost to produce this answer from scratch (parent entry's
   /// cost plus the delta fold) — the admission currency, kept cumulative so
@@ -141,15 +142,15 @@ struct MergedResult {
   std::uint64_t cost_ns = 0;
 };
 
-/// Bounded LRU memo of whole-archive merged answers keyed by manifest
-/// generation — the service-level generation-delta cache (DESIGN.md §12).
-/// A warm get() against an unchanged generation is one lookup here instead
-/// of P shard resolutions + P merges; after an ingest append, best_prefix()
-/// hands back the longest still-valid ancestor to extend.  Shares the
-/// SnapshotCache's discipline: byte-bounded LRU, cost-based admission
-/// (victims cheaper to recompute than the candidate), publish-time purge,
-/// and the same counter reconciliation invariants.  Generations are serial
-/// and few, so one lock domain suffices.
+/// Bounded LRU memo of merged answers keyed by the identity they folded —
+/// the service-level generation-delta cache (DESIGN.md §12), shared by
+/// whole-archive and windowed gets.  A warm get against an unchanged
+/// identity is one lookup here instead of P shard resolutions + P merges;
+/// after an append, the lookup hands back the longest resident prefix to
+/// extend.  Shares the SnapshotCache's discipline: byte-bounded LRU,
+/// cost-based admission (victims cheaper to recompute than the candidate),
+/// publish-time purge, and the same counter reconciliation invariants.
+/// Resident answers are few, so one lock domain and a linear scan suffice.
 class MergedResultCache {
  public:
   struct Options {
@@ -157,7 +158,8 @@ class MergedResultCache {
     /// "linear in P" lane).
     std::uint64_t capacity_bytes = 64ull << 20;
     /// Resident answers kept (LRU beyond this evicts regardless of bytes);
-    /// a handful covers the live generation plus pinned stragglers.
+    /// a handful covers the live whole and windowed answers plus pinned
+    /// stragglers.
     std::size_t max_entries = 4;
   };
 
@@ -165,38 +167,38 @@ class MergedResultCache {
 
   bool enabled() const { return capacity_bytes_ > 0; }
 
-  /// nullptr on miss; a hit refreshes the entry's LRU position.
-  std::shared_ptr<const MergedResult> get(std::uint64_t generation);
-
-  /// The resident answer with the LONGEST identity that is a (possibly
-  /// full-length) prefix of `identity`, or nullptr.  Counted as
-  /// prefix_hits, not lookups — callers reach here only after get() missed.
-  std::shared_ptr<const MergedResult> best_prefix(std::span<const CacheKey> identity);
+  /// The resident answer with the LONGEST non-empty identity that is a
+  /// prefix of `identity`; a full-length match is an exact hit (an empty
+  /// identity matches only exactly).  nullptr when nothing matches.  Counts
+  /// one lookup: a hit when exact, else a miss (plus a prefix_hit when a
+  /// shorter prefix came back).  A returned entry moves to the LRU front.
+  std::shared_ptr<const MergedResult> lookup(std::span<const CacheKey> identity);
 
   /// Offer an answer.  `size_bytes` is core::serialized_analysis_bytes of
-  /// the merged analysis; the admission cost is value->cost_ns.  Returns
-  /// false when admission rejected it.  Re-inserting a resident generation
-  /// refreshes recency only.
-  bool insert(std::uint64_t generation, std::shared_ptr<const MergedResult> value,
-              std::uint64_t size_bytes);
+  /// the merged analysis; the admission cost is value->cost_ns.  `base` is
+  /// the resident answer `value` extends, if any: it is superseded, so an
+  /// admitted `value` evicts it first.  Returns false when admission
+  /// rejected the answer (the base then stays).  Re-inserting a resident
+  /// identity refreshes recency only.
+  bool insert(std::shared_ptr<const MergedResult> value, std::uint64_t size_bytes,
+              const MergedResult* base = nullptr);
 
-  /// Drop entries for which `stale` returns true.  The service keeps
-  /// exactly the prefix-valid ones across a publish.
-  std::size_t purge(const std::function<bool(std::uint64_t, const MergedResult&)>& stale);
+  /// Drop every entry whose identity names a key for which `dead` returns
+  /// true (the service passes "not in the current manifest").  Returns the
+  /// number dropped.
+  std::size_t purge(const std::function<bool(const CacheKey&)>& dead);
 
   CacheCounters counters() const;
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
 
  private:
   struct Entry {
-    std::uint64_t generation = 0;
     std::shared_ptr<const MergedResult> value;
     std::uint64_t size_bytes = 0;
   };
 
   mutable std::mutex mu_;
   std::list<Entry> lru_;  ///< front = most recent
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
   std::uint64_t capacity_bytes_;
   std::size_t max_entries_;
   std::uint64_t bytes_used_ = 0;

@@ -96,33 +96,20 @@ void ArchiveService::publish_locked() {
     const std::scoped_lock lock(pin_mu_);
     published_ = next;
   }
-  // Drop cache entries the new manifest no longer references.  Entries for
-  // still-pinned older generations are dropped too — by definition those
-  // generations are on their way out, and correctness never depends on the
-  // cache (a pinned reader just rebuilds).
-  std::unordered_set<std::uint64_t> live;
+  // Drop cache entries that name a partition the new manifest no longer
+  // lists.  Entries for still-pinned older generations go too — by
+  // definition those generations are on their way out, and correctness
+  // never depends on the cache (a pinned reader just rebuilds).  An append
+  // kills no partition, so a stream_append publish drops nothing and frees
+  // no memoized answer: the get that extends an answer retires its base.
+  std::unordered_set<CacheKey, SnapshotCache::KeyHash> live;
   live.reserve(next->partitions.size());
   for (const archive::PartitionInfo& p : next->partitions) {
-    live.insert(p.id * 0x100000001b3ull + p.data_generation);
+    live.insert(CacheKey{p.id, p.data_generation});
   }
-  cache_.purge([&](const CacheKey& k) {
-    return live.find(k.partition_id * 0x100000001b3ull + k.data_generation) == live.end();
-  });
-  // Merged answers survive a publish exactly when their identity is still a
-  // prefix of the new partition list: an ingest append keeps the previous
-  // generation's answer alive as the incremental seed for the next get,
-  // while a compaction (rewritten ids / data generations) invalidates it.
-  const std::vector<archive::PartitionInfo>& parts = next->partitions;
-  merged_.purge([&](std::uint64_t, const MergedResult& m) {
-    if (m.identity.size() > parts.size()) return true;
-    for (std::size_t i = 0; i < m.identity.size(); ++i) {
-      if (m.identity[i].partition_id != parts[i].id ||
-          m.identity[i].data_generation != parts[i].data_generation) {
-        return true;
-      }
-    }
-    return false;
-  });
+  const auto dead = [&](const CacheKey& k) { return !live.contains(k); };
+  cache_.purge(dead);
+  merged_.purge(dead);
 }
 
 void ArchiveService::sweep_gc() {
@@ -210,8 +197,7 @@ std::shared_ptr<const core::Analysis> ArchiveService::resolve_shard(
 }
 
 std::vector<std::shared_ptr<const core::Analysis>> ArchiveService::resolve_all(
-    const Pin& pin, ServiceStats& stats) {
-  const std::vector<archive::PartitionInfo>& parts = pin.manifest().partitions;
+    std::span<const archive::PartitionInfo> parts, ServiceStats& stats) {
   std::vector<std::shared_ptr<const core::Analysis>> shards(parts.size());
   if (pool_ == nullptr) {
     for (std::size_t i = 0; i < parts.size(); ++i) shards[i] = resolve_shard(parts[i], stats);
@@ -241,24 +227,17 @@ std::vector<std::shared_ptr<const core::Analysis>> ArchiveService::resolve_all(
   return shards;
 }
 
-ArchiveService::GetResult ArchiveService::get_pinned(const Pin& pin, bool keep_analysis) {
+ArchiveService::GetResult ArchiveService::fold_pinned(const Pin& pin, std::size_t first,
+                                                      bool keep_analysis) {
   MLIO_ASSERT(pin.valid());
   const auto t0 = SteadyClock::now();
   GetResult r;
   r.generation = pin.generation();
   r.pin = pin;
   r.stats.requests = 1;
-  const std::vector<archive::PartitionInfo>& parts = pin.manifest().partitions;
+  const std::span<const archive::PartitionInfo> parts =
+      std::span<const archive::PartitionInfo>(pin.manifest().partitions).subspan(first);
   r.stats.query.partitions = parts.size();
-
-  // Tier 1: the whole answer, memoized under this generation.
-  if (std::shared_ptr<const MergedResult> memo = merged_.get(pin.generation())) {
-    r.stats.query.merged_hits = 1;
-    r.fingerprint = memo->fingerprint;
-    if (keep_analysis) r.analysis = memo->analysis;
-    r.stats.query.total_seconds = static_cast<double>(ns_since(t0)) * 1e-9;
-    return r;
-  }
 
   std::vector<CacheKey> identity;
   identity.reserve(parts.size());
@@ -266,74 +245,69 @@ ArchiveService::GetResult ArchiveService::get_pinned(const Pin& pin, bool keep_a
     identity.push_back(CacheKey{p.id, p.data_generation});
   }
 
-  std::shared_ptr<const core::Analysis> merged;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t base_cost_ns = 0;
+  // Exact hit: these very shards were folded before, under this or an
+  // earlier manifest generation.
+  const std::shared_ptr<const MergedResult> base = merged_.lookup(identity);
+  if (base != nullptr && base->identity.size() == identity.size()) {
+    r.stats.query.merged_hits = 1;
+    r.fingerprint = base->fingerprint;
+    if (keep_analysis) r.analysis = base->analysis;
+    r.stats.query.total_seconds = static_cast<double>(ns_since(t0)) * 1e-9;
+    return r;
+  }
 
-  // Tier 2: extend the longest memoized prefix — ingest appends partitions,
-  // so merged(prefix) ⊕ delta shards continues the canonical left fold
-  // bit-identically.  A full-length match (same partitions under a new
-  // manifest generation, e.g. after a snapshot commit) costs zero merges.
-  if (std::shared_ptr<const MergedResult> base = merged_.best_prefix(identity)) {
-    base_cost_ns = base->cost_ns;
+  std::shared_ptr<const core::Analysis> merged;
+  const auto t_scan = SteadyClock::now();
+  if (base != nullptr) {
+    // Prefix: an append grew the run, so merged(prefix) ⊕ delta shards
+    // continues the canonical left fold bit-identically.
     const std::size_t reused = base->identity.size();
     r.stats.query.partitions_reused = reused;
-    if (reused == parts.size()) {
-      merged = base->analysis;
-      fingerprint = base->fingerprint;
-      r.stats.query.merged_hits = 1;
-    } else {
-      r.stats.query.prefix_merges = 1;
-      const auto t_scan = SteadyClock::now();
-      auto extended = std::make_shared<core::Analysis>(*base->analysis);
-      for (std::size_t i = reused; i < parts.size(); ++i) {
-        extended->merge(*resolve_shard(parts[i], r.stats));
-      }
-      r.stats.scan_ns = ns_since(t_scan);
-      r.stats.query.scan_seconds = static_cast<double>(r.stats.scan_ns) * 1e-9;
-      fingerprint = extended->fingerprint();
-      merged = std::move(extended);
+    r.stats.query.prefix_merges = 1;
+    auto extended = std::make_shared<core::Analysis>(*base->analysis);
+    for (std::size_t i = reused; i < parts.size(); ++i) {
+      extended->merge(*resolve_shard(parts[i], r.stats));
     }
-  } else {
-    // Tier 3: full merge — resolve every shard (on the merge pool when
-    // configured) and fold with the pinned-shape tree.
-    r.stats.query.full_merges = 1;
-    const auto t_scan = SteadyClock::now();
-    const std::vector<std::shared_ptr<const core::Analysis>> shards = resolve_all(pin, r.stats);
     r.stats.scan_ns = ns_since(t_scan);
-    r.stats.query.scan_seconds = static_cast<double>(r.stats.scan_ns) * 1e-9;
+    merged = std::move(extended);
+  } else {
+    // Full fold: resolve every shard (on the merge pool when configured)
+    // and fold with the pinned-shape tree, bit-identical to the serial
+    // left fold.
+    r.stats.query.full_merges = 1;
+    const std::vector<std::shared_ptr<const core::Analysis>> shards = resolve_all(parts, r.stats);
+    r.stats.scan_ns = ns_since(t_scan);
 
     const auto t_merge = SteadyClock::now();
     std::vector<const core::Analysis*> ptrs;
     ptrs.reserve(shards.size());
     for (const auto& shard : shards) ptrs.push_back(shard.get());
     core::MergeTreeStats tree;
-    auto folded =
+    merged =
         std::make_shared<core::Analysis>(core::Analysis::merge_ordered(ptrs, pool_.get(), &tree));
     r.stats.query.tree_merges = tree.used_tree ? 1 : 0;
     r.stats.merge_ns = ns_since(t_merge);
     r.stats.query.merge_seconds = static_cast<double>(r.stats.merge_ns) * 1e-9;
-    fingerprint = folded->fingerprint();
-    merged = std::move(folded);
   }
+  r.stats.query.scan_seconds = static_cast<double>(r.stats.scan_ns) * 1e-9;
+  r.fingerprint = merged->fingerprint();
 
-  // Memoize under THIS generation (a tier-2 full-length reuse re-registers
-  // the shared answer under the new generation so the next get is a tier-1
-  // hit; the analysis itself is shared, not copied).
   if (merged_.enabled()) {
     auto entry = std::make_shared<MergedResult>();
     entry->analysis = merged;
-    entry->fingerprint = fingerprint;
+    entry->fingerprint = r.fingerprint;
     entry->identity = std::move(identity);
-    entry->cost_ns = base_cost_ns + ns_since(t0);
-    merged_.insert(pin.generation(), std::move(entry),
-                   core::serialized_analysis_bytes(*merged));
+    entry->cost_ns = (base != nullptr ? base->cost_ns : 0) + ns_since(t0);
+    merged_.insert(std::move(entry), core::serialized_analysis_bytes(*merged), base.get());
   }
 
-  r.fingerprint = fingerprint;
   if (keep_analysis) r.analysis = std::move(merged);
   r.stats.query.total_seconds = static_cast<double>(ns_since(t0)) * 1e-9;
   return r;
+}
+
+ArchiveService::GetResult ArchiveService::get_pinned(const Pin& pin, bool keep_analysis) {
+  return fold_pinned(pin, 0, keep_analysis);
 }
 
 ArchiveService::GetResult ArchiveService::get(bool keep_analysis) {
@@ -546,39 +520,8 @@ ArchiveService::GetResult ArchiveService::get_window_pinned(const Pin& pin,
   MLIO_ASSERT(pin.valid());
   const archive::WindowSelection sel =
       archive::select_last_windows(pin.manifest(), last_windows);
-  if (sel.whole_archive()) {
-    // The suffix is the whole partition list: the memoized whole-archive
-    // engine IS the windowed answer (bit-identical — same shards, same
-    // fold), and it gets tier-1/2 reuse for free.
-    GetResult r = get_pinned(pin, keep_analysis);
-    r.windows = sel;
-    return r;
-  }
-
-  const auto t0 = SteadyClock::now();
-  GetResult r;
-  r.generation = pin.generation();
-  r.pin = pin;
+  GetResult r = fold_pinned(pin, sel.first, keep_analysis);
   r.windows = sel;
-  r.stats.requests = 1;
-  const std::vector<archive::PartitionInfo>& parts = pin.manifest().partitions;
-  r.stats.query.partitions = sel.count;
-  r.stats.query.full_merges = 1;
-
-  // Serial suffix fold through the shared shard cache.  Windows are small
-  // by design (cost proportional to the window, not the archive), so the
-  // canonical left fold needs no tree; bits match replay_serial_window by
-  // construction.
-  const auto t_scan = SteadyClock::now();
-  core::Analysis merged;
-  for (std::size_t i = sel.first; i < parts.size(); ++i) {
-    merged.merge(*resolve_shard(parts[i], r.stats));
-  }
-  r.stats.scan_ns = ns_since(t_scan);
-  r.stats.query.scan_seconds = static_cast<double>(r.stats.scan_ns) * 1e-9;
-  r.fingerprint = merged.fingerprint();
-  if (keep_analysis) r.analysis = std::make_shared<const core::Analysis>(std::move(merged));
-  r.stats.query.total_seconds = static_cast<double>(ns_since(t0)) * 1e-9;
   return r;
 }
 

@@ -86,7 +86,8 @@ class ArchiveService {
  public:
   struct Options {
     SnapshotCache::Options cache;
-    /// Whole-answer memo keyed by manifest generation (DESIGN.md §12).
+    /// Answer memo keyed by folded identity, shared by whole and windowed
+    /// gets (DESIGN.md §12).
     /// capacity_bytes = 0 turns memoization AND incremental prefix merging
     /// off — every get resolves and merges all P shards (the bench's
     /// linear-in-P lane).
@@ -238,7 +239,7 @@ class ArchiveService {
 
   /// Windowed get: "Table 2 for the last N windows" — fold only the
   /// partition suffix select_last_windows picks, through the shared shard
-  /// cache.  last_windows == 0 means the whole archive.  Retries internally
+  /// cache and answer memo.  last_windows == 0 means the whole archive.  Retries internally
   /// on a stale read, like get().
   GetResult get_window(std::uint64_t last_windows, bool keep_analysis = false);
   /// Same, against an explicit pin (no retry).
@@ -279,11 +280,15 @@ class ArchiveService {
   /// Resolve one partition's shard: cache -> disk snapshot -> rescan.
   std::shared_ptr<const core::Analysis> resolve_shard(const archive::PartitionInfo& p,
                                                       ServiceStats& stats);
-  /// Resolve every shard of `pin`'s manifest, on the merge pool when one is
+  /// Resolve every shard of `parts`, on the merge pool when one is
   /// configured (per-worker stats folded after the join), serially
   /// otherwise.
-  std::vector<std::shared_ptr<const core::Analysis>> resolve_all(const Pin& pin,
-                                                                 ServiceStats& stats);
+  std::vector<std::shared_ptr<const core::Analysis>> resolve_all(
+      std::span<const archive::PartitionInfo> parts, ServiceStats& stats);
+  /// The one fold path of get_pinned and get_window_pinned: the left fold
+  /// of `pin`'s partitions[first..], served from the identity-keyed memo —
+  /// exact hit, else extend the longest resident prefix, else a full fold.
+  GetResult fold_pinned(const Pin& pin, std::size_t first, bool keep_analysis);
 
   /// Body of the background compactor task (runs on compactor_pool_).
   void compactor_loop(CompactorOptions opts);

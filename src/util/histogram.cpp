@@ -35,6 +35,8 @@ void Histogram::save(ByteWriter& w) const {
   w.u64(total_);
 }
 
+std::uint64_t Histogram::serialized_size() const { return 8 * (1 + counts_.size() + 1); }
+
 void Histogram::load(ByteReader& r) {
   const std::uint64_t n = r.u64();
   if (n != counts_.size()) throw FormatError("Histogram: bin count mismatch");

@@ -37,6 +37,8 @@ class Histogram {
   /// FormatError on a bin-count or total mismatch.
   void save(ByteWriter& w) const;
   void load(ByteReader& r);
+  /// Byte count save() would write, from container sizes alone.
+  std::uint64_t serialized_size() const;
 
   std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
   std::uint64_t total() const { return total_; }

@@ -65,6 +65,7 @@ class Rng {
   /// reservoir sampler continues its stream bit-identically.
   void save(ByteWriter& w) const;
   void load(ByteReader& r);
+  static constexpr std::uint64_t serialized_size() { return sizeof(s_); }
 
  private:
   std::uint64_t s_[4];

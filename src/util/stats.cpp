@@ -120,6 +120,10 @@ void ReservoirQuantiles::save(ByteWriter& w) const {
   for (const double x : sample_) w.f64(x);
 }
 
+std::uint64_t ReservoirQuantiles::serialized_size() const {
+  return 8 + Rng::serialized_size() + 8 * (4 + sample_.size());
+}
+
 void ReservoirQuantiles::load(ByteReader& r) {
   const std::uint64_t capacity = r.u64();
   if (capacity == 0) throw FormatError("ReservoirQuantiles: zero capacity");
@@ -137,13 +141,11 @@ void ReservoirQuantiles::load(ByteReader& r) {
   for (std::uint64_t i = 0; i < sample_size; ++i) sample_.push_back(r.f64());
 }
 
-double ReservoirQuantiles::quantile(double q) const {
-  MLIO_ASSERT(q >= 0.0 && q <= 1.0);
-  if (sample_.empty()) return 0.0;
-  std::vector<double> sorted(sample_);
-  std::sort(sorted.begin(), sorted.end());
-  if (q <= 0.0) return min_;
-  if (q >= 1.0) return max_;
+namespace {
+
+/// Linear interpolation at interior q over an already sorted, non-empty
+/// sample.
+double interpolate(const std::vector<double>& sorted, double q) {
   const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
@@ -151,15 +153,31 @@ double ReservoirQuantiles::quantile(double q) const {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
+}  // namespace
+
+double ReservoirQuantiles::quantile(double q) const {
+  MLIO_ASSERT(q >= 0.0 && q <= 1.0);
+  if (sample_.empty()) return 0.0;
+  if (q <= 0.0) return min_;
+  if (q >= 1.0) return max_;
+  std::vector<double> sorted(sample_);
+  std::sort(sorted.begin(), sorted.end());
+  return interpolate(sorted, q);
+}
+
 FiveNumber ReservoirQuantiles::five_number() const {
   FiveNumber f;
   f.count = n_;
   if (n_ == 0) return f;
   f.min = min_;
-  f.q1 = quantile(0.25);
-  f.median = quantile(0.5);
-  f.q3 = quantile(0.75);
   f.max = max_;
+  if (sample_.empty()) return f;
+  // One sorted copy serves all three interior quantiles.
+  std::vector<double> sorted(sample_);
+  std::sort(sorted.begin(), sorted.end());
+  f.q1 = interpolate(sorted, 0.25);
+  f.median = interpolate(sorted, 0.5);
+  f.q3 = interpolate(sorted, 0.75);
   return f;
 }
 

@@ -65,6 +65,8 @@ class ReservoirQuantiles {
   /// Throws FormatError on a structurally invalid payload (e.g. a sample
   /// larger than its capacity or than the observation count).
   void load(ByteReader& r);
+  /// Byte count save() would write, from container sizes alone.
+  std::uint64_t serialized_size() const;
 
   std::uint64_t count() const { return n_; }
   bool empty() const { return n_ == 0; }

@@ -7,20 +7,31 @@
 // tier-1 merged hits, tier-2 prefix extensions after appends, and the
 // full-merge fallback after a compaction invalidates every cached prefix.
 //
+// The memo is keyed by the identity it folded, so whole-archive and
+// windowed gets share it: the live-mode tests stream time windows through
+// leveled compaction and check each serving tier, the publish-time purge,
+// and every answer against the serial replay of its pin.
+//
 // The closed-loop variant runs the same engine under concurrent clients
 // with the parallel merge pool and snapshot writeback on — it carries the
 // "tsan" label so CI replays it under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "archive/archive.hpp"
+#include "archive/stream.hpp"
 #include "core/snapshot.hpp"
+#include "darshan/log_format.hpp"
+#include "darshan/runtime.hpp"
 #include "service/driver.hpp"
 #include "service/service.hpp"
+#include "util/byte_io.hpp"
 #include "util/rng.hpp"
 #include "util/vfs.hpp"
 
@@ -174,6 +185,276 @@ TEST(GenerationDelta, ClosedLoopDriverWithMemoAndMergePoolStaysBitIdentical) {
   EXPECT_GT(svc.merged_counters().hits, 0u);
   EXPECT_EQ(svc.deferred_gc_pending(), 0u);
   EXPECT_TRUE(svc.gc_errors().empty());
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// The identity-keyed memo, unit level
+
+service::CacheKey key(std::uint64_t id) { return service::CacheKey{id, 1}; }
+
+/// A memo entry over partitions `ids` (data generation 1), charged `cost_ns`.
+std::shared_ptr<const service::MergedResult> answer(std::vector<std::uint64_t> ids,
+                                                    std::uint64_t cost_ns = 1) {
+  auto m = std::make_shared<service::MergedResult>();
+  m->analysis = std::make_shared<const core::Analysis>();
+  m->fingerprint = ids.empty() ? 0 : ids.back();
+  for (const std::uint64_t id : ids) m->identity.push_back(key(id));
+  m->cost_ns = cost_ns;
+  return m;
+}
+
+std::vector<service::CacheKey> keys(std::vector<std::uint64_t> ids) {
+  std::vector<service::CacheKey> out;
+  for (const std::uint64_t id : ids) out.push_back(key(id));
+  return out;
+}
+
+void expect_reconciled(const service::CacheCounters& c) {
+  EXPECT_EQ(c.hits + c.misses, c.lookups);
+  EXPECT_EQ(c.insertions, c.entries + c.evictions + c.purged);
+}
+
+TEST(GenerationDelta, MemoServesExactHitsThenLongestPrefixAndPurgesDeadIdentities) {
+  service::MergedResultCache memo({});
+  const auto whole = answer({1, 2, 3});
+  const auto window = answer({2, 3});
+  ASSERT_TRUE(memo.insert(whole, 100));
+  ASSERT_TRUE(memo.insert(window, 100));
+
+  // Exact hits, for a whole and a windowed identity side by side.
+  EXPECT_EQ(memo.lookup(keys({1, 2, 3})), whole);
+  EXPECT_EQ(memo.lookup(keys({2, 3})), window);
+  // Longest resident prefix: {2, 3} for {2, 3, 4}; nothing for {3, 4}.
+  EXPECT_EQ(memo.lookup(keys({2, 3, 4})), window);
+  EXPECT_EQ(memo.lookup(keys({3, 4})), nullptr);
+  service::CacheCounters c = memo.counters();
+  EXPECT_EQ(c.lookups, 4u);
+  EXPECT_EQ(c.hits, 2u);
+  EXPECT_EQ(c.misses, 2u);
+  EXPECT_EQ(c.prefix_hits, 1u);
+
+  // The answer that extends a base evicts it; the other entry stays.
+  ASSERT_TRUE(memo.insert(answer({2, 3, 4}), 100, window.get()));
+  c = memo.counters();
+  EXPECT_EQ(c.entries, 2u);
+  EXPECT_EQ(c.evictions, 1u);
+  EXPECT_EQ(memo.lookup(keys({2, 3})), nullptr);  // retired: {2, 3, 4} is longer
+  EXPECT_EQ(memo.lookup(keys({1, 2, 3}))->identity.size(), 3u);
+
+  // Purge drops exactly the entries naming a dead partition.
+  EXPECT_EQ(memo.purge([](const service::CacheKey& k) { return k.partition_id == 4; }), 1u);
+  EXPECT_NE(memo.lookup(keys({1, 2, 3})), nullptr);
+  EXPECT_EQ(memo.purge([](const service::CacheKey& k) { return k == key(1); }), 1u);
+  c = memo.counters();
+  EXPECT_EQ(c.entries, 0u);
+  EXPECT_EQ(c.purged, 2u);
+  expect_reconciled(c);
+}
+
+TEST(GenerationDelta, MemoCountCapKeepsCostAdmissionAndEmptyIdentityMatchesOnlyExactly) {
+  service::MergedResultCache::Options opts;
+  opts.max_entries = 2;
+  service::MergedResultCache memo(opts);
+  ASSERT_TRUE(memo.insert(answer({}, 10), 8));
+  ASSERT_TRUE(memo.insert(answer({7}, 1000), 8));
+  // An empty identity never stands in as a prefix.
+  EXPECT_EQ(memo.lookup(keys({8})), nullptr);
+  EXPECT_NE(memo.lookup(keys({})), nullptr);  // {7} is now the coldest
+  // Over the count cap, the cold {7} goes only to a costlier candidate.
+  EXPECT_FALSE(memo.insert(answer({9}, 5), 8));
+  EXPECT_TRUE(memo.insert(answer({9}, 5000), 8));
+  const service::CacheCounters c = memo.counters();
+  EXPECT_EQ(c.rejected, 1u);
+  EXPECT_EQ(c.entries, 2u);
+  EXPECT_EQ(memo.lookup(keys({7})), nullptr);
+  expect_reconciled(c);
+}
+
+// ---------------------------------------------------------------------------
+// Live mode: windowed and whole gets through one memo
+
+constexpr std::int64_t kWindowSeconds = 100;
+constexpr std::uint64_t kLastWindows = 3;
+
+/// One small log starting inside window `window` (1-based).
+service::ServiceFrame window_frame(std::uint64_t window, std::uint64_t job_id) {
+  darshan::JobRecord job;
+  job.job_id = job_id;
+  job.nprocs = 2;
+  job.nnodes = 1;
+  darshan::Runtime rt(job, {{"/gpfs", "gpfs"}, {"/mnt/bb", "xfs"}});
+  util::Rng rng(job_id * 0x9e37u + 3);
+  const auto h = rt.open_file(darshan::ModuleId::kPosix, 0, "/gpfs/f" + std::to_string(job_id % 5),
+                              0.0);
+  rt.record_reads(h, 0, rng.log_uniform_u64(256, 1 << 16), rng.uniform_u64(1, 20), 0.0, 0.5);
+  rt.record_writes(h, 0, rng.log_uniform_u64(256, 1 << 16), rng.uniform_u64(1, 20), 0.5, 0.4);
+  const std::int64_t start = static_cast<std::int64_t>(window - 1) * kWindowSeconds + 10;
+  const darshan::LogData log = rt.finalize(start, start + 30);
+  return service::ServiceFrame{log.job, darshan::write_log_bytes(log)};
+}
+
+/// A live service over an empty archive: 100 s windows, inline fanout-4
+/// leveled compaction.  The memo has room for every answer the test makes,
+/// so what stays resident is a pure function of the request sequence.
+class LiveMemo {
+ public:
+  explicit LiveMemo(const std::filesystem::path& dir) : dir_(dir) {
+    { archive::Archive::create(dir_); }
+    service::ArchiveService::Options opts;
+    opts.stream.window_seconds = kWindowSeconds;
+    opts.merged.max_entries = 8;
+    svc_.emplace(dir_, opts);
+  }
+  ~LiveMemo() {
+    svc_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  service::ArchiveService& svc() { return *svc_; }
+
+  /// Stream two logs into `window`, which cuts (publishes) the window
+  /// before it, then compact until nothing merges.
+  void stream_window(std::uint64_t window) {
+    for (int i = 0; i < 2; ++i) {
+      const service::ServiceFrame f = window_frame(window, next_job_++);
+      svc_->stream_append(std::span<const service::ServiceFrame>(&f, 1));
+    }
+    while (svc_->compact_step(archive::LeveledPolicy{4}).has_value()) {
+    }
+  }
+
+ private:
+  std::filesystem::path dir_;
+  std::optional<service::ArchiveService> svc_;
+  std::uint64_t next_job_ = 1;
+};
+
+/// The get equals the serial replay of its own pin, state bytes included.
+void expect_replayed(service::ArchiveService& svc, const service::ArchiveService::GetResult& r,
+                     std::uint64_t last_windows, const std::string& what) {
+  const core::Analysis replay = last_windows == 0
+                                    ? svc.replay_serial(r.pin)
+                                    : svc.replay_serial_window(r.pin, last_windows);
+  EXPECT_EQ(r.fingerprint, replay.fingerprint()) << what;
+  ASSERT_NE(r.analysis, nullptr) << what;
+  EXPECT_EQ(state(*r.analysis), state(replay)) << what;
+}
+
+TEST(GenerationDelta, WindowedAndWholeGetsShareTheIdentityKeyedMemo) {
+  LiveMemo live(fresh_dir("mlio_gen_delta_live"));
+  service::ArchiveService& svc = live.svc();
+  // Windows 1..8 published and compacted into two level-1 partitions,
+  // [1,4] and [5,8]; window 9 is open.
+  for (std::uint64_t w = 1; w <= 9; ++w) live.stream_window(w);
+  ASSERT_EQ(svc.pin().manifest().partitions.size(), 2u);
+
+  // Cold: the last 3 windows select [5,8] alone; both gets fold in full.
+  const auto window1 = svc.get_window(kLastWindows, true);
+  const auto whole1 = svc.get(true);
+  EXPECT_EQ(window1.windows.first, 1u);
+  EXPECT_EQ(window1.stats.query.full_merges, 1u);
+  EXPECT_EQ(whole1.stats.query.full_merges, 1u);
+  expect_replayed(svc, window1, kLastWindows, "cold window");
+  expect_replayed(svc, whole1, 0, "cold whole");
+
+  // Same generation: both answers are resident side by side, and a repeat
+  // of either is an exact hit serving the very same analysis.
+  const auto window2 = svc.get_window(kLastWindows, true);
+  const auto whole2 = svc.get(true);
+  EXPECT_EQ(window2.stats.query.merged_hits, 1u);
+  EXPECT_EQ(whole2.stats.query.merged_hits, 1u);
+  EXPECT_EQ(window2.fingerprint, window1.fingerprint);
+  EXPECT_EQ(whole2.fingerprint, whole1.fingerprint);
+  EXPECT_EQ(window2.analysis.get(), window1.analysis.get());
+  EXPECT_EQ(whole2.analysis.get(), whole1.analysis.get());
+  EXPECT_EQ(svc.merged_counters().entries, 2u);
+  const service::ArchiveService::Pin old = whole1.pin;
+
+  // Window 9 publishes; the suffix still starts at [5,8], so both gets
+  // extend their previous answer and retire it.
+  live.stream_window(10);
+  const auto window3 = svc.get_window(kLastWindows, true);
+  const auto whole3 = svc.get(true);
+  EXPECT_GT(window3.generation, old.generation());
+  EXPECT_EQ(window3.windows.first, 1u);
+  EXPECT_EQ(window3.stats.query.prefix_merges, 1u);
+  EXPECT_EQ(window3.stats.query.partitions_reused, 1u);
+  EXPECT_EQ(whole3.stats.query.prefix_merges, 1u);
+  EXPECT_EQ(whole3.stats.query.partitions_reused, 2u);
+  expect_replayed(svc, window3, kLastWindows, "extended window");
+  expect_replayed(svc, whole3, 0, "extended whole");
+  service::CacheCounters c = svc.merged_counters();
+  EXPECT_EQ(c.entries, 2u);
+  EXPECT_EQ(c.evictions, 2u);
+
+  // A reader still pinned at the older generation gets that generation's
+  // answers, bit for bit, whatever the memo holds now.
+  const auto old_window = svc.get_window_pinned(old, kLastWindows, true);
+  const auto old_whole = svc.get_pinned(old, true);
+  EXPECT_EQ(old_window.generation, old.generation());
+  EXPECT_EQ(old_window.fingerprint, window1.fingerprint);
+  EXPECT_EQ(old_whole.fingerprint, whole1.fingerprint);
+  expect_replayed(svc, old_window, kLastWindows, "old pin window");
+  expect_replayed(svc, old_whole, 0, "old pin whole");
+
+  // The old pin's answers ([5,8] and [1,4][5,8]) are resident again.
+  EXPECT_EQ(svc.merged_counters().entries, 4u);
+
+  // Windows 10 and 11 publish: appends purge nothing.  Window 10 keeps the
+  // suffix start; window 11 moves it past [5,8], a full fold.
+  for (std::uint64_t w = 11; w <= 12; ++w) {
+    live.stream_window(w);
+    const auto window = svc.get_window(kLastWindows, true);
+    const auto whole = svc.get(true);
+    expect_replayed(svc, window, kLastWindows, "window " + std::to_string(w));
+    expect_replayed(svc, whole, 0, "whole " + std::to_string(w));
+    EXPECT_EQ(window.stats.query.prefix_merges, w == 11 ? 1u : 0u);
+    EXPECT_EQ(window.stats.query.full_merges, w == 11 ? 0u : 1u);
+    EXPECT_EQ(whole.stats.query.prefix_merges, 1u);
+  }
+  c = svc.merged_counters();
+  EXPECT_EQ(c.purged, 0u);
+  EXPECT_EQ(c.entries, 5u);
+
+  // Window 12 publishes and the fourth level-0 window merges windows 9..12.
+  // The three entries naming one of those partitions go; the old pin's two
+  // name only live partitions and stay.
+  live.stream_window(13);
+  ASSERT_EQ(svc.pin().manifest().partitions.size(), 3u);
+  c = svc.merged_counters();
+  EXPECT_EQ(c.purged, 3u);
+  EXPECT_EQ(c.entries, 2u);
+  const auto window4 = svc.get_window(kLastWindows, true);
+  const auto whole4 = svc.get(true);
+  EXPECT_EQ(window4.windows.first, 2u);
+  EXPECT_EQ(window4.stats.query.full_merges, 1u);
+  EXPECT_EQ(whole4.stats.query.prefix_merges, 1u);  // extends the old pin's answer
+  EXPECT_EQ(whole4.stats.query.partitions_reused, 2u);
+  expect_replayed(svc, window4, kLastWindows, "window after compaction");
+  expect_replayed(svc, whole4, 0, "whole after compaction");
+
+  // Old pins stay answerable after the compaction too.
+  expect_replayed(svc, svc.get_window_pinned(old, kLastWindows, true), kLastWindows,
+                  "old pin window after compaction");
+  expect_replayed(svc, svc.get_pinned(old, true), 0, "old pin whole after compaction");
+
+  c = svc.merged_counters();
+  expect_reconciled(c);
+  EXPECT_GT(c.hits, 0u);
+  EXPECT_GT(c.prefix_hits, 0u);
+  EXPECT_GT(c.purged, 0u);
+}
+
+TEST(GenerationDelta, SerializedSizeOfAWholeArchiveAnswerMatchesSave) {
+  const std::filesystem::path dir = fresh_dir("mlio_gen_delta_size");
+  seed_archive(dir, 3);
+  service::ArchiveService svc(dir);
+  const auto r = svc.get(/*keep_analysis=*/true);
+  ASSERT_NE(r.analysis, nullptr);
+  util::ByteWriter w;
+  r.analysis->save(w);
+  EXPECT_EQ(core::serialized_analysis_bytes(*r.analysis), w.size());
   std::filesystem::remove_all(dir);
 }
 

@@ -8,6 +8,7 @@
 
 #include <zlib.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -177,11 +178,10 @@ class BitWriter {
     }
   }
   Bytes zlib_stream() const {
-    Bytes s;
-    s.push_back(std::byte{0x78});  // CM=8, CINFO=7
-    s.push_back(std::byte{0x01});  // FLG making the header %31 == 0
-    s.insert(s.end(), out_.begin(), out_.end());
-    for (int i = 0; i < 4; ++i) s.push_back(std::byte{0});  // bogus adler
+    Bytes s(2 + out_.size() + 4, std::byte{0});  // trailing zeros: bogus adler
+    s[0] = std::byte{0x78};  // CM=8, CINFO=7
+    s[1] = std::byte{0x01};  // FLG making the header %31 == 0
+    std::copy(out_.begin(), out_.end(), s.begin() + 2);
     return s;
   }
 

@@ -240,7 +240,9 @@ TEST_F(ParallelIngestTest, FileIngestHonorsShardingKnobs) {
     std::uint64_t total = 0;
     for (const PartitionInfo& p : ar.manifest().partitions) {
       total += p.log_count;
-      if (c.max_logs > 0) EXPECT_LE(p.log_count, c.max_logs);
+      if (c.max_logs > 0) {
+        EXPECT_LE(p.log_count, c.max_logs);
+      }
     }
     EXPECT_EQ(total, 7u);
     EXPECT_TRUE(ar.verify(true).ok());

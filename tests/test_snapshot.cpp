@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "darshan/log_format.hpp"
+#include "util/byte_io.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "workload/pipeline.hpp"
@@ -84,6 +85,31 @@ TEST(Snapshot, LoadedStateContinuesBitIdentically) {
   restored.merge(tail);
   EXPECT_EQ(original.fingerprint(), restored.fingerprint());
   EXPECT_EQ(write_snapshot_bytes(original, 9), write_snapshot_bytes(restored, 9));
+}
+
+TEST(Snapshot, SerializedSizeCountsExactlyWhatSaveWrites) {
+  // serialized_analysis_bytes sums container sizes instead of saving; it
+  // must agree with save() byte for byte on every shape of state.
+  const auto saved_size = [](const Analysis& a) {
+    util::ByteWriter w;
+    a.save(w);
+    return static_cast<std::uint64_t>(w.size());
+  };
+  const auto logs = sample_logs(40);
+  ASSERT_GT(logs.size(), 2u);
+  const Analysis empty;
+  const Analysis one = analyze(logs, 0, 1);
+  Analysis merged = analyze(logs, 0, logs.size() / 2);
+  merged.merge(analyze(logs, logs.size() / 2, logs.size()));
+  const Analysis loaded = read_snapshot_bytes(write_snapshot_bytes(merged, 5));
+  // The string-keyed maps are populated, so their lengths are counted too.
+  ASSERT_FALSE(merged.layers().domains().empty());
+  ASSERT_FALSE(merged.interfaces().stdio_extensions().empty());
+  const Analysis* const states[] = {&empty, &one, &merged, &loaded};
+  for (const Analysis* a : states) {
+    EXPECT_EQ(serialized_analysis_bytes(*a), saved_size(*a));
+  }
+  EXPECT_LT(serialized_analysis_bytes(empty), serialized_analysis_bytes(one));
 }
 
 TEST(Snapshot, EmptyAnalysisRoundTrips) {

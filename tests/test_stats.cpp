@@ -79,6 +79,11 @@ TEST(ReservoirQuantiles, ApproximatesLargeStreams) {
   EXPECT_NEAR(q.quantile(0.5), 50.0, 4.0);
   EXPECT_NEAR(q.quantile(0.9), 90.0, 4.0);
   EXPECT_EQ(q.count(), 200000u);
+  // five_number() sorts once for all three interior quantiles: same bits.
+  const FiveNumber f = q.five_number();
+  EXPECT_EQ(f.q1, q.quantile(0.25));
+  EXPECT_EQ(f.median, q.quantile(0.5));
+  EXPECT_EQ(f.q3, q.quantile(0.75));
 }
 
 TEST(ReservoirQuantiles, MergePreservesCountAndRange) {
