@@ -61,7 +61,7 @@ struct QueryOptions {
   /// Logs in flight per worker during cold rebuilds (scan.hpp); 1 runs the
   /// seed's one-at-a-time scan.  Results are bit-identical at any depth.
   unsigned mlp_depth = kDefaultMlpDepth;
-  /// Route rebuilds through the seed-compat decode/summarize baseline lane
+  /// Route rebuilds through the seed-compat parse/summarize baseline lane
   /// (honest pre-overhaul measurement; results are identical).
   bool seed_compat = false;
 };

@@ -63,7 +63,7 @@ Analysis read_snapshot_bytes(std::span<const std::byte> data, std::uint64_t* tag
     // per thread, so warm queries loading many snapshots allocate nothing.
     thread_local util::Inflater inflater;
     inflater.decompress(stored, static_cast<std::size_t>(body_size), unpacked,
-                        util::InflateEngine::kFast, /*verify_checksum=*/false);
+                        /*verify_checksum=*/false);
     body = unpacked;
   } else if (body_size != stored_size) {
     throw util::FormatError("snapshot: body size mismatch");

@@ -323,8 +323,10 @@ void write_log_file(const LogData& log, const std::filesystem::path& path,
   if (!f) throw util::Error("write failed: " + path.string());
 }
 
+// Frame decode is the same under every ReadOptions; the parameter keeps the
+// two stages' signatures alike.
 std::span<const std::byte> read_log_frame_body(std::span<const std::byte> data,
-                                               LogIoBuffers& io, const ReadOptions& opts) {
+                                               LogIoBuffers& io, const ReadOptions& /*opts*/) {
   ByteReader header(data);
   if (header.u32() != kLogMagic) throw FormatError("bad magic");
   const std::uint16_t version = header.u16();
@@ -346,12 +348,9 @@ std::span<const std::byte> read_log_frame_body(std::span<const std::byte> data,
 
   std::span<const std::byte> body;
   if (flags & kFlagCompressed) {
-    // The frame CRC below covers the decompressed body, so the fast engine
-    // skips its redundant Adler-32 pass; the seed-compat lane keeps the
-    // original streaming zlib decode as the honest baseline.
+    // The frame CRC below covers the decompressed body, so the decoder
+    // skips its redundant Adler-32 pass.
     io.inflater.decompress(stored, static_cast<std::size_t>(body_size), io.unpacked,
-                           opts.seed_compat_parse ? util::InflateEngine::kZlib
-                                                  : util::InflateEngine::kFast,
                            /*verify_checksum=*/false);
     body = io.unpacked;
   } else {

@@ -41,12 +41,13 @@ struct WriteOptions {
 };
 
 struct ReadOptions {
-  /// Route the decode through the seed's parse path: fresh std::string +
-  /// hash-map node per name, fresh mount entries, per-counter decode calls,
+  /// Route the body parse through the seed's parse path: fresh std::string
+  /// + hash-map node per name, fresh mount entries, per-counter decode calls,
   /// and tail-record destruction — instead of arena fills, in-place capacity
-  /// reuse, bulk counter memcpy, and the record husk pool.  The result is
-  /// identical; this exists so bench_analysis can measure an honest
-  /// pre-overhaul baseline, mirroring Emission::kPerRank on the write side.
+  /// reuse, bulk counter memcpy, and the record husk pool.  Frame decode
+  /// (inflate and CRC) is the same in both paths.  The result is identical;
+  /// this exists so bench_analysis can measure an honest pre-overhaul parse
+  /// baseline, mirroring Emission::kPerRank on the write side.
   bool seed_compat_parse = false;
 };
 

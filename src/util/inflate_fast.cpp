@@ -2,6 +2,7 @@
 
 #include <zlib.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -12,37 +13,66 @@ namespace mlio::util {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Table entries.  One u32 per slot:
+// Table entries, in libdeflate's layout.  One u32 per slot:
 //
-//   [0:4]   nbits  — total code length to consume (for links: sub-table width)
-//   [5:7]   kind
-//   [8:22]  val    — literal byte / length base / distance base / sub offset
-//   [23:27] extra  — extra bits following the code (lengths <= 5, dists <= 13)
+//   bit  31     literal; bits 16..23 hold the byte
+//   bits 16..30 value: length base, distance base, code-length symbol, or a
+//               link's sub-table start (an index into the same table)
+//   bit  15     exceptional: end of block, link, or invalid
+//   bit  14     link to a sub-table
+//   bit  13     end of block
+//   bits 8..11  code length (for a link: the sub-table's index width)
+//   bits 0..4   code length + extra bits (for a link: the root width)
 //
-// An all-zero entry is "invalid": kind 0, nbits 0.  The decode loops treat
-// nbits == 0 as an error, so unassigned slots can never cause a zero-bit
-// consume (which would loop forever on hostile input).
+// The low five bits are everything an entry consumes, so a length or a
+// distance takes its extra bits in the same shift as its code; the extra
+// value is then read from the buffer as it was before that shift.
+//
+// An entry that is exceptional but neither a link nor the end of block is
+// invalid: an unassigned slot of an incomplete code, or litlen symbols
+// 286/287 and distance symbols 30/31, which take part in the canonical code
+// but are errors if a stream uses them — as in zlib.
 
-enum Kind : std::uint32_t {
-  kInvalid = 0,
-  kLiteral = 1,
-  kBase = 2,  // length base in the litlen table, distance base in the dist table
-  kEob = 3,
-  kLink = 4,
-};
+constexpr std::uint32_t kLiteral = 0x80000000u;
+constexpr std::uint32_t kExceptional = 0x8000u;
+constexpr std::uint32_t kLink = 0x4000u;
+constexpr std::uint32_t kEob = 0x2000u;
+constexpr std::uint32_t kInvalid = kExceptional;
 
-constexpr std::uint32_t make_entry(Kind k, std::uint32_t val, std::uint32_t extra = 0) {
-  return (static_cast<std::uint32_t>(k) << 5) | (val << 8) | (extra << 23);
+constexpr unsigned e_total(std::uint32_t e) { return e & 31u; }
+constexpr unsigned e_codelen(std::uint32_t e) { return (e >> 8) & 15u; }
+constexpr std::uint32_t e_val(std::uint32_t e) { return (e >> 16) & 0x7fffu; }
+constexpr unsigned char e_literal(std::uint32_t e) { return static_cast<unsigned char>(e >> 16); }
+
+constexpr std::uint64_t low_bits(std::uint64_t v, unsigned n) {
+  return v & ((std::uint64_t{1} << n) - 1);
 }
-constexpr unsigned e_bits(std::uint32_t e) { return e & 31u; }
-constexpr Kind e_kind(std::uint32_t e) { return static_cast<Kind>((e >> 5) & 7u); }
-constexpr std::uint32_t e_val(std::uint32_t e) { return (e >> 8) & 0x7fffu; }
-constexpr unsigned e_extra(std::uint32_t e) { return (e >> 23) & 31u; }
+// Extra-bits value of a length or distance entry; `saved` is the bit buffer
+// before the entry was consumed.
+constexpr std::uint32_t e_extra_value(std::uint64_t saved, std::uint32_t e) {
+  return static_cast<std::uint32_t>(low_bits(saved, e_total(e)) >> e_codelen(e));
+}
+
+// A symbol's prototype holds its flags, value and extra-bit count; the table
+// build adds the code length to the two length fields.
+constexpr std::uint32_t proto(std::uint32_t flags, std::uint32_t val, std::uint32_t extra = 0) {
+  return flags | (val << 16) | extra;
+}
+constexpr std::uint32_t make_entry(std::uint32_t p, unsigned len) {
+  return p + (static_cast<std::uint32_t>(len) << 8) + len;
+}
 
 constexpr unsigned kMaxCodeBits = 15;
-constexpr unsigned kLitlenRootBits = 10;
+constexpr unsigned kLitlenRootBits = 11;
 constexpr unsigned kDistRootBits = 8;
 constexpr unsigned kCodelenRootBits = 7;
+
+// Table capacities.  A sub-table exists per root prefix of some code longer
+// than the root, so there are at most as many as symbols, and each is at most
+// 2^(15 - root) entries wide.  (libdeflate's tight bounds are 2342 and 402.)
+constexpr std::size_t kLitlenCapacity = (std::size_t{1} << kLitlenRootBits) + 288 * 16;
+constexpr std::size_t kDistCapacity = (std::size_t{1} << kDistRootBits) + 32 * 128;
+constexpr std::size_t kCodelenCapacity = std::size_t{1} << kCodelenRootBits;
 
 // RFC 1951 §3.2.5 length/distance code tables.
 constexpr std::uint16_t kLenBase[29] = {3,  4,  5,  6,  7,  8,  9,  10, 11,  13,
@@ -58,61 +88,48 @@ constexpr std::uint8_t kDistExtra[30] = {0, 0, 0,  0,  1,  1,  2,  2,  3,  3,
                                          4, 4, 5,  5,  6,  6,  7,  7,  8,  8,
                                          9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
 
-// Per-symbol prototype entries (everything but nbits, which the table build
-// fills in).  Symbols left kInvalid (286/287, dist 30/31) participate in the
-// canonical code construction but error if the stream ever emits them —
-// matching zlib.
 constexpr std::array<std::uint32_t, 288> make_litlen_protos() {
   std::array<std::uint32_t, 288> p{};
-  for (std::uint32_t s = 0; s < 256; ++s) p[s] = make_entry(kLiteral, s);
-  p[256] = make_entry(kEob, 0);
-  for (std::uint32_t s = 257; s <= 285; ++s) {
-    p[s] = make_entry(kBase, kLenBase[s - 257], kLenExtra[s - 257]);
-  }
+  for (std::uint32_t s = 0; s < 256; ++s) p[s] = proto(kLiteral, s);
+  p[256] = kExceptional | kEob;
+  for (std::uint32_t s = 257; s <= 285; ++s) p[s] = proto(0, kLenBase[s - 257], kLenExtra[s - 257]);
+  p[286] = p[287] = kInvalid;
   return p;
 }
 constexpr std::array<std::uint32_t, 32> make_dist_protos() {
   std::array<std::uint32_t, 32> p{};
-  for (std::uint32_t s = 0; s < 30; ++s) p[s] = make_entry(kBase, kDistBase[s], kDistExtra[s]);
+  for (std::uint32_t s = 0; s < 30; ++s) p[s] = proto(0, kDistBase[s], kDistExtra[s]);
+  p[30] = p[31] = kInvalid;
   return p;
 }
 constexpr std::array<std::uint32_t, 19> make_codelen_protos() {
   std::array<std::uint32_t, 19> p{};
-  // The header decode only needs the symbol value back; reuse kLiteral.
-  for (std::uint32_t s = 0; s < 19; ++s) p[s] = make_entry(kLiteral, s);
+  for (std::uint32_t s = 0; s < 19; ++s) p[s] = proto(0, s);
   return p;
 }
 constexpr auto kLitlenProtos = make_litlen_protos();
 constexpr auto kDistProtos = make_dist_protos();
 constexpr auto kCodelenProtos = make_codelen_protos();
 
-constexpr unsigned reverse_bits(unsigned code, unsigned len) {
-  code = ((code & 0x5555u) << 1) | ((code >> 1) & 0x5555u);
-  code = ((code & 0x3333u) << 2) | ((code >> 2) & 0x3333u);
-  code = ((code & 0x0f0fu) << 4) | ((code >> 4) & 0x0f0fu);
-  code = ((code & 0x00ffu) << 8) | ((code >> 8) & 0x00ffu);
-  return code >> (16 - len);
-}
-
 [[noreturn]] void fail() { throw FormatError("zlib decompression failed"); }
 
 enum class CodeSet { kCodelen, kLitlen, kDist };
 
-// Build a two-level table from canonical code lengths.  Root entries for
-// codes longer than root_bits are kLink entries pointing at sub-tables
-// appended after the root.  Throws on an oversubscribed set; an incomplete
-// set is allowed only where zlib allows it (a single 1-bit code, and never
-// for the code-length code itself).
+// Build a decode table from canonical code lengths (libdeflate's
+// construction).  The root is min(root_bits, longest code) wide.  Symbols
+// sorted by (length, value) enumerate the codewords in canonical order, kept
+// bit-reversed so each one indexes the table directly; the root is filled one
+// length at a time and doubled with a memcpy per length step.  Codes longer
+// than the root go to sub-tables behind link entries.
+//
+// Strictness is zlib's: an oversubscribed set throws; an incomplete set is
+// allowed only as a single 1-bit code (never for the code-length code), its
+// unused half left invalid; an empty set builds and fails on first use.
 void build_table(const std::uint8_t* lens, unsigned n, unsigned root_bits,
-                 const std::uint32_t* protos, CodeSet set,
-                 std::vector<std::uint32_t>& table) {
+                 const std::uint32_t* protos, CodeSet set, std::size_t capacity,
+                 HuffmanTable& t) {
   unsigned counts[kMaxCodeBits + 1] = {};
   for (unsigned s = 0; s < n; ++s) counts[lens[s]]++;
-  const unsigned used = n - counts[0];
-  const std::size_t root_size = std::size_t{1} << root_bits;
-  table.assign(root_size, 0);
-  if (used == 0) return;  // no codes: any lookup hits an invalid entry
-
   int left = 1;
   unsigned max_len = 0;
   for (unsigned len = 1; len <= kMaxCodeBits; ++len) {
@@ -120,98 +137,131 @@ void build_table(const std::uint8_t* lens, unsigned n, unsigned root_bits,
     if (left < 0) fail();  // oversubscribed
     if (counts[len] != 0) max_len = len;
   }
-  if (left > 0 && (set == CodeSet::kCodelen || max_len != 1)) fail();  // incomplete
+  if (t.entries.size() < capacity) t.entries.resize(capacity);
+  std::uint32_t* const table = t.entries.data();
 
-  unsigned next_code[kMaxCodeBits + 1] = {};
+  if (max_len == 0) {  // no codes: any lookup hits an invalid entry
+    t.root_bits = 1;
+    table[0] = table[1] = kInvalid;
+    return;
+  }
+  if (left > 0) {
+    if (set == CodeSet::kCodelen || max_len != 1) fail();  // incomplete
+    const auto* one = std::find(lens, lens + n, std::uint8_t{1});
+    t.root_bits = 1;
+    table[0] = make_entry(protos[one - lens], 1);
+    table[1] = kInvalid;
+    return;
+  }
+
+  const unsigned root = std::min(root_bits, max_len);
+  t.root_bits = root;
+  std::uint16_t sorted[288] = {};
   {
-    unsigned code = 0, prev = 0;
-    for (unsigned len = 1; len <= kMaxCodeBits; ++len) {
-      code = (code + prev) << 1;
-      next_code[len] = code;
-      prev = counts[len];
-    }
-  }
-
-  // Pass A: find, per root-prefix, the widest sub-table any long code needs.
-  std::array<std::uint8_t, std::size_t{1} << kLitlenRootBits> sub_width;
-  std::memset(sub_width.data(), 0, root_size);
-  if (max_len > root_bits) {
-    unsigned nc[kMaxCodeBits + 1];
-    std::memcpy(nc, next_code, sizeof nc);
+    unsigned pos[kMaxCodeBits + 1] = {};
+    for (unsigned len = 1; len < kMaxCodeBits; ++len) pos[len + 1] = pos[len] + counts[len];
     for (unsigned s = 0; s < n; ++s) {
-      const unsigned len = lens[s];
-      if (len == 0 || len <= root_bits) {
-        if (len != 0) nc[len]++;
-        continue;
-      }
-      const unsigned rc = reverse_bits(nc[len]++, len);
-      const std::size_t prefix = rc & (root_size - 1);
-      const auto need = static_cast<std::uint8_t>(len - root_bits);
-      if (need > sub_width[prefix]) sub_width[prefix] = need;
+      if (lens[s] != 0) sorted[pos[lens[s]]++] = static_cast<std::uint16_t>(s);
     }
   }
+  const std::uint16_t* sym = sorted;
 
-  std::array<std::uint32_t, std::size_t{1} << kLitlenRootBits> sub_off;
-  std::size_t next_off = 0;
-  for (std::size_t p = 0; p < root_size; ++p) {
-    if (sub_width[p] == 0) continue;
-    sub_off[p] = static_cast<std::uint32_t>(next_off);
-    table[p] = make_entry(kLink, static_cast<std::uint32_t>(next_off)) | sub_width[p];
-    next_off += std::size_t{1} << sub_width[p];
-  }
-  table.resize(root_size + next_off, 0);
-
-  // Pass B: fill.  Each entry is replicated across every index whose low
-  // `len` bits equal the (bit-reversed) code.
-  for (unsigned s = 0; s < n; ++s) {
-    const unsigned len = lens[s];
-    if (len == 0) continue;
-    const unsigned rc = reverse_bits(next_code[len]++, len);
-    const std::uint32_t proto = protos[s];
-    if (e_kind(proto) == kInvalid) continue;  // leave its slots invalid
-    const std::uint32_t e = proto | len;
-    if (len <= root_bits) {
-      for (std::size_t i = rc; i < root_size; i += std::size_t{1} << len) table[i] = e;
-    } else {
-      const std::size_t prefix = rc & (root_size - 1);
-      const std::size_t base = root_size + sub_off[prefix];
-      const unsigned width = sub_width[prefix];
-      const std::size_t stride = std::size_t{1} << (len - root_bits);
-      for (std::size_t i = rc >> root_bits; i < (std::size_t{1} << width); i += stride) {
-        table[base + i] = e;
+  // The next codeword, bit-reversed: incrementing it sets its highest zero
+  // bit and clears the ones above; appending zeros for a longer length is a
+  // no-op.
+  const auto next_codeword = [](unsigned codeword, unsigned len) {
+    const unsigned bit = 1u << (std::bit_width(codeword ^ ((1u << len) - 1)) - 1);
+    return (codeword & (bit - 1)) | bit;
+  };
+  unsigned codeword = 0;
+  unsigned len = 1;
+  unsigned count = 0;
+  while ((count = counts[len]) == 0) ++len;
+  std::size_t cur_end = std::size_t{1} << len;
+  while (len <= root) {
+    do {
+      table[codeword] = make_entry(protos[*sym++], len);
+      if (codeword == cur_end - 1) {  // all ones: the last codeword
+        for (; len < root; ++len) {
+          std::memcpy(table + cur_end, table, cur_end * sizeof *table);
+          cur_end <<= 1;
+        }
+        return;
       }
+      codeword = next_codeword(codeword, len);
+    } while (--count != 0);
+    do {
+      if (++len <= root) {
+        std::memcpy(table + cur_end, table, cur_end * sizeof *table);
+        cur_end <<= 1;
+      }
+    } while ((count = counts[len]) == 0);
+  }
+
+  // Codes longer than the root.  A sub-table is as wide as it must be to
+  // hold every code sharing its root prefix.
+  const unsigned root_mask = (1u << root) - 1;
+  cur_end = std::size_t{1} << root;
+  unsigned prefix = ~0u;
+  std::size_t sub_start = 0;
+  for (;;) {
+    if ((codeword & root_mask) != prefix) {
+      prefix = codeword & root_mask;
+      sub_start = cur_end;
+      unsigned sub_bits = len - root;
+      unsigned used = count;
+      while (used < (1u << sub_bits)) {
+        ++sub_bits;
+        used = (used << 1) + counts[root + sub_bits];
+      }
+      cur_end = sub_start + (std::size_t{1} << sub_bits);
+      MLIO_ASSERT(cur_end <= capacity);
+      table[prefix] = kExceptional | kLink | (static_cast<std::uint32_t>(sub_start) << 16) |
+                      (sub_bits << 8) | root;
     }
+    const std::uint32_t e = make_entry(protos[*sym++], len - root);
+    for (std::size_t i = sub_start + (codeword >> root); i < cur_end;
+         i += std::size_t{1} << (len - root)) {
+      table[i] = e;
+    }
+    if (codeword == (1u << len) - 1) return;
+    codeword = next_codeword(codeword, len);
+    --count;
+    while (count == 0) count = counts[++len];
   }
 }
 
 struct FixedTables {
-  std::vector<std::uint32_t> litlen;
-  std::vector<std::uint32_t> dist;
+  HuffmanTable litlen;
+  HuffmanTable dist;
 };
 
 const FixedTables& fixed_tables() {
   static const FixedTables tables = [] {
     FixedTables t;
     std::uint8_t ll[288];
-    for (unsigned s = 0; s < 144; ++s) ll[s] = 8;
-    for (unsigned s = 144; s < 256; ++s) ll[s] = 9;
-    for (unsigned s = 256; s < 280; ++s) ll[s] = 7;
-    for (unsigned s = 280; s < 288; ++s) ll[s] = 8;
-    build_table(ll, 288, kLitlenRootBits, kLitlenProtos.data(), CodeSet::kLitlen, t.litlen);
+    std::fill(ll, ll + 144, std::uint8_t{8});
+    std::fill(ll + 144, ll + 256, std::uint8_t{9});
+    std::fill(ll + 256, ll + 280, std::uint8_t{7});
+    std::fill(ll + 280, ll + 288, std::uint8_t{8});
+    build_table(ll, 288, kLitlenRootBits, kLitlenProtos.data(), CodeSet::kLitlen,
+                kLitlenCapacity, t.litlen);
     std::uint8_t dd[32];
-    for (unsigned s = 0; s < 32; ++s) dd[s] = 5;
-    build_table(dd, 32, kDistRootBits, kDistProtos.data(), CodeSet::kDist, t.dist);
+    std::fill(dd, dd + 32, std::uint8_t{5});
+    build_table(dd, 32, kDistRootBits, kDistProtos.data(), CodeSet::kDist, kDistCapacity,
+                t.dist);
     return t;
   }();
   return tables;
 }
 
 // ---------------------------------------------------------------------------
-// Bit reader: LSB-first 64-bit buffer.  `cnt` low bits of `buf` are counted;
-// refill_fast may leave valid-but-uncounted stream bits above cnt (they are
-// the low bits of the byte `in` points at), which the byte-loop refill then
-// ORs idempotently.  When `in == end` every bit above cnt is zero, so a
-// truncated code indexes a longer entry and the nbits > cnt check fires.
+// Bit reader: LSB-first 64-bit buffer.  `cnt` low bits of `buf` are
+// counted; the 8-byte refill may leave valid-but-uncounted stream bits above
+// cnt (they are the low bits of the byte `in` points at), which a later
+// refill ORs in again idempotently.  When `in == end` every bit above cnt is
+// zero, so a truncated code indexes a longer entry and the length > cnt
+// check fires.
 
 struct BitReader {
   const unsigned char* in;
@@ -219,20 +269,17 @@ struct BitReader {
   std::uint64_t buf = 0;
   unsigned cnt = 0;
 
-  // Requires end - in >= 8.  Branchless 8-byte refill; leaves cnt in 56..63.
-  void refill_fast() {
-    if constexpr (std::endian::native == std::endian::little) {
-      std::uint64_t w;
+  // Leaves cnt >= 56 unless the input is exhausted: a branchless 8-byte
+  // load while 8 bytes remain, byte by byte after that.
+  void refill() {
+    if (std::endian::native == std::endian::little && end - in >= 8) {
+      std::uint64_t w = 0;
       std::memcpy(&w, in, 8);
       buf |= w << cnt;
       in += (63 - cnt) >> 3;
       cnt |= 56;
-    } else {
-      refill();
+      return;
     }
-  }
-
-  void refill() {
     while (cnt <= 56 && in < end) {
       buf |= static_cast<std::uint64_t>(*in++) << cnt;
       cnt += 8;
@@ -249,51 +296,71 @@ struct BitReader {
       refill();
       if (cnt < n) fail();  // truncated stream
     }
-    const auto v = static_cast<std::uint32_t>(buf & ((std::uint64_t{1} << n) - 1));
+    const auto v = static_cast<std::uint32_t>(low_bits(buf, n));
     consume(n);
     return v;
   }
 };
 
-// Resolve one symbol through a two-level table with full safety checks:
-// refills, follows links, rejects invalid entries and truncation, consumes.
-std::uint32_t decode_safe(BitReader& br, const std::vector<std::uint32_t>& table,
-                          unsigned root_bits) {
+// Resolve one symbol with full checks: refills, follows a link, rejects
+// invalid entries and truncation, consumes.  Returns a literal, length, end
+// of block, distance or code-length entry; `saved` is the buffer before its
+// final consume, for e_extra_value.
+std::uint32_t decode_safe(BitReader& br, const HuffmanTable& t, std::uint64_t& saved) {
   br.refill();
-  std::uint32_t e = table[br.buf & ((std::uint64_t{1} << root_bits) - 1)];
-  if (e_kind(e) == kLink) {
-    const std::size_t sub = (std::size_t{1} << root_bits) + e_val(e) +
-                            static_cast<std::size_t>((br.buf >> root_bits) &
-                                                     ((std::uint64_t{1} << e_bits(e)) - 1));
-    e = table[sub];
+  const std::uint32_t* const table = t.entries.data();
+  std::uint32_t e = table[low_bits(br.buf, t.root_bits)];
+  if (e & kLink) {
+    if (e_total(e) > br.cnt) fail();  // input ran out mid-code
+    br.consume(e_total(e));
+    e = table[e_val(e) + low_bits(br.buf, e_codelen(e))];
   }
-  const unsigned n = e_bits(e);
-  if (n == 0 || n > br.cnt) fail();  // invalid code, or input ran out mid-code
-  br.consume(n);
+  if ((e & kExceptional) && !(e & kEob)) fail();  // invalid code
+  if (e_total(e) > br.cnt) fail();                 // input ran out mid-code
+  saved = br.buf;
+  br.consume(e_total(e));
   return e;
 }
 
-// Match copy with >= 274 bytes of guaranteed headroom past `out`: 8-byte
-// chunks may overshoot by up to 7 bytes, len itself is <= 258.
-void copy_match_fast(unsigned char* out, std::size_t dist, unsigned len) {
-  unsigned char* dst = out;
-  const unsigned char* src = out - dist;
-  if (dist >= 8) {
-    unsigned char* const dst_end = out + len;
+// Match copy for the fast loop, which guarantees 272 bytes of room at `dst`:
+// 16-byte chunks (the first two unconditional; most matches are <= 32 bytes)
+// overshoot to at most 272 for a 258-byte match.
+inline void copy_match_fast(unsigned char* dst, std::size_t dist, unsigned len) {
+  const unsigned char* src = dst - dist;
+  unsigned char* const end = dst + len;
+  if (dist >= 16) {
+    std::memcpy(dst, src, 16);
+    std::memcpy(dst + 16, src + 16, 16);
+    if (len > 32) {
+      dst += 32;
+      src += 32;
+      do {
+        std::memcpy(dst, src, 16);
+        dst += 16;
+        src += 16;
+      } while (dst < end);
+    }
+  } else if (dist >= 8) {
     do {
       std::memcpy(dst, src, 8);
       dst += 8;
       src += 8;
-    } while (dst < dst_end);
+    } while (dst < end);
   } else if (dist == 1) {
     std::memset(dst, *src, len);
   } else {
-    unsigned char* const dst_end = out + len;
     do {
       *dst++ = *src++;
-    } while (dst < dst_end);
+    } while (dst < end);
   }
 }
+
+// Fast-loop margins.  Output: two literals and a 258-byte match copied as
+// 272 bytes.  Input: three refills (after a litlen sub-table entry, before
+// the distance, after the next preload) advance at most 7 bytes each and
+// read 8.
+constexpr std::ptrdiff_t kFastOutMargin = 2 + 272;
+constexpr std::ptrdiff_t kFastInMargin = 2 * 7 + 8;
 
 struct Decoder {
   BitReader br;
@@ -302,91 +369,136 @@ struct Decoder {
   unsigned char* const out_end;
 
   // Decode the payload of one Huffman-coded block (fixed or dynamic tables).
-  void decode_block(const std::vector<std::uint32_t>& ll, const std::vector<std::uint32_t>& dt) {
-    const std::uint32_t* const llp = ll.data();
-    const std::uint32_t* const dtp = dt.data();
-    constexpr std::uint64_t ll_mask = (std::uint64_t{1} << kLitlenRootBits) - 1;
-    constexpr std::uint64_t d_mask = (std::uint64_t{1} << kDistRootBits) - 1;
-    constexpr std::size_t ll_root = std::size_t{1} << kLitlenRootBits;
-    constexpr std::size_t d_root = std::size_t{1} << kDistRootBits;
+  void decode_block(const HuffmanTable& ll, const HuffmanTable& dt) {
+    const std::uint32_t* const llt = ll.entries.data();
+    const std::uint32_t* const dtt = dt.entries.data();
+    const std::uint64_t ll_mask = (std::uint64_t{1} << ll.root_bits) - 1;
+    const std::uint64_t d_mask = (std::uint64_t{1} << dt.root_bits) - 1;
 
-    // Fast loop.  Margins hoist every per-symbol check: >= 16 input bytes
-    // allow two branchless refills per iteration (56+ bits covers literal +
-    // full match: 15 code + 5 extra + 15 dist code + 13 dist extra), >= 275
-    // output bytes allow chunked match copies that overshoot.
-    while (out_end - out > 274 && br.end - br.in >= 16) {
-      br.refill_fast();
-      std::uint32_t e = llp[br.buf & ll_mask];
-      if (e_kind(e) == kLink) {
-        e = llp[ll_root + e_val(e) +
-                static_cast<std::size_t>((br.buf >> kLitlenRootBits) &
-                                         ((std::uint64_t{1} << e_bits(e)) - 1))];
-      }
-      br.consume(e_bits(e));
-      if (e_kind(e) == kLiteral) {
-        *out++ = static_cast<unsigned char>(e_val(e));
-        // A second decode fits the remaining >= 41 bits; only take it if it
-        // is another literal, otherwise fall through to the shared paths.
-        e = llp[br.buf & ll_mask];
-        if (e_kind(e) == kLink) {
-          e = llp[ll_root + e_val(e) +
-                  static_cast<std::size_t>((br.buf >> kLitlenRootBits) &
-                                           ((std::uint64_t{1} << e_bits(e)) - 1))];
+    // Fast loop.  Each pass starts refilled (>= 56 bits) with the next litlen
+    // entry already looked up.  Bit budget: three root literals (33 bits) and
+    // the next lookup (11) fit one refill; a litlen sub-table entry gets a
+    // refill of its own, and a distance (<= 28 bits) plus the next lookup
+    // refill first only if fewer than 39 bits are left.
+    //
+    // The bit buffer, input and output pointers live in locals here: byte
+    // stores through `o` may alias anything, which would otherwise force
+    // the members back to memory on every literal.  As in libdeflate, `bits`
+    // is only meaningful in its low byte, so a whole entry can be subtracted
+    // without masking out its code length + extra bits first.
+    if (std::endian::native == std::endian::little && out_end - out >= kFastOutMargin &&
+        br.end - br.in >= kFastInMargin) {
+      std::uint64_t buf = br.buf;
+      std::uint32_t bits = br.cnt;
+      const unsigned char* in = br.in;
+      unsigned char* o = out;
+      const unsigned char* const in_stop = br.end - kFastInMargin;
+      unsigned char* const out_stop = out_end - kFastOutMargin;
+      const auto refill = [&] {  // BitReader::refill's 8-byte load on the locals
+        std::uint64_t w = 0;
+        std::memcpy(&w, in, 8);
+        buf |= w << static_cast<std::uint8_t>(bits);
+        in += 7 - ((bits >> 3) & 7);
+        bits |= 56;
+      };
+      const auto consume = [&](std::uint32_t entry) {
+        buf >>= static_cast<std::uint8_t>(entry);
+        bits -= entry;
+      };
+      const auto sync = [&] {
+        br.buf = buf;
+        br.cnt = static_cast<std::uint8_t>(bits);
+        br.in = in;
+        out = o;
+      };
+
+      refill();
+      std::uint32_t e = llt[buf & ll_mask];
+      do {
+        std::uint64_t saved = buf;
+        consume(e);
+        if (e & kLiteral) {
+          *o++ = e_literal(e);
+          e = llt[buf & ll_mask];
+          saved = buf;
+          consume(e);
+          if (e & kLiteral) {
+            *o++ = e_literal(e);
+            e = llt[buf & ll_mask];
+            saved = buf;
+            consume(e);
+            if (e & kLiteral) {
+              *o++ = e_literal(e);
+              e = llt[buf & ll_mask];
+              refill();
+              continue;
+            }
+          }
         }
-        br.consume(e_bits(e));
-        if (e_kind(e) == kLiteral) {
-          *out++ = static_cast<unsigned char>(e_val(e));
-          continue;
+        if (e & kExceptional) {
+          if (e & kEob) {
+            sync();
+            return;
+          }
+          if (!(e & kLink)) fail();  // invalid litlen code
+          e = llt[e_val(e) + low_bits(buf, e_codelen(e))];
+          saved = buf;
+          consume(e);
+          refill();
+          if (e & kLiteral) {
+            *o++ = e_literal(e);
+            e = llt[buf & ll_mask];
+            continue;
+          }
+          if (e & kExceptional) {
+            if (e & kEob) {
+              sync();
+              return;
+            }
+            fail();
+          }
         }
-      }
-      if (e_kind(e) == kBase) {
-        br.refill_fast();  // loop margin guarantees 8 more input bytes
-        const unsigned len =
-            e_val(e) + static_cast<unsigned>(br.buf & ((std::uint64_t{1} << e_extra(e)) - 1));
-        br.consume(e_extra(e));
-        std::uint32_t d = dtp[br.buf & d_mask];
-        if (e_kind(d) == kLink) {
-          d = dtp[d_root + e_val(d) +
-                  static_cast<std::size_t>((br.buf >> kDistRootBits) &
-                                           ((std::uint64_t{1} << e_bits(d)) - 1))];
+        const unsigned len = e_val(e) + e_extra_value(saved, e);
+        if (static_cast<std::uint8_t>(bits) < 28 + 11) refill();
+        std::uint32_t d = dtt[buf & d_mask];
+        if (d & kExceptional) {
+          if (!(d & kLink)) fail();  // invalid distance code
+          consume(d);
+          d = dtt[e_val(d) + low_bits(buf, e_codelen(d))];
+          if (d & kExceptional) fail();
         }
-        if (e_kind(d) != kBase) fail();
-        br.consume(e_bits(d));
-        const std::size_t dist =
-            e_val(d) + static_cast<std::size_t>(br.buf & ((std::uint64_t{1} << e_extra(d)) - 1));
-        br.consume(e_extra(d));
-        if (dist > static_cast<std::size_t>(out - out_begin)) fail();
-        copy_match_fast(out, dist, len);
-        out += len;
-        continue;
-      }
-      if (e_kind(e) == kEob) return;
-      fail();  // invalid litlen code (consume above was 0 bits, state intact)
+        saved = buf;
+        consume(d);
+        const std::size_t dist = e_val(d) + e_extra_value(saved, d);
+        if (dist > static_cast<std::size_t>(o - out_begin)) fail();
+        // Look up the next entry before the copy so the two overlap.
+        e = llt[buf & ll_mask];
+        refill();
+        copy_match_fast(o, dist, len);
+        o += len;
+      } while (o <= out_stop && in <= in_stop);
+      sync();
     }
 
     // Safe tail: per-symbol bounds and refill checks.
     for (;;) {
-      const std::uint32_t e = decode_safe(br, ll, kLitlenRootBits);
-      if (e_kind(e) == kLiteral) {
+      std::uint64_t saved = 0;
+      const std::uint32_t e = decode_safe(br, ll, saved);
+      if (e & kLiteral) {
         if (out == out_end) throw FormatError("decompressed size mismatch");
-        *out++ = static_cast<unsigned char>(e_val(e));
+        *out++ = e_literal(e);
         continue;
       }
-      if (e_kind(e) == kBase) {
-        const unsigned len = e_val(e) + br.take(e_extra(e));
-        const std::uint32_t d = decode_safe(br, dt, kDistRootBits);
-        if (e_kind(d) != kBase) fail();
-        const std::size_t dist = e_val(d) + br.take(e_extra(d));
-        if (dist > static_cast<std::size_t>(out - out_begin)) fail();
-        if (len > static_cast<std::size_t>(out_end - out)) {
-          throw FormatError("decompressed size mismatch");
-        }
-        const unsigned char* src = out - dist;
-        for (unsigned i = 0; i < len; ++i) *out++ = *src++;
-        continue;
+      if (e & kEob) return;
+      const unsigned len = e_val(e) + e_extra_value(saved, e);
+      const std::uint32_t d = decode_safe(br, dt, saved);
+      const std::size_t dist = e_val(d) + e_extra_value(saved, d);
+      if (dist > static_cast<std::size_t>(out - out_begin)) fail();
+      if (len > static_cast<std::size_t>(out_end - out)) {
+        throw FormatError("decompressed size mismatch");
       }
-      if (e_kind(e) == kEob) return;
-      fail();
+      const unsigned char* src = out - dist;
+      for (unsigned i = 0; i < len; ++i) *out++ = *src++;
     }
   }
 
@@ -425,14 +537,14 @@ struct Decoder {
     std::uint8_t cl_lens[19] = {};
     for (unsigned i = 0; i < hclen; ++i) cl_lens[kOrder[i]] = static_cast<std::uint8_t>(br.take(3));
     build_table(cl_lens, 19, kCodelenRootBits, kCodelenProtos.data(), CodeSet::kCodelen,
-                scratch.codelen);
+                kCodelenCapacity, scratch.codelen);
 
     std::uint8_t lens[286 + 30];
     const unsigned total = hlit + hdist;
     unsigned i = 0;
     while (i < total) {
-      const std::uint32_t e = decode_safe(br, scratch.codelen, kCodelenRootBits);
-      const std::uint32_t sym = e_val(e);
+      std::uint64_t saved = 0;
+      const std::uint32_t sym = e_val(decode_safe(br, scratch.codelen, saved));
       if (sym < 16) {
         lens[i++] = static_cast<std::uint8_t>(sym);
         continue;
@@ -454,9 +566,9 @@ struct Decoder {
     }
     if (lens[256] == 0) fail();  // no end-of-block code
     build_table(lens, hlit, kLitlenRootBits, kLitlenProtos.data(), CodeSet::kLitlen,
-                scratch.litlen);
+                kLitlenCapacity, scratch.litlen);
     build_table(lens + hlit, hdist, kDistRootBits, kDistProtos.data(), CodeSet::kDist,
-                scratch.dist);
+                kDistCapacity, scratch.dist);
   }
 };
 

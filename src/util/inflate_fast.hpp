@@ -6,12 +6,13 @@
 // guarantees — the whole compressed payload is in memory and the exact
 // decompressed size is recorded in the frame header — to run a
 // libdeflate-style fast loop: a 64-bit bit buffer refilled 8 bytes at a
-// time, two-level Huffman tables (single lookup for codes <= root bits),
-// and 8-byte chunked match copies with hoisted bounds checks.
+// time, two-level Huffman tables (an 11-bit litlen root) whose entries carry
+// each code's length together with its extra bits, up to three literals per
+// refill, and 16-byte chunked match copies with hoisted bounds checks.
 //
-// Strictness matches the zlib path it replaces: any malformation (bad
-// header, oversubscribed/incomplete code sets, invalid symbols, distances
-// before the output start, truncated input, wrong output size) throws
+// Strictness matches zlib's inflate: any malformation (bad header,
+// oversubscribed/incomplete code sets, invalid symbols, distances before the
+// output start, truncated input, wrong output size) throws
 // util::FormatError.  The optional Adler-32 verification exists for callers
 // whose payload has no other integrity check; the log reader skips it
 // because the frame's CRC-32 of the body is verified immediately after.
@@ -24,12 +25,19 @@
 
 namespace mlio::util {
 
+/// One two-level Huffman decode table: 2^root_bits root entries, then the
+/// sub-tables of the codes longer than the root.
+struct HuffmanTable {
+  std::vector<std::uint32_t> entries;
+  unsigned root_bits = 0;
+};
+
 /// Reusable Huffman-table storage so per-block dynamic table builds do not
-/// allocate after the first few logs.  One instance per worker thread.
+/// allocate after the first log.  One instance per worker thread.
 struct InflateScratch {
-  std::vector<std::uint32_t> litlen;   ///< literal/length table (root + subs)
-  std::vector<std::uint32_t> dist;     ///< distance table (root + subs)
-  std::vector<std::uint32_t> codelen;  ///< code-length table (dynamic header)
+  HuffmanTable litlen;   ///< literal/length table
+  HuffmanTable dist;     ///< distance table
+  HuffmanTable codelen;  ///< code-length table (dynamic header)
 };
 
 /// Decompress the complete zlib stream `input` into `out`, which must be

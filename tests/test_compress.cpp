@@ -1,6 +1,7 @@
 #include "util/compress.hpp"
 
 #include <gtest/gtest.h>
+#include <zlib.h>
 
 #include <cstring>
 #include <string>
@@ -60,6 +61,20 @@ TEST(Compress, Crc32KnownVector) {
   // CRC-32 of "123456789" is the classic check value 0xCBF43926.
   EXPECT_EQ(crc32(to_bytes("123456789")), 0xCBF43926u);
   EXPECT_EQ(crc32({}), 0u);
+  // zlib is the reference at every length from 0 to 1,100 and every start
+  // offset mod 16: the lengths cross the 64-byte fold threshold, each
+  // 16-byte fold step and every tail length zlib finishes.
+  Rng rng(3);
+  std::vector<std::byte> buf(16 + 1100);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.next() & 0xff);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::span<const std::byte> s(buf.data() + off, len);
+      const auto want = static_cast<std::uint32_t>(
+          ::crc32(0L, reinterpret_cast<const Bytef*>(s.data()), static_cast<uInt>(len)));
+      ASSERT_EQ(crc32(s), want) << "offset " << off << " length " << len;
+    }
+  }
 }
 
 }  // namespace

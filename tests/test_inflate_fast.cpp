@@ -9,14 +9,19 @@
 #include <zlib.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "darshan/log_format.hpp"
+#include "iosim/executor.hpp"
 #include "util/error.hpp"
 #include "util/inflate_fast.hpp"
+#include "workload/generator.hpp"
+#include "workload/pipeline.hpp"
 
 namespace mlio::util {
 namespace {
@@ -32,14 +37,18 @@ Bytes deflate_with(const Bytes& raw, int level, int strategy) {
   zs.next_out = reinterpret_cast<Bytef*>(out.data());
   zs.avail_out = static_cast<uInt>(out.size());
   EXPECT_EQ(deflate(&zs, Z_FINISH), Z_STREAM_END);
-  out.resize(out.size() - zs.avail_out);
+  out.resize(zs.total_out);
   deflateEnd(&zs);
   return out;
 }
 
 // Data shapes that exercise different deflate block structures: stored-ish
 // incompressible noise, all-one-byte runs (long matches, distance 1),
-// repeated text (matches at many distances), and byte ramps.
+// repeated text (matches at many distances), byte ramps, and skewed bytes.
+// Only the skewed shape gives rare literals codes longer than the decoder's
+// 11-bit litlen root, so it is the one that drives the sub-table path.
+constexpr int kShapes = 5;
+
 Bytes make_payload(int mode, std::size_t n, std::uint64_t seed) {
   Bytes b(n);
   std::mt19937_64 rng(seed);
@@ -55,8 +64,16 @@ Bytes make_payload(int mode, std::size_t n, std::uint64_t seed) {
       for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<std::byte>(phrase[i % phrase.size()]);
       break;
     }
-    default:
+    case 3:
       for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<std::byte>(i * 7);
+      break;
+    default:
+      // Geometric classes (probability halving per class) of eight bytes each.
+      for (auto& x : b) {
+        const std::uint64_t r = rng();
+        const auto cls = static_cast<unsigned>(std::countr_zero(r | (std::uint64_t{1} << 40)));
+        x = static_cast<std::byte>(cls * 8 + (r >> 61));
+      }
       break;
   }
   return b;
@@ -75,7 +92,7 @@ void expect_roundtrip(const Bytes& raw, const Bytes& stream, InflateScratch& scr
 TEST(InflateFast, MatchesZlibAcrossLevelsStrategiesAndShapes) {
   InflateScratch scratch;  // shared: recycling across streams is the hot path
   const std::size_t sizes[] = {0, 1, 2, 15, 64, 255, 300, 4096, 70000};
-  for (int mode = 0; mode < 4; ++mode) {
+  for (int mode = 0; mode < kShapes; ++mode) {
     for (const std::size_t n : sizes) {
       const Bytes raw = make_payload(mode, n, 1000 + static_cast<std::uint64_t>(mode) + n);
       // Level 0 emits stored blocks, level 1 favors static blocks,
@@ -90,6 +107,105 @@ TEST(InflateFast, MatchesZlibAcrossLevelsStrategiesAndShapes) {
       expect_roundtrip(raw, deflate_with(raw, 6, Z_FIXED), scratch);
     }
   }
+}
+
+// Longest literal/length code of a zlib stream's first block if it is
+// dynamic, else 0.  A slow bit-at-a-time reader (puff.c's canonical decode),
+// independent of the decoder under test.
+unsigned first_block_max_litlen_bits(const Bytes& stream) {
+  std::size_t pos = 16;  // past the 2-byte zlib header
+  const auto bits = [&](unsigned n) {
+    unsigned v = 0;
+    for (unsigned i = 0; i < n; ++i, ++pos) {
+      v |= ((static_cast<unsigned>(stream.at(pos >> 3)) >> (pos & 7)) & 1u) << i;
+    }
+    return v;
+  };
+  bits(1);  // BFINAL
+  if (bits(2) != 2) return 0;
+  const unsigned hlit = bits(5) + 257, hdist = bits(5) + 1, hclen = bits(4) + 4;
+  static constexpr unsigned kOrder[19] = {16, 17, 18, 0, 8,  7, 9,  6, 10, 5,
+                                          11, 4,  12, 3, 13, 2, 14, 1, 15};
+  unsigned cl[19] = {};
+  for (unsigned i = 0; i < hclen; ++i) cl[kOrder[i]] = bits(3);
+  unsigned count[8] = {}, symbol[19], index[8] = {};
+  for (const unsigned len : cl) count[len]++;
+  for (unsigned len = 2; len < 8; ++len) index[len] = index[len - 1] + count[len - 1];
+  for (unsigned s = 0; s < 19; ++s) {
+    if (cl[s] != 0) symbol[index[cl[s]]++] = s;
+  }
+  const auto decode = [&] {
+    unsigned code = 0, first = 0, idx = 0;
+    for (unsigned len = 1; len < 8; ++len) {
+      code |= bits(1);
+      if (code - first < count[len]) return symbol[idx + code - first];
+      idx += count[len];
+      first = (first + count[len]) << 1;
+      code <<= 1;
+    }
+    ADD_FAILURE() << "bad code-length code";
+    return 0u;
+  };
+  std::vector<unsigned> lens;
+  while (lens.size() < hlit + hdist) {
+    const unsigned sym = decode();
+    if (sym < 16) {
+      lens.push_back(sym);
+    } else {
+      const unsigned prev = sym == 16 ? lens.back() : 0;
+      const unsigned rep = sym == 16 ? 3 + bits(2) : sym == 17 ? 3 + bits(3) : 11 + bits(7);
+      lens.insert(lens.end(), rep, prev);
+    }
+  }
+  return *std::max_element(lens.begin(), lens.begin() + hlit);
+}
+
+TEST(InflateFast, SkewedShapeReachesSubTables) {
+  // Guards the shape list above: without a code longer than the 11-bit
+  // root, no valid stream would decode through a litlen sub-table.
+  const Bytes raw = make_payload(kShapes - 1, 70000, 1000 + kShapes - 1 + 70000);
+  const Bytes stream = deflate_with(raw, 6, Z_DEFAULT_STRATEGY);
+  EXPECT_GT(first_block_max_litlen_bits(stream), 11u);
+}
+
+// The bodies the archive reads: generated Darshan logs framed at zlib levels
+// 1 and 6 must inflate to exactly the body the writer serialized, through
+// the decoder directly (Adler-32 checked) and through the frame reader.
+TEST(InflateFast, DarshanFramesDecodeToTheBodyWritten) {
+  InflateScratch scratch;
+  darshan::LogIoBuffers io;
+  darshan::LogData log;
+  std::size_t frames = 0;
+  for (const auto& profile :
+       {wl::SystemProfile::summit_2020(), wl::SystemProfile::cori_2019()}) {
+    wl::GeneratorConfig cfg;
+    cfg.seed = 5;
+    cfg.n_jobs = 30;
+    cfg.logs_per_job_scale = 0.2;
+    cfg.files_per_log_scale = 0.2;
+    const wl::WorkloadGenerator gen(profile, cfg);
+    const sim::JobExecutor executor(wl::machine_for(profile));
+    gen.generate_bulk_range(0, cfg.n_jobs, [&](const sim::JobSpec& spec) {
+      executor.execute_into(spec, log);
+      // An uncompressed frame's payload is the body itself.
+      const auto plain = darshan::write_log_bytes_into(log, io, {.compress = false});
+      const std::span<const std::byte> view = darshan::read_log_frame_body(plain, io);
+      const Bytes body(view.begin(), view.end());
+      const std::size_t header = plain.size() - body.size();
+      for (const int level : {1, 6}) {
+        SCOPED_TRACE("frame " + std::to_string(frames) + " level " + std::to_string(level));
+        const auto frame =
+            darshan::write_log_bytes_into(log, io, {.compress = true, .zlib_level = level});
+        Bytes out(body.size());
+        inflate_zlib(frame.subspan(header), out, scratch, /*verify_checksum=*/true);
+        EXPECT_EQ(out, body);
+        const std::span<const std::byte> read = darshan::read_log_frame_body(frame, io);
+        EXPECT_TRUE(std::equal(read.begin(), read.end(), body.begin(), body.end()));
+      }
+      ++frames;
+    });
+  }
+  EXPECT_GT(frames, 60u);
 }
 
 TEST(InflateFast, EveryTruncationThrows) {

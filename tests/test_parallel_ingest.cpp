@@ -7,6 +7,7 @@
 // (>4 GiB index offsets, chunked CRC, zlib single-shot bounds,
 // commit_group's staleness checks) hold.
 #include <gtest/gtest.h>
+#include <zlib.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -285,8 +286,14 @@ TEST_F(ParallelIngestTest, ChunkedCrcMatchesSingleShot) {
     b = static_cast<std::byte>(x >> 24);
   }
   const std::uint32_t whole = util::crc32(buf);
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{4096},
-                                  std::size_t{9999}, std::size_t{1} << 20}) {
+  const uLong zlib_crc =
+      ::crc32(0L, reinterpret_cast<const Bytef*>(buf.data()), static_cast<uInt>(buf.size()));
+  EXPECT_EQ(whole, static_cast<std::uint32_t>(zlib_crc));
+  // Chunks on both sides of the fold's 64-byte threshold and 16-byte step.
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{7}, std::size_t{15}, std::size_t{16}, std::size_t{17},
+        std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{4096}, std::size_t{9999},
+        std::size_t{1} << 20}) {
     EXPECT_EQ(util::crc32_chunked(buf, chunk), whole) << "chunk=" << chunk;
   }
   EXPECT_EQ(util::crc32({}), util::crc32_chunked({}, 1));
