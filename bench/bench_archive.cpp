@@ -207,8 +207,8 @@ std::uint64_t dir_digest(const std::filesystem::path& dir, std::uint64_t& files)
 }
 
 void print_phases(const archive::IngestStats& s) {
-  std::printf("        phases: serialize %.2f s, compress %.2f s, snapshot %.2f s (cpu); "
-              "publish %.2f s (wall, %llu group commit(s))\n",
+  std::printf("        phases: generate+simulate %.2f s, serialize+deflate %.2f s, "
+              "snapshot %.2f s (cpu); publish %.2f s (wall, %llu group commit(s))\n",
               static_cast<double>(s.serialize_ns) * 1e-9,
               static_cast<double>(s.compress_ns) * 1e-9,
               static_cast<double>(s.snapshot_ns) * 1e-9,

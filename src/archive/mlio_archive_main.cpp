@@ -281,7 +281,7 @@ int cmd_ingest(const Args& a, util::Vfs& vfs) {
               static_cast<unsigned long long>(stats.partitions), stats.seconds,
               stats.logs_per_second());
   std::printf(
-      "phases: serialize %.3f s, compress %.3f s, snapshot %.3f s (cpu); "
+      "phases: generate+simulate %.3f s, serialize+deflate %.3f s, snapshot %.3f s (cpu); "
       "publish %.3f s (wall, %llu group commit(s))\n",
       static_cast<double>(stats.serialize_ns) * 1e-9,
       static_cast<double>(stats.compress_ns) * 1e-9,

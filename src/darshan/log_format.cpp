@@ -114,8 +114,15 @@ void write_body(ByteWriter& w, const LogData& log, LogIoBuffers& io) {
     for (const FileRecord* rec : recs) {
       w.u64(rec->record_id);
       w.u32(static_cast<std::uint32_t>(rec->rank));
-      for (const std::int64_t c : rec->counters) w.i64(c);
-      for (const double f : rec->fcounters) w.f64(f);
+      if constexpr (std::endian::native == std::endian::little) {
+        // The mirror of read_body_into's bulk decode: on LE hosts the
+        // in-memory counter block is already the on-disk bytes.
+        w.bytes(std::as_bytes(std::span(rec->counters)));
+        w.bytes(std::as_bytes(std::span(rec->fcounters)));
+      } else {
+        for (const std::int64_t c : rec->counters) w.i64(c);
+        for (const double f : rec->fcounters) w.f64(f);
+      }
     }
   }
 

@@ -1,26 +1,10 @@
 #include "util/byte_io.hpp"
 
-#include <bit>
 #include <cstdio>
 
 #include "util/vfs.hpp"
 
 namespace mlio::util {
-
-void ByteWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v));
-  u8(static_cast<std::uint8_t>(v >> 8));
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void ByteWriter::str(std::string_view s) {
   if (s.size() > 0xffffffffull) throw FormatError("string too long");

@@ -18,14 +18,18 @@
 namespace mlio::util {
 
 /// Append-only byte buffer with typed little-endian writes.
+///
+/// The fixed-width writes are inline, the mirror of ByteReader's reads: one
+/// resize, then on little-endian hosts one unaligned store (the log encoder
+/// calls them once per header field).
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(std::byte{v}); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u16(std::uint16_t v) { fixed(v); }
+  void u32(std::uint32_t v) { fixed(v); }
+  void u64(std::uint64_t v) { fixed(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   /// Length-prefixed (u32) string.
   void str(std::string_view s);
   void bytes(std::span<const std::byte> data);
@@ -37,6 +41,19 @@ class ByteWriter {
   void clear() { buf_.clear(); }
 
  private:
+  template <typename T>
+  void fixed(T v) {
+    const std::size_t pos = buf_.size();
+    buf_.resize(pos + sizeof(T));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(buf_.data() + pos, &v, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        buf_[pos + i] = static_cast<std::byte>(v >> (8 * i));
+      }
+    }
+  }
+
   std::vector<std::byte> buf_;
 };
 

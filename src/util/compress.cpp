@@ -13,58 +13,13 @@
 
 namespace mlio::util {
 
-// A z_stream carries ~256 KB of window/state allocations made by
-// deflateInit/inflateInit; both Impls initialize lazily on first use and
-// afterwards only Reset, which keeps the allocations.
-
-struct Deflater::Impl {
-  z_stream zs{};
-  int level = -1;  ///< level the stream was initialized with; -1 = none
-
-  ~Impl() {
-    if (level >= 0) deflateEnd(&zs);
-  }
-};
-
-Deflater::Deflater() : impl_(std::make_unique<Impl>()) {}
-Deflater::~Deflater() = default;
-Deflater::Deflater(Deflater&&) noexcept = default;
-Deflater& Deflater::operator=(Deflater&&) noexcept = default;
-
-// Single-shot deflate/inflate hand zlib 32-bit avail_in/avail_out counts; a
-// larger buffer would truncate silently.  Log frames are MBs at most, so the
-// bound is a typed failure for corrupt/hostile sizes, not a real limit.
+// Log frames are MBs at most, so a size past 32 bits is a typed failure for
+// corrupt/hostile headers, not a real limit.
 constexpr std::size_t kMaxZlibSingleShot = std::numeric_limits<uInt>::max();
 
 void Deflater::compress(std::span<const std::byte> input, int level,
                         std::vector<std::byte>& out) {
-  if (level < 1 || level > 9) throw ConfigError("zlib level must be in [1, 9]");
-  if (input.size() > kMaxZlibSingleShot) {
-    throw FormatError("deflate: input exceeds the 4 GiB single-shot bound");
-  }
-  if (impl_->level != level) {
-    if (impl_->level >= 0) deflateEnd(&impl_->zs);
-    impl_->zs = z_stream{};
-    if (deflateInit(&impl_->zs, level) != Z_OK) {
-      impl_->level = -1;
-      throw FormatError("zlib deflateInit failed");
-    }
-    impl_->level = level;
-  } else if (deflateReset(&impl_->zs) != Z_OK) {
-    throw FormatError("zlib deflateReset failed");
-  }
-
-  z_stream& zs = impl_->zs;
-  const uLong bound = deflateBound(&zs, static_cast<uLong>(input.size()));
-  out.resize(bound);
-  zs.next_in = const_cast<Bytef*>(reinterpret_cast<const Bytef*>(input.data()));
-  zs.avail_in = static_cast<uInt>(input.size());
-  zs.next_out = reinterpret_cast<Bytef*>(out.data());
-  zs.avail_out = static_cast<uInt>(out.size());
-  if (deflate(&zs, Z_FINISH) != Z_STREAM_END) {
-    throw FormatError("zlib compression failed");
-  }
-  out.resize(zs.total_out);
+  deflate_zlib(input, level, out, scratch_);
 }
 
 void Inflater::decompress(std::span<const std::byte> input, std::size_t expected_size,

@@ -1,38 +1,33 @@
-// zlib (DEFLATE) helpers used by the Darshan log format.
+// zlib-stream (DEFLATE) helpers used by the Darshan log format.
 //
-// The free functions are one-shot conveniences.  Deflater owns a reusable
-// z_stream plus its internal window state, and Inflater the fast decoder's
+// The free functions are one-shot conveniences.  Deflater owns the fast
+// encoder's matchfinder and block state, and Inflater the fast decoder's
 // Huffman tables, so hot loops (the pipeline's log roundtrip path serializes
 // millions of logs) pay the allocation cost once per worker instead of once
-// per log.
+// per log.  zlib itself supplies only the CRC-32 reference and Adler-32.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
+#include "util/deflate_fast.hpp"
 #include "util/inflate_fast.hpp"
 
 namespace mlio::util {
 
-/// Reusable DEFLATE stream.  compress() resets the stream, so one instance
-/// serves any number of independent buffers; not thread-safe.
+/// Reusable encoder state.  Each compress() call is an independent stream,
+/// so one instance serves any number of buffers; not thread-safe.
 class Deflater {
  public:
-  Deflater();
-  ~Deflater();
-  Deflater(Deflater&&) noexcept;
-  Deflater& operator=(Deflater&&) noexcept;
-
-  /// Deflate `input` at `level` (1..9) into `out` (cleared first; capacity is
-  /// reused).  Throws ConfigError on a bad level, FormatError on failure.
+  /// Deflate `input` at `level` (1..9) into `out` (capacity is reused) with
+  /// the whole-buffer encoder in util/deflate_fast.hpp.  Throws ConfigError
+  /// on a bad level.
   void compress(std::span<const std::byte> input, int level, std::vector<std::byte>& out);
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  DeflateScratch scratch_;  ///< matchfinder and block state reused across streams
 };
 
 /// Reusable inflate state; the mirror of Deflater.
@@ -51,7 +46,8 @@ class Inflater {
   InflateScratch scratch_;  ///< Huffman-table storage reused across streams
 };
 
-/// Deflate `input` at the given zlib level (1..9; 6 is the format default).
+/// Deflate `input` at the given level (1..9, zlib's scale; 6 is the format
+/// default).
 std::vector<std::byte> zlib_compress(std::span<const std::byte> input, int level = 6);
 
 /// Inflate `input`; `expected_size` is the exact decompressed size recorded

@@ -7,10 +7,13 @@
 #include <bit>
 #include <cstring>
 
+#include "util/deflate_format.hpp"
 #include "util/error.hpp"
 
 namespace mlio::util {
 namespace {
+
+using namespace deflate_format;
 
 // ---------------------------------------------------------------------------
 // Table entries, in libdeflate's layout.  One u32 per slot:
@@ -62,7 +65,6 @@ constexpr std::uint32_t make_entry(std::uint32_t p, unsigned len) {
   return p + (static_cast<std::uint32_t>(len) << 8) + len;
 }
 
-constexpr unsigned kMaxCodeBits = 15;
 constexpr unsigned kLitlenRootBits = 11;
 constexpr unsigned kDistRootBits = 8;
 constexpr unsigned kCodelenRootBits = 7;
@@ -73,20 +75,6 @@ constexpr unsigned kCodelenRootBits = 7;
 constexpr std::size_t kLitlenCapacity = (std::size_t{1} << kLitlenRootBits) + 288 * 16;
 constexpr std::size_t kDistCapacity = (std::size_t{1} << kDistRootBits) + 32 * 128;
 constexpr std::size_t kCodelenCapacity = std::size_t{1} << kCodelenRootBits;
-
-// RFC 1951 §3.2.5 length/distance code tables.
-constexpr std::uint16_t kLenBase[29] = {3,  4,  5,  6,  7,  8,  9,  10, 11,  13,
-                                        15, 17, 19, 23, 27, 31, 35, 43, 51,  59,
-                                        67, 83, 99, 115, 131, 163, 195, 227, 258};
-constexpr std::uint8_t kLenExtra[29] = {0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2,
-                                        2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0};
-constexpr std::uint16_t kDistBase[30] = {1,    2,    3,    4,    5,    7,    9,    13,
-                                         17,   25,   33,   49,   65,   97,   129,  193,
-                                         257,  385,  513,  769,  1025, 1537, 2049, 3073,
-                                         4097, 6145, 8193, 12289, 16385, 24577};
-constexpr std::uint8_t kDistExtra[30] = {0, 0, 0,  0,  1,  1,  2,  2,  3,  3,
-                                         4, 4, 5,  5,  6,  6,  7,  7,  8,  8,
-                                         9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
 
 constexpr std::array<std::uint32_t, 288> make_litlen_protos() {
   std::array<std::uint32_t, 288> p{};
@@ -532,10 +520,10 @@ struct Decoder {
     const unsigned hdist = br.take(5) + 1;
     const unsigned hclen = br.take(4) + 4;
     if (hlit > 286 || hdist > 30) fail();  // zlib: too many symbols
-    static constexpr std::uint8_t kOrder[19] = {16, 17, 18, 0, 8,  7, 9,  6, 10, 5,
-                                                11, 4,  12, 3, 13, 2, 14, 1, 15};
     std::uint8_t cl_lens[19] = {};
-    for (unsigned i = 0; i < hclen; ++i) cl_lens[kOrder[i]] = static_cast<std::uint8_t>(br.take(3));
+    for (unsigned i = 0; i < hclen; ++i) {
+      cl_lens[kPrecodeOrder[i]] = static_cast<std::uint8_t>(br.take(3));
+    }
     build_table(cl_lens, 19, kCodelenRootBits, kCodelenProtos.data(), CodeSet::kCodelen,
                 kCodelenCapacity, scratch.codelen);
 
