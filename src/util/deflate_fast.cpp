@@ -25,14 +25,14 @@ constexpr std::uint32_t kWindowSize = 32768;
 constexpr unsigned kHash3Bits = 15;
 constexpr unsigned kHash4Bits = 16;
 
-// Block boundaries.  A block ends at the input's end, at the soft cap, when
-// the sequence store fills, or when the symbol statistics change; the last
-// two never fire before kMinBlockLength bytes, so every block but the last
-// spans at least that many (deflate_zlib_bound relies on it).  libdeflate
-// considers a split after 5,000 bytes; this waits for 32 KiB, so a log body
-// (about 20 KB) is one block.  Splitting those bodies saved 0.3% of bytes
-// but made every later inflate of them about 6% slower (a second header
-// and table build), and the archive reads each log many times.
+// Block boundaries.  A block ends at the input's end, at the soft cap, or
+// when the sequence store fills.  The cap stretches to the input's end when
+// less than kMinBlockLength would follow it, and a full store holds at
+// least kMinMatch * kSeqStoreLength bytes, so every block but the last spans
+// at least kMinBlockLength bytes (deflate_zlib_bound relies on it).  There
+// is no split on a change in symbol statistics (libdeflate's heuristic): a
+// log body (about 20 KB) is one block either way, and on the archive's
+// inputs of 64 KiB or more it saved under 0.2% of their compressed bytes.
 constexpr std::size_t kMinBlockLength = 32768;
 constexpr std::size_t kSoftMaxBlockLength = 300000;
 constexpr std::size_t kSeqStoreLength = 16384;  ///< matches per block, at most
@@ -110,15 +110,17 @@ inline std::uint32_t lz_extend(const std::uint8_t* a, const std::uint8_t* b, std
 // window size from every stored position, saturating at kEmpty, so a stored
 // position is in the window exactly when it is above `cur - kWindowSize`.
 // The 3-byte table keeps one candidate per bucket; the 4-byte table heads a
-// chain through `next`, indexed by position modulo the window.  `next`
-// needs no initialization: a chain only reaches slots written by an insert.
+// chain through `next`, indexed by position modulo the window.  A chain only
+// reaches slots written by an insert, so `next` is not reset per stream; it
+// is zeroed once, when the state is allocated, because slide() rewrites
+// every slot.
 
 constexpr std::int16_t kEmpty = -32768;
 
 struct MatchFinder {
   std::int16_t hash3[std::size_t{1} << kHash3Bits];
   std::int16_t hash4[std::size_t{1} << kHash4Bits];
-  std::int16_t next[kWindowSize];
+  std::int16_t next[kWindowSize] = {};
 
   void reset() {
     std::fill(std::begin(hash3), std::end(hash3), kEmpty);
@@ -295,62 +297,6 @@ struct Freqs {
 struct Code {
   std::uint32_t codeword[kNumLitlenSyms];
   std::uint8_t len[kNumLitlenSyms];
-};
-
-// ---------------------------------------------------------------------------
-// Block splitting (libdeflate's heuristic): every 512 observations of
-// coarse symbol classes — 8 literal classes by the byte's top two bits and
-// low bit, 2 match classes by length — compare the new observations'
-// distribution with the block's so far, and end the block once they differ
-// by enough to pay for a new block header.
-
-struct SplitStats {
-  static constexpr unsigned kLiteralTypes = 8;
-  static constexpr unsigned kTypes = kLiteralTypes + 2;
-  static constexpr std::uint32_t kObservationsPerCheck = 512;
-
-  std::uint32_t new_obs[kTypes];
-  std::uint32_t obs[kTypes];
-  std::uint32_t num_new;
-  std::uint32_t num;
-
-  void reset() { *this = SplitStats{}; }
-  void literal(std::uint8_t c) {
-    ++new_obs[((c >> 5) & 0x6) | (c & 1)];
-    ++num_new;
-  }
-  void match(std::uint32_t len) {
-    ++new_obs[kLiteralTypes + (len >= 9 ? 1 : 0)];
-    ++num_new;
-  }
-
-  bool should_end(std::size_t block_len, std::size_t remaining) {
-    if (num_new < kObservationsPerCheck || block_len < kMinBlockLength ||
-        remaining < kMinBlockLength) {
-      return false;
-    }
-    if (num > 0) {
-      // Probabilities scaled by num * num_new to stay in integers.
-      std::uint64_t delta = 0;
-      for (unsigned i = 0; i < kTypes; ++i) {
-        const std::uint64_t expected = std::uint64_t{obs[i]} * num_new;
-        const std::uint64_t actual = std::uint64_t{new_obs[i]} * num;
-        delta += actual > expected ? actual - expected : expected - actual;
-      }
-      const std::uint64_t items = std::uint64_t{num} + num_new;
-      std::uint64_t cutoff = std::uint64_t{num_new} * 200 / 512 * num;
-      // Short blocks pay relatively more for their header.
-      if (block_len < 10000 && items < 8192) cutoff += cutoff * (8192 - items) / 8192;
-      if (delta + (block_len / 4096) * num >= cutoff) return true;
-    }
-    for (unsigned i = 0; i < kTypes; ++i) {
-      obs[i] += new_obs[i];
-      new_obs[i] = 0;
-    }
-    num += num_new;
-    num_new = 0;
-    return false;
-  }
 };
 
 // Minimum match length by the number of distinct literals in use: with few
@@ -649,7 +595,6 @@ void write_sequences(BitWriter& bw, const Sequence* seq, const std::uint8_t* in,
 struct DeflateScratch::State {
   MatchFinder mf;
   Freqs freqs;
-  SplitStats split;
   Code litlen;
   Code offsets;
   Code precode;
@@ -658,14 +603,12 @@ struct DeflateScratch::State {
 
   void begin_block() {
     std::memset(&freqs, 0, sizeof freqs);
-    split.reset();
     seq = seqs;
     seq->litrun_and_len = 0;
   }
   void choose_literal(std::uint8_t c) {
     freqs.litlen[c]++;
     seq->litrun_and_len++;
-    split.literal(c);
   }
   void choose_match(std::uint32_t len, std::uint32_t offset) {
     const unsigned ls = kLengthSlot[len];
@@ -678,7 +621,6 @@ struct DeflateScratch::State {
     seq->offset_slot = static_cast<std::uint8_t>(os);
     ++seq;
     seq->litrun_and_len = 0;
-    split.match(len);
   }
 
   void parse(const std::uint8_t* in, std::size_t n, const LevelParams& p, BitWriter& bw);
@@ -780,9 +722,7 @@ void DeflateScratch::State::parse(const std::uint8_t* in, std::size_t n, const L
         }
         break;
       }
-    } while (in_next < max_block_end && seq < seqs + kSeqStoreLength &&
-             !split.should_end(static_cast<std::size_t>(in_next - block_begin),
-                               static_cast<std::size_t>(in_end - in_next)));
+    } while (in_next < max_block_end && seq < seqs + kSeqStoreLength);
     finish_block(bw, block_begin, static_cast<std::size_t>(in_next - block_begin),
                  in_next == in_end);
   } while (in_next != in_end);

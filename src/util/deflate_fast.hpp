@@ -12,7 +12,7 @@
 //   * one lazy parser driven by a per-level (search depth, nice length,
 //     lazy steps) row; levels 1-4 take no lazy step (greedy), 5-7 one,
 //     8-9 two;
-//   * blocks ended on a change in symbol statistics or at a size cap, and
+//   * blocks ended at a size cap or when the sequence store fills, and
 //     each emitted as stored, static or dynamic Huffman, whichever costs
 //     the fewest bits exactly;
 //   * length-limited Huffman codes (15 bits for literal/length and

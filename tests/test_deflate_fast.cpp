@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <random>
 #include <string>
 #include <vector>
@@ -64,6 +65,36 @@ Bytes roundtrip(Codec& codec, const Bytes& raw, int level) {
   return stream;
 }
 
+/// Decoded size of each block of a zlib stream, read by zlib's inflate,
+/// which under Z_BLOCK returns at every block boundary.  A stored block of
+/// more than 64 KiB counts once per chunk.
+std::vector<std::size_t> zlib_block_sizes(const Bytes& stream, std::size_t size) {
+  Bytes out(size);
+  z_stream zs{};
+  EXPECT_EQ(inflateInit(&zs), Z_OK);
+  zs.next_in = reinterpret_cast<Bytef*>(const_cast<std::byte*>(stream.data()));
+  zs.avail_in = static_cast<uInt>(stream.size());
+  zs.next_out = reinterpret_cast<Bytef*>(out.data());
+  zs.avail_out = static_cast<uInt>(out.size());
+  std::vector<std::size_t> sizes;
+  std::size_t block_begin = 0;
+  bool in_header = true;
+  for (int rc = Z_OK; rc != Z_STREAM_END;) {
+    rc = inflate(&zs, Z_BLOCK);
+    if (rc != Z_OK && rc != Z_STREAM_END) {
+      ADD_FAILURE() << "inflate: " << rc;
+      break;
+    }
+    if (rc == Z_OK && (zs.data_type & 128) != 0) {  // at a block boundary
+      if (!in_header) sizes.push_back(zs.total_out - block_begin);
+      in_header = false;
+      block_begin = zs.total_out;
+    }
+  }
+  inflateEnd(&zs);
+  return sizes;
+}
+
 /// BTYPE of the stream's first block: 0 stored, 1 static, 2 dynamic.
 unsigned first_block_type(const Bytes& stream) {
   return (static_cast<unsigned>(stream.at(2)) >> 1) & 3u;
@@ -87,11 +118,6 @@ TEST(DeflateFast, RoundTripsEveryShapeAtEveryLevel) {
   for (int mode = 0; mode < harness::kShapes; ++mode) {
     inputs.push_back({names[mode], make_payload(mode, 70000, 7 + static_cast<unsigned>(mode))});
   }
-  // Text then skewed bytes: the symbol mix changes, so the block splits.
-  Bytes two = make_payload(2, 60000, 1);
-  const Bytes skewed = make_payload(harness::kSkewedShape, 60000, 2);
-  two.insert(two.end(), skewed.begin(), skewed.end());
-  inputs.push_back({"text+skewed", two});
   for (const Input& in : inputs) {
     for (int level = 1; level <= 9; ++level) {
       SCOPED_TRACE(where(in.name, in.raw.size(), level));
@@ -101,8 +127,6 @@ TEST(DeflateFast, RoundTripsEveryShapeAtEveryLevel) {
       } else if (in.name == "zeros") {
         // Maximum-length, distance-1 matches: a few hundred bytes at most.
         EXPECT_LT(stream.size(), 1000u);
-      } else if (in.name == "text+skewed") {
-        EXPECT_EQ(static_cast<unsigned>(stream.at(2)) & 1u, 0u);  // first block not final
       }
     }
   }
@@ -202,6 +226,49 @@ TEST(DeflateFast, WindowBoundaries) {
     for (const int level : {1, 4, 6, 9}) {
       SCOPED_TRACE(where("window", n, level));
       roundtrip(codec, raw, level);
+    }
+  }
+}
+
+// A block ends at the first sequence boundary at or past 300,000 bytes
+// (stretched to the input's end when less than 32 KiB would follow) or when
+// 16,384 matches are stored, so every block but the last spans at least
+// 32 KiB (deflate_zlib_bound relies on it).  Repeated text is all 258-byte
+// matches, so the cap ends its blocks; a random sequence of 16 four-byte
+// tokens gives matches of a few tokens, so the store fills first.
+TEST(DeflateFast, BlocksEndAtTheCapOrAFullStore) {
+  constexpr std::size_t kCap = 300000;
+  constexpr std::size_t kMinBlock = 32768;
+  constexpr std::size_t kFullStore = 3 * 16384;  // matches of 3 bytes at least
+  std::mt19937_64 rng(3);
+  const Bytes dict = make_payload(harness::kRandomShape, 64, 5);
+  Bytes tokens(650000);
+  for (std::size_t i = 0; i < tokens.size(); i += 4) {
+    const auto token = static_cast<std::ptrdiff_t>(rng() % 16 * 4);
+    std::copy_n(dict.begin() + token, 4, tokens.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+  Codec codec;
+  for (int level = 1; level <= 9; ++level) {
+    const auto blocks = [&](const Bytes& raw, const std::string& what) {
+      SCOPED_TRACE(where(what, raw.size(), level));
+      const std::vector<std::size_t> sizes =
+          zlib_block_sizes(roundtrip(codec, raw, level), raw.size());
+      EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), std::size_t{0}), raw.size());
+      for (std::size_t b = 0; b + 1 < sizes.size(); ++b) EXPECT_GE(sizes[b], kMinBlock);
+      return sizes;
+    };
+    EXPECT_EQ(blocks(make_payload(2, kCap + kMinBlock - 1, 1), "text").size(), 1u);
+    const std::vector<std::size_t> text = blocks(make_payload(2, 650000, 1), "text");
+    ASSERT_EQ(text.size(), 3u);
+    for (const std::size_t b : {text[0], text[1]}) {
+      EXPECT_GE(b, kCap);
+      EXPECT_LT(b, kCap + 258);
+    }
+    const std::vector<std::size_t> store = blocks(tokens, "tokens");
+    ASSERT_GE(store.size(), 3u);
+    for (std::size_t b = 0; b + 1 < store.size(); ++b) {
+      EXPECT_GE(store[b], kFullStore);
+      EXPECT_LT(store[b], kCap);
     }
   }
 }
