@@ -152,8 +152,7 @@ class Archive {
   void scan_partition(const PartitionInfo& p, const std::function<void(const darshan::LogData&)>& fn,
                       ScanScratch& scratch) const;
   /// Full-control variant: `opts.mlp_depth` logs in flight per worker
-  /// (scan.hpp), `opts.read_options` threaded to the frame decoder.  Any
-  /// depth yields bit-identical callbacks in ingest order.
+  /// (scan.hpp).  Any depth yields bit-identical callbacks in ingest order.
   void scan_partition(const PartitionInfo& p, const std::function<void(const darshan::LogData&)>& fn,
                       ScanScratch& scratch, const ScanOptions& opts) const;
 

@@ -134,7 +134,6 @@ QueryResult query_archive(Archive& archive, const QueryOptions& opts, QueryScrat
     if (scratch.analyze.size() < pool.thread_count()) scratch.analyze.resize(pool.thread_count());
     ScanOptions scan_opts;
     scan_opts.mlp_depth = opts.mlp_depth;
-    scan_opts.read_options.seed_compat_parse = opts.seed_compat;
     // Per-worker log tallies, cache-line padded: the workers' inner loops
     // bump these per log, so adjacent counters must not share a line.
     struct alignas(64) WorkerTally {
@@ -145,7 +144,6 @@ QueryResult query_archive(Archive& archive, const QueryOptions& opts, QueryScrat
       scratch.scan[i].parse_seconds = 0;
       scratch.phases[i] = core::AnalyzePhases{};
       scratch.analyze[i].phases = &scratch.phases[i];
-      scratch.analyze[i].seed_compat_summarize = opts.seed_compat;
     }
     std::vector<Archive::SnapshotReceipt> receipts(rebuild.size());
     pool.parallel_for_dynamic(
@@ -257,7 +255,6 @@ QueryResult query_window(Archive& archive, std::uint64_t last_windows, const Que
   core::AnalyzeScratch analyze_scratch;
   ScanOptions scan_opts;
   scan_opts.mlp_depth = opts.mlp_depth;
-  scan_opts.read_options.seed_compat_parse = opts.seed_compat;
   for (std::size_t i = sel.first; i < partitions.size(); ++i) {
     const PartitionInfo& p = partitions[i];
     std::optional<core::Analysis> shard;

@@ -61,9 +61,6 @@ struct QueryOptions {
   /// Logs in flight per worker during cold rebuilds (scan.hpp); 1 runs the
   /// seed's one-at-a-time scan.  Results are bit-identical at any depth.
   unsigned mlp_depth = kDefaultMlpDepth;
-  /// Route rebuilds through the seed-compat parse/summarize baseline lane
-  /// (honest pre-overhaul measurement; results are identical).
-  bool seed_compat = false;
 };
 
 /// Reusable per-worker state for query_archive: decode slots, summarize
@@ -79,8 +76,8 @@ struct QueryScratch {
 
 /// Per-query telemetry.  This is the ONE aggregation vocabulary for the
 /// query engine and the archive service: the service's per-request stats
-/// embed a QueryStats, and every consumer (bench_archive, bench_service,
-/// the CLI) folds instances together through merge() and reads the hit rate
+/// embed a QueryStats, and every consumer (the service, perfbench, the CLI)
+/// folds instances together through merge() and reads the hit rate
 /// through cache_hit_rate() — never through ad-hoc field sums — so "cache
 /// hit rate" means exactly one thing everywhere.
 struct QueryStats {

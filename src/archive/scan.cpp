@@ -51,7 +51,7 @@ void scan_frames(std::span<const std::byte> segment, std::span<const IndexEntry>
     for (const IndexEntry& e : entries) {
       check(e);
       const auto t0 = Clock::now();
-      darshan::read_log_bytes_into(frame_of(e), scratch.io, scratch.log, opts.read_options);
+      darshan::read_log_bytes_into(frame_of(e), scratch.io, scratch.log);
       scratch.parse_seconds += std::chrono::duration<double>(Clock::now() - t0).count();
       fn(scratch.log);
     }
@@ -86,14 +86,14 @@ void scan_frames(std::span<const std::byte> segment, std::span<const IndexEntry>
         }
       }
       ScanScratch::Slot& slot = slots[i];
-      slot.body = darshan::read_log_frame_body(frame_of(e), slot.io, opts.read_options);
+      slot.body = darshan::read_log_frame_body(frame_of(e), slot.io);
     }
     // Stage 2: body parse.  The next slot's body was written by stage 1 a
     // while ago and may have cooled; start pulling it back in.
     for (std::size_t i = 0; i < m; ++i) {
       if (i + 1 < m) prefetch_front(slots[i + 1].body.data(), slots[i + 1].body.size());
       ScanScratch::Slot& slot = slots[i];
-      darshan::read_log_body_into(slot.body, slot.io, slot.log, opts.read_options);
+      darshan::read_log_body_into(slot.body, slot.io, slot.log);
     }
     scratch.parse_seconds += std::chrono::duration<double>(Clock::now() - t0).count();
     // Stage 3: consume in exact ingest order — the determinism contract.

@@ -1,5 +1,5 @@
 // MLP-aware segment scan: the per-worker decode engine behind
-// Archive::scan_partition and the bench_analysis MLP-depth sweep.
+// Archive::scan_partition.
 //
 // A depth-1 scan walks one dependent chain per log — decode the frame,
 // parse the body, feed the analysis — so every cache miss serializes
@@ -27,11 +27,11 @@
 namespace mlio::archive {
 
 /// Logs kept in flight per worker by default: the latency→bandwidth knee
-/// measured on the bench_archive workload (record-heavy frames, decoded
-/// bodies ~25 KB).  Deeper pipelines keep paying off for metadata-heavy
-/// scans — tiny frames scattered across a large segment — but crowd the
-/// cache once the batch's decoded bodies stop fitting, so the default sits
-/// at the knee of the record-heavy case and the knob covers the rest.
+/// measured on record-heavy frames (decoded bodies ~25 KB).  Deeper
+/// pipelines keep paying off for metadata-heavy scans — tiny frames
+/// scattered across a large segment — but crowd the cache once the batch's
+/// decoded bodies stop fitting, so the default sits at the knee of the
+/// record-heavy case and the knob covers the rest.
 inline constexpr unsigned kDefaultMlpDepth = 2;
 
 struct ScanOptions {
@@ -39,7 +39,6 @@ struct ScanOptions {
   /// (bit-identical baseline lane); values above the knee buy nothing but
   /// stay correct.  0 is clamped to 1.
   unsigned mlp_depth = kDefaultMlpDepth;
-  darshan::ReadOptions read_options;
 };
 
 /// Reusable decode state for scan_frames: the LogData and codec buffers

@@ -57,19 +57,10 @@ void Analysis::add(const darshan::LogData& log, AnalyzeScratch& scratch) {
   const bool timed = scratch.phases != nullptr;
   const auto t0 = timed ? clock::now() : clock::time_point{};
 
-  // The seed-compat branch is the measured baseline, not a fallback: it pays
-  // the per-log hash map and fresh output vector the scratch path removes.
-  const std::vector<FileSummary>* files = nullptr;
-  std::vector<FileSummary> seed_files;
-  if (scratch.seed_compat_summarize) {
-    seed_files = summarize_log(log, &unattributed_);
-    files = &seed_files;
-  } else {
-    files = &summarize_log(log, scratch.summarize, &unattributed_);
-  }
+  const std::vector<FileSummary>& files = summarize_log(log, scratch.summarize, &unattributed_);
 
   const auto t1 = timed ? clock::now() : clock::time_point{};
-  accumulate(log.job, *files);
+  accumulate(log.job, files);
   if (timed) {
     const auto t2 = clock::now();
     scratch.phases->summarize_seconds += std::chrono::duration<double>(t1 - t0).count();

@@ -24,7 +24,7 @@ namespace mlio::core {
 
 /// Optional per-phase wall-clock accounting for the scratch ingest path.
 /// Timing costs two clock reads per log, so it is off unless a consumer
-/// (query_archive, bench_analysis) points the scratch at one of these.
+/// (query_archive) points the scratch at one of these.
 struct AnalyzePhases {
   double summarize_seconds = 0;
   double accumulate_seconds = 0;
@@ -33,9 +33,6 @@ struct AnalyzePhases {
 /// Per-worker state for the allocation-free Analysis::add overload.
 struct AnalyzeScratch {
   SummarizeScratch summarize;
-  /// Route summarization through the seed's allocating path (per-log hash
-  /// map + fresh output vector) — the honest baseline for bench_analysis.
-  bool seed_compat_summarize = false;
   AnalyzePhases* phases = nullptr;  ///< non-owning; null disables timing
 };
 
@@ -108,7 +105,7 @@ class Analysis {
   /// volumes, every histogram bin, interface censuses, and the performance
   /// five-number summaries (doubles hashed bit-for-bit).  Two pipelines that
   /// produce the same fingerprint produced bit-identical analyses — the
-  /// determinism contract checked across thread counts and scheduler modes.
+  /// determinism contract checked across thread counts.
   std::uint64_t fingerprint() const;
 
   /// Total simulated traffic (bytes read + written) across all layers.

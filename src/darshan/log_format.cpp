@@ -6,7 +6,6 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <unordered_map>
 
 #include "util/byte_io.hpp"
 #include "util/compress.hpp"
@@ -35,27 +34,8 @@ void write_job(ByteWriter& w, const JobRecord& job) {
   }
 }
 
-JobRecord read_job(ByteReader& r) {
-  JobRecord job;
-  job.job_id = r.u64();
-  job.user_id = r.u32();
-  job.nprocs = r.u32();
-  job.nnodes = r.u32();
-  job.start_time = r.i64();
-  job.end_time = r.i64();
-  job.exe = r.str();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string k = r.str();
-    std::string v = r.str();
-    job.metadata.emplace(std::move(k), std::move(v));
-  }
-  return job;
-}
-
-// Reuse variant: keeps job.exe's string capacity across logs.  The metadata
-// map still pays its node allocations — typically one entry per log, noise
-// next to the per-name and per-summary allocations this PR removes.
+// Keeps job.exe's string capacity across logs.  The metadata map still pays
+// its node allocations: typically one entry per log.
 void read_job_into(ByteReader& r, JobRecord& job) {
   job.job_id = r.u64();
   job.user_id = r.u32();
@@ -148,60 +128,29 @@ void write_body(ByteWriter& w, const LogData& log, LogIoBuffers& io) {
 // element-wise so each record's counter storage survives across logs —
 // previously the dominant allocation in the pipeline's roundtrip path; the
 // name arena and mount string reuse below remove the rest.
-void read_body_into(ByteReader& r, LogData& log, LogIoBuffers& io, const ReadOptions& opts) {
-  if (opts.seed_compat_parse) {
-    log.job = read_job(r);
-  } else {
-    read_job_into(r, log.job);
-  }
+void read_body_into(ByteReader& r, LogData& log, LogIoBuffers& io) {
+  read_job_into(r, log.job);
 
   const std::uint32_t n_mounts = r.u32();
   if (n_mounts > r.remaining()) throw FormatError("mount count exceeds body size");
-  if (opts.seed_compat_parse) {
-    log.mounts.clear();
-    log.mounts.reserve(n_mounts);
-    for (std::uint32_t i = 0; i < n_mounts; ++i) {
-      MountEntry m;
-      m.prefix = r.str();
-      m.fs_type = r.str();
-      log.mounts.push_back(std::move(m));
-    }
-  } else {
-    // Reuse existing entries' string capacity: logs from one system carry the
-    // identical mount table, so after the first log this allocates nothing.
-    log.mounts.resize(std::min<std::size_t>(n_mounts, log.mounts.size()));
-    log.mounts.reserve(n_mounts);
-    for (std::uint32_t i = 0; i < n_mounts; ++i) {
-      if (i == log.mounts.size()) log.mounts.emplace_back();
-      MountEntry& m = log.mounts[i];
-      m.prefix.assign(r.str_view());
-      m.fs_type.assign(r.str_view());
-    }
+  // Reuse existing entries' string capacity: logs from one system carry the
+  // identical mount table, so after the first log this allocates nothing.
+  log.mounts.resize(std::min<std::size_t>(n_mounts, log.mounts.size()));
+  log.mounts.reserve(n_mounts);
+  for (std::uint32_t i = 0; i < n_mounts; ++i) {
+    if (i == log.mounts.size()) log.mounts.emplace_back();
+    MountEntry& m = log.mounts[i];
+    m.prefix.assign(r.str_view());
+    m.fs_type.assign(r.str_view());
   }
 
   const std::uint32_t n_names = r.u32();
   if (n_names > r.remaining()) throw FormatError("name count exceeds body size");
-  if (opts.seed_compat_parse) {
-    // The seed's parse path: a fresh std::string and a hash-map node per
-    // name, then copied into the table in the map's iteration order.  The
-    // copy is the honest-baseline tax of keeping one LogData layout; it is
-    // two orders of magnitude cheaper than the allocations it mimics.
-    std::unordered_map<std::uint64_t, std::string> seed_names;
-    seed_names.reserve(n_names);
-    for (std::uint32_t i = 0; i < n_names; ++i) {
-      const std::uint64_t id = r.u64();
-      seed_names.emplace(id, r.str());
-    }
-    log.names.clear();
-    log.names.reserve(seed_names.size());
-    for (const auto& [id, path] : seed_names) log.names.add(id, path);
-  } else {
-    log.names.clear();
-    log.names.reserve(n_names);
-    for (std::uint32_t i = 0; i < n_names; ++i) {
-      const std::uint64_t id = r.u64();
-      log.names.add(id, r.str_view());
-    }
+  log.names.clear();
+  log.names.reserve(n_names);
+  for (std::uint32_t i = 0; i < n_names; ++i) {
+    const std::uint64_t id = r.u64();
+    log.names.add(id, r.str_view());
   }
   log.names.seal();
 
@@ -225,7 +174,7 @@ void read_body_into(ByteReader& r, LogData& log, LogIoBuffers& io, const ReadOpt
       const std::uint64_t record_id = r.u64();
       const auto rank = static_cast<std::int32_t>(r.u32());
       if (used == log.records.size()) {
-        if (!opts.seed_compat_parse && !io.record_pool.empty()) {
+        if (!io.record_pool.empty()) {
           log.records.push_back(std::move(io.record_pool.back()));
           io.record_pool.pop_back();
         } else {
@@ -239,7 +188,7 @@ void read_body_into(ByteReader& r, LogData& log, LogIoBuffers& io, const ReadOpt
       rec.module = mod;
       rec.counters.resize(n_counters);
       rec.fcounters.resize(n_fcounters);
-      if (!opts.seed_compat_parse && std::endian::native == std::endian::little) {
+      if constexpr (std::endian::native == std::endian::little) {
         // Bulk decode: the on-disk and in-memory layouts agree on LE hosts,
         // so the whole counter block moves with one bounds check + memcpy
         // instead of a call per counter — the hottest loop of a cold scan.
@@ -253,13 +202,9 @@ void read_body_into(ByteReader& r, LogData& log, LogIoBuffers& io, const ReadOpt
       }
     }
   }
-  if (opts.seed_compat_parse) {
-    log.records.resize(used);  // destroys the tail, as the seed did
-  } else {
-    while (log.records.size() > used) {
-      io.record_pool.push_back(std::move(log.records.back()));
-      log.records.pop_back();
-    }
+  while (log.records.size() > used) {
+    io.record_pool.push_back(std::move(log.records.back()));
+    log.records.pop_back();
   }
 
   const std::uint32_t n_dxt = r.u32();
@@ -330,10 +275,8 @@ void write_log_file(const LogData& log, const std::filesystem::path& path,
   if (!f) throw util::Error("write failed: " + path.string());
 }
 
-// Frame decode is the same under every ReadOptions; the parameter keeps the
-// two stages' signatures alike.
 std::span<const std::byte> read_log_frame_body(std::span<const std::byte> data,
-                                               LogIoBuffers& io, const ReadOptions& /*opts*/) {
+                                               LogIoBuffers& io) {
   ByteReader header(data);
   if (header.u32() != kLogMagic) throw FormatError("bad magic");
   const std::uint16_t version = header.u16();
@@ -368,16 +311,14 @@ std::span<const std::byte> read_log_frame_body(std::span<const std::byte> data,
   return body;
 }
 
-void read_log_body_into(std::span<const std::byte> body, LogIoBuffers& io, LogData& out,
-                        const ReadOptions& opts) {
+void read_log_body_into(std::span<const std::byte> body, LogIoBuffers& io, LogData& out) {
   ByteReader r(body);
-  read_body_into(r, out, io, opts);
+  read_body_into(r, out, io);
   if (!r.at_end()) throw FormatError("trailing bytes in log body");
 }
 
-void read_log_bytes_into(std::span<const std::byte> data, LogIoBuffers& io, LogData& out,
-                         const ReadOptions& opts) {
-  read_log_body_into(read_log_frame_body(data, io, opts), io, out, opts);
+void read_log_bytes_into(std::span<const std::byte> data, LogIoBuffers& io, LogData& out) {
+  read_log_body_into(read_log_frame_body(data, io), io, out);
 }
 
 LogData read_log_bytes(std::span<const std::byte> data) {

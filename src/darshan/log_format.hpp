@@ -40,17 +40,6 @@ struct WriteOptions {
   int zlib_level = 6;
 };
 
-struct ReadOptions {
-  /// Route the body parse through the seed's parse path: fresh std::string
-  /// + hash-map node per name, fresh mount entries, per-counter decode calls,
-  /// and tail-record destruction — instead of arena fills, in-place capacity
-  /// reuse, bulk counter memcpy, and the record husk pool.  Frame decode
-  /// (inflate and CRC) is the same in both paths.  The result is identical;
-  /// this exists so bench_analysis can measure an honest pre-overhaul parse
-  /// baseline, mirroring Emission::kPerRank on the write side.
-  bool seed_compat_parse = false;
-};
-
 /// Scratch buffers for the allocation-free codec entry points below.  One
 /// instance per worker thread: every buffer (body, framed output, compressed
 /// payload, zlib stream state) is grown once and reused across logs.
@@ -91,8 +80,7 @@ LogData read_log_file(const std::filesystem::path& path);
 /// (including each record's counter storage) instead of reallocating.  `out`
 /// may be the very LogData that produced `data` via write_log_bytes_into —
 /// the source is fully framed into `io` before parsing begins.
-void read_log_bytes_into(std::span<const std::byte> data, LogIoBuffers& io, LogData& out,
-                         const ReadOptions& opts = {});
+void read_log_bytes_into(std::span<const std::byte> data, LogIoBuffers& io, LogData& out);
 
 /// Stage split of read_log_bytes_into, used by the archive's software-
 /// pipelined scan so frame decode and body parse of *different* logs can be
@@ -103,10 +91,9 @@ void read_log_bytes_into(std::span<const std::byte> data, LogIoBuffers& io, LogD
 /// view is valid until the next decode into the same `io` (for an
 /// uncompressed frame it aliases `data`, which must outlive the parse).
 /// read_log_body_into parses a body so obtained.  Composing the two with the
-/// same `io`/`opts` is exactly read_log_bytes_into.
+/// same `io` is exactly read_log_bytes_into.
 std::span<const std::byte> read_log_frame_body(std::span<const std::byte> data,
-                                               LogIoBuffers& io, const ReadOptions& opts = {});
-void read_log_body_into(std::span<const std::byte> body, LogIoBuffers& io, LogData& out,
-                        const ReadOptions& opts = {});
+                                               LogIoBuffers& io);
+void read_log_body_into(std::span<const std::byte> body, LogIoBuffers& io, LogData& out);
 
 }  // namespace mlio::darshan

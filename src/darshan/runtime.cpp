@@ -514,11 +514,7 @@ void Runtime::finalize_into(std::int64_t start_epoch, std::int64_t end_epoch, Lo
   dxt_.clear();
   dxt_offsets_.clear();
 
-  if (opts_.seed_compat_finalize) {
-    finalize_records_seed(log);
-  } else {
-    finalize_records_sorted(log);
-  }
+  finalize_records_sorted(log);
 
   // Reduced-away husks and unused pool leftovers are freed here rather than
   // recycled: only the emitted records round-trip through adopt_scratch
@@ -587,53 +583,6 @@ void Runtime::finalize_records_sorted(LogData& log) {
     }
     lo = hi;
   }
-}
-
-void Runtime::finalize_records_seed(LogData& log) {
-  // The seed's grouping pass, verbatim: hash map of index vectors, a fresh
-  // allocation per collapsed shared record, and a full-record sort of the
-  // output.  Kept as the measurable pre-PR baseline (see RuntimeOptions);
-  // byte-identical to finalize_records_sorted.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
-  groups.reserve(records_.size());
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const auto& rec = records_[i];
-    const std::uint64_t gkey =
-        rec.record_id ^ (static_cast<std::uint64_t>(rec.module) << 61);
-    groups[gkey].push_back(i);
-  }
-
-  log.records.clear();
-  log.records.reserve(groups.size());
-  for (auto& [gkey, idxs] : groups) {
-    (void)gkey;
-    const auto& first = records_[idxs.front()];
-    const bool already_shared = idxs.size() == 1 && first.rank == kSharedRank;
-    const bool all_ranks = job_.nprocs > 1 && idxs.size() == job_.nprocs;
-    if (already_shared || first.module == ModuleId::kLustre ||
-        first.module == ModuleId::kSsdExt) {
-      log.records.push_back(std::move(records_[idxs.front()]));
-      continue;
-    }
-    if (all_ranks) {
-      FileRecord shared(first.record_id, kSharedRank, first.module);
-      init_fcounters(shared);
-      for (const std::size_t i : idxs) reduce_into(shared, records_[i]);
-      log.records.push_back(std::move(shared));
-    } else {
-      // Partial access: keep per-rank records (the paper's §3.4 explicitly
-      // excludes these from performance analysis).
-      for (const std::size_t i : idxs) log.records.push_back(std::move(records_[i]));
-    }
-  }
-
-  // Deterministic output order regardless of hash-map iteration.
-  std::sort(log.records.begin(), log.records.end(),
-            [](const FileRecord& a, const FileRecord& b) {
-              if (a.module != b.module) return a.module < b.module;
-              if (a.record_id != b.record_id) return a.record_id < b.record_id;
-              return a.rank < b.rank;
-            });
 }
 
 }  // namespace mlio::darshan

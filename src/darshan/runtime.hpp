@@ -59,12 +59,6 @@ struct RuntimeOptions {
   /// Cap on traced events per (file, module) batch, mirroring DXT's bounded
   /// trace buffers.
   std::uint32_t dxt_events_per_batch = 16;
-  /// Replicate the seed's finalize exactly (hash-map grouping, a fresh
-  /// allocation per shared record, and a full-record output sort) instead of
-  /// the key-sorted single pass.  Byte-identical output, slower: the
-  /// executor's per-rank baseline sets this so bench_executor compares the
-  /// overhauled hot path against the true pre-PR cost, not a hybrid.
-  bool seed_compat_finalize = false;
 };
 
 class Runtime {
@@ -151,11 +145,8 @@ class Runtime {
   /// possible.
   FileRecord new_record(std::uint64_t record_id, std::int32_t rank, ModuleId module);
   static void reduce_into(FileRecord& shared, const FileRecord& rank_rec);
-  /// Key-sorted single-pass record grouping/reduction (the hot path).
+  /// Key-sorted single-pass record grouping/reduction.
   void finalize_records_sorted(LogData& log);
-  /// The seed's record grouping/reduction, kept verbatim for the
-  /// seed_compat_finalize baseline (see RuntimeOptions).
-  void finalize_records_seed(LogData& log);
 
   void trace_batch(const FileHandle& h, std::int32_t rank, DxtOp op, std::uint64_t op_size,
                    std::uint64_t n_ops, double start, double elapsed);

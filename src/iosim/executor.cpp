@@ -52,20 +52,6 @@ double sample_contention(const StorageLayer& layer, std::uint32_t job_nodes,
   return 1.0;
 }
 
-struct Split {
-  std::uint64_t ops = 0;
-  std::uint64_t op_size = 1;
-  std::uint64_t tail = 0;  ///< remainder bytes issued as one final op
-};
-
-Split split_ops(std::uint64_t bytes, std::uint64_t op_size) {
-  Split s;
-  s.op_size = std::max<std::uint64_t>(1, op_size);
-  s.ops = bytes / s.op_size;
-  s.tail = bytes % s.op_size;
-  return s;
-}
-
 }  // namespace
 
 struct JobExecutor::Clock {
@@ -101,14 +87,10 @@ void JobExecutor::execute_into(const JobSpec& spec, darshan::LogData& out,
   if (!spec.domain.empty()) job.metadata["domain"] = spec.domain;
   job.metadata["machine"] = machine_.name();
 
-  const bool batched = cfg_.emission == ExecutorConfig::Emission::kBatched;
   darshan::RuntimeOptions rt_opts;
   rt_opts.enable_dxt = cfg_.enable_dxt;
-  // The per-rank baseline reproduces the whole seed hot path, not just the
-  // emission loops: seed finalize and no buffer recycling.
-  rt_opts.seed_compat_finalize = !batched;
   Runtime rt(job, machine_.mounts(), rt_opts);
-  if (batched) rt.adopt_scratch(out);  // recycle the scratch log's record buffers
+  rt.adopt_scratch(out);  // recycle the scratch log's record buffers
   Clock clock;
 
   // Per-layer contention is sampled once per job: a job experiences one
@@ -162,17 +144,13 @@ void JobExecutor::execute_into(const JobSpec& spec, darshan::LogData& out,
     req.rewrites = file.rewrites;
     req.contention = contention[lf->index];
     req.node_link_bw = machine_.node_link_bw();
-    if (batched) {
-      // Precomputed layer facts skip the virtual perf() call and the
-      // node-local dynamic_cast inside the model.  The per-rank baseline
-      // leaves them unset so it keeps the seed's per-access resolution cost
-      // (what bench_executor measures the bulk path against).
-      req.perf = &lf->perf;
-      req.node_local = lf->node_local;
-    }
+    // Precomputed layer facts skip the virtual perf() call and the
+    // node-local dynamic_cast inside the model.
+    req.perf = &lf->perf;
+    req.node_local = lf->node_local;
 
     // Interned on first emission, so a file with no traffic never registers
-    // a name (the per-call path only names a file at its first open).
+    // a name.
     std::uint64_t path_id = 0;
     bool path_interned = false;
 
@@ -188,7 +166,7 @@ void JobExecutor::execute_into(const JobSpec& spec, darshan::LogData& out,
       const bool use_shared_rank = file.shared && !explicit_ranks;
       const std::uint32_t emit_ranks = use_shared_rank ? 1 : explicit_count;
       const std::uint64_t per_rank = bytes / emit_ranks;
-      std::uint64_t remainder = bytes % emit_ranks;
+      const std::uint64_t remainder = bytes % emit_ranks;
 
       if (stats != nullptr) {
         const std::uint64_t rows =
@@ -198,80 +176,41 @@ void JobExecutor::execute_into(const JobSpec& spec, darshan::LogData& out,
         stats->opens += rows * (mod == ModuleId::kMpiIo ? 2 : 1);
       }
 
-      if (batched) {
-        // Hot path: one interned id, both op splits precomputed, one bulk
-        // fan-out per module instead of 4-7 map lookups per rank.
-        if (!path_interned) {
-          path_id = rt.intern_path(file.path);
-          path_interned = true;
-        }
-        darshan::RankSegment seg;
-        seg.rank0 = use_shared_rank ? kSharedRank : 0;
-        seg.n_ranks = emit_ranks;
-        seg.n_plus_one = static_cast<std::uint32_t>(remainder);
-        seg.per_rank_bytes = per_rank;
-        seg.op_size = req.op_size;
-        seg.start = start;
-        seg.elapsed = elapsed;
-        seg.sequential = file.sequential;
-        seg.meta_ops = 1;
-        seg.meta_elapsed = lf->perf.op_latency;
-        if (dir == Direction::kRead) {
-          rt.record_reads_ranks(mod, path_id, seg);
-        } else {
-          rt.record_writes_ranks(mod, path_id, seg);
-        }
-        // MPI-IO rides on POSIX (§3.1): mirror the transfer into a POSIX
-        // record whose request sizes reflect collective aggregation.
-        if (mod == ModuleId::kMpiIo) {
-          darshan::RankSegment ps = seg;
-          ps.op_size = file.collective
-                           ? std::max<std::uint64_t>(req.op_size, model.config().cb_buffer_bytes)
-                           : req.op_size;
-          ps.sequential = true;
-          ps.meta_ops = 0;
-          if (dir == Direction::kRead) {
-            rt.record_reads_ranks(ModuleId::kPosix, path_id, ps);
-          } else {
-            rt.record_writes_ranks(ModuleId::kPosix, path_id, ps);
-          }
-        }
-        return;
+      // One interned id, both op splits precomputed, one bulk fan-out per
+      // module: the runtime spreads the segment over all rank rows.
+      if (!path_interned) {
+        path_id = rt.intern_path(file.path);
+        path_interned = true;
       }
-
-      // Baseline path (ExecutorConfig::Emission::kPerRank): the seed's
-      // per-rank loop, preserved verbatim so bench_executor can measure the
-      // batched path against it and tests can differential-check the two.
-      for (std::uint32_t r = 0; r < emit_ranks; ++r) {
-        const std::int32_t rank = use_shared_rank ? kSharedRank : static_cast<std::int32_t>(r);
-        std::uint64_t rank_bytes = per_rank + (remainder > 0 ? 1 : 0);
-        if (remainder > 0) --remainder;
-        if (rank_bytes == 0 && emit_ranks > 1) continue;
-        const FileHandle h = rt.open_file(mod, rank, file.path, start);
-        const Split s = split_ops(rank_bytes, req.op_size);
+      darshan::RankSegment seg;
+      seg.rank0 = use_shared_rank ? kSharedRank : 0;
+      seg.n_ranks = emit_ranks;
+      seg.n_plus_one = static_cast<std::uint32_t>(remainder);
+      seg.per_rank_bytes = per_rank;
+      seg.op_size = req.op_size;
+      seg.start = start;
+      seg.elapsed = elapsed;
+      seg.sequential = file.sequential;
+      seg.meta_ops = 1;
+      seg.meta_elapsed = lf->perf.op_latency;
+      if (dir == Direction::kRead) {
+        rt.record_reads_ranks(mod, path_id, seg);
+      } else {
+        rt.record_writes_ranks(mod, path_id, seg);
+      }
+      // MPI-IO rides on POSIX (§3.1): mirror the transfer into a POSIX
+      // record whose request sizes reflect collective aggregation.
+      if (mod == ModuleId::kMpiIo) {
+        darshan::RankSegment ps = seg;
+        ps.op_size = file.collective
+                         ? std::max<std::uint64_t>(req.op_size, model.config().cb_buffer_bytes)
+                         : req.op_size;
+        ps.sequential = true;
+        ps.meta_ops = 0;
         if (dir == Direction::kRead) {
-          rt.record_reads(h, rank, s.op_size, s.ops, start, elapsed, file.sequential);
-          if (s.tail > 0) rt.record_reads(h, rank, s.tail, 1, start, 0.0, file.sequential);
+          rt.record_reads_ranks(ModuleId::kPosix, path_id, ps);
         } else {
-          rt.record_writes(h, rank, s.op_size, s.ops, start, elapsed, file.sequential);
-          if (s.tail > 0) rt.record_writes(h, rank, s.tail, 1, start, 0.0, file.sequential);
-        }
-        rt.record_meta(h, rank, 1, layer->perf().op_latency);
-
-        if (mod == ModuleId::kMpiIo) {
-          const std::uint64_t posix_op =
-              file.collective ? std::max<std::uint64_t>(req.op_size,
-                                                        model.config().cb_buffer_bytes)
-                              : req.op_size;
-          const FileHandle ph = rt.open_file(ModuleId::kPosix, rank, file.path, start);
-          const Split ps = split_ops(rank_bytes, posix_op);
-          if (dir == Direction::kRead) {
-            rt.record_reads(ph, rank, ps.op_size, ps.ops, start, elapsed, true);
-            if (ps.tail > 0) rt.record_reads(ph, rank, ps.tail, 1, start, 0.0, true);
-          } else {
-            rt.record_writes(ph, rank, ps.op_size, ps.ops, start, elapsed, true);
-            if (ps.tail > 0) rt.record_writes(ph, rank, ps.tail, 1, start, 0.0, true);
-          }
+          rt.record_writes_ranks(ModuleId::kPosix, path_id, ps);
         }
       }
     };

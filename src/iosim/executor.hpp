@@ -12,14 +12,6 @@
 namespace mlio::sim {
 
 struct ExecutorConfig {
-  /// How per-rank I/O is reported into the runtime.  kBatched is the
-  /// production hot path: the path is interned once per file, both op splits
-  /// are precomputed, and one bulk Runtime call fans the segment out over
-  /// all rank rows.  kPerRank preserves the seed's per-rank
-  /// open_file/record_reads loop as a measurable baseline (bench_executor)
-  /// and a differential-test oracle.  Both modes produce bit-identical logs.
-  enum class Emission { kBatched, kPerRank };
-
   /// Shared files of jobs with at most this many ranks are recorded per rank
   /// (exercising the runtime's shared-record reduction); larger jobs record
   /// the pre-aggregated rank -1 record directly, as an optimization with
@@ -32,12 +24,11 @@ struct ExecutorConfig {
   bool enable_dxt = false;
   /// Emit Recommendation-4 SSDEXT records for files on flash-backed layers.
   bool enable_ssd_ext = false;
-  Emission emission = Emission::kBatched;
 };
 
 /// Hot-path telemetry accumulated across execute_into calls — how much
-/// record-keeping the executed jobs induced (the denominator of every
-/// opens/s / rows/s throughput number in bench_executor and the pipeline).
+/// record-keeping the executed jobs induced (the denominator of the
+/// pipeline's opens/s and rows/s throughput numbers).
 struct ExecStats {
   std::uint64_t jobs = 0;       ///< execute_into calls
   std::uint64_t files = 0;      ///< FileAccessSpec entries executed

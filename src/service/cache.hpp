@@ -154,8 +154,8 @@ struct MergedResult {
 class MergedResultCache {
  public:
   struct Options {
-    /// 0 disables the cache entirely (every get merges; the bench's honest
-    /// "linear in P" lane).
+    /// 0 disables the cache entirely (every get merges, linear in the
+    /// partition count).
     std::uint64_t capacity_bytes = 64ull << 20;
     /// Resident answers kept (LRU beyond this evicts regardless of bytes);
     /// a handful covers the live whole and windowed answers plus pinned

@@ -14,7 +14,7 @@
 // generation is replayed serially (ArchiveService::replay_serial — cache
 // free, snapshot free, mlp_depth 1) and every concurrent answer must match
 // the replay bit for bit.  A divergence is a correctness bug, and
-// bench_service exits nonzero on it.
+// `mlio_archive serve` exits nonzero on it.
 #pragma once
 
 #include <cstdint>

@@ -62,8 +62,8 @@ struct ServiceFrame {
 };
 
 /// Per-request telemetry.  Embeds the query engine's QueryStats so the
-/// service, bench_service, and bench_archive share one definition of every
-/// counter — in particular cache_hit_rate() (satellite of ISSUE 7).
+/// service and its callers share one definition of every counter — in
+/// particular cache_hit_rate().
 struct ServiceStats {
   archive::QueryStats query;
   std::uint64_t requests = 0;       ///< requests folded into this instance

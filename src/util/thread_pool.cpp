@@ -8,9 +8,9 @@
 namespace mlio::util {
 
 namespace {
-// Set for the lifetime of a worker thread (any pool); lets the parallel_for
-// entry points detect nested submission and fall back to inline execution
-// instead of deadlocking on their own queue.
+// Set for the lifetime of a worker thread (any pool); lets
+// parallel_for_dynamic detect nested submission and fall back to inline
+// execution instead of deadlocking on its own queue.
 thread_local bool tl_in_worker = false;
 }  // namespace
 
@@ -45,50 +45,6 @@ void ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::wait_idle() {
   std::unique_lock lock(mu_);
   cv_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::parallel_for_chunks(
-    std::uint64_t begin, std::uint64_t end, std::uint64_t chunks,
-    const std::function<void(std::uint64_t, std::uint64_t, std::uint64_t)>& body) {
-  if (begin >= end) return;
-  if (chunks == 0) chunks = thread_count();
-  const std::uint64_t n = end - begin;
-  chunks = std::min(chunks, n);
-
-  const std::uint64_t per = n / chunks;
-  const std::uint64_t extra = n % chunks;
-
-  if (tl_in_worker) {
-    // Nested call from inside a worker task: waiting on the pool would
-    // deadlock (every worker may be blocked on this same barrier), so run
-    // the chunks serially on the caller.  Chunk boundaries are unchanged.
-    std::uint64_t cursor = begin;
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-      const std::uint64_t len = per + (c < extra ? 1 : 0);
-      body(c, cursor, cursor + len);
-      cursor += len;
-    }
-    return;
-  }
-
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::uint64_t remaining = chunks;
-
-  std::uint64_t cursor = begin;
-  for (std::uint64_t c = 0; c < chunks; ++c) {
-    const std::uint64_t len = per + (c < extra ? 1 : 0);
-    const std::uint64_t lo = cursor;
-    const std::uint64_t hi = cursor + len;
-    cursor = hi;
-    submit([&, c, lo, hi] {
-      body(c, lo, hi);
-      std::lock_guard lock(done_mu);
-      if (--remaining == 0) done_cv.notify_one();
-    });
-  }
-  std::unique_lock lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 std::vector<std::uint64_t> ThreadPool::parallel_for_dynamic(

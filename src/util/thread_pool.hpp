@@ -1,20 +1,15 @@
-// Minimal thread pool with two deterministic parallel_for schedulers.
+// Minimal thread pool with a deterministic work-stealing parallel_for.
 //
 // The generation→simulation→analysis pipeline is embarrassingly parallel per
 // job.  Determinism is preserved by (a) seeding each job's Rng from its index
-// (never from thread identity) and (b) merging per-chunk (or per-block)
-// accumulators in index order.
+// (never from thread identity) and (b) merging per-block accumulators in
+// index order.  parallel_for_dynamic hands fixed-size blocks to idle workers
+// via an atomic ticket counter.  Block boundaries depend only on (range,
+// block size), never on thread count or timing, so callers that keep one
+// accumulator per block and merge in block order get bit-identical results
+// no matter which worker ran which block.
 //
-//   * parallel_for_chunks — static scheduling: the range is split into
-//     `chunks` contiguous ranges assigned up front.  Lowest overhead, but a
-//     heavy-tailed workload leaves threads idle behind the largest chunk.
-//   * parallel_for_dynamic — work-stealing via an atomic ticket counter over
-//     fixed-size blocks.  Block boundaries depend only on (range, block
-//     size), never on thread count or timing, so callers that keep one
-//     accumulator per block and merge in block order get bit-identical
-//     results no matter which worker ran which block.
-//
-// Nested parallelism: calling either parallel_for from inside a worker task
+// Nested parallelism: calling parallel_for_dynamic from inside a worker task
 // would deadlock a fully-busy pool (the inner call waits on workers that are
 // all waiting on it), so nested calls detect the situation via a thread-local
 // flag and degrade to an inline serial loop on the calling worker.
@@ -51,19 +46,12 @@ class ThreadPool {
   /// Block until every submitted task has finished.
   void wait_idle();
 
-  /// Split [begin, end) into `chunks` ranges and run
-  /// body(chunk_index, chunk_begin, chunk_end) across the pool.  Blocks until
-  /// all chunks complete.  chunks == 0 selects thread_count().  Safe to call
-  /// from inside a worker task: the chunks then run inline on the caller.
-  void parallel_for_chunks(std::uint64_t begin, std::uint64_t end, std::uint64_t chunks,
-                           const std::function<void(std::uint64_t, std::uint64_t, std::uint64_t)>& body);
-
-  /// Work-stealing variant: split [begin, end) into fixed-size blocks of
-  /// `block_size` elements (the last block may be short) and hand block
-  /// indices to idle workers through an atomic ticket counter.  The body is
-  /// called as body(block_index, block_begin, block_end, worker_slot) where
-  /// worker_slot is a dense index in [0, thread_count()) identifying the
-  /// executing runner — callers use it to reuse per-worker scratch state.
+  /// Split [begin, end) into fixed-size blocks of `block_size` elements (the
+  /// last block may be short) and hand block indices to idle workers through
+  /// an atomic ticket counter.  The body is called as body(block_index,
+  /// block_begin, block_end, worker_slot) where worker_slot is a dense index
+  /// in [0, thread_count()) identifying the executing runner — callers use
+  /// it to reuse per-worker scratch state.
   /// Block boundaries are a pure function of (begin, end, block_size).
   /// Returns the number of blocks each worker slot executed (telemetry; the
   /// per-slot counts are timing-dependent, the set of blocks is not).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -61,24 +60,16 @@ PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions&
   const auto t_start = SteadyClock::now();
   const sim::Machine& machine = machine_for(gen.profile());
   const sim::JobExecutor executor(machine);
-  const bool dynamic = opts.scheduling == PipelineOptions::Scheduling::kDynamic;
 
   util::ThreadPool pool(opts.threads);
 
   PipelineResult result;
   PipelineStats& stats = result.stats;
   stats.threads = pool.thread_count();
-  stats.dynamic_scheduling = dynamic;
   stats.worker_blocks.assign(std::max(1u, pool.thread_count()), 0);
 
-  // In dynamic mode scratch is per worker slot and lives across both strata;
-  // static chunks construct their own (one per contiguous block run).
+  // Scratch is per worker slot and lives across both strata.
   std::vector<WorkerScratch> scratch(std::max(1u, pool.thread_count()));
-
-  // Static chunks keep chunk-local scratch; their exec telemetry folds into
-  // this total under a lock (one acquisition per chunk, off the hot path).
-  std::mutex exec_mu;
-  sim::ExecStats static_exec;
 
   auto consume = [&](core::Analysis& into, WorkerScratch& ws, const sim::JobSpec& spec) {
     executor.execute_into(spec, ws.log, &ws.exec);
@@ -89,7 +80,7 @@ PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions&
     into.add(ws.log, ws.analyze);
   };
 
-  // Run one stratum of `n` jobs in blocks of `block` through the configured
+  // Run one stratum of `n` jobs in blocks of `block` through the ticket
   // scheduler; `generate(lo, hi, sink)` produces jobs [lo, hi).  Blocks are
   // chunked on job boundaries so all logs of a job land in one accumulator
   // (the distinct-job censuses rely on it), and shards merge in block order.
@@ -98,32 +89,13 @@ PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions&
     if (n == 0) return 0;
     const std::uint64_t n_blocks = (n + block - 1) / block;
     std::vector<core::Analysis> shards(n_blocks);
-    if (dynamic) {
-      const auto counts = pool.parallel_for_dynamic(
-          0, n, block, [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi, unsigned w) {
-            generate(lo, hi,
-                     [&](const sim::JobSpec& spec) { consume(shards[b], scratch[w], spec); });
-          });
-      for (std::size_t w = 0; w < counts.size() && w < stats.worker_blocks.size(); ++w) {
-        stats.worker_blocks[w] += counts[w];
-      }
-    } else {
-      // Static assignment: contiguous runs of blocks per chunk, as the seed
-      // scheduler did — but over the same block partition as dynamic mode,
-      // so both schedulers produce bit-identical analyses.
-      pool.parallel_for_chunks(
-          0, n_blocks, std::uint64_t{pool.thread_count()} * 4,
-          [&](std::uint64_t chunk, std::uint64_t blo, std::uint64_t bhi) {
-            (void)chunk;
-            WorkerScratch ws;
-            for (std::uint64_t b = blo; b < bhi; ++b) {
-              const std::uint64_t lo = b * block;
-              const std::uint64_t hi = std::min(n, lo + block);
-              generate(lo, hi, [&](const sim::JobSpec& spec) { consume(shards[b], ws, spec); });
-            }
-            const std::lock_guard<std::mutex> lock(exec_mu);
-            static_exec.merge(ws.exec);
-          });
+    const auto counts = pool.parallel_for_dynamic(
+        0, n, block, [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi, unsigned w) {
+          generate(lo, hi,
+                   [&](const sim::JobSpec& spec) { consume(shards[b], scratch[w], spec); });
+        });
+    for (std::size_t w = 0; w < counts.size() && w < stats.worker_blocks.size(); ++w) {
+      stats.worker_blocks[w] += counts[w];
     }
     const auto t_merge = SteadyClock::now();
     for (const auto& shard : shards) into.merge(shard);
@@ -162,7 +134,6 @@ PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions&
   }
 
   for (const WorkerScratch& ws : scratch) stats.exec.merge(ws.exec);
-  stats.exec.merge(static_exec);
   stats.logs = result.bulk.summary().logs() + result.huge.summary().logs();
   stats.simulated_bytes = result.bulk.total_bytes() + result.huge.total_bytes();
   stats.total_seconds = seconds_since(t_start);

@@ -5,9 +5,10 @@
 // accumulator is kept per block, and block accumulators are merged in block
 // order.  The block partition is a pure function of the population size (see
 // PipelineOptions::block_jobs), so the merged analysis is bit-identical
-// across thread counts and scheduler modes.  The bulk and huge strata are
-// kept in separate accumulators so benches can up-scale only the bulk
-// (DESIGN.md §4); both strata run through the same scheduler.
+// across thread counts.  The bulk and huge strata are kept in separate
+// accumulators so benches can up-scale only the bulk (DESIGN.md §4); both
+// strata run through the same work-stealing scheduler: idle workers claim
+// blocks via a ticket counter.
 #pragma once
 
 #include <functional>
@@ -26,11 +27,6 @@ class ThreadPool;
 namespace mlio::wl {
 
 struct PipelineOptions {
-  enum class Scheduling {
-    kStatic,   ///< contiguous block runs assigned up front (the seed behavior)
-    kDynamic,  ///< work-stealing: idle workers claim blocks via a ticket counter
-  };
-
   unsigned threads = 0;       ///< 0 = hardware concurrency
   bool include_huge = true;   ///< generate the full-scale >1 TB stratum
   /// Serialize every log through the on-disk format and parse it back before
@@ -38,17 +34,15 @@ struct PipelineOptions {
   bool roundtrip_logs = false;
   /// Log-format settings for the roundtrip (compression on/off, zlib level).
   darshan::WriteOptions write_options;
-  Scheduling scheduling = Scheduling::kDynamic;
   /// Jobs per scheduling block.  0 = auto: a pure function of n_jobs (never
   /// of thread count), so the block partition — and with it every analysis
-  /// bit — is invariant under threads and scheduling mode.
+  /// bit — is invariant under threads.
   std::uint64_t block_jobs = 0;
 };
 
 /// Throughput telemetry for one run_pipeline call.
 struct PipelineStats {
   unsigned threads = 0;
-  bool dynamic_scheduling = true;
   std::uint64_t block_jobs = 0;   ///< resolved block size (bulk stratum)
   std::uint64_t bulk_blocks = 0;
   std::uint64_t huge_blocks = 0;
@@ -64,8 +58,7 @@ struct PipelineStats {
   double merge_seconds = 0;       ///< block-ordered accumulator merging
   double total_seconds = 0;
 
-  /// Blocks executed per worker slot (both strata), populated in dynamic
-  /// mode — static chunks are not pinned to a slot.  Uniform counts mean the
+  /// Blocks executed per worker slot (both strata).  Uniform counts mean the
   /// load was balanced; a straggling slot shows up as a low count.
   std::vector<std::uint64_t> worker_blocks;
 

@@ -1,9 +1,9 @@
 // Differential pins for the MLP-aware cold scan: the software-pipelined
 // scan (K logs in flight, batched lookups, prefetch) must be bit-identical
-// to the seed-compat lane — same Analysis fingerprint, same Table 2 census
-// and Table 3/4 layer-volume numbers down to the double bit patterns — for
-// every mlp_depth × thread-count combination, and the whole family is
-// pinned to the fingerprint captured on main before the overhaul.
+// to the depth-1 scan on one thread — same Analysis fingerprint, same
+// Table 2 census and Table 3/4 layer-volume numbers down to the double bit
+// patterns — for every mlp_depth × thread-count combination, and the whole
+// family is pinned to the fingerprint captured before the overhaul.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -56,14 +56,12 @@ class MlpScanTest : public ::testing::Test {
     dir_ = nullptr;
   }
 
-  static archive::QueryResult cold_query(unsigned mlp_depth, unsigned threads,
-                                         bool seed_compat) {
+  static archive::QueryResult cold_query(unsigned mlp_depth, unsigned threads) {
     archive::Archive ar = archive::Archive::open(*dir_);
     archive::QueryOptions qo;
     qo.threads = threads;
     qo.write_snapshots = false;  // keep every query a cold rebuild
     qo.mlp_depth = mlp_depth;
-    qo.seed_compat = seed_compat;
     return query_archive(ar, qo);
   }
 
@@ -102,16 +100,16 @@ void expect_tables_identical(const core::Analysis& a, const core::Analysis& b) {
   }
 }
 
-TEST_F(MlpScanTest, DepthAndThreadSweepMatchesSeedCompatLane) {
-  // Baseline: the seed's decode (zlib) and summarize (hash-map) lanes at
-  // depth 1 on one thread — the pre-overhaul pipeline, byte for byte.
-  const archive::QueryResult base = cold_query(1, 1, /*seed_compat=*/true);
+TEST_F(MlpScanTest, DepthAndThreadSweepMatchesDepthOne) {
+  // Baseline: one dependent decode→parse→consume chain per log on one
+  // thread.
+  const archive::QueryResult base = cold_query(1, 1);
   ASSERT_EQ(base.stats.logs_scanned, kPinnedLogs);
   EXPECT_EQ(base.analysis.fingerprint(), kPinnedFingerprint);
 
   for (const unsigned depth : {1u, 2u, 4u, 8u}) {
     for (const unsigned threads : {1u, 8u}) {
-      const archive::QueryResult q = cold_query(depth, threads, /*seed_compat=*/false);
+      const archive::QueryResult q = cold_query(depth, threads);
       SCOPED_TRACE("mlp_depth=" + std::to_string(depth) +
                    " threads=" + std::to_string(threads));
       EXPECT_EQ(q.stats.logs_scanned, kPinnedLogs);
@@ -121,45 +119,32 @@ TEST_F(MlpScanTest, DepthAndThreadSweepMatchesSeedCompatLane) {
   }
 }
 
-TEST_F(MlpScanTest, SeedCompatLaneIsDepthInvariantToo) {
-  // The baseline lane goes through the same scan_frames pipeline; routing it
-  // at depth > 1 must not change its results either.
-  const archive::QueryResult q = cold_query(8, 2, /*seed_compat=*/true);
-  EXPECT_EQ(q.analysis.fingerprint(), kPinnedFingerprint);
-  EXPECT_EQ(q.stats.logs_scanned, kPinnedLogs);
-}
-
 TEST_F(MlpScanTest, OversizedAndZeroDepthsAreSafe) {
   // Depth 0 clamps to 1; a depth far beyond the partition's log count runs
   // one partial batch per partition.  Both must still land on the pin.
   for (const unsigned depth : {0u, 1024u}) {
-    const archive::QueryResult q = cold_query(depth, 2, /*seed_compat=*/false);
+    const archive::QueryResult q = cold_query(depth, 2);
     SCOPED_TRACE("mlp_depth=" + std::to_string(depth));
     EXPECT_EQ(q.analysis.fingerprint(), kPinnedFingerprint);
     EXPECT_EQ(q.stats.logs_scanned, kPinnedLogs);
   }
 }
 
-TEST_F(MlpScanTest, QueryScratchReuseAcrossDepthsAndLanes) {
-  // One QueryScratch across every combination — slots sized for depth 8 get
-  // reused at depth 2, the seed lane's buffers get reused by the fast lane —
-  // mirroring bench_archive's usage.  Results must not depend on what the
-  // scratch previously held.
+TEST_F(MlpScanTest, QueryScratchReuseAcrossDepths) {
+  // One QueryScratch across every depth — slots sized for depth 8 get
+  // reused at depth 2, the depth-1 buffers get reused by a later pipelined
+  // scan.  Results must not depend on what the scratch previously held.
   archive::Archive ar = archive::Archive::open(*dir_);
   archive::QueryScratch scratch;
-  for (const bool seed_compat : {true, false}) {
-    for (const unsigned depth : {8u, 2u, 1u}) {
-      archive::QueryOptions qo;
-      qo.threads = 2;
-      qo.write_snapshots = false;
-      qo.mlp_depth = depth;
-      qo.seed_compat = seed_compat;
-      const archive::QueryResult q = query_archive(ar, qo, scratch);
-      SCOPED_TRACE("seed_compat=" + std::to_string(seed_compat) +
-                   " mlp_depth=" + std::to_string(depth));
-      EXPECT_EQ(q.analysis.fingerprint(), kPinnedFingerprint);
-      EXPECT_EQ(q.stats.logs_scanned, kPinnedLogs);
-    }
+  for (const unsigned depth : {8u, 2u, 1u, 4u}) {
+    archive::QueryOptions qo;
+    qo.threads = 2;
+    qo.write_snapshots = false;
+    qo.mlp_depth = depth;
+    const archive::QueryResult q = query_archive(ar, qo, scratch);
+    SCOPED_TRACE("mlp_depth=" + std::to_string(depth));
+    EXPECT_EQ(q.analysis.fingerprint(), kPinnedFingerprint);
+    EXPECT_EQ(q.stats.logs_scanned, kPinnedLogs);
   }
 }
 

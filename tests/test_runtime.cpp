@@ -229,29 +229,6 @@ TEST(Runtime, HandleReuseAcrossReadWriteSegments) {
   EXPECT_DOUBLE_EQ(r.f(posix::F_OPEN_START_TIMESTAMP), 0.0);  // earliest open wins
 }
 
-TEST(Runtime, SeedCompatFinalizeIsIdentical) {
-  // The seed-faithful grouping finalize (used by the per-rank benchmark
-  // baseline) must emit byte-identical logs to the key-sorted hot path.
-  auto build = [](bool seed_compat) {
-    RuntimeOptions opts;
-    opts.seed_compat_finalize = seed_compat;
-    Runtime rt(make_job(4), mounts(), opts);
-    for (int f = 0; f < 12; ++f) {
-      const std::string path = "/gpfs/alpine/sc" + std::to_string(f);
-      // Shared collapse for even files (all 4 ranks), partial for odd.
-      const std::int32_t touched = f % 2 == 0 ? 4 : 2;
-      for (std::int32_t rank = 0; rank < touched; ++rank) {
-        const auto h = rt.open_file(ModuleId::kPosix, rank, path, 0.1 * rank);
-        rt.record_reads(h, rank, 4096, 3, 0.1 * rank, 0.2);
-        rt.record_writes(h, rank, 1024, 2, 0.5 + 0.1 * rank, 0.1);
-      }
-    }
-    rt.record_lustre("/gpfs/alpine/sc0", 1 << 20, 4, 0, 1, 4);
-    return rt.finalize(50, 60);
-  };
-  EXPECT_TRUE(build(false) == build(true));
-}
-
 TEST(Runtime, AdoptScratchKeepsOutputIdentical) {
   auto drive = [](Runtime& rt) {
     for (int f = 0; f < 6; ++f) {
@@ -275,6 +252,63 @@ TEST(Runtime, AdoptScratchKeepsOutputIdentical) {
   drive(recycled);
   recycled.finalize_into(0, 1, scratch);
   EXPECT_TRUE(scratch == ref);
+}
+
+TEST(Runtime, RankSegmentMatchesPerRankCalls) {
+  // RankSegment's contract: the bulk fan-out leaves exactly the log a
+  // per-rank open_file/record_*/record_meta loop leaves.  Covers remainder
+  // rows, a zero-byte row, an op-size tail, a pre-reduced shared row, and
+  // all-rank collapse at finalize.
+  struct Step {
+    ModuleId module;
+    const char* path;
+    bool read;
+    RankSegment seg;
+  };
+  const std::vector<Step> steps = {
+      {ModuleId::kPosix, "/gpfs/alpine/a", true, {0, 4, 3, 10000, 4096, 0.5, 1.25, true, 1, 0.01}},
+      {ModuleId::kPosix, "/gpfs/alpine/a", false, {0, 3, 2, 0, 1, 2.0, 0.5, true, 1, 0.02}},
+      {ModuleId::kMpiIo, "/gpfs/alpine/b", false, {0, 2, 0, 1 << 20, 1000, 3.0, 2.0, false, 1, 0.0}},
+      {ModuleId::kStdio, "/mnt/bb/c", true, {kSharedRank, 1, 0, 123457, 65536, 4.0, 0.75, true, 0, 0.0}},
+  };
+
+  Runtime bulk(make_job(4), mounts());
+  for (const Step& st : steps) {
+    const std::uint64_t id = bulk.intern_path(st.path);
+    if (st.read) {
+      bulk.record_reads_ranks(st.module, id, st.seg);
+    } else {
+      bulk.record_writes_ranks(st.module, id, st.seg);
+    }
+  }
+
+  Runtime calls(make_job(4), mounts());
+  for (const Step& st : steps) {
+    const RankSegment& s = st.seg;
+    const std::uint64_t op = std::max<std::uint64_t>(1, s.op_size);
+    for (std::uint32_t r = 0; r < s.n_ranks; ++r) {
+      const std::int32_t rank = s.rank0 + static_cast<std::int32_t>(r);
+      const std::uint64_t bytes = s.per_rank_bytes + (r < s.n_plus_one ? 1 : 0);
+      if (bytes == 0 && s.n_ranks > 1) continue;
+      const FileHandle h = calls.open_file(st.module, rank, st.path, s.start);
+      const auto transfer = [&](std::uint64_t size, std::uint64_t n, double elapsed) {
+        if (st.read) {
+          calls.record_reads(h, rank, size, n, s.start, elapsed, s.sequential);
+        } else {
+          calls.record_writes(h, rank, size, n, s.start, elapsed, s.sequential);
+        }
+      };
+      transfer(op, bytes / op, s.elapsed);
+      if (bytes % op > 0) transfer(bytes % op, 1, 0.0);
+      if (s.meta_ops > 0) calls.record_meta(h, rank, s.meta_ops, s.meta_elapsed);
+    }
+  }
+
+  const LogData a = bulk.finalize(0, 5);
+  const LogData b = calls.finalize(0, 5);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  EXPECT_TRUE(a.records == b.records);
+  EXPECT_TRUE(a == b);
 }
 
 TEST(Runtime, DeterministicRecordOrder) {

@@ -17,56 +17,6 @@ TEST(ThreadPool, RunsSubmittedTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  const std::uint64_t n = 10007;
-  std::vector<std::atomic<int>> hits(n);
-  pool.parallel_for_chunks(0, n, 16, [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi) {
-    for (std::uint64_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ThreadPool, ChunkIndicesAreDense) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> chunk_seen(8);
-  pool.parallel_for_chunks(100, 200, 8, [&](std::uint64_t c, std::uint64_t, std::uint64_t) {
-    chunk_seen[c].fetch_add(1);
-  });
-  for (auto& c : chunk_seen) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(ThreadPool, ChunkingIsDeterministic) {
-  // Chunk boundaries depend only on (range, chunks), never on thread count.
-  auto boundaries = [](unsigned threads) {
-    ThreadPool pool(threads);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> out(5);
-    pool.parallel_for_chunks(0, 103, 5, [&](std::uint64_t c, std::uint64_t lo, std::uint64_t hi) {
-      out[c] = {lo, hi};
-    });
-    return out;
-  };
-  EXPECT_EQ(boundaries(1), boundaries(4));
-}
-
-TEST(ThreadPool, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for_chunks(5, 5, 4, [&](std::uint64_t, std::uint64_t, std::uint64_t) {
-    called = true;
-  });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPool, MoreChunksThanElementsClamps) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  pool.parallel_for_chunks(0, 3, 100, [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi) {
-    total.fetch_add(static_cast<int>(hi - lo));
-  });
-  EXPECT_EQ(total.load(), 3);
-}
-
 TEST(ThreadPool, DynamicCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   const std::uint64_t n = 10007;
@@ -116,28 +66,15 @@ TEST(ThreadPool, DynamicEmptyRangeIsNoop) {
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPool, NestedParallelForChunksRunsInline) {
+TEST(ThreadPool, NestedParallelForDynamicRunsInline) {
   // Regression: a parallel_for issued from inside a worker task used to wait
   // on workers that were all waiting on it.  A single-thread pool makes the
   // deadlock deterministic — the nested call must run inline instead.
   ThreadPool pool(1);
-  std::atomic<std::uint64_t> sum{0};
+  std::atomic<std::uint64_t> covered{0};
   std::atomic<bool> saw_worker_flag{false};
   pool.submit([&] {
     saw_worker_flag = ThreadPool::in_worker();
-    pool.parallel_for_chunks(0, 100, 8, [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi) {
-      for (std::uint64_t i = lo; i < hi; ++i) sum.fetch_add(i);
-    });
-  });
-  pool.wait_idle();
-  EXPECT_TRUE(saw_worker_flag.load());
-  EXPECT_EQ(sum.load(), 4950u);
-}
-
-TEST(ThreadPool, NestedParallelForDynamicRunsInline) {
-  ThreadPool pool(1);
-  std::atomic<std::uint64_t> covered{0};
-  pool.submit([&] {
     pool.parallel_for_dynamic(0, 50, 8, [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi,
                                             unsigned w) {
       EXPECT_EQ(w, 0u);
@@ -145,6 +82,7 @@ TEST(ThreadPool, NestedParallelForDynamicRunsInline) {
     });
   });
   pool.wait_idle();
+  EXPECT_TRUE(saw_worker_flag.load());
   EXPECT_EQ(covered.load(), 50u);
 }
 
@@ -154,10 +92,14 @@ TEST(ThreadPool, SingleThreadPoolStillWorks) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.thread_count(), 1u);
   std::uint64_t sum = 0;
-  pool.parallel_for_chunks(1, 101, 0, [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi) {
-    for (std::uint64_t i = lo; i < hi; ++i) sum += i;
-  });
+  const auto counts = pool.parallel_for_dynamic(
+      1, 101, 0, [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi, unsigned w) {
+        EXPECT_EQ(w, 0u);
+        for (std::uint64_t i = lo; i < hi; ++i) sum += i;
+      });
   EXPECT_EQ(sum, 5050u);
+  ASSERT_EQ(counts.size(), 1u);
+  EXPECT_EQ(counts[0], 100u);  // block_size 0 selects 1
 }
 
 }  // namespace
