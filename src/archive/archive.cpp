@@ -359,7 +359,8 @@ void Archive::gc_partitions(const std::vector<std::uint64_t>& removed_ids,
 }
 
 std::size_t Archive::compact(std::uint64_t max_logs,
-                             std::vector<std::filesystem::path>* deferred_gc) {
+                             std::vector<std::filesystem::path>* deferred_gc,
+                             std::vector<CompactedRun>* runs) {
   // Greedy pass: maximal runs of >= 2 adjacent partitions, each smaller than
   // max_logs, collapse into one partition at the run's position.  Raw frame
   // copy — logs keep their exact bytes and ingest order.
@@ -382,6 +383,10 @@ std::size_t Archive::compact(std::uint64_t max_logs,
       removed_ids.push_back(parts[k].id);
     }
     out.push_back(build_merged_partition(i, j - i, level + 1));
+    if (runs != nullptr) {
+      runs->push_back(CompactedRun{out.back(), {parts.begin() + static_cast<std::ptrdiff_t>(i),
+                                                parts.begin() + static_cast<std::ptrdiff_t>(j)}});
+    }
     changed = true;
     i = j;
   }
@@ -397,7 +402,8 @@ std::size_t Archive::compact(std::uint64_t max_logs,
 
 PartitionInfo Archive::compact_range(std::size_t first, std::size_t count,
                                      std::uint32_t target_level,
-                                     std::vector<std::filesystem::path>* deferred_gc) {
+                                     std::vector<std::filesystem::path>* deferred_gc,
+                                     std::vector<CompactedRun>* runs) {
   if (count < 2 || first > manifest_.partitions.size() ||
       count > manifest_.partitions.size() - first) {
     throw util::ConfigError("compact_range: run [" + std::to_string(first) + ", +" +
@@ -412,6 +418,10 @@ PartitionInfo Archive::compact_range(std::size_t first, std::size_t count,
   const PartitionInfo np = build_merged_partition(first, count, target_level);
   gc_errors_.clear();
   const auto begin = manifest_.partitions.begin();
+  if (runs != nullptr) {
+    runs->push_back(CompactedRun{np, {begin + static_cast<std::ptrdiff_t>(first),
+                                      begin + static_cast<std::ptrdiff_t>(first + count)}});
+  }
   manifest_.partitions.erase(begin + static_cast<std::ptrdiff_t>(first + 1),
                              begin + static_cast<std::ptrdiff_t>(first + count));
   manifest_.partitions[first] = np;

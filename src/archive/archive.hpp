@@ -203,13 +203,21 @@ class Archive {
   /// by then) — it is logged to stderr and recorded in `gc_errors()`.
   std::size_t compact(std::uint64_t max_logs);
 
+  /// One partition a compaction published and the partitions it consumed,
+  /// in manifest order (its logs are theirs, in this order).
+  struct CompactedRun {
+    PartitionInfo merged;
+    std::vector<PartitionInfo> inputs;
+  };
+
   /// MVCC-host variant: instead of deleting the replaced partitions' files,
   /// append their paths to `deferred_gc` — the caller removes them once no
   /// pinned reader can still reference the old generation (the archive
-  /// service's pin registry drives this).  With `deferred_gc == nullptr`
-  /// this is exactly compact(max_logs).
-  std::size_t compact(std::uint64_t max_logs,
-                      std::vector<std::filesystem::path>* deferred_gc);
+  /// service's pin registry drives this).  `runs`, when given, receives one
+  /// entry per merged partition.  With both null this is exactly
+  /// compact(max_logs).
+  std::size_t compact(std::uint64_t max_logs, std::vector<std::filesystem::path>* deferred_gc,
+                      std::vector<CompactedRun>* runs = nullptr);
 
   /// Merge the contiguous run of partitions [first, first + count) into ONE
   /// new partition placed at the run's position, stamped `target_level`
@@ -217,9 +225,11 @@ class Archive {
   /// compact(): raw frame copy in ingest order, snapshots of the sources
   /// dropped, window ranges unioned, sources deleted (or deferred) only
   /// after the new manifest is durable.  Throws ConfigError on an
-  /// out-of-range run or count < 2.  Returns the merged partition's info.
+  /// out-of-range run or count < 2.  Returns the merged partition's info;
+  /// `runs`, when given, also receives it with the consumed partitions.
   PartitionInfo compact_range(std::size_t first, std::size_t count, std::uint32_t target_level,
-                              std::vector<std::filesystem::path>* deferred_gc = nullptr);
+                              std::vector<std::filesystem::path>* deferred_gc = nullptr,
+                              std::vector<CompactedRun>* runs = nullptr);
 
   /// Failed garbage-collection removals of the most recent compact() —
   /// empty when every unreferenced file was deleted.

@@ -185,17 +185,15 @@ QueryResult query_archive(Archive& archive, const QueryOptions& opts, QueryScrat
   }
   stats.scan_seconds = seconds_since(t0);
 
-  // Pass 3: merge in partition order — the archive's bit-identical merge
-  // contract, run as a fixed-shape tree on the pool (Analysis::merge_ordered
-  // pins the bits to the serial left fold regardless of thread count).
+  // Pass 3: merge, as a tree on the pool (Analysis::merge_ordered gives the
+  // serial left fold's bits at any thread count).
   const auto t_merge = SteadyClock::now();
   std::vector<const core::Analysis*> shard_ptrs;
   shard_ptrs.reserve(shards.size());
   for (const auto& shard : shards) shard_ptrs.push_back(&*shard);
-  core::MergeTreeStats tree;
-  result.analysis = core::Analysis::merge_ordered(shard_ptrs, &pool, &tree);
+  result.analysis = core::Analysis::merge_ordered(shard_ptrs, &pool);
   stats.full_merges = 1;
-  stats.tree_merges = tree.used_tree ? 1 : 0;
+  stats.tree_merges = shard_ptrs.size() >= 2 ? 1 : 0;
   stats.merge_seconds = seconds_since(t_merge);
   stats.total_seconds = seconds_since(t0);
   return result;

@@ -131,10 +131,11 @@ std::optional<CompactionPlan> plan_leveled(const Manifest& m, const LeveledPolic
 }
 
 std::optional<PartitionInfo> compact_leveled(Archive& archive, const LeveledPolicy& policy,
-                                             std::vector<std::filesystem::path>* deferred_gc) {
+                                             std::vector<std::filesystem::path>* deferred_gc,
+                                             std::vector<Archive::CompactedRun>* runs) {
   const std::optional<CompactionPlan> plan = plan_leveled(archive.manifest(), policy);
   if (!plan.has_value()) return std::nullopt;
-  return archive.compact_range(plan->first, plan->count, plan->target_level, deferred_gc);
+  return archive.compact_range(plan->first, plan->count, plan->target_level, deferred_gc, runs);
 }
 
 }  // namespace mlio::archive

@@ -139,9 +139,11 @@ std::optional<CompactionPlan> plan_leveled(const Manifest& m, const LeveledPolic
 /// One leveled compaction step: plan against the archive's current manifest
 /// and execute the merge via compact_range.  Returns the merged partition's
 /// info, or nullopt when nothing is mergeable.  The background compactor
-/// (service/service.hpp) loops this; `deferred_gc` has compact() semantics.
+/// (service/service.hpp) loops this; `deferred_gc` and `runs` have
+/// compact() semantics.
 std::optional<PartitionInfo> compact_leveled(
     Archive& archive, const LeveledPolicy& policy,
-    std::vector<std::filesystem::path>* deferred_gc = nullptr);
+    std::vector<std::filesystem::path>* deferred_gc = nullptr,
+    std::vector<Archive::CompactedRun>* runs = nullptr);
 
 }  // namespace mlio::archive

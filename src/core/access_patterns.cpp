@@ -21,8 +21,8 @@ void AccessPatterns::LayerStats::merge(const LayerStats& other) {
   files += other.files;
   read_files += other.read_files;
   write_files += other.write_files;
-  bytes_read += other.bytes_read;
-  bytes_written += other.bytes_written;
+  bytes_read.merge(other.bytes_read);
+  bytes_written.merge(other.bytes_written);
   huge_read_files += other.huge_read_files;
   huge_write_files += other.huge_write_files;
   read_transfer.merge(other.read_transfer);
@@ -42,13 +42,13 @@ void AccessPatterns::add(const darshan::JobRecord& job, const FileSummary& file)
 
   if (file.bytes_read > 0) {
     st.read_files += 1;
-    st.bytes_read += static_cast<double>(file.bytes_read);
+    st.bytes_read.add(file.bytes_read);
     st.read_transfer.add(file.bytes_read);
     if (file.bytes_read > kHugeThreshold) st.huge_read_files += 1;
   }
   if (file.bytes_written > 0) {
     st.write_files += 1;
-    st.bytes_written += static_cast<double>(file.bytes_written);
+    st.bytes_written.add(file.bytes_written);
     st.write_transfer.add(file.bytes_written);
     if (file.bytes_written > kHugeThreshold) st.huge_write_files += 1;
   }
@@ -67,26 +67,13 @@ void AccessPatterns::merge(const AccessPatterns& other) {
   for (std::size_t i = 0; i < layers_.size(); ++i) layers_[i].merge(other.layers_[i]);
 }
 
-void AccessPatterns::refold_sums_serial(std::span<const AccessPatterns* const> parts) {
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    double bytes_read = 0.0;
-    double bytes_written = 0.0;
-    for (const AccessPatterns* p : parts) {
-      bytes_read += p->layers_[i].bytes_read;
-      bytes_written += p->layers_[i].bytes_written;
-    }
-    layers_[i].bytes_read = bytes_read;
-    layers_[i].bytes_written = bytes_written;
-  }
-}
-
 void AccessPatterns::save(util::ByteWriter& w) const {
   for (const LayerStats& st : layers_) {
     w.u64(st.files);
     w.u64(st.read_files);
     w.u64(st.write_files);
-    w.f64(st.bytes_read);
-    w.f64(st.bytes_written);
+    st.bytes_read.save(w);
+    st.bytes_written.save(w);
     w.u64(st.huge_read_files);
     w.u64(st.huge_write_files);
     st.read_transfer.save(w);
@@ -101,7 +88,7 @@ void AccessPatterns::save(util::ByteWriter& w) const {
 std::uint64_t AccessPatterns::serialized_size() const {
   std::uint64_t n = 0;
   for (const LayerStats& st : layers_) {
-    n += 8 * 7 + st.read_transfer.serialized_size() + st.write_transfer.serialized_size() +
+    n += 8 * 5 + 2 * util::ExactSum::kSerializedSize + st.read_transfer.serialized_size() + st.write_transfer.serialized_size() +
          st.read_requests.serialized_size() + st.write_requests.serialized_size() +
          st.read_requests_large.serialized_size() + st.write_requests_large.serialized_size();
   }
@@ -113,8 +100,8 @@ void AccessPatterns::load(util::ByteReader& r) {
     st.files = r.u64();
     st.read_files = r.u64();
     st.write_files = r.u64();
-    st.bytes_read = r.f64();
-    st.bytes_written = r.f64();
+    st.bytes_read.load(r);
+    st.bytes_written.load(r);
     st.huge_read_files = r.u64();
     st.huge_write_files = r.u64();
     st.read_transfer.load(r);

@@ -10,10 +10,10 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 #include "core/dataset.hpp"
 #include "util/histogram.hpp"
+#include "util/stats.hpp"
 
 namespace mlio::util {
 class ByteReader;
@@ -29,14 +29,6 @@ class AccessPatterns {
   void add(const darshan::JobRecord& job, const FileSummary& file);
   void merge(const AccessPatterns& other);
 
-  /// Overwrite the per-layer byte totals with a serial left-to-right re-fold
-  /// across `parts` (the canonical association).  They are double sums, so
-  /// past 2^53 bytes per layer — which the >1 TB stratum reaches quickly —
-  /// addition order changes the rounding; the parallel tree merge
-  /// (Analysis::merge_ordered) patches them the same way Summary patches
-  /// node-hours.
-  void refold_sums_serial(std::span<const AccessPatterns* const> parts);
-
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
   /// Byte count save() would write, from container sizes alone.
@@ -46,8 +38,8 @@ class AccessPatterns {
     std::uint64_t files = 0;
     std::uint64_t read_files = 0;   ///< files with bytes_read > 0
     std::uint64_t write_files = 0;  ///< files with bytes_written > 0
-    double bytes_read = 0;
-    double bytes_written = 0;
+    util::ExactSum bytes_read;
+    util::ExactSum bytes_written;
     std::uint64_t huge_read_files = 0;   ///< transfer > 1 TB (Table 4)
     std::uint64_t huge_write_files = 0;
     util::Histogram read_transfer;   ///< per-file transfer bins (Fig. 3)

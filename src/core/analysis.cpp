@@ -25,6 +25,10 @@ struct Digest {
     }
   }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void sum(const util::ExactSum& v) {
+    u64(v.low());
+    u64(v.high());
+  }
   void str(std::string_view s) {
     u64(s.size());
     for (const char c : s) u64(static_cast<std::uint8_t>(c));
@@ -41,9 +45,10 @@ void Analysis::accumulate(const darshan::JobRecord& job, const std::vector<FileS
   summary_.add_log(job, files);
   layers_.add_log(job, files);
   interfaces_.add_log(job, files);
+  const std::uint64_t log_key = observation_log_key(job);
   for (const FileSummary& f : files) {
     access_.add(job, f);
-    performance_.add(f);
+    performance_.add(f, log_key);
   }
 }
 
@@ -74,7 +79,7 @@ std::uint64_t Analysis::fingerprint() const {
   d.u64(summary_.logs());
   d.u64(summary_.jobs());
   d.u64(summary_.files());
-  d.f64(summary_.node_hours());
+  d.sum(summary_.node_seconds());
   d.u64(summary_.min_logs_per_job());
   d.u64(summary_.max_logs_per_job());
   d.u64(unattributed_);
@@ -86,8 +91,8 @@ std::uint64_t Analysis::fingerprint() const {
     d.u64(a.files);
     d.u64(a.read_files);
     d.u64(a.write_files);
-    d.f64(a.bytes_read);
-    d.f64(a.bytes_written);
+    d.sum(a.bytes_read);
+    d.sum(a.bytes_written);
     d.u64(a.huge_read_files);
     d.u64(a.huge_write_files);
     d.histogram(a.read_transfer);
@@ -137,8 +142,8 @@ std::uint64_t Analysis::fingerprint() const {
   d.u64(layers_.insys_jobs());
   for (const auto& [name, usage] : layers_.domains()) {
     d.str(name);
-    d.f64(usage.insys_bytes_read);
-    d.f64(usage.insys_bytes_written);
+    d.sum(usage.insys_bytes_read);
+    d.sum(usage.insys_bytes_written);
     d.u64(usage.insys_logs);
   }
 
@@ -146,8 +151,8 @@ std::uint64_t Analysis::fingerprint() const {
   d.u64(interfaces_.stdio_jobs_with_domain());
   for (const auto& [name, usage] : interfaces_.stdio_domains()) {
     d.str(name);
-    d.f64(usage.bytes_read);
-    d.f64(usage.bytes_written);
+    d.sum(usage.bytes_read);
+    d.sum(usage.bytes_written);
   }
   for (const auto& [ext, n] : interfaces_.stdio_extensions()) {
     d.str(ext);
@@ -200,51 +205,17 @@ void Analysis::merge(const Analysis& other) {
 }
 
 Analysis Analysis::merge_ordered(std::span<const Analysis* const> shards,
-                                 util::ThreadPool* pool, MergeTreeStats* tree_stats) {
-  MergeTreeStats local;
-  MergeTreeStats& ts = tree_stats != nullptr ? *tree_stats : local;
-  ts = MergeTreeStats{};
-
-  const bool tree = pool != nullptr && shards.size() >= 2;
-  if (!tree) {
+                                 util::ThreadPool* pool) {
+  if (pool == nullptr || shards.size() < 2) {
     Analysis out;
     for (const Analysis* s : shards) out.merge(*s);
     return out;
   }
 
-  // Saturated reservoir cells replay order-sensitive replacement draws, so
-  // the tree's bits would differ from the serial fold's there.  Instead of
-  // abandoning the tree (real archives saturate the hottest cells almost
-  // immediately), find exactly those cells now and patch them afterwards
-  // from a serial re-fold — every other cell is pure sample concatenation
-  // and exactly associative.
-  std::vector<const Performance*> perfs;
-  perfs.reserve(shards.size());
-  for (const Analysis* s : shards) perfs.push_back(&s->performance_);
-  const std::vector<std::size_t> saturated = Performance::saturated_cells(perfs);
-
-  // The association-sensitive double sums — node-hours plus the per-layer
-  // and per-domain byte totals — are re-folded serially in shard order
-  // below, so the patched result carries the canonical left-fold bits even
-  // past 2^53 bytes (the >1 TB stratum gets there quickly).
-  double node_hours = 0.0;
-  for (const Analysis* s : shards) node_hours += s->summary_.node_hours();
-  std::vector<const AccessPatterns*> accesses;
-  std::vector<const LayerUsage*> layer_usages;
-  std::vector<const InterfaceUsage*> iface_usages;
-  accesses.reserve(shards.size());
-  layer_usages.reserve(shards.size());
-  iface_usages.reserve(shards.size());
-  for (const Analysis* s : shards) {
-    accesses.push_back(&s->access_);
-    layer_usages.push_back(&s->layers_);
-    iface_usages.push_back(&s->interfaces_);
-  }
-
   // Round 0 copies shard pairs into owned slots; later rounds merge slots
-  // `stride` apart in place.  The association order — and therefore every
-  // bit of the result — is a pure function of shards.size(): blocks are
-  // disjoint slots, so scheduling cannot reorder any arithmetic.
+  // `stride` apart in place.  Every merge is exact and order-free, so any
+  // tree shape gives the serial fold's bits; this one keeps the blocks
+  // disjoint so workers never share a slot.
   std::vector<Analysis> slots((shards.size() + 1) / 2);
   std::exception_ptr first_error;
   std::mutex error_mu;
@@ -270,7 +241,6 @@ Analysis Analysis::merge_ordered(std::span<const Analysis* const> shards,
                                if (2 * i + 1 < shards.size()) slots[i].merge(*shards[2 * i + 1]);
                              }));
   rethrow_if_failed();
-  ts.pair_merges += shards.size() / 2;
 
   for (std::size_t stride = 1; stride < slots.size(); stride *= 2) {
     std::size_t pairs = 0;
@@ -280,21 +250,8 @@ Analysis Analysis::merge_ordered(std::span<const Analysis* const> shards,
                                  slots[i].merge(slots[i + stride]);
                                }));
     rethrow_if_failed();
-    ts.pair_merges += pairs;
   }
-
-  Analysis out = std::move(slots.front());
-  out.summary_.set_node_hours(node_hours);
-  out.access_.refold_sums_serial(accesses);
-  out.layers_.refold_sums_serial(layer_usages);
-  out.interfaces_.refold_sums_serial(iface_usages);
-  if (!saturated.empty()) {
-    out.performance_.refold_cells_serial(perfs, saturated);
-    ts.patched_cells = saturated.size();
-    ts.reservoir_fallback = true;
-  }
-  ts.used_tree = true;
-  return out;
+  return std::move(slots.front());
 }
 
 }  // namespace mlio::core

@@ -1,8 +1,9 @@
 // Facade bundling every §3 analysis over a stream of Darshan logs.
 //
 // Constant memory per log (aside from the distinct-job maps, bounded by the
-// generated job count); mergeable, so parallel pipelines keep one Analysis
-// per chunk and fold them in chunk order for deterministic output.
+// generated job count); mergeable in any order and grouping with the same
+// bits, so parallel pipelines and archive partitions keep one Analysis per
+// chunk and fold them however is convenient.
 #pragma once
 
 #include <span>
@@ -36,19 +37,6 @@ struct AnalyzeScratch {
   AnalyzePhases* phases = nullptr;  ///< non-owning; null disables timing
 };
 
-/// Telemetry from Analysis::merge_ordered — which path produced the bits.
-struct MergeTreeStats {
-  bool used_tree = false;    ///< pairwise tree (false: serial left fold)
-  std::uint64_t pair_merges = 0;
-  /// Performance reservoir cells whose combined counts overflow their
-  /// sample capacity — replacement draws are order-sensitive there, so the
-  /// tree patches exactly those cells from a serial re-fold (the rest of
-  /// the state is exactly associative and keeps its tree-merged bits).
-  std::uint64_t patched_cells = 0;
-  /// patched_cells > 0: some reservoirs needed the serial re-fold.
-  bool reservoir_fallback = false;
-};
-
 class Analysis {
  public:
   /// Consume one log (summarizes it once and feeds every accumulator).
@@ -58,28 +46,19 @@ class Analysis {
   void add(const darshan::LogData& log, AnalyzeScratch& scratch);
   void merge(const Analysis& other);
 
-  /// Merge `shards` in index order, bit-identical to the serial left fold
-  /// (`Analysis{}` then merge(shards[0]), merge(shards[1]), ...) — the
-  /// archive's canonical partition-order merge.  With a pool, the
-  /// associative bulk of the state runs as a fixed-shape binary tree whose
-  /// association order is a pure function of shards.size() (never of thread
-  /// count or timing), while the one order-sensitive float sum (node-hours)
-  /// is re-folded serially and patched in.  The identity to the left fold
-  /// holds because, below reservoir sampling capacity, every other
-  /// accumulator merge is sample concatenation, integer adds, ordered-map
-  /// unions, and min/max — exactly associative (pinned by
-  /// test_merge_properties); reservoir cells at capacity are patched from a
-  /// serial re-fold of just those cells (MergeTreeStats::patched_cells), so
-  /// the tree engages even on saturated archives.  Domain byte totals are
-  /// integer-valued doubles, exact below 2^53 bytes (~9 PB) per domain.
-  /// `pool == nullptr` runs the serial fold directly.
+  /// Merge `shards`, bit-identical to the serial left fold (`Analysis{}`
+  /// then merge(shards[0]), merge(shards[1]), ...).  Every accumulator is
+  /// exact and order-free — integer counts and sums, ordered-map unions,
+  /// min/max and keyed bottom-k samples — so any cut of a log stream into
+  /// shards, folded in any order or tree shape, gives the same bits
+  /// (pinned by test_merge_properties).  With a pool the fold runs as a
+  /// parallel binary tree; `pool == nullptr` folds serially.
   static Analysis merge_ordered(std::span<const Analysis* const> shards,
-                                util::ThreadPool* pool = nullptr,
-                                MergeTreeStats* tree_stats = nullptr);
+                                util::ThreadPool* pool = nullptr);
 
   /// Full-fidelity state serialization: every accumulator — counts,
-  /// histogram bins, distinct-job maps, and the performance reservoirs
-  /// including their Rng positions — round-trips exactly, so a loaded
+  /// histogram bins, distinct-job maps, exact sums and the performance
+  /// samples — round-trips exactly, so a loaded
   /// Analysis adds, merges, and fingerprints bit-identically to the
   /// original.  The byte stream is canonical (unordered containers are
   /// emitted in sorted key order): equal states produce equal bytes.
@@ -101,9 +80,9 @@ class Analysis {
   /// on real logs means /home, /tmp, etc.).
   std::uint64_t unattributed_files() const { return unattributed_; }
 
-  /// Order-sensitive digest of every accumulator: summary counts, per-layer
-  /// volumes, every histogram bin, interface censuses, and the performance
-  /// five-number summaries (doubles hashed bit-for-bit).  Two pipelines that
+  /// Digest of every accumulator: summary counts, exact node-seconds and
+  /// byte totals, every histogram bin, interface censuses, and the
+  /// performance five-number summaries (doubles hashed bit-for-bit).  Two pipelines that
   /// produce the same fingerprint produced bit-identical analyses — the
   /// determinism contract checked across thread counts.
   std::uint64_t fingerprint() const;

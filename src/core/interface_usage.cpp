@@ -63,16 +63,20 @@ void InterfaceUsage::add_log(const darshan::JobRecord& job,
 
       const auto dit = job.metadata.find("domain");
       DomainStdio& d = stdio_domains_[dit == job.metadata.end() ? "Unknown" : dit->second];
-      d.bytes_read += static_cast<double>(f.bytes_read);
-      d.bytes_written += static_cast<double>(f.bytes_written);
+      d.bytes_read.add(f.bytes_read);
+      d.bytes_written.add(f.bytes_written);
 
       stdio_extensions_[extension_of(f.path)] += 1;
     }
   }
-  if (any_stdio) {
-    const auto [it, inserted] = stdio_jobs_.insert(job.job_id);
-    (void)it;
-    if (inserted && job.metadata.contains("domain")) stdio_jobs_with_domain_ += 1;
+  if (any_stdio) note_stdio_job(job.job_id, job.metadata.contains("domain"));
+}
+
+void InterfaceUsage::note_stdio_job(std::uint64_t job_id, bool with_domain) {
+  bool& tagged = stdio_jobs_[job_id];
+  if (with_domain && !tagged) {
+    tagged = true;
+    stdio_jobs_with_domain_ += 1;
   }
 }
 
@@ -91,14 +95,16 @@ void InterfaceUsage::save(util::ByteWriter& w) const {
   w.u64(stdio_domains_.size());
   for (const auto& [name, d] : stdio_domains_) {
     w.str(name);
-    w.f64(d.bytes_read);
-    w.f64(d.bytes_written);
+    d.bytes_read.save(w);
+    d.bytes_written.save(w);
   }
-  std::vector<std::uint64_t> jobs(stdio_jobs_.begin(), stdio_jobs_.end());
+  std::vector<std::pair<std::uint64_t, bool>> jobs(stdio_jobs_.begin(), stdio_jobs_.end());
   std::sort(jobs.begin(), jobs.end());
   w.u64(jobs.size());
-  for (const std::uint64_t id : jobs) w.u64(id);
-  w.u64(stdio_jobs_with_domain_);
+  for (const auto& [id, with_domain] : jobs) {
+    w.u64(id);
+    w.u8(with_domain ? 1 : 0);
+  }
   w.u64(stdio_extensions_.size());
   for (const auto& [ext, n] : stdio_extensions_) {
     w.str(ext);
@@ -109,9 +115,9 @@ void InterfaceUsage::save(util::ByteWriter& w) const {
 std::uint64_t InterfaceUsage::serialized_size() const {
   std::uint64_t n = 24 * (counts_.size() + stdio_classes_.size());
   for (const util::Histogram& h : transfer_) n += h.serialized_size();
-  n += 8 + 20 * stdio_domains_.size();
+  n += 8 + (4 + 2 * util::ExactSum::kSerializedSize) * stdio_domains_.size();
   for (const auto& [name, d] : stdio_domains_) n += name.size();
-  n += 8 + 8 * stdio_jobs_.size() + 8;
+  n += 8 + 9 * stdio_jobs_.size();
   n += 8 + 12 * stdio_extensions_.size();
   for (const auto& [ext, count] : stdio_extensions_) n += ext.size();
   return n;
@@ -133,14 +139,17 @@ void InterfaceUsage::load(util::ByteReader& r) {
   const std::uint64_t n_domains = r.u64();
   for (std::uint64_t i = 0; i < n_domains; ++i) {
     DomainStdio& d = stdio_domains_[r.str()];
-    d.bytes_read = r.f64();
-    d.bytes_written = r.f64();
+    d.bytes_read.load(r);
+    d.bytes_written.load(r);
   }
   stdio_jobs_.clear();
+  stdio_jobs_with_domain_ = 0;
   const std::uint64_t n_jobs = r.u64();
   stdio_jobs_.reserve(static_cast<std::size_t>(n_jobs));
-  for (std::uint64_t i = 0; i < n_jobs; ++i) stdio_jobs_.insert(r.u64());
-  stdio_jobs_with_domain_ = r.u64();
+  for (std::uint64_t i = 0; i < n_jobs; ++i) {
+    const std::uint64_t id = r.u64();
+    note_stdio_job(id, r.u8() != 0);
+  }
   stdio_extensions_.clear();
   const std::uint64_t n_exts = r.u64();
   for (std::uint64_t i = 0; i < n_exts; ++i) {
@@ -160,37 +169,12 @@ void InterfaceUsage::merge(const InterfaceUsage& other) {
   }
   for (std::size_t i = 0; i < transfer_.size(); ++i) transfer_[i].merge(other.transfer_[i]);
   for (const auto& [name, d] : other.stdio_domains_) {
-    stdio_domains_[name].bytes_read += d.bytes_read;
-    stdio_domains_[name].bytes_written += d.bytes_written;
+    DomainStdio& mine = stdio_domains_[name];
+    mine.bytes_read.merge(d.bytes_read);
+    mine.bytes_written.merge(d.bytes_written);
   }
-  for (const std::uint64_t id : other.stdio_jobs_) {
-    if (stdio_jobs_.insert(id).second) {
-      // Domain flag travels with the job; approximate by assuming the same
-      // coverage ratio — exact tracking would need per-job flags.  Keep exact
-      // instead: recompute is impossible here, so carry the count weighted by
-      // non-duplicate insertions.
-    }
-  }
-  // Exact merge of the with-domain census: other's count minus overlap is not
-  // recoverable without per-job flags; in this pipeline job ids never span
-  // accumulator shards (jobs are chunk-local), so a plain sum is exact.
-  stdio_jobs_with_domain_ += other.stdio_jobs_with_domain_;
+  for (const auto& [id, with_domain] : other.stdio_jobs_) note_stdio_job(id, with_domain);
   for (const auto& [ext, n] : other.stdio_extensions_) stdio_extensions_[ext] += n;
-}
-
-void InterfaceUsage::refold_sums_serial(std::span<const InterfaceUsage* const> parts) {
-  for (auto& [name, d] : stdio_domains_) {
-    double bytes_read = 0.0;
-    double bytes_written = 0.0;
-    for (const InterfaceUsage* p : parts) {
-      const auto it = p->stdio_domains_.find(name);
-      if (it == p->stdio_domains_.end()) continue;
-      bytes_read += it->second.bytes_read;
-      bytes_written += it->second.bytes_written;
-    }
-    d.bytes_read = bytes_read;
-    d.bytes_written = bytes_written;
-  }
 }
 
 }  // namespace mlio::core

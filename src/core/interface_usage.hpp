@@ -10,12 +10,12 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "core/dataset.hpp"
 #include "util/histogram.hpp"
+#include "util/stats.hpp"
 
 namespace mlio::util {
 class ByteReader;
@@ -30,12 +30,6 @@ class InterfaceUsage {
 
   void add_log(const darshan::JobRecord& job, const std::vector<FileSummary>& files);
   void merge(const InterfaceUsage& other);
-
-  /// Overwrite the per-domain STDIO byte totals with a serial left-to-right
-  /// re-fold across `parts`: they are double sums, order-sensitive past
-  /// 2^53 bytes, so the parallel tree merge (Analysis::merge_ordered)
-  /// patches them the same way Summary patches node-hours.
-  void refold_sums_serial(std::span<const InterfaceUsage* const> parts);
 
   /// Canonical serialization (the STDIO job set is emitted sorted).
   void save(util::ByteWriter& w) const;
@@ -68,14 +62,14 @@ class InterfaceUsage {
   const util::Histogram& transfer(Layer layer, std::size_t iface, bool read) const;
 
   struct DomainStdio {
-    double bytes_read = 0;
-    double bytes_written = 0;
+    util::ExactSum bytes_read;
+    util::ExactSum bytes_written;
   };
   /// Fig. 10: STDIO transfer per science domain (both layers combined).
   const std::map<std::string, DomainStdio>& stdio_domains() const { return stdio_domains_; }
 
   /// STDIO job census (§3.3.2): jobs with at least one STDIO file, and how
-  /// many of those carry a science-domain tag.
+  /// many of those carry a science-domain tag (on any of their STDIO logs).
   std::uint64_t stdio_jobs() const { return stdio_jobs_.size(); }
   std::uint64_t stdio_jobs_with_domain() const { return stdio_jobs_with_domain_; }
 
@@ -90,7 +84,12 @@ class InterfaceUsage {
   // [layer][iface][dir]
   std::vector<util::Histogram> transfer_;
   std::map<std::string, DomainStdio> stdio_domains_;
-  std::unordered_set<std::uint64_t> stdio_jobs_;
+  /// Add `job_id` to the STDIO job census, or upgrade it to domain-tagged.
+  void note_stdio_job(std::uint64_t job_id, bool with_domain);
+
+  /// STDIO job -> carries a domain tag.  Per-job flags (not a bare count)
+  /// keep the with-domain census exact when a job's logs span shards.
+  std::unordered_map<std::uint64_t, bool> stdio_jobs_;
   std::uint64_t stdio_jobs_with_domain_ = 0;
   std::map<std::string, std::uint64_t> stdio_extensions_;
 };

@@ -20,6 +20,11 @@ double LayerUsage::ClassCounts::ro_or_wo_percent() const {
   return 100.0 * static_cast<double>(read_only + write_only) / static_cast<double>(t);
 }
 
+void LayerUsage::note_insys_job(std::uint64_t job_id, const std::string& domain) {
+  const auto [it, inserted] = insys_job_domain_.try_emplace(job_id, domain);
+  if (!inserted && domain < it->second) it->second = domain;
+}
+
 void LayerUsage::add_log(const darshan::JobRecord& job, const std::vector<FileSummary>& files) {
   std::uint8_t mask = 0;
   bool touched_insys = false;
@@ -39,21 +44,21 @@ void LayerUsage::add_log(const darshan::JobRecord& job, const std::vector<FileSu
 
     if (f.layer == Layer::kInSystem) {
       if (dom == nullptr) dom = &domains_[domain_of(job)];
-      dom->insys_bytes_read += static_cast<double>(f.bytes_read);
-      dom->insys_bytes_written += static_cast<double>(f.bytes_written);
+      dom->insys_bytes_read.add(f.bytes_read);
+      dom->insys_bytes_written.add(f.bytes_written);
       touched_insys = true;
     }
   }
   if (mask != 0) job_mask_[job.job_id] |= mask;
   if (touched_insys) {
     if (dom != nullptr) dom->insys_logs += 1;
-    insys_job_domain_.try_emplace(job.job_id, domain_of(job));
+    note_insys_job(job.job_id, domain_of(job));
   }
 }
 
 void LayerUsage::merge(const LayerUsage& other) {
   for (const auto& [id, mask] : other.job_mask_) job_mask_[id] |= mask;
-  for (const auto& [id, dom] : other.insys_job_domain_) insys_job_domain_.try_emplace(id, dom);
+  for (const auto& [id, dom] : other.insys_job_domain_) note_insys_job(id, dom);
   for (std::size_t i = 0; i < classes_.size(); ++i) {
     classes_[i].read_only += other.classes_[i].read_only;
     classes_[i].read_write += other.classes_[i].read_write;
@@ -61,24 +66,9 @@ void LayerUsage::merge(const LayerUsage& other) {
   }
   for (const auto& [name, usage] : other.domains_) {
     DomainUsage& mine = domains_[name];
-    mine.insys_bytes_read += usage.insys_bytes_read;
-    mine.insys_bytes_written += usage.insys_bytes_written;
+    mine.insys_bytes_read.merge(usage.insys_bytes_read);
+    mine.insys_bytes_written.merge(usage.insys_bytes_written);
     mine.insys_logs += usage.insys_logs;
-  }
-}
-
-void LayerUsage::refold_sums_serial(std::span<const LayerUsage* const> parts) {
-  for (auto& [name, usage] : domains_) {
-    double bytes_read = 0.0;
-    double bytes_written = 0.0;
-    for (const LayerUsage* p : parts) {
-      const auto it = p->domains_.find(name);
-      if (it == p->domains_.end()) continue;
-      bytes_read += it->second.insys_bytes_read;
-      bytes_written += it->second.insys_bytes_written;
-    }
-    usage.insys_bytes_read = bytes_read;
-    usage.insys_bytes_written = bytes_written;
   }
 }
 
@@ -111,8 +101,8 @@ void LayerUsage::save(util::ByteWriter& w) const {
   w.u64(domains_.size());
   for (const auto& [name, d] : domains_) {
     w.str(name);
-    w.f64(d.insys_bytes_read);
-    w.f64(d.insys_bytes_written);
+    d.insys_bytes_read.save(w);
+    d.insys_bytes_written.save(w);
     w.u64(d.insys_logs);
   }
 }
@@ -122,7 +112,7 @@ std::uint64_t LayerUsage::serialized_size() const {
   n += 8 + 12 * insys_job_domain_.size();
   for (const auto& [id, dom] : insys_job_domain_) n += dom.size();
   n += 24 * classes_.size();
-  n += 8 + 28 * domains_.size();
+  n += 8 + (12 + 2 * util::ExactSum::kSerializedSize) * domains_.size();
   for (const auto& [name, d] : domains_) n += name.size();
   return n;
 }
@@ -151,8 +141,8 @@ void LayerUsage::load(util::ByteReader& r) {
   const std::uint64_t n_domains = r.u64();
   for (std::uint64_t i = 0; i < n_domains; ++i) {
     DomainUsage& d = domains_[r.str()];
-    d.insys_bytes_read = r.f64();
-    d.insys_bytes_written = r.f64();
+    d.insys_bytes_read.load(r);
+    d.insys_bytes_written.load(r);
     d.insys_logs = r.u64();
   }
 }

@@ -12,11 +12,11 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <unordered_map>
 
 #include "core/dataset.hpp"
+#include "util/stats.hpp"
 
 namespace mlio::util {
 class ByteReader;
@@ -30,12 +30,6 @@ class LayerUsage {
   /// Call once per log with that log's summaries.
   void add_log(const darshan::JobRecord& job, const std::vector<FileSummary>& files);
   void merge(const LayerUsage& other);
-
-  /// Overwrite the per-domain byte totals with a serial left-to-right
-  /// re-fold across `parts`: they are double sums, order-sensitive past
-  /// 2^53 bytes, so the parallel tree merge (Analysis::merge_ordered)
-  /// patches them the same way Summary patches node-hours.
-  void refold_sums_serial(std::span<const LayerUsage* const> parts);
 
   /// Canonical serialization (unordered job maps emitted in sorted key
   /// order).
@@ -64,8 +58,8 @@ class LayerUsage {
   }
 
   struct DomainUsage {
-    double insys_bytes_read = 0;
-    double insys_bytes_written = 0;
+    util::ExactSum insys_bytes_read;
+    util::ExactSum insys_bytes_written;
     std::uint64_t insys_logs = 0;  ///< logs from this domain touching the layer
   };
   /// Ordered by domain name for stable output.
@@ -74,9 +68,12 @@ class LayerUsage {
   std::uint64_t insys_jobs() const;
 
  private:
+  void note_insys_job(std::uint64_t job_id, const std::string& domain);
+
   // Bit 0: touched in-system; bit 1: touched PFS.
   std::unordered_map<std::uint64_t, std::uint8_t> job_mask_;
-  // Distinct in-system jobs per domain (job_id -> domain seen).
+  // Distinct in-system jobs (job_id -> domain; the least name seen, so the
+  // map is order-free even if a job's logs disagreed).
   std::unordered_map<std::uint64_t, std::string> insys_job_domain_;
   std::array<ClassCounts, kLayerCount> classes_{};
   std::map<std::string, DomainUsage> domains_;

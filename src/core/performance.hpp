@@ -8,9 +8,7 @@
 // 12 (Cori).
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/dataset.hpp"
@@ -28,11 +26,14 @@ class Performance {
  public:
   Performance();
 
-  void add(const FileSummary& file);
+  /// `log_key` identifies the log (observation_log_key); each observation's
+  /// sample key mixes in the file's record id and the direction, so a cell's
+  /// bottom-k sample is a function of which observations it saw, never of
+  /// their order or of how the stream was cut.
+  void add(const FileSummary& file, std::uint64_t log_key);
   void merge(const Performance& other);
 
-  /// Exact serialization of every reservoir cell (samples + Rng position),
-  /// so a restored Performance merges and quantiles bit-identically.
+  /// Canonical serialization of every sample cell.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
   /// Byte count save() would write, from container sizes alone.
@@ -48,32 +49,16 @@ class Performance {
 
   std::uint64_t observations() const { return observations_; }
 
-  /// True when merging these states draws no reservoir samples in ANY
-  /// association order: every cell's combined observation count still fits
-  /// its reservoir, so merge() is pure sample concatenation plus integer
-  /// adds and min/max — exactly associative, Rng positions included.  The
-  /// parallel tree merge (Analysis::merge_ordered) requires this cell by
-  /// cell; above capacity the seeded replacement draws depend on merge
-  /// order and the tree patches those cells from a serial re-fold.
-  static bool merge_is_exact(std::span<const Performance* const> parts);
-
-  /// The cell indices whose combined observation count exceeds the
-  /// reservoir capacity — exactly the cells merge_is_exact objects to.
-  /// Empty iff merge_is_exact(parts).
-  static std::vector<std::size_t> saturated_cells(std::span<const Performance* const> parts);
-
-  /// Overwrite the listed cells with a serial left-to-right fold of the
-  /// same cells across `parts` (the canonical association).  Used by the
-  /// tree merge to restore serial-fold bits in saturated cells, the same
-  /// way Summary::set_node_hours restores the node-hours sum.
-  void refold_cells_serial(std::span<const Performance* const> parts,
-                           std::span<const std::size_t> cells);
-
  private:
   std::size_t slot(Layer layer, std::size_t iface, std::size_t bin, bool read) const;
 
-  std::vector<util::ReservoirQuantiles> cells_;
+  std::vector<util::BottomKSample> cells_;
   std::uint64_t observations_ = 0;
 };
+
+/// The per-log part of a performance observation's sample key: splitmix64
+/// over (facility, job id).  The facility is the job's "machine" tag, so two
+/// systems' job ids never share keys.
+std::uint64_t observation_log_key(const darshan::JobRecord& job);
 
 }  // namespace mlio::core

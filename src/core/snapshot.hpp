@@ -3,7 +3,7 @@
 // Layout (all integers little-endian, mirroring the Darshan log frame):
 //
 //   u32  magic            "MSNP" (0x504e534d)
-//   u16  version          currently 1
+//   u16  version          currently 2 (1: double sums, reservoir samples)
 //   u16  flags            bit 0: body is zlib-compressed
 //   u64  tag              caller-defined (the archive stores the partition's
 //                         data generation here to detect stale snapshots)
@@ -27,7 +27,7 @@
 namespace mlio::core {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x504e534d;  // "MSNP"
-inline constexpr std::uint16_t kSnapshotVersion = 1;
+inline constexpr std::uint16_t kSnapshotVersion = 2;
 inline constexpr std::uint16_t kSnapshotFlagCompressed = 0x1;
 
 struct SnapshotWriteOptions {

@@ -1,6 +1,7 @@
 #include "core/ssd_study.hpp"
 
 #include "darshan/counters.hpp"
+#include "util/rng.hpp"
 
 namespace mlio::core {
 
@@ -14,7 +15,8 @@ void SsdStudy::add_log(const darshan::LogData& log) {
     random_bytes_ += static_cast<double>(rec.counters[sx::RANDOM_WRITE_BYTES]);
     static_bytes_ += static_cast<double>(rec.counters[sx::STATIC_BYTES]);
     dynamic_bytes_ += static_cast<double>(rec.counters[sx::DYNAMIC_BYTES]);
-    waf_.add(static_cast<double>(rec.counters[sx::WAF_X1000]) / 1000.0);
+    std::uint64_t key = log.job.job_id ^ (rec.record_id * 0x9e3779b97f4a7c15ull);
+    waf_.add(util::splitmix64(key), static_cast<double>(rec.counters[sx::WAF_X1000]) / 1000.0);
   }
 }
 

@@ -32,7 +32,7 @@ class SsdStudy {
   double cacheable_device_bytes() const { return rewrite_bytes_; }
 
   /// Distribution of per-file modeled write-amplification factors.
-  const util::ReservoirQuantiles& waf() const { return waf_; }
+  const util::BottomKSample& waf() const { return waf_; }
 
  private:
   std::uint64_t files_ = 0;
@@ -41,7 +41,7 @@ class SsdStudy {
   double random_bytes_ = 0;
   double static_bytes_ = 0;
   double dynamic_bytes_ = 0;
-  util::ReservoirQuantiles waf_{4096, 0x55dd};
+  util::BottomKSample waf_;
 };
 
 }  // namespace mlio::core

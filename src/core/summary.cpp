@@ -9,23 +9,22 @@ namespace mlio::core {
 void Summary::add_log(const darshan::JobRecord& job, const std::vector<FileSummary>& files) {
   logs_ += 1;
   files_ += files.size();
-  const double hours =
-      static_cast<double>(std::max<std::int64_t>(0, job.end_time - job.start_time)) / 3600.0;
-  node_hours_ += hours * job.nnodes;
+  const std::int64_t elapsed = std::max<std::int64_t>(0, job.end_time - job.start_time);
+  node_seconds_.add_product(static_cast<std::uint64_t>(elapsed), job.nnodes);
   per_job_logs_[job.job_id] += 1;
 }
 
 void Summary::merge(const Summary& other) {
   logs_ += other.logs_;
   files_ += other.files_;
-  node_hours_ += other.node_hours_;
+  node_seconds_.merge(other.node_seconds_);
   for (const auto& [id, n] : other.per_job_logs_) per_job_logs_[id] += n;
 }
 
 void Summary::save(util::ByteWriter& w) const {
   w.u64(logs_);
   w.u64(files_);
-  w.f64(node_hours_);
+  node_seconds_.save(w);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted(per_job_logs_.begin(),
                                                               per_job_logs_.end());
   std::sort(sorted.begin(), sorted.end());
@@ -36,12 +35,14 @@ void Summary::save(util::ByteWriter& w) const {
   }
 }
 
-std::uint64_t Summary::serialized_size() const { return 8 * 4 + 16 * per_job_logs_.size(); }
+std::uint64_t Summary::serialized_size() const {
+  return 8 * 3 + util::ExactSum::kSerializedSize + 16 * per_job_logs_.size();
+}
 
 void Summary::load(util::ByteReader& r) {
   logs_ = r.u64();
   files_ = r.u64();
-  node_hours_ = r.f64();
+  node_seconds_.load(r);
   const std::uint64_t n_jobs = r.u64();
   per_job_logs_.clear();
   per_job_logs_.reserve(static_cast<std::size_t>(n_jobs));

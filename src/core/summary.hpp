@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "core/dataset.hpp"
+#include "util/stats.hpp"
 
 namespace mlio::util {
 class ByteReader;
@@ -29,21 +30,16 @@ class Summary {
   std::uint64_t logs() const { return logs_; }
   std::uint64_t jobs() const { return per_job_logs_.size(); }
   std::uint64_t files() const { return files_; }
-  double node_hours() const { return node_hours_; }
+  double node_hours() const { return node_seconds_.value() / 3600.0; }
+  /// Exact node-seconds (elapsed seconds × nodes, summed over logs).
+  const util::ExactSum& node_seconds() const { return node_seconds_; }
   std::uint64_t min_logs_per_job() const;
   std::uint64_t max_logs_per_job() const;
-
-  /// Replaces the node-hours accumulator.  Node-hours is the one
-  /// association-sensitive floating-point sum in the whole analysis state;
-  /// the parallel tree merge (Analysis::merge_ordered) restores the
-  /// canonical left-fold association by re-summing the shard values in
-  /// partition order and patching the result through here.
-  void set_node_hours(double v) { node_hours_ = v; }
 
  private:
   std::uint64_t logs_ = 0;
   std::uint64_t files_ = 0;
-  double node_hours_ = 0;
+  util::ExactSum node_seconds_;
   std::unordered_map<std::uint64_t, std::uint64_t> per_job_logs_;
 };
 

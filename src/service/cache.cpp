@@ -42,6 +42,16 @@ std::shared_ptr<const core::Analysis> SnapshotCache::get(const CacheKey& key) {
   return it->second->value;
 }
 
+std::shared_ptr<const core::Analysis> SnapshotCache::peek(const CacheKey& key,
+                                                         std::uint64_t* cost_ns) {
+  Shard& s = shard_of(key);
+  const std::scoped_lock lock(s.mu);
+  const auto it = s.index.find(key);
+  if (it == s.index.end()) return nullptr;
+  *cost_ns = it->second->cost_ns;
+  return it->second->value;
+}
+
 bool SnapshotCache::insert(const CacheKey& key, std::shared_ptr<const core::Analysis> value,
                            std::uint64_t size_bytes, std::uint64_t cost_ns) {
   Shard& s = shard_of(key);

@@ -77,6 +77,11 @@ class SnapshotCache {
   /// nullptr on miss; a hit refreshes the entry's LRU position.
   std::shared_ptr<const core::Analysis> get(const CacheKey& key);
 
+  /// The entry and its rebuild cost, without counting a lookup or touching
+  /// recency — the compaction carry reads its inputs this way.  nullptr on
+  /// miss.
+  std::shared_ptr<const core::Analysis> peek(const CacheKey& key, std::uint64_t* cost_ns);
+
   /// Offer an entry.  `size_bytes` is its budget charge
   /// (core::serialized_analysis_bytes), `cost_ns` the measured time to
   /// produce it (rebuild or snapshot load) — the admission currency.

@@ -112,6 +112,37 @@ void ArchiveService::publish_locked() {
   merged_.purge(dead);
 }
 
+void ArchiveService::carry_shard(const archive::Archive::CompactedRun& run,
+                                 ServiceStats& stats) {
+  std::vector<std::shared_ptr<const core::Analysis>> inputs(run.inputs.size());
+  std::uint64_t cost_ns = 0;
+  bool warm = false;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const archive::PartitionInfo& p = run.inputs[i];
+    std::uint64_t input_cost = 0;
+    inputs[i] = cache_.peek(CacheKey{p.id, p.data_generation}, &input_cost);
+    cost_ns += input_cost;
+    warm = warm || inputs[i] != nullptr;
+  }
+  // Nothing resident: no reader has asked, so stay lazy — the first get
+  // scans the merged partition.
+  if (!warm) return;
+  // The rest (typically the window cut just before this merge, which no get
+  // has seen yet) resolves from its own files, still in place until the
+  // publish: each log is scanned once instead of again inside the merge.
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (inputs[i] != nullptr) continue;
+    const auto t0 = SteadyClock::now();
+    inputs[i] = resolve_shard(run.inputs[i], stats);
+    cost_ns += ns_since(t0);
+  }
+  auto merged = std::make_shared<core::Analysis>();
+  for (const auto& shard : inputs) merged->merge(*shard);
+  const std::uint64_t bytes = core::serialized_analysis_bytes(*merged);
+  cache_.insert(CacheKey{run.merged.id, run.merged.data_generation}, std::move(merged), bytes,
+                cost_ns);
+}
+
 void ArchiveService::sweep_gc() {
   std::vector<DeferredGc> ready;
   {
@@ -282,10 +313,8 @@ ArchiveService::GetResult ArchiveService::fold_pinned(const Pin& pin, std::size_
     std::vector<const core::Analysis*> ptrs;
     ptrs.reserve(shards.size());
     for (const auto& shard : shards) ptrs.push_back(shard.get());
-    core::MergeTreeStats tree;
-    merged =
-        std::make_shared<core::Analysis>(core::Analysis::merge_ordered(ptrs, pool_.get(), &tree));
-    r.stats.query.tree_merges = tree.used_tree ? 1 : 0;
+    merged = std::make_shared<core::Analysis>(core::Analysis::merge_ordered(ptrs, pool_.get()));
+    r.stats.query.tree_merges = pool_ != nullptr && ptrs.size() >= 2 ? 1 : 0;
     r.stats.merge_ns = ns_since(t_merge);
     r.stats.query.merge_seconds = static_cast<double>(r.stats.merge_ns) * 1e-9;
   }
@@ -396,7 +425,11 @@ std::size_t ArchiveService::compact(std::uint64_t max_logs, ServiceStats* stats)
     std::unique_lock<std::mutex> lock = timed_lock(writer_mu_, stats);
     if (stats != nullptr) stats->requests += 1;
     std::vector<std::filesystem::path> doomed;
-    removed = archive_.compact(max_logs, &doomed);
+    std::vector<archive::Archive::CompactedRun> runs;
+    removed = archive_.compact(max_logs, &doomed, &runs);
+    ServiceStats carry;
+    for (const archive::Archive::CompactedRun& run : runs) carry_shard(run, carry);
+    if (stats != nullptr) stats->merge(carry);
     if (removed > 0) publish_locked();
     if (!doomed.empty()) {
       const std::scoped_lock gc_lock(gc_mu_);
@@ -450,7 +483,11 @@ std::optional<archive::PartitionInfo> ArchiveService::compact_step(
     std::unique_lock<std::mutex> lock = timed_lock(writer_mu_, stats);
     if (stats != nullptr) stats->requests += 1;
     std::vector<std::filesystem::path> doomed;
-    merged = archive::compact_leveled(archive_, policy, &doomed);
+    std::vector<archive::Archive::CompactedRun> runs;
+    merged = archive::compact_leveled(archive_, policy, &doomed, &runs);
+    ServiceStats carry;
+    for (const archive::Archive::CompactedRun& run : runs) carry_shard(run, carry);
+    if (stats != nullptr) stats->merge(carry);
     if (merged) publish_locked();
     if (!doomed.empty()) {
       const std::scoped_lock gc_lock(gc_mu_);

@@ -1,6 +1,7 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/byte_io.hpp"
@@ -60,13 +61,27 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-ReservoirQuantiles::ReservoirQuantiles(std::size_t capacity, std::uint64_t seed)
-    : capacity_(capacity), rng_(Rng::stream(seed, 0x5eed)) {
+BottomKSample::BottomKSample(std::size_t capacity) : capacity_(capacity) {
   MLIO_ASSERT(capacity_ > 0);
-  sample_.reserve(std::min<std::size_t>(capacity_, 1024));
 }
 
-void ReservoirQuantiles::add(double x) {
+bool BottomKSample::less(const Entry& a, const Entry& b) {
+  if (a.key != b.key) return a.key < b.key;
+  return std::bit_cast<std::uint64_t>(a.value) < std::bit_cast<std::uint64_t>(b.value);
+}
+
+void BottomKSample::offer(const Entry& e) {
+  if (sample_.size() < capacity_) {
+    sample_.push_back(e);
+    if (sample_.size() == capacity_) std::make_heap(sample_.begin(), sample_.end(), less);
+  } else if (less(e, sample_.front())) {
+    std::pop_heap(sample_.begin(), sample_.end(), less);
+    sample_.back() = e;
+    std::push_heap(sample_.begin(), sample_.end(), less);
+  }
+}
+
+void BottomKSample::add(std::uint64_t key, double x) {
   if (n_ == 0) {
     min_ = max_ = x;
   } else {
@@ -74,71 +89,90 @@ void ReservoirQuantiles::add(double x) {
     max_ = std::max(max_, x);
   }
   ++n_;
-  if (sample_.size() < capacity_) {
-    sample_.push_back(x);
-  } else {
-    const std::uint64_t j = rng_.uniform_u64(0, n_ - 1);
-    if (j < capacity_) sample_[static_cast<std::size_t>(j)] = x;
-  }
+  offer(Entry{key, x});
 }
 
-void ReservoirQuantiles::merge(const ReservoirQuantiles& other) {
-  // Weighted merge: feed the other reservoir's samples, each standing in for
-  // other.n_/|other.sample_| observations.  This keeps quantiles approximately
-  // right while remaining deterministic.
+void BottomKSample::merge(const BottomKSample& other) {
   if (other.n_ == 0) return;
   if (n_ == 0) {
-    *this = other;
+    min_ = other.min_;
+    max_ = other.max_;
+  } else {
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
+  }
+  n_ += other.n_;
+  // A full sample is a heap: offering each entry costs O(log k) only for the
+  // few that displace one.  Otherwise select the k smallest of the union.
+  if (sample_.size() == capacity_) {
+    for (const Entry& e : other.sample_) offer(e);
     return;
   }
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  const std::uint64_t weight =
-      std::max<std::uint64_t>(1, other.n_ / std::max<std::size_t>(1, other.sample_.size()));
-  for (double x : other.sample_) {
-    for (std::uint64_t w = 0; w < weight; ++w) {
-      ++n_;
-      if (sample_.size() < capacity_) {
-        sample_.push_back(x);
-      } else {
-        const std::uint64_t j = rng_.uniform_u64(0, n_ - 1);
-        if (j < capacity_) sample_[static_cast<std::size_t>(j)] = x;
-      }
-    }
+  sample_.insert(sample_.end(), other.sample_.begin(), other.sample_.end());
+  if (sample_.size() < capacity_) return;
+  const auto kth = sample_.begin() + static_cast<std::ptrdiff_t>(capacity_);
+  if (sample_.size() > capacity_) {
+    std::nth_element(sample_.begin(), kth, sample_.end(), less);
+    sample_.erase(kth, sample_.end());
   }
-  // n_ now over-counts by construction of the weighting; correct it exactly.
-  n_ = n_ - weight * other.sample_.size() + other.n_;
+  std::make_heap(sample_.begin(), sample_.end(), less);
 }
 
-void ReservoirQuantiles::save(ByteWriter& w) const {
+void BottomKSample::save(ByteWriter& w) const {
+  std::vector<Entry> sorted(sample_);
+  std::sort(sorted.begin(), sorted.end(), less);
   w.u64(capacity_);
-  rng_.save(w);
   w.u64(n_);
   w.f64(min_);
   w.f64(max_);
-  w.u64(sample_.size());
-  for (const double x : sample_) w.f64(x);
-}
-
-std::uint64_t ReservoirQuantiles::serialized_size() const {
-  return 8 + Rng::serialized_size() + 8 * (4 + sample_.size());
-}
-
-void ReservoirQuantiles::load(ByteReader& r) {
-  const std::uint64_t capacity = r.u64();
-  if (capacity == 0) throw FormatError("ReservoirQuantiles: zero capacity");
-  capacity_ = static_cast<std::size_t>(capacity);
-  rng_.load(r);
-  n_ = r.u64();
-  min_ = r.f64();
-  max_ = r.f64();
-  const std::uint64_t sample_size = r.u64();
-  if (sample_size > capacity || sample_size > n_) {
-    throw FormatError("ReservoirQuantiles: sample larger than capacity or count");
+  w.u64(sorted.size());
+  for (const Entry& e : sorted) {
+    w.u64(e.key);
+    w.f64(e.value);
   }
+}
+
+std::uint64_t BottomKSample::serialized_size() const { return 8 * 5 + 16 * sample_.size(); }
+
+void BottomKSample::load(ByteReader& r) {
+  const std::uint64_t capacity = r.u64();
+  if (capacity == 0) throw FormatError("BottomKSample: zero capacity");
+  const std::uint64_t n = r.u64();
+  const double lo = r.f64();
+  const double hi = r.f64();
+  const std::uint64_t sample_size = r.u64();
+  if (sample_size != std::min(n, capacity)) {
+    throw FormatError("BottomKSample: sample size is not min(count, capacity)");
+  }
+  capacity_ = static_cast<std::size_t>(capacity);
+  n_ = n;
+  min_ = lo;
+  max_ = hi;
   sample_.clear();
   sample_.reserve(static_cast<std::size_t>(sample_size));
-  for (std::uint64_t i = 0; i < sample_size; ++i) sample_.push_back(r.f64());
+  for (std::uint64_t i = 0; i < sample_size; ++i) {
+    const std::uint64_t key = r.u64();
+    sample_.push_back(Entry{key, r.f64()});
+  }
+  if (sample_.size() == capacity_) std::make_heap(sample_.begin(), sample_.end(), less);
+}
+
+std::vector<double> BottomKSample::sorted_values() const {
+  std::vector<double> values;
+  values.reserve(sample_.size());
+  for (const Entry& e : sample_) values.push_back(e.value);
+  std::sort(values.begin(), values.end());
+  return values;
+}
+
+void ExactSum::save(ByteWriter& w) const {
+  w.u64(low());
+  w.u64(high());
+}
+
+void ExactSum::load(ByteReader& r) {
+  const std::uint64_t lo = r.u64();
+  v_ = static_cast<uint128>(r.u64()) << 64 | lo;
 }
 
 namespace {
@@ -155,17 +189,15 @@ double interpolate(const std::vector<double>& sorted, double q) {
 
 }  // namespace
 
-double ReservoirQuantiles::quantile(double q) const {
+double BottomKSample::quantile(double q) const {
   MLIO_ASSERT(q >= 0.0 && q <= 1.0);
   if (sample_.empty()) return 0.0;
   if (q <= 0.0) return min_;
   if (q >= 1.0) return max_;
-  std::vector<double> sorted(sample_);
-  std::sort(sorted.begin(), sorted.end());
-  return interpolate(sorted, q);
+  return interpolate(sorted_values(), q);
 }
 
-FiveNumber ReservoirQuantiles::five_number() const {
+FiveNumber BottomKSample::five_number() const {
   FiveNumber f;
   f.count = n_;
   if (n_ == 0) return f;
@@ -173,8 +205,7 @@ FiveNumber ReservoirQuantiles::five_number() const {
   f.max = max_;
   if (sample_.empty()) return f;
   // One sorted copy serves all three interior quantiles.
-  std::vector<double> sorted(sample_);
-  std::sort(sorted.begin(), sorted.end());
+  const std::vector<double> sorted = sorted_values();
   f.q1 = interpolate(sorted, 0.25);
   f.median = interpolate(sorted, 0.5);
   f.q3 = interpolate(sorted, 0.75);

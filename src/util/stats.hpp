@@ -1,16 +1,16 @@
-// Streaming statistics: moments and quantiles.
+// Streaming statistics: moments, quantiles and exact sums.
 //
 // The performance analysis (§3.4) needs boxplot five-number summaries per
 // (layer, interface, transfer-bin) cell.  Cells can hold millions of samples
-// at large scale, so quantiles come from a deterministic reservoir sample
-// (Vitter's algorithm R driven by a seeded Rng) and are exact whenever the
-// cell fits in the reservoir.
+// at large scale, so quantiles come from a keyed bottom-k sample that is
+// exact whenever the cell fits in it.  The sample and the exact sums are
+// order-free: any cut of a stream into shards, folded in any order, gives
+// the same bits.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "util/rng.hpp"
 
 namespace mlio::util {
 
@@ -49,21 +49,29 @@ struct FiveNumber {
   std::uint64_t count = 0;
 };
 
-/// Deterministic reservoir sampler with exact quantiles for small inputs.
-class ReservoirQuantiles {
+/// Keyed bottom-k sample (Cohen & Kaplan, "Summarizing data using bottom-k
+/// sketches", PODC 2007) with exact count, min and max.  Every observation
+/// carries a 64-bit key, a hash of a stable identity.  The sample is the k
+/// observations with the smallest (key, value bits) — a total order, so the
+/// sample is a function of the observed multiset alone: add order, cut
+/// points and merge association never change a bit of the state.
+/// Quantiles are exact while count() <= k and come from a uniform sample of
+/// the observations beyond that (the keys are hashes).
+class BottomKSample {
  public:
-  explicit ReservoirQuantiles(std::size_t capacity = 4096, std::uint64_t seed = 1);
+  static constexpr std::size_t kDefaultCapacity = 4096;
 
-  void add(double x);
-  void merge(const ReservoirQuantiles& other);
+  explicit BottomKSample(std::size_t capacity = kDefaultCapacity);
 
-  /// Exact state round-trip: capacity, counts, min/max, the full reservoir
-  /// sample, and the Rng position all survive, so a restored sampler is
-  /// indistinguishable from the original — adds and merges continue
-  /// bit-identically.  Part of the Analysis snapshot fidelity guarantee.
+  void add(std::uint64_t key, double x);
+  /// Keeps the k smallest of the union: associative and commutative.
+  void merge(const BottomKSample& other);
+
+  /// Canonical state serialization: the sample is written sorted, so equal
+  /// states produce equal bytes whatever path built them.
   void save(ByteWriter& w) const;
-  /// Throws FormatError on a structurally invalid payload (e.g. a sample
-  /// larger than its capacity or than the observation count).
+  /// Throws FormatError on a structurally invalid payload (a sample size
+  /// other than min(count, capacity)).
   void load(ByteReader& r);
   /// Byte count save() would write, from container sizes alone.
   std::uint64_t serialized_size() const;
@@ -72,17 +80,54 @@ class ReservoirQuantiles {
   bool empty() const { return n_ == 0; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Quantile q in [0,1] by linear interpolation over the reservoir.
+  /// Quantile q in [0,1] by linear interpolation over the sample.
   double quantile(double q) const;
   FiveNumber five_number() const;
 
  private:
+  struct Entry {
+    std::uint64_t key;
+    double value;
+  };
+  /// (key, value bits) order; the sample holds its k smallest entries.
+  static bool less(const Entry& a, const Entry& b);
+  /// Keep `e` if it is among the k smallest seen (count/min/max untouched).
+  void offer(const Entry& e);
+  std::vector<double> sorted_values() const;
+
   std::size_t capacity_;
-  Rng rng_;
-  std::vector<double> sample_;
+  /// Unordered below capacity; a max-heap under less() once full.
+  std::vector<Entry> sample_;
   std::uint64_t n_ = 0;
   double min_ = 0.0;
   double max_ = 0.0;
+};
+
+__extension__ using uint128 = unsigned __int128;
+
+/// Exact sum of unsigned integers (bytes, node-seconds) in 128 bits: every
+/// order and grouping of the same addends gives the same bits, which a
+/// double sum does not.  Converted to double only when read.
+class ExactSum {
+ public:
+  void add(std::uint64_t v) { v_ += v; }
+  /// Adds a * b without overflow (the product fits 128 bits).
+  void add_product(std::uint64_t a, std::uint64_t b) { v_ += static_cast<uint128>(a) * b; }
+  void merge(const ExactSum& other) { v_ += other.v_; }
+
+  double value() const { return static_cast<double>(v_); }
+  /// Implicit, so an ExactSum reads like the double it replaced.
+  operator double() const { return value(); }
+  std::uint64_t low() const { return static_cast<std::uint64_t>(v_); }
+  std::uint64_t high() const { return static_cast<std::uint64_t>(v_ >> 64); }
+  bool operator==(const ExactSum&) const = default;
+
+  void save(ByteWriter& w) const;
+  void load(ByteReader& r);
+  static constexpr std::uint64_t kSerializedSize = 16;
+
+ private:
+  uint128 v_ = 0;
 };
 
 }  // namespace mlio::util

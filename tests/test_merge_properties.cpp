@@ -1,17 +1,18 @@
 // Property tests for core::Analysis::merge — the algebra the archive's
 // incremental queries stand on (DESIGN.md §6):
 //   1. merging an empty shard is the identity, in either direction;
-//   2. with FIXED cut points, the shard-order fold is a pure function of
-//      the log stream — reproducible bit for bit, snapshot round-trips
-//      included, and equal to the sequential accumulator in the one-shard
-//      case;
-//   3. every integer census is invariant under the choice of cuts (only
-//      double-precision sums are grouping-sensitive, which is why the
-//      archive pins its cuts instead of claiming full cut-invariance).
-// These extend the PR-1 pipeline determinism pins from "blocks of jobs" to
-// arbitrary contiguous partitions of the decoded log sequence.
+//   2. the fold is reproducible bit for bit, snapshot round-trips included,
+//      and equal to the sequential accumulator in the one-shard case;
+//   3. any cuts -> same bits: cutting one log sequence at random points and
+//      folding the shards in a random order, with a random tree shape or
+//      on a pool of any size, serializes to the sequential accumulator's
+//      bytes — saturated bottom-k sample cells included.
+// The archive leans on (3) to hand a compacted partition the merge of its
+// inputs' shards instead of rescanning it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/analysis.hpp"
@@ -19,6 +20,8 @@
 #include "core/snapshot.hpp"
 #include "darshan/log_format.hpp"
 #include "util/byte_io.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/pipeline.hpp"
 
@@ -113,52 +116,6 @@ TEST(MergeProperties, FixedCutsFoldIsReproducible) {
   }
 }
 
-TEST(MergeProperties, IntegerCensusesAreGroupingInvariant) {
-  // Every counting statistic — log/job/file censuses, interface counts,
-  // exclusivity classes, histogram mass — must not depend on how the stream
-  // was cut at all.  (Double-precision sums may differ in the last bits
-  // across DIFFERENT cuts; that is exactly why the archive pins its cuts —
-  // see DESIGN.md §6.)
-  const auto logs = sample_logs(30, 21);
-  ASSERT_GE(logs.size(), 10u);
-  const Analysis sequential = analyze(logs, 0, logs.size());
-
-  const std::size_t cut_sets[][4] = {
-      {1, 2, logs.size() / 2, logs.size() - 1},
-      {logs.size() / 3, logs.size() / 2, 0, 0},
-  };
-  for (const auto& cuts : cut_sets) {
-    Analysis merged;
-    std::size_t lo = 0;
-    for (const std::size_t cut : cuts) {
-      if (cut <= lo || cut > logs.size()) continue;
-      merged.merge(analyze(logs, lo, cut));
-      lo = cut;
-    }
-    merged.merge(analyze(logs, lo, logs.size()));
-
-    EXPECT_EQ(merged.summary().logs(), sequential.summary().logs());
-    EXPECT_EQ(merged.summary().jobs(), sequential.summary().jobs());
-    EXPECT_EQ(merged.summary().files(), sequential.summary().files());
-    EXPECT_EQ(merged.performance().observations(), sequential.performance().observations());
-    for (std::size_t li = 0; li < kLayerCount; ++li) {
-      const auto layer = static_cast<Layer>(li);
-      EXPECT_EQ(merged.access().layer(layer).files, sequential.access().layer(layer).files);
-      EXPECT_EQ(merged.interfaces().counts(layer).posix,
-                sequential.interfaces().counts(layer).posix);
-      EXPECT_EQ(merged.interfaces().counts(layer).stdio,
-                sequential.interfaces().counts(layer).stdio);
-    }
-    const auto ex = merged.layers().job_exclusivity();
-    const auto ex_seq = sequential.layers().job_exclusivity();
-    EXPECT_EQ(ex.pfs_only, ex_seq.pfs_only);
-    EXPECT_EQ(ex.insys_only, ex_seq.insys_only);
-    EXPECT_EQ(ex.both, ex_seq.both);
-    EXPECT_NEAR(merged.summary().node_hours(), sequential.summary().node_hours(),
-                1e-9 * (1.0 + sequential.summary().node_hours()));
-  }
-}
-
 TEST(MergeProperties, MergeIsAssociativeOverOrderedShards) {
   // (A ∘ B) ∘ C == A ∘ (B ∘ C) for adjacent shards — the query engine may
   // fold cached and rebuilt shards at different times.
@@ -185,10 +142,8 @@ TEST(MergeProperties, MergeIsAssociativeOverOrderedShards) {
 }
 
 TEST(MergeProperties, TreeMergeMatchesSerialFoldBitForBit) {
-  // The acceptance bar for the parallel tree merge (DESIGN.md §12): for any
-  // shard count and any thread count, Analysis::merge_ordered produces the
-  // SAME BYTES as the serial partition-order fold — node-hours patched
-  // serially, reservoirs below capacity, fixed tree shape.
+  // Analysis::merge_ordered produces the SAME BYTES as the serial fold for
+  // any shard count and any thread count.
   const auto logs = sample_logs(60, 47);
   ASSERT_GE(logs.size(), 16u);
 
@@ -205,69 +160,13 @@ TEST(MergeProperties, TreeMergeMatchesSerialFoldBitForBit) {
     for (const Analysis* p : ptrs) serial.merge(*p);
     const std::vector<std::byte> expected = state(serial);
 
-    MergeTreeStats ts{};
-    EXPECT_EQ(state(Analysis::merge_ordered(ptrs, nullptr, &ts)), expected)
+    EXPECT_EQ(state(Analysis::merge_ordered(ptrs)), expected)
         << "serial merge_ordered, shards=" << n_shards;
-    EXPECT_EQ(state(Analysis::merge_ordered(ptrs, &pool1, &ts)), expected)
+    EXPECT_EQ(state(Analysis::merge_ordered(ptrs, &pool1)), expected)
         << "1-thread tree, shards=" << n_shards;
-    EXPECT_EQ(state(Analysis::merge_ordered(ptrs, &pool8, &ts)), expected)
+    EXPECT_EQ(state(Analysis::merge_ordered(ptrs, &pool8)), expected)
         << "8-thread tree, shards=" << n_shards;
-    if (n_shards >= 2) {
-      EXPECT_TRUE(ts.used_tree) << "shards=" << n_shards;
-      EXPECT_FALSE(ts.reservoir_fallback) << "shards=" << n_shards;
-    }
   }
-}
-
-TEST(MergeProperties, TreeMergePatchesSaturatedReservoirCells) {
-  // Real archives saturate the hottest performance cells almost
-  // immediately, so the tree cannot simply refuse them: merge_ordered must
-  // keep the tree for the associative bulk and patch exactly the saturated
-  // cells from a serial re-fold, still matching the serial fold bit for
-  // bit.
-  // Full-density logs (no files-per-log scaling): the same shape the
-  // archive ingests, where the hot (layer, iface, bin) cells overflow their
-  // reservoirs within a few dozen jobs.
-  wl::GeneratorConfig cfg;
-  cfg.seed = 51;
-  cfg.n_jobs = 60;
-  const wl::WorkloadGenerator gen(wl::SystemProfile::summit_2020(), cfg);
-  std::vector<darshan::LogData> logs;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, cfg.n_jobs, {},
-                     [&](const darshan::JobRecord&, std::span<const std::byte> frame) {
-                       logs.push_back(darshan::read_log_bytes(frame));
-                     });
-  ASSERT_GE(logs.size(), 8u);
-  const std::size_t n_shards = 8;
-  std::vector<Analysis> shards(n_shards);
-  std::vector<const Analysis*> ptrs;
-  std::vector<const Performance*> perfs;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    shards[s] = analyze(logs, logs.size() * s / n_shards, logs.size() * (s + 1) / n_shards);
-    ptrs.push_back(&shards[s]);
-    perfs.push_back(&shards[s].performance());
-  }
-  // The premise: this workload overflows at least one reservoir cell.  If
-  // this ever fails the test has gone vacuous — raise the log count.
-  ASSERT_FALSE(Performance::merge_is_exact(perfs));
-  const std::vector<std::size_t> saturated = Performance::saturated_cells(perfs);
-  ASSERT_FALSE(saturated.empty());
-
-  Analysis serial;
-  for (const Analysis* p : ptrs) serial.merge(*p);
-  const std::vector<std::byte> expected = state(serial);
-
-  util::ThreadPool pool8(8);
-  MergeTreeStats ts{};
-  EXPECT_EQ(state(Analysis::merge_ordered(ptrs, &pool8, &ts)), expected);
-  EXPECT_TRUE(ts.used_tree);
-  EXPECT_TRUE(ts.reservoir_fallback);
-  EXPECT_EQ(ts.patched_cells, saturated.size());
-
-  util::ThreadPool pool1(1);
-  ts = MergeTreeStats{};
-  EXPECT_EQ(state(Analysis::merge_ordered(ptrs, &pool1, &ts)), expected);
-  EXPECT_TRUE(ts.used_tree);
 }
 
 TEST(MergeProperties, TreeMergeEmptyInputIsEmpty) {
@@ -276,13 +175,97 @@ TEST(MergeProperties, TreeMergeEmptyInputIsEmpty) {
   EXPECT_EQ(state(Analysis::merge_ordered(none, &pool)), state(Analysis{}));
 }
 
-TEST(MergeProperties, ReservoirGuardDetectsSaturation) {
-  // Above reservoir capacity, ReservoirQuantiles::merge draws seeded
-  // replacement samples whose outcome depends on merge ORDER — the one part
-  // of the state that is not exactly associative.  merge_is_exact is the
-  // gate the tree merge stands behind: it must pass while every cell's
-  // combined count fits its reservoir and fail as soon as one would
-  // overflow.
+/// Full-density logs (no files-per-log scaling): the shape the archive
+/// ingests, where the hot (layer, iface, bin) cells overflow their
+/// bottom-k samples within a few dozen jobs.
+std::vector<darshan::LogData> dense_logs(std::uint64_t n_jobs, std::uint64_t seed) {
+  wl::GeneratorConfig cfg;
+  cfg.seed = seed;
+  cfg.n_jobs = n_jobs;
+  const wl::WorkloadGenerator gen(wl::SystemProfile::summit_2020(), cfg);
+  std::vector<darshan::LogData> logs;
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, n_jobs, {},
+                     [&](const darshan::JobRecord&, std::span<const std::byte> frame) {
+                       logs.push_back(darshan::read_log_bytes(frame));
+                     });
+  return logs;
+}
+
+/// Observations in the fullest performance cell.
+std::uint64_t fullest_cell(const Performance& perf) {
+  std::uint64_t most = 0;
+  for (std::size_t li = 0; li < kLayerCount; ++li) {
+    for (std::size_t iface = 0; iface < 2; ++iface) {
+      for (std::size_t bin = 0; bin < Performance::bins().size(); ++bin) {
+        for (const bool read : {true, false}) {
+          most = std::max(most, perf.cell(static_cast<Layer>(li), iface, bin, read).count);
+        }
+      }
+    }
+  }
+  return most;
+}
+
+TEST(MergeProperties, AnyCutsAnyOrderAnyTreeSameBytes) {
+  // The cut-invariance contract (DESIGN.md §6): one log sequence, cut at
+  // random points; the shards folded serially in a random order, merged as
+  // a random binary tree, and merged by merge_ordered with no pool, one
+  // worker and eight — every result serializes to the sequential bytes.
+  const auto logs = dense_logs(30, 51);
+  ASSERT_GE(logs.size(), 16u);
+  const std::vector<std::byte> expected = state(analyze(logs, 0, logs.size()));
+  // The premise: some sample cell is past its capacity, so the bottom-k
+  // merge really selects.  If this ever fails the test has gone vacuous.
+  ASSERT_GT(fullest_cell(analyze(logs, 0, logs.size()).performance()),
+            util::BottomKSample::kDefaultCapacity);
+
+  util::ThreadPool pool1(1);
+  util::ThreadPool pool8(8);
+  util::Rng rng(2022);
+  for (int trial = 0; trial < 12; ++trial) {
+    // Random cuts: 1..16 shards, empty ones allowed.
+    const std::size_t n_shards = 1 + rng.uniform_u64(0, 15);
+    std::vector<std::size_t> cuts{0, logs.size()};
+    for (std::size_t i = 1; i < n_shards; ++i) cuts.push_back(rng.uniform_u64(0, logs.size()));
+    std::sort(cuts.begin(), cuts.end());
+    std::vector<Analysis> shards;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      shards.push_back(analyze(logs, cuts[i], cuts[i + 1]));
+    }
+    // Random fold order.
+    std::vector<const Analysis*> order;
+    for (const Analysis& sh : shards) order.push_back(&sh);
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.uniform_u64(0, i - 1)]);
+    }
+    const std::string what = "trial " + std::to_string(trial) + ", " +
+                             std::to_string(shards.size()) + " shards";
+
+    Analysis serial;
+    for (const Analysis* p : order) serial.merge(*p);
+    EXPECT_EQ(state(serial), expected) << what << ": serial fold";
+
+    // Random tree shape: merge two random survivors until one is left.
+    std::vector<Analysis> forest;
+    for (const Analysis* p : order) forest.push_back(*p);
+    while (forest.size() > 1) {
+      const std::size_t i = rng.uniform_u64(0, forest.size() - 1);
+      std::size_t j = rng.uniform_u64(0, forest.size() - 2);
+      if (j >= i) j += 1;
+      forest[i].merge(forest[j]);
+      forest.erase(forest.begin() + static_cast<std::ptrdiff_t>(j));
+    }
+    EXPECT_EQ(state(forest.front()), expected) << what << ": random tree";
+
+    EXPECT_EQ(state(Analysis::merge_ordered(order)), expected) << what << ": no pool";
+    EXPECT_EQ(state(Analysis::merge_ordered(order, &pool1)), expected) << what << ": pool 1";
+    EXPECT_EQ(state(Analysis::merge_ordered(order, &pool8)), expected) << what << ": pool 8";
+  }
+}
+
+TEST(MergeProperties, SaturatedCellMergeIsAssociativeAndCommutative) {
+  // Past capacity a cell keeps the k smallest (key, value) pairs of the
+  // union, so (a ∘ b) ∘ c, a ∘ (b ∘ c) and c ∘ b ∘ a hold the same sample.
   FileSummary f;
   f.shared = true;
   f.layer = Layer::kPfs;
@@ -292,25 +275,22 @@ TEST(MergeProperties, ReservoirGuardDetectsSaturation) {
   Performance a;
   Performance b;
   Performance c;
-  for (int i = 0; i < 3000; ++i) {
-    // Distinct bandwidths, all in one (layer, iface, bin, read) cell.
-    f.read_time = 1.0 + 1e-4 * i;
-    a.add(f);
-    f.read_time = 2.0 + 1e-4 * i;
-    b.add(f);
-    f.read_time = 3.0 + 1e-4 * i;
-    c.add(f);
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    // Distinct bandwidths and record ids, all in one (layer, iface, bin,
+    // read) cell.
+    f.record_id = i;
+    f.read_time = 1.0 + 1e-4 * static_cast<double>(i);
+    a.add(f, /*log_key=*/1);
+    f.read_time = 2.0 + 1e-4 * static_cast<double>(i);
+    b.add(f, /*log_key=*/2);
+    f.read_time = 3.0 + 1e-4 * static_cast<double>(i);
+    c.add(f, /*log_key=*/3);
   }
-  const Performance* one[] = {&a};
-  EXPECT_TRUE(Performance::merge_is_exact(one));  // 3000 observations fit 4096
-  const Performance* pair[] = {&a, &b};
-  EXPECT_FALSE(Performance::merge_is_exact(pair));  // 6000 do not
-
-  // Demonstrate the non-associativity the guard exists for: past capacity,
-  // (a ∘ b) ∘ c and a ∘ (b ∘ c) draw different replacement samples even
-  // though both preserve left-to-right shard order — the intermediate b ∘ c
-  // reservoir is already saturated, so the right association replays its
-  // post-replacement samples instead of c's raw stream.
+  const auto bytes = [](const Performance& p) {
+    util::ByteWriter w;
+    p.save(w);
+    return w.take();
+  };
   Performance left = a;
   left.merge(b);
   left.merge(c);
@@ -318,11 +298,12 @@ TEST(MergeProperties, ReservoirGuardDetectsSaturation) {
   bc.merge(c);
   Performance right = a;
   right.merge(bc);
-  util::ByteWriter wl;
-  util::ByteWriter wr;
-  left.save(wl);
-  right.save(wr);
-  EXPECT_NE(wl.take(), wr.take());
+  Performance reversed = c;
+  reversed.merge(b);
+  reversed.merge(a);
+  EXPECT_EQ(bytes(left), bytes(right));
+  EXPECT_EQ(bytes(left), bytes(reversed));
+  EXPECT_EQ(fullest_cell(left), 9000u);
 }
 
 }  // namespace

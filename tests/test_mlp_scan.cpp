@@ -24,7 +24,7 @@ namespace {
 
 // The configuration of IngestDifferential.ArchiveColdQueryFingerprintPinned:
 // 24 Cori jobs, seed 7, scales 0.25, 4 partitions + the huge stratum.
-constexpr std::uint64_t kPinnedFingerprint = 898508650021731339ull;
+constexpr std::uint64_t kPinnedFingerprint = 681279179527013092ull;
 constexpr std::uint64_t kPinnedLogs = 244;
 
 bool same_bits(double a, double b) {
