@@ -41,7 +41,9 @@ Manifest read_manifest_bytes(std::span<const std::byte> data) {
   util::ByteReader r(data);
   if (r.u32() != kManifestMagic) throw util::FormatError("manifest: bad magic");
   if (r.u16() != kManifestVersion) throw util::FormatError("manifest: unsupported version");
-  (void)r.u16();  // reserved
+  // Reserved, always written 0: the CRC covers only the body, so a flipped
+  // header bit must not pass unseen.
+  if (r.u16() != 0) throw util::FormatError("manifest: non-zero reserved field");
   const std::uint32_t crc = r.u32();
   const std::uint64_t body_size = r.u64();
   const std::span<const std::byte> body = r.bytes(static_cast<std::size_t>(body_size));
@@ -104,7 +106,7 @@ std::vector<IndexEntry> read_index_bytes(std::span<const std::byte> data,
   util::ByteReader r(data);
   if (r.u32() != kIndexMagic) throw util::FormatError("index: bad magic");
   if (r.u16() != kIndexVersion) throw util::FormatError("index: unsupported version");
-  (void)r.u16();  // reserved
+  if (r.u16() != 0) throw util::FormatError("index: non-zero reserved field");
   const std::uint32_t crc = r.u32();
   const std::uint64_t body_size = r.u64();
   const std::span<const std::byte> body = r.bytes(static_cast<std::size_t>(body_size));

@@ -4,7 +4,6 @@
 #include <numbers>
 #include <numeric>
 
-#include "util/byte_io.hpp"
 #include "util/error.hpp"
 
 namespace mlio::util {
@@ -28,14 +27,6 @@ std::uint64_t Rng::next() {
   s_[2] ^= t;
   s_[3] = rotl(s_[3], 45);
   return result;
-}
-
-void Rng::save(ByteWriter& w) const {
-  for (const std::uint64_t s : s_) w.u64(s);
-}
-
-void Rng::load(ByteReader& r) {
-  for (auto& s : s_) s = r.u64();
 }
 
 Rng Rng::stream(std::uint64_t seed, std::uint64_t stream_id) {

@@ -13,9 +13,6 @@
 
 namespace mlio::util {
 
-class ByteReader;
-class ByteWriter;
-
 /// splitmix64 step — used for seeding and cheap hashing.
 constexpr std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9e3779b97f4a7c15ull;
@@ -60,12 +57,6 @@ class Rng {
   /// Bernoulli.
   bool chance(double p);
 
-  /// Serialize / restore the exact generator position (4 state words) —
-  /// part of the Analysis snapshot round-trip guarantee: a restored
-  /// reservoir sampler continues its stream bit-identically.
-  void save(ByteWriter& w) const;
-  void load(ByteReader& r);
-  static constexpr std::uint64_t serialized_size() { return sizeof(s_); }
 
  private:
   std::uint64_t s_[4];

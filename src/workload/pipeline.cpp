@@ -19,7 +19,7 @@ double seconds_since(SteadyClock::time_point t0) {
 }
 
 // Auto block sizing: at most this many blocks per stratum.  An Analysis
-// shard costs ~50 us to construct (histograms + quantile reservoirs), so the
+// shard costs ~50 us to construct (histograms + performance sample cells), so the
 // cap bounds that overhead while still giving a ticket scheduler plenty of
 // blocks to balance a heavy-tailed population across any realistic thread
 // count.  Must stay a pure function of the population size — block
@@ -66,7 +66,6 @@ PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions&
   PipelineResult result;
   PipelineStats& stats = result.stats;
   stats.threads = pool.thread_count();
-  stats.worker_blocks.assign(std::max(1u, pool.thread_count()), 0);
 
   // Scratch is per worker slot and lives across both strata.
   std::vector<WorkerScratch> scratch(std::max(1u, pool.thread_count()));
@@ -89,14 +88,11 @@ PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions&
     if (n == 0) return 0;
     const std::uint64_t n_blocks = (n + block - 1) / block;
     std::vector<core::Analysis> shards(n_blocks);
-    const auto counts = pool.parallel_for_dynamic(
+    pool.parallel_for_dynamic(
         0, n, block, [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi, unsigned w) {
           generate(lo, hi,
                    [&](const sim::JobSpec& spec) { consume(shards[b], scratch[w], spec); });
         });
-    for (std::size_t w = 0; w < counts.size() && w < stats.worker_blocks.size(); ++w) {
-      stats.worker_blocks[w] += counts[w];
-    }
     const auto t_merge = SteadyClock::now();
     for (const auto& shard : shards) into.merge(shard);
     stats.merge_seconds += seconds_since(t_merge);
@@ -107,30 +103,22 @@ PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions&
   stats.block_jobs = opts.block_jobs != 0 ? opts.block_jobs : auto_block_size(n_jobs);
   stats.jobs = n_jobs;
 
-  {
-    const auto t_bulk = SteadyClock::now();
-    const double merge_before = stats.merge_seconds;
-    stats.bulk_blocks = run_stratum(
-        n_jobs, stats.block_jobs, result.bulk,
-        [&](std::uint64_t lo, std::uint64_t hi, const WorkloadGenerator::JobSink& sink) {
-          gen.generate_bulk_range(lo, hi, sink);
-        });
-    stats.bulk_seconds = seconds_since(t_bulk) - (stats.merge_seconds - merge_before);
-  }
+  stats.bulk_blocks = run_stratum(
+      n_jobs, stats.block_jobs, result.bulk,
+      [&](std::uint64_t lo, std::uint64_t hi, const WorkloadGenerator::JobSink& sink) {
+        gen.generate_bulk_range(lo, hi, sink);
+      });
 
   if (opts.include_huge) {
     // Hero jobs are few but individually heavy; one job per block keeps the
     // ticket scheduler free to spread them across every worker.
     const std::uint64_t n_huge = gen.huge_job_count();
     stats.jobs += n_huge;
-    const auto t_huge = SteadyClock::now();
-    const double merge_before = stats.merge_seconds;
     stats.huge_blocks = run_stratum(
         n_huge, 1, result.huge,
         [&](std::uint64_t lo, std::uint64_t hi, const WorkloadGenerator::JobSink& sink) {
           gen.generate_huge_range(lo, hi, sink);
         });
-    stats.huge_seconds = seconds_since(t_huge) - (stats.merge_seconds - merge_before);
   }
 
   for (const WorkerScratch& ws : scratch) stats.exec.merge(ws.exec);

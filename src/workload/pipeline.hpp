@@ -53,19 +53,8 @@ struct PipelineStats {
   /// per-rank rows touched, opens recorded — see sim::ExecStats).
   sim::ExecStats exec;
 
-  double bulk_seconds = 0;        ///< bulk generate+simulate+analyze wall time
-  double huge_seconds = 0;        ///< huge stratum wall time
   double merge_seconds = 0;       ///< block-ordered accumulator merging
   double total_seconds = 0;
-
-  /// Blocks executed per worker slot (both strata).  Uniform counts mean the
-  /// load was balanced; a straggling slot shows up as a low count.
-  std::vector<std::uint64_t> worker_blocks;
-
-  double jobs_per_second() const { return total_seconds > 0 ? static_cast<double>(jobs) / total_seconds : 0; }
-  double logs_per_second() const { return total_seconds > 0 ? static_cast<double>(logs) / total_seconds : 0; }
-  double simulated_bytes_per_second() const { return total_seconds > 0 ? simulated_bytes / total_seconds : 0; }
-  double opens_per_second() const { return total_seconds > 0 ? static_cast<double>(exec.opens) / total_seconds : 0; }
 };
 
 struct PipelineResult {

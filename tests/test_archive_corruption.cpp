@@ -336,6 +336,29 @@ TEST(WindowManifestFuzz, BitFlipsAtEveryByteNeverEscapeTheContract) {
   }
 }
 
+TEST(WindowManifestFuzz, EveryHeaderBitFlipIsATypedError) {
+  // The manifest and index headers (magic, version, reserved, body CRC,
+  // body size: 20 bytes) sit outside the CRC.  Every single-bit flip there
+  // must still throw FormatError — the reserved field included, which the
+  // writer always zeroes.
+  constexpr std::size_t kHeaderBytes = 20;
+  std::vector<IndexEntry> entries;
+  for (std::uint64_t i = 0; i < 3; ++i) entries.push_back({kSegmentHeaderBytes + 100 * i, 100, 7 + i});
+  const std::vector<std::byte> manifest = write_manifest_bytes(windowed_manifest());
+  const std::vector<std::byte> index = write_index_bytes(42, entries);
+  ASSERT_NO_THROW(read_manifest_bytes(manifest));
+  ASSERT_EQ(read_index_bytes(index, 42).size(), entries.size());
+  for (std::size_t bit = 0; bit < 8 * kHeaderBytes; ++bit) {
+    const auto flip = static_cast<std::byte>(1u << (bit % 8));
+    std::vector<std::byte> m = manifest;
+    m[bit / 8] ^= flip;
+    EXPECT_THROW(read_manifest_bytes(m), util::FormatError) << "manifest header bit " << bit;
+    std::vector<std::byte> x = index;
+    x[bit / 8] ^= flip;
+    EXPECT_THROW(read_index_bytes(x, 42), util::FormatError) << "index header bit " << bit;
+  }
+}
+
 TEST(WindowManifestFuzz, InvertedWindowRangeIsRejectedEvenWithAValidCrc) {
   // Not a random flip: a well-formed, correctly-checksummed manifest whose
   // window range is inverted.  The framing CRC cannot catch it, so the

@@ -5,7 +5,9 @@
 // serialize the Table 2 census and the Table 3 access-pattern histograms
 // verbatim).  The sequence is chosen so every serving tier is exercised:
 // tier-1 merged hits, tier-2 prefix extensions after appends, and the
-// full-merge fallback after a compaction invalidates every cached prefix.
+// full merge after a compaction invalidates every cached prefix — served
+// without a rescan, because the compaction carried the merged partitions'
+// shards forward.
 //
 // The memo is keyed by the identity it folded, so whole-archive and
 // windowed gets share it: the live-mode tests stream time windows through
@@ -62,7 +64,7 @@ void seed_archive(const std::filesystem::path& dir, std::size_t parts) {
 }
 
 /// Canonical state bytes — equality here is stronger than fingerprint
-/// equality (every accumulator byte, reservoir Rng positions included).
+/// equality (every accumulator byte, bottom-k samples included).
 std::vector<std::byte> state(const core::Analysis& a) {
   return core::write_snapshot_bytes(a, 0);
 }
@@ -427,12 +429,18 @@ TEST(GenerationDelta, WindowedAndWholeGetsShareTheIdentityKeyedMemo) {
   c = svc.merged_counters();
   EXPECT_EQ(c.purged, 3u);
   EXPECT_EQ(c.entries, 2u);
+  // Windows 9..11 were resident, so the compaction resolved window 12 and
+  // carried the merged shard forward: the full fold over [9,12] and the
+  // whole get that extends the old pin's answer scan nothing.
   const auto window4 = svc.get_window(kLastWindows, true);
   const auto whole4 = svc.get(true);
   EXPECT_EQ(window4.windows.first, 2u);
   EXPECT_EQ(window4.stats.query.full_merges, 1u);
+  EXPECT_EQ(window4.stats.query.logs_scanned, 0u);
+  EXPECT_EQ(window4.stats.query.cache_hits, 1u);
   EXPECT_EQ(whole4.stats.query.prefix_merges, 1u);  // extends the old pin's answer
   EXPECT_EQ(whole4.stats.query.partitions_reused, 2u);
+  EXPECT_EQ(whole4.stats.query.logs_scanned, 0u);
   expect_replayed(svc, window4, kLastWindows, "window after compaction");
   expect_replayed(svc, whole4, 0, "whole after compaction");
 

@@ -125,7 +125,7 @@ TEST(Pipeline, RoundtripHonorsWriteOptions) {
   }
 }
 
-TEST(Pipeline, StatsReportThroughput) {
+TEST(Pipeline, StatsReportCensusAndTiming) {
   const WorkloadGenerator gen(SystemProfile::cori_2019(), cfg(20));
   PipelineOptions opts;
   opts.threads = 2;
@@ -136,12 +136,7 @@ TEST(Pipeline, StatsReportThroughput) {
   EXPECT_EQ(s.logs, r.bulk.summary().logs() + r.huge.summary().logs());
   EXPECT_GT(s.simulated_bytes, 0.0);
   EXPECT_GT(s.total_seconds, 0.0);
-  EXPECT_GT(s.jobs_per_second(), 0.0);
-  EXPECT_GT(s.logs_per_second(), 0.0);
-  // Every block was executed by exactly one worker slot.
-  std::uint64_t blocks = 0;
-  for (const auto c : s.worker_blocks) blocks += c;
-  EXPECT_EQ(blocks, s.bulk_blocks + s.huge_blocks);
+  EXPECT_EQ(s.huge_blocks, gen.huge_job_count());  // one hero job per block
 }
 
 TEST(Pipeline, ExplicitBlockSizeIsHonored) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -19,6 +20,7 @@
 
 #include "archive/ingest.hpp"
 #include "archive/query.hpp"
+#include "core/snapshot.hpp"
 #include "service/driver.hpp"
 #include "service/service.hpp"
 #include "util/latency.hpp"
@@ -369,6 +371,90 @@ TEST(ArchiveService, MvccReadersAreBitIdenticalToSerialReplayUnderLoad) {
   const service::CacheCounters c = svc.cache_counters();
   EXPECT_EQ(c.hits + c.misses, c.lookups);
   EXPECT_EQ(c.insertions, c.entries + c.evictions + c.purged);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ArchiveService, CompactionCarriesShardsUnderConcurrentReadersAndAppends) {
+  // The background compactor hands each merged partition the merge of its
+  // inputs' cached shards while readers race it and the feeder streams
+  // windows.  Every answer must equal the serial replay of its pin; once the
+  // race is over, a compaction over a warm cache must be served entirely
+  // from the cache — no rescan.
+  const std::filesystem::path dir = fresh_dir("mlio_svc_carry");
+  { archive::Archive::create(dir); }
+  service::ArchiveService::Options opts;
+  opts.stream.window_seconds = 4 * 86400;
+  opts.merge_threads = 2;
+  service::ArchiveService svc(dir, opts);
+  const std::vector<service::ServiceFrame> pool = service::make_frame_pool(60, 13);
+  const std::size_t raced = pool.size() * 2 / 3;
+
+  std::mutex answers_mu;
+  std::map<std::uint64_t, std::uint64_t> whole;  // generation -> fingerprint
+  std::vector<service::ArchiveService::GetResult> answers;
+  std::atomic<std::uint64_t> disagreements{0};
+  const auto record = [&](service::ArchiveService::GetResult res) {
+    const std::scoped_lock lock(answers_mu);
+    const auto [it, inserted] = whole.try_emplace(res.generation, res.fingerprint);
+    if (!inserted && it->second != res.fingerprint) disagreements.fetch_add(1);
+    if (inserted) answers.push_back(std::move(res));
+  };
+
+  service::ArchiveService::CompactorOptions copts;
+  copts.policy.fanout = 2;
+  copts.interval = std::chrono::milliseconds(0);
+  svc.start_compactor(copts);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (unsigned r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      while (!done.load(std::memory_order_acquire)) {
+        record(svc.get());
+        if (r == 1) (void)svc.get_window(2);
+      }
+    });
+  }
+  for (std::size_t i = 0; i < raced; ++i) {
+    (void)svc.stream_append(std::span<const service::ServiceFrame>(pool.data() + i, 1));
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  svc.stop_compactor();
+  EXPECT_EQ(svc.compactor_errors(), 0u);
+  EXPECT_GT(svc.compactions(), 0u);
+
+  // Deterministic tail: stream the rest, warm the cache with one get, then
+  // compact inline.  Every merge's inputs are resident (or carried by the
+  // merge before it), so the next get rescans nothing and serves every
+  // partition — the carried ones included — from the shard cache.
+  for (std::size_t i = raced; i < pool.size(); ++i) {
+    (void)svc.stream_append(std::span<const service::ServiceFrame>(pool.data() + i, 1));
+  }
+  (void)svc.stream_flush();
+  record(svc.get());
+  std::size_t merges = 0;
+  while (svc.compact_step(copts.policy).has_value()) merges += 1;
+  ASSERT_GT(merges, 0u);
+  const service::ArchiveService::GetResult after = svc.get(/*keep_analysis=*/true);
+  EXPECT_EQ(after.stats.query.full_merges, 1u);
+  EXPECT_EQ(after.stats.query.logs_scanned, 0u);
+  EXPECT_EQ(after.stats.query.partitions_scanned, 0u);
+  EXPECT_EQ(after.stats.query.cache_hits, after.pin.manifest().partitions.size());
+  const core::Analysis replay = svc.replay_serial(after.pin);
+  EXPECT_EQ(after.fingerprint, replay.fingerprint());
+  ASSERT_NE(after.analysis, nullptr);
+  EXPECT_EQ(core::write_snapshot_bytes(*after.analysis, 0), core::write_snapshot_bytes(replay, 0));
+
+  // Every generation any reader saw equals the serial replay of its pin.
+  EXPECT_EQ(disagreements.load(), 0u);
+  EXPECT_GE(answers.size(), 2u);
+  for (const service::ArchiveService::GetResult& a : answers) {
+    EXPECT_EQ(a.fingerprint, svc.replay_serial(a.pin).fingerprint())
+        << "generation " << a.generation;
+  }
+  answers.clear();
+  EXPECT_EQ(svc.deferred_gc_pending(), 0u);
+  EXPECT_TRUE(svc.gc_errors().empty());
   std::filesystem::remove_all(dir);
 }
 

@@ -71,7 +71,7 @@ TEST(Snapshot, CompressionIsStateInvariant) {
 TEST(Snapshot, LoadedStateContinuesBitIdentically) {
   // The strongest fidelity claim: a restored accumulator is not just equal,
   // it *behaves* identically afterwards — further adds and merges land on
-  // the same bits (reservoir Rng state included).
+  // the same bits (bottom-k sample cells included).
   const auto logs = sample_logs(30);
   Analysis original = analyze(logs, 0, 20);
   Analysis restored = read_snapshot_bytes(write_snapshot_bytes(original, 0));
