@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
   bench::print_perf_figure(args, run, checks);
 
   // CBB writes: POSIX bandwidth should grow with the transfer size.
-  const core::Performance& perf = run.result.combined().performance();
+  const core::Analysis all = run.result.combined();
+  const core::Performance& perf = all.performance();
   std::printf("CBB POSIX write medians by bin (paper: larger transfers gain): ");
   for (std::size_t b = 0; b < core::Performance::bins().size(); ++b) {
     const auto f = perf.cell(core::Layer::kInSystem, 0, b, false);

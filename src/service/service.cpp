@@ -112,35 +112,45 @@ void ArchiveService::publish_locked() {
   merged_.purge(dead);
 }
 
-void ArchiveService::carry_shard(const archive::Archive::CompactedRun& run,
-                                 ServiceStats& stats) {
-  std::vector<std::shared_ptr<const core::Analysis>> inputs(run.inputs.size());
-  std::uint64_t cost_ns = 0;
-  bool warm = false;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const archive::PartitionInfo& p = run.inputs[i];
-    std::uint64_t input_cost = 0;
-    inputs[i] = cache_.peek(CacheKey{p.id, p.data_generation}, &input_cost);
-    cost_ns += input_cost;
-    warm = warm || inputs[i] != nullptr;
+void ArchiveService::carry_shards(std::span<const archive::Archive::CompactedRun> runs,
+                                  ServiceStats* stats) {
+  ServiceStats carried;
+  for (const archive::Archive::CompactedRun& run : runs) {
+    std::vector<std::shared_ptr<const core::Analysis>> inputs(run.inputs.size());
+    std::uint64_t cost_ns = 0;
+    bool warm = false;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const archive::PartitionInfo& p = run.inputs[i];
+      std::uint64_t input_cost = 0;
+      inputs[i] = cache_.peek(CacheKey{p.id, p.data_generation}, &input_cost);
+      cost_ns += input_cost;
+      warm = warm || inputs[i] != nullptr;
+    }
+    // Nothing resident: no reader has asked, so stay lazy — the first get
+    // scans the merged partition.
+    if (!warm) continue;
+    // The rest (typically the window cut just before this merge, which no
+    // get has seen yet) resolve from their own files, still in place until
+    // the publish: each log is scanned once instead of again inside the
+    // merged partition.  The compaction is already durable, so a failure
+    // here only forgoes the carry; the next get rescans and reports it.
+    try {
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        if (inputs[i] != nullptr) continue;
+        const auto t0 = SteadyClock::now();
+        inputs[i] = resolve_shard(run.inputs[i], carried);
+        cost_ns += ns_since(t0);
+      }
+    } catch (const util::Error&) {
+      continue;
+    }
+    auto merged = std::make_shared<core::Analysis>();
+    for (const auto& shard : inputs) merged->merge(*shard);
+    const std::uint64_t bytes = core::serialized_analysis_bytes(*merged);
+    cache_.insert(CacheKey{run.merged.id, run.merged.data_generation}, std::move(merged), bytes,
+                  cost_ns);
   }
-  // Nothing resident: no reader has asked, so stay lazy — the first get
-  // scans the merged partition.
-  if (!warm) return;
-  // The rest (typically the window cut just before this merge, which no get
-  // has seen yet) resolves from its own files, still in place until the
-  // publish: each log is scanned once instead of again inside the merge.
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (inputs[i] != nullptr) continue;
-    const auto t0 = SteadyClock::now();
-    inputs[i] = resolve_shard(run.inputs[i], stats);
-    cost_ns += ns_since(t0);
-  }
-  auto merged = std::make_shared<core::Analysis>();
-  for (const auto& shard : inputs) merged->merge(*shard);
-  const std::uint64_t bytes = core::serialized_analysis_bytes(*merged);
-  cache_.insert(CacheKey{run.merged.id, run.merged.data_generation}, std::move(merged), bytes,
-                cost_ns);
+  if (stats != nullptr) stats->merge(carried);
 }
 
 void ArchiveService::sweep_gc() {
@@ -427,9 +437,7 @@ std::size_t ArchiveService::compact(std::uint64_t max_logs, ServiceStats* stats)
     std::vector<std::filesystem::path> doomed;
     std::vector<archive::Archive::CompactedRun> runs;
     removed = archive_.compact(max_logs, &doomed, &runs);
-    ServiceStats carry;
-    for (const archive::Archive::CompactedRun& run : runs) carry_shard(run, carry);
-    if (stats != nullptr) stats->merge(carry);
+    carry_shards(runs, stats);
     if (removed > 0) publish_locked();
     if (!doomed.empty()) {
       const std::scoped_lock gc_lock(gc_mu_);
@@ -485,9 +493,7 @@ std::optional<archive::PartitionInfo> ArchiveService::compact_step(
     std::vector<std::filesystem::path> doomed;
     std::vector<archive::Archive::CompactedRun> runs;
     merged = archive::compact_leveled(archive_, policy, &doomed, &runs);
-    ServiceStats carry;
-    for (const archive::Archive::CompactedRun& run : runs) carry_shard(run, carry);
-    if (stats != nullptr) stats->merge(carry);
+    carry_shards(runs, stats);
     if (merged) publish_locked();
     if (!doomed.empty()) {
       const std::scoped_lock gc_lock(gc_mu_);

@@ -271,14 +271,14 @@ class ArchiveService {
   /// cache entries the new manifest no longer references.  Caller holds
   /// writer_mu_.
   void publish_locked();
-  /// Cache a compaction's output shard as the merge of its inputs' shards,
-  /// charged their summed rebuild cost (DESIGN.md §12.3).  The analysis
-  /// state is cut-invariant, so that merge has exactly the bits a rescan of
-  /// the merged partition would produce.  Does nothing unless some input is
-  /// resident in the shard cache; inputs that are not resolve through
-  /// resolve_shard (counted in `stats`).  Caller holds writer_mu_ and runs
-  /// this before publish_locked purges the inputs.
-  void carry_shard(const archive::Archive::CompactedRun& run, ServiceStats& stats);
+  /// Cache each compaction output's shard as the merge of its inputs'
+  /// shards, charged their summed rebuild cost (DESIGN.md §12.3).  The
+  /// analysis state is cut-invariant, so that merge has exactly the bits a
+  /// rescan of the merged partition would produce.  A run with no input
+  /// resident in the shard cache is skipped; inputs that are not resident
+  /// resolve through resolve_shard (counted in `stats` when given).  Caller
+  /// holds writer_mu_ and runs this before publish_locked purges the inputs.
+  void carry_shards(std::span<const archive::Archive::CompactedRun> runs, ServiceStats* stats);
   /// Delete deferred files whose publishing generation no pin predates.
   void sweep_gc();
   /// Reload the manifest from disk if another process advanced it; returns

@@ -280,21 +280,36 @@ TEST(ArchiveService, IngestAndCompactAdvanceGenerationsVisibleToNewGets) {
   EXPECT_NE(after.fingerprint, before.fingerprint);
   EXPECT_EQ(svc.replay_serial(after.pin).fingerprint(), after.fingerprint);
 
-  // Compaction merges everything into one partition.  The merge tree
-  // changes (one sequential shard instead of a fold), so double sums may
-  // move in the last bit — integer censuses are grouping-invariant, and the
-  // per-generation contract (answer == serial replay of the SAME pinned
-  // generation) must keep holding.
+  // Compaction merges everything into one partition.  The analysis state
+  // is cut-invariant, so the answer keeps every bit, and the get before it
+  // left every input shard cached: the merged shard is carried forward, not
+  // rescanned.
   const auto pre = svc.get(/*keep_analysis=*/true);
   const std::size_t removed = svc.compact(~0ull);
   EXPECT_GT(removed, 0u);
   const auto compacted = svc.get(/*keep_analysis=*/true);
   EXPECT_EQ(compacted.stats.query.partitions, 1u);
-  EXPECT_EQ(compacted.analysis->summary().logs(), pre.analysis->summary().logs());
-  EXPECT_EQ(compacted.analysis->summary().jobs(), pre.analysis->summary().jobs());
-  EXPECT_EQ(compacted.analysis->summary().files(), pre.analysis->summary().files());
+  EXPECT_EQ(compacted.stats.query.logs_scanned, 0u);
+  EXPECT_EQ(compacted.fingerprint, pre.fingerprint);
+  EXPECT_EQ(core::write_snapshot_bytes(*compacted.analysis, 0),
+            core::write_snapshot_bytes(*pre.analysis, 0));
   EXPECT_EQ(svc.replay_serial(compacted.pin).fingerprint(), compacted.fingerprint);
   std::filesystem::remove_all(dir);
+
+  // A service that has answered nothing compacts lazily: no input shard is
+  // resident, so the compaction scans nothing and the first get scans the
+  // merged partition.
+  const std::filesystem::path cold_dir = fresh_dir("mlio_svc_compact_cold");
+  seed_archive(cold_dir, shared_pool(), 3);
+  service::ArchiveService cold(cold_dir);
+  service::ServiceStats compact_stats;
+  EXPECT_EQ(cold.compact(~0ull, &compact_stats), 2u);
+  EXPECT_EQ(compact_stats.query.logs_scanned, 0u);
+  const auto first = cold.get();
+  EXPECT_EQ(first.stats.query.partitions_scanned, 1u);
+  EXPECT_EQ(first.stats.query.logs_scanned, shared_pool().size());
+  EXPECT_EQ(first.fingerprint, cold.replay_serial(first.pin).fingerprint());
+  std::filesystem::remove_all(cold_dir);
 }
 
 // ---------------------------------------------------------------------------
