@@ -1,6 +1,7 @@
 #include "core/layer_usage.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "util/byte_io.hpp"
@@ -20,9 +21,10 @@ double LayerUsage::ClassCounts::ro_or_wo_percent() const {
   return 100.0 * static_cast<double>(read_only + write_only) / static_cast<double>(t);
 }
 
-void LayerUsage::note_insys_job(std::uint64_t job_id, const std::string& domain) {
-  const auto [it, inserted] = insys_job_domain_.try_emplace(job_id, domain);
-  if (!inserted && domain < it->second) it->second = domain;
+void LayerUsage::note_insys_job(std::uint64_t job_id, std::string domain) {
+  // try_emplace moves `domain` only when it inserts.
+  const auto [it, inserted] = insys_job_domain_.try_emplace(job_id, std::move(domain));
+  if (!inserted && domain < it->second) it->second = std::move(domain);
 }
 
 void LayerUsage::add_log(const darshan::JobRecord& job, const std::vector<FileSummary>& files) {

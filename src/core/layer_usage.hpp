@@ -68,7 +68,7 @@ class LayerUsage {
   std::uint64_t insys_jobs() const;
 
  private:
-  void note_insys_job(std::uint64_t job_id, const std::string& domain);
+  void note_insys_job(std::uint64_t job_id, std::string domain);
 
   // Bit 0: touched in-system; bit 1: touched PFS.
   std::unordered_map<std::uint64_t, std::uint8_t> job_mask_;

@@ -172,7 +172,7 @@ void ExactSum::save(ByteWriter& w) const {
 
 void ExactSum::load(ByteReader& r) {
   const std::uint64_t lo = r.u64();
-  v_ = static_cast<uint128>(r.u64()) << 64 | lo;
+  v_ = static_cast<Value>(r.u64()) << 64 | lo;
 }
 
 namespace {

@@ -103,8 +103,6 @@ class BottomKSample {
   double max_ = 0.0;
 };
 
-__extension__ using uint128 = unsigned __int128;
-
 /// Exact sum of unsigned integers (bytes, node-seconds) in 128 bits: every
 /// order and grouping of the same addends gives the same bits, which a
 /// double sum does not.  Converted to double only when read.
@@ -112,11 +110,11 @@ class ExactSum {
  public:
   void add(std::uint64_t v) { v_ += v; }
   /// Adds a * b without overflow (the product fits 128 bits).
-  void add_product(std::uint64_t a, std::uint64_t b) { v_ += static_cast<uint128>(a) * b; }
+  void add_product(std::uint64_t a, std::uint64_t b) { v_ += static_cast<Value>(a) * b; }
   void merge(const ExactSum& other) { v_ += other.v_; }
 
   double value() const { return static_cast<double>(v_); }
-  /// Implicit, so an ExactSum reads like the double it replaced.
+  /// Implicit, so a byte or node-second total reads as a double.
   operator double() const { return value(); }
   std::uint64_t low() const { return static_cast<std::uint64_t>(v_); }
   std::uint64_t high() const { return static_cast<std::uint64_t>(v_ >> 64); }
@@ -127,7 +125,8 @@ class ExactSum {
   static constexpr std::uint64_t kSerializedSize = 16;
 
  private:
-  uint128 v_ = 0;
+  __extension__ using Value = unsigned __int128;
+  Value v_ = 0;
 };
 
 }  // namespace mlio::util

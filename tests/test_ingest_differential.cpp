@@ -216,10 +216,7 @@ TEST(IngestDifferential, AnalysisFingerprintsMatchAcrossModes) {
 
 // 30 bulk jobs, seed 42, scales 0.25, two worker threads.  The full
 // pipeline — generate, execute, serialize, reparse, analyze — must land on
-// these exact fingerprints.  Re-pinned when the analysis state became
-// cut-invariant (exact integer sums, keyed bottom-k samples): every integer
-// census stayed bit-identical, only the fingerprinted sums and the
-// saturated sample cells moved.
+// these exact fingerprints.
 TEST(IngestDifferential, PipelineFingerprintsPinned) {
   struct Pin {
     wl::SystemProfile profile;
@@ -245,9 +242,8 @@ TEST(IngestDifferential, PipelineFingerprintsPinned) {
   }
 }
 
-// A cold archive scan (no snapshots) over a 24-job Cori ingest, re-pinned
-// with the pipeline pins above.  Pins the scratch-threaded scan_partition +
-// Analysis::add chain.
+// A cold archive scan (no snapshots) over a 24-job Cori ingest.  Pins the
+// scratch-threaded scan_partition + Analysis::add chain.
 TEST(IngestDifferential, ArchiveColdQueryFingerprintPinned) {
   const auto dir =
       std::filesystem::temp_directory_path() / "mlio_test_ingest_differential_archive";
