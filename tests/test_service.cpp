@@ -1,8 +1,8 @@
 // Archive service tests: MVCC isolation under concurrent load, the bounded
 // shared snapshot cache (admission, eviction, counter reconciliation), the
-// latency histogram, the unified QueryStats/ServiceStats aggregation, and
-// stale-read recovery when an EXTERNAL compactor garbage-collects a pinned
-// generation's files.
+// latency histogram, the unified QueryStats/ServiceStats aggregation,
+// compaction carrying cached shards forward, and stale-read recovery when
+// an EXTERNAL compactor garbage-collects a pinned generation's files.
 //
 // The load tests run under TSan in CI (label "tsan"), and the GC-failure
 // test injects faults through FaultVfs (label "faults").
