@@ -151,6 +151,13 @@ Archive::PendingPartition Archive::PartitionWriter::finish() {
   return out;
 }
 
+void Archive::PendingPartition::attach_snapshot(const core::Analysis& shard) {
+  snapshot = core::write_snapshot_bytes(shard, info.data_generation);
+  info.has_snapshot = true;
+  info.snapshot_generation = info.data_generation;
+  info.snapshot_crc = util::crc32(snapshot);
+}
+
 void Archive::stage_partition_files(PendingPartition& p) const {
   vfs_->write_file_atomic(segment_path(p.info.id), p.segment);
   vfs_->write_file_atomic(index_path(p.info.id), p.index);
@@ -244,21 +251,19 @@ std::optional<core::Analysis> Archive::load_snapshot(const PartitionInfo& p) con
   }
 }
 
-void Archive::store_snapshot(std::uint64_t partition_id, const core::Analysis& shard,
-                             const core::SnapshotWriteOptions& opts) {
+void Archive::store_snapshot(std::uint64_t partition_id, const core::Analysis& shard) {
   const auto it = std::find_if(manifest_.partitions.begin(), manifest_.partitions.end(),
                                [&](const PartitionInfo& p) { return p.id == partition_id; });
   if (it == manifest_.partitions.end()) {
     throw util::ConfigError("store_snapshot: unknown partition " + std::to_string(partition_id));
   }
-  const SnapshotReceipt receipt = write_snapshot_file(*it, shard, opts);
+  const SnapshotReceipt receipt = write_snapshot_file(*it, shard);
   commit_snapshots({&receipt, 1});
 }
 
 Archive::SnapshotReceipt Archive::write_snapshot_file(const PartitionInfo& p,
-                                                      const core::Analysis& shard,
-                                                      const core::SnapshotWriteOptions& opts) const {
-  const std::vector<std::byte> bytes = core::write_snapshot_bytes(shard, p.data_generation, opts);
+                                                      const core::Analysis& shard) const {
+  const std::vector<std::byte> bytes = core::write_snapshot_bytes(shard, p.data_generation);
   vfs_->write_file_atomic(snapshot_path(p.id), bytes);
   return SnapshotReceipt{p.id, p.data_generation, util::crc32(bytes)};
 }

@@ -74,6 +74,12 @@ class Archive {
     std::vector<std::byte> segment;   ///< header + frames
     std::vector<std::byte> index;     ///< write_index_bytes output
     std::vector<std::byte> snapshot;  ///< framed shard; empty unless info.has_snapshot
+
+    /// Carry `shard` (the analysis of exactly this partition's logs, in
+    /// ingest order) as the partition's snapshot, stamped with
+    /// info.data_generation — which the builder must already have set to
+    /// the commit's target generation.
+    void attach_snapshot(const core::Analysis& shard);
   };
 
   /// Buffers one partition's logs and seals them into the archive.
@@ -164,8 +170,7 @@ class Archive {
 
   /// Cache `shard` as the partition's snapshot, stamped with its current
   /// data generation, and persist the manifest.
-  void store_snapshot(std::uint64_t partition_id, const core::Analysis& shard,
-                      const core::SnapshotWriteOptions& opts = {});
+  void store_snapshot(std::uint64_t partition_id, const core::Analysis& shard);
 
   /// One snapshot file written ahead of its manifest registration — the
   /// two-phase write path: workers emit files concurrently with
@@ -182,8 +187,7 @@ class Archive {
   /// partitions; the snapshot stays invisible to readers until committed
   /// (load_snapshot checks the manifest stamp, and the old file, if any, is
   /// only replaced at the rename).
-  SnapshotReceipt write_snapshot_file(const PartitionInfo& p, const core::Analysis& shard,
-                                      const core::SnapshotWriteOptions& opts = {}) const;
+  SnapshotReceipt write_snapshot_file(const PartitionInfo& p, const core::Analysis& shard) const;
 
   /// Register previously written snapshot files in one atomic manifest
   /// commit (a single generation bump, manifest-last).  Receipts whose

@@ -10,7 +10,6 @@
 #include <optional>
 #include <thread>
 
-#include "util/compress.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mlio::archive {
@@ -99,12 +98,7 @@ Built build_cut(Archive& archive, const wl::WorkloadGenerator& gen, const Cut& c
   out.pending.info.data_generation = commit_gen;
   if (opts.write_snapshots) {
     const auto t0 = SteadyClock::now();
-    std::vector<std::byte> bytes =
-        core::write_snapshot_bytes(shard, commit_gen, opts.snapshot_options);
-    out.pending.info.has_snapshot = true;
-    out.pending.info.snapshot_generation = commit_gen;
-    out.pending.info.snapshot_crc = util::crc32(bytes);
-    out.pending.snapshot = std::move(bytes);
+    out.pending.attach_snapshot(shard);
     out.snapshot_ns += ns_since(t0);
   }
   return out;
@@ -314,12 +308,7 @@ IngestStats ingest_log_files(Archive& archive, const std::vector<std::filesystem
         out.pending.info.data_generation = commit_gen;
         if (opts.write_snapshots) {
           const auto ts = SteadyClock::now();
-          std::vector<std::byte> bytes =
-              core::write_snapshot_bytes(shard, commit_gen, opts.snapshot_options);
-          out.pending.info.has_snapshot = true;
-          out.pending.info.snapshot_generation = commit_gen;
-          out.pending.info.snapshot_crc = util::crc32(bytes);
-          out.pending.snapshot = std::move(bytes);
+          out.pending.attach_snapshot(shard);
           out.snapshot_ns += ns_since(ts);
         }
         return out;

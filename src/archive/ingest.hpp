@@ -46,7 +46,6 @@ struct IngestOptions {
   /// the file list is split into max(batches, ceil(n / bound)) even shards.
   std::uint64_t max_logs_per_partition = 0;
   darshan::WriteOptions write_options;
-  core::SnapshotWriteOptions snapshot_options;
 };
 
 /// Phase timings follow the QueryStats convention: the *_ns phases are CPU

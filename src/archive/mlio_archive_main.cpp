@@ -299,6 +299,7 @@ int cmd_ingest(const Args& a, util::Vfs& vfs) {
 int cmd_query_window(const Args& a, util::Vfs& vfs) {
   archive::Archive ar = archive::Archive::open(a.dir, vfs);
   archive::QueryOptions opts;
+  opts.threads = a.threads;
   opts.mlp_depth = a.mlp_depth;
   archive::WindowSelection sel;
   const archive::QueryResult q = archive::query_window(ar, a.last_windows, opts, &sel);

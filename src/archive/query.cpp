@@ -1,8 +1,7 @@
 #include "archive/query.hpp"
 
 #include <chrono>
-#include <exception>
-#include <mutex>
+#include <span>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -16,12 +15,12 @@ double seconds_since(SteadyClock::time_point t0) {
   return std::chrono::duration<double>(SteadyClock::now() - t0).count();
 }
 
-/// A rebuild failed with `error` on `partition`.  When the on-disk manifest
-/// has moved past the pinned one and no longer references that partition's
-/// data generation, the failure is a lost race with a concurrent compaction
-/// (its GC deleted the pinned segment), not corruption — report it as such.
-[[noreturn]] void rethrow_rebuild_error(const Archive& archive, const PartitionInfo& partition,
-                                        std::exception_ptr error) {
+/// A rebuild of `partition` failed; call from inside the catch handler.
+/// When the on-disk manifest has moved past the pinned one and no longer
+/// references that partition's data generation, the failure is a lost race
+/// with a concurrent compaction (its GC deleted the pinned segment), not
+/// corruption — report it as such.  Otherwise rethrow the original error.
+[[noreturn]] void rethrow_rebuild_error(const Archive& archive, const PartitionInfo& partition) {
   try {
     const Manifest fresh = read_manifest_bytes(archive.vfs().read_file(archive.manifest_path()));
     if (fresh.generation > archive.manifest().generation) {
@@ -41,7 +40,7 @@ double seconds_since(SteadyClock::time_point t0) {
   } catch (...) {
     // The manifest probe itself failed — fall through to the original error.
   }
-  std::rethrow_exception(error);
+  throw;
 }
 }  // namespace
 
@@ -65,138 +64,110 @@ void QueryStats::merge(const QueryStats& other) {
   accumulate_seconds += other.accumulate_seconds;
 }
 
-QueryResult query_archive(Archive& archive, const QueryOptions& opts) {
-  QueryScratch scratch;
-  return query_archive(archive, opts, scratch);
+std::shared_ptr<const core::Analysis> resolve_shard(const Archive& archive,
+                                                    const PartitionInfo& partition,
+                                                    ShardScratch& scratch, unsigned mlp_depth,
+                                                    QueryStats& stats) {
+  if (std::optional<core::Analysis> snap = archive.load_snapshot(partition)) {
+    stats.snapshot_hits += 1;
+    return std::make_shared<const core::Analysis>(*std::move(snap));
+  }
+  scratch.analyze.phases = scratch.phases ? &*scratch.phases : nullptr;
+  ScanOptions scan_opts;
+  scan_opts.mlp_depth = mlp_depth;
+  auto shard = std::make_shared<core::Analysis>();
+  std::uint64_t logs = 0;
+  archive.scan_partition(
+      partition,
+      [&](const darshan::LogData& log) {
+        shard->add(log, scratch.analyze);
+        logs += 1;
+      },
+      scratch.scan, scan_opts);
+  stats.partitions_scanned += 1;
+  stats.logs_scanned += logs;
+  return shard;
 }
 
-QueryResult query_archive(Archive& archive, const QueryOptions& opts, QueryScratch& scratch) {
+namespace {
+/// The one query body behind query_archive and query_window: resolve every
+/// partition of `parts` on the pool (one partition per block, each worker
+/// with its own scratch and stats), write rebuilt shards back as snapshot
+/// files on the worker that built them (write_snapshot_file touches no
+/// shared state) and register them in ONE manifest commit after the join,
+/// then fold the shards with the fixed-shape tree.  A failure is reported
+/// for the lowest-indexed failing partition, translated by
+/// rethrow_rebuild_error.
+QueryResult query_partitions(Archive& archive, std::span<const PartitionInfo> parts,
+                             const QueryOptions& opts, QueryScratch& scratch) {
   const auto t0 = SteadyClock::now();
   QueryResult result;
   QueryStats& stats = result.stats;
-  const std::vector<PartitionInfo> partitions = archive.manifest().partitions;
-  stats.partitions = partitions.size();
+  stats.partitions = parts.size();
 
   util::ThreadPool pool(opts.threads);
-  // Pool workers are noexcept, so corruption errors (FormatError from a
-  // damaged segment) are carried out by hand and rethrown on the caller.
-  std::exception_ptr first_error;
-  std::size_t first_error_slot = 0;  ///< partition index of first_error
-  std::mutex error_mu;
-  const auto record_error = [&](std::size_t slot) {
-    const std::scoped_lock lock(error_mu);
-    if (!first_error) {
-      first_error = std::current_exception();
-      first_error_slot = slot;
-    }
-  };
-
-  // Pass 1: load snapshots on the pool — each load is an independent file
-  // read + inflate + parse into its own slot, so parallelism cannot change
-  // a bit of any shard.
-  std::vector<std::optional<core::Analysis>> shards(partitions.size());
-  pool.parallel_for_dynamic(0, partitions.size(), 1,
-                            [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi, unsigned) {
-                              (void)b;
-                              for (std::uint64_t i = lo; i < hi; ++i) {
-                                const auto slot = static_cast<std::size_t>(i);
-                                try {
-                                  shards[slot] = archive.load_snapshot(partitions[slot]);
-                                } catch (...) {
-                                  record_error(slot);
-                                }
-                              }
-                            });
-  if (first_error) rethrow_rebuild_error(archive, partitions[first_error_slot], first_error);
-  std::vector<std::size_t> rebuild;
-  for (std::size_t i = 0; i < partitions.size(); ++i) {
-    if (shards[i].has_value()) {
-      stats.snapshot_hits += 1;
-    } else {
-      rebuild.push_back(i);
-    }
+  const unsigned workers = pool.thread_count();
+  if (scratch.size() < workers) scratch.resize(workers);
+  for (unsigned w = 0; w < workers; ++w) {
+    scratch[w].scan.parse_seconds = 0;
+    scratch[w].phases.emplace();  // timers cover this query alone
   }
-
-  // Pass 2: rebuild missing shards in parallel — one partition per block,
-  // handed to idle workers.  Each shard is a sequential accumulation over
-  // its own logs, so parallelism never changes a single bit of the result.
-  // Rebuilt shards that should be persisted are written back as snapshot
-  // FILES right here on the worker that built them (write_snapshot_file
-  // touches no shared state); the manifest registers the whole batch in one
-  // commit after the join.
-  if (!rebuild.empty()) {
-    // Per-worker decode/summarize scratch, indexed by the dense worker slot.
-    // The buffers live in the caller's QueryScratch, so repeated queries —
-    // warm or cold — reuse warmed allocations; only the per-query timers
-    // reset here (stats cover this query alone).
-    if (scratch.scan.size() < pool.thread_count()) scratch.scan.resize(pool.thread_count());
-    if (scratch.phases.size() < pool.thread_count()) scratch.phases.resize(pool.thread_count());
-    if (scratch.analyze.size() < pool.thread_count()) scratch.analyze.resize(pool.thread_count());
-    ScanOptions scan_opts;
-    scan_opts.mlp_depth = opts.mlp_depth;
-    // Per-worker log tallies, cache-line padded: the workers' inner loops
-    // bump these per log, so adjacent counters must not share a line.
-    struct alignas(64) WorkerTally {
-      std::uint64_t logs = 0;
-    };
-    std::vector<WorkerTally> tallies(pool.thread_count());
-    for (unsigned i = 0; i < pool.thread_count(); ++i) {
-      scratch.scan[i].parse_seconds = 0;
-      scratch.phases[i] = core::AnalyzePhases{};
-      scratch.analyze[i].phases = &scratch.phases[i];
-    }
-    std::vector<Archive::SnapshotReceipt> receipts(rebuild.size());
-    pool.parallel_for_dynamic(
-        0, rebuild.size(), 1,
-        [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi, unsigned w) {
-          (void)b;
-          for (std::uint64_t r = lo; r < hi; ++r) {
-            const std::size_t slot = rebuild[static_cast<std::size_t>(r)];
-            try {
-              core::Analysis shard;
-              archive.scan_partition(
-                  partitions[slot],
-                  [&](const darshan::LogData& log) {
-                    shard.add(log, scratch.analyze[w]);
-                    tallies[w].logs += 1;
-                  },
-                  scratch.scan[w], scan_opts);
-              if (opts.write_snapshots) {
-                receipts[static_cast<std::size_t>(r)] =
-                    archive.write_snapshot_file(partitions[slot], shard, opts.snapshot_options);
-              }
-              shards[slot] = std::move(shard);
-            } catch (...) {
-              record_error(slot);
+  std::vector<QueryStats> worker_stats(workers);
+  std::vector<std::shared_ptr<const core::Analysis>> shards(parts.size());
+  std::vector<std::optional<Archive::SnapshotReceipt>> written(parts.size());
+  pool.parallel_for_dynamic(
+      0, parts.size(), 1, [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi, unsigned w) {
+        for (std::uint64_t i = lo; i < hi; ++i) {
+          try {
+            const std::uint64_t scanned = worker_stats[w].partitions_scanned;
+            shards[i] = resolve_shard(archive, parts[i], scratch[w], opts.mlp_depth,
+                                      worker_stats[w]);
+            // Only rescans are written back: a snapshot hit is already on disk.
+            if (opts.write_snapshots && worker_stats[w].partitions_scanned != scanned) {
+              written[i] = archive.write_snapshot_file(parts[i], *shards[i]);
             }
+          } catch (...) {
+            rethrow_rebuild_error(archive, parts[i]);
           }
-        });
-    if (first_error) rethrow_rebuild_error(archive, partitions[first_error_slot], first_error);
-    stats.partitions_scanned = rebuild.size();
-    for (const WorkerTally& t : tallies) stats.logs_scanned += t.logs;
-    for (unsigned i = 0; i < pool.thread_count(); ++i) {
-      stats.parse_seconds += scratch.scan[i].parse_seconds;
-      stats.summarize_seconds += scratch.phases[i].summarize_seconds;
-      stats.accumulate_seconds += scratch.phases[i].accumulate_seconds;
-    }
-    if (opts.write_snapshots) {
-      stats.snapshots_written = archive.commit_snapshots(receipts);
-    }
+        }
+      });
+  for (unsigned w = 0; w < workers; ++w) {
+    stats.merge(worker_stats[w]);
+    stats.parse_seconds += scratch[w].scan.parse_seconds;
+    stats.summarize_seconds += scratch[w].phases->summarize_seconds;
+    stats.accumulate_seconds += scratch[w].phases->accumulate_seconds;
   }
+  std::vector<Archive::SnapshotReceipt> receipts;
+  for (const std::optional<Archive::SnapshotReceipt>& r : written) {
+    if (r) receipts.push_back(*r);
+  }
+  if (!receipts.empty()) stats.snapshots_written = archive.commit_snapshots(receipts);
   stats.scan_seconds = seconds_since(t0);
 
-  // Pass 3: merge, as a tree on the pool (Analysis::merge_ordered gives the
-  // serial left fold's bits at any thread count).
+  // Merge as a tree on the pool (Analysis::merge_ordered gives the serial
+  // left fold's bits at any thread count).
   const auto t_merge = SteadyClock::now();
   std::vector<const core::Analysis*> shard_ptrs;
   shard_ptrs.reserve(shards.size());
-  for (const auto& shard : shards) shard_ptrs.push_back(&*shard);
+  for (const auto& shard : shards) shard_ptrs.push_back(shard.get());
   result.analysis = core::Analysis::merge_ordered(shard_ptrs, &pool);
   stats.full_merges = 1;
   stats.tree_merges = shard_ptrs.size() >= 2 ? 1 : 0;
   stats.merge_seconds = seconds_since(t_merge);
   stats.total_seconds = seconds_since(t0);
   return result;
+}
+}  // namespace
+
+QueryResult query_archive(Archive& archive, const QueryOptions& opts) {
+  QueryScratch scratch;
+  return query_archive(archive, opts, scratch);
+}
+
+QueryResult query_archive(Archive& archive, const QueryOptions& opts, QueryScratch& scratch) {
+  // Copy the entries: the snapshot commit rewrites the manifest under them.
+  const std::vector<PartitionInfo> partitions = archive.manifest().partitions;
+  return query_partitions(archive, partitions, opts, scratch);
 }
 
 WindowSelection select_last_windows(const Manifest& m, std::uint64_t last_windows) {
@@ -240,48 +211,14 @@ WindowSelection select_last_windows(const Manifest& m, std::uint64_t last_window
 
 QueryResult query_window(Archive& archive, std::uint64_t last_windows, const QueryOptions& opts,
                          WindowSelection* selection) {
-  const auto t0 = SteadyClock::now();
-  QueryResult result;
-  QueryStats& stats = result.stats;
-  // Copy the entries so a reload under the caller's feet cannot move them.
   const std::vector<PartitionInfo> partitions = archive.manifest().partitions;
   const WindowSelection sel = select_last_windows(archive.manifest(), last_windows);
   if (selection != nullptr) *selection = sel;
-  stats.partitions = sel.count;
-
-  Archive::ScanScratch scan_scratch;
-  core::AnalyzeScratch analyze_scratch;
-  ScanOptions scan_opts;
-  scan_opts.mlp_depth = opts.mlp_depth;
-  for (std::size_t i = sel.first; i < partitions.size(); ++i) {
-    const PartitionInfo& p = partitions[i];
-    std::optional<core::Analysis> shard;
-    try {
-      shard = archive.load_snapshot(p);
-      if (shard.has_value()) {
-        stats.snapshot_hits += 1;
-      } else {
-        core::Analysis rebuilt;
-        std::uint64_t logs = 0;
-        archive.scan_partition(
-            p,
-            [&](const darshan::LogData& log) {
-              rebuilt.add(log, analyze_scratch);
-              logs += 1;
-            },
-            scan_scratch, scan_opts);
-        stats.partitions_scanned += 1;
-        stats.logs_scanned += logs;
-        shard = std::move(rebuilt);
-      }
-    } catch (...) {
-      rethrow_rebuild_error(archive, p, std::current_exception());
-    }
-    result.analysis.merge(*shard);
-  }
-  stats.full_merges = 1;
-  stats.total_seconds = seconds_since(t0);
-  return result;
+  QueryOptions window_opts = opts;
+  window_opts.write_snapshots = false;
+  QueryScratch scratch;
+  return query_partitions(archive, std::span<const PartitionInfo>(partitions).subspan(sel.first),
+                          window_opts, scratch);
 }
 
 core::LoadTimeline window_timeline(const Archive& archive, const Manifest& m,

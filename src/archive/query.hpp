@@ -1,25 +1,31 @@
 // Incremental, snapshot-cached query engine over a partitioned archive.
 //
-// A query builds one core::Analysis shard per partition — from the cached
-// snapshot when it is valid (present, CRC-clean, stamped with the
-// partition's current data generation), otherwise by rescanning the
-// segment — and merges the shards in manifest partition order.
+// Every answer is one job: resolve one core::Analysis shard per partition —
+// the cached snapshot when it is valid (present, CRC-clean, stamped with the
+// partition's current data generation), otherwise a rescan of the segment —
+// then fold the shards in manifest partition order.  resolve_shard below is
+// the one implementation of the first half; query_archive (every
+// partition), query_window (a partition suffix) and the archive service
+// (service/service.hpp, with its shard cache in front) all call it.
 //
 // Determinism contract (DESIGN.md §6, §12): a partition's shard is the
 // sequential accumulation of its logs in ingest order, and shards merge in
 // partition order.  Rescans are therefore bit-identical to the snapshots
 // they replace, so the query result never depends on cache state, thread
-// count, or which partitions happened to need a rescan.  Snapshot loads and
-// rebuilds of independent partitions run in parallel through
+// count, or which partitions happened to need a rescan.  Both query entry
+// points resolve partitions in parallel through
 // ThreadPool::parallel_for_dynamic (one partition per block), and the final
 // merge runs as a fixed-shape tree (Analysis::merge_ordered) whose bits are
 // pinned to the serial partition-order fold.
 #pragma once
 
+#include <memory>
+#include <optional>
+#include <vector>
+
 #include "archive/archive.hpp"
 #include "core/analysis.hpp"
 #include "core/load_timeline.hpp"
-#include "core/snapshot.hpp"
 #include "util/error.hpp"
 
 namespace mlio::archive {
@@ -57,22 +63,25 @@ struct QueryOptions {
   /// Write rebuilt shards back as snapshots so the next query is all cache
   /// hits.
   bool write_snapshots = true;
-  core::SnapshotWriteOptions snapshot_options;
   /// Logs in flight per worker during cold rebuilds (scan.hpp); 1 runs the
   /// seed's one-at-a-time scan.  Results are bit-identical at any depth.
   unsigned mlp_depth = kDefaultMlpDepth;
 };
 
-/// Reusable per-worker state for query_archive: decode slots, summarize
-/// scratch, and phase timers survive across queries, so a warm query — and
-/// every cold query after the first — allocates nothing per worker.  One
-/// instance per querying thread; the same instance serves any sequence of
-/// queries (vectors grow to the largest thread count seen).
-struct QueryScratch {
-  std::vector<Archive::ScanScratch> scan;
-  std::vector<core::AnalyzePhases> phases;
-  std::vector<core::AnalyzeScratch> analyze;
+/// Reusable decode and summarize state for resolve_shard: one per resolving
+/// thread, reused across partitions and queries so warm rebuilds allocate
+/// nothing per log.  `phases`, when engaged, collects summarize/accumulate
+/// CPU time; left empty, Analysis::add makes no clock calls.
+struct ShardScratch {
+  Archive::ScanScratch scan;
+  core::AnalyzeScratch analyze;
+  std::optional<core::AnalyzePhases> phases;
 };
+
+/// Per-worker scratch for query_archive, indexed by the pool's dense worker
+/// slot; it grows to the largest thread count seen, so one instance serves
+/// any sequence of queries from one querying thread.
+using QueryScratch = std::vector<ShardScratch>;
 
 /// Per-query telemetry.  This is the ONE aggregation vocabulary for the
 /// query engine and the archive service: the service's per-request stats
@@ -123,6 +132,17 @@ struct QueryResult {
   QueryStats stats;
 };
 
+/// Resolve one partition's shard: its valid snapshot, else a rescan of its
+/// segment at `mlp_depth`.  The shard is built in place in shared storage,
+/// ready for a cache to keep without a copy.  Counts the outcome into `stats`
+/// (snapshot_hits, or partitions_scanned and logs_scanned).  Throws what
+/// scan_partition throws on a damaged or vanished segment.  Safe to call
+/// concurrently for any partitions, each caller with its own scratch.
+std::shared_ptr<const core::Analysis> resolve_shard(const Archive& archive,
+                                                    const PartitionInfo& partition,
+                                                    ShardScratch& scratch, unsigned mlp_depth,
+                                                    QueryStats& stats);
+
 QueryResult query_archive(Archive& archive, const QueryOptions& opts = {});
 
 /// Scratch-reuse variant: per-worker buffers come from (and persist in)
@@ -157,9 +177,10 @@ WindowSelection select_last_windows(const Manifest& m, std::uint64_t last_window
 
 /// Fold ONLY the selected suffix's shards (valid snapshot else rescan), in
 /// manifest order — the windowed Table 2.  Cost is proportional to the
-/// window, not the archive.  Serial by design: windows are small; the
-/// whole-archive engine above is the parallel path.  Writes no snapshots.
-/// `selection`, when non-null, receives the evaluated WindowSelection.
+/// window, not the archive.  The same pooled resolve-and-merge as
+/// query_archive, on `opts.threads` workers; writes no snapshots whatever
+/// `opts.write_snapshots` says.  `selection`, when non-null, receives the
+/// evaluated WindowSelection.
 QueryResult query_window(Archive& archive, std::uint64_t last_windows,
                          const QueryOptions& opts = {}, WindowSelection* selection = nullptr);
 

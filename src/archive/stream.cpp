@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "darshan/log_format.hpp"
-#include "util/compress.hpp"
 #include "util/error.hpp"
 
 namespace mlio::archive {
@@ -71,9 +70,8 @@ PartitionInfo StreamIngester::publish_open() {
   // one-element group commit — whole window or nothing.
   Archive::PartitionWriter w = archive_->begin_partition();
   for (const Buffered& b : open_) w.append_frame(b.job, b.frame);
-  const std::uint64_t gen = archive_->manifest().generation + 1;
   Archive::PendingPartition pending = w.finish();
-  pending.info.data_generation = gen;
+  pending.info.data_generation = archive_->manifest().generation + 1;
   pending.info.window_min = open_wmin_;
   pending.info.window_max = open_wmax_;
   pending.info.level = 0;
@@ -87,11 +85,7 @@ PartitionInfo StreamIngester::publish_open() {
       darshan::read_log_bytes_into(b.frame, io, log);
       shard.add(log);
     }
-    std::vector<std::byte> bytes = core::write_snapshot_bytes(shard, gen, opts_.snapshot_options);
-    pending.info.has_snapshot = true;
-    pending.info.snapshot_generation = gen;
-    pending.info.snapshot_crc = util::crc32(bytes);
-    pending.snapshot = std::move(bytes);
+    pending.attach_snapshot(shard);
   }
   archive_->stage_partition_files(pending);
   const PartitionInfo info = archive_->commit_group({&pending, 1}).front();

@@ -60,7 +60,6 @@ struct StreamOptions {
   /// Stamp each published window with its analysis shard snapshot, riding
   /// the same single commit (the windowed query path then never rescans).
   bool write_snapshots = false;
-  core::SnapshotWriteOptions snapshot_options;
 };
 
 struct StreamStats {

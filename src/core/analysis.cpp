@@ -2,8 +2,6 @@
 
 #include <bit>
 #include <chrono>
-#include <exception>
-#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -217,39 +215,19 @@ Analysis Analysis::merge_ordered(std::span<const Analysis* const> shards,
   // tree shape gives the serial fold's bits; this one keeps the blocks
   // disjoint so workers never share a slot.
   std::vector<Analysis> slots((shards.size() + 1) / 2);
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  const auto guarded = [&](const std::function<void(std::size_t)>& body) {
-    return [&, body](std::uint64_t b, std::uint64_t lo, std::uint64_t hi, unsigned) {
-      (void)b;
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        try {
-          body(static_cast<std::size_t>(i));
-        } catch (...) {
-          const std::scoped_lock lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-    };
-  };
-  const auto rethrow_if_failed = [&] {
-    if (first_error) std::rethrow_exception(first_error);
-  };
-
-  pool->parallel_for_dynamic(0, slots.size(), 1, guarded([&](std::size_t i) {
-                               slots[i] = *shards[2 * i];
-                               if (2 * i + 1 < shards.size()) slots[i].merge(*shards[2 * i + 1]);
-                             }));
-  rethrow_if_failed();
-
+  pool->parallel_for_dynamic(
+      0, slots.size(), 1, [&](std::uint64_t i, std::uint64_t, std::uint64_t, unsigned) {
+        slots[i] = *shards[2 * i];
+        if (2 * i + 1 < shards.size()) slots[i].merge(*shards[2 * i + 1]);
+      });
   for (std::size_t stride = 1; stride < slots.size(); stride *= 2) {
     std::size_t pairs = 0;
     for (std::size_t i = 0; i + stride < slots.size(); i += 2 * stride) pairs += 1;
-    pool->parallel_for_dynamic(0, pairs, 1, guarded([&](std::size_t p) {
-                                 const std::size_t i = 2 * stride * p;
-                                 slots[i].merge(slots[i + stride]);
-                               }));
-    rethrow_if_failed();
+    pool->parallel_for_dynamic(
+        0, pairs, 1, [&](std::uint64_t p, std::uint64_t, std::uint64_t, unsigned) {
+          const std::size_t i = 2 * stride * p;
+          slots[i].merge(slots[i + stride]);
+        });
   }
   return std::move(slots.front());
 }

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/snapshot.hpp"
-#include "util/compress.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -205,33 +204,13 @@ std::shared_ptr<const core::Analysis> ArchiveService::resolve_shard(
     stats.query.cache_hits += 1;
     return hit;
   }
-
+  // Clients are plain threads, so the reusable decode state lives in
+  // thread_local storage instead of a worker-slot array.  Its analyze phase
+  // timers stay off: no per-log summarize/accumulate clock calls here.
+  thread_local archive::ShardScratch scratch;
   const auto t0 = SteadyClock::now();
-  std::shared_ptr<const core::Analysis> shard;
-  if (std::optional<core::Analysis> snap = archive_.load_snapshot(p)) {
-    stats.query.snapshot_hits += 1;
-    shard = std::make_shared<const core::Analysis>(*std::move(snap));
-  } else {
-    // Rescan with per-thread scratch: clients are plain threads, so the
-    // reusable decode state lives in thread_local storage instead of a
-    // worker-slot array.
-    thread_local archive::Archive::ScanScratch scan_scratch;
-    thread_local core::AnalyzeScratch analyze_scratch;
-    archive::ScanOptions scan_opts;
-    scan_opts.mlp_depth = opts_.mlp_depth;
-    auto building = std::make_shared<core::Analysis>();
-    std::uint64_t logs = 0;
-    archive_.scan_partition(
-        p,
-        [&](const darshan::LogData& log) {
-          building->add(log, analyze_scratch);
-          logs += 1;
-        },
-        scan_scratch, scan_opts);
-    stats.query.partitions_scanned += 1;
-    stats.query.logs_scanned += logs;
-    shard = std::move(building);
-  }
+  std::shared_ptr<const core::Analysis> shard =
+      archive::resolve_shard(archive_, p, scratch, opts_.mlp_depth, stats.query);
   const std::uint64_t cost_ns = ns_since(t0);
   cache_.insert(key, shard, core::serialized_analysis_bytes(*shard), cost_ns);
   return shard;
@@ -248,22 +227,12 @@ std::vector<std::shared_ptr<const core::Analysis>> ArchiveService::resolve_all(
   // own slot and the per-worker stats fold after the join, so the shards —
   // and therefore the fold — are bit-identical to the serial loop.
   std::vector<ServiceStats> worker_stats(pool_->thread_count());
-  std::exception_ptr first_error;
-  std::mutex error_mu;
   pool_->parallel_for_dynamic(
-      0, parts.size(), 1, [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi, unsigned w) {
-        (void)b;
+      0, parts.size(), 1, [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi, unsigned w) {
         for (std::uint64_t i = lo; i < hi; ++i) {
-          try {
-            shards[static_cast<std::size_t>(i)] =
-                resolve_shard(parts[static_cast<std::size_t>(i)], worker_stats[w]);
-          } catch (...) {
-            const std::scoped_lock lock(error_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
+          shards[i] = resolve_shard(parts[i], worker_stats[w]);
         }
       });
-  if (first_error) std::rethrow_exception(first_error);
   for (const ServiceStats& ws : worker_stats) stats.merge(ws);
   return shards;
 }
@@ -346,49 +315,15 @@ ArchiveService::GetResult ArchiveService::fold_pinned(const Pin& pin, std::size_
 }
 
 ArchiveService::GetResult ArchiveService::get_pinned(const Pin& pin, bool keep_analysis) {
-  return fold_pinned(pin, 0, keep_analysis);
+  return get_window_pinned(pin, 0, keep_analysis);
 }
 
 ArchiveService::GetResult ArchiveService::get(bool keep_analysis) {
-  ServiceStats carried;  // wait + retry cost accumulated across attempts
-  for (unsigned attempt = 0;; ++attempt) {
-    const auto t0 = SteadyClock::now();
-    Pin p = pin();
-    carried.queue_wait_ns += ns_since(t0);
-    try {
-      GetResult r = get_pinned(p, keep_analysis);
-      r.stats.queue_wait_ns += carried.queue_wait_ns;
-      r.stats.stale_retries += carried.stale_retries;
-      return r;
-    } catch (const archive::StaleReadError&) {
-      // Our own GC can't outrun a live pin, so the race was external (or the
-      // pin predates an external publish): resync from disk and retry.
-      if (attempt >= opts_.max_stale_retries) throw;
-      carried.stale_retries += 1;
-      refresh_from_disk();
-    } catch (const util::IoError&) {
-      // A vanished file without a newer manifest on disk yet: same recovery,
-      // bounded the same way.
-      if (attempt >= opts_.max_stale_retries) throw;
-      carried.stale_retries += 1;
-      if (!refresh_from_disk()) throw;
-    }
-  }
+  return get_window(0, keep_analysis);
 }
 
 core::Analysis ArchiveService::replay_serial(const Pin& pin) const {
-  MLIO_ASSERT(pin.valid());
-  core::Analysis replay;
-  archive::Archive::ScanScratch scratch;
-  archive::ScanOptions scan_opts;
-  scan_opts.mlp_depth = 1;  // the seed's one-log-at-a-time loop, verbatim
-  for (const archive::PartitionInfo& p : pin.manifest().partitions) {
-    core::Analysis shard;
-    archive_.scan_partition(
-        p, [&](const darshan::LogData& log) { shard.add(log); }, scratch, scan_opts);
-    replay.merge(shard);
-  }
-  return replay;
+  return replay_serial_window(pin, 0);
 }
 
 ArchiveService::IngestResult ArchiveService::ingest(std::span<const ServiceFrame> frames,
@@ -398,32 +333,7 @@ ArchiveService::IngestResult ArchiveService::ingest(std::span<const ServiceFrame
   archive::Archive::PartitionWriter w = archive_.begin_partition();
   for (const ServiceFrame& f : frames) w.append_frame(f.job, f.bytes);
   IngestResult r;
-  if (!opts_.write_snapshots_on_ingest) {
-    r.partition = w.seal();
-  } else {
-    // Partition + snapshot land under ONE generation bump (a group of one):
-    // half the manifest fsyncs, and pinned readers see one new generation
-    // per ingest instead of two (one fewer memo/snapshot-cache purge).
-    const std::uint64_t gen = archive_.manifest().generation + 1;
-    archive::Archive::PendingPartition pending = w.finish();
-    pending.info.data_generation = gen;
-    // Accumulate the shard from the in-memory frames, in ingest order —
-    // byte-for-byte what a rescan of the sealed partition would compute.
-    core::Analysis shard;
-    darshan::LogData log;
-    darshan::LogIoBuffers io;
-    for (const ServiceFrame& f : frames) {
-      darshan::read_log_bytes_into(f.bytes, io, log);
-      shard.add(log);
-    }
-    std::vector<std::byte> bytes = core::write_snapshot_bytes(shard, gen);
-    pending.info.has_snapshot = true;
-    pending.info.snapshot_generation = gen;
-    pending.info.snapshot_crc = util::crc32(bytes);
-    pending.snapshot = std::move(bytes);
-    archive_.stage_partition_files(pending);
-    r.partition = archive_.commit_group({&pending, 1}).front();
-  }
+  r.partition = w.seal();
   publish_locked();
   r.generation = archive_.manifest().generation;
   return r;
@@ -570,7 +480,7 @@ ArchiveService::GetResult ArchiveService::get_window_pinned(const Pin& pin,
 
 ArchiveService::GetResult ArchiveService::get_window(std::uint64_t last_windows,
                                                      bool keep_analysis) {
-  ServiceStats carried;
+  ServiceStats carried;  // wait + retry cost accumulated across attempts
   for (unsigned attempt = 0;; ++attempt) {
     const auto t0 = SteadyClock::now();
     Pin p = pin();
@@ -581,11 +491,15 @@ ArchiveService::GetResult ArchiveService::get_window(std::uint64_t last_windows,
       r.stats.stale_retries += carried.stale_retries;
       return r;
     } catch (const archive::StaleReadError&) {
-      if (attempt >= opts_.max_stale_retries) throw;
+      // Our own GC can't outrun a live pin, so the race was external (or the
+      // pin predates an external publish): resync from disk and retry.
+      if (attempt >= kMaxStaleRetries) throw;
       carried.stale_retries += 1;
       refresh_from_disk();
     } catch (const util::IoError&) {
-      if (attempt >= opts_.max_stale_retries) throw;
+      // A vanished file without a newer manifest on disk yet: same recovery,
+      // bounded the same way.
+      if (attempt >= kMaxStaleRetries) throw;
       carried.stale_retries += 1;
       if (!refresh_from_disk()) throw;
     }

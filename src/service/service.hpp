@@ -23,9 +23,10 @@
 //     service.)
 //
 // All readers share one bounded SnapshotCache of analysis shards keyed by
-// (partition id, data generation); shard misses fall back to the on-disk
-// snapshot, then to a segment rescan, and the result is offered back to the
-// cache charged at its serialized size with its measured rebuild cost.
+// (partition id, data generation); a shard miss goes to the archive's one
+// resolver (archive::resolve_shard: the on-disk snapshot, else a segment
+// rescan), and the result is offered back to the cache charged at its
+// serialized size with its measured rebuild cost.
 #pragma once
 
 #include <atomic>
@@ -101,15 +102,6 @@ class ArchiveService {
     /// Logs in flight per scan during shard rebuilds (bit-identical at any
     /// depth — archive/scan.hpp).
     unsigned mlp_depth = archive::kDefaultMlpDepth;
-    /// get() re-pins and retries this many times on a stale read before
-    /// letting the StaleReadError out.
-    unsigned max_stale_retries = 3;
-    /// Persist rebuilt shards as on-disk snapshots during ingest(): the
-    /// first get() after a publish then hits disk snapshots instead of
-    /// rescanning.  Off by default — the shared in-memory cache is the
-    /// serving path, and snapshot writes would serialize readers behind the
-    /// manifest lock.
-    bool write_snapshots_on_ingest = false;
     /// Continuous mode: window cuts and caps for stream_append (archive/
     /// stream.hpp).  Only consulted by the streaming entry points.
     archive::StreamOptions stream;
@@ -144,6 +136,10 @@ class ArchiveService {
   /// Pin the current generation (readers may also just call get()).
   Pin pin();
 
+  /// get() and get_window() re-pin and retry this many times on a stale
+  /// read before letting the StaleReadError out.
+  static constexpr unsigned kMaxStaleRetries = 3;
+
   struct GetResult {
     std::uint64_t fingerprint = 0;
     std::uint64_t generation = 0;
@@ -152,13 +148,15 @@ class ArchiveService {
     /// The merged analysis; populated only when requested (it is the answer
     /// a real client would consume, but the bench only needs the digest).
     std::shared_ptr<const core::Analysis> analysis;
-    /// Windowed gets only: which partition suffix answered, and the window
-    /// span it honestly covers.  Default-constructed for whole-archive gets.
+    /// Which partition suffix answered, and the window span it honestly
+    /// covers; a whole-archive get reports the whole-archive selection
+    /// (select_last_windows with last_windows == 0).
     archive::WindowSelection windows;
   };
 
-  /// Answer a whole-archive query at the current generation.  Thread-safe;
-  /// any number of concurrent callers.  Retries internally on a stale read.
+  /// Answer a whole-archive query at the current generation: get_window(0).
+  /// Thread-safe; any number of concurrent callers.  Retries internally on
+  /// a stale read.
   GetResult get(bool keep_analysis = false);
 
   /// Same, but against an explicit pin (no retry — the pin's files are
@@ -166,9 +164,8 @@ class ArchiveService {
   GetResult get_pinned(const Pin& pin, bool keep_analysis = false);
 
   /// The verification oracle: a serial, cache-free, snapshot-free replay of
-  /// a pinned generation — every shard rebuilt from its segment at
-  /// mlp_depth 1, merged in manifest order.  Concurrent get() answers for
-  /// that generation must match its fingerprint bit for bit.
+  /// a pinned generation — replay_serial_window(pin, 0).  Concurrent get()
+  /// answers for that generation must match its fingerprint bit for bit.
   core::Analysis replay_serial(const Pin& pin) const;
 
   struct IngestResult {
@@ -239,18 +236,19 @@ class ArchiveService {
 
   /// Windowed get: "Table 2 for the last N windows" — fold only the
   /// partition suffix select_last_windows picks, through the shared shard
-  /// cache and answer memo.  last_windows == 0 means the whole archive.  Retries internally
-  /// on a stale read, like get().
+  /// cache and answer memo.  last_windows == 0 means the whole archive.
+  /// Retries internally on a stale read, at most kMaxStaleRetries times.
   GetResult get_window(std::uint64_t last_windows, bool keep_analysis = false);
   /// Same, against an explicit pin (no retry).
   GetResult get_window_pinned(const Pin& pin, std::uint64_t last_windows,
                               bool keep_analysis = false);
 
   /// Windowed verification oracle: serial, cache-free, snapshot-free replay
-  /// of the pinned generation's selected suffix at mlp_depth 1.  Every
+  /// of the pinned generation's selected suffix — every shard rebuilt from
+  /// its segment at mlp_depth 1, left-folded in manifest order.  It shares
+  /// no code with the resolver it checks (archive::resolve_shard).  Every
   /// concurrent get_window answer for (generation, last_windows) must match
-  /// its fingerprint bit for bit.  replay_serial(pin) == the last_windows=0
-  /// case.
+  /// its fingerprint bit for bit.
   core::Analysis replay_serial_window(const Pin& pin, std::uint64_t last_windows) const;
 
   std::uint64_t generation() const;
@@ -285,11 +283,14 @@ class ArchiveService {
   /// true when the published generation moved.
   bool refresh_from_disk();
 
-  /// Resolve one partition's shard: cache -> disk snapshot -> rescan.
+  /// Resolve one partition's shard: the shared cache, else
+  /// archive::resolve_shard (disk snapshot, else rescan) with this thread's
+  /// scratch, offered back to the cache with its measured cost.
   std::shared_ptr<const core::Analysis> resolve_shard(const archive::PartitionInfo& p,
                                                       ServiceStats& stats);
   /// Resolve every shard of `parts`, on the merge pool when one is
-  /// configured (per-worker stats folded after the join), serially
+  /// configured (per-worker stats folded after the join; a failure
+  /// surfaces as the lowest-indexed partition's error), serially
   /// otherwise.
   std::vector<std::shared_ptr<const core::Analysis>> resolve_all(
       std::span<const archive::PartitionInfo> parts, ServiceStats& stats);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 #include "util/error.hpp"
 
@@ -47,27 +48,50 @@ void ThreadPool::wait_idle() {
   cv_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-std::vector<std::uint64_t> ThreadPool::parallel_for_dynamic(
+namespace {
+/// The error of the lowest-indexed failing block, kept across all runners.
+class FirstBlockError {
+ public:
+  void record(std::uint64_t block) {
+    const std::lock_guard lock(mu_);
+    if (!error_ || block < block_) {
+      error_ = std::current_exception();
+      block_ = block;
+    }
+  }
+  void rethrow() const {
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::exception_ptr error_;
+  std::uint64_t block_ = 0;
+};
+}  // namespace
+
+void ThreadPool::parallel_for_dynamic(
     std::uint64_t begin, std::uint64_t end, std::uint64_t block_size,
     const std::function<void(std::uint64_t, std::uint64_t, std::uint64_t, unsigned)>& body) {
-  std::vector<std::uint64_t> per_worker(std::max(1u, thread_count()), 0);
-  if (begin >= end) return per_worker;
+  if (begin >= end) return;
   if (block_size == 0) block_size = 1;
   const std::uint64_t n_blocks = (end - begin + block_size - 1) / block_size;
 
-  auto block_range = [&](std::uint64_t b) {
+  FirstBlockError failed;
+  auto run_block = [&](std::uint64_t b, unsigned w) {
     const std::uint64_t lo = begin + b * block_size;
-    return std::pair{lo, std::min(end, lo + block_size)};
+    try {
+      body(b, lo, std::min(end, lo + block_size), w);
+    } catch (...) {
+      failed.record(b);
+    }
   };
 
   if (tl_in_worker) {
     // Nested call: run every block inline on the caller (see header).
-    for (std::uint64_t b = 0; b < n_blocks; ++b) {
-      const auto [lo, hi] = block_range(b);
-      body(b, lo, hi, 0);
-    }
-    per_worker[0] = n_blocks;
-    return per_worker;
+    for (std::uint64_t b = 0; b < n_blocks; ++b) run_block(b, 0);
+    failed.rethrow();
+    return;
   }
 
   // One runner task per worker; each drains the shared ticket counter, so a
@@ -82,22 +106,20 @@ std::vector<std::uint64_t> ThreadPool::parallel_for_dynamic(
 
   for (unsigned w = 0; w < runners; ++w) {
     submit([&, w] {
-      std::uint64_t executed = 0;
       for (;;) {
         const std::uint64_t b = ticket.fetch_add(1, std::memory_order_relaxed);
         if (b >= n_blocks) break;
-        const auto [lo, hi] = block_range(b);
-        body(b, lo, hi, w);
-        ++executed;
+        run_block(b, w);
       }
-      per_worker[w] = executed;
       std::lock_guard lock(done_mu);
       if (--remaining == 0) done_cv.notify_one();
     });
   }
-  std::unique_lock lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining == 0; });
-  return per_worker;
+  {
+    std::unique_lock lock(done_mu);
+    done_cv.wait(lock, [&] { return remaining == 0; });
+  }
+  failed.rethrow();
 }
 
 void ThreadPool::worker_loop() {

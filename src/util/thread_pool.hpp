@@ -13,6 +13,11 @@
 // would deadlock a fully-busy pool (the inner call waits on workers that are
 // all waiting on it), so nested calls detect the situation via a thread-local
 // flag and degrade to an inline serial loop on the calling worker.
+//
+// Errors: a block body that throws is recorded, not fatal — the remaining
+// blocks still run, and the failing block with the lowest index has its
+// error rethrown on the caller after the join.  Callers need no exception
+// plumbing of their own.
 #pragma once
 
 #include <condition_variable>
@@ -53,11 +58,12 @@ class ThreadPool {
   /// in [0, thread_count()) identifying the executing runner — callers use
   /// it to reuse per-worker scratch state.
   /// Block boundaries are a pure function of (begin, end, block_size).
-  /// Returns the number of blocks each worker slot executed (telemetry; the
-  /// per-slot counts are timing-dependent, the set of blocks is not).
+  /// A body may throw: every other block still runs, and after the join the
+  /// error of the LOWEST-indexed failing block is rethrown on the caller —
+  /// the same error at any thread count and under any timing.
   /// block_size == 0 selects 1.  Safe to call from inside a worker task:
   /// every block then runs inline on the caller under worker_slot 0.
-  std::vector<std::uint64_t> parallel_for_dynamic(
+  void parallel_for_dynamic(
       std::uint64_t begin, std::uint64_t end, std::uint64_t block_size,
       const std::function<void(std::uint64_t, std::uint64_t, std::uint64_t, unsigned)>& body);
 

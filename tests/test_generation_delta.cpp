@@ -15,8 +15,8 @@
 // and every answer against the serial replay of its pin.
 //
 // The closed-loop variant runs the same engine under concurrent clients
-// with the parallel merge pool and snapshot writeback on — it carries the
-// "tsan" label so CI replays it under ThreadSanitizer.
+// with the parallel merge pool — it carries the "tsan" label so CI replays
+// it under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -139,38 +139,15 @@ TEST(GenerationDelta, RandomizedSequenceIsBitIdenticalToSerialReplayEveryGenerat
   std::filesystem::remove_all(dir);
 }
 
-TEST(GenerationDelta, SnapshotCommitKeepsIdentityAndReusesTheWholeAnswer) {
-  // write_snapshots_on_ingest persists rebuilt shards AFTER the ingest
-  // publish: the manifest generation moves again but no partition's data
-  // generation does, so the memoized answer's identity still matches
-  // full-length and the service re-registers it under the new generation
-  // without resolving a single shard.
-  const std::filesystem::path dir = fresh_dir("mlio_gen_delta_snap");
-  seed_archive(dir, 2);
-
-  service::ArchiveService::Options opts;
-  opts.write_snapshots_on_ingest = true;
-  service::ArchiveService svc(dir, opts);
-
-  svc.ingest(std::span<const service::ServiceFrame>(frame_pool().data(), 2));
-  const auto first = svc.get(/*keep_analysis=*/true);
-  const auto again = svc.get(/*keep_analysis=*/true);
-  EXPECT_EQ(again.fingerprint, first.fingerprint);
-  EXPECT_EQ(again.stats.query.merged_hits, 1u);
-  EXPECT_EQ(svc.replay_serial(again.pin).fingerprint(), again.fingerprint);
-  std::filesystem::remove_all(dir);
-}
-
 TEST(GenerationDelta, ClosedLoopDriverWithMemoAndMergePoolStaysBitIdentical) {
   // The concurrency variant (runs under TSan in CI): concurrent clients
-  // against the memoized + prefix-merging + pooled-merge service, snapshot
-  // writeback on, every observed generation serially replayed.
+  // against the memoized + prefix-merging + pooled-merge service, every
+  // observed generation serially replayed.
   const std::filesystem::path dir = fresh_dir("mlio_gen_delta_loop");
   seed_archive(dir, 3);
 
   service::ArchiveService::Options opts;
   opts.merge_threads = 2;
-  opts.write_snapshots_on_ingest = true;
   service::ArchiveService svc(dir, opts);
 
   service::WorkloadConfig cfg;

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace mlio::util {
@@ -46,15 +50,15 @@ TEST(ThreadPool, DynamicBlockBoundariesIgnoreThreadCount) {
 TEST(ThreadPool, DynamicWorkerCountsSumToBlocks) {
   ThreadPool pool(3);
   std::atomic<int> total{0};
-  const auto counts = pool.parallel_for_dynamic(
+  std::atomic<std::uint64_t> blocks{0};
+  pool.parallel_for_dynamic(
       0, 1000, 7, [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi, unsigned w) {
         ASSERT_LT(w, 3u);
         total.fetch_add(static_cast<int>(hi - lo));
+        blocks.fetch_add(1);
       });
   EXPECT_EQ(total.load(), 1000);
-  std::uint64_t blocks = 0;
-  for (const auto c : counts) blocks += c;
-  EXPECT_EQ(blocks, (1000 + 6) / 7);
+  EXPECT_EQ(blocks.load(), (1000 + 6) / 7);
 }
 
 TEST(ThreadPool, DynamicEmptyRangeIsNoop) {
@@ -92,14 +96,53 @@ TEST(ThreadPool, SingleThreadPoolStillWorks) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.thread_count(), 1u);
   std::uint64_t sum = 0;
-  const auto counts = pool.parallel_for_dynamic(
+  std::atomic<std::uint64_t> blocks{0};
+  pool.parallel_for_dynamic(
       1, 101, 0, [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi, unsigned w) {
         EXPECT_EQ(w, 0u);
         for (std::uint64_t i = lo; i < hi; ++i) sum += i;
+        blocks.fetch_add(1);
       });
   EXPECT_EQ(sum, 5050u);
-  ASSERT_EQ(counts.size(), 1u);
-  EXPECT_EQ(counts[0], 100u);  // block_size 0 selects 1
+  EXPECT_EQ(blocks.load(), 100u);  // block_size 0 selects 1
+}
+
+/// Runs 10 one-element blocks whose bodies throw in blocks 3 and 7; returns
+/// the rethrown message and counts every block that ran in `ran`.  Block 3
+/// stalls before throwing, so on a pool block 7 usually fails first in time.
+std::string run_failing_blocks(ThreadPool& pool, std::atomic<int>& ran) {
+  try {
+    pool.parallel_for_dynamic(0, 10, 1, [&](std::uint64_t b, std::uint64_t, std::uint64_t,
+                                            unsigned) {
+      ran.fetch_add(1);
+      if (b == 3) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (b == 3 || b == 7) throw std::runtime_error("block " + std::to_string(b));
+    });
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(ThreadPool, DynamicRethrowsLowestFailingBlockAfterRunningAll) {
+  // The rethrown error is block 3's on every run, however the blocks were
+  // scheduled, and no failure cancels the blocks after it.
+  ThreadPool pool(4);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::atomic<int> ran{0};
+    EXPECT_EQ(run_failing_blocks(pool, ran), "block 3") << "trial " << trial;
+    EXPECT_EQ(ran.load(), 10) << "trial " << trial;
+  }
+}
+
+TEST(ThreadPool, NestedDynamicRethrowsLowestFailingBlockAfterRunningAll) {
+  ThreadPool pool(1);
+  std::atomic<int> ran{0};
+  std::string error;
+  pool.submit([&] { error = run_failing_blocks(pool, ran); });
+  pool.wait_idle();
+  EXPECT_EQ(error, "block 3");
+  EXPECT_EQ(ran.load(), 10);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -23,6 +24,8 @@
 #include "core/snapshot.hpp"
 #include "darshan/log_format.hpp"
 #include "darshan/runtime.hpp"
+#include "service/service.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mlio::archive {
@@ -94,41 +97,50 @@ core::Analysis oracle(const std::vector<Frame>& frames, const Manifest& m,
 /// reported via windows_covered).
 void check_all_windows(Archive& ar, const std::vector<Frame>& frames,
                        std::uint64_t newest_window) {
-  for (std::uint64_t n = 0; n <= newest_window + 2; ++n) {
-    WindowSelection sel;
-    const QueryResult q = query_window(ar, n, {}, &sel);
-    EXPECT_EQ(sel.newest_window, newest_window) << "n=" << n;
-    EXPECT_EQ(state_bytes(q.analysis), state_bytes(oracle(frames, ar.manifest(), sel)))
-        << "n=" << n;
-    if (n > 0 && !sel.whole_archive()) {
-      EXPECT_GE(sel.windows_covered, n) << "selection must never silently truncate";
-      EXPECT_EQ(sel.cutoff, newest_window - n + 1) << "n=" << n;
+  for (const unsigned threads : {1u, 4u}) {
+    QueryOptions qo;
+    qo.threads = threads;
+    for (std::uint64_t n = 0; n <= newest_window + 2; ++n) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " n=" + std::to_string(n));
+      WindowSelection sel;
+      const QueryResult q = query_window(ar, n, qo, &sel);
+      EXPECT_EQ(sel.newest_window, newest_window);
+      EXPECT_EQ(state_bytes(q.analysis), state_bytes(oracle(frames, ar.manifest(), sel)));
+      if (n > 0 && !sel.whole_archive()) {
+        EXPECT_GE(sel.windows_covered, n) << "selection must never silently truncate";
+        EXPECT_EQ(sel.cutoff, newest_window - n + 1);
+      }
     }
   }
 }
 
-TEST(WindowQuery, AlignedCutsAreBitIdenticalToFrameOracleForEveryN) {
-  const fs::path dir = fresh_dir("mlio_window_aligned");
+/// Streams `windows` windows of 1-3 logs each (aligned cuts, one partition
+/// per window) into a fresh archive at `dir`; returns the frames.
+std::vector<Frame> stream_windows(const fs::path& dir, std::uint64_t windows) {
   Archive ar = Archive::create(dir);
   StreamOptions opts;
   opts.window_seconds = kWindowSeconds;
   StreamIngester ing(ar, opts);
-
-  // 8 windows, 1-3 logs each, all cuts on window boundaries (aligned).
   std::vector<Frame> frames;
   std::uint64_t job = 1;
-  for (std::uint64_t w = 0; w < 8; ++w) {
-    const std::uint64_t logs = 1 + (w % 3);
-    for (std::uint64_t l = 0; l < logs; ++l) {
+  for (std::uint64_t w = 0; w < windows; ++w) {
+    for (std::uint64_t l = 0; l < 1 + (w % 3); ++l) {
       frames.push_back(make_frame(job, static_cast<std::int64_t>(w) * kWindowSeconds +
                                            static_cast<std::int64_t>(l) * 7,
                                   job));
-      const Frame& f = frames.back();
-      (void)ing.append(f.job, f.bytes);
+      (void)ing.append(frames.back().job, frames.back().bytes);
       ++job;
     }
   }
   (void)ing.flush();
+  return frames;
+}
+
+TEST(WindowQuery, AlignedCutsAreBitIdenticalToFrameOracleForEveryN) {
+  const fs::path dir = fresh_dir("mlio_window_aligned");
+  // 8 windows, 1-3 logs each, all cuts on window boundaries (aligned).
+  const std::vector<Frame> frames = stream_windows(dir, 8);
+  Archive ar = Archive::open(dir);
   ASSERT_EQ(ar.manifest().partitions.size(), 8u);
 
   check_all_windows(ar, frames, 8);
@@ -197,6 +209,117 @@ TEST(WindowQuery, SnapshotAndRescanAnswersAreBitIdentical) {
   const QueryResult rescanned = query_window(ar, 2);
   EXPECT_GT(rescanned.stats.partitions_scanned, 0u);
   EXPECT_EQ(state_bytes(rescanned.analysis), state_bytes(from_snap.analysis));
+}
+
+TEST(WindowQuery, OneResolverAgreesAcrossQueryServiceAndReplay) {
+  // Every other window carries a snapshot (built straight from its frames),
+  // so each suffix mixes snapshot hits and rescans.  The pooled query at 1
+  // and 4 threads, the service cold (snapshot or rescan) and warm (shard
+  // cache), and the serial replay must all give the same state bytes, and
+  // every resolving path must split its shards exactly by which windows
+  // have snapshots.
+  const fs::path dir = fresh_dir("mlio_window_resolver");
+  const std::vector<Frame> frames = stream_windows(dir, 8);
+  {
+    Archive ar = Archive::open(dir);
+    ASSERT_EQ(ar.manifest().partitions.size(), 8u);
+    for (std::size_t i = 1; i < 8; i += 2) {
+      core::Analysis shard;
+      for (const Frame& f : frames) {
+        if (window_id_for(f.job.start_time, kWindowSeconds) == i + 1) {
+          shard.add(darshan::read_log_bytes(f.bytes));
+        }
+      }
+      ar.store_snapshot(ar.manifest().partitions[i].id, shard);
+    }
+  }
+
+  Archive ar = Archive::open(dir);
+  const std::uint64_t generation = ar.manifest().generation;
+  const std::vector<PartitionInfo>& parts = ar.manifest().partitions;
+  for (std::uint64_t n = 0; n <= 10; ++n) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    QueryOptions one;
+    one.threads = 1;
+    QueryOptions four;
+    four.threads = 4;
+    WindowSelection sel;
+    const QueryResult q1 = query_window(ar, n, one, &sel);
+    const QueryResult q4 = query_window(ar, n, four);
+
+    std::uint64_t snapshots = 0, rescans = 0, rescanned_logs = 0;
+    for (std::size_t i = sel.first; i < parts.size(); ++i) {
+      if (parts[i].has_snapshot) {
+        snapshots += 1;
+      } else {
+        rescans += 1;
+        rescanned_logs += parts[i].log_count;
+      }
+    }
+    EXPECT_EQ(snapshots + rescans, sel.count);
+    for (const QueryResult* q : {&q1, &q4}) {
+      EXPECT_EQ(q->stats.snapshot_hits, snapshots);
+      EXPECT_EQ(q->stats.partitions_scanned, rescans);
+      EXPECT_EQ(q->stats.logs_scanned, rescanned_logs);
+      EXPECT_EQ(q->stats.snapshots_written, 0u);
+    }
+
+    service::ArchiveService::Options so;
+    so.merge_threads = 2;
+    so.merged.capacity_bytes = 0;  // no answer memo: the warm get resolves from the shard cache
+    service::ArchiveService svc(dir, so);
+    const service::ArchiveService::GetResult cold = svc.get_window(n, true);
+    EXPECT_EQ(cold.stats.query.cache_hits, 0u);
+    EXPECT_EQ(cold.stats.query.snapshot_hits, snapshots);
+    EXPECT_EQ(cold.stats.query.partitions_scanned, rescans);
+    EXPECT_EQ(cold.stats.query.logs_scanned, rescanned_logs);
+    const service::ArchiveService::GetResult warm = svc.get_window(n, true);
+    EXPECT_EQ(warm.stats.query.cache_hits, sel.count);
+    EXPECT_EQ(warm.stats.query.snapshot_hits, 0u);
+    EXPECT_EQ(warm.stats.query.partitions_scanned, 0u);
+
+    const std::vector<std::byte> expected = state_bytes(svc.replay_serial_window(cold.pin, n));
+    EXPECT_EQ(state_bytes(q1.analysis), expected);
+    EXPECT_EQ(state_bytes(q4.analysis), expected);
+    EXPECT_EQ(state_bytes(*cold.analysis), expected);
+    EXPECT_EQ(state_bytes(*warm.analysis), expected);
+  }
+  // query_window wrote nothing back: the manifest never moved.
+  EXPECT_EQ(Archive::open(dir).manifest().generation, generation);
+}
+
+TEST(WindowQuery, CorruptSegmentInWindowFailsTheSameAtAnyThreadCount) {
+  // Two damaged segments inside the window: every thread count reports the
+  // same typed error, naming the lower-indexed partition.
+  const fs::path dir = fresh_dir("mlio_window_corrupt");
+  (void)stream_windows(dir, 8);
+  Archive ar = Archive::open(dir);
+  const std::vector<PartitionInfo>& parts = ar.manifest().partitions;
+  ASSERT_EQ(parts.size(), 8u);
+  for (const std::size_t i : {4u, 6u}) {
+    const fs::path seg = ar.segment_path(parts[i].id);
+    std::vector<char> bytes(static_cast<std::size_t>(fs::file_size(seg)));
+    std::ifstream(seg, std::ios::binary)
+        .read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x5a);
+    std::ofstream(seg, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  const std::string lower = ar.segment_path(parts[4].id).string();
+  for (const unsigned threads : {1u, 4u, 4u, 4u, 4u}) {
+    QueryOptions qo;
+    qo.threads = threads;
+    try {
+      (void)query_window(ar, 4, qo);
+      ADD_FAILURE() << "threads=" << threads << ": corrupt window answered";
+    } catch (const util::FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find(lower), std::string::npos)
+          << "threads=" << threads << ": " << e.what();
+    }
+  }
+  // A window past the damaged partitions still answers.
+  EXPECT_NO_THROW((void)query_window(ar, 1));
 }
 
 TEST(WindowQuery, SelectionEdgeCases) {
