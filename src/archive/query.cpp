@@ -72,7 +72,8 @@ std::shared_ptr<const core::Analysis> resolve_shard(const Archive& archive,
     stats.snapshot_hits += 1;
     return std::make_shared<const core::Analysis>(*std::move(snap));
   }
-  scratch.analyze.phases = scratch.phases ? &*scratch.phases : nullptr;
+  scratch.analyze.phases = scratch.phases ? &scratch.phases->analyze : nullptr;
+  scratch.scan.parse_seconds = scratch.phases ? &scratch.phases->parse_seconds : nullptr;
   ScanOptions scan_opts;
   scan_opts.mlp_depth = mlp_depth;
   auto shard = std::make_shared<core::Analysis>();
@@ -109,7 +110,6 @@ QueryResult query_partitions(Archive& archive, std::span<const PartitionInfo> pa
   const unsigned workers = pool.thread_count();
   if (scratch.size() < workers) scratch.resize(workers);
   for (unsigned w = 0; w < workers; ++w) {
-    scratch[w].scan.parse_seconds = 0;
     scratch[w].phases.emplace();  // timers cover this query alone
   }
   std::vector<QueryStats> worker_stats(workers);
@@ -133,9 +133,9 @@ QueryResult query_partitions(Archive& archive, std::span<const PartitionInfo> pa
       });
   for (unsigned w = 0; w < workers; ++w) {
     stats.merge(worker_stats[w]);
-    stats.parse_seconds += scratch[w].scan.parse_seconds;
-    stats.summarize_seconds += scratch[w].phases->summarize_seconds;
-    stats.accumulate_seconds += scratch[w].phases->accumulate_seconds;
+    stats.parse_seconds += scratch[w].phases->parse_seconds;
+    stats.summarize_seconds += scratch[w].phases->analyze.summarize_seconds;
+    stats.accumulate_seconds += scratch[w].phases->analyze.accumulate_seconds;
   }
   std::vector<Archive::SnapshotReceipt> receipts;
   for (const std::optional<Archive::SnapshotReceipt>& r : written) {

@@ -70,12 +70,17 @@ struct QueryOptions {
 
 /// Reusable decode and summarize state for resolve_shard: one per resolving
 /// thread, reused across partitions and queries so warm rebuilds allocate
-/// nothing per log.  `phases`, when engaged, collects summarize/accumulate
-/// CPU time; left empty, Analysis::add makes no clock calls.
+/// nothing per log.  `phases`, when engaged, collects decode, summarize and
+/// accumulate time; left empty, a rebuild makes no clock calls.
 struct ShardScratch {
+  /// Wall-clock of the rebuilds, per phase.
+  struct Phases {
+    double parse_seconds = 0;
+    core::AnalyzePhases analyze;
+  };
   Archive::ScanScratch scan;
   core::AnalyzeScratch analyze;
-  std::optional<core::AnalyzePhases> phases;
+  std::optional<Phases> phases;
 };
 
 /// Per-worker scratch for query_archive, indexed by the pool's dense worker

@@ -44,15 +44,19 @@ void scan_frames(std::span<const std::byte> segment, std::span<const IndexEntry>
   };
 
   const unsigned depth = std::max(1u, opts.mlp_depth);
+  const bool timed = scratch.parse_seconds != nullptr;
+  const auto since = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
   if (depth == 1) {
     // The seed's scan, verbatim: one dependent decode→parse→consume chain
     // per log.  This is the pinned baseline lane — the pipelined lane below
     // must match it bit for bit at any depth.
     for (const IndexEntry& e : entries) {
       check(e);
-      const auto t0 = Clock::now();
+      const auto t0 = timed ? Clock::now() : Clock::time_point{};
       darshan::read_log_bytes_into(frame_of(e), scratch.io, scratch.log);
-      scratch.parse_seconds += std::chrono::duration<double>(Clock::now() - t0).count();
+      if (timed) *scratch.parse_seconds += since(t0);
       fn(scratch.log);
     }
     return;
@@ -63,7 +67,7 @@ void scan_frames(std::span<const std::byte> segment, std::span<const IndexEntry>
   const std::size_t n = entries.size();
   for (std::size_t base = 0; base < n; base += depth) {
     const std::size_t m = std::min<std::size_t>(depth, n - base);
-    const auto t0 = Clock::now();
+    const auto t0 = timed ? Clock::now() : Clock::time_point{};
     // Stage 1: frame decode (header checks, inflate, body CRC) for the
     // whole batch.  Touching frames two entries ahead before finishing the
     // current one keeps several independent miss chains in flight — one
@@ -95,7 +99,7 @@ void scan_frames(std::span<const std::byte> segment, std::span<const IndexEntry>
       ScanScratch::Slot& slot = slots[i];
       darshan::read_log_body_into(slot.body, slot.io, slot.log);
     }
-    scratch.parse_seconds += std::chrono::duration<double>(Clock::now() - t0).count();
+    if (timed) *scratch.parse_seconds += since(t0);
     // Stage 3: consume in exact ingest order — the determinism contract.
     for (std::size_t i = 0; i < m; ++i) fn(slots[i].log);
   }

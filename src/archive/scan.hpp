@@ -44,11 +44,12 @@ struct ScanOptions {
 /// Reusable decode state for scan_frames: the LogData and codec buffers
 /// persist across frames (and across partitions when the caller keeps the
 /// scratch), so a cold shard rebuild parses with no per-log allocation.
-/// `parse_seconds` accumulates wall-clock spent inside the frame decoder.
 struct ScanScratch {
   darshan::LogData log;        ///< depth-1 lane's single in-flight log
   darshan::LogIoBuffers io;
-  double parse_seconds = 0;
+  /// Wall-clock spent inside the frame decoder is added here.  Non-owning;
+  /// null disables timing, so an untimed scan makes no clock calls.
+  double* parse_seconds = nullptr;
 
   /// One decode slot per in-flight log for the pipelined lane; sized on
   /// first use to the scan's mlp_depth.

@@ -145,7 +145,9 @@ void InterfaceUsage::load(util::ByteReader& r) {
   stdio_jobs_.clear();
   stdio_jobs_with_domain_ = 0;
   const std::uint64_t n_jobs = r.u64();
-  stdio_jobs_.reserve(static_cast<std::size_t>(n_jobs));
+  // A hostile count reserves no more than the payload could hold.
+  stdio_jobs_.reserve(
+      static_cast<std::size_t>(std::min<std::uint64_t>(n_jobs, r.remaining() / 9)));
   for (std::uint64_t i = 0; i < n_jobs; ++i) {
     const std::uint64_t id = r.u64();
     note_stdio_job(id, r.u8() != 0);
@@ -173,6 +175,7 @@ void InterfaceUsage::merge(const InterfaceUsage& other) {
     mine.bytes_read.merge(d.bytes_read);
     mine.bytes_written.merge(d.bytes_written);
   }
+  stdio_jobs_.reserve(stdio_jobs_.size() + other.stdio_jobs_.size());
   for (const auto& [id, with_domain] : other.stdio_jobs_) note_stdio_job(id, with_domain);
   for (const auto& [ext, n] : other.stdio_extensions_) stdio_extensions_[ext] += n;
 }

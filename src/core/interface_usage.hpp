@@ -11,9 +11,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 
 #include "core/dataset.hpp"
+#include "util/flat_map.hpp"
 #include "util/histogram.hpp"
 #include "util/stats.hpp"
 
@@ -89,7 +89,7 @@ class InterfaceUsage {
 
   /// STDIO job -> carries a domain tag.  Per-job flags (not a bare count)
   /// keep the with-domain census exact when a job's logs span shards.
-  std::unordered_map<std::uint64_t, bool> stdio_jobs_;
+  util::FlatU64Map<bool> stdio_jobs_;
   std::uint64_t stdio_jobs_with_domain_ = 0;
   std::map<std::string, std::uint64_t> stdio_extensions_;
 };

@@ -23,8 +23,8 @@ double LayerUsage::ClassCounts::ro_or_wo_percent() const {
 
 void LayerUsage::note_insys_job(std::uint64_t job_id, std::string domain) {
   // try_emplace moves `domain` only when it inserts.
-  const auto [it, inserted] = insys_job_domain_.try_emplace(job_id, std::move(domain));
-  if (!inserted && domain < it->second) it->second = std::move(domain);
+  const auto [mine, inserted] = insys_job_domain_.try_emplace(job_id, std::move(domain));
+  if (!inserted && domain < *mine) *mine = std::move(domain);
 }
 
 void LayerUsage::add_log(const darshan::JobRecord& job, const std::vector<FileSummary>& files) {
@@ -59,6 +59,8 @@ void LayerUsage::add_log(const darshan::JobRecord& job, const std::vector<FileSu
 }
 
 void LayerUsage::merge(const LayerUsage& other) {
+  job_mask_.reserve(job_mask_.size() + other.job_mask_.size());
+  insys_job_domain_.reserve(insys_job_domain_.size() + other.insys_job_domain_.size());
   for (const auto& [id, mask] : other.job_mask_) job_mask_[id] |= mask;
   for (const auto& [id, dom] : other.insys_job_domain_) note_insys_job(id, dom);
   for (std::size_t i = 0; i < classes_.size(); ++i) {
@@ -122,14 +124,17 @@ std::uint64_t LayerUsage::serialized_size() const {
 void LayerUsage::load(util::ByteReader& r) {
   job_mask_.clear();
   const std::uint64_t n_masks = r.u64();
-  job_mask_.reserve(static_cast<std::size_t>(n_masks));
+  // Hostile counts reserve no more than the payload could hold.
+  job_mask_.reserve(
+      static_cast<std::size_t>(std::min<std::uint64_t>(n_masks, r.remaining() / 9)));
   for (std::uint64_t i = 0; i < n_masks; ++i) {
     const std::uint64_t id = r.u64();
     job_mask_[id] = r.u8();
   }
   insys_job_domain_.clear();
   const std::uint64_t n_insys = r.u64();
-  insys_job_domain_.reserve(static_cast<std::size_t>(n_insys));
+  insys_job_domain_.reserve(
+      static_cast<std::size_t>(std::min<std::uint64_t>(n_insys, r.remaining() / 12)));
   for (std::uint64_t i = 0; i < n_insys; ++i) {
     const std::uint64_t id = r.u64();
     insys_job_domain_[id] = r.str();

@@ -13,9 +13,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 
 #include "core/dataset.hpp"
+#include "util/flat_map.hpp"
 #include "util/stats.hpp"
 
 namespace mlio::util {
@@ -31,7 +31,7 @@ class LayerUsage {
   void add_log(const darshan::JobRecord& job, const std::vector<FileSummary>& files);
   void merge(const LayerUsage& other);
 
-  /// Canonical serialization (unordered job maps emitted in sorted key
+  /// Canonical serialization (the job maps are emitted in sorted key
   /// order).
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
@@ -71,10 +71,10 @@ class LayerUsage {
   void note_insys_job(std::uint64_t job_id, std::string domain);
 
   // Bit 0: touched in-system; bit 1: touched PFS.
-  std::unordered_map<std::uint64_t, std::uint8_t> job_mask_;
+  util::FlatU64Map<std::uint8_t> job_mask_;
   // Distinct in-system jobs (job_id -> domain; the least name seen, so the
   // map is order-free even if a job's logs disagreed).
-  std::unordered_map<std::uint64_t, std::string> insys_job_domain_;
+  util::FlatU64Map<std::string> insys_job_domain_;
   std::array<ClassCounts, kLayerCount> classes_{};
   std::map<std::string, DomainUsage> domains_;
 };

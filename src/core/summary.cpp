@@ -18,6 +18,7 @@ void Summary::merge(const Summary& other) {
   logs_ += other.logs_;
   files_ += other.files_;
   node_seconds_.merge(other.node_seconds_);
+  per_job_logs_.reserve(per_job_logs_.size() + other.per_job_logs_.size());
   for (const auto& [id, n] : other.per_job_logs_) per_job_logs_[id] += n;
 }
 
@@ -45,7 +46,9 @@ void Summary::load(util::ByteReader& r) {
   node_seconds_.load(r);
   const std::uint64_t n_jobs = r.u64();
   per_job_logs_.clear();
-  per_job_logs_.reserve(static_cast<std::size_t>(n_jobs));
+  // A hostile count reserves no more than the payload could hold.
+  per_job_logs_.reserve(
+      static_cast<std::size_t>(std::min<std::uint64_t>(n_jobs, r.remaining() / 16)));
   for (std::uint64_t i = 0; i < n_jobs; ++i) {
     const std::uint64_t id = r.u64();
     per_job_logs_[id] = r.u64();

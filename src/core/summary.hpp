@@ -3,9 +3,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "core/dataset.hpp"
+#include "util/flat_map.hpp"
 #include "util/stats.hpp"
 
 namespace mlio::util {
@@ -40,7 +40,7 @@ class Summary {
   std::uint64_t logs_ = 0;
   std::uint64_t files_ = 0;
   util::ExactSum node_seconds_;
-  std::unordered_map<std::uint64_t, std::uint64_t> per_job_logs_;
+  util::FlatU64Map<std::uint64_t> per_job_logs_;
 };
 
 }  // namespace mlio::core

@@ -205,8 +205,8 @@ std::shared_ptr<const core::Analysis> ArchiveService::resolve_shard(
     return hit;
   }
   // Clients are plain threads, so the reusable decode state lives in
-  // thread_local storage instead of a worker-slot array.  Its analyze phase
-  // timers stay off: no per-log summarize/accumulate clock calls here.
+  // thread_local storage instead of a worker-slot array.  Its phase timers
+  // stay off: no per-log decode/summarize/accumulate clock calls here.
   thread_local archive::ShardScratch scratch;
   const auto t0 = SteadyClock::now();
   std::shared_ptr<const core::Analysis> shard =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 
 #include "util/byte_io.hpp"
 #include "util/error.hpp"
@@ -72,8 +73,12 @@ bool BottomKSample::less(const Entry& a, const Entry& b) {
 
 void BottomKSample::offer(const Entry& e) {
   if (sample_.size() < capacity_) {
+    if (!sample_.empty() && e.value < sample_.back().value) ordered_ = false;
     sample_.push_back(e);
-    if (sample_.size() == capacity_) std::make_heap(sample_.begin(), sample_.end(), less);
+    if (sample_.size() == capacity_) {
+      std::make_heap(sample_.begin(), sample_.end(), less);
+      ordered_ = false;
+    }
   } else if (less(e, sample_.front())) {
     std::pop_heap(sample_.begin(), sample_.end(), less);
     sample_.back() = e;
@@ -108,14 +113,46 @@ void BottomKSample::merge(const BottomKSample& other) {
     for (const Entry& e : other.sample_) offer(e);
     return;
   }
+  if (sample_.size() + other.sample_.size() < capacity_) {
+    merge_by_value(other);
+    return;
+  }
   sample_.insert(sample_.end(), other.sample_.begin(), other.sample_.end());
-  if (sample_.size() < capacity_) return;
   const auto kth = sample_.begin() + static_cast<std::ptrdiff_t>(capacity_);
   if (sample_.size() > capacity_) {
     std::nth_element(sample_.begin(), kth, sample_.end(), less);
     sample_.erase(kth, sample_.end());
   }
   std::make_heap(sample_.begin(), sample_.end(), less);
+  ordered_ = false;
+}
+
+void BottomKSample::merge_by_value(const BottomKSample& other) {
+  if (!ordered_) {
+    std::sort(sample_.begin(), sample_.end(), by_value);
+    ordered_ = true;
+  }
+  std::span<const Entry> src = other.sample_;
+  if (!other.ordered_) {
+    // `other` is const (a shared shard may be read by other threads), so
+    // its entries are ordered in a per-thread buffer reused across cells.
+    thread_local std::vector<Entry> buffer;
+    buffer.assign(other.sample_.begin(), other.sample_.end());
+    std::sort(buffer.begin(), buffer.end(), by_value);
+    src = buffer;
+  }
+  // Merge from the back into the grown vector: the write position stays
+  // above every unread entry of this sample.
+  std::size_t i = sample_.size();
+  std::size_t j = src.size();
+  sample_.resize(i + j);
+  for (std::size_t out = i + j; j > 0;) {
+    if (i > 0 && by_value(src[j - 1], sample_[i - 1])) {
+      sample_[--out] = sample_[--i];
+    } else {
+      sample_[--out] = src[--j];
+    }
+  }
 }
 
 void BottomKSample::save(ByteWriter& w) const {
@@ -154,7 +191,12 @@ void BottomKSample::load(ByteReader& r) {
     const std::uint64_t key = r.u64();
     sample_.push_back(Entry{key, r.f64()});
   }
-  if (sample_.size() == capacity_) std::make_heap(sample_.begin(), sample_.end(), less);
+  ordered_ = sample_.size() < capacity_;
+  if (ordered_) {
+    std::sort(sample_.begin(), sample_.end(), by_value);
+  } else {
+    std::make_heap(sample_.begin(), sample_.end(), less);
+  }
 }
 
 std::vector<double> BottomKSample::sorted_values() const {
@@ -177,14 +219,22 @@ void ExactSum::load(ByteReader& r) {
 
 namespace {
 
-/// Linear interpolation at interior q over an already sorted, non-empty
-/// sample.
-double interpolate(const std::vector<double>& sorted, double q) {
-  const double pos = q * static_cast<double>(sorted.size() - 1);
+/// Linear interpolation at interior q over n >= 1 values, ascending under
+/// `at`.
+template <class At>
+double interpolate(std::size_t n, double q, At at) {
+  const double pos = q * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const std::size_t hi = std::min(lo + 1, n - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return at(lo) * (1.0 - frac) + at(hi) * frac;
+}
+
+template <class At>
+void fill_quartiles(FiveNumber& f, std::size_t n, At at) {
+  f.q1 = interpolate(n, 0.25, at);
+  f.median = interpolate(n, 0.5, at);
+  f.q3 = interpolate(n, 0.75, at);
 }
 
 }  // namespace
@@ -194,7 +244,11 @@ double BottomKSample::quantile(double q) const {
   if (sample_.empty()) return 0.0;
   if (q <= 0.0) return min_;
   if (q >= 1.0) return max_;
-  return interpolate(sorted_values(), q);
+  if (ordered_) {
+    return interpolate(sample_.size(), q, [this](std::size_t i) { return sample_[i].value; });
+  }
+  const std::vector<double> sorted = sorted_values();
+  return interpolate(sorted.size(), q, [&sorted](std::size_t i) { return sorted[i]; });
 }
 
 FiveNumber BottomKSample::five_number() const {
@@ -204,11 +258,13 @@ FiveNumber BottomKSample::five_number() const {
   f.min = min_;
   f.max = max_;
   if (sample_.empty()) return f;
+  if (ordered_) {
+    fill_quartiles(f, sample_.size(), [this](std::size_t i) { return sample_[i].value; });
+    return f;
+  }
   // One sorted copy serves all three interior quantiles.
   const std::vector<double> sorted = sorted_values();
-  f.q1 = interpolate(sorted, 0.25);
-  f.median = interpolate(sorted, 0.5);
-  f.q3 = interpolate(sorted, 0.75);
+  fill_quartiles(f, sorted.size(), [&sorted](std::size_t i) { return sorted[i]; });
   return f;
 }
 

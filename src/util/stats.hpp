@@ -57,6 +57,12 @@ struct FiveNumber {
 /// points and merge association never change a bit of the state.
 /// Quantiles are exact while count() <= k and come from a uniform sample of
 /// the observations beyond that (the keys are hashes).
+///
+/// In memory a sample below capacity is usually kept in value order, so a
+/// boxplot reads it in place: add() only notes when an observation arrives
+/// out of order, and merge() of two samples whose union stays below k merges
+/// them by value.  That order is invisible outside the class: quantiles are
+/// the same bits either way and save() writes the canonical key order.
 class BottomKSample {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
@@ -82,6 +88,7 @@ class BottomKSample {
 
   /// Quantile q in [0,1] by linear interpolation over the sample.
   double quantile(double q) const;
+  /// Never mutates, so concurrent readers of one shared sample are safe.
   FiveNumber five_number() const;
 
  private:
@@ -91,13 +98,18 @@ class BottomKSample {
   };
   /// (key, value bits) order; the sample holds its k smallest entries.
   static bool less(const Entry& a, const Entry& b);
+  static bool by_value(const Entry& a, const Entry& b) { return a.value < b.value; }
   /// Keep `e` if it is among the k smallest seen (count/min/max untouched).
   void offer(const Entry& e);
+  /// Merges `other`'s entries by value; the union must stay below capacity.
+  void merge_by_value(const BottomKSample& other);
   std::vector<double> sorted_values() const;
 
   std::size_t capacity_;
-  /// Unordered below capacity; a max-heap under less() once full.
+  /// Below capacity: in value order while ordered_, else arbitrary.  Once
+  /// full: a max-heap under less().
   std::vector<Entry> sample_;
+  bool ordered_ = true;
   std::uint64_t n_ = 0;
   double min_ = 0.0;
   double max_ = 0.0;

@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "darshan/log_format.hpp"
 #include "darshan/runtime.hpp"
 #include "iosim/executor.hpp"
+#include "util/byte_io.hpp"
 #include "workload/generator.hpp"
 #include "workload/pipeline.hpp"
 
@@ -34,6 +36,13 @@ using darshan::LogData;
 using darshan::ModuleId;
 using darshan::MountEntry;
 using darshan::Runtime;
+
+/// FNV-1a 64 over a byte string.
+std::uint64_t fnv1a(std::span<const std::byte> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::byte b : bytes) h = (h ^ static_cast<std::uint8_t>(b)) * 0x100000001b3ull;
+  return h;
+}
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -265,6 +274,11 @@ TEST(IngestDifferential, ArchiveColdQueryFingerprintPinned) {
   qo.write_snapshots = false;
   const auto q = query_archive(ar, qo);
   EXPECT_EQ(q.analysis.fingerprint(), 681279179527013092ull);
+  // The fingerprint hashes neither the per-job maps nor the sample entries;
+  // the canonical state bytes cover both.
+  util::ByteWriter w;
+  q.analysis.save(w);
+  EXPECT_EQ(fnv1a(w.take()), 2545916944106061150ull);
   EXPECT_EQ(q.stats.logs_scanned, 244u);
   // The phase split is new telemetry; a cold scan must populate it.
   EXPECT_GT(q.stats.parse_seconds, 0.0);

@@ -6,13 +6,16 @@
 //   3. any cuts -> same bits: cutting one log sequence at random points and
 //      folding the shards in a random order, with a random tree shape or
 //      on a pool of any size, serializes to the sequential accumulator's
-//      bytes — saturated bottom-k sample cells included.
+//      bytes — saturated bottom-k sample cells included;
+//   4. reading one shared answer from several threads is race-free and
+//      gives every reader the same fingerprint, boxplots and bytes.
 // The archive leans on (3) to hand a compacted partition the merge of its
 // inputs' shards instead of rescanning it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/analysis.hpp"
@@ -304,6 +307,71 @@ TEST(MergeProperties, SaturatedCellMergeIsAssociativeAndCommutative) {
   EXPECT_EQ(bytes(left), bytes(right));
   EXPECT_EQ(bytes(left), bytes(reversed));
   EXPECT_EQ(fullest_cell(left), 9000u);
+}
+
+/// Everything a reader of an answer sees: its fingerprint, every
+/// performance boxplot and its canonical bytes.
+struct Reading {
+  std::uint64_t fingerprint = 0;
+  std::vector<double> cells;
+  std::vector<std::byte> bytes;
+  bool operator==(const Reading&) const = default;
+};
+
+Reading read_answer(const Analysis& a) {
+  Reading r;
+  r.fingerprint = a.fingerprint();
+  for (std::size_t li = 0; li < kLayerCount; ++li) {
+    for (std::size_t iface = 0; iface < 2; ++iface) {
+      for (std::size_t bin = 0; bin < Performance::bins().size(); ++bin) {
+        for (const bool read : {true, false}) {
+          const util::FiveNumber f = a.performance().cell(static_cast<Layer>(li), iface, bin, read);
+          r.cells.insert(r.cells.end(), {f.min, f.q1, f.median, f.q3, f.max});
+          r.cells.push_back(static_cast<double>(f.count));
+        }
+      }
+    }
+  }
+  util::ByteWriter w;
+  a.save(w);
+  r.bytes = w.take();
+  return r;
+}
+
+TEST(MergeProperties, ConcurrentReadersOfOneAnswerAgree) {
+  // The service hands one memoized answer to many clients, so every const
+  // read must stay a pure read: four threads read a shared answer at once,
+  // and under -fsanitize=thread any lazy cache written on a const path
+  // shows up as a race.  Both the merged answer (value-ordered sample
+  // cells) and a shard built by adds (unordered cells) are read.
+  const auto logs = dense_logs(12, 61);
+  ASSERT_GE(logs.size(), 8u);
+  std::vector<Analysis> shards;
+  for (std::size_t s = 0; s < 4; ++s) {
+    shards.push_back(analyze(logs, logs.size() * s / 4, logs.size() * (s + 1) / 4));
+  }
+  std::vector<const Analysis*> ptrs;
+  for (const Analysis& sh : shards) ptrs.push_back(&sh);
+  util::ThreadPool pool(2);
+  const Analysis merged = Analysis::merge_ordered(ptrs, &pool);
+  const Analysis& scanned = shards.front();
+
+  for (const Analysis* answer : {&merged, &scanned}) {
+    // The expected reading comes from a copy, so the readers below are the
+    // first to touch the shared answer.
+    const Reading expected = read_answer(Analysis(*answer));
+    constexpr std::size_t kReaders = 4;
+    std::vector<Reading> seen(kReaders);
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&, t] {
+        for (int round = 0; round < 3; ++round) seen[t] = read_answer(*answer);
+      });
+    }
+    for (std::thread& t : readers) t.join();
+    for (std::size_t t = 0; t < kReaders; ++t) EXPECT_TRUE(seen[t] == expected) << "reader " << t;
+  }
+  EXPECT_EQ(merged.fingerprint(), analyze(logs, 0, logs.size()).fingerprint());
 }
 
 }  // namespace

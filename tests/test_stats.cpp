@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/byte_io.hpp"
+#include "util/flat_map.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -212,6 +218,286 @@ TEST(ExactSum, ExactPast64BitsAndOrderFree) {
   ByteReader r(bytes);
   loaded.load(r);
   EXPECT_EQ(loaded, a);
+}
+
+// --- The value-ordered sample ------------------------------------------------
+
+using Obs = std::pair<std::uint64_t, double>;
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The reference: the k smallest observations under (key, value bits), their
+/// values sorted, interpolated with the documented formula.
+struct Reference {
+  std::vector<double> values;  // the sample's values, ascending
+  double min = 0, max = 0;
+  std::uint64_t count = 0;
+
+  Reference(std::vector<Obs> obs, std::size_t k) : count(obs.size()) {
+    if (obs.empty()) return;
+    std::sort(obs.begin(), obs.end(), [](const Obs& a, const Obs& b) {
+      if (a.first != b.first) return a.first < b.first;
+      return std::bit_cast<std::uint64_t>(a.second) < std::bit_cast<std::uint64_t>(b.second);
+    });
+    min = max = obs.front().second;
+    for (const Obs& o : obs) {
+      min = std::min(min, o.second);
+      max = std::max(max, o.second);
+    }
+    obs.resize(std::min(obs.size(), k));
+    for (const Obs& o : obs) values.push_back(o.second);
+    std::sort(values.begin(), values.end());
+  }
+
+  double quantile(double q) const {
+    if (values.empty()) return 0.0;
+    if (q <= 0.0) return min;
+    if (q >= 1.0) return max;
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return values[lo] * (1.0 - frac) + values[hi] * frac;
+  }
+};
+
+void expect_matches(const BottomKSample& q, const std::vector<Obs>& obs, std::size_t k,
+                    const std::string& what) {
+  const Reference ref(obs, k);
+  const FiveNumber f = q.five_number();
+  EXPECT_EQ(f.count, ref.count) << what;
+  EXPECT_TRUE(same_bits(f.min, ref.min)) << what;
+  EXPECT_TRUE(same_bits(f.max, ref.max)) << what;
+  if (!ref.values.empty()) {
+    EXPECT_TRUE(same_bits(f.q1, ref.quantile(0.25))) << what;
+    EXPECT_TRUE(same_bits(f.median, ref.quantile(0.5))) << what;
+    EXPECT_TRUE(same_bits(f.q3, ref.quantile(0.75))) << what;
+  }
+  for (const double at : {0.0, 0.1, 0.25, 0.5, 0.6, 0.75, 0.99, 1.0}) {
+    EXPECT_TRUE(same_bits(q.quantile(at), ref.quantile(at))) << what << " q=" << at;
+  }
+}
+
+/// Sequential adds of `obs` in the given order: the bytes any other path
+/// must reproduce.
+std::vector<std::byte> bytes_by_adds(const std::vector<Obs>& obs, std::size_t k) {
+  BottomKSample q(k);
+  for (const auto& [key, x] : obs) q.add(key, x);
+  return bytes_of(q);
+}
+
+TEST(BottomKSample, ValueOrderedPathsMatchSortedReference) {
+  // Random sequences of add, merge (ordered or not, into empty or not),
+  // copy and load, around and across the capacity: every intermediate
+  // boxplot and quantile equals the sorted reference bit for bit, and the
+  // bytes equal a plain sequence of adds.
+  constexpr std::size_t k = 32;
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string what = "trial " + std::to_string(trial);
+    // Sizes k-1, k and k+1, then anything up to 3k.
+    const std::uint64_t n =
+        trial < 3 ? k - 1 + static_cast<std::uint64_t>(trial) : rng.uniform_u64(0, 3 * k);
+    const bool ties = rng.uniform_u64(0, 2) == 0;
+    std::vector<Obs> obs;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const double x = ties ? static_cast<double>(rng.uniform_u64(0, 5))
+                            : rng.uniform_real(0.0, 1000.0);
+      obs.emplace_back(key_of(ties ? i % 7 : i), x);
+    }
+
+    // Cut into parts; each part is built its own way.
+    std::vector<std::vector<Obs>> cuts(1 + rng.uniform_u64(0, 4));
+    for (const Obs& o : obs) cuts[rng.uniform_u64(0, cuts.size() - 1)].push_back(o);
+    std::vector<BottomKSample> parts;
+    for (std::vector<Obs>& cut : cuts) {
+      switch (rng.uniform_u64(0, 3)) {
+        case 0:  // ascending adds: stays value-ordered below capacity
+          std::sort(cut.begin(), cut.end(),
+                    [](const Obs& a, const Obs& b) { return a.second < b.second; });
+          break;
+        case 1:  // descending adds: out of order from the second add on
+          std::sort(cut.begin(), cut.end(),
+                    [](const Obs& a, const Obs& b) { return a.second > b.second; });
+          break;
+        default:
+          break;  // arrival order
+      }
+      BottomKSample part(k);
+      for (const auto& [key, x] : cut) part.add(key, x);
+      expect_matches(part, cut, k, what + " part");
+      if (rng.uniform_u64(0, 2) == 0) {  // through the canonical bytes
+        const std::vector<std::byte> bytes = bytes_of(part);
+        BottomKSample loaded;
+        ByteReader r(bytes);
+        loaded.load(r);
+        expect_matches(loaded, cut, k, what + " loaded part");
+        part = loaded;
+      }
+      parts.push_back(part);
+    }
+
+    // Fold the parts in a random order, into an empty sample or a copy of
+    // the first part, checking every intermediate state.
+    std::vector<std::size_t> order(parts.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.uniform_u64(0, i - 1)]);
+    }
+    const bool from_empty = rng.uniform_u64(0, 1) == 0;
+    BottomKSample acc = from_empty ? BottomKSample(k) : parts[order.front()];
+    std::vector<Obs> seen = from_empty ? std::vector<Obs>{} : cuts[order.front()];
+    for (std::size_t i = from_empty ? 0 : 1; i < order.size(); ++i) {
+      acc.merge(parts[order[i]]);
+      seen.insert(seen.end(), cuts[order[i]].begin(), cuts[order[i]].end());
+      expect_matches(acc, seen, k, what + " fold step " + std::to_string(i));
+      if (rng.uniform_u64(0, 3) == 0) {  // a copy carries on like its source
+        const BottomKSample copy = acc;
+        EXPECT_EQ(bytes_of(copy), bytes_of(acc)) << what;
+        acc = copy;
+      }
+    }
+    EXPECT_EQ(bytes_of(acc), bytes_by_adds(obs, k)) << what;
+    expect_matches(acc, obs, k, what + " folded");
+
+    // A merged or loaded sample keeps accepting adds like a fresh one.
+    const double late = rng.uniform_real(-10.0, 1010.0);
+    acc.add(key_of(n + 1), late);
+    obs.emplace_back(key_of(n + 1), late);
+    expect_matches(acc, obs, k, what + " late add");
+    EXPECT_EQ(bytes_of(acc), bytes_by_adds(obs, k)) << what;
+  }
+}
+
+TEST(BottomKSample, MergeAtTheCapacityEdges) {
+  // Unions that end at k - 1 (stays ordered), exactly k (becomes the heap)
+  // and k + 1 (drops the largest key): each matches the reference.
+  constexpr std::size_t k = 16;
+  for (const std::size_t total : {k - 1, k, k + 1}) {
+    for (std::size_t left = 0; left <= total; ++left) {
+      std::vector<Obs> a_obs;
+      std::vector<Obs> b_obs;
+      for (std::size_t i = 0; i < total; ++i) {
+        const Obs o{key_of(i), static_cast<double>((i * 7) % total)};
+        (i < left ? a_obs : b_obs).push_back(o);
+      }
+      BottomKSample a(k);
+      BottomKSample b(k);
+      for (const auto& [key, x] : a_obs) a.add(key, x);
+      for (const auto& [key, x] : b_obs) b.add(key, x);
+      a.merge(b);
+      std::vector<Obs> all = a_obs;
+      all.insert(all.end(), b_obs.begin(), b_obs.end());
+      const std::string what = "total " + std::to_string(total) + " left " + std::to_string(left);
+      expect_matches(a, all, k, what);
+      EXPECT_EQ(bytes_of(a), bytes_by_adds(all, k)) << what;
+    }
+  }
+}
+
+// --- FlatU64Map ----------------------------------------------------------------
+
+std::map<std::uint64_t, std::uint64_t> contents(const FlatU64Map<std::uint64_t>& m) {
+  std::map<std::uint64_t, std::uint64_t> out;
+  for (const auto& [key, value] : m) {
+    EXPECT_TRUE(out.emplace(key, value).second) << "key " << key << " visited twice";
+  }
+  return out;
+}
+
+TEST(FlatU64Map, ExtremeKeys) {
+  FlatU64Map<std::uint64_t> m;
+  EXPECT_TRUE(m.empty());
+  m[0] = 5;
+  m[std::numeric_limits<std::uint64_t>::max()] = 7;
+  EXPECT_EQ(m.size(), 2u);
+  const auto [zero, zero_new] = m.try_emplace(0, 99);
+  EXPECT_FALSE(zero_new);
+  EXPECT_EQ(*zero, 5u);
+  const auto [top, top_new] = m.try_emplace(std::numeric_limits<std::uint64_t>::max(), 99);
+  EXPECT_FALSE(top_new);
+  EXPECT_EQ(*top, 7u);
+  EXPECT_EQ(contents(m),
+            (std::map<std::uint64_t, std::uint64_t>{
+                {0, 5}, {std::numeric_limits<std::uint64_t>::max(), 7}}));
+}
+
+TEST(FlatU64Map, GrowsThroughRehashesAndIteratesEachKeyOnce) {
+  // Sequential ids, a large stride and random keys, with repeats: the map
+  // agrees with std::map after every rehash boundary.
+  FlatU64Map<std::uint64_t> m;
+  std::map<std::uint64_t, std::uint64_t> ref;
+  Rng rng(8);
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    std::uint64_t key = 0;
+    switch (i % 3) {
+      case 0: key = i / 3; break;
+      case 1: key = (i / 3) << 40; break;
+      default: key = rng.next(); break;
+    }
+    if (i % 5 == 0) key = i / 10;  // a repeat of an earlier sequential id
+    m[key] += i;
+    ref[key] += i;
+    if ((i & (i + 1)) == 0) {  // i = 2^j - 1
+      ASSERT_EQ(m.size(), ref.size());
+      ASSERT_EQ(contents(m), ref) << "after " << i + 1 << " inserts";
+    }
+  }
+  EXPECT_EQ(m.size(), ref.size());
+  EXPECT_EQ(contents(m), ref);
+  for (const auto& [key, value] : ref) {
+    const auto [found, inserted] = m.try_emplace(key);
+    EXPECT_FALSE(inserted);
+    EXPECT_EQ(*found, value);
+  }
+}
+
+TEST(FlatU64Map, CopyIsIndependent) {
+  FlatU64Map<std::uint64_t> a;
+  for (std::uint64_t i = 0; i < 100; ++i) a[i * 3] = i;
+  FlatU64Map<std::uint64_t> b = a;
+  const auto before = contents(a);
+  auto expected_b = before;
+  b[0] += 1000;
+  expected_b[0] += 1000;
+  for (std::uint64_t i = 0; i < 200; ++i) {  // forces a rehash in b
+    b[i * 5 + 1] = 1;
+    expected_b[i * 5 + 1] = 1;
+  }
+  EXPECT_EQ(contents(a), before);
+  EXPECT_EQ(contents(b), expected_b);
+  a[7] = 7;  // and the source's inserts do not reach the copy
+  EXPECT_EQ(contents(b).count(7), 0u);
+}
+
+TEST(FlatU64Map, ClearThenReuse) {
+  FlatU64Map<std::uint64_t> m;
+  for (std::uint64_t i = 0; i < 1000; ++i) m[i] = i;
+  m.clear();
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.begin(), m.end());
+  for (std::uint64_t i = 500; i < 1500; ++i) {
+    const auto [value, inserted] = m.try_emplace(i, i + 1);
+    EXPECT_TRUE(inserted) << i;
+    EXPECT_EQ(*value, i + 1);
+  }
+  EXPECT_EQ(m.size(), 1000u);
+  std::map<std::uint64_t, std::uint64_t> ref;
+  for (std::uint64_t i = 500; i < 1500; ++i) ref[i] = i + 1;
+  EXPECT_EQ(contents(m), ref);
+}
+
+TEST(FlatU64Map, TryEmplaceConsumesArgumentsOnlyOnInsert) {
+  FlatU64Map<std::string> m;
+  std::string first = "climate";
+  EXPECT_TRUE(m.try_emplace(9, std::move(first)).second);
+  std::string second = "biology";
+  const auto [value, inserted] = m.try_emplace(9, std::move(second));
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(*value, "climate");
+  EXPECT_EQ(second, "biology");  // not moved from
 }
 
 }  // namespace
