@@ -283,10 +283,7 @@ std::size_t Archive::commit_snapshots(std::span<const SnapshotReceipt> receipts)
   return registered;
 }
 
-std::size_t Archive::compact(std::uint64_t max_logs) { return compact(max_logs, nullptr); }
-
-PartitionInfo Archive::build_merged_partition(std::size_t first, std::size_t count,
-                                              std::uint32_t target_level) {
+PartitionInfo Archive::build_merged_partition(const CompactionPlan& plan) {
   const auto& parts = manifest_.partitions;
   const std::uint64_t new_id = manifest_.next_partition_id++;
   std::vector<std::byte> segment;
@@ -294,8 +291,8 @@ PartitionInfo Archive::build_merged_partition(std::size_t first, std::size_t cou
   std::vector<IndexEntry> entries;
   PartitionInfo np;
   np.id = new_id;
-  np.level = target_level;
-  for (std::size_t k = first; k < first + count; ++k) {
+  np.level = plan.target_level;
+  for (std::size_t k = plan.first; k < plan.first + plan.count; ++k) {
     const PartitionInfo& src = parts[k];
     const std::vector<std::byte> bytes = checked_segment(*vfs_, segment_path(src.id), src);
     const std::vector<IndexEntry> src_entries =
@@ -322,7 +319,7 @@ PartitionInfo Archive::build_merged_partition(std::size_t first, std::size_t cou
     // Window union: window_min 0 ("unwindowed history") dominates the min,
     // so a merge that swallows a batch partition stays honest about reaching
     // past the oldest window.
-    if (k == first) {
+    if (k == plan.first) {
       np.window_min = src.window_min;
       np.window_max = src.window_max;
     } else {
@@ -338,7 +335,7 @@ PartitionInfo Archive::build_merged_partition(std::size_t first, std::size_t cou
   return np;
 }
 
-void Archive::gc_partitions(const std::vector<std::uint64_t>& removed_ids,
+void Archive::gc_partitions(std::span<const CompactedRun> runs,
                             std::vector<std::filesystem::path>* deferred_gc) {
   // Old files go only after the manifest no longer references them.  A
   // failed removal is deliberately non-fatal — the compact is already
@@ -346,93 +343,60 @@ void Archive::gc_partitions(const std::vector<std::uint64_t>& removed_ids,
   // is never silent: each failure is logged and kept in gc_errors().
   // An MVCC host passes `deferred_gc` to take over the removals instead:
   // pinned readers may still be scanning the replaced segments.
-  for (const std::uint64_t id : removed_ids) {
-    for (const std::filesystem::path& path :
-         {segment_path(id), index_path(id), snapshot_path(id)}) {
-      if (deferred_gc != nullptr) {
-        deferred_gc->push_back(path);
-        continue;
-      }
-      try {
-        vfs_->remove(path);
-      } catch (const util::IoError& e) {
-        gc_errors_.emplace_back(e.what());
-        std::fprintf(stderr, "archive: compact gc: %s\n", e.what());
+  for (const CompactedRun& run : runs) {
+    for (const PartitionInfo& input : run.inputs) {
+      for (const std::filesystem::path& path :
+           {segment_path(input.id), index_path(input.id), snapshot_path(input.id)}) {
+        if (deferred_gc != nullptr) {
+          deferred_gc->push_back(path);
+          continue;
+        }
+        try {
+          vfs_->remove(path);
+        } catch (const util::IoError& e) {
+          gc_errors_.emplace_back(e.what());
+          std::fprintf(stderr, "archive: compact gc: %s\n", e.what());
+        }
       }
     }
   }
 }
 
-std::size_t Archive::compact(std::uint64_t max_logs,
-                             std::vector<std::filesystem::path>* deferred_gc,
-                             std::vector<CompactedRun>* runs) {
-  // Greedy pass: maximal runs of >= 2 adjacent partitions, each smaller than
-  // max_logs, collapse into one partition at the run's position.  Raw frame
-  // copy — logs keep their exact bytes and ingest order.
-  std::vector<PartitionInfo> out;
-  std::vector<std::uint64_t> removed_ids;
-  std::size_t i = 0;
-  const auto& parts = manifest_.partitions;
-  bool changed = false;
-  while (i < parts.size()) {
-    std::size_t j = i;
-    while (j < parts.size() && parts[j].log_count < max_logs) ++j;
-    if (j - i < 2) {
-      out.push_back(parts[i]);
-      ++i;
-      continue;
+std::vector<Archive::CompactedRun> Archive::compact(
+    std::span<const CompactionPlan> plans, std::vector<std::filesystem::path>* deferred_gc) {
+  const std::vector<PartitionInfo>& parts = manifest_.partitions;
+  std::size_t next_free = 0;  // the lowest index the next plan may start at
+  for (const CompactionPlan& plan : plans) {
+    if (plan.count < 2 || plan.first < next_free || plan.first > parts.size() ||
+        plan.count > parts.size() - plan.first) {
+      throw util::ConfigError("compact: run [" + std::to_string(plan.first) + ", +" +
+                              std::to_string(plan.count) +
+                              ") is not an ascending, non-overlapping mergeable range of the " +
+                              std::to_string(parts.size()) + "-partition manifest");
     }
-    std::uint32_t level = 0;
-    for (std::size_t k = i; k < j; ++k) {
-      level = std::max(level, parts[k].level);
-      removed_ids.push_back(parts[k].id);
-    }
-    out.push_back(build_merged_partition(i, j - i, level + 1));
-    if (runs != nullptr) {
-      runs->push_back(CompactedRun{out.back(), {parts.begin() + static_cast<std::ptrdiff_t>(i),
-                                                parts.begin() + static_cast<std::ptrdiff_t>(j)}});
-    }
-    changed = true;
-    i = j;
+    next_free = plan.first + plan.count;
   }
   gc_errors_.clear();
-  if (!changed) return 0;
+  if (plans.empty()) return {};
 
-  const std::size_t removed = manifest_.partitions.size() - out.size();
+  // Build each run's partition in plan order and splice it in at the run's
+  // position; the partitions between runs keep their places.
+  std::vector<CompactedRun> runs;
+  std::vector<PartitionInfo> out;
+  auto kept_from = parts.begin();
+  for (const CompactionPlan& plan : plans) {
+    const auto run_begin = parts.begin() + static_cast<std::ptrdiff_t>(plan.first);
+    const auto run_end = run_begin + static_cast<std::ptrdiff_t>(plan.count);
+    out.insert(out.end(), kept_from, run_begin);
+    runs.push_back(CompactedRun{build_merged_partition(plan), {run_begin, run_end}});
+    out.push_back(runs.back().merged);
+    kept_from = run_end;
+  }
+  out.insert(out.end(), kept_from, parts.end());
   manifest_.partitions = std::move(out);
   write_manifest();
-  gc_partitions(removed_ids, deferred_gc);
-  return removed;
-}
-
-PartitionInfo Archive::compact_range(std::size_t first, std::size_t count,
-                                     std::uint32_t target_level,
-                                     std::vector<std::filesystem::path>* deferred_gc,
-                                     std::vector<CompactedRun>* runs) {
-  if (count < 2 || first > manifest_.partitions.size() ||
-      count > manifest_.partitions.size() - first) {
-    throw util::ConfigError("compact_range: run [" + std::to_string(first) + ", +" +
-                            std::to_string(count) + ") is not a mergeable range of the " +
-                            std::to_string(manifest_.partitions.size()) + "-partition manifest");
-  }
-  std::vector<std::uint64_t> removed_ids;
-  removed_ids.reserve(count);
-  for (std::size_t k = first; k < first + count; ++k) {
-    removed_ids.push_back(manifest_.partitions[k].id);
-  }
-  const PartitionInfo np = build_merged_partition(first, count, target_level);
-  gc_errors_.clear();
-  const auto begin = manifest_.partitions.begin();
-  if (runs != nullptr) {
-    runs->push_back(CompactedRun{np, {begin + static_cast<std::ptrdiff_t>(first),
-                                      begin + static_cast<std::ptrdiff_t>(first + count)}});
-  }
-  manifest_.partitions.erase(begin + static_cast<std::ptrdiff_t>(first + 1),
-                             begin + static_cast<std::ptrdiff_t>(first + count));
-  manifest_.partitions[first] = np;
-  write_manifest();
-  gc_partitions(removed_ids, deferred_gc);
-  return np;
+  gc_partitions(runs, deferred_gc);
+  return runs;
 }
 
 Archive::VerifyReport Archive::verify(bool deep) const {

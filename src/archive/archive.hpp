@@ -35,6 +35,15 @@
 
 namespace mlio::archive {
 
+/// One planned merge: manifest.partitions[first, first + count) collapse
+/// into a single partition at target_level.  The planners (archive/
+/// stream.hpp) decide; Archive::compact does.
+struct CompactionPlan {
+  std::size_t first = 0;
+  std::size_t count = 0;
+  std::uint32_t target_level = 0;
+};
+
 class Archive {
  public:
   /// Create an empty archive (writes an empty manifest).  Throws ConfigError
@@ -197,16 +206,6 @@ class Archive {
   /// registered; writes nothing when every receipt is stale.
   std::size_t commit_snapshots(std::span<const SnapshotReceipt> receipts);
 
-  /// Merge runs of adjacent partitions whose log counts are all below
-  /// `max_logs` into single partitions (raw frame copy, ingest order
-  /// preserved).  Snapshots of merged partitions are dropped — the merge
-  /// tree changed, so shards must be recomputed.  Returns the number of
-  /// partitions removed.  Source files are deleted only after the merged
-  /// segments and the new manifest are durably committed; a deletion
-  /// failure is deliberately non-fatal (the files are unreferenced garbage
-  /// by then) — it is logged to stderr and recorded in `gc_errors()`.
-  std::size_t compact(std::uint64_t max_logs);
-
   /// One partition a compaction published and the partitions it consumed,
   /// in manifest order (its logs are theirs, in this order).
   struct CompactedRun {
@@ -214,26 +213,24 @@ class Archive {
     std::vector<PartitionInfo> inputs;
   };
 
-  /// MVCC-host variant: instead of deleting the replaced partitions' files,
-  /// append their paths to `deferred_gc` — the caller removes them once no
-  /// pinned reader can still reference the old generation (the archive
-  /// service's pin registry drives this).  `runs`, when given, receives one
-  /// entry per merged partition.  With both null this is exactly
-  /// compact(max_logs).
-  std::size_t compact(std::uint64_t max_logs, std::vector<std::filesystem::path>* deferred_gc,
-                      std::vector<CompactedRun>* runs = nullptr);
-
-  /// Merge the contiguous run of partitions [first, first + count) into ONE
-  /// new partition placed at the run's position, stamped `target_level`
-  /// (archive/stream.hpp's leveled policy plans these).  Same mechanics as
-  /// compact(): raw frame copy in ingest order, snapshots of the sources
-  /// dropped, window ranges unioned, sources deleted (or deferred) only
-  /// after the new manifest is durable.  Throws ConfigError on an
-  /// out-of-range run or count < 2.  Returns the merged partition's info;
-  /// `runs`, when given, also receives it with the consumed partitions.
-  PartitionInfo compact_range(std::size_t first, std::size_t count, std::uint32_t target_level,
-                              std::vector<std::filesystem::path>* deferred_gc = nullptr,
-                              std::vector<CompactedRun>* runs = nullptr);
+  /// Execute compaction plans (archive/stream.hpp's planners produce them):
+  /// each plan's run of adjacent partitions collapses into ONE new partition
+  /// at the run's position, stamped the plan's target_level — raw frame copy
+  /// in ingest order, window ranges unioned, the sources' snapshots dropped
+  /// (the merge tree changed, so shards must be recomputed).  Every plan is
+  /// validated before any file is staged: count >= 2, inside the manifest,
+  /// ascending and non-overlapping, else ConfigError with nothing written.
+  /// The merged partitions are built in plan order (ids allocated in that
+  /// order) and registered by ONE manifest write — one generation bump.
+  /// Source files go only after that write is durable: deleted here, where a
+  /// failed removal is deliberately non-fatal (the files are unreferenced
+  /// garbage by then; logged to stderr and kept in gc_errors()), or, when
+  /// `deferred_gc` is given, appended to it for an MVCC host to remove once
+  /// no pinned reader can still reference the old generation (the archive
+  /// service's pin registry drives this).  Returns one run per plan; an empty
+  /// plan list writes nothing.
+  std::vector<CompactedRun> compact(std::span<const CompactionPlan> plans,
+                                    std::vector<std::filesystem::path>* deferred_gc = nullptr);
 
   /// Failed garbage-collection removals of the most recent compact() —
   /// empty when every unreferenced file was deleted.
@@ -259,16 +256,14 @@ class Archive {
   /// Bump the generation and atomically persist the manifest.
   void write_manifest();
 
-  /// Build and stage (segment + index files, no manifest write) one merged
-  /// partition out of manifest_.partitions[first, first + count), under a
-  /// freshly allocated id.  Shared by compact() and compact_range(); the
-  /// returned info is stamped data_generation = generation + 1 for the
-  /// caller's write_manifest to make real.
-  PartitionInfo build_merged_partition(std::size_t first, std::size_t count,
-                                       std::uint32_t target_level);
+  /// Build and stage (segment + index files, no manifest write) one
+  /// plan's merged partition under a freshly allocated id.  The returned
+  /// info is stamped data_generation = generation + 1 for compact()'s
+  /// write_manifest to make real.
+  PartitionInfo build_merged_partition(const CompactionPlan& plan);
 
-  /// Delete (or defer) the three files of every removed partition id.
-  void gc_partitions(const std::vector<std::uint64_t>& removed_ids,
+  /// Delete (or defer) the three files of every input of `runs`.
+  void gc_partitions(std::span<const CompactedRun> runs,
                      std::vector<std::filesystem::path>* deferred_gc);
 
   std::filesystem::path dir_;

@@ -1,12 +1,10 @@
 #include "archive/ingest.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <exception>
-#include <map>
-#include <mutex>
+#include <deque>
+#include <future>
+#include <memory>
 #include <optional>
 #include <thread>
 
@@ -44,7 +42,8 @@ std::vector<Cut> plan_cuts(const wl::WorkloadGenerator& gen, const IngestOptions
   return cuts;
 }
 
-/// Per-worker reusable decode state for the snapshot-on-ingest path.
+/// Reusable decode state for the snapshot-on-ingest path: one for the
+/// serial build loop, one per build on the parallel path.
 struct BuildScratch {
   darshan::LogData decoded;
   darshan::LogIoBuffers io;
@@ -140,87 +139,31 @@ void build_and_commit(Archive& archive, std::uint64_t n_cuts, unsigned workers,
       stage(build(k, ws, pool ? &*pool : nullptr));
     }
   } else {
-    // Partition-parallel path: workers claim cut indices from a ticket and
-    // build in memory; finished builds are handed to the calling thread
-    // through a bounded reorder window.  A worker may run ahead of the
-    // committer by at most `window` cuts — EXCEPT that the cut the
-    // committer needs next is always admitted, so the pipeline can never
-    // deadlock behind a slow straggler.
-    std::mutex mu;
-    std::condition_variable cv_built;   // committer waits: "is cut k ready?"
-    std::condition_variable cv_space;   // workers wait: "may I park my cut?"
-    std::map<std::uint64_t, Built> ready;
-    std::uint64_t next_needed = 0;
-    bool aborted = false;
-    std::exception_ptr worker_error;
-    std::atomic<std::uint64_t> ticket{0};
+    // Partition-parallel path: the committer keeps at most `window` cuts
+    // submitted to the pool, in cut order, takes each build's future in cut
+    // order, submits the next cut, then stages the one it took.  A build
+    // error surfaces at its cut's get() — the lowest failing cut's error,
+    // whatever the timing — and the pool's destructor drains the builds
+    // still queued before the exception leaves.
     const std::uint64_t window = std::uint64_t{2} * workers;
-
-    util::ThreadPool pool(workers);
-    std::vector<BuildScratch> scratch(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.submit([&, w] {
-        // Pool tasks must not throw: failures park in worker_error and
-        // abort the pipeline; the committer rethrows after the join.
-        try {
-          for (;;) {
-            const std::uint64_t k = ticket.fetch_add(1, std::memory_order_relaxed);
-            if (k >= n_cuts) return;
-            {
-              const std::lock_guard<std::mutex> lock(mu);
-              if (aborted) return;
-            }
-            Built b = build(k, scratch[w], nullptr);
-            std::unique_lock<std::mutex> lock(mu);
-            cv_space.wait(lock, [&] { return aborted || k < next_needed + window; });
-            if (aborted) return;
-            ready.emplace(k, std::move(b));
-            cv_built.notify_all();
-          }
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(mu);
-          if (!worker_error) worker_error = std::current_exception();
-          aborted = true;
-          cv_built.notify_all();
-          cv_space.notify_all();
-        }
+    std::deque<std::future<Built>> inflight;
+    util::ThreadPool pool(workers);  // after everything its tasks reference
+    std::uint64_t next = 0;
+    const auto submit_next = [&] {
+      auto task = std::make_shared<std::packaged_task<Built()>>([&build, k = next] {
+        BuildScratch ws;
+        return build(k, ws, nullptr);
       });
-    }
-
-    const auto abort_and_join = [&] {
-      {
-        const std::lock_guard<std::mutex> lock(mu);
-        aborted = true;
-      }
-      cv_built.notify_all();
-      cv_space.notify_all();
-      pool.wait_idle();
+      inflight.push_back(task->get_future());
+      pool.submit([task] { (*task)(); });
+      next += 1;
     };
-
-    try {
-      for (std::uint64_t k = 0; k < n_cuts; ++k) {
-        Built b;
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          cv_built.wait(lock, [&] { return aborted || ready.count(k) != 0; });
-          if (aborted) break;
-          b = std::move(ready.at(k));
-          ready.erase(k);
-          next_needed = k + 1;
-          cv_space.notify_all();
-        }
-        stage(std::move(b));
-      }
-      pool.wait_idle();
-    } catch (...) {
-      // Staging failed (an I/O fault or a simulated crash): stop the
-      // builders, join them, and let the original exception surface.
-      abort_and_join();
-      throw;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      if (worker_error) std::rethrow_exception(worker_error);
+    while (next < std::min(window, n_cuts)) submit_next();
+    while (!inflight.empty()) {
+      Built b = inflight.front().get();
+      inflight.pop_front();
+      if (next < n_cuts) submit_next();
+      stage(std::move(b));
     }
   }
 

@@ -559,13 +559,13 @@ int cmd_compact(const Args& a, util::Vfs& vfs) {
     // applies continuously, run to a fixed point offline.
     const archive::LeveledPolicy policy{a.fanout};
     std::size_t merges = 0;
-    while (archive::compact_leveled(ar, policy)) merges += 1;
+    while (!ar.compact(archive::plan_leveled(ar.manifest(), policy)).empty()) merges += 1;
     std::printf("leveled compaction: %zu merge(s), %zu -> %zu partition(s) (fanout %u)\n",
                 merges, before, ar.manifest().partitions.size(), a.fanout);
   } else {
-    const std::size_t removed = ar.compact(a.max_logs);
+    (void)ar.compact(archive::plan_small_runs(ar.manifest(), a.max_logs));
     std::printf("compacted %zu -> %zu partition(s) (threshold %llu logs)\n", before,
-                before - removed, static_cast<unsigned long long>(a.max_logs));
+                ar.manifest().partitions.size(), static_cast<unsigned long long>(a.max_logs));
   }
   for (const std::string& e : ar.gc_errors()) std::printf("GC WARNING: %s\n", e.c_str());
   return 0;

@@ -96,27 +96,27 @@ PartitionInfo StreamIngester::publish_open() {
   return info;
 }
 
-std::optional<CompactionPlan> plan_leveled(const Manifest& m, const LeveledPolicy& policy) {
+namespace {
+/// One level above `level`, clamped instead of wrapping on a hostile level —
+/// the plan stays executable and the merged partition simply stops climbing.
+std::uint32_t level_above(std::uint32_t level) {
+  return level == std::numeric_limits<std::uint32_t>::max() ? level : level + 1;
+}
+}  // namespace
+
+std::vector<CompactionPlan> plan_leveled(const Manifest& m, const LeveledPolicy& policy) {
   if (policy.fanout < 2) {
     throw util::ConfigError("leveled policy: fanout must be >= 2");
   }
   const std::vector<PartitionInfo>& parts = m.partitions;
-  std::optional<CompactionPlan> best;
+  std::vector<CompactionPlan> best;
   std::uint32_t best_level = 0;
   std::size_t i = 0;
   while (i < parts.size()) {
     std::size_t j = i;
     while (j < parts.size() && parts[j].level == parts[i].level) ++j;
-    if (j - i >= policy.fanout && (!best || parts[i].level < best_level)) {
-      CompactionPlan plan;
-      plan.first = i;
-      plan.count = policy.fanout;
-      // Clamp instead of wrapping on a hostile level — the plan stays
-      // executable and the merged partition simply stops climbing.
-      plan.target_level = parts[i].level == std::numeric_limits<std::uint32_t>::max()
-                              ? parts[i].level
-                              : parts[i].level + 1;
-      best = plan;
+    if (j - i >= policy.fanout && (best.empty() || parts[i].level < best_level)) {
+      best = {CompactionPlan{i, policy.fanout, level_above(parts[i].level)}};
       best_level = parts[i].level;
     }
     i = j;
@@ -124,12 +124,25 @@ std::optional<CompactionPlan> plan_leveled(const Manifest& m, const LeveledPolic
   return best;
 }
 
-std::optional<PartitionInfo> compact_leveled(Archive& archive, const LeveledPolicy& policy,
-                                             std::vector<std::filesystem::path>* deferred_gc,
-                                             std::vector<Archive::CompactedRun>* runs) {
-  const std::optional<CompactionPlan> plan = plan_leveled(archive.manifest(), policy);
-  if (!plan.has_value()) return std::nullopt;
-  return archive.compact_range(plan->first, plan->count, plan->target_level, deferred_gc, runs);
+std::vector<CompactionPlan> plan_small_runs(const Manifest& m, std::uint64_t max_logs) {
+  const std::vector<PartitionInfo>& parts = m.partitions;
+  std::vector<CompactionPlan> plans;
+  std::size_t i = 0;
+  while (i < parts.size()) {
+    std::size_t j = i;
+    std::uint32_t level = 0;
+    while (j < parts.size() && parts[j].log_count < max_logs) {
+      level = std::max(level, parts[j].level);
+      ++j;
+    }
+    if (j - i < 2) {
+      ++i;
+      continue;
+    }
+    plans.push_back(CompactionPlan{i, j - i, level_above(level)});
+    i = j;
+  }
+  return plans;
 }
 
 }  // namespace mlio::archive

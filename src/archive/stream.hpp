@@ -19,6 +19,8 @@
 //     run first).  Streaming appends windows at level 0, so the live
 //     partition count stays bounded by ~fanout partitions per level —
 //     O(fanout · log_fanout(windows)) instead of one partition per window.
+//     Its batch sibling, plan_small_runs, merges every run of small
+//     partitions; Archive::compact executes either planner's output.
 //
 // Window ids are 1-based: `window_id_for(t, w) = floor(t / w) + 1`, clamped
 // to 1 (pre-epoch times collapse into the first window).  Id 0 is reserved
@@ -120,29 +122,21 @@ struct LeveledPolicy {
   std::uint32_t fanout = 4;  ///< run length that triggers a merge (>= 2)
 };
 
-/// One planned merge: manifest_.partitions[first, first + count) collapse
-/// into a single partition at target_level.
-struct CompactionPlan {
-  std::size_t first = 0;
-  std::size_t count = 0;
-  std::uint32_t target_level = 0;
-};
+// The compaction planners share one shape, (const Manifest&, X) ->
+// std::vector<CompactionPlan>: pure functions of the manifest whose plans
+// Archive::compact executes in one manifest write.
 
 /// Choose the next leveled merge: the leftmost run of >= fanout adjacent
 /// same-level partitions, lowest level first; the plan takes the OLDEST
 /// `fanout` of the run (time order is preserved — partitions only ever
-/// merge with their neighbors).  nullopt when no level holds a full run.
-/// Throws ConfigError on fanout < 2.  Pure function of the manifest.
-std::optional<CompactionPlan> plan_leveled(const Manifest& m, const LeveledPolicy& policy);
+/// merge with their neighbors).  Zero plans when no level holds a full run,
+/// else one.  Throws ConfigError on fanout < 2.
+std::vector<CompactionPlan> plan_leveled(const Manifest& m, const LeveledPolicy& policy);
 
-/// One leveled compaction step: plan against the archive's current manifest
-/// and execute the merge via compact_range.  Returns the merged partition's
-/// info, or nullopt when nothing is mergeable.  The background compactor
-/// (service/service.hpp) loops this; `deferred_gc` and `runs` have
-/// compact() semantics.
-std::optional<PartitionInfo> compact_leveled(
-    Archive& archive, const LeveledPolicy& policy,
-    std::vector<std::filesystem::path>* deferred_gc = nullptr,
-    std::vector<Archive::CompactedRun>* runs = nullptr);
+/// Size-based planner: every maximal run of >= 2 adjacent partitions that
+/// each hold fewer than `max_logs` logs merges into one partition, one level
+/// above the run's highest (clamped at UINT32_MAX).  max_logs == 0 plans
+/// nothing.
+std::vector<CompactionPlan> plan_small_runs(const Manifest& m, std::uint64_t max_logs);
 
 }  // namespace mlio::archive

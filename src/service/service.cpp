@@ -278,7 +278,7 @@ ArchiveService::GetResult ArchiveService::fold_pinned(const Pin& pin, std::size_
     for (std::size_t i = reused; i < parts.size(); ++i) {
       extended->merge(*resolve_shard(parts[i], r.stats));
     }
-    r.stats.scan_ns = ns_since(t_scan);
+    r.stats.query.scan_seconds = static_cast<double>(ns_since(t_scan)) * 1e-9;
     merged = std::move(extended);
   } else {
     // Full fold: resolve every shard (on the merge pool when configured)
@@ -286,7 +286,7 @@ ArchiveService::GetResult ArchiveService::fold_pinned(const Pin& pin, std::size_
     // left fold.
     r.stats.query.full_merges = 1;
     const std::vector<std::shared_ptr<const core::Analysis>> shards = resolve_all(parts, r.stats);
-    r.stats.scan_ns = ns_since(t_scan);
+    r.stats.query.scan_seconds = static_cast<double>(ns_since(t_scan)) * 1e-9;
 
     const auto t_merge = SteadyClock::now();
     std::vector<const core::Analysis*> ptrs;
@@ -294,10 +294,8 @@ ArchiveService::GetResult ArchiveService::fold_pinned(const Pin& pin, std::size_
     for (const auto& shard : shards) ptrs.push_back(shard.get());
     merged = std::make_shared<core::Analysis>(core::Analysis::merge_ordered(ptrs, pool_.get()));
     r.stats.query.tree_merges = pool_ != nullptr && ptrs.size() >= 2 ? 1 : 0;
-    r.stats.merge_ns = ns_since(t_merge);
-    r.stats.query.merge_seconds = static_cast<double>(r.stats.merge_ns) * 1e-9;
+    r.stats.query.merge_seconds = static_cast<double>(ns_since(t_merge)) * 1e-9;
   }
-  r.stats.query.scan_seconds = static_cast<double>(r.stats.scan_ns) * 1e-9;
   r.fingerprint = merged->fingerprint();
 
   if (merged_.enabled()) {
@@ -339,22 +337,31 @@ ArchiveService::IngestResult ArchiveService::ingest(std::span<const ServiceFrame
   return r;
 }
 
-std::size_t ArchiveService::compact(std::uint64_t max_logs, ServiceStats* stats) {
-  std::size_t removed = 0;
+std::vector<archive::Archive::CompactedRun> ArchiveService::compact_planned(
+    const Planner& planner, ServiceStats* stats) {
+  std::vector<archive::Archive::CompactedRun> runs;
   {
     std::unique_lock<std::mutex> lock = timed_lock(writer_mu_, stats);
     if (stats != nullptr) stats->requests += 1;
     std::vector<std::filesystem::path> doomed;
-    std::vector<archive::Archive::CompactedRun> runs;
-    removed = archive_.compact(max_logs, &doomed, &runs);
+    runs = archive_.compact(planner(archive_.manifest()), &doomed);
     carry_shards(runs, stats);
-    if (removed > 0) publish_locked();
+    if (!runs.empty()) publish_locked();
     if (!doomed.empty()) {
       const std::scoped_lock gc_lock(gc_mu_);
       deferred_.push_back(DeferredGc{archive_.manifest().generation, std::move(doomed)});
     }
   }
   sweep_gc();
+  return runs;
+}
+
+std::size_t ArchiveService::compact(std::uint64_t max_logs, ServiceStats* stats) {
+  const std::vector<archive::Archive::CompactedRun> runs = compact_planned(
+      [max_logs](const archive::Manifest& m) { return archive::plan_small_runs(m, max_logs); },
+      stats);
+  std::size_t removed = 0;
+  for (const archive::Archive::CompactedRun& run : runs) removed += run.inputs.size() - 1;
   return removed;
 }
 
@@ -396,22 +403,10 @@ archive::StreamStats ArchiveService::stream_stats() {
 
 std::optional<archive::PartitionInfo> ArchiveService::compact_step(
     const archive::LeveledPolicy& policy, ServiceStats* stats) {
-  std::optional<archive::PartitionInfo> merged;
-  {
-    std::unique_lock<std::mutex> lock = timed_lock(writer_mu_, stats);
-    if (stats != nullptr) stats->requests += 1;
-    std::vector<std::filesystem::path> doomed;
-    std::vector<archive::Archive::CompactedRun> runs;
-    merged = archive::compact_leveled(archive_, policy, &doomed, &runs);
-    carry_shards(runs, stats);
-    if (merged) publish_locked();
-    if (!doomed.empty()) {
-      const std::scoped_lock gc_lock(gc_mu_);
-      deferred_.push_back(DeferredGc{archive_.manifest().generation, std::move(doomed)});
-    }
-  }
-  sweep_gc();
-  return merged;
+  const std::vector<archive::Archive::CompactedRun> runs = compact_planned(
+      [&policy](const archive::Manifest& m) { return archive::plan_leveled(m, policy); }, stats);
+  if (runs.empty()) return std::nullopt;
+  return runs.front().merged;
 }
 
 void ArchiveService::start_compactor(const CompactorOptions& opts) {

@@ -34,6 +34,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -69,16 +70,12 @@ struct ServiceStats {
   archive::QueryStats query;
   std::uint64_t requests = 0;       ///< requests folded into this instance
   std::uint64_t queue_wait_ns = 0;  ///< time blocked on service locks
-  std::uint64_t scan_ns = 0;        ///< wall time resolving shards
-  std::uint64_t merge_ns = 0;       ///< wall time merging shards
   std::uint64_t stale_retries = 0;  ///< re-pins after losing a GC race
 
   void merge(const ServiceStats& other) {
     query.merge(other.query);
     requests += other.requests;
     queue_wait_ns += other.queue_wait_ns;
-    scan_ns += other.scan_ns;
-    merge_ns += other.merge_ns;
     stale_retries += other.stale_retries;
   }
 };
@@ -176,8 +173,9 @@ class ArchiveService {
   /// Append one partition (writer path; serialized internally).
   IngestResult ingest(std::span<const ServiceFrame> frames, ServiceStats* stats = nullptr);
 
-  /// Compact with deferred GC (writer path; serialized internally).
-  /// Returns the number of partitions removed.
+  /// Merge every run of small partitions (archive::plan_small_runs) with
+  /// deferred GC (writer path; serialized internally).  Returns the number
+  /// of partitions removed.
   std::size_t compact(std::uint64_t max_logs, ServiceStats* stats = nullptr);
 
   // ---- Continuous mode (DESIGN.md §14) -----------------------------------
@@ -211,8 +209,8 @@ class ArchiveService {
   };
 
   /// Start the background leveled compactor — one long-running task on a
-  /// dedicated util::ThreadPool worker, looping plan_leveled/compact_range
-  /// against the live manifest under the writer lock, racing stream_append
+  /// dedicated util::ThreadPool worker, looping compact_step against the
+  /// live manifest under the writer lock, racing stream_append
   /// and pinned readers safely via the MVCC deferred-GC machinery.  Throws
   /// ConfigError if already running.
   void start_compactor(const CompactorOptions& opts);
@@ -277,6 +275,13 @@ class ArchiveService {
   /// resolve through resolve_shard (counted in `stats` when given).  Caller
   /// holds writer_mu_ and runs this before publish_locked purges the inputs.
   void carry_shards(std::span<const archive::Archive::CompactedRun> runs, ServiceStats* stats);
+  using Planner = std::function<std::vector<archive::CompactionPlan>(const archive::Manifest&)>;
+  /// The one compaction body of compact() and compact_step(): under the
+  /// writer lock, plan against the live manifest, execute the plans with
+  /// deferred GC, carry the inputs' shards, publish when a run merged and
+  /// queue the replaced files; then sweep.  Returns the executed runs.
+  std::vector<archive::Archive::CompactedRun> compact_planned(const Planner& planner,
+                                                              ServiceStats* stats);
   /// Delete deferred files whose publishing generation no pin predates.
   void sweep_gc();
   /// Reload the manifest from disk if another process advanced it; returns

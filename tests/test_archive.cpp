@@ -10,6 +10,7 @@
 
 #include "archive/ingest.hpp"
 #include "archive/query.hpp"
+#include "archive/stream.hpp"
 #include "core/snapshot.hpp"
 #include "util/byte_io.hpp"
 #include "util/error.hpp"
@@ -182,8 +183,10 @@ TEST_F(ArchiveTest, CompactMergesSmallPartitionsAndPreservesCounts) {
   const QueryResult before = query_archive(ar);
   ASSERT_EQ(before.stats.partitions, 5u);
 
-  const std::size_t removed = ar.compact(1'000'000);
-  EXPECT_EQ(removed, 4u);
+  const std::vector<Archive::CompactedRun> runs =
+      ar.compact(plan_small_runs(ar.manifest(), 1'000'000));
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].inputs.size(), 5u);
   EXPECT_EQ(ar.manifest().partitions.size(), 1u);
   EXPECT_TRUE(ar.verify(true).ok());
 

@@ -291,12 +291,24 @@ void expect_consumers_in_bounds(const Manifest& m) {
     ASSERT_LE(sel.first, m.partitions.size());
     ASSERT_LE(sel.count, m.partitions.size() - sel.first);
   }
-  for (const unsigned fanout : {2u, 4u}) {
-    if (const auto plan = plan_leveled(m, LeveledPolicy{fanout})) {
-      ASSERT_LE(plan->first, m.partitions.size());
-      ASSERT_GE(plan->count, 2u);
-      ASSERT_LE(plan->count, m.partitions.size() - plan->first);
+  const auto expect_executable = [&](const std::vector<CompactionPlan>& plans) {
+    std::size_t next_free = 0;
+    for (const CompactionPlan& plan : plans) {
+      ASSERT_GE(plan.first, next_free);  // ascending, non-overlapping
+      ASSERT_LE(plan.first, m.partitions.size());
+      ASSERT_GE(plan.count, 2u);
+      ASSERT_LE(plan.count, m.partitions.size() - plan.first);
+      next_free = plan.first + plan.count;
     }
+  };
+  for (const unsigned fanout : {2u, 4u}) {
+    const std::vector<CompactionPlan> plans = plan_leveled(m, LeveledPolicy{fanout});
+    ASSERT_LE(plans.size(), 1u);
+    expect_executable(plans);
+  }
+  for (const std::uint64_t max_logs : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{3},
+                                       std::numeric_limits<std::uint64_t>::max()}) {
+    expect_executable(plan_small_runs(m, max_logs));
   }
 }
 
@@ -387,9 +399,12 @@ TEST(WindowManifestFuzz, HostileWindowIdsAndLevelsStayInBounds) {
   const Manifest back = read_manifest_bytes(write_manifest_bytes(m));
   EXPECT_EQ(back.partitions[3].window_max, std::numeric_limits<std::uint64_t>::max());
   expect_consumers_in_bounds(back);
-  if (const auto plan = plan_leveled(back, LeveledPolicy{2})) {
-    EXPECT_EQ(plan->target_level, std::numeric_limits<std::uint32_t>::max());  // clamped
+  for (const CompactionPlan& plan : plan_leveled(back, LeveledPolicy{2})) {
+    EXPECT_EQ(plan.target_level, std::numeric_limits<std::uint32_t>::max());  // clamped
   }
+  const std::vector<CompactionPlan> small = plan_small_runs(back, 3);  // every partition
+  ASSERT_EQ(small.size(), 1u);
+  EXPECT_EQ(small[0].target_level, std::numeric_limits<std::uint32_t>::max());  // clamped
 }
 
 // Stale generation stamps on a WINDOWED partition: the manifest says the

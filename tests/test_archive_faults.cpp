@@ -16,6 +16,7 @@
 #include "archive/archive.hpp"
 #include "archive/ingest.hpp"
 #include "archive/query.hpp"
+#include "archive/stream.hpp"
 #include "core/snapshot.hpp"
 #include "darshan/log_format.hpp"
 #include "harness/crash_sweep.hpp"
@@ -103,7 +104,7 @@ TEST_F(ArchiveFaultsTest, CrashSweepIngestSnapshotCompact) {
       const PartitionInfo info = w.seal();
       if (shards[p] != nullptr) ar.store_snapshot(info.id, *shards[p]);
     }
-    ar.compact(1'000'000);
+    (void)ar.compact(plan_small_runs(ar.manifest(), 1'000'000));
   };
 
   harness::CrashSweepOptions opts;
@@ -216,7 +217,7 @@ TEST_F(ArchiveFaultsTest, CompactSourcesOutliveCrashUntilCommit) {
   std::uint64_t compact_ops = 0;
   const auto run_compact = [&](const fs::path& work, util::Vfs& vfs) {
     Archive ar = Archive::open(work, vfs);
-    ar.compact(1'000'000);
+    (void)ar.compact(plan_small_runs(ar.manifest(), 1'000'000));
   };
   {
     const fs::path work = dir_ / "count";
@@ -367,7 +368,10 @@ TEST_F(ArchiveFaultsTest, CompactGcErrorBranches) {
     util::FaultVfs vfs(util::FaultPlan::parse("fail-remove@0:*.seg"));
     build(d, vfs);
     Archive ar = Archive::open(d, vfs);
-    EXPECT_EQ(ar.compact(1'000'000), 2u);
+    const std::vector<Archive::CompactedRun> runs =
+        ar.compact(plan_small_runs(ar.manifest(), 1'000'000));
+    ASSERT_EQ(runs.size(), 1u);
+    EXPECT_EQ(runs[0].inputs.size(), 3u);
     EXPECT_EQ(ar.gc_errors().size(), 3u);
     for (const std::string& e : ar.gc_errors()) {
       EXPECT_NE(e.find(".seg"), std::string::npos) << e;
@@ -377,7 +381,7 @@ TEST_F(ArchiveFaultsTest, CompactGcErrorBranches) {
     EXPECT_FALSE(fs::exists(d / "p000001.idx"));  // only .seg removals failed
 
     // gc_errors is per-compact: a no-op compact clears it.
-    EXPECT_EQ(ar.compact(1'000'000), 0u);
+    EXPECT_TRUE(ar.compact(plan_small_runs(ar.manifest(), 1'000'000)).empty());
     EXPECT_TRUE(ar.gc_errors().empty());
   }
 
@@ -386,7 +390,10 @@ TEST_F(ArchiveFaultsTest, CompactGcErrorBranches) {
     const fs::path d = dir_ / "gcok";
     build(d, util::real_vfs());
     Archive ar = Archive::open(d);
-    EXPECT_EQ(ar.compact(1'000'000), 2u);
+    const std::vector<Archive::CompactedRun> runs =
+        ar.compact(plan_small_runs(ar.manifest(), 1'000'000));
+    ASSERT_EQ(runs.size(), 1u);
+    EXPECT_EQ(runs[0].inputs.size(), 3u);
     EXPECT_TRUE(ar.gc_errors().empty());
     EXPECT_FALSE(fs::exists(d / "p000001.seg"));
     EXPECT_FALSE(fs::exists(d / "p000002.seg"));

@@ -196,6 +196,27 @@ TEST_F(ParallelIngestTest, SingleGenerationBumpWithSnapshots) {
 }
 
 // ---------------------------------------------------------------------------
+// A failing build surfaces on the committing thread, in cut order, after the
+// pool has drained the builds still queued: with every cut failing, the
+// first cut's error leaves before anything is staged or committed.
+TEST_F(ParallelIngestTest, BuildErrorSurfacesAndCommitsNothing) {
+  Archive ar = Archive::create(dir_);
+  const std::uint64_t generation = ar.manifest().generation;
+
+  IngestOptions opts;
+  opts.batches = 8;
+  opts.threads = 1;
+  opts.ingest_threads = 3;
+  opts.write_options.zlib_level = 42;  // every build throws ConfigError
+  EXPECT_THROW((void)ingest_generated(ar, make_gen(24, 5), opts), util::ConfigError);
+  EXPECT_EQ(ar.manifest().generation, generation);
+  EXPECT_TRUE(ar.manifest().partitions.empty());
+  const auto files = dir_files(dir_);
+  ASSERT_EQ(files.size(), 1u);  // the manifest alone: no staged partition
+  EXPECT_EQ(files.begin()->first, "manifest.bin");
+}
+
+// ---------------------------------------------------------------------------
 // The file-ingest path must honor its sharding knobs instead of dumping the
 // whole drop directory into one partition — and every sharding must census
 // identically.

@@ -7,7 +7,7 @@
 // never a half-merged run), and `.tmp` litter must be inert.
 //
 // The harness requires a deterministic single-threaded op sequence, so the
-// workload interleaves StreamIngester appends and compact_leveled steps on
+// workload interleaves StreamIngester appends and leveled compaction steps on
 // one thread through the injected vfs; the true three-thread race is
 // covered by test_stream_live under TSan.  Carries the "faults" label.
 #include <gtest/gtest.h>
@@ -89,11 +89,11 @@ harness::CrashWorkload live_workload(const std::vector<Frame>& frames, bool snap
     const LeveledPolicy policy{2};  // smallest fanout: merges fire early and often
     for (const Frame& f : frames) {
       if (ing.append(f.job, f.bytes)) {
-        (void)compact_leveled(ar, policy);  // racing merge between window commits
+        (void)ar.compact(plan_leveled(ar.manifest(), policy));  // racing merge between window commits
       }
     }
     (void)ing.flush();
-    (void)compact_leveled(ar, policy);
+    (void)ar.compact(plan_leveled(ar.manifest(), policy));
   };
 }
 

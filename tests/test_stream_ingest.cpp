@@ -1,11 +1,12 @@
 // Continuous-mode unit tests (DESIGN.md §14): window-id arithmetic, the
 // StreamIngester's cut rules (boundary, log cap, byte cap, late arrivals),
-// manifest v2 window-metadata round-trips, the leveled compaction planner,
-// and compact_range — plus the bounded-growth property the policy promises:
+// manifest v2 window-metadata round-trips, the leveled and size-based
+// compaction planners and the Archive::compact executor — plus the bounded-growth property the policy promises:
 // live partitions stay sub-linear in windows while every query answer stays
 // bit-identical across the merges ("fixed cuts → fixed bits").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
@@ -292,39 +293,39 @@ Manifest levels(std::initializer_list<std::uint32_t> ls) {
 
 TEST(PlanLeveled, MergesLeftmostFullRunAtLowestLevel) {
   const LeveledPolicy pol{3};
-  EXPECT_FALSE(plan_leveled(levels({}), pol).has_value());
-  EXPECT_FALSE(plan_leveled(levels({0, 0}), pol).has_value());
-  EXPECT_FALSE(plan_leveled(levels({0, 0, 1, 0}), pol).has_value());  // runs broken
+  EXPECT_TRUE(plan_leveled(levels({}), pol).empty());
+  EXPECT_TRUE(plan_leveled(levels({0, 0}), pol).empty());
+  EXPECT_TRUE(plan_leveled(levels({0, 0, 1, 0}), pol).empty());  // runs broken
 
   const auto exact = plan_leveled(levels({0, 0, 0}), pol);
-  ASSERT_TRUE(exact.has_value());
-  EXPECT_EQ(exact->first, 0u);
-  EXPECT_EQ(exact->count, 3u);
-  EXPECT_EQ(exact->target_level, 1u);
+  ASSERT_EQ(exact.size(), 1u);
+  EXPECT_EQ(exact[0].first, 0u);
+  EXPECT_EQ(exact[0].count, 3u);
+  EXPECT_EQ(exact[0].target_level, 1u);
 
   // Oldest `fanout` of a longer run: time order is preserved.
   const auto oldest = plan_leveled(levels({0, 0, 0, 0, 0}), pol);
-  ASSERT_TRUE(oldest.has_value());
-  EXPECT_EQ(oldest->first, 0u);
-  EXPECT_EQ(oldest->count, 3u);
+  ASSERT_EQ(oldest.size(), 1u);
+  EXPECT_EQ(oldest[0].first, 0u);
+  EXPECT_EQ(oldest[0].count, 3u);
 
   // Lowest level wins even when a higher-level run comes first.
   const auto lowest = plan_leveled(levels({1, 1, 1, 0, 0, 0}), pol);
-  ASSERT_TRUE(lowest.has_value());
-  EXPECT_EQ(lowest->first, 3u);
-  EXPECT_EQ(lowest->target_level, 1u);
+  ASSERT_EQ(lowest.size(), 1u);
+  EXPECT_EQ(lowest[0].first, 3u);
+  EXPECT_EQ(lowest[0].target_level, 1u);
 
   // Leftmost among equal-level runs.
   const auto leftmost = plan_leveled(levels({0, 0, 0, 1, 0, 0, 0}), pol);
-  ASSERT_TRUE(leftmost.has_value());
-  EXPECT_EQ(leftmost->first, 0u);
+  ASSERT_EQ(leftmost.size(), 1u);
+  EXPECT_EQ(leftmost[0].first, 0u);
 }
 
 TEST(PlanLeveled, HostileLevelClampsInsteadOfWrapping) {
   const std::uint32_t top = std::numeric_limits<std::uint32_t>::max();
   const auto plan = plan_leveled(levels({top, top}), LeveledPolicy{2});
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->target_level, top);  // clamped, not wrapped to 0
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan[0].target_level, top);  // clamped, not wrapped to 0
 }
 
 TEST(PlanLeveled, RejectsDegenerateFanout) {
@@ -333,24 +334,152 @@ TEST(PlanLeveled, RejectsDegenerateFanout) {
 }
 
 // ---------------------------------------------------------------------------
-// compact_range and compact_leveled against a real archive.
+// The size-based planner: every maximal run of small neighbors.
 
-TEST(CompactRange, ValidatesItsRange) {
-  const fs::path dir = fresh_dir("mlio_compact_range_args");
+/// A manifest of partitions holding `counts` logs, at level 0 unless
+/// `lvls` says otherwise.
+Manifest sizes(std::initializer_list<std::uint64_t> counts,
+               std::initializer_list<std::uint32_t> lvls = {}) {
+  Manifest m;
+  std::uint64_t id = 1;
+  for (const std::uint64_t c : counts) {
+    PartitionInfo p;
+    p.id = id++;
+    p.log_count = c;
+    m.partitions.push_back(p);
+  }
+  std::size_t i = 0;
+  for (const std::uint32_t l : lvls) m.partitions[i++].level = l;
+  return m;
+}
+
+TEST(PlanSmallRuns, MergesEveryMaximalRunOfSmallNeighbors) {
+  // [s, s, B, s, s]: the big partition splits two runs.
+  const auto two = plan_small_runs(sizes({1, 2, 50, 3, 4}), 10);
+  ASSERT_EQ(two.size(), 2u);
+  EXPECT_EQ(two[0].first, 0u);
+  EXPECT_EQ(two[0].count, 2u);
+  EXPECT_EQ(two[0].target_level, 1u);
+  EXPECT_EQ(two[1].first, 3u);
+  EXPECT_EQ(two[1].count, 2u);
+  EXPECT_EQ(two[1].target_level, 1u);
+
+  // Maximal: a run takes every small neighbor, and a run ends at the
+  // threshold (log_count == max_logs is not small).
+  const auto whole = plan_small_runs(sizes({1, 2, 3, 10, 9}), 10);
+  ASSERT_EQ(whole.size(), 1u);
+  EXPECT_EQ(whole[0].first, 0u);
+  EXPECT_EQ(whole[0].count, 3u);
+
+  // A run's target is one above its highest level.
+  const auto climbs = plan_small_runs(sizes({1, 1, 1}, {0, 2, 1}), 10);
+  ASSERT_EQ(climbs.size(), 1u);
+  EXPECT_EQ(climbs[0].target_level, 3u);
+}
+
+TEST(PlanSmallRuns, LoneSmallPartitionsAndZeroThresholdPlanNothing) {
+  EXPECT_TRUE(plan_small_runs(sizes({}), 10).empty());
+  EXPECT_TRUE(plan_small_runs(sizes({1}), 10).empty());
+  EXPECT_TRUE(plan_small_runs(sizes({50, 1, 50}), 10).empty());  // [B, s, B]
+  EXPECT_TRUE(plan_small_runs(sizes({0, 0, 0}), 0).empty());     // nothing is < 0
+}
+
+TEST(PlanSmallRuns, HostileLevelClampsInsteadOfWrapping) {
+  const std::uint32_t top = std::numeric_limits<std::uint32_t>::max();
+  const auto plan = plan_small_runs(sizes({1, 1, 1}, {0, top, 3}), 10);
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan[0].target_level, top);  // clamped, not wrapped to 0
+}
+
+// ---------------------------------------------------------------------------
+// The compaction executor, Archive::compact, against a real archive.
+
+/// An archive of `n` one-log, one-window partitions.
+Archive windows_archive(const fs::path& dir, std::uint64_t n) {
   Archive ar = Archive::create(dir);
   StreamOptions opts;
   opts.window_seconds = 100;
   StreamIngester ing(ar, opts);
-  for (std::uint64_t i = 0; i < 3; ++i) {
+  for (std::uint64_t i = 0; i < n; ++i) {
     const Frame f = make_frame(i + 1, static_cast<std::int64_t>(i) * 100);
     (void)ing.append(f.job, f.bytes);
   }
   (void)ing.flush();
-  ASSERT_EQ(ar.manifest().partitions.size(), 3u);
+  EXPECT_EQ(ar.manifest().partitions.size(), n);
+  return ar;
+}
 
-  EXPECT_THROW((void)ar.compact_range(0, 1, 1), util::ConfigError);  // count < 2
-  EXPECT_THROW((void)ar.compact_range(2, 2, 1), util::ConfigError);  // runs past end
-  EXPECT_THROW((void)ar.compact_range(3, 2, 1), util::ConfigError);  // first out of range
+std::vector<std::string> listing(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(CompactExecutor, TwoPlansCommitUnderOneGeneration) {
+  const fs::path dir = fresh_dir("mlio_compact_two_plans");
+  Archive ar = windows_archive(dir, 5);
+  const std::vector<PartitionInfo> parts = ar.manifest().partitions;
+  const std::uint64_t gen = ar.manifest().generation;
+  const std::vector<std::byte> before = state(ar);
+
+  const std::vector<CompactionPlan> plans = {{0, 2, 1}, {3, 2, 4}};
+  const std::vector<Archive::CompactedRun> runs = ar.compact(plans);
+  EXPECT_EQ(ar.manifest().generation, gen + 1);  // one manifest write for both
+  ASSERT_EQ(runs.size(), 2u);
+  const std::vector<PartitionInfo>& now = ar.manifest().partitions;
+  ASSERT_EQ(now.size(), 3u);
+  EXPECT_EQ(now[0].id, runs[0].merged.id);
+  EXPECT_EQ(now[1].id, parts[2].id);  // untouched partition keeps its place
+  EXPECT_EQ(now[2].id, runs[1].merged.id);
+  EXPECT_LT(runs[0].merged.id, runs[1].merged.id);  // ids allocated in plan order
+  EXPECT_EQ(runs[0].merged.level, 1u);
+  EXPECT_EQ(runs[1].merged.level, 4u);
+  EXPECT_EQ(runs[1].merged.data_generation, gen + 1);
+  ASSERT_EQ(runs[0].inputs.size(), 2u);
+  EXPECT_EQ(runs[0].inputs[0].id, parts[0].id);
+  EXPECT_EQ(runs[0].inputs[1].id, parts[1].id);
+  ASSERT_EQ(runs[1].inputs.size(), 2u);
+  EXPECT_EQ(runs[1].inputs[0].id, parts[3].id);
+  EXPECT_EQ(runs[1].inputs[1].id, parts[4].id);
+  EXPECT_EQ(runs[1].merged.window_min, 4u);
+  EXPECT_EQ(runs[1].merged.window_max, 5u);
+  EXPECT_EQ(state(ar), before);
+  EXPECT_TRUE(ar.verify(true).ok());
+  EXPECT_FALSE(fs::exists(ar.segment_path(parts[0].id)));  // sources collected
+  EXPECT_TRUE(fs::exists(ar.segment_path(parts[2].id)));
+
+  // An empty plan list writes nothing.
+  EXPECT_TRUE(ar.compact(std::vector<CompactionPlan>{}).empty());
+  EXPECT_EQ(ar.manifest().generation, gen + 1);
+}
+
+TEST(CompactExecutor, RejectsBadPlanListsBeforeStagingAnything) {
+  const fs::path dir = fresh_dir("mlio_compact_bad_plans");
+  Archive ar = windows_archive(dir, 4);
+  const std::vector<std::string> files = listing(dir);
+  const std::uint64_t gen = ar.manifest().generation;
+  const std::uint64_t next_id = ar.manifest().next_partition_id;
+
+  const std::vector<std::vector<CompactionPlan>> bad = {
+      {{0, 2, 1}, {1, 2, 1}},  // overlapping
+      {{2, 2, 1}, {0, 2, 1}},  // unsorted
+      {{0, 1, 1}},             // count < 2
+      {{0, 0, 1}},             // empty run
+      {{3, 2, 1}},             // runs past the end
+      {{5, 2, 1}},             // first out of range
+      {{0, 2, 1}, {2, 3, 1}},  // a good plan ahead of a bad one stages nothing
+  };
+  for (const std::vector<CompactionPlan>& plans : bad) {
+    EXPECT_THROW((void)ar.compact(plans), util::ConfigError);
+    EXPECT_EQ(listing(dir), files);
+    EXPECT_EQ(ar.manifest().generation, gen);
+    EXPECT_EQ(ar.manifest().next_partition_id, next_id);
+  }
+  EXPECT_EQ(Archive::open(dir).manifest().generation, gen);
+  EXPECT_TRUE(ar.verify(true).ok());
 }
 
 TEST(CompactLeveled, MergeUnionsWindowsBumpsLevelAndKeepsBitsFixed) {
@@ -367,18 +496,20 @@ TEST(CompactLeveled, MergeUnionsWindowsBumpsLevelAndKeepsBitsFixed) {
   ASSERT_EQ(ar.manifest().partitions.size(), 4u);
   const std::vector<std::byte> before = state(ar);
 
-  const std::optional<PartitionInfo> merged = compact_leveled(ar, LeveledPolicy{2});
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->window_min, 1u);
-  EXPECT_EQ(merged->window_max, 2u);  // union of the two oldest windows
-  EXPECT_EQ(merged->level, 1u);
-  EXPECT_EQ(merged->log_count, 2u);
+  const std::vector<Archive::CompactedRun> runs =
+      ar.compact(plan_leveled(ar.manifest(), LeveledPolicy{2}));
+  ASSERT_EQ(runs.size(), 1u);
+  const PartitionInfo& merged = runs[0].merged;
+  EXPECT_EQ(merged.window_min, 1u);
+  EXPECT_EQ(merged.window_max, 2u);  // union of the two oldest windows
+  EXPECT_EQ(merged.level, 1u);
+  EXPECT_EQ(merged.log_count, 2u);
   ASSERT_EQ(ar.manifest().partitions.size(), 3u);
   EXPECT_EQ(state(ar), before);  // fixed cuts -> fixed bits, across the merge
   EXPECT_TRUE(ar.verify(true).ok());
 
   // Drain to the fixed point: every further merge preserves the bits.
-  while (compact_leveled(ar, LeveledPolicy{2}).has_value()) {
+  while (!ar.compact(plan_leveled(ar.manifest(), LeveledPolicy{2})).empty()) {
     EXPECT_EQ(state(ar), before);
     EXPECT_TRUE(ar.verify(true).ok());
   }
@@ -401,10 +532,11 @@ TEST(CompactLeveled, MergeSwallowingBatchPartitionExtendsIntoUnwindowedHistory) 
   (void)ing.flush();
 
   const std::vector<std::byte> before = state(ar);
-  const std::optional<PartitionInfo> merged = compact_leveled(ar, LeveledPolicy{2});
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->window_min, 0u);  // 0 dominates: reaches into batch history
-  EXPECT_EQ(merged->window_max, 3u);
+  const std::vector<Archive::CompactedRun> runs =
+      ar.compact(plan_leveled(ar.manifest(), LeveledPolicy{2}));
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].merged.window_min, 0u);  // 0 dominates: reaches into batch history
+  EXPECT_EQ(runs[0].merged.window_max, 3u);
   EXPECT_EQ(state(ar), before);
 }
 
@@ -423,11 +555,11 @@ TEST(CompactLeveled, LivePartitionCountStaysSubLinearInWindows) {
     (void)ing.append(f.job, f.bytes);
     // Compact to the fixed point after every publish, like the background
     // compactor drains cascades.
-    while (compact_leveled(ar, pol).has_value()) {
+    while (!ar.compact(plan_leveled(ar.manifest(), pol)).empty()) {
     }
   }
   (void)ing.flush();
-  while (compact_leveled(ar, pol).has_value()) {
+  while (!ar.compact(plan_leveled(ar.manifest(), pol)).empty()) {
   }
 
   // 64 windows at fanout 4: <= (fanout - 1) partitions per level across

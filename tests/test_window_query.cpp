@@ -173,7 +173,7 @@ TEST(WindowQuery, IdentityHoldsAcrossLeveledCompactionThatRewritesWindows) {
   // Merge step by step; after EVERY merge the identity must still hold for
   // every N — suffixes the merge coarsened honestly widen to the merged
   // span, and every answer is the flat fold of the logs it covers.
-  while (compact_leveled(ar, LeveledPolicy{3}).has_value()) {
+  while (!ar.compact(plan_leveled(ar.manifest(), LeveledPolicy{3})).empty()) {
     check_all_windows(ar, frames, 9);
   }
   EXPECT_LT(ar.manifest().partitions.size(), 9u);  // compaction actually ran
