@@ -285,53 +285,37 @@ std::size_t Archive::commit_snapshots(std::span<const SnapshotReceipt> receipts)
 
 PartitionInfo Archive::build_merged_partition(const CompactionPlan& plan) {
   const auto& parts = manifest_.partitions;
-  const std::uint64_t new_id = manifest_.next_partition_id++;
-  std::vector<std::byte> segment;
-  append_segment_header(segment, new_id);
-  std::vector<IndexEntry> entries;
-  PartitionInfo np;
-  np.id = new_id;
-  np.level = plan.target_level;
+  PartitionWriter writer = begin_partition_at(manifest_.next_partition_id++);
+  darshan::JobRecord job;  // the writer keys its index on the job id alone
   for (std::size_t k = plan.first; k < plan.first + plan.count; ++k) {
     const PartitionInfo& src = parts[k];
     const std::vector<std::byte> bytes = checked_segment(*vfs_, segment_path(src.id), src);
-    const std::vector<IndexEntry> src_entries =
-        read_index_bytes(vfs_->read_file(index_path(src.id)), src.id);
-    for (const IndexEntry& e : src_entries) {
+    for (const IndexEntry& e : read_index_bytes(vfs_->read_file(index_path(src.id)), src.id)) {
       // Subtraction form: `offset + size` can wrap u64 on hostile input.
       if (e.offset < kSegmentHeaderBytes || e.offset > bytes.size() ||
           e.size > bytes.size() - e.offset) {
         throw util::FormatError("compact: index entry out of segment bounds");
       }
-      IndexEntry ne = e;
-      ne.offset = segment.size();
-      segment.insert(segment.end(), bytes.begin() + static_cast<std::ptrdiff_t>(e.offset),
-                     bytes.begin() + static_cast<std::ptrdiff_t>(e.offset + e.size));
-      entries.push_back(ne);
-      if (np.log_count == 0) {
-        np.job_id_min = np.job_id_max = ne.job_id;
-      } else {
-        np.job_id_min = std::min(np.job_id_min, ne.job_id);
-        np.job_id_max = std::max(np.job_id_max, ne.job_id);
-      }
-      np.log_count += 1;
-    }
-    // Window union: window_min 0 ("unwindowed history") dominates the min,
-    // so a merge that swallows a batch partition stays honest about reaching
-    // past the oldest window.
-    if (k == plan.first) {
-      np.window_min = src.window_min;
-      np.window_max = src.window_max;
-    } else {
-      np.window_min = std::min(np.window_min, src.window_min);
-      np.window_max = std::max(np.window_max, src.window_max);
+      job.job_id = e.job_id;
+      writer.append_frame(job, std::span<const std::byte>(bytes).subspan(
+                                   static_cast<std::size_t>(e.offset),
+                                   static_cast<std::size_t>(e.size)));
     }
   }
-  np.segment_bytes = segment.size();
-  np.segment_crc = util::crc32(segment);
+  PendingPartition merged = writer.finish();
+  PartitionInfo& np = merged.info;
+  np.level = plan.target_level;
+  // Window union: window_min 0 ("unwindowed history") dominates the min,
+  // so a merge that swallows a batch partition stays honest about reaching
+  // past the oldest window.
+  np.window_min = parts[plan.first].window_min;
+  np.window_max = parts[plan.first].window_max;
+  for (std::size_t k = plan.first + 1; k < plan.first + plan.count; ++k) {
+    np.window_min = std::min(np.window_min, parts[k].window_min);
+    np.window_max = std::max(np.window_max, parts[k].window_max);
+  }
   np.data_generation = manifest_.generation + 1;  // stamped by write_manifest
-  vfs_->write_file_atomic(segment_path(new_id), segment);
-  vfs_->write_file_atomic(index_path(new_id), write_index_bytes(new_id, entries));
+  stage_partition_files(merged);
   return np;
 }
 

@@ -20,6 +20,14 @@ std::uint64_t ns_since(SteadyClock::time_point t0) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(SteadyClock::now() - t0).count());
 }
 
+/// Block futures kept in flight per build worker.  The calling thread takes
+/// blocks in order, so while it waits on one heavy job's block the other
+/// workers can only run ahead by the window.  Measured on perfbench's
+/// `ingest` (2 workers): 2 per worker ran 4.5 K logs/s, 4 ran 5.5 K, 8 ran
+/// 6.1 K and 16 ran 6.3 K.  8 keeps most of the gain while the built blocks
+/// held stay a small share of the open partition.
+constexpr std::size_t kBlocksInFlightPerWorker = 8;
+
 /// One planned partition: a job range of a stratum.  The cut list is a pure
 /// function of (n_jobs, batches) — the determinism contract's "fixed cuts".
 struct Cut {
@@ -42,143 +50,78 @@ std::vector<Cut> plan_cuts(const wl::WorkloadGenerator& gen, const IngestOptions
   return cuts;
 }
 
-/// Reusable decode state for the snapshot-on-ingest path: one for the
-/// serial build loop, one per build on the parallel path.
-struct BuildScratch {
+/// One job block of a cut: the unit of build work.
+struct Block {
+  std::size_t cut = 0;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+};
+
+/// Every cut's job blocks in (cut, block) order: the serialize_logs auto
+/// rule for bulk cuts, one job per block for the hero stratum (few jobs,
+/// each heavy).  A cut always yields at least one block, so an empty cut
+/// still forms its (empty) partition.
+std::vector<Block> plan_blocks(const std::vector<Cut>& cuts) {
+  std::vector<Block> blocks;
+  for (std::size_t k = 0; k < cuts.size(); ++k) {
+    const Cut& c = cuts[k];
+    const std::uint64_t size =
+        c.stratum == wl::Stratum::kHuge ? 1 : wl::auto_block_jobs(c.hi - c.lo);
+    std::uint64_t lo = c.lo;
+    do {
+      const std::uint64_t hi = std::min(c.hi, lo + size);
+      blocks.push_back({k, lo, hi});
+      lo = hi;
+    } while (lo < c.hi);
+  }
+  return blocks;
+}
+
+/// Per-thread build state, reused across every block a pool thread builds:
+/// the serializer's scratch plus the decode state of snapshot-on-ingest.
+struct BlockScratch {
+  wl::SerializeScratch serialize;
   darshan::LogData decoded;
   darshan::LogIoBuffers io;
   core::AnalyzeScratch analyze;
 };
 
-/// One built-but-unpublished partition plus its contribution to the stats.
-struct Built {
-  Archive::PendingPartition pending;
-  std::uint64_t logs = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t serialize_ns = 0;
-  std::uint64_t compress_ns = 0;
+/// One built block: its frames, its analysis shard when snapshots are on,
+/// and its CPU phase times.
+struct BuiltBlock {
+  wl::FrameBlock frames;
+  std::optional<core::Analysis> shard;
+  wl::SerializePhases phases;
   std::uint64_t snapshot_ns = 0;
 };
 
-/// Build one cut into a pending partition: serialize, deflate, CRC, and
-/// optionally snapshot.  Pure compute against immutable inputs — safe on any
-/// thread.  `serialize_pool` fans the per-log work out when the caller is
-/// the only builder; partition-parallel workers pass nullptr and serialize
-/// inline (wl::serialize_logs skips pool construction inside a pool worker).
-Built build_cut(Archive& archive, const wl::WorkloadGenerator& gen, const Cut& cut,
-                std::uint64_t id, std::uint64_t commit_gen, const IngestOptions& opts,
-                BuildScratch& ws, util::ThreadPool* serialize_pool) {
-  Built out;
-  Archive::PartitionWriter writer = archive.begin_partition_at(id);
-  core::Analysis shard;
-
-  wl::SerializePhases phases;
-  wl::SerializeOptions sopts;
-  sopts.threads = opts.threads;
-  sopts.write_options = opts.write_options;
-  sopts.pool = serialize_pool;
-  sopts.phases = &phases;
-  wl::serialize_logs(gen, cut.stratum, cut.lo, cut.hi, sopts,
-                     [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
-                       writer.append_frame(job, frame);
-                       out.logs += 1;
-                       out.bytes += frame.size();
-                       if (opts.write_snapshots) {
-                         const auto t0 = SteadyClock::now();
-                         darshan::read_log_bytes_into(frame, ws.io, ws.decoded);
-                         shard.add(ws.decoded, ws.analyze);
-                         out.snapshot_ns += ns_since(t0);
-                       }
-                     });
-  out.serialize_ns = phases.serialize_ns;
-  out.compress_ns = phases.compress_ns;
-
-  out.pending = writer.finish();
-  out.pending.info.data_generation = commit_gen;
-  if (opts.write_snapshots) {
+/// Close a partition on the calling thread: stamp the commit's generation,
+/// attach `shard` as its snapshot when given, stage its files, and queue it
+/// for the group commit.
+void stage_partition(Archive& archive, Archive::PartitionWriter& writer, std::uint64_t commit_gen,
+                     const core::Analysis* shard, std::vector<Archive::PendingPartition>& group,
+                     IngestStats& stats) {
+  Archive::PendingPartition pending = writer.finish();
+  pending.info.data_generation = commit_gen;
+  if (shard != nullptr) {
     const auto t0 = SteadyClock::now();
-    out.pending.attach_snapshot(shard);
-    out.snapshot_ns += ns_since(t0);
+    pending.attach_snapshot(*shard);
+    stats.snapshot_ns += ns_since(t0);
   }
-  return out;
+  const auto t0 = SteadyClock::now();
+  archive.stage_partition_files(pending);
+  stats.publish_ns += ns_since(t0);
+  group.push_back(std::move(pending));
 }
 
-/// The group builder shared by both ingest paths: builds every cut (serially
-/// or on `workers` pool threads), stages each partition's files on the
-/// CALLING thread in cut order, and registers the whole batch with one
-/// commit_group.  `build(k, ws, pool)` must be pure compute (no VFS) — the
-/// calling thread owns every file operation, so the op sequence the crash
-/// sweep observes is identical at every worker count.
-template <typename BuildFn>
-void build_and_commit(Archive& archive, std::uint64_t n_cuts, unsigned workers,
-                      std::optional<unsigned> serialize_threads, const BuildFn& build,
-                      IngestStats& stats) {
-  std::vector<Archive::PendingPartition> group;
-  group.reserve(n_cuts);
-
-  const auto stage = [&](Built&& b) {
-    stats.logs += b.logs;
-    stats.bytes += b.bytes;
-    stats.serialize_ns += b.serialize_ns;
-    stats.compress_ns += b.compress_ns;
-    stats.snapshot_ns += b.snapshot_ns;
-    const auto t0 = SteadyClock::now();
-    archive.stage_partition_files(b.pending);
-    stats.publish_ns += ns_since(t0);
-    group.push_back(std::move(b.pending));
-  };
-
-  if (workers <= 1 || n_cuts <= 1 || util::ThreadPool::in_worker()) {
-    // Serial build path: one partition at a time, with serialize fan-out
-    // inside each (the shared pool below avoids a thread spawn/join per
-    // partition).  Still group-committed — one generation bump per call.
-    std::optional<util::ThreadPool> pool;
-    if (serialize_threads && !util::ThreadPool::in_worker()) pool.emplace(*serialize_threads);
-    BuildScratch ws;
-    for (std::uint64_t k = 0; k < n_cuts; ++k) {
-      stage(build(k, ws, pool ? &*pool : nullptr));
-    }
-  } else {
-    // Partition-parallel path: the committer keeps at most `window` cuts
-    // submitted to the pool, in cut order, takes each build's future in cut
-    // order, submits the next cut, then stages the one it took.  A build
-    // error surfaces at its cut's get() — the lowest failing cut's error,
-    // whatever the timing — and the pool's destructor drains the builds
-    // still queued before the exception leaves.
-    const std::uint64_t window = std::uint64_t{2} * workers;
-    std::deque<std::future<Built>> inflight;
-    util::ThreadPool pool(workers);  // after everything its tasks reference
-    std::uint64_t next = 0;
-    const auto submit_next = [&] {
-      auto task = std::make_shared<std::packaged_task<Built()>>([&build, k = next] {
-        BuildScratch ws;
-        return build(k, ws, nullptr);
-      });
-      inflight.push_back(task->get_future());
-      pool.submit([task] { (*task)(); });
-      next += 1;
-    };
-    while (next < std::min(window, n_cuts)) submit_next();
-    while (!inflight.empty()) {
-      Built b = inflight.front().get();
-      inflight.pop_front();
-      if (next < n_cuts) submit_next();
-      stage(std::move(b));
-    }
-  }
-
-  if (!group.empty()) {
-    const auto t0 = SteadyClock::now();
-    archive.commit_group(group);
-    stats.publish_ns += ns_since(t0);
-    stats.groups += 1;
-    stats.partitions += group.size();
-  }
-}
-
-unsigned resolve_workers(unsigned ingest_threads) {
-  if (ingest_threads != 0) return ingest_threads;
-  return std::max(1u, std::thread::hardware_concurrency());
+/// Register every staged partition with one manifest write.
+void commit(Archive& archive, const std::vector<Archive::PendingPartition>& group,
+            IngestStats& stats) {
+  const auto t0 = SteadyClock::now();
+  archive.commit_group(group);
+  stats.publish_ns += ns_since(t0);
+  stats.groups += 1;
+  stats.partitions += group.size();
 }
 
 }  // namespace
@@ -188,18 +131,85 @@ IngestStats ingest_generated(Archive& archive, const wl::WorkloadGenerator& gen,
   const auto t0 = SteadyClock::now();
   IngestStats stats;
   const std::vector<Cut> cuts = plan_cuts(gen, opts);
+  const std::vector<Block> blocks = plan_blocks(cuts);
   const std::uint64_t base_id = archive.manifest().next_partition_id;
   const std::uint64_t commit_gen = archive.manifest().generation + 1;
-  const unsigned workers = static_cast<unsigned>(std::min<std::uint64_t>(
-      resolve_workers(opts.ingest_threads), cuts.size()));
 
-  build_and_commit(
-      archive, cuts.size(), workers, opts.threads,
-      [&](std::uint64_t k, BuildScratch& ws, util::ThreadPool* serialize_pool) {
-        return build_cut(archive, gen, cuts[k], base_id + k, commit_gen, opts, ws,
-                         serialize_pool);
-      },
-      stats);
+  // Pure compute on a pool thread: serialize the block, and fold its frames
+  // into a block shard when snapshots are on.
+  const auto build = [&](const Block& b) {
+    thread_local BlockScratch ws;
+    BuiltBlock out;
+    out.frames = wl::serialize_block(gen, cuts[b.cut].stratum, b.lo, b.hi, opts.write_options,
+                                     ws.serialize, &out.phases);
+    if (opts.write_snapshots) {
+      const auto ts = SteadyClock::now();
+      out.shard.emplace();
+      out.frames.for_each([&](const darshan::JobRecord&, std::span<const std::byte> frame) {
+        darshan::read_log_bytes_into(frame, ws.io, ws.decoded);
+        out.shard->add(ws.decoded, ws.analyze);
+      });
+      out.snapshot_ns = ns_since(ts);
+    }
+    return out;
+  };
+
+  // The calling thread keeps a window of block futures on the pool, takes
+  // them in (cut, block) order, appends each block's frames to its cut's
+  // writer, and stages the partition at the cut's last block — so every
+  // file operation happens here, in the same order at any worker count.  A
+  // build error surfaces at its block's get(), the lowest failing block's
+  // whatever the timing, and the pool's destructor drains the blocks still
+  // queued before the exception leaves.
+  std::vector<Archive::PendingPartition> group;
+  group.reserve(cuts.size());
+  std::optional<Archive::PartitionWriter> writer;
+  std::optional<core::Analysis> cut_shard;
+  std::deque<std::future<BuiltBlock>> inflight;
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t workers =
+      std::min<std::size_t>(opts.ingest_threads != 0 ? opts.ingest_threads : hw, blocks.size());
+  util::ThreadPool pool(static_cast<unsigned>(workers));  // after everything its tasks reference
+  const std::size_t window = kBlocksInFlightPerWorker * workers;
+  std::size_t next = 0;
+  const auto submit_next = [&] {
+    auto task = std::make_shared<std::packaged_task<BuiltBlock()>>(
+        [&build, &b = blocks[next]] { return build(b); });
+    inflight.push_back(task->get_future());
+    pool.submit([task] { (*task)(); });
+    next += 1;
+  };
+  while (next < std::min(window, blocks.size())) submit_next();
+
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    BuiltBlock built = inflight.front().get();
+    inflight.pop_front();
+    if (next < blocks.size()) submit_next();
+
+    const Block& b = blocks[i];
+    if (!writer) writer.emplace(archive.begin_partition_at(base_id + b.cut));
+    built.frames.for_each([&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
+      writer->append_frame(job, frame);
+    });
+    stats.logs += built.frames.sizes.size();
+    stats.bytes += built.frames.bytes.size();
+    stats.serialize_ns += built.phases.serialize_ns;
+    stats.compress_ns += built.phases.compress_ns;
+    stats.snapshot_ns += built.snapshot_ns;
+    if (built.shard) {
+      const auto ts = SteadyClock::now();
+      if (!cut_shard) cut_shard.emplace();
+      cut_shard->merge(*built.shard);
+      stats.snapshot_ns += ns_since(ts);
+    }
+
+    if (i + 1 < blocks.size() && blocks[i + 1].cut == b.cut) continue;
+    stage_partition(archive, *writer, commit_gen, cut_shard ? &*cut_shard : nullptr, group,
+                    stats);
+    writer.reset();
+    cut_shard.reset();
+  }
+  commit(archive, group, stats);
 
   stats.seconds = std::chrono::duration<double>(SteadyClock::now() - t0).count();
   return stats;
@@ -221,42 +231,32 @@ IngestStats ingest_log_files(Archive& archive, const std::vector<std::filesystem
   const std::uint64_t base_id = archive.manifest().next_partition_id;
   const std::uint64_t commit_gen = archive.manifest().generation + 1;
 
-  // File reads go through the archive's Vfs, so building stays on the
-  // calling thread (deterministic op order); sharding is about bounding
-  // partition sizes, not parallelism, for this path.
-  build_and_commit(
-      archive, shards, /*workers=*/1, /*serialize_threads=*/std::nullopt,
-      [&](std::uint64_t s, BuildScratch& ws, util::ThreadPool*) {
-        (void)ws;
-        Built out;
-        Archive::PartitionWriter writer = archive.begin_partition_at(base_id + s);
-        core::Analysis shard;
-        const std::uint64_t lo = n * s / shards;
-        const std::uint64_t hi = n * (s + 1) / shards;
-        for (std::uint64_t i = lo; i < hi; ++i) {
-          const std::vector<std::byte> frame = archive.vfs().read_file(files[i]);
-          // Parse up front: corrupt files are rejected here instead of
-          // poisoning every later scan of the partition.
-          const darshan::LogData log = darshan::read_log_bytes(frame);
-          writer.append_frame(log.job, frame);
-          out.logs += 1;
-          out.bytes += frame.size();
-          if (opts.write_snapshots) {
-            const auto ts = SteadyClock::now();
-            shard.add(log);
-            out.snapshot_ns += ns_since(ts);
-          }
-        }
-        out.pending = writer.finish();
-        out.pending.info.data_generation = commit_gen;
-        if (opts.write_snapshots) {
-          const auto ts = SteadyClock::now();
-          out.pending.attach_snapshot(shard);
-          out.snapshot_ns += ns_since(ts);
-        }
-        return out;
-      },
-      stats);
+  // File reads go through the archive's Vfs, so the whole path runs on the
+  // calling thread (deterministic op order); sharding bounds partition
+  // sizes, it is not parallelism.
+  std::vector<Archive::PendingPartition> group;
+  group.reserve(shards);
+  for (std::uint64_t s = 0; s < shards; ++s) {
+    Archive::PartitionWriter writer = archive.begin_partition_at(base_id + s);
+    core::Analysis shard;
+    for (std::uint64_t i = n * s / shards; i < n * (s + 1) / shards; ++i) {
+      const std::vector<std::byte> frame = archive.vfs().read_file(files[i]);
+      // Parse up front: corrupt files are rejected here instead of
+      // poisoning every later scan of the partition.
+      const darshan::LogData log = darshan::read_log_bytes(frame);
+      writer.append_frame(log.job, frame);
+      stats.logs += 1;
+      stats.bytes += frame.size();
+      if (opts.write_snapshots) {
+        const auto ts = SteadyClock::now();
+        shard.add(log);
+        stats.snapshot_ns += ns_since(ts);
+      }
+    }
+    stage_partition(archive, writer, commit_gen, opts.write_snapshots ? &shard : nullptr, group,
+                    stats);
+  }
+  commit(archive, group, stats);
 
   stats.seconds = std::chrono::duration<double>(SteadyClock::now() - t0).count();
   return stats;

@@ -1,17 +1,18 @@
-// Ingest paths into the archive: the synthetic workload pipeline (via
-// wl::serialize_logs' archive-sink mode) and directories of standalone
-// Darshan log files.
+// Ingest paths into the archive: the synthetic workload pipeline and
+// directories of standalone Darshan log files.
 //
 // Both paths build partitions over the same deterministic cuts as ever —
 // the cut list is a pure function of (n_jobs, batches) — but publish them
 // as ONE group: every partition of an ingest call is staged to disk first
 // and registered by a single Archive::commit_group manifest write (one
-// generation bump, one fsync-rename-dirsync per call).  With
-// `ingest_threads > 1`, N workers build partitions concurrently (serialize,
-// deflate, CRC, optional snapshot — pure compute) while the calling thread
-// stages and commits; all file I/O stays on the calling thread in
-// partition-id order, so the VFS op sequence — and the archive bytes — are
-// identical at every thread count (DESIGN.md §13).
+// generation bump, one fsync-rename-dirsync per call).  The generated path
+// splits each cut into job blocks and builds them on one pool of
+// `ingest_threads` workers (generate, execute, serialize, deflate, optional
+// block shard — pure compute via wl::serialize_block); the calling thread
+// takes the blocks in (cut, block) order, appends their frames, and stages
+// each partition at its cut's last block.  All file I/O stays on the
+// calling thread in partition-id order, so the VFS op sequence — and the
+// archive bytes — are identical at every thread count (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
@@ -34,14 +35,9 @@ struct IngestOptions {
   /// per log (the shard must be accumulated from decoded logs in ingest
   /// order — exactly what a rescan would compute).
   bool write_snapshots = false;
-  /// Serialize fan-out WITHIN a partition (wl::SerializeOptions::threads),
-  /// used on the serial build path.  0 = hardware concurrency.
-  unsigned threads = 0;
-  /// Partition-parallel build workers: 1 (default) builds partitions one at
-  /// a time (with `threads` fan-out inside each); >1 builds that many
-  /// partitions concurrently, each serialized inline by its worker; 0 =
-  /// hardware concurrency.  Archive bytes are identical at every setting.
-  unsigned ingest_threads = 1;
+  /// Block build workers of ingest_generated; 0 = hardware concurrency.
+  /// Archive bytes are identical at every setting.
+  unsigned ingest_threads = 0;
   /// Upper bound on logs per partition for ingest_log_files (0 = none):
   /// the file list is split into max(batches, ceil(n / bound)) even shards.
   std::uint64_t max_logs_per_partition = 0;
@@ -69,8 +65,8 @@ struct IngestStats {
 
 /// Generate the workload and append it as `batches` (+ optional huge)
 /// partitions, committed as one group.  Log order within a partition is
-/// exact generation order; the archive bytes are bit-identical for every
-/// (threads, ingest_threads) combination.
+/// exact generation order; the archive bytes are bit-identical at every
+/// ingest_threads setting.
 IngestStats ingest_generated(Archive& archive, const wl::WorkloadGenerator& gen,
                              const IngestOptions& opts = {});
 

@@ -2,7 +2,7 @@
 //
 //   mlio_archive ingest  --dir D [--system Cori|Summit] [--jobs N] [--seed S]
 //                        [--batches B] [--logs-scale X] [--files-scale X]
-//                        [--threads T] [--ingest-threads W] [--no-huge]
+//                        [--threads T] [--no-huge]
 //                        [--snapshots] [--no-compress] [--zlib-level L]
 //   mlio_archive ingest  --dir D --from SRCDIR [--part-logs N]
 //                        (every regular file, sharded into partitions)
@@ -73,7 +73,6 @@ struct Args {
   double logs_scale = 0.25;
   double files_scale = 0.25;
   unsigned threads = 0;
-  unsigned ingest_threads = 1;        ///< partition-parallel build workers
   std::uint64_t part_logs = 0;        ///< max logs per partition (--from path)
   bool huge = true;
   bool snapshots = false;
@@ -106,8 +105,8 @@ struct Args {
   std::printf(
       "usage: mlio_archive <ingest|query|verify|compact> --dir DIR [options]\n"
       "  ingest:  --system Cori|Summit --jobs N --seed S --batches B\n"
-      "           --logs-scale X --files-scale X --threads T --no-huge\n"
-      "           --ingest-threads W (0 = all cores; build W partitions at once)\n"
+      "           --logs-scale X --files-scale X --no-huge\n"
+      "           --threads T (0 = all cores; build workers)\n"
       "           --snapshots --no-compress --zlib-level L\n"
       "           (or --from SRCDIR to ingest existing log files;\n"
       "            --part-logs N bounds logs per partition)\n"
@@ -150,7 +149,6 @@ Args parse(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--logs-scale")) a.logs_scale = std::strtod(next("--logs-scale"), nullptr);
     else if (!std::strcmp(argv[i], "--files-scale")) a.files_scale = std::strtod(next("--files-scale"), nullptr);
     else if (!std::strcmp(argv[i], "--threads")) a.threads = static_cast<unsigned>(std::strtoul(next("--threads"), nullptr, 10));
-    else if (!std::strcmp(argv[i], "--ingest-threads")) a.ingest_threads = static_cast<unsigned>(std::strtoul(next("--ingest-threads"), nullptr, 10));
     else if (!std::strcmp(argv[i], "--part-logs")) a.part_logs = std::strtoull(next("--part-logs"), nullptr, 10);
     else if (!std::strcmp(argv[i], "--zlib-level")) a.zlib_level = static_cast<int>(std::strtol(next("--zlib-level"), nullptr, 10));
     else if (!std::strcmp(argv[i], "--mlp-depth")) a.mlp_depth = static_cast<unsigned>(std::strtoul(next("--mlp-depth"), nullptr, 10));
@@ -250,8 +248,7 @@ int cmd_ingest(const Args& a, util::Vfs& vfs) {
   opts.batches = a.batches;
   opts.include_huge = a.huge;
   opts.write_snapshots = a.snapshots;
-  opts.threads = a.threads;
-  opts.ingest_threads = a.ingest_threads;
+  opts.ingest_threads = a.threads;
   opts.max_logs_per_partition = a.part_logs;
   opts.write_options.compress = a.compress;
   opts.write_options.zlib_level = a.zlib_level;

@@ -62,9 +62,12 @@ void scan_frames(std::span<const std::byte> segment, std::span<const IndexEntry>
     return;
   }
 
-  auto& slots = scratch.slots;
-  if (slots.size() < depth) slots.resize(depth);
+  // A batch never holds more logs than the partition has, so a deep (or
+  // garbage) depth costs no more slots than there are entries.
   const std::size_t n = entries.size();
+  const std::size_t n_slots = std::min<std::size_t>(depth, n);
+  auto& slots = scratch.slots;
+  if (slots.size() < n_slots) slots.resize(n_slots);
   for (std::size_t base = 0; base < n; base += depth) {
     const std::size_t m = std::min<std::size_t>(depth, n - base);
     const auto t0 = timed ? Clock::now() : Clock::time_point{};

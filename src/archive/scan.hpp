@@ -51,8 +51,8 @@ struct ScanScratch {
   /// null disables timing, so an untimed scan makes no clock calls.
   double* parse_seconds = nullptr;
 
-  /// One decode slot per in-flight log for the pipelined lane; sized on
-  /// first use to the scan's mlp_depth.
+  /// One decode slot per in-flight log for the pipelined lane; grown on
+  /// use to min(mlp_depth, the scanned partition's log count).
   struct Slot {
     darshan::LogData log;
     darshan::LogIoBuffers io;

@@ -1,7 +1,9 @@
 #include "service/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -437,28 +439,49 @@ bool ArchiveService::compactor_running() const {
   return compactor_pool_ != nullptr;
 }
 
+std::string ArchiveService::compactor_last_error() const {
+  const std::scoped_lock lock(compactor_mu_);
+  return compactor_last_error_;
+}
+
 void ArchiveService::compactor_loop(CompactorOptions opts) {
   // Runs as ONE long task on the dedicated pool; ThreadPool tasks must not
   // throw, so every iteration is fenced.  After a successful merge the loop
   // re-plans immediately — a cascade (level 0 fills level 1 fills level 2…)
-  // drains without idling between steps.
+  // drains without idling between steps.  A failure keeps its message and
+  // waits out a doubling backoff, so a persistent fault (a full disk) costs
+  // one attempt per kMaxCompactorBackoff instead of a spin at the idle
+  // interval.
+  std::chrono::milliseconds backoff = opts.interval;
   for (;;) {
     {
       const std::scoped_lock lock(compactor_mu_);
       if (compactor_stop_) return;
     }
     bool merged = false;
+    std::optional<std::string> error;
     try {
       merged = compact_step(opts.policy).has_value();
       if (merged) compactions_.fetch_add(1, std::memory_order_relaxed);
+    } catch (const std::exception& e) {
+      error = e.what();
     } catch (...) {
+      error = "unknown exception";
+    }
+    if (!error) {
+      backoff = opts.interval;
+      if (merged) continue;
+    } else {
+      backoff = std::min(kMaxCompactorBackoff,
+                         std::max(2 * backoff, std::chrono::milliseconds(1)));
+    }
+    std::unique_lock<std::mutex> lock(compactor_mu_);
+    if (error) {
       compactor_errors_.fetch_add(1, std::memory_order_relaxed);
+      compactor_last_error_ = std::move(*error);
     }
-    if (!merged) {
-      std::unique_lock<std::mutex> lock(compactor_mu_);
-      compactor_cv_.wait_for(lock, opts.interval, [this] { return compactor_stop_; });
-      if (compactor_stop_) return;
-    }
+    compactor_cv_.wait_for(lock, backoff, [this] { return compactor_stop_; });
+    if (compactor_stop_) return;
   }
 }
 

@@ -40,6 +40,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "archive/archive.hpp"
@@ -221,10 +222,16 @@ class ArchiveService {
   bool compactor_running() const;
   /// Successful background merges since start (across restarts).
   std::uint64_t compactions() const { return compactions_.load(std::memory_order_relaxed); }
-  /// Background iterations that threw (the loop swallows and keeps going).
+  /// Background iterations that threw.  The loop keeps going, but backs
+  /// off: each consecutive failure doubles the wait before the next try, up
+  /// to kMaxCompactorBackoff, and an iteration that does not throw resets it.
   std::uint64_t compactor_errors() const {
     return compactor_errors_.load(std::memory_order_relaxed);
   }
+  /// The message of the most recent background iteration that threw; empty
+  /// while none has.
+  std::string compactor_last_error() const;
+  static constexpr std::chrono::milliseconds kMaxCompactorBackoff{1000};
 
   /// One leveled compaction step inline (the loop body; also the
   /// deterministic entry tests drive directly).  Returns the merged
@@ -327,9 +334,10 @@ class ArchiveService {
   /// Background compactor: a 1-worker pool running compactor_loop until
   /// stop_compactor flips the flag under compactor_mu_.
   std::unique_ptr<util::ThreadPool> compactor_pool_;
-  mutable std::mutex compactor_mu_;  ///< guards compactor_pool_ and _stop_
+  mutable std::mutex compactor_mu_;  ///< guards compactor_pool_, _stop_, _last_error_
   std::condition_variable compactor_cv_;
   bool compactor_stop_ = false;
+  std::string compactor_last_error_;
   std::atomic<std::uint64_t> compactions_{0};
   std::atomic<std::uint64_t> compactor_errors_{0};
 };

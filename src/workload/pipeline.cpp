@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <vector>
 
 #include "util/error.hpp"
@@ -26,10 +25,6 @@ double seconds_since(SteadyClock::time_point t0) {
 // boundaries are part of the determinism contract.
 constexpr std::uint64_t kMaxAutoBlocks = 256;
 
-std::uint64_t auto_block_size(std::uint64_t n) {
-  return std::max<std::uint64_t>(1, (n + kMaxAutoBlocks - 1) / kMaxAutoBlocks);
-}
-
 /// Per-worker reusable state: the scratch LogData every job is executed
 /// into, plus the codec buffers for the roundtrip path.
 struct WorkerScratch {
@@ -40,6 +35,10 @@ struct WorkerScratch {
 };
 
 }  // namespace
+
+std::uint64_t auto_block_jobs(std::uint64_t n_jobs) {
+  return std::max<std::uint64_t>(1, (n_jobs + kMaxAutoBlocks - 1) / kMaxAutoBlocks);
+}
 
 core::Analysis PipelineResult::combined() const {
   core::Analysis all;
@@ -100,7 +99,7 @@ PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions&
   };
 
   const std::uint64_t n_jobs = gen.config().n_jobs;
-  stats.block_jobs = opts.block_jobs != 0 ? opts.block_jobs : auto_block_size(n_jobs);
+  stats.block_jobs = opts.block_jobs != 0 ? opts.block_jobs : auto_block_jobs(n_jobs);
   stats.jobs = n_jobs;
 
   stats.bulk_blocks = run_stratum(
@@ -128,93 +127,52 @@ PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions&
   return result;
 }
 
+FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t job_lo,
+                           std::uint64_t job_hi, const darshan::WriteOptions& write_options,
+                           SerializeScratch& scratch, SerializePhases* phases) {
+  const sim::JobExecutor executor(machine_for(gen.profile()));
+  FrameBlock out;
+  const auto emit = [&](const sim::JobSpec& spec) {
+    const auto t0 = phases ? SteadyClock::now() : SteadyClock::time_point{};
+    executor.execute_into(spec, scratch.log);
+    const auto t1 = phases ? SteadyClock::now() : SteadyClock::time_point{};
+    const auto frame = darshan::write_log_bytes_into(scratch.log, scratch.io, write_options);
+    if (phases) {
+      const auto t2 = SteadyClock::now();
+      phases->serialize_ns += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+      phases->compress_ns += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1).count());
+    }
+    out.bytes.insert(out.bytes.end(), frame.begin(), frame.end());
+    out.sizes.push_back(frame.size());
+    out.jobs.push_back(scratch.log.job);
+  };
+  if (stratum == Stratum::kBulk) {
+    gen.generate_bulk_range(job_lo, job_hi, emit);
+  } else {
+    gen.generate_huge_range(job_lo, job_hi, emit);
+  }
+  return out;
+}
+
 void serialize_logs(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t job_lo,
                     std::uint64_t job_hi, const SerializeOptions& opts,
                     const SerializedLogSink& sink) {
   if (job_hi <= job_lo) return;
-  const sim::Machine& machine = machine_for(gen.profile());
-  const sim::JobExecutor executor(machine);
   const std::uint64_t n = job_hi - job_lo;
-  const std::uint64_t block =
-      opts.block_jobs != 0 ? opts.block_jobs : auto_block_size(n);
-  const std::uint64_t n_blocks = (n + block - 1) / block;
-  const bool timed = opts.phases != nullptr;
-
-  // Each block buffers its framed logs (bytes + per-log sizes and job
-  // records); blocks are drained to the sink in index order afterwards, so
-  // delivery order equals generation order regardless of scheduling.
-  struct BlockBuffer {
-    std::vector<std::byte> bytes;
-    std::vector<std::size_t> sizes;
-    std::vector<darshan::JobRecord> jobs;
-  };
-  std::vector<BlockBuffer> blocks(n_blocks);
-
-  const auto run_block = [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi,
-                             WorkerScratch& ws, SerializePhases& ph) {
-    BlockBuffer& buf = blocks[b];
-    const auto emit = [&](const sim::JobSpec& spec) {
-      const auto t0 = timed ? SteadyClock::now() : SteadyClock::time_point{};
-      executor.execute_into(spec, ws.log);
-      const auto t1 = timed ? SteadyClock::now() : SteadyClock::time_point{};
-      const auto frame = darshan::write_log_bytes_into(ws.log, ws.io, opts.write_options);
-      if (timed) {
-        const auto t2 = SteadyClock::now();
-        ph.serialize_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-        ph.compress_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1).count());
-      }
-      buf.bytes.insert(buf.bytes.end(), frame.begin(), frame.end());
-      buf.sizes.push_back(frame.size());
-      buf.jobs.push_back(ws.log.job);
-    };
-    if (stratum == Stratum::kBulk) {
-      gen.generate_bulk_range(job_lo + lo, job_lo + hi, emit);
-    } else {
-      gen.generate_huge_range(job_lo + lo, job_lo + hi, emit);
-    }
-  };
-
-  if (opts.pool == nullptr && util::ThreadPool::in_worker()) {
-    // Called from inside a pool worker (a partition-parallel ingest build):
-    // a nested pool would degrade to inline anyway, so skip constructing it
-    // and run the blocks on the caller directly.
-    WorkerScratch ws;
-    SerializePhases ph;
-    for (std::uint64_t b = 0; b < n_blocks; ++b) {
-      const std::uint64_t lo = b * block;
-      run_block(b, lo, std::min(n, lo + block), ws, ph);
-    }
-    if (timed) {
-      opts.phases->serialize_ns += ph.serialize_ns;
-      opts.phases->compress_ns += ph.compress_ns;
-    }
-  } else {
-    std::optional<util::ThreadPool> own;
-    util::ThreadPool& pool = opts.pool != nullptr ? *opts.pool : own.emplace(opts.threads);
-    const std::size_t slots = std::max(1u, pool.thread_count());
-    std::vector<WorkerScratch> scratch(slots);
-    std::vector<SerializePhases> phases(slots);
-    pool.parallel_for_dynamic(
-        0, n, block, [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi, unsigned w) {
-          run_block(b, lo, hi, scratch[w], phases[w]);
-        });
-    if (timed) {
-      for (const SerializePhases& ph : phases) {
-        opts.phases->serialize_ns += ph.serialize_ns;
-        opts.phases->compress_ns += ph.compress_ns;
-      }
-    }
-  }
-
-  for (const BlockBuffer& buf : blocks) {
-    std::size_t offset = 0;
-    for (std::size_t i = 0; i < buf.sizes.size(); ++i) {
-      sink(buf.jobs[i], std::span<const std::byte>(buf.bytes.data() + offset, buf.sizes[i]));
-      offset += buf.sizes[i];
-    }
-  }
+  const std::uint64_t block = auto_block_jobs(n);
+  // Blocks are buffered and drained to the sink in index order, so delivery
+  // order equals generation order regardless of scheduling.
+  std::vector<FrameBlock> blocks((n + block - 1) / block);
+  util::ThreadPool pool(opts.threads);
+  std::vector<SerializeScratch> scratch(std::max(1u, pool.thread_count()));
+  pool.parallel_for_dynamic(
+      0, n, block, [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi, unsigned w) {
+        blocks[b] = serialize_block(gen, stratum, job_lo + lo, job_lo + hi, opts.write_options,
+                                    scratch[w]);
+      });
+  for (const FrameBlock& fb : blocks) fb.for_each(sink);
 }
 
 }  // namespace mlio::wl

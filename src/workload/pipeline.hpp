@@ -11,6 +11,8 @@
 // blocks via a ticket counter.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -19,10 +21,6 @@
 #include "darshan/log_format.hpp"
 #include "iosim/executor.hpp"
 #include "workload/generator.hpp"
-
-namespace mlio::util {
-class ThreadPool;
-}
 
 namespace mlio::wl {
 
@@ -71,42 +69,73 @@ const sim::Machine& machine_for(const SystemProfile& profile);
 
 PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions& opts = {});
 
-/// Which generator stratum serialize_logs draws from.
+/// Which generator stratum a job range is drawn from.
 enum class Stratum { kBulk, kHuge };
 
-/// Per-phase CPU time of one serialize_logs call, summed across its workers
-/// (the same convention as QueryStats' phase seconds: thread-seconds, not
-/// wall clock).  serialize_logs ADDS into the caller's struct, so one
-/// instance can accumulate over a whole multi-partition ingest.
+/// Auto block size for a range of `n_jobs` jobs: at most 256 blocks, so a
+/// pure function of the range (never of thread count).  run_pipeline,
+/// serialize_logs and the batch ingest all split their ranges by it.
+std::uint64_t auto_block_jobs(std::uint64_t n_jobs);
+
+/// Per-phase CPU time of serialized job blocks: serialize_block ADDS into
+/// the caller's struct, so one instance can accumulate over many blocks (the
+/// same convention as QueryStats' phase seconds: thread-time, not wall).
 struct SerializePhases {
   std::uint64_t serialize_ns = 0;  ///< generate + simulate (execute_into)
   std::uint64_t compress_ns = 0;   ///< frame + deflate (write_log_bytes_into)
 };
 
-struct SerializeOptions {
-  unsigned threads = 0;            ///< 0 = hardware concurrency
-  std::uint64_t block_jobs = 0;    ///< 0 = auto (same rule as run_pipeline)
-  darshan::WriteOptions write_options;
-  /// Reuse an existing pool instead of constructing one per call (a
-  /// multi-partition ingest would otherwise spawn and join threads per
-  /// partition).  When null and the caller is itself a pool worker, the
-  /// blocks run inline on the caller — no pool is constructed at all.
-  util::ThreadPool* pool = nullptr;
-  /// When set, per-phase CPU time is accumulated into this struct.
-  SerializePhases* phases = nullptr;
+/// Per-thread reusable state of serialize_block: the LogData every job is
+/// executed into and the codec buffers (deflate tables included) its frames
+/// are written through.  Keep one per thread and reuse it across blocks.
+struct SerializeScratch {
+  darshan::LogData log;
+  darshan::LogIoBuffers io;
 };
 
-/// One serialized log: the framed on-disk bytes plus its job record (the
-/// archive sink uses the job id for its per-partition index).  The frame
-/// span is only valid for the duration of the callback.
+/// One job range's framed logs, in generation order: the frames back to
+/// back, each frame's size, and its job record (the archive index keys on
+/// the job id).
+struct FrameBlock {
+  std::vector<std::byte> bytes;
+  std::vector<std::size_t> sizes;
+  std::vector<darshan::JobRecord> jobs;
+
+  /// Call fn(job, frame) for every log in order; the frame span points into
+  /// `bytes`.
+  template <typename Fn>
+  void for_each(const Fn& fn) const {
+    std::size_t offset = 0;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      fn(jobs[i], std::span<const std::byte>(bytes.data() + offset, sizes[i]));
+      offset += sizes[i];
+    }
+  }
+};
+
+/// Generate jobs [job_lo, job_hi) of a stratum, execute each on the
+/// profile's machine, and frame every log into one FrameBlock.  Pure compute
+/// against immutable inputs — safe on any thread with its own scratch.
+/// When `phases` is set, per-phase CPU time is added into it.
+FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t job_lo,
+                           std::uint64_t job_hi, const darshan::WriteOptions& write_options,
+                           SerializeScratch& scratch, SerializePhases* phases = nullptr);
+
+struct SerializeOptions {
+  unsigned threads = 0;  ///< 0 = hardware concurrency
+  darshan::WriteOptions write_options;
+};
+
+/// One serialized log: the framed on-disk bytes plus its job record.  The
+/// frame span is only valid for the duration of the callback.
 using SerializedLogSink =
     std::function<void(const darshan::JobRecord& job, std::span<const std::byte> frame)>;
 
-/// Archive-sink mode of the pipeline: generate jobs [job_lo, job_hi) of a
-/// stratum, execute and serialize every log in parallel (per-worker scratch
-/// reuse, block-ordered buffering), then deliver the frames to `sink` on the
-/// calling thread in exact generation order.  The whole batch is buffered in
-/// memory before delivery, so callers should ingest in bounded batches.
+/// Frame-pool mode of the pipeline: serialize jobs [job_lo, job_hi) of a
+/// stratum as auto-sized blocks on a pool of `threads` workers, then deliver
+/// the frames to `sink` on the calling thread in exact generation order.
+/// The whole range is buffered in memory before delivery, so callers should
+/// serialize in bounded ranges.
 void serialize_logs(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t job_lo,
                     std::uint64_t job_hi, const SerializeOptions& opts,
                     const SerializedLogSink& sink);

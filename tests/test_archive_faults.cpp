@@ -144,7 +144,6 @@ TEST_F(ArchiveFaultsTest, CrashSweepParallelGroupIngest) {
     opts.batches = 3;
     opts.include_huge = false;
     opts.write_snapshots = true;
-    opts.threads = 1;
     opts.ingest_threads = 3;  // workers race the committer on every replay
     ingest_generated(ar, gen1, opts);
     ingest_generated(ar, gen2, opts);

@@ -266,7 +266,7 @@ TEST(IngestDifferential, ArchiveColdQueryFingerprintPinned) {
   archive::Archive ar = archive::Archive::create(dir);
   archive::IngestOptions io;
   io.batches = 4;
-  io.threads = 2;
+  io.ingest_threads = 2;
   io.write_snapshots = false;
   archive::ingest_generated(ar, gen, io);
   archive::QueryOptions qo;

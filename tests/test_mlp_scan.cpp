@@ -46,7 +46,7 @@ class MlpScanTest : public ::testing::Test {
     archive::Archive ar = archive::Archive::create(*dir_);
     archive::IngestOptions io;
     io.batches = 4;
-    io.threads = 2;
+    io.ingest_threads = 2;
     io.write_snapshots = false;
     archive::ingest_generated(ar, gen, io);
   }
@@ -128,6 +128,22 @@ TEST_F(MlpScanTest, OversizedAndZeroDepthsAreSafe) {
     EXPECT_EQ(q.analysis.fingerprint(), kPinnedFingerprint);
     EXPECT_EQ(q.stats.logs_scanned, kPinnedLogs);
   }
+}
+
+TEST_F(MlpScanTest, DeepScanAllocatesNoMoreSlotsThanLogs) {
+  // A depth far beyond a partition's log count sizes the decode slots to
+  // the logs, not the depth: a garbage --mlp-depth must not allocate
+  // billions of slots.
+  archive::Archive ar = archive::Archive::open(*dir_);
+  const archive::PartitionInfo& p = ar.manifest().partitions.front();
+  ASSERT_LT(p.log_count, 1024u);
+  archive::ScanScratch scratch;
+  archive::ScanOptions opts;
+  opts.mlp_depth = 1024;
+  std::uint64_t logs = 0;
+  ar.scan_partition(p, [&](const darshan::LogData&) { logs += 1; }, scratch, opts);
+  EXPECT_EQ(logs, p.log_count);
+  EXPECT_LE(scratch.slots.size(), p.log_count);
 }
 
 TEST_F(MlpScanTest, QueryScratchReuseAcrossDepths) {

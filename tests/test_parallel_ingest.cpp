@@ -1,6 +1,6 @@
 // The parallel sharded ingest contract (DESIGN.md §13): archives built at
-// ANY ingest_threads setting are byte-identical (manifest included) to the
-// serial build; a group commit writes the same segment/index bytes a
+// ANY ingest_threads setting, from any calling thread, are byte-identical
+// (manifest included) to the 1-worker build; a group commit writes the same segment/index bytes a
 // per-partition seal would; one ingest call costs exactly one generation
 // bump, snapshots included; ingest_log_files honors batches and
 // max_logs_per_partition; and the 32-bit-hazard guards on the scale path
@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <limits>
 #include <map>
@@ -25,6 +26,7 @@
 #include "util/byte_io.hpp"
 #include "util/compress.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 #include "workload/pipeline.hpp"
 
@@ -53,6 +55,19 @@ std::map<std::string, std::vector<std::byte>> dir_files(const fs::path& dir) {
   return out;
 }
 
+/// Every file of `reference` present in `files` with the same bytes, and no
+/// file more.
+void expect_same_files(const std::map<std::string, std::vector<std::byte>>& reference,
+                       const std::map<std::string, std::vector<std::byte>>& files,
+                       const std::string& label) {
+  ASSERT_EQ(files.size(), reference.size()) << label;
+  for (const auto& [name, bytes] : reference) {
+    const auto it = files.find(name);
+    ASSERT_NE(it, files.end()) << name << " missing at " << label;
+    EXPECT_EQ(it->second, bytes) << name << " differs at " << label;
+  }
+}
+
 std::uint64_t query_fingerprint(Archive& ar) {
   QueryOptions opts;
   opts.threads = 1;
@@ -76,35 +91,65 @@ class ParallelIngestTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 // The determinism contract: fixed cuts -> fixed bits.  Every file of the
 // archive — manifest.bin with its generation values included — must be
-// byte-identical whether partitions were built by 1, 2, 4, or 8 workers.
+// byte-identical whether the blocks were built by 1, 2 or 4 workers, at
+// every batch count, with snapshots on and the hero stratum included.
 TEST_F(ParallelIngestTest, BitIdenticalAcrossIngestThreads) {
   const wl::WorkloadGenerator gen = make_gen(14, 5);
-  std::map<std::string, std::vector<std::byte>> reference;
-  for (const unsigned t : {1u, 2u, 4u, 8u}) {
-    const fs::path d = dir_ / ("t" + std::to_string(t));
-    Archive ar = Archive::create(d);
-    IngestOptions opts;
-    opts.batches = 4;
-    opts.write_snapshots = true;
-    opts.threads = 1;
-    opts.ingest_threads = t;
-    const IngestStats stats = ingest_generated(ar, gen, opts);
-    EXPECT_EQ(stats.groups, 1u) << "ingest_threads=" << t;
-    EXPECT_GE(stats.partitions, 4u) << "ingest_threads=" << t;
-    EXPECT_TRUE(ar.verify(true).ok()) << "ingest_threads=" << t;
+  ASSERT_GT(gen.huge_job_count(), 0u);
+  for (const std::uint64_t batches : {1u, 3u, 8u}) {
+    std::map<std::string, std::vector<std::byte>> reference;
+    for (const unsigned t : {1u, 2u, 4u}) {
+      const std::string label =
+          "batches=" + std::to_string(batches) + " ingest_threads=" + std::to_string(t);
+      const fs::path d = dir_ / ("b" + std::to_string(batches) + "t" + std::to_string(t));
+      Archive ar = Archive::create(d);
+      IngestOptions opts;
+      opts.batches = batches;
+      opts.write_snapshots = true;
+      opts.ingest_threads = t;
+      const IngestStats stats = ingest_generated(ar, gen, opts);
+      EXPECT_EQ(stats.groups, 1u) << label;
+      EXPECT_EQ(stats.partitions, batches + 1) << label;  // + the hero cut
+      EXPECT_TRUE(ar.verify(true).ok()) << label;
 
-    const auto files = dir_files(d);
-    if (t == 1) {
-      reference = files;
-      continue;
-    }
-    ASSERT_EQ(files.size(), reference.size()) << "ingest_threads=" << t;
-    for (const auto& [name, bytes] : reference) {
-      const auto it = files.find(name);
-      ASSERT_NE(it, files.end()) << name << " missing at ingest_threads=" << t;
-      EXPECT_EQ(it->second, bytes) << name << " differs at ingest_threads=" << t;
+      const auto files = dir_files(d);
+      if (t == 1) {
+        reference = files;
+        continue;
+      }
+      expect_same_files(reference, files, label);
     }
   }
+}
+
+// Called from inside a pool task, ingest builds on a pool of its own and
+// writes the same bytes as a call from a plain thread.
+TEST_F(ParallelIngestTest, IngestInsidePoolTaskMatches) {
+  const wl::WorkloadGenerator gen = make_gen(14, 5);
+  IngestOptions opts;
+  opts.batches = 3;
+  opts.write_snapshots = true;
+  opts.ingest_threads = 2;
+  const auto ingest_into = [&](const fs::path& d) {
+    Archive ar = Archive::create(d);
+    (void)ingest_generated(ar, gen, opts);
+  };
+  ingest_into(dir_ / "direct");
+
+  std::exception_ptr error;
+  {
+    util::ThreadPool outer(1);
+    outer.submit([&] {
+      try {
+        ingest_into(dir_ / "in_task");
+      } catch (...) {
+        error = std::current_exception();
+      }
+    });
+    outer.wait_idle();
+  }
+  if (error) std::rethrow_exception(error);
+  expect_same_files(dir_files(dir_ / "direct"), dir_files(dir_ / "in_task"), "in pool task");
 }
 
 // ---------------------------------------------------------------------------
@@ -123,7 +168,6 @@ TEST_F(ParallelIngestTest, GroupCommitMatchesPerSealBytes) {
     IngestOptions opts;
     opts.batches = batches;
     opts.include_huge = false;
-    opts.threads = 1;
     ingest_generated(ar, gen, opts);
     EXPECT_EQ(ar.manifest().partitions.size(), batches);
   }
@@ -173,7 +217,6 @@ TEST_F(ParallelIngestTest, SingleGenerationBumpWithSnapshots) {
   IngestOptions opts;
   opts.batches = 4;
   opts.write_snapshots = true;
-  opts.threads = 1;
   opts.ingest_threads = 2;
   const IngestStats s1 = ingest_generated(ar, make_gen(10, 3), opts);
   EXPECT_EQ(ar.manifest().generation, 2u);
@@ -205,7 +248,6 @@ TEST_F(ParallelIngestTest, BuildErrorSurfacesAndCommitsNothing) {
 
   IngestOptions opts;
   opts.batches = 8;
-  opts.threads = 1;
   opts.ingest_threads = 3;
   opts.write_options.zlib_level = 42;  // every build throws ConfigError
   EXPECT_THROW((void)ingest_generated(ar, make_gen(24, 5), opts), util::ConfigError);

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -637,6 +638,41 @@ TEST(ArchiveServiceFaults, FailedDeferredRemovalIsSurfacedNotFatal) {
   const auto after = svc.get(/*keep_analysis=*/true);
   EXPECT_EQ(after.analysis->summary().logs(), logs_before);
   EXPECT_EQ(svc.replay_serial(after.pin).fingerprint(), after.fingerprint);
+  std::filesystem::remove_all(dir);
+}
+
+// A persistent write fault fails every background merge.  Each failure is
+// counted and its message kept, and the doubling backoff bounds the number
+// of attempts: the waits reach kMaxCompactorBackoff after about
+// log2(cap / 1 ms) failures, and from then on one attempt per cap — not one
+// per 2 ms idle interval.  Stopping interrupts a backoff wait.
+TEST(ArchiveServiceFaults, PersistentCompactorFaultIsKeptAndBackedOff) {
+  const std::filesystem::path dir = fresh_dir("mlio_svc_compactor_fault");
+  seed_archive(dir, shared_pool(), 4);
+  util::FaultVfs vfs(util::FaultPlan::parse("fail-write@0:*.seg*"));
+  service::ArchiveService svc(dir, {}, vfs);
+
+  service::ArchiveService::CompactorOptions copts;
+  copts.policy.fanout = 2;
+  constexpr auto kSleep = std::chrono::milliseconds(600);
+  svc.start_compactor(copts);
+  std::this_thread::sleep_for(kSleep);
+  const auto t0 = std::chrono::steady_clock::now();
+  svc.stop_compactor();
+  const double stop_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+
+  const auto cap = service::ArchiveService::kMaxCompactorBackoff;
+  const double doublings = std::ceil(std::log2(static_cast<double>(cap.count())));
+  const double bound = 2 + doublings + static_cast<double>(kSleep.count()) /
+                                            static_cast<double>(cap.count());
+  EXPECT_GE(svc.compactor_errors(), 2u);
+  EXPECT_LE(static_cast<double>(svc.compactor_errors()), bound);
+  EXPECT_EQ(svc.compactions(), 0u);
+  EXPECT_NE(svc.compactor_last_error().find("simulated write failure"), std::string::npos)
+      << svc.compactor_last_error();
+  EXPECT_LT(stop_s, 0.25);
+  EXPECT_EQ(svc.pin().manifest().partitions.size(), 4u);  // nothing was published
   std::filesystem::remove_all(dir);
 }
 
