@@ -213,7 +213,10 @@ int cmd_ingest_stream(const Args& a, util::Vfs& vfs) {
   const wl::SystemProfile& profile =
       a.system == "Summit" ? wl::SystemProfile::summit_2020() : wl::SystemProfile::cori_2019();
   const wl::WorkloadGenerator gen(profile, cfg);
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, a.jobs, {},
+  darshan::WriteOptions write_options;
+  write_options.compress = a.compress;
+  write_options.zlib_level = a.zlib_level;
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, a.jobs, write_options,
                      [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
                        (void)ing.append(job, frame);
                      });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
@@ -157,7 +158,7 @@ FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::u
 }
 
 void serialize_logs(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t job_lo,
-                    std::uint64_t job_hi, const SerializeOptions& opts,
+                    std::uint64_t job_hi, const darshan::WriteOptions& write_options,
                     const SerializedLogSink& sink) {
   if (job_hi <= job_lo) return;
   const std::uint64_t n = job_hi - job_lo;
@@ -165,11 +166,12 @@ void serialize_logs(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t
   // Blocks are buffered and drained to the sink in index order, so delivery
   // order equals generation order regardless of scheduling.
   std::vector<FrameBlock> blocks((n + block - 1) / block);
-  util::ThreadPool pool(opts.threads);
-  std::vector<SerializeScratch> scratch(std::max(1u, pool.thread_count()));
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  util::ThreadPool pool(static_cast<unsigned>(std::min<std::uint64_t>(hw, blocks.size())));
+  std::vector<SerializeScratch> scratch(pool.thread_count());
   pool.parallel_for_dynamic(
       0, n, block, [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi, unsigned w) {
-        blocks[b] = serialize_block(gen, stratum, job_lo + lo, job_lo + hi, opts.write_options,
+        blocks[b] = serialize_block(gen, stratum, job_lo + lo, job_lo + hi, write_options,
                                     scratch[w]);
       });
   for (const FrameBlock& fb : blocks) fb.for_each(sink);

@@ -121,23 +121,19 @@ FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::u
                            std::uint64_t job_hi, const darshan::WriteOptions& write_options,
                            SerializeScratch& scratch, SerializePhases* phases = nullptr);
 
-struct SerializeOptions {
-  unsigned threads = 0;  ///< 0 = hardware concurrency
-  darshan::WriteOptions write_options;
-};
-
 /// One serialized log: the framed on-disk bytes plus its job record.  The
 /// frame span is only valid for the duration of the callback.
 using SerializedLogSink =
     std::function<void(const darshan::JobRecord& job, std::span<const std::byte> frame)>;
 
 /// Frame-pool mode of the pipeline: serialize jobs [job_lo, job_hi) of a
-/// stratum as auto-sized blocks on a pool of `threads` workers, then deliver
-/// the frames to `sink` on the calling thread in exact generation order.
-/// The whole range is buffered in memory before delivery, so callers should
-/// serialize in bounded ranges.
+/// stratum as auto-sized blocks on a pool of one worker per core (never more
+/// than there are blocks), then deliver the frames to `sink` on the calling
+/// thread in exact generation order.  The whole range is buffered in memory
+/// before delivery, so callers should serialize in bounded ranges.  Called
+/// from inside a pool task, the blocks run inline on that task's thread.
 void serialize_logs(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t job_lo,
-                    std::uint64_t job_hi, const SerializeOptions& opts,
+                    std::uint64_t job_hi, const darshan::WriteOptions& write_options,
                     const SerializedLogSink& sink);
 
 }  // namespace mlio::wl
