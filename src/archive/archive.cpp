@@ -60,7 +60,7 @@ Archive Archive::create(const std::filesystem::path& dir, util::Vfs& vfs) {
   }
   vfs.create_directories(dir);
   Archive a(dir, Manifest{}, vfs);
-  a.write_manifest();
+  a.publish_manifest(Manifest{});
   return a;
 }
 
@@ -87,9 +87,10 @@ std::filesystem::path Archive::snapshot_path(std::uint64_t id) const {
   return dir_ / part_name(id, "snap");
 }
 
-void Archive::write_manifest() {
-  manifest_.generation += 1;
-  vfs_->write_file_atomic(dir_ / kManifestName, write_manifest_bytes(manifest_));
+void Archive::publish_manifest(Manifest next) {
+  next.generation = manifest_.generation + 1;
+  vfs_->write_file_atomic(dir_ / kManifestName, write_manifest_bytes(next));
+  manifest_ = std::move(next);
 }
 
 Archive::PartitionWriter::PartitionWriter(Archive& owner, std::uint64_t id)
@@ -171,7 +172,7 @@ void Archive::stage_partition_files(PendingPartition& p) const {
 
 std::vector<PartitionInfo> Archive::commit_group(std::span<const PendingPartition> group) {
   if (group.empty()) return {};
-  const std::uint64_t gen = manifest_.generation + 1;  // write_manifest bumps to this
+  const std::uint64_t gen = manifest_.generation + 1;  // publish_manifest stamps this
   std::uint64_t expect_id = manifest_.next_partition_id;
   for (const PendingPartition& p : group) {
     if (p.info.id != expect_id) {
@@ -194,16 +195,17 @@ std::vector<PartitionInfo> Archive::commit_group(std::span<const PendingPartitio
 
   std::vector<PartitionInfo> committed;
   committed.reserve(group.size());
+  Manifest next = manifest_;
   for (const PendingPartition& p : group) {
     PartitionInfo info = p.info;
     info.data_generation = gen;
-    manifest_.partitions.push_back(info);
+    next.partitions.push_back(info);
     committed.push_back(info);
   }
-  manifest_.next_partition_id = expect_id;
+  next.next_partition_id = expect_id;
   // Manifest last: until this one write lands, every staged file of the
   // group is unreferenced garbage — readers see the whole group or nothing.
-  write_manifest();
+  publish_manifest(std::move(next));
   return committed;
 }
 
@@ -222,6 +224,18 @@ void Archive::scan_partition(const PartitionInfo& p,
 void Archive::scan_partition(const PartitionInfo& p,
                              const std::function<void(const darshan::LogData&)>& fn,
                              ScanScratch& scratch, const ScanOptions& opts) const {
+  scan_bodies(
+      p,
+      [&](std::span<const std::byte> body) {
+        darshan::read_log_body_into(body, scratch.io, scratch.log);
+        fn(scratch.log);
+      },
+      scratch, opts);
+}
+
+void Archive::scan_bodies(const PartitionInfo& p,
+                          const std::function<void(std::span<const std::byte>)>& fn,
+                          ScanScratch& scratch, const ScanOptions& opts) const {
   const std::vector<std::byte> bytes = checked_segment(*vfs_, segment_path(p.id), p);
   const std::vector<IndexEntry> entries =
       read_index_bytes(vfs_->read_file(index_path(p.id)), p.id);
@@ -270,22 +284,23 @@ Archive::SnapshotReceipt Archive::write_snapshot_file(const PartitionInfo& p,
 
 std::size_t Archive::commit_snapshots(std::span<const SnapshotReceipt> receipts) {
   std::size_t registered = 0;
+  Manifest next = manifest_;
   for (const SnapshotReceipt& r : receipts) {
-    const auto it = std::find_if(manifest_.partitions.begin(), manifest_.partitions.end(),
+    const auto it = std::find_if(next.partitions.begin(), next.partitions.end(),
                                  [&](const PartitionInfo& p) { return p.id == r.partition_id; });
-    if (it == manifest_.partitions.end() || it->data_generation != r.data_generation) continue;
+    if (it == next.partitions.end() || it->data_generation != r.data_generation) continue;
     it->has_snapshot = true;
     it->snapshot_generation = r.data_generation;
     it->snapshot_crc = r.crc;
     registered += 1;
   }
-  if (registered > 0) write_manifest();
+  if (registered > 0) publish_manifest(std::move(next));
   return registered;
 }
 
-PartitionInfo Archive::build_merged_partition(const CompactionPlan& plan) {
+PartitionInfo Archive::build_merged_partition(const CompactionPlan& plan, std::uint64_t id) {
   const auto& parts = manifest_.partitions;
-  PartitionWriter writer = begin_partition_at(manifest_.next_partition_id++);
+  PartitionWriter writer = begin_partition_at(id);
   darshan::JobRecord job;  // the writer keys its index on the job id alone
   for (std::size_t k = plan.first; k < plan.first + plan.count; ++k) {
     const PartitionInfo& src = parts[k];
@@ -314,7 +329,7 @@ PartitionInfo Archive::build_merged_partition(const CompactionPlan& plan) {
     np.window_min = std::min(np.window_min, parts[k].window_min);
     np.window_max = std::max(np.window_max, parts[k].window_max);
   }
-  np.data_generation = manifest_.generation + 1;  // stamped by write_manifest
+  np.data_generation = manifest_.generation + 1;  // the generation compact() publishes
   stage_partition_files(merged);
   return np;
 }
@@ -364,21 +379,26 @@ std::vector<Archive::CompactedRun> Archive::compact(
   if (plans.empty()) return {};
 
   // Build each run's partition in plan order and splice it in at the run's
-  // position; the partitions between runs keep their places.
+  // position; the partitions between runs keep their places.  The next
+  // manifest is built as a value and replaces the in-memory one only once
+  // its write lands: a failure anywhere before that (staging or the
+  // manifest write itself) leaves this handle as it was, so a retry
+  // allocates the same ids and writes the same bytes.
   std::vector<CompactedRun> runs;
-  std::vector<PartitionInfo> out;
+  Manifest next = manifest_;
+  next.partitions.clear();
   auto kept_from = parts.begin();
   for (const CompactionPlan& plan : plans) {
     const auto run_begin = parts.begin() + static_cast<std::ptrdiff_t>(plan.first);
     const auto run_end = run_begin + static_cast<std::ptrdiff_t>(plan.count);
-    out.insert(out.end(), kept_from, run_begin);
-    runs.push_back(CompactedRun{build_merged_partition(plan), {run_begin, run_end}});
-    out.push_back(runs.back().merged);
+    next.partitions.insert(next.partitions.end(), kept_from, run_begin);
+    runs.push_back(CompactedRun{build_merged_partition(plan, next.next_partition_id++),
+                                {run_begin, run_end}});
+    next.partitions.push_back(runs.back().merged);
     kept_from = run_end;
   }
-  out.insert(out.end(), kept_from, parts.end());
-  manifest_.partitions = std::move(out);
-  write_manifest();
+  next.partitions.insert(next.partitions.end(), kept_from, parts.end());
+  publish_manifest(std::move(next));
   gc_partitions(runs, deferred_gc);
   return runs;
 }

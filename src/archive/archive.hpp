@@ -12,8 +12,9 @@
 // single `commit_group()` manifest write — one generation bump per ingest
 // batch instead of per partition (DESIGN.md §13).
 //
-// Read path: `scan_partition` replays a partition's logs in ingest order
-// (verifying the segment CRC first); `load_snapshot` returns the cached
+// Read path: `scan_bodies` decodes a partition's frames in ingest order
+// (verifying the segment CRC first) for the read kernel, and
+// `scan_partition` replays them as parsed logs; `load_snapshot` returns the cached
 // analysis shard when it is present, uncorrupted, and stamped with the
 // partition's current data generation.  The incremental query engine on top
 // lives in archive/query.hpp.
@@ -158,16 +159,24 @@ class Archive {
   /// alias because the query engine and tests name it through the Archive.
   using ScanScratch = archive::ScanScratch;
 
-  /// Replay a partition's logs in ingest order.  Verifies the segment file's
-  /// CRC and the index before the first callback; throws FormatError on any
-  /// corruption (a truncated or bit-flipped segment never yields logs).
+  /// Decode a partition's frames in ingest order, calling `fn` with each
+  /// validated log body (scan.hpp) — the read kernel's input.  Verifies the
+  /// segment file's CRC and the index before the first callback; throws
+  /// FormatError on any corruption (a truncated or bit-flipped segment never
+  /// yields a body).  `opts.mlp_depth` logs are in flight per worker; any
+  /// depth yields the same bodies in the same order.
+  void scan_bodies(const PartitionInfo& p,
+                   const std::function<void(std::span<const std::byte>)>& fn,
+                   ScanScratch& scratch, const ScanOptions& opts) const;
+
+  /// Replay a partition's logs in ingest order: scan_bodies, with each body
+  /// materialized into a LogData.  Throws what scan_bodies throws.
   void scan_partition(const PartitionInfo& p,
                       const std::function<void(const darshan::LogData&)>& fn) const;
   /// Scratch-reused variant; the callback sees a log owned by the scratch.
   void scan_partition(const PartitionInfo& p, const std::function<void(const darshan::LogData&)>& fn,
                       ScanScratch& scratch) const;
-  /// Full-control variant: `opts.mlp_depth` logs in flight per worker
-  /// (scan.hpp).  Any depth yields bit-identical callbacks in ingest order.
+  /// Full-control variant: `opts.mlp_depth` logs in flight per worker.
   void scan_partition(const PartitionInfo& p, const std::function<void(const darshan::LogData&)>& fn,
                       ScanScratch& scratch, const ScanOptions& opts) const;
 
@@ -253,14 +262,16 @@ class Archive {
  private:
   Archive(std::filesystem::path dir, Manifest manifest, util::Vfs& vfs);
 
-  /// Bump the generation and atomically persist the manifest.
-  void write_manifest();
+  /// Atomically persist `next`, stamped one generation past the current
+  /// manifest, then adopt it.  The in-memory manifest changes only after
+  /// the write lands: a failed publish leaves this handle as it was.
+  void publish_manifest(Manifest next);
 
   /// Build and stage (segment + index files, no manifest write) one
-  /// plan's merged partition under a freshly allocated id.  The returned
-  /// info is stamped data_generation = generation + 1 for compact()'s
-  /// write_manifest to make real.
-  PartitionInfo build_merged_partition(const CompactionPlan& plan);
+  /// plan's merged partition as partition `id`.  The returned info is
+  /// stamped data_generation = generation + 1 for compact()'s manifest
+  /// publish to make real.
+  PartitionInfo build_merged_partition(const CompactionPlan& plan, std::uint64_t id);
 
   /// Delete (or defer) the three files of every input of `runs`.
   void gc_partitions(std::span<const CompactedRun> runs,

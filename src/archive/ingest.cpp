@@ -78,11 +78,11 @@ std::vector<Block> plan_blocks(const std::vector<Cut>& cuts) {
 }
 
 /// Per-thread build state, reused across every block a pool thread builds:
-/// the serializer's scratch plus the decode state of snapshot-on-ingest.
+/// the serializer's scratch plus the read-kernel state of snapshot-on-ingest.
 struct BlockScratch {
   wl::SerializeScratch serialize;
-  darshan::LogData decoded;
   darshan::LogIoBuffers io;
+  darshan::LogBody body;
   core::AnalyzeScratch analyze;
 };
 
@@ -146,8 +146,8 @@ IngestStats ingest_generated(Archive& archive, const wl::WorkloadGenerator& gen,
       const auto ts = SteadyClock::now();
       out.shard.emplace();
       out.frames.for_each([&](const darshan::JobRecord&, std::span<const std::byte> frame) {
-        darshan::read_log_bytes_into(frame, ws.io, ws.decoded);
-        out.shard->add(ws.decoded, ws.analyze);
+        darshan::walk_log_body(darshan::read_log_frame_body(frame, ws.io), ws.body);
+        out.shard->add(ws.body, ws.analyze);
       });
       out.snapshot_ns = ns_since(ts);
     }

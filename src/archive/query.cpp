@@ -59,9 +59,8 @@ void QueryStats::merge(const QueryStats& other) {
   scan_seconds += other.scan_seconds;
   merge_seconds += other.merge_seconds;
   total_seconds += other.total_seconds;
-  parse_seconds += other.parse_seconds;
-  summarize_seconds += other.summarize_seconds;
-  accumulate_seconds += other.accumulate_seconds;
+  decode_seconds += other.decode_seconds;
+  analyze_seconds += other.analyze_seconds;
 }
 
 std::shared_ptr<const core::Analysis> resolve_shard(const Archive& archive,
@@ -72,19 +71,23 @@ std::shared_ptr<const core::Analysis> resolve_shard(const Archive& archive,
     stats.snapshot_hits += 1;
     return std::make_shared<const core::Analysis>(*std::move(snap));
   }
-  scratch.analyze.phases = scratch.phases ? &scratch.phases->analyze : nullptr;
-  scratch.scan.parse_seconds = scratch.phases ? &scratch.phases->parse_seconds : nullptr;
+  const bool timed = scratch.phases.has_value();
+  scratch.scan.decode_seconds = timed ? &scratch.phases->decode_seconds : nullptr;
   ScanOptions scan_opts;
   scan_opts.mlp_depth = mlp_depth;
   auto shard = std::make_shared<core::Analysis>();
   std::uint64_t logs = 0;
-  archive.scan_partition(
+  archive.scan_bodies(
       partition,
-      [&](const darshan::LogData& log) {
-        shard->add(log, scratch.analyze);
+      [&](std::span<const std::byte> body) {
+        const auto t0 = timed ? SteadyClock::now() : SteadyClock::time_point{};
+        darshan::walk_log_body(body, scratch.body);
+        shard->add(scratch.body, scratch.analyze);
+        if (timed) scratch.phases->analyze_seconds += seconds_since(t0);
         logs += 1;
       },
       scratch.scan, scan_opts);
+  shard->order_samples();
   stats.partitions_scanned += 1;
   stats.logs_scanned += logs;
   return shard;
@@ -133,9 +136,8 @@ QueryResult query_partitions(Archive& archive, std::span<const PartitionInfo> pa
       });
   for (unsigned w = 0; w < workers; ++w) {
     stats.merge(worker_stats[w]);
-    stats.parse_seconds += scratch[w].phases->parse_seconds;
-    stats.summarize_seconds += scratch[w].phases->analyze.summarize_seconds;
-    stats.accumulate_seconds += scratch[w].phases->analyze.accumulate_seconds;
+    stats.decode_seconds += scratch[w].phases->decode_seconds;
+    stats.analyze_seconds += scratch[w].phases->analyze_seconds;
   }
   std::vector<Archive::SnapshotReceipt> receipts;
   for (const std::optional<Archive::SnapshotReceipt>& r : written) {

@@ -63,22 +63,23 @@ struct QueryOptions {
   /// Write rebuilt shards back as snapshots so the next query is all cache
   /// hits.
   bool write_snapshots = true;
-  /// Logs in flight per worker during cold rebuilds (scan.hpp); 1 runs the
-  /// seed's one-at-a-time scan.  Results are bit-identical at any depth.
+  /// Logs in flight per worker during cold rebuilds (scan.hpp).  Results
+  /// are bit-identical at any depth.
   unsigned mlp_depth = kDefaultMlpDepth;
 };
 
-/// Reusable decode and summarize state for resolve_shard: one per resolving
+/// Reusable decode and analysis state for resolve_shard: one per resolving
 /// thread, reused across partitions and queries so warm rebuilds allocate
-/// nothing per log.  `phases`, when engaged, collects decode, summarize and
-/// accumulate time; left empty, a rebuild makes no clock calls.
+/// nothing per log.  `phases`, when engaged, collects decode and analyze
+/// time; left empty, a rebuild makes no clock calls.
 struct ShardScratch {
   /// Wall-clock of the rebuilds, per phase.
   struct Phases {
-    double parse_seconds = 0;
-    core::AnalyzePhases analyze;
+    double decode_seconds = 0;   ///< frame decode: inflate + body CRC
+    double analyze_seconds = 0;  ///< walk + summarize + accumulate
   };
   Archive::ScanScratch scan;
+  darshan::LogBody body;  ///< the walk of the body being analyzed
   core::AnalyzeScratch analyze;
   std::optional<Phases> phases;
 };
@@ -113,9 +114,8 @@ struct QueryStats {
   /// Per-phase cost of the cold rebuilds, summed across workers — CPU
   /// seconds, not wall clock, so with N threads the sum can exceed
   /// scan_seconds.  All zero when every shard came from a snapshot.
-  double parse_seconds = 0;       ///< frame decode (inflate + body parse)
-  double summarize_seconds = 0;   ///< records -> FileSummary reduction
-  double accumulate_seconds = 0;  ///< feeding the Analysis accumulators
+  double decode_seconds = 0;   ///< frame decode: inflate + body CRC
+  double analyze_seconds = 0;  ///< the read kernel: walk + summarize + accumulate
 
   /// Field-wise accumulation (counts and seconds both sum).
   void merge(const QueryStats& other);
@@ -138,8 +138,10 @@ struct QueryResult {
 };
 
 /// Resolve one partition's shard: its valid snapshot, else a rescan of its
-/// segment at `mlp_depth`.  The shard is built in place in shared storage,
-/// ready for a cache to keep without a copy.  Counts the outcome into `stats`
+/// segment at `mlp_depth`, each validated body walked straight into the
+/// shard (Analysis::add of a LogBody).  The shard is built in place in
+/// shared storage, its sample cells value-ordered once, ready for a cache
+/// to keep and for merges to read without a copy.  Counts the outcome into `stats`
 /// (snapshot_hits, or partitions_scanned and logs_scanned).  Throws what
 /// scan_partition throws on a damaged or vanished segment.  Safe to call
 /// concurrently for any partitions, each caller with its own scratch.

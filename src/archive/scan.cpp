@@ -26,42 +26,22 @@ void prefetch_front(const std::byte* p, std::size_t size) {
 
 void scan_frames(std::span<const std::byte> segment, std::span<const IndexEntry> entries,
                  std::uint64_t min_offset,
-                 const std::function<void(const darshan::LogData&)>& fn, ScanScratch& scratch,
-                 const ScanOptions& opts, const std::string& label) {
+                 const std::function<void(std::span<const std::byte>)>& fn,
+                 ScanScratch& scratch, const ScanOptions& opts, const std::string& label) {
   // Subtraction form everywhere: `offset + size` can wrap u64 on hostile
   // input, and a wrapped sum sails under segment.size().
   const auto in_bounds = [&](const IndexEntry& e) {
     return e.offset >= min_offset && e.offset <= segment.size() &&
            e.size <= segment.size() - e.offset;
   };
-  const auto check = [&](const IndexEntry& e) {
-    if (!in_bounds(e)) {
-      throw util::FormatError("index of " + label + ": entry out of segment bounds");
+  const auto prefetch_entry = [&](const IndexEntry& e) {
+    if (in_bounds(e)) {
+      prefetch_front(segment.data() + e.offset, static_cast<std::size_t>(e.size));
     }
-  };
-  const auto frame_of = [&](const IndexEntry& e) {
-    return segment.subspan(static_cast<std::size_t>(e.offset), static_cast<std::size_t>(e.size));
   };
 
   const unsigned depth = std::max(1u, opts.mlp_depth);
-  const bool timed = scratch.parse_seconds != nullptr;
-  const auto since = [](Clock::time_point t0) {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
-  if (depth == 1) {
-    // The seed's scan, verbatim: one dependent decode→parse→consume chain
-    // per log.  This is the pinned baseline lane — the pipelined lane below
-    // must match it bit for bit at any depth.
-    for (const IndexEntry& e : entries) {
-      check(e);
-      const auto t0 = timed ? Clock::now() : Clock::time_point{};
-      darshan::read_log_bytes_into(frame_of(e), scratch.io, scratch.log);
-      if (timed) *scratch.parse_seconds += since(t0);
-      fn(scratch.log);
-    }
-    return;
-  }
-
+  const bool timed = scratch.decode_seconds != nullptr;
   // A batch never holds more logs than the partition has, so a deep (or
   // garbage) depth costs no more slots than there are entries.
   const std::size_t n = entries.size();
@@ -78,33 +58,29 @@ void scan_frames(std::span<const std::byte> segment, std::span<const IndexEntry>
     // a couple of KB) is shorter than a DRAM round trip.
     constexpr std::size_t kLookahead = 2;
     for (std::size_t i = 0; i < std::min<std::size_t>(kLookahead, m); ++i) {
-      const IndexEntry& nx = entries[base + i];
-      if (in_bounds(nx)) {
-        prefetch_front(segment.data() + nx.offset, static_cast<std::size_t>(nx.size));
-      }
+      prefetch_entry(entries[base + i]);
     }
     for (std::size_t i = 0; i < m; ++i) {
       const IndexEntry& e = entries[base + i];
-      check(e);
-      if (i + kLookahead < m) {
-        const IndexEntry& nx = entries[base + i + kLookahead];
-        if (in_bounds(nx)) {
-          prefetch_front(segment.data() + nx.offset, static_cast<std::size_t>(nx.size));
-        }
+      if (!in_bounds(e)) {
+        throw util::FormatError("index of " + label + ": entry out of segment bounds");
       }
+      if (i + kLookahead < m) prefetch_entry(entries[base + i + kLookahead]);
       ScanScratch::Slot& slot = slots[i];
-      slot.body = darshan::read_log_frame_body(frame_of(e), slot.io);
+      slot.body = darshan::read_log_frame_body(
+          segment.subspan(static_cast<std::size_t>(e.offset), static_cast<std::size_t>(e.size)),
+          slot.io);
     }
-    // Stage 2: body parse.  The next slot's body was written by stage 1 a
-    // while ago and may have cooled; start pulling it back in.
+    if (timed) {
+      *scratch.decode_seconds += std::chrono::duration<double>(Clock::now() - t0).count();
+    }
+    // Stage 2: consume in exact ingest order — the determinism contract.
+    // The next slot's body was written by stage 1 a while ago and may have
+    // cooled; start pulling it back in.
     for (std::size_t i = 0; i < m; ++i) {
       if (i + 1 < m) prefetch_front(slots[i + 1].body.data(), slots[i + 1].body.size());
-      ScanScratch::Slot& slot = slots[i];
-      darshan::read_log_body_into(slot.body, slot.io, slot.log);
+      fn(slots[i].body);
     }
-    if (timed) *scratch.parse_seconds += since(t0);
-    // Stage 3: consume in exact ingest order — the determinism contract.
-    for (std::size_t i = 0; i < m; ++i) fn(slots[i].log);
   }
 }
 

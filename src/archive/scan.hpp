@@ -1,19 +1,23 @@
-// MLP-aware segment scan: the per-worker decode engine behind
-// Archive::scan_partition.
+// MLP-aware segment scan: the per-worker frame decoder behind the archive's
+// read path.
 //
-// A depth-1 scan walks one dependent chain per log — decode the frame,
-// parse the body, feed the analysis — so every cache miss serializes
-// behind the previous one and the worker runs at memory *latency*.  The
-// pipelined scan keeps `mlp_depth` logs in flight instead: a batch of K
-// frames is driven through three stage loops (frame decode/inflate+CRC,
-// body parse, consume), each stage prefetching the next item's bytes while
-// working on the current one, so K independent miss chains overlap and the
-// worker approaches memory *bandwidth* (DESIGN.md §10).
+// scan_frames decodes each frame of a segment — header checks, inflate,
+// body CRC — and hands the validated body to its consumer, which is the
+// read kernel: the shard builders walk the body in place
+// (darshan::walk_log_body) straight into core::Analysis::add, and only the
+// LogData wrapper, Archive::scan_partition, materializes a log.
 //
-// Determinism: stages never reorder logs — the consume stage fires the
-// callback in exact ingest order, and each in-flight log owns a private
-// decode slot — so any depth produces bit-identical analysis results, and
-// `mlp_depth = 1` runs the seed's loop verbatim.
+// One log at a time, each frame's cache misses would serialize behind the
+// previous log's work and the worker would run at memory *latency*.  The
+// scan keeps `mlp_depth` logs in flight instead: a batch of K frames is
+// decoded first, prefetching frames ahead, then consumed, prefetching the
+// next body, so K independent miss chains overlap and the worker approaches
+// memory *bandwidth* (DESIGN.md §10).  A depth of 1 is the same loop with a
+// batch of one.
+//
+// Determinism: the consumer is called in exact ingest order and each
+// in-flight log owns a private decode slot, so any depth produces
+// bit-identical analysis results.
 #pragma once
 
 #include <cstdint>
@@ -35,40 +39,43 @@ namespace mlio::archive {
 inline constexpr unsigned kDefaultMlpDepth = 2;
 
 struct ScanOptions {
-  /// Logs in flight per worker.  1 = the seed's one-log-at-a-time loop
-  /// (bit-identical baseline lane); values above the knee buy nothing but
-  /// stay correct.  0 is clamped to 1.
+  /// Logs in flight per worker; values above the knee buy nothing but stay
+  /// correct.  0 is clamped to 1.
   unsigned mlp_depth = kDefaultMlpDepth;
 };
 
-/// Reusable decode state for scan_frames: the LogData and codec buffers
-/// persist across frames (and across partitions when the caller keeps the
-/// scratch), so a cold shard rebuild parses with no per-log allocation.
+/// Reusable decode state for scan_frames: the codec buffers persist across
+/// frames (and across partitions when the caller keeps the scratch), so a
+/// cold shard rebuild decodes with no per-log allocation.
 struct ScanScratch {
-  darshan::LogData log;        ///< depth-1 lane's single in-flight log
-  darshan::LogIoBuffers io;
-  /// Wall-clock spent inside the frame decoder is added here.  Non-owning;
-  /// null disables timing, so an untimed scan makes no clock calls.
-  double* parse_seconds = nullptr;
+  /// Wall-clock spent decoding frames (inflate + CRC) is added here.
+  /// Non-owning; null disables timing, so an untimed scan makes no clock
+  /// calls.
+  double* decode_seconds = nullptr;
 
-  /// One decode slot per in-flight log for the pipelined lane; grown on
-  /// use to min(mlp_depth, the scanned partition's log count).
+  /// One decode slot per in-flight log; grown on use to min(mlp_depth, the
+  /// scanned partition's log count).
   struct Slot {
-    darshan::LogData log;
     darshan::LogIoBuffers io;
-    std::span<const std::byte> body;  ///< stage-1 output, stage-2 input
+    std::span<const std::byte> body;  ///< decoded body, valid until the slot's next decode
   };
   std::vector<Slot> slots;
+
+  /// The LogData wrapper's state (Archive::scan_partition): the log it
+  /// materializes each body into, and the walk and record pool behind it.
+  darshan::LogData log;
+  darshan::LogIoBuffers io;
 };
 
-/// Replay `entries` over an in-memory segment in entry order, calling `fn`
-/// once per decoded log.  `min_offset` is the first byte entries may touch
-/// (the segment header size; 0 for a headerless buffer).  Throws
+/// Decode `entries` over an in-memory segment in entry order, calling `fn`
+/// once per frame with its validated (inflated, CRC-checked) body; the span
+/// is valid only during the call.  `min_offset` is the first byte entries
+/// may touch (the segment header size; 0 for a headerless buffer).  Throws
 /// FormatError on an entry out of bounds or a malformed frame; `label` is
 /// the object named in those errors ("partition 3").
 void scan_frames(std::span<const std::byte> segment, std::span<const IndexEntry> entries,
                  std::uint64_t min_offset,
-                 const std::function<void(const darshan::LogData&)>& fn, ScanScratch& scratch,
-                 const ScanOptions& opts, const std::string& label);
+                 const std::function<void(std::span<const std::byte>)>& fn,
+                 ScanScratch& scratch, const ScanOptions& opts, const std::string& label);
 
 }  // namespace mlio::archive

@@ -76,14 +76,16 @@ PartitionInfo StreamIngester::publish_open() {
   pending.info.window_max = open_wmax_;
   pending.info.level = 0;
   if (opts_.write_snapshots) {
-    // Accumulate the shard from the buffered frames in arrival order —
-    // byte-for-byte what a rescan of the published partition computes.
+    // Accumulate the shard from the buffered frames in arrival order through
+    // the read kernel — byte-for-byte what a rescan of the published
+    // partition computes.
     core::Analysis shard;
-    darshan::LogData log;
     darshan::LogIoBuffers io;
+    darshan::LogBody body;
+    core::AnalyzeScratch analyze;
     for (const Buffered& b : open_) {
-      darshan::read_log_bytes_into(b.frame, io, log);
-      shard.add(log);
+      darshan::walk_log_body(darshan::read_log_frame_body(b.frame, io), body);
+      shard.add(body, analyze);
     }
     pending.attach_snapshot(shard);
   }

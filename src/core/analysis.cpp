@@ -1,7 +1,6 @@
 #include "core/analysis.hpp"
 
 #include <bit>
-#include <chrono>
 #include <string_view>
 #include <vector>
 
@@ -55,21 +54,15 @@ void Analysis::add(const darshan::LogData& log) {
   accumulate(log.job, files);
 }
 
-void Analysis::add(const darshan::LogData& log, AnalyzeScratch& scratch) {
-  using clock = std::chrono::steady_clock;
-  const bool timed = scratch.phases != nullptr;
-  const auto t0 = timed ? clock::now() : clock::time_point{};
-
-  const std::vector<FileSummary>& files = summarize_log(log, scratch.summarize, &unattributed_);
-
-  const auto t1 = timed ? clock::now() : clock::time_point{};
-  accumulate(log.job, files);
-  if (timed) {
-    const auto t2 = clock::now();
-    scratch.phases->summarize_seconds += std::chrono::duration<double>(t1 - t0).count();
-    scratch.phases->accumulate_seconds += std::chrono::duration<double>(t2 - t1).count();
-  }
+void Analysis::add(const darshan::LogBody& body, AnalyzeScratch& scratch) {
+  accumulate(body.job, summarize_log(body, scratch.summarize, &unattributed_));
 }
+
+void Analysis::add(const darshan::LogData& log, AnalyzeScratch& scratch) {
+  accumulate(log.job, summarize_log(log, scratch.summarize, &unattributed_));
+}
+
+void Analysis::order_samples() { performance_.order_samples(); }
 
 std::uint64_t Analysis::fingerprint() const {
   Digest d;

@@ -23,28 +23,28 @@ class ThreadPool;
 
 namespace mlio::core {
 
-/// Optional per-phase wall-clock accounting for the scratch ingest path.
-/// Timing costs two clock reads per log, so it is off unless a consumer
-/// (query_archive) points the scratch at one of these.
-struct AnalyzePhases {
-  double summarize_seconds = 0;
-  double accumulate_seconds = 0;
-};
-
-/// Per-worker state for the allocation-free Analysis::add overload.
+/// Per-worker state for the scratch Analysis::add overloads.
 struct AnalyzeScratch {
   SummarizeScratch summarize;
-  AnalyzePhases* phases = nullptr;  ///< non-owning; null disables timing
 };
 
 class Analysis {
  public:
-  /// Consume one log (summarizes it once and feeds every accumulator).
+  /// Consume one log (summarizes it once and feeds every accumulator).  The
+  /// reference path, which the kernel below is checked against.
   void add(const darshan::LogData& log);
-  /// Scratch-reused variant: zero steady-state allocations per log, results
-  /// bit-identical to the plain overload (same fingerprint).
+  /// The read kernel: consume a walked log body in place, through the
+  /// scratch summarize — no LogData, no per-log allocation.  Same state,
+  /// bit for bit, as add(read_log_bytes(frame)) of the body's frame.
+  void add(const darshan::LogBody& body, AnalyzeScratch& scratch);
+  /// The same kernel over a parsed log.
   void add(const darshan::LogData& log, AnalyzeScratch& scratch);
   void merge(const Analysis& other);
+
+  /// Put every sample cell below capacity into value order.  No state or
+  /// save() byte changes; a shard about to be shared calls it once so that
+  /// merges and boxplots reading it need not sort a copy each time.
+  void order_samples();
 
   /// Merge `shards`, bit-identical to the serial left fold (`Analysis{}`
   /// then merge(shards[0]), merge(shards[1]), ...).  Every accumulator is

@@ -38,46 +38,33 @@ std::optional<Layer> resolve_layer(const LogData& log, std::string_view path) {
   return layer_for_fs(best->fs_type);
 }
 
-struct Partial {
-  const FileRecord* posix_shared = nullptr;
-  const FileRecord* stdio_shared = nullptr;
-  bool used_posix = false, used_mpiio = false, used_stdio = false;
-  std::uint64_t posix_read = 0, posix_written = 0;
-  std::uint64_t stdio_read = 0, stdio_written = 0;
-  double posix_rt = 0, posix_wt = 0, stdio_rt = 0, stdio_wt = 0;
-  std::array<std::uint64_t, 10> req_read{};
-  std::array<std::uint64_t, 10> req_write{};
-};
-
-// Fold one record into a partial.  Shared by the allocating and the
-// scratch-reused summarize paths: identical operations in identical per-id
-// order is what makes their float sums bit-identical.
-void accumulate_record(Partial& p, const FileRecord& rec) {
+// Fold one record into a partial.  Shared by the reference and the kernel,
+// over FileRecords and in-place RecordViews alike (the same accessors):
+// identical operations in identical per-id order is what makes their float
+// sums bit-identical.
+template <class Record>
+void accumulate_record(FilePartial& p, const Record& rec) {
   namespace pc = darshan::posix;
   namespace sc = darshan::stdio;
   switch (rec.module) {
     case ModuleId::kPosix:
       p.used_posix = true;
       p.posix_read += static_cast<std::uint64_t>(std::max<std::int64_t>(
-          0, rec.counters[pc::BYTES_READ]));
+          0, rec.c(pc::BYTES_READ)));
       p.posix_written += static_cast<std::uint64_t>(std::max<std::int64_t>(
-          0, rec.counters[pc::BYTES_WRITTEN]));
-      p.posix_rt += rec.fcounters[pc::F_READ_TIME];
-      p.posix_wt += rec.fcounters[pc::F_WRITE_TIME];
-      {
-        // The 20 request-size bins are contiguous in the counter block
-        // (reads then writes); flat pointer loops with a branchless
-        // negative-clamp (`v & ~(v >> 63)` == max(0, v) for int64) let the
-        // compiler vectorize the whole histogram fold.  Integer ops only,
-        // so the result is bit-identical to the clamping scalar loop.
-        const std::int64_t* cr = rec.counters.data() + pc::SIZE_READ_0_100;
-        const std::int64_t* cw = rec.counters.data() + pc::SIZE_WRITE_0_100;
-        for (std::size_t b = 0; b < 10; ++b) {
-          p.req_read[b] += static_cast<std::uint64_t>(cr[b] & ~(cr[b] >> 63));
-          p.req_write[b] += static_cast<std::uint64_t>(cw[b] & ~(cw[b] >> 63));
-        }
+          0, rec.c(pc::BYTES_WRITTEN)));
+      p.posix_rt += rec.f(pc::F_READ_TIME);
+      p.posix_wt += rec.f(pc::F_WRITE_TIME);
+      // The 20 request-size bins are contiguous in the counter block (reads
+      // then writes); a branchless negative clamp (`v & ~(v >> 63)` ==
+      // max(0, v) for int64) lets the compiler vectorize the fold.
+      for (std::size_t b = 0; b < 10; ++b) {
+        const std::int64_t r = rec.c(pc::SIZE_READ_0_100 + b);
+        const std::int64_t w = rec.c(pc::SIZE_WRITE_0_100 + b);
+        p.req_read[b] += static_cast<std::uint64_t>(r & ~(r >> 63));
+        p.req_write[b] += static_cast<std::uint64_t>(w & ~(w >> 63));
       }
-      if (rec.rank == darshan::kSharedRank) p.posix_shared = &rec;
+      if (rec.rank == darshan::kSharedRank) p.posix_shared = true;
       break;
     case ModuleId::kMpiIo:
       p.used_mpiio = true;
@@ -85,12 +72,12 @@ void accumulate_record(Partial& p, const FileRecord& rec) {
     case ModuleId::kStdio:
       p.used_stdio = true;
       p.stdio_read += static_cast<std::uint64_t>(std::max<std::int64_t>(
-          0, rec.counters[sc::BYTES_READ]));
+          0, rec.c(sc::BYTES_READ)));
       p.stdio_written += static_cast<std::uint64_t>(std::max<std::int64_t>(
-          0, rec.counters[sc::BYTES_WRITTEN]));
-      p.stdio_rt += rec.fcounters[sc::F_READ_TIME];
-      p.stdio_wt += rec.fcounters[sc::F_WRITE_TIME];
-      if (rec.rank == darshan::kSharedRank) p.stdio_shared = &rec;
+          0, rec.c(sc::BYTES_WRITTEN)));
+      p.stdio_rt += rec.f(sc::F_READ_TIME);
+      p.stdio_wt += rec.f(sc::F_WRITE_TIME);
+      if (rec.rank == darshan::kSharedRank) p.stdio_shared = true;
       break;
     case ModuleId::kLustre:
     case ModuleId::kSsdExt:
@@ -98,10 +85,15 @@ void accumulate_record(Partial& p, const FileRecord& rec) {
   }
 }
 
+bool carries_transfers(ModuleId module) {
+  // Geometry / extension records carry no data-transfer stats.
+  return module != ModuleId::kLustre && module != ModuleId::kSsdExt;
+}
+
 // §3.1 rule: POSIX counters when the file used POSIX/MPI-IO; STDIO counters
 // for STDIO-managed files.
 FileSummary make_summary(std::uint64_t rid, Layer layer, std::string_view path,
-                         const Partial& p) {
+                         const FilePartial& p) {
   FileSummary s;
   s.record_id = rid;
   s.layer = layer;
@@ -116,7 +108,7 @@ FileSummary make_summary(std::uint64_t rid, Layer layer, std::string_view path,
     s.bytes_written = p.posix_written;
     s.read_time = p.posix_rt;
     s.write_time = p.posix_wt;
-    s.shared = p.posix_shared != nullptr;
+    s.shared = p.posix_shared;
     s.req_read = p.req_read;
     s.req_write = p.req_write;
   } else {
@@ -125,7 +117,7 @@ FileSummary make_summary(std::uint64_t rid, Layer layer, std::string_view path,
     s.bytes_written = p.stdio_written;
     s.read_time = p.stdio_rt;
     s.write_time = p.stdio_wt;
-    s.shared = p.stdio_shared != nullptr;
+    s.shared = p.stdio_shared;
   }
   return s;
 }
@@ -192,14 +184,11 @@ std::optional<Layer> MountTable::resolve(std::string_view path) const {
 }
 
 std::vector<FileSummary> summarize_log(const LogData& log, std::uint64_t* unattributed) {
-  std::unordered_map<std::uint64_t, Partial> partials;
+  std::unordered_map<std::uint64_t, FilePartial> partials;
   partials.reserve(log.records.size());
 
   for (const FileRecord& rec : log.records) {
-    if (rec.module == ModuleId::kLustre || rec.module == ModuleId::kSsdExt) {
-      continue;  // geometry / extension records carry no data-transfer stats
-    }
-    accumulate_record(partials[rec.record_id], rec);
+    if (carries_transfers(rec.module)) accumulate_record(partials[rec.record_id], rec);
   }
 
   std::vector<FileSummary> out;
@@ -220,73 +209,52 @@ std::vector<FileSummary> summarize_log(const LogData& log, std::uint64_t* unattr
   return out;
 }
 
-const std::vector<FileSummary>& summarize_log(const LogData& log, SummarizeScratch& scratch,
-                                              std::uint64_t* unattributed) {
-  scratch.mounts.ensure(log.mounts);
+namespace {
 
-  // Compact sort keys instead of a per-log hash map of ~200-byte Partials.
-  // The (record_id, stream index) sort makes every record id a contiguous
-  // run, with records inside a run in stream order — the same per-id
-  // accumulation order the hash map saw, so float sums are bit-identical.
-  auto& keys = scratch.keys;
-  keys.clear();
-  keys.reserve(log.records.size());
-  for (std::size_t i = 0; i < log.records.size(); ++i) {
-    const FileRecord& rec = log.records[i];
-    if (rec.module == ModuleId::kLustre || rec.module == ModuleId::kSsdExt) continue;
-    keys.push_back({rec.record_id, static_cast<std::uint32_t>(i)});
+// The kernel behind both scratch overloads: `records` is a LogBody's views
+// or a LogData's FileRecords, `path_of` the matching first-wins name lookup.
+template <class Records, class PathOf>
+const std::vector<FileSummary>& summarize_records(const Records& records,
+                                                  const std::vector<darshan::MountEntry>& mounts,
+                                                  const PathOf& path_of,
+                                                  SummarizeScratch& scratch,
+                                                  std::uint64_t* unattributed) {
+  scratch.mounts.ensure(mounts);
+  auto& partials = scratch.partials;
+  partials.clear();
+  for (const auto& rec : records) {
+    if (carries_transfers(rec.module)) accumulate_record(partials[rec.record_id], rec);
   }
-  std::sort(keys.begin(), keys.end(),
-            [](const SummarizeScratch::SumKey& a, const SummarizeScratch::SumKey& b) {
-              if (a.record_id != b.record_id) return a.record_id < b.record_id;
-              return a.idx < b.idx;
-            });
-
-  // Mark each record-id run once, then resolve every run's path in a single
-  // batched name-table lookup — the lockstep searches overlap their probe
-  // misses instead of chaining one binary search per file.
-  auto& run_starts = scratch.run_starts;
-  auto& run_ids = scratch.run_ids;
-  run_starts.clear();
-  run_ids.clear();
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (i == 0 || keys[i].record_id != keys[i - 1].record_id) {
-      run_starts.push_back(static_cast<std::uint32_t>(i));
-      run_ids.push_back(keys[i].record_id);
-    }
-  }
-  auto& run_paths = scratch.run_paths;
-  run_paths.resize(run_ids.size());
-  log.names.paths_of(run_ids, run_paths);
 
   auto& out = scratch.files;
   out.clear();
-
-  for (std::size_t r = 0; r < run_starts.size(); ++r) {
-    const std::uint64_t rid = run_ids[r];
-    const std::size_t end =
-        r + 1 < run_starts.size() ? run_starts[r + 1] : keys.size();
-    // Pull the next run's first record while this run accumulates; records
-    // of one id can sit far apart in the stream, so the gather pattern has
-    // no hardware-streamer locality of its own.
-    if (r + 1 < run_starts.size()) {
-      __builtin_prefetch(log.records.data() + keys[run_starts[r + 1]].idx);
-    }
-    Partial p;
-    for (std::size_t i = run_starts[r]; i < end; ++i) {
-      accumulate_record(p, log.records[keys[i].idx]);
-    }
-
-    const auto layer = scratch.mounts.resolve(run_paths[r]);
+  for (const auto& [rid, p] : partials) {
+    const std::string_view path = path_of(rid);
+    const auto layer = scratch.mounts.resolve(path);
     if (!layer) {
       if (unattributed != nullptr) ++*unattributed;
       continue;
     }
-    out.push_back(make_summary(rid, *layer, run_paths[r], p));
+    out.push_back(make_summary(rid, *layer, path, p));
   }
-  // Runs were visited in ascending record_id order, so `out` is already in
-  // the allocating overload's sorted order.
   return out;
+}
+
+}  // namespace
+
+const std::vector<FileSummary>& summarize_log(const darshan::LogBody& body,
+                                              SummarizeScratch& scratch,
+                                              std::uint64_t* unattributed) {
+  return summarize_records(
+      body.records, body.mounts, [&](std::uint64_t id) { return body.path_of(id); }, scratch,
+      unattributed);
+}
+
+const std::vector<FileSummary>& summarize_log(const LogData& log, SummarizeScratch& scratch,
+                                              std::uint64_t* unattributed) {
+  return summarize_records(
+      log.records, log.mounts, [&](std::uint64_t id) { return log.path_of(id); }, scratch,
+      unattributed);
 }
 
 }  // namespace mlio::core

@@ -19,7 +19,9 @@
 #include <string_view>
 #include <vector>
 
+#include "darshan/log_format.hpp"
 #include "darshan/record.hpp"
+#include "util/flat_map.hpp"
 
 namespace mlio::core {
 
@@ -86,35 +88,46 @@ class MountTable {
   bool valid_ = false;
 };
 
-/// Reusable state for the allocation-free summarize_log overload.  One
-/// instance per worker thread; everything (sort keys, output summaries, the
-/// memoized mount table) is grown once and recycled across logs.
+/// One file's records of one log, folded: the working state of summarize,
+/// one per distinct record id.
+struct FilePartial {
+  bool posix_shared = false;
+  bool stdio_shared = false;
+  bool used_posix = false, used_mpiio = false, used_stdio = false;
+  std::uint64_t posix_read = 0, posix_written = 0;
+  std::uint64_t stdio_read = 0, stdio_written = 0;
+  double posix_rt = 0, posix_wt = 0, stdio_rt = 0, stdio_wt = 0;
+  std::array<std::uint64_t, 10> req_read{};
+  std::array<std::uint64_t, 10> req_write{};
+};
+
+/// Reusable state for the scratch summarize overloads.  One instance per
+/// worker thread; the per-file partials, the output summaries and the
+/// memoized mount table are grown once and recycled across logs.
 struct SummarizeScratch {
-  struct SumKey {
-    std::uint64_t record_id;
-    std::uint32_t idx;  ///< index into log.records — ties keep stream order
-  };
-  std::vector<SumKey> keys;
-  std::vector<FileSummary> files;  ///< recycled output of the last summarize
+  util::FlatU64Map<FilePartial> partials;  ///< record id -> fold, stream order
+  std::vector<FileSummary> files;          ///< recycled output of the last summarize
   MountTable mounts;
-  /// Per-file run boundaries and the batched name-table lookup results
-  /// (summarize resolves every run's path in one NameTable::paths_of call).
-  std::vector<std::uint32_t> run_starts;
-  std::vector<std::uint64_t> run_ids;
-  std::vector<std::string_view> run_paths;
 };
 
 /// Summarize a log.  Files whose path matches no mount entry are dropped and
-/// counted in `unattributed` (pass nullptr to ignore).
+/// counted in `unattributed` (pass nullptr to ignore).  The reference
+/// implementation: a hash map of partials, then a sort by record id.  The
+/// scratch kernel below is checked against it.
 std::vector<FileSummary> summarize_log(const darshan::LogData& log,
                                        std::uint64_t* unattributed = nullptr);
 
-/// Scratch-reused variant: reduces records via a compact sort-key array and
-/// a contiguous-run scan instead of a per-log hash map, resolves layers
-/// through the memoized mount table, and recycles the output vector.  The
-/// returned reference aliases `scratch.files` and is valid until the next
-/// summarize into the same scratch.  Bit-identical results to the allocating
-/// overload (same per-id accumulation order, so float sums match exactly).
+/// The summarize kernel, over a walked body (records read in place) or a
+/// parsed log.  Records fold into one partial per record id in stream
+/// order — the reference's per-id order, so every float sum is bit-identical
+/// to it — and paths resolve through the memoized mount table.  Summaries
+/// come out in order of each file's first record, not sorted by id: every
+/// accumulator is order-free.  The returned reference aliases
+/// `scratch.files` and is valid until the next summarize into the same
+/// scratch (and, for a body, while its bytes are).
+const std::vector<FileSummary>& summarize_log(const darshan::LogBody& body,
+                                              SummarizeScratch& scratch,
+                                              std::uint64_t* unattributed = nullptr);
 const std::vector<FileSummary>& summarize_log(const darshan::LogData& log,
                                               SummarizeScratch& scratch,
                                               std::uint64_t* unattributed = nullptr);

@@ -82,6 +82,10 @@ void Performance::merge(const Performance& other) {
   observations_ += other.observations_;
 }
 
+void Performance::order_samples() {
+  for (util::BottomKSample& c : cells_) c.order_by_value();
+}
+
 util::FiveNumber Performance::cell(Layer layer, std::size_t iface, std::size_t transfer_bin,
                                    bool read) const {
   return cells_[slot(layer, iface, transfer_bin, read)].five_number();

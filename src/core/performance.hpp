@@ -32,6 +32,8 @@ class Performance {
   /// their order or of how the stream was cut.
   void add(const FileSummary& file, std::uint64_t log_key);
   void merge(const Performance& other);
+  /// Value-order every cell below capacity (BottomKSample::order_by_value).
+  void order_samples();
 
   /// Canonical serialization of every sample cell.
   void save(util::ByteWriter& w) const;

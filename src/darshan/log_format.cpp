@@ -95,7 +95,7 @@ void write_body(ByteWriter& w, const LogData& log, LogIoBuffers& io) {
       w.u64(rec->record_id);
       w.u32(static_cast<std::uint32_t>(rec->rank));
       if constexpr (std::endian::native == std::endian::little) {
-        // The mirror of read_body_into's bulk decode: on LE hosts the
+        // The mirror of materialize_body's bulk copy: on LE hosts the
         // in-memory counter block is already the on-disk bytes.
         w.bytes(std::as_bytes(std::span(rec->counters)));
         w.bytes(std::as_bytes(std::span(rec->fcounters)));
@@ -124,82 +124,48 @@ void write_body(ByteWriter& w, const LogData& log, LogIoBuffers& io) {
   }
 }
 
-// Parse a body into `log`, recycling its vectors.  log.records is reused
-// element-wise so each record's counter storage survives across logs —
-// previously the dominant allocation in the pipeline's roundtrip path; the
-// name arena and mount string reuse below remove the rest.
-void read_body_into(ByteReader& r, LogData& log, LogIoBuffers& io) {
-  read_job_into(r, log.job);
+// Materialize a walk into `log`, recycling its vectors.  log.records is
+// reused element-wise so each record's counter storage survives across logs,
+// and the job and mount table swap with the walk's, so their string
+// capacity cycles between the two instead of being reallocated.
+void materialize_body(LogBody& walked, LogData& log, LogIoBuffers& io) {
+  std::swap(log.job, walked.job);
+  std::swap(log.mounts, walked.mounts);
 
-  const std::uint32_t n_mounts = r.u32();
-  if (n_mounts > r.remaining()) throw FormatError("mount count exceeds body size");
-  // Reuse existing entries' string capacity: logs from one system carry the
-  // identical mount table, so after the first log this allocates nothing.
-  log.mounts.resize(std::min<std::size_t>(n_mounts, log.mounts.size()));
-  log.mounts.reserve(n_mounts);
-  for (std::uint32_t i = 0; i < n_mounts; ++i) {
-    if (i == log.mounts.size()) log.mounts.emplace_back();
-    MountEntry& m = log.mounts[i];
-    m.prefix.assign(r.str_view());
-    m.fs_type.assign(r.str_view());
-  }
-
-  const std::uint32_t n_names = r.u32();
-  if (n_names > r.remaining()) throw FormatError("name count exceeds body size");
   log.names.clear();
-  log.names.reserve(n_names);
-  for (std::uint32_t i = 0; i < n_names; ++i) {
-    const std::uint64_t id = r.u64();
-    log.names.add(id, r.str_view());
-  }
+  log.names.reserve(walked.names.size());
+  for (const auto& [id, path] : walked.names) log.names.add(id, path);
   log.names.seal();
 
   std::size_t used = 0;
-  const std::uint32_t n_regions = r.u32();
-  if (n_regions > r.remaining()) throw FormatError("region count exceeds body size");
-  for (std::uint32_t reg = 0; reg < n_regions; ++reg) {
-    const std::uint8_t mod_raw = r.u8();
-    if (mod_raw >= kModuleCount) throw FormatError("unknown module id in log");
-    const auto mod = static_cast<ModuleId>(mod_raw);
-    const std::uint32_t n_counters = r.u32();
-    const std::uint32_t n_fcounters = r.u32();
-    if (n_counters != counter_count(mod) || n_fcounters != fcounter_count(mod)) {
-      throw FormatError("counter layout mismatch for module " + std::string(module_name(mod)));
-    }
-    const std::uint32_t n_records = r.u32();
-    if (n_records > r.remaining()) throw FormatError("record count exceeds body size");
-    for (std::uint32_t i = 0; i < n_records; ++i) {
-      // Sequence the reads explicitly: function-argument evaluation order is
-      // unspecified, and these must happen in stream order.
-      const std::uint64_t record_id = r.u64();
-      const auto rank = static_cast<std::int32_t>(r.u32());
-      if (used == log.records.size()) {
-        if (!io.record_pool.empty()) {
-          log.records.push_back(std::move(io.record_pool.back()));
-          io.record_pool.pop_back();
-        } else {
-          log.records.emplace_back(record_id, rank, mod);
-        }
-      }
-      FileRecord& rec = log.records[used];
-      ++used;
-      rec.record_id = record_id;
-      rec.rank = rank;
-      rec.module = mod;
-      rec.counters.resize(n_counters);
-      rec.fcounters.resize(n_fcounters);
-      if constexpr (std::endian::native == std::endian::little) {
-        // Bulk decode: the on-disk and in-memory layouts agree on LE hosts,
-        // so the whole counter block moves with one bounds check + memcpy
-        // instead of a call per counter — the hottest loop of a cold scan.
-        const auto cb = r.bytes(std::size_t{8} * n_counters);
-        if (!cb.empty()) std::memcpy(rec.counters.data(), cb.data(), cb.size());
-        const auto fb = r.bytes(std::size_t{8} * n_fcounters);
-        if (!fb.empty()) std::memcpy(rec.fcounters.data(), fb.data(), fb.size());
+  for (const RecordView& view : walked.records) {
+    if (used == log.records.size()) {
+      if (!io.record_pool.empty()) {
+        log.records.push_back(std::move(io.record_pool.back()));
+        io.record_pool.pop_back();
       } else {
-        for (auto& c : rec.counters) c = r.i64();
-        for (auto& f : rec.fcounters) f = r.f64();
+        log.records.emplace_back();
       }
+    }
+    FileRecord& rec = log.records[used];
+    ++used;
+    rec.record_id = view.record_id;
+    rec.rank = view.rank;
+    rec.module = view.module;
+    rec.counters.resize(counter_count(view.module));
+    rec.fcounters.resize(fcounter_count(view.module));
+    if constexpr (std::endian::native == std::endian::little) {
+      // The on-disk and in-memory layouts agree on LE hosts, so each block
+      // moves with one memcpy.
+      if (!rec.counters.empty()) {
+        std::memcpy(rec.counters.data(), view.counters, 8 * rec.counters.size());
+      }
+      if (!rec.fcounters.empty()) {
+        std::memcpy(rec.fcounters.data(), view.fcounters, 8 * rec.fcounters.size());
+      }
+    } else {
+      for (std::size_t i = 0; i < rec.counters.size(); ++i) rec.counters[i] = view.c(i);
+      for (std::size_t i = 0; i < rec.fcounters.size(); ++i) rec.fcounters[i] = view.f(i);
     }
   }
   while (log.records.size() > used) {
@@ -207,20 +173,15 @@ void read_body_into(ByteReader& r, LogData& log, LogIoBuffers& io) {
     log.records.pop_back();
   }
 
-  const std::uint32_t n_dxt = r.u32();
-  if (n_dxt > r.remaining()) throw FormatError("DXT count exceeds body size");
   log.dxt.clear();
-  log.dxt.reserve(n_dxt);
-  for (std::uint32_t i = 0; i < n_dxt; ++i) {
+  log.dxt.reserve(walked.dxt.size());
+  for (const DxtView& view : walked.dxt) {
     DxtRecord rec;
-    rec.record_id = r.u64();
-    const std::uint8_t mod_raw = r.u8();
-    if (mod_raw >= kModuleCount) throw FormatError("unknown module id in DXT region");
-    rec.module = static_cast<ModuleId>(mod_raw);
-    const std::uint32_t n_events = r.u32();
-    if (n_events > r.remaining()) throw FormatError("DXT event count exceeds body size");
-    rec.events.reserve(n_events);
-    for (std::uint32_t e = 0; e < n_events; ++e) {
+    rec.record_id = view.record_id;
+    rec.module = view.module;
+    rec.events.reserve(view.n_events);
+    ByteReader r({view.events, kDxtEventBytes * view.n_events});
+    for (std::uint32_t e = 0; e < view.n_events; ++e) {
       DxtEvent ev;
       ev.op = static_cast<DxtOp>(r.u8());
       ev.rank = static_cast<std::int32_t>(r.u32());
@@ -311,10 +272,81 @@ std::span<const std::byte> read_log_frame_body(std::span<const std::byte> data,
   return body;
 }
 
-void read_log_body_into(std::span<const std::byte> body, LogIoBuffers& io, LogData& out) {
+void walk_log_body(std::span<const std::byte> body, LogBody& out) {
   ByteReader r(body);
-  read_body_into(r, out, io);
+  read_job_into(r, out.job);
+
+  const std::uint32_t n_mounts = r.u32();
+  if (n_mounts > r.remaining()) throw FormatError("mount count exceeds body size");
+  // Reuse existing entries' string capacity: logs from one system carry the
+  // identical mount table, so after the first log this allocates nothing.
+  out.mounts.resize(std::min<std::size_t>(n_mounts, out.mounts.size()));
+  out.mounts.reserve(n_mounts);
+  for (std::uint32_t i = 0; i < n_mounts; ++i) {
+    if (i == out.mounts.size()) out.mounts.emplace_back();
+    MountEntry& m = out.mounts[i];
+    m.prefix.assign(r.str_view());
+    m.fs_type.assign(r.str_view());
+  }
+
+  const std::uint32_t n_names = r.u32();
+  if (n_names > r.remaining()) throw FormatError("name count exceeds body size");
+  out.names.clear();
+  // An entry is at least an id and a length: a count the bytes cannot hold
+  // reserves no more than they could.
+  out.names.reserve(std::min<std::size_t>(n_names, r.remaining() / 12));
+  for (std::uint32_t i = 0; i < n_names; ++i) {
+    const std::uint64_t id = r.u64();
+    out.names.try_emplace(id, r.str_view());
+  }
+
+  out.records.clear();
+  const std::uint32_t n_regions = r.u32();
+  if (n_regions > r.remaining()) throw FormatError("region count exceeds body size");
+  for (std::uint32_t reg = 0; reg < n_regions; ++reg) {
+    const std::uint8_t mod_raw = r.u8();
+    if (mod_raw >= kModuleCount) throw FormatError("unknown module id in log");
+    const auto mod = static_cast<ModuleId>(mod_raw);
+    const std::uint32_t n_counters = r.u32();
+    const std::uint32_t n_fcounters = r.u32();
+    if (n_counters != counter_count(mod) || n_fcounters != fcounter_count(mod)) {
+      throw FormatError("counter layout mismatch for module " + std::string(module_name(mod)));
+    }
+    const std::uint32_t n_records = r.u32();
+    if (n_records > r.remaining()) throw FormatError("record count exceeds body size");
+    for (std::uint32_t i = 0; i < n_records; ++i) {
+      // Sequence the reads explicitly: function-argument evaluation order is
+      // unspecified, and these must happen in stream order.
+      RecordView& rec = out.records.emplace_back();
+      rec.record_id = r.u64();
+      rec.rank = static_cast<std::int32_t>(r.u32());
+      rec.module = mod;
+      rec.counters = r.bytes(std::size_t{8} * n_counters).data();
+      rec.fcounters = r.bytes(std::size_t{8} * n_fcounters).data();
+    }
+  }
+
+  // DXT trace region (usually empty: tracing is off by default, as on the
+  // study systems).
+  out.dxt.clear();
+  const std::uint32_t n_dxt = r.u32();
+  if (n_dxt > r.remaining()) throw FormatError("DXT count exceeds body size");
+  for (std::uint32_t i = 0; i < n_dxt; ++i) {
+    DxtView& rec = out.dxt.emplace_back();
+    rec.record_id = r.u64();
+    const std::uint8_t mod_raw = r.u8();
+    if (mod_raw >= kModuleCount) throw FormatError("unknown module id in DXT region");
+    rec.module = static_cast<ModuleId>(mod_raw);
+    rec.n_events = r.u32();
+    if (rec.n_events > r.remaining()) throw FormatError("DXT event count exceeds body size");
+    rec.events = r.bytes(kDxtEventBytes * rec.n_events).data();
+  }
   if (!r.at_end()) throw FormatError("trailing bytes in log body");
+}
+
+void read_log_body_into(std::span<const std::byte> body, LogIoBuffers& io, LogData& out) {
+  walk_log_body(body, io.walked);
+  materialize_body(io.walked, out, io);
 }
 
 void read_log_bytes_into(std::span<const std::byte> data, LogIoBuffers& io, LogData& out) {

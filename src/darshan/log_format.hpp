@@ -20,14 +20,17 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "darshan/record.hpp"
 #include "util/byte_io.hpp"
 #include "util/compress.hpp"
+#include "util/flat_map.hpp"
 
 namespace mlio::darshan {
 
@@ -39,6 +42,65 @@ struct WriteOptions {
   bool compress = true;
   int zlib_level = 6;
 };
+
+/// One file record of a walked body, read in place: the counter blocks stay
+/// in the body bytes (little-endian, unaligned) and are decoded on access.
+/// Same accessor names as FileRecord, so code written against one record
+/// type reads the other.
+struct RecordView {
+  std::uint64_t record_id = 0;
+  std::int32_t rank = kSharedRank;
+  ModuleId module = ModuleId::kPosix;
+  const std::byte* counters = nullptr;   ///< counter_count(module) i64s
+  const std::byte* fcounters = nullptr;  ///< fcounter_count(module) f64s
+
+  std::int64_t c(std::size_t idx) const {
+    return static_cast<std::int64_t>(util::load_le<std::uint64_t>(counters + 8 * idx));
+  }
+  double f(std::size_t idx) const {
+    return std::bit_cast<double>(util::load_le<std::uint64_t>(fcounters + 8 * idx));
+  }
+};
+
+/// One DXT trace segment of a walked body; `events` points at `n_events`
+/// packed events of kDxtEventBytes each.
+struct DxtView {
+  std::uint64_t record_id = 0;
+  ModuleId module = ModuleId::kPosix;
+  std::uint32_t n_events = 0;
+  const std::byte* events = nullptr;
+};
+
+/// On-disk size of one DXT event: op u8, rank u32, offset u64, length u64,
+/// start f64, end f64.
+inline constexpr std::size_t kDxtEventBytes = 37;
+
+/// A log body validated and indexed in one pass, without copying it: the
+/// job record and mount table are decoded (their storage is reused across
+/// logs), everything else is a view into the body bytes and is valid only
+/// while those bytes are.
+struct LogBody {
+  JobRecord job;
+  std::vector<MountEntry> mounts;
+  /// Record id -> path, first entry wins for a repeated id (the NameTable
+  /// rule); insertion order is the body's name order.
+  util::FlatU64Map<std::string_view> names;
+  std::vector<RecordView> records;  ///< body order: module regions, then records
+  std::vector<DxtView> dxt;
+
+  /// Path for a record id, or empty view if unknown.
+  std::string_view path_of(std::uint64_t record_id) const {
+    const std::string_view* p = names.find(record_id);
+    return p != nullptr ? *p : std::string_view{};
+  }
+};
+
+/// The one body parser: walk `body` (an inflated, CRC-checked log body, as
+/// read_log_frame_body returns) into `out`.  Its checks define the body
+/// format: element counts against the bytes left, module ids, each region's
+/// counter layout, the DXT structure and no trailing bytes.  Throws
+/// FormatError on the first violation; `out` is then unspecified.
+void walk_log_body(std::span<const std::byte> body, LogBody& out);
 
 /// Scratch buffers for the allocation-free codec entry points below.  One
 /// instance per worker thread: every buffer (body, framed output, compressed
@@ -54,7 +116,9 @@ struct LogIoBuffers {
   /// ModuleId order equals the old std::map order, so emitted bytes are
   /// unchanged); reused across logs.
   std::array<std::vector<const FileRecord*>, kModuleCount> module_buckets;
-  /// Husk pool for read_body_into: when a parsed log has fewer records than
+  /// The walk under read_log_body_into, reused across logs.
+  LogBody walked;
+  /// Husk pool for read_log_body_into: when a parsed log has fewer records than
   /// the previous one, the tail records (and their counter storage) park
   /// here instead of being destroyed, so record counts varying across logs
   /// cost moves, not allocations.  Bounded by the largest log seen.
@@ -82,16 +146,17 @@ LogData read_log_file(const std::filesystem::path& path);
 /// the source is fully framed into `io` before parsing begins.
 void read_log_bytes_into(std::span<const std::byte> data, LogIoBuffers& io, LogData& out);
 
-/// Stage split of read_log_bytes_into, used by the archive's software-
-/// pipelined scan so frame decode and body parse of *different* logs can be
-/// kept in flight together.
+/// Stage split of read_log_bytes_into.  The archive's scan decodes frames
+/// with read_log_frame_body and hands the bodies to the analysis kernel,
+/// which walks them in place (walk_log_body) without building a LogData.
 ///
 /// read_log_frame_body validates the frame header, decompresses (or, for an
 /// uncompressed frame, aliases) the body, and verifies its CRC; the returned
 /// view is valid until the next decode into the same `io` (for an
 /// uncompressed frame it aliases `data`, which must outlive the parse).
-/// read_log_body_into parses a body so obtained.  Composing the two with the
-/// same `io` is exactly read_log_bytes_into.
+/// read_log_body_into walks a body so obtained and materializes the walk
+/// into `out`.  Composing the two with the same `io` is exactly
+/// read_log_bytes_into.
 std::span<const std::byte> read_log_frame_body(std::span<const std::byte> data,
                                                LogIoBuffers& io);
 void read_log_body_into(std::span<const std::byte> body, LogIoBuffers& io, LogData& out);

@@ -65,62 +65,6 @@ std::string_view NameTable::path_of(std::uint64_t id) const {
   return view(entries_[*it]);
 }
 
-void NameTable::paths_of(std::span<const std::uint64_t> ids,
-                         std::span<std::string_view> out) const {
-  if (!sorted_valid_) rebuild_sorted();
-  const std::size_t n = sorted_.size();
-  const std::size_t q = ids.size();
-  // Lockstep lower_bound over `sorted_`: per-query (lo, len) halving state,
-  // advanced breadth-first.  One round issues every pending probe before
-  // waiting on any of them, so the probes' misses overlap; the next round's
-  // probe entry is prefetched as soon as this round's comparison fixes it.
-  constexpr std::size_t kMaxInline = 64;
-  std::uint32_t lo_buf[kMaxInline];
-  std::uint32_t len_buf[kMaxInline];
-  std::vector<std::uint32_t> lo_heap;
-  std::vector<std::uint32_t> len_heap;
-  std::uint32_t* lo = lo_buf;
-  std::uint32_t* len = len_buf;
-  if (q > kMaxInline) {
-    lo_heap.resize(q);
-    len_heap.resize(q);
-    lo = lo_heap.data();
-    len = len_heap.data();
-  }
-  bool pending = false;
-  for (std::size_t i = 0; i < q; ++i) {
-    lo[i] = 0;
-    len[i] = static_cast<std::uint32_t>(n);
-    pending = pending || n > 0;
-    if (n > 0) __builtin_prefetch(&entries_[sorted_[n >> 1]]);
-  }
-  while (pending) {
-    pending = false;
-    for (std::size_t i = 0; i < q; ++i) {
-      if (len[i] == 0) continue;
-      const std::uint32_t half = len[i] >> 1;
-      const std::uint32_t mid = lo[i] + half;
-      if (entries_[sorted_[mid]].id < ids[i]) {
-        lo[i] = mid + 1;
-        len[i] -= half + 1;
-      } else {
-        len[i] = half;
-      }
-      if (len[i] != 0) {
-        pending = true;
-        __builtin_prefetch(&entries_[sorted_[lo[i] + (len[i] >> 1)]]);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < q; ++i) {
-    if (lo[i] < n && entries_[sorted_[lo[i]]].id == ids[i]) {
-      out[i] = view(entries_[sorted_[lo[i]]]);
-    } else {
-      out[i] = {};
-    }
-  }
-}
-
 bool operator==(const NameTable& a, const NameTable& b) {
   if (!a.sorted_valid_) a.rebuild_sorted();
   if (!b.sorted_valid_) b.rebuild_sorted();

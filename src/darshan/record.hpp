@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -71,12 +70,6 @@ class NameTable {
   void seal();
   /// Path for a record id, or empty view if unknown.  Binary search.
   std::string_view path_of(std::uint64_t id) const;
-  /// Batched lookup: `out[i] = path_of(ids[i])`.  The binary searches run
-  /// in lockstep — every pending search advances one probe per round, with
-  /// the entry behind each next probe prefetched a round ahead — so up to
-  /// `ids.size()` cache misses are in flight at once instead of one
-  /// dependent probe chain per id.  `out.size()` must equal `ids.size()`.
-  void paths_of(std::span<const std::uint64_t> ids, std::span<std::string_view> out) const;
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 

@@ -208,7 +208,7 @@ std::shared_ptr<const core::Analysis> ArchiveService::resolve_shard(
   }
   // Clients are plain threads, so the reusable decode state lives in
   // thread_local storage instead of a worker-slot array.  Its phase timers
-  // stay off: no per-log decode/summarize/accumulate clock calls here.
+  // stay off: no per-log decode/analyze clock calls here.
   thread_local archive::ShardScratch scratch;
   const auto t0 = SteadyClock::now();
   std::shared_ptr<const core::Analysis> shard =

@@ -17,6 +17,23 @@
 
 namespace mlio::util {
 
+/// The little-endian T (an unsigned integer) stored at `p`, which needs no
+/// alignment.  Callers check bounds: this is the unchecked load under
+/// ByteReader and the log codec's in-place record views.
+template <typename T>
+T load_le(const std::byte* p) {
+  T v;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v = static_cast<T>(v | (static_cast<T>(std::to_integer<std::uint8_t>(p[i])) << (8 * i)));
+    }
+  }
+  return v;
+}
+
 /// Append-only byte buffer with typed little-endian writes.
 ///
 /// The fixed-width writes are inline, the mirror of ByteReader's reads: one
@@ -96,16 +113,7 @@ class ByteReader {
   template <typename T>
   T fixed() {
     need(sizeof(T));
-    T v;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(&v, data_.data() + pos_, sizeof(T));
-    } else {
-      v = 0;
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        v = static_cast<T>(v | (static_cast<T>(std::to_integer<std::uint8_t>(data_[pos_ + i]))
-                                << (8 * i)));
-      }
-    }
+    const T v = load_le<T>(data_.data() + pos_);
     pos_ += sizeof(T);
     return v;
   }

@@ -35,10 +35,32 @@ class FlatU64Map {
     if (2 * n > index_.size()) rehash(2 * n);
   }
 
-  /// Empties the map and keeps its storage for reuse.
+  /// Empties the map and keeps its storage for reuse.  The cost follows the
+  /// entries, not the index: a map reused per log keeps the index one large
+  /// log grew, and the small logs after it must not pay to wipe all of it.
   void clear() {
+    if (8 * entries_.size() < index_.size()) {
+      // Each entry's slot lies on the probe run from its home; the walk
+      // matches positions, so slots already emptied are stepped over.
+      for (std::size_t i = 0; i < entries_.size(); ++i) {
+        std::size_t s = home(entries_[i].first);
+        while (index_[s] != i) s = (s + 1) & mask();
+        index_[s] = kEmpty;
+      }
+    } else {
+      std::fill(index_.begin(), index_.end(), kEmpty);
+    }
     entries_.clear();
-    std::fill(index_.begin(), index_.end(), kEmpty);
+  }
+
+  /// The value under `key`, or null.
+  const V* find(std::uint64_t key) const {
+    if (index_.empty()) return nullptr;
+    for (std::size_t s = home(key); index_[s] != kEmpty; s = (s + 1) & mask()) {
+      const value_type& e = entries_[index_[s]];
+      if (e.first == key) return &e.second;
+    }
+    return nullptr;
   }
 
   /// The value under `key`, constructed from `args` only if `key` is new.

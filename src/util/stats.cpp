@@ -127,11 +127,14 @@ void BottomKSample::merge(const BottomKSample& other) {
   ordered_ = false;
 }
 
+void BottomKSample::order_by_value() {
+  if (ordered_ || sample_.size() == capacity_) return;
+  std::sort(sample_.begin(), sample_.end(), by_value);
+  ordered_ = true;
+}
+
 void BottomKSample::merge_by_value(const BottomKSample& other) {
-  if (!ordered_) {
-    std::sort(sample_.begin(), sample_.end(), by_value);
-    ordered_ = true;
-  }
+  order_by_value();
   std::span<const Entry> src = other.sample_;
   if (!other.ordered_) {
     // `other` is const (a shared shard may be read by other threads), so

@@ -72,6 +72,10 @@ class BottomKSample {
   void add(std::uint64_t key, double x);
   /// Keeps the k smallest of the union: associative and commutative.
   void merge(const BottomKSample& other);
+  /// Put a sample below capacity into value order now (a no-op when full or
+  /// already ordered), so readers and merges of it need not sort a copy.
+  /// The state is unchanged: quantiles and save() are the same bits.
+  void order_by_value();
 
   /// Canonical state serialization: the sample is written sorted, so equal
   /// states produce equal bytes whatever path built them.

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <filesystem>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "core/snapshot.hpp"
 #include "darshan/log_format.hpp"
 #include "harness/crash_sweep.hpp"
+#include "service/service.hpp"
 #include "util/byte_io.hpp"
 #include "util/error.hpp"
 #include "util/vfs.hpp"
@@ -397,6 +399,71 @@ TEST_F(ArchiveFaultsTest, CompactGcErrorBranches) {
     EXPECT_FALSE(fs::exists(d / "p000001.seg"));
     EXPECT_FALSE(fs::exists(d / "p000002.seg"));
     EXPECT_TRUE(ar.verify(true).ok());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A compaction that fails before its manifest write lands must leave the
+// in-memory manifest untouched: the retry allocates the same partition id
+// and leaves the archive byte-identical to a run that never failed.  Two
+// failure points: staging the merged segment, and the manifest write.
+TEST_F(ArchiveFaultsTest, FailedCompactStepRetriesToTheFaultFreeBytes) {
+  const std::vector<Frame> frames = capture_frames(8, 23);
+  ASSERT_GE(frames.size(), 8u);
+  const auto build = [&](const fs::path& dir) {
+    Archive ar = Archive::create(dir);
+    for (std::size_t p = 0; p < 4; ++p) {
+      Archive::PartitionWriter w = ar.begin_partition();
+      for (std::size_t i = 2 * p; i < 2 * p + 2; ++i) {
+        w.append_frame(frames[i].job, frames[i].bytes);
+      }
+      w.seal();
+    }
+  };
+  const auto files_of = [](const fs::path& dir) {
+    std::map<std::string, std::vector<std::byte>> files;
+    for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+      files[e.path().filename().string()] = util::read_file_bytes(e.path());
+    }
+    return files;
+  };
+  const LeveledPolicy policy;  // fanout 4: p000001..p000004 -> p000005
+
+  const fs::path clean = dir_ / "clean";
+  build(clean);
+  {
+    service::ArchiveService svc(clean, {});
+    const std::optional<PartitionInfo> merged = svc.compact_step(policy);
+    ASSERT_TRUE(merged.has_value());
+    EXPECT_EQ(merged->id, 5u);
+  }
+  const auto expected = files_of(clean);
+  ASSERT_TRUE(expected.contains("p000005.seg"));
+
+  for (const char* spec : {"fail-write@1:*.seg*", "fail-write@1:manifest.bin*"}) {
+    SCOPED_TRACE(spec);
+    const fs::path d = dir_ / "faulted";
+    fs::remove_all(d);
+    build(d);
+    util::FaultVfs vfs(util::FaultPlan::parse(spec));
+    {
+      service::ArchiveService svc(d, {}, vfs);
+      EXPECT_THROW((void)svc.compact_step(policy), util::IoError);
+      const std::optional<PartitionInfo> merged = svc.compact_step(policy);
+      ASSERT_TRUE(merged.has_value());
+      EXPECT_EQ(merged->id, 5u);
+    }
+    const auto got = files_of(d);
+    std::vector<std::string> got_names;
+    std::vector<std::string> expected_names;
+    for (const auto& [name, bytes] : got) got_names.push_back(name);
+    for (const auto& [name, bytes] : expected) expected_names.push_back(name);
+    EXPECT_EQ(got_names, expected_names);
+    for (const auto& [name, bytes] : expected) {
+      EXPECT_TRUE(got.contains(name) && got.at(name) == bytes) << name << " differs";
+    }
+    Archive reopened = Archive::open(d);
+    EXPECT_TRUE(reopened.verify(true).ok());
   }
 }
 

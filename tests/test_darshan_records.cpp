@@ -57,28 +57,6 @@ TEST(Record, LogDataPathLookup) {
   EXPECT_TRUE(log.path_of(43).empty());
 }
 
-TEST(Record, BatchedPathsMatchScalarLookups) {
-  // paths_of is the lockstep-prefetch twin of path_of; for every table size
-  // (empty through beyond the inline query buffer) and a query mix of hits,
-  // misses, duplicates, and first-wins duplicate ids, the two must agree.
-  for (const std::size_t n : {0u, 1u, 2u, 7u, 63u, 64u, 65u, 200u}) {
-    NameTable t;
-    for (std::size_t i = 0; i < n; ++i) {
-      t.add(i * 3 + 1, "/gpfs/alpine/f" + std::to_string(i));
-    }
-    if (n > 1) t.add(4, "/gpfs/alpine/DUPLICATE");  // id 4 already present
-    std::vector<std::uint64_t> ids;
-    for (std::size_t i = 0; i < 2 * n + 3; ++i) ids.push_back(i);
-    ids.push_back(4);
-    ids.push_back(0xffffffffffffffffull);
-    std::vector<std::string_view> got(ids.size());
-    t.paths_of(ids, got);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(got[i], t.path_of(ids[i])) << "n=" << n << " id=" << ids[i];
-    }
-  }
-}
-
 TEST(Record, EqualityCoversAllFields) {
   LogData a;
   a.job.job_id = 1;

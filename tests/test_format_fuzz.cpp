@@ -3,7 +3,10 @@
 // tool pointed at a year of production logs will meet damaged files.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "archive/scan.hpp"
+#include "core/analysis.hpp"
 #include "darshan/log_format.hpp"
 #include "darshan/runtime.hpp"
 #include "util/byte_io.hpp"
@@ -166,10 +169,113 @@ TEST(FormatHostileCounts, ValidEmptyBodyStillParses) {
 }
 
 // ---------------------------------------------------------------------------
+// The body kernel against the reference parse.  The archive's read path
+// walks each body in place (walk_log_body) into Analysis::add; the reference
+// parses the frame into a LogData (read_log_bytes) and adds that.  Over
+// mutated bodies re-framed with a valid CRC — so the damage reaches the
+// walker instead of stopping at the frame check — the kernel must reject a
+// frame exactly when read_log_bytes does, and an accepted frame must give
+// the same save() bytes.
+
+std::vector<std::byte> state_bytes(const core::Analysis& a) {
+  util::ByteWriter w;
+  a.save(w);
+  return w.take();
+}
+
+/// The kernel's state for one frame, or nullopt when it rejects the frame.
+std::optional<std::vector<std::byte>> kernel_state(std::span<const std::byte> frame) {
+  LogIoBuffers io;
+  LogBody body;
+  core::AnalyzeScratch scratch;
+  try {
+    walk_log_body(read_log_frame_body(frame, io), body);
+  } catch (const util::FormatError&) {
+    return std::nullopt;
+  }
+  core::Analysis a;
+  a.add(body, scratch);
+  return state_bytes(a);
+}
+
+/// The reference's state for one frame, or nullopt when it rejects it.
+std::optional<std::vector<std::byte>> reference_state(std::span<const std::byte> frame) {
+  LogData log;
+  try {
+    log = read_log_bytes(frame);
+  } catch (const util::FormatError&) {
+    return std::nullopt;
+  }
+  core::Analysis a;
+  a.add(log);
+  return state_bytes(a);
+}
+
+class KernelFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(KernelFuzz, MutatedBodiesRejectedAndAnalyzedAsByTheReference) {
+  const LogData log = sample_log(GetParam());
+  const std::vector<std::byte> plain = write_log_bytes(log, WriteOptions{false, 0});
+  LogIoBuffers io;
+  const auto body_view = read_log_frame_body(plain, io);
+  const std::vector<std::byte> body(body_view.begin(), body_view.end());
+  util::Rng rng(GetParam() * 977 + 3);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const auto check = [&](std::span<const std::byte> frame, const std::string& what) {
+    const auto kernel = kernel_state(frame);
+    const auto reference = reference_state(frame);
+    ASSERT_EQ(kernel.has_value(), reference.has_value()) << what;
+    if (kernel) {
+      EXPECT_EQ(*kernel, *reference) << what;
+      accepted += 1;
+    } else {
+      rejected += 1;
+    }
+  };
+  check(plain, "unmutated");
+  check(write_log_bytes(log), "unmutated, compressed");
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::byte> mutated = body;
+    const std::size_t pos = static_cast<std::size_t>(rng.uniform_u64(0, mutated.size() - 1));
+    std::string what = "trial " + std::to_string(trial) + " pos " + std::to_string(pos);
+    switch (trial % 4) {
+      case 0:  // one flipped byte
+        mutated[pos] ^= static_cast<std::byte>(rng.uniform_u64(1, 255));
+        break;
+      case 1:  // a small count or length planted anywhere
+        for (std::size_t k = 0; k < 4 && pos + k < mutated.size(); ++k) {
+          mutated[pos + k] = static_cast<std::byte>(k == 0 ? rng.uniform_u64(0, 3) : 0);
+        }
+        break;
+      case 2:  // truncated
+        mutated.resize(pos);
+        what += " truncated";
+        break;
+      default:  // a stray byte inserted
+        mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(pos),
+                       static_cast<std::byte>(rng.uniform_u64(0, 255)));
+        break;
+    }
+    check(frame_body(mutated), what);
+    // The same damage through the frame check: a single flipped frame byte.
+    std::vector<std::byte> frame = write_log_bytes(log);
+    frame[pos % frame.size()] ^= std::byte{0x40};
+    check(frame, what + " (frame flip)");
+  }
+  // The mutations reach both outcomes, so neither side of the comparison
+  // is vacuous.
+  EXPECT_GT(accepted, 10u);
+  EXPECT_GT(rejected, 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelFuzz, ::testing::Values(1u, 2u, 3u, 5u));
+
+// ---------------------------------------------------------------------------
 // Hostile frames through the pipelined scan.  scan_frames at depth > 1
 // drives batches through the prefetching stage loops; a damaged frame in the
-// middle of a batch must surface as the same FormatError the one-at-a-time
-// scan throws — never UB, a hang, or silently-consumed neighbors.
+// middle of a batch must surface as the same FormatError a batch of one
+// throws — never UB, a hang, or silently-consumed neighbors.
 
 struct Segment {
   std::vector<std::byte> bytes;
@@ -193,14 +299,21 @@ Segment good_segment(int n_frames) {
   return seg;
 }
 
-// Count of frames the scan consumed before (if ever) failing.
+// Count of frames the scan consumed before (if ever) failing; each body is
+// walked as the read kernel walks it.
 std::size_t scan_count(const Segment& seg, unsigned depth) {
   archive::ScanScratch scratch;
   archive::ScanOptions opts;
   opts.mlp_depth = depth;
+  LogBody walked;
   std::size_t consumed = 0;
-  archive::scan_frames(seg.bytes, seg.entries, 0,
-                       [&](const LogData&) { ++consumed; }, scratch, opts, "fuzz");
+  archive::scan_frames(
+      seg.bytes, seg.entries, 0,
+      [&](std::span<const std::byte> body) {
+        walk_log_body(body, walked);
+        ++consumed;
+      },
+      scratch, opts, "fuzz");
   return consumed;
 }
 
@@ -219,7 +332,7 @@ TEST(BatchedScanHostileFrames, CorruptDeflateMidBatchThrows) {
 
 TEST(BatchedScanHostileFrames, TruncatedNameTableMidBatchThrows) {
   // A frame whose body ends inside the name table: counts promise entries
-  // the bytes don't hold.  The batched body-parse stage must reject it.
+  // the bytes don't hold.  The walk of that body must reject it.
   auto w = minimal_body_prefix();
   // Rewrite the trailing name count: claim 1000 names, supply none.
   auto body = w.take();
@@ -236,8 +349,8 @@ TEST(BatchedScanHostileFrames, TruncatedNameTableMidBatchThrows) {
 
 TEST(BatchedScanHostileFrames, UnknownRecordIdsMidBatchParseCleanly) {
   // Records whose ids have no name-table entry are legal (path_of returns
-  // empty, summarize drops them as unattributed); the batched lookup path
-  // must consume such a frame, not fault on the missing ids.
+  // empty, summarize drops them as unattributed); the walk must accept such
+  // a frame, not fault on the missing ids.
   auto w = minimal_body_prefix();
   w.u32(1);  // one region
   w.u8(static_cast<std::uint8_t>(ModuleId::kPosix));

@@ -1,13 +1,14 @@
-// Differential pins for the ingest overhaul: the scratch-reused path
-// (arena name table, run-scan summarize, memoized mount resolution) must be
-// bit-identical to the seed's allocating path — same FileSummary fields down
-// to the double bit patterns, same Analysis fingerprints — over generated
-// workloads AND adversarial edge-case logs.  The pipeline and archive
-// fingerprints are additionally pinned to literals captured on main before
-// this overhaul, so any silent behavior change in the rewrite fails here
-// even if both modes drift together.
+// Differential pins for the read path: the read kernel (a log body walked
+// in place, summarized through the scratch state) and the scratch summarize
+// over a parsed log must agree with the reference — the allocating
+// summarize_log / Analysis::add(LogData) pair — on every FileSummary field
+// down to the double bit patterns and on the Analysis save() bytes, over
+// generated workloads AND adversarial edge-case logs.  The pipeline and
+// archive fingerprints are additionally pinned to literals, so a silent
+// behavior change fails here even if both paths drift together.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -73,16 +74,70 @@ void expect_identical(const std::vector<FileSummary>& seed,
   }
 }
 
-// Run one log through both summarize paths and demand identity.  The scratch
-// is shared across calls by design — recycling across wildly different logs
-// is exactly what production does and what this exercises.
+// The kernel emits a log's summaries in order of each file's first record;
+// the reference sorts them by record id.  Accumulators are order-free, so
+// only the per-file contents must match: compare in record-id order.
+std::vector<FileSummary> by_record_id(std::vector<FileSummary> files) {
+  std::sort(files.begin(), files.end(),
+            [](const FileSummary& a, const FileSummary& b) { return a.record_id < b.record_id; });
+  return files;
+}
+
+// Run one log through the reference and the scratch summarize and demand
+// identity.  The scratch is shared across calls by design — recycling across
+// wildly different logs is exactly what production does and what this
+// exercises.
 void expect_paths_agree(const LogData& log, core::SummarizeScratch& scratch, const char* what) {
   std::uint64_t dropped_seed = 0;
   std::uint64_t dropped_scratch = 0;
   const auto seed = core::summarize_log(log, &dropped_seed);
-  const auto& fast = core::summarize_log(log, scratch, &dropped_scratch);
+  const auto fast = by_record_id(core::summarize_log(log, scratch, &dropped_scratch));
   EXPECT_EQ(dropped_seed, dropped_scratch) << what;
   expect_identical(seed, fast, what);
+}
+
+std::vector<std::byte> state_bytes(const core::Analysis& a) {
+  util::ByteWriter w;
+  a.save(w);
+  return w.take();
+}
+
+/// Reusable state of the body kernel, shared across logs like a scan's.
+/// After expect_kernel_agrees, `body` is the walk of `frame`.
+struct KernelScratch {
+  std::vector<std::byte> frame;
+  darshan::LogIoBuffers io;
+  darshan::LogBody body;
+  core::AnalyzeScratch analyze;
+};
+
+// Frame `log` and run the frame through the body kernel: walk the body in
+// place, summarize it, add it.  The summaries and the Analysis state must
+// equal the reference's, both on the in-memory log (whose name table
+// resolves duplicates on its own, without the walker) and on the log
+// read_log_bytes parses back from the frame.
+void expect_kernel_agrees(const LogData& log, KernelScratch& ks, const char* what) {
+  ks.frame = darshan::write_log_bytes(log);
+  const LogData parsed = darshan::read_log_bytes(ks.frame);
+  darshan::walk_log_body(darshan::read_log_frame_body(ks.frame, ks.io), ks.body);
+
+  std::uint64_t dropped_kernel = 0;
+  std::uint64_t dropped_ref = 0;
+  const auto kernel = by_record_id(core::summarize_log(ks.body, ks.analyze.summarize,
+                                                       &dropped_kernel));
+  const auto ref = core::summarize_log(log, &dropped_ref);
+  EXPECT_EQ(dropped_kernel, dropped_ref) << what;
+  expect_identical(ref, kernel, what);
+  expect_identical(core::summarize_log(parsed), kernel, what);
+
+  core::Analysis via_kernel;
+  via_kernel.add(ks.body, ks.analyze);
+  core::Analysis via_log;
+  via_log.add(log);
+  core::Analysis via_parsed;
+  via_parsed.add(parsed);
+  EXPECT_EQ(state_bytes(via_kernel), state_bytes(via_log)) << what;
+  EXPECT_EQ(state_bytes(via_kernel), state_bytes(via_parsed)) << what;
 }
 
 template <typename Fn>
@@ -106,9 +161,11 @@ TEST(IngestDifferential, GeneratedLogsSummitAndCori) {
   for (const auto& profile :
        {wl::SystemProfile::summit_2020(), wl::SystemProfile::cori_2019()}) {
     core::SummarizeScratch scratch;
+    KernelScratch ks;
     std::uint64_t logs = 0;
     for_each_generated_log(profile, 20, 42, [&](const LogData& log) {
       expect_paths_agree(log, scratch, profile.system.c_str());
+      expect_kernel_agrees(log, ks, profile.system.c_str());
       ++logs;
     });
     EXPECT_GT(logs, 0u) << profile.system;
@@ -206,6 +263,98 @@ TEST(IngestDifferential, EdgeCaseLogs) {
   }
 }
 
+// Edge cases through the body kernel: each log is framed, and the frame's
+// walk must summarize and accumulate exactly as the reference does.  One
+// kernel scratch throughout, as in a scan.
+TEST(IngestDifferential, BodyKernelEdgeCases) {
+  KernelScratch ks;
+
+  {  // Duplicate name ids in the body: the first entry wins.  The table is
+     // left unsealed so that both entries reach the frame.
+    LogData log;
+    log.job = small_job(1);
+    log.mounts = {{"/gpfs/alpine", "gpfs"}, {"/mnt/bb", "xfs"}};
+    darshan::FileRecord rec(darshan::hash_record_id("/gpfs/alpine/dup"), -1, ModuleId::kPosix);
+    rec.counters[darshan::posix::BYTES_READ] = 1 << 20;
+    rec.fcounters[darshan::posix::F_READ_TIME] = 0.25;
+    log.names.add(rec.record_id, "/gpfs/alpine/dup");
+    log.names.add(rec.record_id, "/mnt/bb/WRONG");
+    log.records.push_back(rec);
+    ASSERT_EQ(log.names.size(), 2u);
+    expect_kernel_agrees(log, ks, "duplicate name ids");
+    EXPECT_EQ(ks.body.path_of(rec.record_id), "/gpfs/alpine/dup");
+    const auto& files = core::summarize_log(ks.body, ks.analyze.summarize);
+    ASSERT_EQ(files.size(), 1u);
+    EXPECT_EQ(files[0].layer, core::Layer::kPfs);
+  }
+  {  // A record id with no name: an empty path, unattributed unless a mount
+     // with an empty prefix claims it.
+    for (const std::vector<MountEntry>& mounts :
+         {std::vector<MountEntry>{{"/gpfs/alpine", "gpfs"}},
+          std::vector<MountEntry>{{"", "xfs"}, {"/gpfs/alpine", "gpfs"}}}) {
+      Runtime rt(small_job(2), mounts);
+      auto h = rt.open_file(ModuleId::kPosix, 0, "/gpfs/alpine/named", 0);
+      rt.record_writes(h, 0, 4096, 3, 0, 0.1);
+      LogData log = rt.finalize(0, 1);
+      darshan::FileRecord orphan(0x0123456789abcdefull, -1, ModuleId::kStdio);
+      orphan.counters[darshan::stdio::BYTES_WRITTEN] = 512;
+      orphan.fcounters[darshan::stdio::F_WRITE_TIME] = 0.5;
+      log.records.push_back(orphan);
+      ASSERT_TRUE(log.path_of(orphan.record_id).empty());
+      expect_kernel_agrees(log, ks, "record id with no name");
+    }
+  }
+  {  // An unknown-fs mount shadows the shorter known mount it sits under.
+    Runtime rt(small_job(1), {{"/gpfs", "gpfs"}, {"/gpfs/odd", "weirdfs"}});
+    auto h1 = rt.open_file(ModuleId::kPosix, 0, "/gpfs/odd/shadowed", 0);
+    rt.record_reads(h1, 0, 8192, 2, 0, 0.1);
+    auto h2 = rt.open_file(ModuleId::kPosix, 0, "/gpfs/plain", 0);
+    rt.record_reads(h2, 0, 8192, 2, 0, 0.1);
+    const LogData log = rt.finalize(0, 1);
+    expect_kernel_agrees(log, ks, "unknown fs shadows a shorter mount");
+    std::uint64_t dropped = 0;
+    const auto& files = core::summarize_log(ks.body, ks.analyze.summarize, &dropped);
+    EXPECT_EQ(files.size(), 1u);
+    EXPECT_EQ(dropped, 1u);
+  }
+  {  // Lustre and SSD-extension records beside the data records of the same
+     // files: they carry no transfers and must not disturb the summaries.
+    Runtime rt(small_job(4), {{"/global/cscratch1", "lustre"}, {"/mnt/bb", "xfs"}});
+    for (std::int32_t r = 0; r < 4; ++r) {
+      auto h = rt.open_file(ModuleId::kPosix, r, "/global/cscratch1/x.h5", 0);
+      rt.record_writes(h, r, 1 << 20, 2, 0, 0.3);
+    }
+    auto hs = rt.open_file(ModuleId::kStdio, 0, "/mnt/bb/y", 0);
+    rt.record_reads(hs, 0, 300, 5, 0, 0.2);
+    rt.record_lustre("/global/cscratch1/x.h5", 1 << 20, 4, 0, 5, 248);
+    rt.record_ssd("/mnt/bb/y", 100, 200, 50, 150, 100, 1.5);
+    const LogData log = rt.finalize(0, 1);
+    ASSERT_TRUE(std::any_of(log.records.begin(), log.records.end(), [](const auto& r) {
+      return r.module == ModuleId::kLustre;
+    }));
+    ASSERT_TRUE(std::any_of(log.records.begin(), log.records.end(), [](const auto& r) {
+      return r.module == ModuleId::kSsdExt;
+    }));
+    expect_kernel_agrees(log, ks, "lustre/ssd records");
+  }
+  {  // A non-empty DXT region: walked, checked and skipped by the kernel,
+     // materialized intact by read_log_bytes.
+    darshan::RuntimeOptions opts;
+    opts.enable_dxt = true;
+    Runtime rt(small_job(2), {{"/gpfs/alpine", "gpfs"}}, opts);
+    for (std::int32_t r = 0; r < 2; ++r) {
+      auto h = rt.open_file(ModuleId::kPosix, r, "/gpfs/alpine/traced", 0);
+      rt.record_reads(h, r, 4096, 6, 0, 0.2);
+      rt.record_writes(h, r, 65536, 3, 0.2, 0.2);
+    }
+    const LogData log = rt.finalize(0, 1);
+    ASSERT_FALSE(log.dxt.empty());
+    expect_kernel_agrees(log, ks, "non-empty DXT");
+    EXPECT_EQ(ks.body.dxt.size(), log.dxt.size());
+    EXPECT_EQ(darshan::read_log_bytes(ks.frame).dxt, log.dxt);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Whole-population equivalence and pinned fingerprints.
 
@@ -214,12 +363,19 @@ TEST(IngestDifferential, AnalysisFingerprintsMatchAcrossModes) {
        {wl::SystemProfile::summit_2020(), wl::SystemProfile::cori_2019()}) {
     core::Analysis via_seed;
     core::Analysis via_scratch;
+    core::Analysis via_body;
     core::AnalyzeScratch scratch;
+    KernelScratch ks;
     for_each_generated_log(profile, 20, 42, [&](const LogData& log) {
       via_seed.add(log);
       via_scratch.add(log, scratch);
+      const auto frame = darshan::write_log_bytes(log);
+      darshan::walk_log_body(darshan::read_log_frame_body(frame, ks.io), ks.body);
+      via_body.add(ks.body, ks.analyze);
     });
     EXPECT_EQ(via_seed.fingerprint(), via_scratch.fingerprint()) << profile.system;
+    EXPECT_EQ(state_bytes(via_seed), state_bytes(via_scratch)) << profile.system;
+    EXPECT_EQ(state_bytes(via_seed), state_bytes(via_body)) << profile.system;
   }
 }
 
@@ -280,9 +436,10 @@ TEST(IngestDifferential, ArchiveColdQueryFingerprintPinned) {
   q.analysis.save(w);
   EXPECT_EQ(fnv1a(w.take()), 2545916944106061150ull);
   EXPECT_EQ(q.stats.logs_scanned, 244u);
-  // The phase split is new telemetry; a cold scan must populate it.
-  EXPECT_GT(q.stats.parse_seconds, 0.0);
-  EXPECT_GT(q.stats.summarize_seconds, 0.0);
+  // A cold scan populates both phase timers: decode (inflate + CRC) and
+  // analyze (walk + summarize + accumulate).
+  EXPECT_GT(q.stats.decode_seconds, 0.0);
+  EXPECT_GT(q.stats.analyze_seconds, 0.0);
   std::filesystem::remove_all(dir);
 }
 

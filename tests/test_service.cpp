@@ -111,8 +111,7 @@ TEST(StatsMerge, QueryStatsSumsEveryFieldAndSharesHitRate) {
   archive::QueryStats a;
   a.partitions = 3; a.snapshot_hits = 1; a.cache_hits = 2; a.partitions_scanned = 1;
   a.logs_scanned = 40; a.snapshots_written = 1; a.scan_seconds = 0.5; a.merge_seconds = 0.25;
-  a.total_seconds = 1.0; a.parse_seconds = 0.1; a.summarize_seconds = 0.2;
-  a.accumulate_seconds = 0.3;
+  a.total_seconds = 1.0; a.decode_seconds = 0.1; a.analyze_seconds = 0.3;
   archive::QueryStats b = a;
   b.cache_hits = 4;
 
@@ -127,9 +126,8 @@ TEST(StatsMerge, QueryStatsSumsEveryFieldAndSharesHitRate) {
   EXPECT_DOUBLE_EQ(m.scan_seconds, 1.0);
   EXPECT_DOUBLE_EQ(m.merge_seconds, 0.5);
   EXPECT_DOUBLE_EQ(m.total_seconds, 2.0);
-  EXPECT_DOUBLE_EQ(m.parse_seconds, 0.2);
-  EXPECT_DOUBLE_EQ(m.summarize_seconds, 0.4);
-  EXPECT_DOUBLE_EQ(m.accumulate_seconds, 0.6);
+  EXPECT_DOUBLE_EQ(m.decode_seconds, 0.2);
+  EXPECT_DOUBLE_EQ(m.analyze_seconds, 0.6);
 
   // One hit-rate definition for bench and service alike:
   // (cache + snapshot hits) / shards served.

@@ -397,6 +397,35 @@ TEST(BottomKSample, MergeAtTheCapacityEdges) {
   }
 }
 
+TEST(BottomKSample, OrderByValueChangesNoState) {
+  // Below capacity, in arrival order, from a merge, and full: ordering by
+  // value moves no quantile and no byte, and the ordered sample merges and
+  // adds exactly like the unordered one.
+  constexpr std::size_t k = 32;
+  Rng rng(77);
+  for (const std::uint64_t n : {0u, 1u, 5u, 31u, 32u, 90u}) {
+    std::vector<Obs> obs;
+    for (std::uint64_t i = 0; i < n; ++i) obs.emplace_back(key_of(i), rng.uniform_real(0, 100));
+    BottomKSample plain(k);
+    for (const auto& [key, x] : obs) plain.add(key, x);
+    BottomKSample ordered = plain;
+    ordered.order_by_value();
+    const std::string what = "n " + std::to_string(n);
+    EXPECT_EQ(bytes_of(ordered), bytes_of(plain)) << what;
+    expect_matches(ordered, obs, k, what);
+    BottomKSample other(k);
+    other.add(key_of(1000), 50.5);
+    BottomKSample into_plain = other;
+    BottomKSample into_ordered = other;
+    into_plain.merge(plain);
+    into_ordered.merge(ordered);
+    EXPECT_EQ(bytes_of(into_ordered), bytes_of(into_plain)) << what;
+    ordered.add(key_of(2000), 1.5);
+    plain.add(key_of(2000), 1.5);
+    EXPECT_EQ(bytes_of(ordered), bytes_of(plain)) << what;
+  }
+}
+
 // --- FlatU64Map ----------------------------------------------------------------
 
 std::map<std::uint64_t, std::uint64_t> contents(const FlatU64Map<std::uint64_t>& m) {
@@ -487,6 +516,39 @@ TEST(FlatU64Map, ClearThenReuse) {
   std::map<std::uint64_t, std::uint64_t> ref;
   for (std::uint64_t i = 500; i < 1500; ++i) ref[i] = i + 1;
   EXPECT_EQ(contents(m), ref);
+}
+
+TEST(FlatU64Map, ClearAfterShrinkingUseEmptiesTheIndex) {
+  // One large fill grows the index; later small fills clear only their own
+  // slots.  Every clear must leave no slot behind: old keys are gone and
+  // each refill matches std::map.
+  FlatU64Map<std::uint64_t> m;
+  EXPECT_EQ(m.find(3), nullptr);  // no index yet
+  Rng rng(31);
+  for (std::uint64_t i = 0; i < 5000; ++i) m[rng.next()] = i;
+  std::vector<std::uint64_t> previous;
+  for (const auto& [key, value] : m) previous.push_back(key);
+  for (int round = 0; round < 50; ++round) {
+    m.clear();
+    EXPECT_TRUE(m.empty());
+    for (const std::uint64_t key : previous) ASSERT_EQ(m.find(key), nullptr) << round;
+    previous.clear();
+    std::map<std::uint64_t, std::uint64_t> ref;
+    const std::uint64_t n = rng.uniform_u64(0, 600);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      // Small keys repeat, so some inserts find an entry.
+      const std::uint64_t key = i % 3 == 0 ? rng.uniform_u64(0, 40) : rng.next();
+      m[key] += i;
+      ref[key] += i;
+      previous.push_back(key);
+    }
+    ASSERT_EQ(contents(m), ref) << round;
+    for (const auto& [key, value] : ref) {
+      const std::uint64_t* found = m.find(key);
+      ASSERT_NE(found, nullptr);
+      EXPECT_EQ(*found, value);
+    }
+  }
 }
 
 TEST(FlatU64Map, TryEmplaceConsumesArgumentsOnlyOnInsert) {
