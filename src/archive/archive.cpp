@@ -210,18 +210,6 @@ std::vector<PartitionInfo> Archive::commit_group(std::span<const PendingPartitio
 }
 
 void Archive::scan_partition(const PartitionInfo& p,
-                             const std::function<void(const darshan::LogData&)>& fn) const {
-  ScanScratch scratch;
-  scan_partition(p, fn, scratch);
-}
-
-void Archive::scan_partition(const PartitionInfo& p,
-                             const std::function<void(const darshan::LogData&)>& fn,
-                             ScanScratch& scratch) const {
-  scan_partition(p, fn, scratch, ScanOptions{});
-}
-
-void Archive::scan_partition(const PartitionInfo& p,
                              const std::function<void(const darshan::LogData&)>& fn,
                              ScanScratch& scratch, const ScanOptions& opts) const {
   scan_bodies(
@@ -431,15 +419,17 @@ Archive::VerifyReport Archive::verify(bool deep) const {
     }
 
     if (deep && data_ok) {
-      darshan::LogData log;
       darshan::LogIoBuffers io;
+      darshan::LogBody body;
       for (const IndexEntry& e : entries) {
         try {
-          darshan::read_log_bytes_into(
-              std::span<const std::byte>(bytes.data() + e.offset,
-                                         static_cast<std::size_t>(e.size)),
-              io, log);
-          if (log.job.job_id != e.job_id) {
+          darshan::walk_log_body(
+              darshan::read_log_frame_body(
+                  std::span<const std::byte>(bytes.data() + e.offset,
+                                             static_cast<std::size_t>(e.size)),
+                  io),
+              body);
+          if (body.job.job_id != e.job_id) {
             throw util::FormatError(tag + ": log job id disagrees with index");
           }
           rep.logs_checked += 1;

@@ -170,13 +170,8 @@ class Archive {
                    ScanScratch& scratch, const ScanOptions& opts) const;
 
   /// Replay a partition's logs in ingest order: scan_bodies, with each body
-  /// materialized into a LogData.  Throws what scan_bodies throws.
-  void scan_partition(const PartitionInfo& p,
-                      const std::function<void(const darshan::LogData&)>& fn) const;
-  /// Scratch-reused variant; the callback sees a log owned by the scratch.
-  void scan_partition(const PartitionInfo& p, const std::function<void(const darshan::LogData&)>& fn,
-                      ScanScratch& scratch) const;
-  /// Full-control variant: `opts.mlp_depth` logs in flight per worker.
+  /// materialized into a LogData owned by the scratch.  Throws what
+  /// scan_bodies throws.
   void scan_partition(const PartitionInfo& p, const std::function<void(const darshan::LogData&)>& fn,
                       ScanScratch& scratch, const ScanOptions& opts) const;
 

@@ -236,20 +236,23 @@ IngestStats ingest_log_files(Archive& archive, const std::vector<std::filesystem
   // sizes, it is not parallelism.
   std::vector<Archive::PendingPartition> group;
   group.reserve(shards);
+  darshan::LogIoBuffers io;
+  darshan::LogBody body;
+  core::AnalyzeScratch analyze;
   for (std::uint64_t s = 0; s < shards; ++s) {
     Archive::PartitionWriter writer = archive.begin_partition_at(base_id + s);
     core::Analysis shard;
     for (std::uint64_t i = n * s / shards; i < n * (s + 1) / shards; ++i) {
       const std::vector<std::byte> frame = archive.vfs().read_file(files[i]);
-      // Parse up front: corrupt files are rejected here instead of
+      // Walk up front: corrupt files are rejected here instead of
       // poisoning every later scan of the partition.
-      const darshan::LogData log = darshan::read_log_bytes(frame);
-      writer.append_frame(log.job, frame);
+      darshan::walk_log_body(darshan::read_log_frame_body(frame, io), body);
+      writer.append_frame(body.job, frame);
       stats.logs += 1;
       stats.bytes += frame.size();
       if (opts.write_snapshots) {
         const auto ts = SteadyClock::now();
-        shard.add(log);
+        shard.add(body, analyze);
         stats.snapshot_ns += ns_since(ts);
       }
     }

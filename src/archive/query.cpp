@@ -230,7 +230,8 @@ core::LoadTimeline window_timeline(const Archive& archive, const Manifest& m,
   Archive::ScanScratch scratch;
   for (std::size_t i = sel.first; i < m.partitions.size(); ++i) {
     archive.scan_partition(
-        m.partitions[i], [&](const darshan::LogData& log) { timeline.add_log(log); }, scratch);
+        m.partitions[i], [&](const darshan::LogData& log) { timeline.add_log(log); }, scratch,
+        ScanOptions{});
   }
   return timeline;
 }

@@ -143,8 +143,10 @@ struct QueryResult {
 /// shared storage, its sample cells value-ordered once, ready for a cache
 /// to keep and for merges to read without a copy.  Counts the outcome into `stats`
 /// (snapshot_hits, or partitions_scanned and logs_scanned).  Throws what
-/// scan_partition throws on a damaged or vanished segment.  Safe to call
-/// concurrently for any partitions, each caller with its own scratch.
+/// scan_bodies throws on a damaged or vanished segment, untranslated: only
+/// query_partitions classifies a lost compaction race as StaleReadError.
+/// Safe to call concurrently for any partitions, each caller with its own
+/// scratch.
 std::shared_ptr<const core::Analysis> resolve_shard(const Archive& archive,
                                                     const PartitionInfo& partition,
                                                     ShardScratch& scratch, unsigned mlp_depth,

@@ -80,12 +80,9 @@ PartitionInfo StreamIngester::publish_open() {
     // the read kernel — byte-for-byte what a rescan of the published
     // partition computes.
     core::Analysis shard;
-    darshan::LogIoBuffers io;
-    darshan::LogBody body;
-    core::AnalyzeScratch analyze;
     for (const Buffered& b : open_) {
-      darshan::walk_log_body(darshan::read_log_frame_body(b.frame, io), body);
-      shard.add(body, analyze);
+      darshan::walk_log_body(darshan::read_log_frame_body(b.frame, io_), body_);
+      shard.add(body_, analyze_);
     }
     pending.attach_snapshot(shard);
   }

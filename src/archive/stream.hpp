@@ -42,6 +42,8 @@
 #include <vector>
 
 #include "archive/archive.hpp"
+#include "core/analysis.hpp"
+#include "darshan/log_format.hpp"
 
 namespace mlio::archive {
 
@@ -114,6 +116,10 @@ class StreamIngester {
   std::uint64_t open_bytes_ = 0;
   std::uint64_t open_wmin_ = 0;  ///< 0 while empty
   std::uint64_t open_wmax_ = 0;
+  /// Read-kernel state of snapshot-writing cuts, reused across windows.
+  darshan::LogIoBuffers io_;
+  darshan::LogBody body_;
+  core::AnalyzeScratch analyze_;
 };
 
 /// LSM-style leveled compaction policy: merge when `fanout` adjacent

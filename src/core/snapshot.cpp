@@ -33,11 +33,6 @@ std::uint64_t serialized_analysis_bytes(const Analysis& analysis) {
   return analysis.serialized_size();
 }
 
-void write_snapshot_file(const Analysis& analysis, std::uint64_t tag,
-                         const std::filesystem::path& path, const SnapshotWriteOptions& opts) {
-  util::write_file_atomic(path, write_snapshot_bytes(analysis, tag, opts));
-}
-
 Analysis read_snapshot_bytes(std::span<const std::byte> data, std::uint64_t* tag) {
   util::ByteReader r(data);
   if (r.u32() != kSnapshotMagic) throw util::FormatError("snapshot: bad magic");
@@ -76,10 +71,6 @@ Analysis read_snapshot_bytes(std::span<const std::byte> data, std::uint64_t* tag
   if (!br.at_end()) throw util::FormatError("snapshot: trailing body bytes");
   if (tag != nullptr) *tag = stored_tag;
   return analysis;
-}
-
-Analysis read_snapshot_file(const std::filesystem::path& path, std::uint64_t* tag) {
-  return read_snapshot_bytes(util::read_file_bytes(path), tag);
 }
 
 }  // namespace mlio::core

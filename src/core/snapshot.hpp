@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <span>
 #include <vector>
 
@@ -38,14 +37,10 @@ struct SnapshotWriteOptions {
 /// Serialize `analysis` into a framed snapshot tagged with `tag`.
 std::vector<std::byte> write_snapshot_bytes(const Analysis& analysis, std::uint64_t tag,
                                             const SnapshotWriteOptions& opts = {});
-void write_snapshot_file(const Analysis& analysis, std::uint64_t tag,
-                         const std::filesystem::path& path,
-                         const SnapshotWriteOptions& opts = {});
 
 /// Parse a framed snapshot.  Throws util::FormatError on bad magic, version,
 /// CRC, or a malformed body.  `tag` (optional) receives the stored tag.
 Analysis read_snapshot_bytes(std::span<const std::byte> data, std::uint64_t* tag = nullptr);
-Analysis read_snapshot_file(const std::filesystem::path& path, std::uint64_t* tag = nullptr);
 
 /// Uncompressed serialized size of an analysis — the canonical byte weight a
 /// resident Analysis is charged against a memory budget (the service's

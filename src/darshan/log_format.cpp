@@ -134,8 +134,7 @@ void materialize_body(LogBody& walked, LogData& log, LogIoBuffers& io) {
 
   log.names.clear();
   log.names.reserve(walked.names.size());
-  for (const auto& [id, path] : walked.names) log.names.add(id, path);
-  log.names.seal();
+  for (const auto& [id, path] : walked.names) log.names.try_emplace(id, path);
 
   std::size_t used = 0;
   for (const RecordView& view : walked.records) {

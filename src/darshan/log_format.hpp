@@ -82,8 +82,8 @@ inline constexpr std::size_t kDxtEventBytes = 37;
 struct LogBody {
   JobRecord job;
   std::vector<MountEntry> mounts;
-  /// Record id -> path, first entry wins for a repeated id (the NameTable
-  /// rule); insertion order is the body's name order.
+  /// Record id -> path, first entry wins for a repeated id (as in
+  /// LogData::names); insertion order is the body's name order.
   util::FlatU64Map<std::string_view> names;
   std::vector<RecordView> records;  ///< body order: module regions, then records
   std::vector<DxtView> dxt;

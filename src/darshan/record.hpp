@@ -6,11 +6,11 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "darshan/dxt.hpp"
 #include "darshan/module.hpp"
+#include "util/flat_map.hpp"
 
 namespace mlio::darshan {
 
@@ -42,80 +42,6 @@ struct MountEntry {
   std::string fs_type;  ///< e.g. "gpfs", "lustre", "xfs", "dwfs"
 };
 
-/// Flat record-id → path table over one reusable char arena.  Entries keep
-/// insertion order (which is also serialization order); lookups go through a
-/// lazily (re)built index sorted by (id, insertion index), so `path_of`
-/// returns the first-inserted path for an id — the same first-wins semantics
-/// `unordered_map::emplace` gave the seed's parse path.  The lazy index
-/// rebuild mutates `mutable` state and is not safe against concurrent first
-/// lookups; every LogData in the tree is worker-private, so that never
-/// happens in practice (producers `seal()` eagerly anyway).
-class NameTable {
- public:
-  /// Forget the contents but keep entry/arena capacity — for parse-reuse loops.
-  void clear() {
-    entries_.clear();
-    arena_.clear();
-    sorted_.clear();
-    sorted_valid_ = true;
-  }
-  void reserve(std::size_t n_entries, std::size_t arena_bytes = 0);
-  /// Append an entry; duplicates are allowed and resolved first-wins at
-  /// lookup (and dropped by `seal`).  Throws FormatError if the arena would
-  /// outgrow 32-bit offsets.
-  void add(std::uint64_t id, std::string_view path);
-  /// Drop later duplicates of an id (first insertion wins, relative order
-  /// preserved) and build the lookup index eagerly.  Producers call this once
-  /// after filling the table.
-  void seal();
-  /// Path for a record id, or empty view if unknown.  Binary search.
-  std::string_view path_of(std::uint64_t id) const;
-  std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-
-  /// Iterates in insertion order, yielding (id, path) pairs by value; the
-  /// path view borrows from the arena.
-  class const_iterator {
-   public:
-    using value_type = std::pair<std::uint64_t, std::string_view>;
-    value_type operator*() const {
-      const auto& e = table_->entries_[i_];
-      return {e.id, table_->view(e)};
-    }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
-    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
-
-   private:
-    friend class NameTable;
-    const_iterator(const NameTable* t, std::size_t i) : table_(t), i_(i) {}
-    const NameTable* table_;
-    std::size_t i_;
-  };
-  const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, entries_.size()}; }
-
-  /// Order-insensitive comparison of the first-wins id → path mappings.
-  friend bool operator==(const NameTable& a, const NameTable& b);
-
- private:
-  struct Entry {
-    std::uint64_t id;
-    std::uint32_t offset;
-    std::uint32_t len;
-  };
-  std::string_view view(const Entry& e) const { return {arena_.data() + e.offset, e.len}; }
-  void rebuild_sorted() const;
-
-  std::vector<Entry> entries_;  ///< insertion order == serialization order
-  std::vector<char> arena_;
-  mutable std::vector<std::uint32_t> sorted_;  ///< indices by (id, insertion idx)
-  mutable bool sorted_valid_ = true;
-};
-
 /// One instrumented file within one module.
 struct FileRecord {
   std::uint64_t record_id = 0;
@@ -135,7 +61,9 @@ struct FileRecord {
 struct LogData {
   JobRecord job;
   std::vector<MountEntry> mounts;
-  NameTable names;  ///< record id -> path
+  /// Record id -> path.  Insertion order is serialization order; a repeated
+  /// id keeps its first path, as the body walker's map does.
+  util::FlatU64Map<std::string> names;
   std::vector<FileRecord> records;
   /// DXT trace segments (empty unless tracing was enabled; §2.2).
   std::vector<DxtRecord> dxt;
@@ -146,7 +74,10 @@ struct LogData {
   std::size_t prior_live_records = 0;
 
   /// Path for a record id, or empty view if unknown.
-  std::string_view path_of(std::uint64_t record_id) const;
+  std::string_view path_of(std::uint64_t record_id) const {
+    const std::string* p = names.find(record_id);
+    return p != nullptr ? std::string_view(*p) : std::string_view{};
+  }
 };
 
 bool operator==(const JobRecord& a, const JobRecord& b);

@@ -491,15 +491,12 @@ void Runtime::finalize_into(std::int64_t start_epoch, std::int64_t end_epoch, Lo
   log.job.start_time = start_epoch;
   log.job.end_time = end_epoch;
   log.mounts = std::move(mounts_);
-  // Fill the flat name table in the hash map's iteration order — the exact
-  // order write_body used to see when it iterated the map directly, which
-  // the golden frame digests in test_executor pin.  (That order is a
-  // hashtable artifact, not insertion order; preserving it is what keeps
-  // the emitted bytes identical across this refactor.)
+  // Move the names in the hash map's iteration order: write_body emits them
+  // in insertion order, and the golden frame digests in test_executor pin
+  // that order (a hashtable artifact, not first-sight order).
   log.names.clear();
   log.names.reserve(names_.size());
-  for (const auto& [id, path] : names_) log.names.add(id, path);
-  log.names.seal();
+  for (auto& [id, path] : names_) log.names.try_emplace(id, std::move(path));
   names_.clear();
   log.dxt.clear();
   log.dxt.reserve(dxt_.size());

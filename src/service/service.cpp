@@ -508,15 +508,9 @@ ArchiveService::GetResult ArchiveService::get_window(std::uint64_t last_windows,
       r.stats.queue_wait_ns += carried.queue_wait_ns;
       r.stats.stale_retries += carried.stale_retries;
       return r;
-    } catch (const archive::StaleReadError&) {
-      // Our own GC can't outrun a live pin, so the race was external (or the
-      // pin predates an external publish): resync from disk and retry.
-      if (attempt >= kMaxStaleRetries) throw;
-      carried.stale_retries += 1;
-      refresh_from_disk();
     } catch (const util::IoError&) {
-      // A vanished file without a newer manifest on disk yet: same recovery,
-      // bounded the same way.
+      // Our own GC can't outrun a live pin, so a vanished file means an
+      // external publish: resync from disk and retry, bounded.
       if (attempt >= kMaxStaleRetries) throw;
       carried.stale_retries += 1;
       if (!refresh_from_disk()) throw;

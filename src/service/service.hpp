@@ -18,9 +18,9 @@
 //     pin is older than the publishing generation, so the service's own
 //     readers can never lose the compaction race.  (External readers of the
 //     same directory still can — query_archive turns that into
-//     StaleReadError, and get() recovers from it by reloading and
-//     re-pinning, which also covers an *external* compactor racing this
-//     service.)
+//     StaleReadError.  An *external* compactor racing this service shows up
+//     in get() as an IoError on a vanished file, and get() recovers by
+//     reloading the manifest from disk and re-pinning.)
 //
 // All readers share one bounded SnapshotCache of analysis shards keyed by
 // (partition id, data generation); a shard miss goes to the archive's one
@@ -135,7 +135,8 @@ class ArchiveService {
   Pin pin();
 
   /// get() and get_window() re-pin and retry this many times on a stale
-  /// read before letting the StaleReadError out.
+  /// read (a file gone under a newer on-disk manifest) before letting the
+  /// IoError out.
   static constexpr unsigned kMaxStaleRetries = 3;
 
   struct GetResult {

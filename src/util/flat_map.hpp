@@ -1,4 +1,5 @@
-// Flat hash map from 64-bit keys: the per-job tables of the analysis state.
+// Flat hash map from 64-bit keys: the per-job tables of the analysis state
+// and a Darshan log's record-id -> path map.
 //
 // Entries live in one vector in insertion order; an open-addressing index
 // (linear probing over a power-of-two table of entry positions) finds them.
@@ -81,6 +82,16 @@ class FlatU64Map {
   }
 
   V& operator[](std::uint64_t key) { return *try_emplace(key).first; }
+
+  /// Same keys under equal values, whatever the insertion order.
+  friend bool operator==(const FlatU64Map& a, const FlatU64Map& b) {
+    if (a.size() != b.size()) return false;
+    for (const value_type& e : a.entries_) {
+      const V* v = b.find(e.first);
+      if (v == nullptr || !(*v == e.second)) return false;
+    }
+    return true;
+  }
 
  private:
   static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};

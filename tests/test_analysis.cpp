@@ -212,7 +212,7 @@ TEST(Analysis, UnattributedFilesAreReported) {
   log.mounts = mounts();
   darshan::FileRecord rec(darshan::hash_record_id("/tmp/x"), 0, ModuleId::kPosix);
   rec.counters[darshan::posix::BYTES_READ] = 1;
-  log.names.add(rec.record_id, "/tmp/x");
+  log.names.try_emplace(rec.record_id, "/tmp/x");
   log.records.push_back(rec);
   Analysis a;
   a.add(log);

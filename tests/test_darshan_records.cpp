@@ -52,16 +52,49 @@ TEST(Record, ConstructorSizesCounterVectors) {
 
 TEST(Record, LogDataPathLookup) {
   LogData log;
-  log.names.add(42, "/mnt/bb/file");
+  log.names.try_emplace(42, "/mnt/bb/file");
   EXPECT_EQ(log.path_of(42), "/mnt/bb/file");
   EXPECT_TRUE(log.path_of(43).empty());
+}
+
+TEST(Record, SecondInsertOfAnIdKeepsTheFirstPath) {
+  LogData log;
+  EXPECT_TRUE(log.names.try_emplace(7, "/gpfs/first").second);
+  EXPECT_FALSE(log.names.try_emplace(7, "/gpfs/second").second);
+  EXPECT_EQ(log.names.size(), 1u);
+  EXPECT_EQ(log.path_of(7), "/gpfs/first");
+}
+
+TEST(Record, NameEqualityIgnoresInsertionOrder) {
+  LogData a;
+  a.names.try_emplace(1, "/gpfs/x");
+  a.names.try_emplace(2, "/gpfs/y");
+  LogData b;
+  b.names.try_emplace(2, "/gpfs/y");
+  b.names.try_emplace(1, "/gpfs/x");
+  EXPECT_TRUE(a == b);
+
+  LogData other_path;
+  other_path.names.try_emplace(1, "/gpfs/x");
+  other_path.names.try_emplace(2, "/gpfs/z");
+  EXPECT_FALSE(a == other_path);
+
+  LogData missing_id;
+  missing_id.names.try_emplace(1, "/gpfs/x");
+  EXPECT_FALSE(a == missing_id);
+  EXPECT_FALSE(missing_id == a);
+
+  LogData other_id;
+  other_id.names.try_emplace(1, "/gpfs/x");
+  other_id.names.try_emplace(3, "/gpfs/y");
+  EXPECT_FALSE(a == other_id);
 }
 
 TEST(Record, EqualityCoversAllFields) {
   LogData a;
   a.job.job_id = 1;
   a.mounts.push_back({"/gpfs", "gpfs"});
-  a.names.add(1, "/gpfs/x");
+  a.names.try_emplace(1, "/gpfs/x");
   a.records.emplace_back(1, 0, ModuleId::kPosix);
   LogData b = a;
   EXPECT_TRUE(a == b);

@@ -52,7 +52,7 @@ TEST(Dataset, UnattributedPathsAreDroppedAndCounted) {
   log.mounts = summit_mounts();
   darshan::FileRecord rec(darshan::hash_record_id("/home/u/x"), 0, ModuleId::kPosix);
   rec.counters[darshan::posix::BYTES_READ] = 10;
-  log.names.add(rec.record_id, "/home/u/x");
+  log.names.try_emplace(rec.record_id, "/home/u/x");
   log.records.push_back(rec);
 
   std::uint64_t dropped = 0;

@@ -330,8 +330,8 @@ TEST(BatchedScanHostileFrames, CorruptDeflateMidBatchThrows) {
   }
 }
 
-TEST(BatchedScanHostileFrames, TruncatedNameTableMidBatchThrows) {
-  // A frame whose body ends inside the name table: counts promise entries
+TEST(BatchedScanHostileFrames, TruncatedNameMapMidBatchThrows) {
+  // A frame whose body ends inside the name map: counts promise entries
   // the bytes don't hold.  The walk of that body must reject it.
   auto w = minimal_body_prefix();
   // Rewrite the trailing name count: claim 1000 names, supply none.
@@ -348,7 +348,7 @@ TEST(BatchedScanHostileFrames, TruncatedNameTableMidBatchThrows) {
 }
 
 TEST(BatchedScanHostileFrames, UnknownRecordIdsMidBatchParseCleanly) {
-  // Records whose ids have no name-table entry are legal (path_of returns
+  // Records whose ids have no name-map entry are legal (path_of returns
   // empty, summarize drops them as unattributed); the walk must accept such
   // a frame, not fault on the missing ids.
   auto w = minimal_body_prefix();
@@ -356,7 +356,7 @@ TEST(BatchedScanHostileFrames, UnknownRecordIdsMidBatchParseCleanly) {
   w.u8(static_cast<std::uint8_t>(ModuleId::kPosix));
   w.u32(static_cast<std::uint32_t>(counter_count(ModuleId::kPosix)));
   w.u32(static_cast<std::uint32_t>(fcounter_count(ModuleId::kPosix)));
-  w.u32(3);  // three records, none of whose ids the (empty) name table knows
+  w.u32(3);  // three records, none of whose ids the (empty) name map knows
   for (std::uint64_t r = 0; r < 3; ++r) {
     w.u64(0xdeadbeef00 + r);  // record_id
     w.u32(0);                 // rank

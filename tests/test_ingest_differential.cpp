@@ -26,6 +26,7 @@
 #include "darshan/runtime.hpp"
 #include "iosim/executor.hpp"
 #include "util/byte_io.hpp"
+#include "util/compress.hpp"
 #include "workload/generator.hpp"
 #include "workload/pipeline.hpp"
 
@@ -111,13 +112,13 @@ struct KernelScratch {
   core::AnalyzeScratch analyze;
 };
 
-// Frame `log` and run the frame through the body kernel: walk the body in
-// place, summarize it, add it.  The summaries and the Analysis state must
-// equal the reference's, both on the in-memory log (whose name table
-// resolves duplicates on its own, without the walker) and on the log
+// Run `frame`, which encodes `log`, through the body kernel: walk the body
+// in place, summarize it, add it.  The summaries and the Analysis state must
+// equal the reference's, both on the in-memory log and on the log
 // read_log_bytes parses back from the frame.
-void expect_kernel_agrees(const LogData& log, KernelScratch& ks, const char* what) {
-  ks.frame = darshan::write_log_bytes(log);
+void expect_frame_agrees(const LogData& log, std::vector<std::byte> frame, KernelScratch& ks,
+                         const char* what) {
+  ks.frame = std::move(frame);
   const LogData parsed = darshan::read_log_bytes(ks.frame);
   darshan::walk_log_body(darshan::read_log_frame_body(ks.frame, ks.io), ks.body);
 
@@ -138,6 +139,11 @@ void expect_kernel_agrees(const LogData& log, KernelScratch& ks, const char* wha
   via_parsed.add(parsed);
   EXPECT_EQ(state_bytes(via_kernel), state_bytes(via_log)) << what;
   EXPECT_EQ(state_bytes(via_kernel), state_bytes(via_parsed)) << what;
+}
+
+// Frame `log` and check the frame through the body kernel.
+void expect_kernel_agrees(const LogData& log, KernelScratch& ks, const char* what) {
+  expect_frame_agrees(log, darshan::write_log_bytes(log), ks, what);
 }
 
 template <typename Fn>
@@ -174,7 +180,7 @@ TEST(IngestDifferential, GeneratedLogsSummitAndCori) {
 
 TEST(IngestDifferential, SerializedLogsRoundTrip) {
   // A frame written from an in-memory log and parsed back must yield the
-  // same log semantically: equal name table, equal mounts, and identical
+  // same log semantically: equal name map, equal mounts, and identical
   // summaries.  The reader's buffers are reused across logs of varying size.
   darshan::LogIoBuffers wio;
   darshan::LogIoBuffers rio;
@@ -237,16 +243,15 @@ TEST(IngestDifferential, EdgeCaseLogs) {
     rt.record_reads(h2, 0, 512, 1, 0, 0.1);
     expect_paths_agree(rt.finalize(0, 1), scratch, "empty prefix + unknown fs");
   }
-  {  // Duplicate name-map ids: first occurrence wins, as with the seed's map.
+  {  // A repeated name-map id: the first insert wins, as with the seed's map.
     LogData log;
     log.job = small_job(1);
     log.mounts = {{"/gpfs/alpine", "gpfs"}};
     darshan::FileRecord rec(darshan::hash_record_id("/gpfs/alpine/dup"), 0, ModuleId::kPosix);
     rec.counters[darshan::posix::BYTES_READ] = 10;
     rec.counters[darshan::posix::OPENS] = 1;
-    log.names.add(rec.record_id, "/gpfs/alpine/dup");
-    log.names.add(rec.record_id, "/gpfs/alpine/WRONG");
-    log.names.seal();
+    log.names.try_emplace(rec.record_id, "/gpfs/alpine/dup");
+    log.names.try_emplace(rec.record_id, "/gpfs/alpine/WRONG");
     log.records.push_back(rec);
     expect_paths_agree(log, scratch, "duplicate name ids");
     const auto files = core::summarize_log(log, scratch);
@@ -269,20 +274,64 @@ TEST(IngestDifferential, EdgeCaseLogs) {
 TEST(IngestDifferential, BodyKernelEdgeCases) {
   KernelScratch ks;
 
-  {  // Duplicate name ids in the body: the first entry wins.  The table is
-     // left unsealed so that both entries reach the frame.
+  {  // Duplicate name ids in the body: the first entry wins.  A LogData
+     // holds one path per id, so the body carrying both is written by hand.
     LogData log;
     log.job = small_job(1);
     log.mounts = {{"/gpfs/alpine", "gpfs"}, {"/mnt/bb", "xfs"}};
     darshan::FileRecord rec(darshan::hash_record_id("/gpfs/alpine/dup"), -1, ModuleId::kPosix);
     rec.counters[darshan::posix::BYTES_READ] = 1 << 20;
     rec.fcounters[darshan::posix::F_READ_TIME] = 0.25;
-    log.names.add(rec.record_id, "/gpfs/alpine/dup");
-    log.names.add(rec.record_id, "/mnt/bb/WRONG");
+    log.names.try_emplace(rec.record_id, "/gpfs/alpine/dup");
     log.records.push_back(rec);
-    ASSERT_EQ(log.names.size(), 2u);
-    expect_kernel_agrees(log, ks, "duplicate name ids");
+    const auto frame_with_names = [&](const std::vector<std::string>& paths) {
+      util::ByteWriter w;
+      w.u64(log.job.job_id);
+      w.u32(log.job.user_id);
+      w.u32(log.job.nprocs);
+      w.u32(log.job.nnodes);
+      w.i64(log.job.start_time);
+      w.i64(log.job.end_time);
+      w.str(log.job.exe);
+      w.u32(0);  // metadata
+      w.u32(static_cast<std::uint32_t>(log.mounts.size()));
+      for (const MountEntry& m : log.mounts) {
+        w.str(m.prefix);
+        w.str(m.fs_type);
+      }
+      w.u32(static_cast<std::uint32_t>(paths.size()));
+      for (const std::string& path : paths) {
+        w.u64(rec.record_id);
+        w.str(path);
+      }
+      w.u32(1);  // one module region holding the one record
+      w.u8(static_cast<std::uint8_t>(rec.module));
+      w.u32(static_cast<std::uint32_t>(rec.counters.size()));
+      w.u32(static_cast<std::uint32_t>(rec.fcounters.size()));
+      w.u32(1);
+      w.u64(rec.record_id);
+      w.u32(static_cast<std::uint32_t>(rec.rank));
+      for (const std::int64_t c : rec.counters) w.i64(c);
+      for (const double f : rec.fcounters) w.f64(f);
+      w.u32(0);  // DXT
+      util::ByteWriter f;
+      f.u32(darshan::kLogMagic);
+      f.u16(darshan::kLogVersion);
+      f.u16(0);  // uncompressed
+      f.u32(util::crc32(w.view()));
+      f.u64(w.size());
+      f.u64(w.size());
+      f.bytes(w.view());
+      return f.take();
+    };
+    // With one name the hand-written frame is the writer's own.
+    ASSERT_EQ(frame_with_names({"/gpfs/alpine/dup"}),
+              darshan::write_log_bytes(log, darshan::WriteOptions{false, 0}));
+    expect_frame_agrees(log, frame_with_names({"/gpfs/alpine/dup", "/mnt/bb/WRONG"}), ks,
+                        "duplicate name ids");
+    EXPECT_EQ(ks.body.names.size(), 1u);
     EXPECT_EQ(ks.body.path_of(rec.record_id), "/gpfs/alpine/dup");
+    EXPECT_TRUE(darshan::read_log_bytes(ks.frame).names == log.names);
     const auto& files = core::summarize_log(ks.body, ks.analyze.summarize);
     ASSERT_EQ(files.size(), 1u);
     EXPECT_EQ(files[0].layer, core::Layer::kPfs);

@@ -31,7 +31,7 @@ LogData random_log(std::uint64_t seed, std::size_t n_records) {
     FileRecord rec(hash_record_id(path), i % 3 == 0 ? kSharedRank
                                                     : static_cast<std::int32_t>(i % 7),
                    mod);
-    log.names.add(rec.record_id, path);
+    log.names.try_emplace(rec.record_id, path);
     for (auto& c : rec.counters) c = static_cast<std::int64_t>(rng.next() >> 16);
     for (auto& f : rec.fcounters) f = rng.uniform_real(0, 1e6);
     log.records.push_back(std::move(rec));

@@ -317,6 +317,81 @@ TEST_F(ParallelIngestTest, FileIngestHonorsShardingKnobs) {
   }
 }
 
+// File ingest with snapshots: the same files ingested with and without them,
+// split over several partitions, give the same analysis state, and the
+// snapshot archive's first query is all snapshot hits.  A truncated file in
+// the list throws before anything is registered.
+TEST_F(ParallelIngestTest, FileIngestSnapshotsMatchTheRescan) {
+  const wl::WorkloadGenerator gen = make_gen(12, 21);
+  const fs::path drop = dir_ / "drop";
+  fs::create_directories(drop);
+  std::vector<fs::path> files;
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 12, {},
+                     [&](const darshan::JobRecord&, std::span<const std::byte> frame) {
+                       const fs::path f =
+                           drop / ("log" + std::to_string(files.size()) + ".darshan");
+                       util::write_file_atomic(f, frame);
+                       files.push_back(f);
+                     });
+  ASSERT_GE(files.size(), 7u);
+
+  IngestOptions opts;
+  opts.batches = 2;
+  opts.max_logs_per_partition = 3;
+  QueryOptions qo;
+  qo.threads = 1;
+  qo.write_snapshots = false;
+  const auto state = [&](Archive& ar) {
+    util::ByteWriter w;
+    query_archive(ar, qo).analysis.save(w);
+    return w.take();
+  };
+
+  Archive plain = Archive::create(dir_ / "plain");
+  ingest_log_files(plain, files, opts);
+  opts.write_snapshots = true;
+  Archive snap = Archive::create(dir_ / "snap");
+  ingest_log_files(snap, files, opts);
+  const std::uint64_t partitions = snap.manifest().partitions.size();
+  ASSERT_GT(partitions, 1u);
+  ASSERT_EQ(plain.manifest().partitions.size(), partitions);
+  EXPECT_TRUE(plain.verify(true).ok());
+  EXPECT_TRUE(snap.verify(true).ok());
+  EXPECT_EQ(snap.verify(false).snapshots_valid, partitions);
+
+  const QueryResult first = query_archive(snap, qo);
+  EXPECT_EQ(first.stats.snapshot_hits, partitions);
+  EXPECT_EQ(first.stats.logs_scanned, 0u);
+  const std::vector<std::byte> want = state(plain);
+  EXPECT_EQ(state(snap), want);
+
+  // Truncate one file: the frame header promises more body than it holds.
+  std::vector<std::byte> bytes = util::read_file_bytes(files[1]);
+  bytes.resize(bytes.size() - 8);
+  const fs::path truncated = drop / "truncated.darshan";
+  util::write_file_atomic(truncated, bytes);
+  const std::uint64_t generation = snap.manifest().generation;
+  const auto before = dir_files(dir_ / "snap");
+
+  // In the first partition nothing is staged yet: the directory is untouched.
+  std::vector<fs::path> bad = files;
+  bad[1] = truncated;
+  EXPECT_THROW(ingest_log_files(snap, bad, opts), util::FormatError);
+  EXPECT_EQ(snap.manifest().generation, generation);
+  expect_same_files(before, dir_files(dir_ / "snap"), "truncated file in the first partition");
+
+  // In the last partition the earlier partitions' staged files are left
+  // unreferenced; the manifest, and so the answer, do not move.
+  bad = files;
+  bad.back() = truncated;
+  EXPECT_THROW(ingest_log_files(snap, bad, opts), util::FormatError);
+  EXPECT_EQ(snap.manifest().generation, generation);
+  EXPECT_EQ(dir_files(dir_ / "snap").at("manifest.bin"), before.at("manifest.bin"));
+  Archive reopened = Archive::open(dir_ / "snap");
+  EXPECT_EQ(reopened.manifest().generation, generation);
+  EXPECT_EQ(state(reopened), want);
+}
+
 // ---------------------------------------------------------------------------
 // Scale-path guards: index entries beyond the 32-bit horizon round-trip
 // exactly.  A facility-scale segment passes 4 GiB long before the log count
