@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <optional>
 #include <thread>
 
+#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mlio::archive {
@@ -96,12 +98,13 @@ struct BuiltBlock {
 };
 
 /// Close a partition on the calling thread: stamp the commit's generation,
-/// attach `shard` as its snapshot when given, stage its files, and queue it
-/// for the group commit.
+/// attach `shard` as its snapshot when given, queue it for the group commit
+/// and stage its files.  It is queued first, so `group` names every
+/// partition whose staging began, a failed one included.
 void stage_partition(Archive& archive, Archive::PartitionWriter& writer, std::uint64_t commit_gen,
                      const core::Analysis* shard, std::vector<Archive::PendingPartition>& group,
                      IngestStats& stats) {
-  Archive::PendingPartition pending = writer.finish();
+  Archive::PendingPartition& pending = group.emplace_back(writer.finish());
   pending.info.data_generation = commit_gen;
   if (shard != nullptr) {
     const auto t0 = SteadyClock::now();
@@ -111,7 +114,23 @@ void stage_partition(Archive& archive, Archive::PartitionWriter& writer, std::ui
   const auto t0 = SteadyClock::now();
   archive.stage_partition_files(pending);
   stats.publish_ns += ns_since(t0);
-  group.push_back(std::move(pending));
+}
+
+/// After an error before the group commit, remove the files `group` staged:
+/// no manifest will reference them.  Best effort — a failed removal is
+/// swallowed, so the caller rethrows the original error.
+void unstage(const Archive& archive, const std::vector<Archive::PendingPartition>& group) {
+  const auto remove = [&](const std::filesystem::path& path) {
+    try {
+      archive.vfs().remove(path);
+    } catch (const util::Error&) {
+    }
+  };
+  for (const Archive::PendingPartition& p : group) {
+    remove(archive.segment_path(p.info.id));
+    remove(archive.index_path(p.info.id));
+    if (p.info.has_snapshot) remove(archive.snapshot_path(p.info.id));
+  }
 }
 
 /// Register every staged partition with one manifest write.
@@ -160,7 +179,8 @@ IngestStats ingest_generated(Archive& archive, const wl::WorkloadGenerator& gen,
   // file operation happens here, in the same order at any worker count.  A
   // build error surfaces at its block's get(), the lowest failing block's
   // whatever the timing, and the pool's destructor drains the blocks still
-  // queued before the exception leaves.
+  // queued before the exception leaves.  Any util::Error before the commit
+  // first removes the partitions already staged.
   std::vector<Archive::PendingPartition> group;
   group.reserve(cuts.size());
   std::optional<Archive::PartitionWriter> writer;
@@ -181,33 +201,38 @@ IngestStats ingest_generated(Archive& archive, const wl::WorkloadGenerator& gen,
   };
   while (next < std::min(window, blocks.size())) submit_next();
 
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    BuiltBlock built = inflight.front().get();
-    inflight.pop_front();
-    if (next < blocks.size()) submit_next();
+  try {
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      BuiltBlock built = inflight.front().get();
+      inflight.pop_front();
+      if (next < blocks.size()) submit_next();
 
-    const Block& b = blocks[i];
-    if (!writer) writer.emplace(archive.begin_partition_at(base_id + b.cut));
-    built.frames.for_each([&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
-      writer->append_frame(job, frame);
-    });
-    stats.logs += built.frames.sizes.size();
-    stats.bytes += built.frames.bytes.size();
-    stats.serialize_ns += built.phases.serialize_ns;
-    stats.compress_ns += built.phases.compress_ns;
-    stats.snapshot_ns += built.snapshot_ns;
-    if (built.shard) {
-      const auto ts = SteadyClock::now();
-      if (!cut_shard) cut_shard.emplace();
-      cut_shard->merge(*built.shard);
-      stats.snapshot_ns += ns_since(ts);
+      const Block& b = blocks[i];
+      if (!writer) writer.emplace(archive.begin_partition_at(base_id + b.cut));
+      built.frames.for_each([&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
+        writer->append_frame(job, frame);
+      });
+      stats.logs += built.frames.sizes.size();
+      stats.bytes += built.frames.bytes.size();
+      stats.serialize_ns += built.phases.serialize_ns;
+      stats.compress_ns += built.phases.compress_ns;
+      stats.snapshot_ns += built.snapshot_ns;
+      if (built.shard) {
+        const auto ts = SteadyClock::now();
+        if (!cut_shard) cut_shard.emplace();
+        cut_shard->merge(*built.shard);
+        stats.snapshot_ns += ns_since(ts);
+      }
+
+      if (i + 1 < blocks.size() && blocks[i + 1].cut == b.cut) continue;
+      stage_partition(archive, *writer, commit_gen, cut_shard ? &*cut_shard : nullptr, group,
+                      stats);
+      writer.reset();
+      cut_shard.reset();
     }
-
-    if (i + 1 < blocks.size() && blocks[i + 1].cut == b.cut) continue;
-    stage_partition(archive, *writer, commit_gen, cut_shard ? &*cut_shard : nullptr, group,
-                    stats);
-    writer.reset();
-    cut_shard.reset();
+  } catch (const util::Error&) {
+    unstage(archive, group);
+    throw;
   }
   commit(archive, group, stats);
 
@@ -239,25 +264,30 @@ IngestStats ingest_log_files(Archive& archive, const std::vector<std::filesystem
   darshan::LogIoBuffers io;
   darshan::LogBody body;
   core::AnalyzeScratch analyze;
-  for (std::uint64_t s = 0; s < shards; ++s) {
-    Archive::PartitionWriter writer = archive.begin_partition_at(base_id + s);
-    core::Analysis shard;
-    for (std::uint64_t i = n * s / shards; i < n * (s + 1) / shards; ++i) {
-      const std::vector<std::byte> frame = archive.vfs().read_file(files[i]);
-      // Walk up front: corrupt files are rejected here instead of
-      // poisoning every later scan of the partition.
-      darshan::walk_log_body(darshan::read_log_frame_body(frame, io), body);
-      writer.append_frame(body.job, frame);
-      stats.logs += 1;
-      stats.bytes += frame.size();
-      if (opts.write_snapshots) {
-        const auto ts = SteadyClock::now();
-        shard.add(body, analyze);
-        stats.snapshot_ns += ns_since(ts);
+  try {
+    for (std::uint64_t s = 0; s < shards; ++s) {
+      Archive::PartitionWriter writer = archive.begin_partition_at(base_id + s);
+      core::Analysis shard;
+      for (std::uint64_t i = n * s / shards; i < n * (s + 1) / shards; ++i) {
+        const std::vector<std::byte> frame = archive.vfs().read_file(files[i]);
+        // Walk up front: corrupt files are rejected here instead of
+        // poisoning every later scan of the partition.
+        darshan::walk_log_body(darshan::read_log_frame_body(frame, io), body);
+        writer.append_frame(body.job, frame);
+        stats.logs += 1;
+        stats.bytes += frame.size();
+        if (opts.write_snapshots) {
+          const auto ts = SteadyClock::now();
+          shard.add(body, analyze);
+          stats.snapshot_ns += ns_since(ts);
+        }
       }
+      stage_partition(archive, writer, commit_gen, opts.write_snapshots ? &shard : nullptr, group,
+                      stats);
     }
-    stage_partition(archive, writer, commit_gen, opts.write_snapshots ? &shard : nullptr, group,
-                    stats);
+  } catch (const util::Error&) {
+    unstage(archive, group);
+    throw;
   }
   commit(archive, group, stats);
 

@@ -13,6 +13,10 @@
 // each partition at its cut's last block.  All file I/O stays on the
 // calling thread in partition-id order, so the VFS op sequence — and the
 // archive bytes — are identical at every thread count (DESIGN.md §13).
+// A util::Error before the group commit removes, best effort, the files of
+// every partition the call staged, so a failed ingest leaves the directory
+// as it found it.  A failing commit_group leaves them: its manifest rename
+// may already have landed.
 #pragma once
 
 #include <cstdint>

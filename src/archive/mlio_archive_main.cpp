@@ -31,7 +31,8 @@
 // `query` prints the paper's Table 2/3/5/6 summaries over the whole archive
 // plus the cache telemetry (partitions scanned vs served from snapshots).
 // `serve` runs the in-process archive service's closed-loop client pool
-// against the directory and prints per-kind latency percentiles; every
+// against the directory and prints per-kind latency percentiles and, in
+// both modes, one `memo:` line of the answer memo's counters; every
 // concurrent answer is verified against a serial replay of its pinned
 // generation.
 // Exit status: 0 on success, 1 on a failed verify, corruption, or serving
@@ -418,6 +419,15 @@ int cmd_verify(const Args& a, util::Vfs& vfs) {
   return rep.ok() ? 0 : 1;
 }
 
+/// The answer memo's life counters, one line in both serve modes.
+void print_memo(const service::CacheCounters& mc) {
+  std::printf("memo: %llu hit(s), %llu miss(es), %llu rejected, %llu entries\n",
+              static_cast<unsigned long long>(mc.hits),
+              static_cast<unsigned long long>(mc.misses),
+              static_cast<unsigned long long>(mc.rejected),
+              static_cast<unsigned long long>(mc.entries));
+}
+
 /// Live soak: one feeder streams generated logs through the service's open
 /// window, reader clients hammer windowed gets, and the background leveled
 /// compactor merges history underneath both.  Every windowed answer is
@@ -466,6 +476,7 @@ int cmd_serve_follow(const Args& a, util::Vfs& vfs) {
       static_cast<unsigned long long>(rep.compactor_errors),
       static_cast<unsigned long long>(rep.final_partitions),
       static_cast<unsigned long long>(rep.newest_window));
+  print_memo(svc.merged_counters());
   std::printf("verified %llu generation(s): %s; %llu deferred-GC file(s) pending\n",
               static_cast<unsigned long long>(rep.verified_generations),
               rep.divergent == 0 ? "all windowed answers match serial replay"
@@ -526,18 +537,15 @@ int cmd_serve(const Args& a, util::Vfs& vfs) {
       static_cast<unsigned long long>(rep.stats.query.partitions_scanned),
       static_cast<unsigned long long>(rep.stats.stale_retries),
       rep.stats.stale_retries == 1 ? "y" : "ies");
-  const service::CacheCounters mc = svc.merged_counters();
   std::printf(
       "generation-delta: %llu merged hit(s), %llu prefix merge(s) "
-      "(%llu shard(s) reused), %llu full merge(s) (%llu via tree); "
-      "memo %llu entr%s / %llu prefix match(es)\n",
+      "(%llu shard(s) reused), %llu full merge(s) (%llu via tree)\n",
       static_cast<unsigned long long>(rep.stats.query.merged_hits),
       static_cast<unsigned long long>(rep.stats.query.prefix_merges),
       static_cast<unsigned long long>(rep.stats.query.partitions_reused),
       static_cast<unsigned long long>(rep.stats.query.full_merges),
-      static_cast<unsigned long long>(rep.stats.query.tree_merges),
-      static_cast<unsigned long long>(mc.entries), mc.entries == 1 ? "y" : "ies",
-      static_cast<unsigned long long>(mc.prefix_hits));
+      static_cast<unsigned long long>(rep.stats.query.tree_merges));
+  print_memo(svc.merged_counters());
   std::printf("verified %llu generation(s): %s\n",
               static_cast<unsigned long long>(rep.verified_generations),
               rep.ok() ? "all answers match serial replay"

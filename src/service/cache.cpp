@@ -1,7 +1,7 @@
 #include "service/cache.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <iterator>
 
 #include "util/rng.hpp"
 
@@ -12,105 +12,76 @@ std::size_t SnapshotCache::KeyHash::operator()(const CacheKey& k) const {
   return static_cast<std::size_t>(util::splitmix64(state));
 }
 
-SnapshotCache::SnapshotCache(const Options& opts)
-    : capacity_bytes_(opts.capacity_bytes),
-      shard_capacity_(0) {
-  const unsigned n = std::bit_ceil(std::max(1u, opts.shards));
-  shards_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
-  shard_capacity_ = capacity_bytes_ / n;
-}
-
-SnapshotCache::Shard& SnapshotCache::shard_of(const CacheKey& key) {
-  // Generation deliberately excluded: all generations of one partition share
-  // a shard, so a purge after publish touches exactly one lock per partition.
-  std::uint64_t state = key.partition_id ^ 0xa24baed4963ee407ull;
-  return *shards_[util::splitmix64(state) & (shards_.size() - 1)];
-}
+SnapshotCache::SnapshotCache(const Options& opts) : capacity_bytes_(opts.capacity_bytes) {}
 
 std::shared_ptr<const core::Analysis> SnapshotCache::get(const CacheKey& key) {
-  Shard& s = shard_of(key);
-  const std::scoped_lock lock(s.mu);
-  s.counters.lookups += 1;
-  const auto it = s.index.find(key);
-  if (it == s.index.end()) {
-    s.counters.misses += 1;
+  const std::scoped_lock lock(mu_);
+  counters_.lookups += 1;
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
+    counters_.misses += 1;
     return nullptr;
   }
-  s.counters.hits += 1;
-  s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
+  counters_.hits += 1;
+  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   return it->second->value;
 }
 
-std::shared_ptr<const core::Analysis> SnapshotCache::peek(const CacheKey& key,
-                                                         std::uint64_t* cost_ns) {
-  Shard& s = shard_of(key);
-  const std::scoped_lock lock(s.mu);
-  const auto it = s.index.find(key);
-  if (it == s.index.end()) return nullptr;
-  *cost_ns = it->second->cost_ns;
-  return it->second->value;
+std::shared_ptr<const core::Analysis> SnapshotCache::peek(const CacheKey& key) {
+  const std::scoped_lock lock(mu_);
+  const auto it = index_.find(key);
+  return it == index_.end() ? nullptr : it->second->value;
 }
 
 bool SnapshotCache::insert(const CacheKey& key, std::shared_ptr<const core::Analysis> value,
-                           std::uint64_t size_bytes, std::uint64_t cost_ns) {
-  Shard& s = shard_of(key);
-  const std::scoped_lock lock(s.mu);
-  if (const auto it = s.index.find(key); it != s.index.end()) {
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
+                           std::uint64_t size_bytes) {
+  std::vector<Entry> dropped;  // declared first: destroyed after the lock is released
+  const std::scoped_lock lock(mu_);
+  if (const auto it = index_.find(key); it != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
     return true;  // concurrent readers raced to fill the same shard
   }
-  if (size_bytes > shard_capacity_) {
-    s.counters.rejected += 1;
+  if (size_bytes > capacity_bytes_) {
+    counters_.rejected += 1;
     return false;
   }
-
-  // Admission: walk would-be victims from the cold end; give up (reject the
-  // candidate) if their combined recomputation cost exceeds the candidate's.
-  std::uint64_t victim_bytes = 0;
-  std::uint64_t victim_cost = 0;
-  std::size_t victims = 0;
-  for (auto it = s.lru.rbegin();
-       s.bytes_used - victim_bytes + size_bytes > shard_capacity_; ++it, ++victims) {
-    victim_bytes += it->size_bytes;
-    victim_cost += it->cost_ns;
-    if (victim_cost > cost_ns) {
-      s.counters.rejected += 1;
-      return false;
-    }
+  while (bytes_used_ + size_bytes > capacity_bytes_) {
+    bytes_used_ -= lru_.back().size_bytes;
+    index_.erase(lru_.back().key);
+    dropped.push_back(std::move(lru_.back()));
+    lru_.pop_back();
+    counters_.evictions += 1;
   }
-  for (std::size_t i = 0; i < victims; ++i) {
-    const Entry& victim = s.lru.back();
-    s.bytes_used -= victim.size_bytes;
-    s.index.erase(victim.key);
-    s.lru.pop_back();
-    s.counters.evictions += 1;
-  }
-
-  s.lru.push_front(Entry{key, std::move(value), size_bytes, cost_ns});
-  s.index.emplace(key, s.lru.begin());
-  s.bytes_used += size_bytes;
-  s.counters.insertions += 1;
+  lru_.push_front(Entry{key, std::move(value), size_bytes});
+  index_.emplace(key, lru_.begin());
+  bytes_used_ += size_bytes;
+  counters_.insertions += 1;
   return true;
 }
 
 std::size_t SnapshotCache::purge(const std::function<bool(const CacheKey&)>& stale) {
-  std::size_t dropped = 0;
-  for (const auto& shard : shards_) {
-    const std::scoped_lock lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (stale(it->key)) {
-        shard->bytes_used -= it->size_bytes;
-        shard->index.erase(it->key);
-        it = shard->lru.erase(it);
-        shard->counters.purged += 1;
-        dropped += 1;
-      } else {
-        ++it;
-      }
+  std::vector<Entry> dropped;  // declared first: destroyed after the lock is released
+  const std::scoped_lock lock(mu_);
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (stale(it->key)) {
+      bytes_used_ -= it->size_bytes;
+      index_.erase(it->key);
+      dropped.push_back(std::move(*it));
+      it = lru_.erase(it);
+      counters_.purged += 1;
+    } else {
+      ++it;
     }
   }
-  return dropped;
+  return dropped.size();
+}
+
+CacheCounters SnapshotCache::counters() const {
+  const std::scoped_lock lock(mu_);
+  CacheCounters total = counters_;
+  total.entries = lru_.size();
+  total.bytes_used = bytes_used_;
+  return total;
 }
 
 MergedResultCache::MergedResultCache(const Options& opts)
@@ -158,36 +129,21 @@ bool MergedResultCache::insert(std::shared_ptr<const MergedResult> value, std::u
     return false;
   }
 
-  // The superseded base leaves first and for free.  Admission then mirrors
-  // SnapshotCache: walk would-be victims from the cold end; reject the
-  // candidate if they are costlier to recompute than it is.
-  const auto base_it = std::find_if(lru_.begin(), lru_.end(), [&](const Entry& e) {
-    return base != nullptr && e.value.get() == base;
-  });
-  std::vector<std::list<Entry>::iterator> victims;
-  std::uint64_t victim_bytes = 0;
-  if (base_it != lru_.end()) {
-    victims.push_back(base_it);
-    victim_bytes = base_it->size_bytes;
-  }
-  std::uint64_t victim_cost = 0;
-  for (auto it = lru_.end(); it != lru_.begin() &&
-                             (bytes_used_ - victim_bytes + size_bytes > capacity_bytes_ ||
-                              lru_.size() - victims.size() + 1 > max_entries_);) {
-    if (--it == base_it) continue;
-    victim_bytes += it->size_bytes;
-    victim_cost += it->value->cost_ns;
-    if (victim_cost > value->cost_ns) {
-      counters_.rejected += 1;
-      return false;
-    }
-    victims.push_back(it);
-  }
-  for (const auto it : victims) {
+  // The superseded base leaves first, then the coldest entries until the
+  // new answer fits in bytes and in count.
+  const auto evict = [&](std::list<Entry>::iterator it) {
     bytes_used_ -= it->size_bytes;
     dropped.push_back(std::move(*it));
     lru_.erase(it);
     counters_.evictions += 1;
+  };
+  if (base != nullptr) {
+    const auto base_it = std::find_if(lru_.begin(), lru_.end(),
+                                      [&](const Entry& e) { return e.value.get() == base; });
+    if (base_it != lru_.end()) evict(base_it);
+  }
+  while (bytes_used_ + size_bytes > capacity_bytes_ || lru_.size() + 1 > max_entries_) {
+    evict(std::prev(lru_.end()));
   }
 
   lru_.push_front(Entry{std::move(value), size_bytes});
@@ -218,23 +174,6 @@ CacheCounters MergedResultCache::counters() const {
   CacheCounters total = counters_;
   total.entries = lru_.size();
   total.bytes_used = bytes_used_;
-  return total;
-}
-
-CacheCounters SnapshotCache::counters() const {
-  CacheCounters total;
-  for (const auto& shard : shards_) {
-    const std::scoped_lock lock(shard->mu);
-    total.lookups += shard->counters.lookups;
-    total.hits += shard->counters.hits;
-    total.misses += shard->counters.misses;
-    total.insertions += shard->counters.insertions;
-    total.evictions += shard->counters.evictions;
-    total.rejected += shard->counters.rejected;
-    total.purged += shard->counters.purged;
-    total.entries += shard->lru.size();
-    total.bytes_used += shard->bytes_used;
-  }
   return total;
 }
 

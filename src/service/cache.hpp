@@ -1,24 +1,20 @@
-// Bounded, shard-sharded LRU cache of analysis shards for the archive
+// Bounded LRU caches of analysis shards and merged answers for the archive
 // service.
 //
-// Keys are (partition id, data generation): a partition rewritten by
-// compaction gets a new data generation, so entries for the old bytes are
-// simply unreachable — generation-keyed invalidation without any epoch
-// bookkeeping.  The writer additionally calls purge() after each publish to
-// reclaim the bytes of entries for partitions the new manifest dropped.
+// SnapshotCache keys are (partition id, data generation): a partition
+// rewritten by compaction gets a new data generation, so entries for the old
+// bytes are simply unreachable — generation-keyed invalidation without any
+// epoch bookkeeping.  The writer additionally calls purge() after each
+// publish to reclaim the bytes of entries for partitions the new manifest
+// dropped.
 //
-// The cache is split into independently locked shards (partition id hashed
-// to a shard) so concurrent readers do not serialize on one mutex; each
-// shard owns an LRU list bounded by capacity_bytes / shards.
-//
-// Admission is by recomputation cost: inserting an entry may evict
-// least-recently-used residents to make room, but only when the evicted
-// residents are in total CHEAPER to recompute than the candidate — a cheap
-// shard can never displace more rebuild-time than it brings, so a burst of
-// low-value shards cannot flush the expensive ones.  An entry larger than a
-// whole shard budget is rejected outright (the service then serves it by
-// rebuilding every time — correct, just uncached; the cache-bounds test
-// pins that degradation).
+// Both caches keep one rule: one mutex and one LRU list bounded by
+// capacity_bytes (the memo also by max_entries).  An insert evicts the
+// coldest entries until the new one fits; only an entry larger than the
+// whole capacity is rejected (the service then serves it by rebuilding
+// every time — correct, just uncached; the cache-bounds test pins that
+// degradation).  What stays resident is a function of the request order
+// alone, never of measured times.
 //
 // Values are shared_ptr<const core::Analysis>: readers keep their reference
 // across an eviction, so eviction never invalidates an answer in flight.
@@ -48,14 +44,14 @@ struct CacheKey {
 };
 
 /// Monotonic counters describing the cache's whole life (snapshot taken
-/// under the shard locks, so the reconciliation invariant holds exactly).
+/// under the cache's lock, so the reconciliation invariant holds exactly).
 struct CacheCounters {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t rejected = 0;  ///< admissions refused (size or cost policy)
+  std::uint64_t rejected = 0;  ///< entries larger than the whole capacity, never cached
   std::uint64_t purged = 0;    ///< entries dropped by a publish-time purge
   std::uint64_t entries = 0;   ///< resident entries right now
   std::uint64_t bytes_used = 0;
@@ -68,8 +64,6 @@ class SnapshotCache {
  public:
   struct Options {
     std::uint64_t capacity_bytes = 256ull << 20;
-    /// Lock shards (rounded up to a power of two, min 1).
-    unsigned shards = 8;
   };
 
   explicit SnapshotCache(const Options& opts);
@@ -77,19 +71,17 @@ class SnapshotCache {
   /// nullptr on miss; a hit refreshes the entry's LRU position.
   std::shared_ptr<const core::Analysis> get(const CacheKey& key);
 
-  /// The entry and its rebuild cost, without counting a lookup or touching
-  /// recency — the compaction carry reads its inputs this way.  nullptr on
-  /// miss.
-  std::shared_ptr<const core::Analysis> peek(const CacheKey& key, std::uint64_t* cost_ns);
+  /// The entry, without counting a lookup or touching recency — the
+  /// compaction carry reads its inputs this way.  nullptr on miss.
+  std::shared_ptr<const core::Analysis> peek(const CacheKey& key);
 
-  /// Offer an entry.  `size_bytes` is its budget charge
-  /// (core::serialized_analysis_bytes), `cost_ns` the measured time to
-  /// produce it (rebuild or snapshot load) — the admission currency.
-  /// Returns false when admission rejected it.  Re-inserting a resident key
-  /// refreshes its LRU position and returns true without counting an
-  /// insertion.
+  /// Offer an entry; `size_bytes` is its budget charge
+  /// (core::serialized_analysis_bytes).  Evicts the coldest entries until it
+  /// fits; returns false (rejected) only when it exceeds the whole capacity.
+  /// Re-inserting a resident key refreshes its LRU position and returns
+  /// true without counting an insertion.
   bool insert(const CacheKey& key, std::shared_ptr<const core::Analysis> value,
-              std::uint64_t size_bytes, std::uint64_t cost_ns);
+              std::uint64_t size_bytes);
 
   /// Drop every entry for which `stale` returns true (the service passes
   /// "not referenced by the current manifest").  Returns the number dropped.
@@ -97,7 +89,6 @@ class SnapshotCache {
 
   CacheCounters counters() const;
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
-  unsigned shard_count() const { return static_cast<unsigned>(shards_.size()); }
 
   struct KeyHash {
     std::size_t operator()(const CacheKey& k) const;
@@ -108,23 +99,14 @@ class SnapshotCache {
     CacheKey key;
     std::shared_ptr<const core::Analysis> value;
     std::uint64_t size_bytes = 0;
-    std::uint64_t cost_ns = 0;
   };
 
-  /// One lock domain: LRU list (front = most recent) plus key index.
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;
-    std::unordered_map<CacheKey, std::list<Entry>::iterator, KeyHash> index;
-    std::uint64_t bytes_used = 0;
-    CacheCounters counters;  ///< entries/bytes_used maintained on the fly
-  };
-
-  Shard& shard_of(const CacheKey& key);
-
+  mutable std::mutex mu_;
+  std::list<Entry> lru_;  ///< front = most recent
+  std::unordered_map<CacheKey, std::list<Entry>::iterator, KeyHash> index_;
   std::uint64_t capacity_bytes_;
-  std::uint64_t shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::uint64_t bytes_used_ = 0;
+  CacheCounters counters_;
 };
 
 /// One memoized answer: the left fold of an ordered run of partitions, its
@@ -140,11 +122,6 @@ struct MergedResult {
   /// request whose identity starts with this one can extend the answer
   /// incrementally, because the merge is a left fold.
   std::vector<CacheKey> identity;
-  /// Cumulative cost to produce this answer from scratch (parent entry's
-  /// cost plus the delta fold) — the admission currency, kept cumulative so
-  /// a cheap incremental extension never loses an eviction fight against
-  /// the expensive ancestor it supersedes.
-  std::uint64_t cost_ns = 0;
 };
 
 /// Bounded LRU memo of merged answers keyed by the identity they folded —
@@ -152,10 +129,10 @@ struct MergedResult {
 /// whole-archive and windowed gets.  A warm get against an unchanged
 /// identity is one lookup here instead of P shard resolutions + P merges;
 /// after an append, the lookup hands back the longest resident prefix to
-/// extend.  Shares the SnapshotCache's discipline: byte-bounded LRU,
-/// cost-based admission (victims cheaper to recompute than the candidate),
-/// publish-time purge, and the same counter reconciliation invariants.
-/// Resident answers are few, so one lock domain and a linear scan suffice.
+/// extend.  Shares the SnapshotCache's rule (one lock, byte-bounded LRU,
+/// publish-time purge, the same counter reconciliation invariants) and is
+/// also bounded by an entry count.  Resident answers are few, so a linear
+/// scan suffices.
 class MergedResultCache {
  public:
   struct Options {
@@ -180,11 +157,11 @@ class MergedResultCache {
   std::shared_ptr<const MergedResult> lookup(std::span<const CacheKey> identity);
 
   /// Offer an answer.  `size_bytes` is core::serialized_analysis_bytes of
-  /// the merged analysis; the admission cost is value->cost_ns.  `base` is
-  /// the resident answer `value` extends, if any: it is superseded, so an
-  /// admitted `value` evicts it first.  Returns false when admission
-  /// rejected the answer (the base then stays).  Re-inserting a resident
-  /// identity refreshes recency only.
+  /// the merged analysis.  `base` is the resident answer `value` extends, if
+  /// any: it is superseded, so it is evicted first, then the coldest
+  /// entries until `value` fits in bytes and count.  Returns false
+  /// (rejected, the base stays) only when `value` exceeds the whole
+  /// capacity.  Re-inserting a resident identity refreshes recency only.
   bool insert(std::shared_ptr<const MergedResult> value, std::uint64_t size_bytes,
               const MergedResult* base = nullptr);
 

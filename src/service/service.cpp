@@ -118,13 +118,10 @@ void ArchiveService::carry_shards(std::span<const archive::Archive::CompactedRun
   ServiceStats carried;
   for (const archive::Archive::CompactedRun& run : runs) {
     std::vector<std::shared_ptr<const core::Analysis>> inputs(run.inputs.size());
-    std::uint64_t cost_ns = 0;
     bool warm = false;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       const archive::PartitionInfo& p = run.inputs[i];
-      std::uint64_t input_cost = 0;
-      inputs[i] = cache_.peek(CacheKey{p.id, p.data_generation}, &input_cost);
-      cost_ns += input_cost;
+      inputs[i] = cache_.peek(CacheKey{p.id, p.data_generation});
       warm = warm || inputs[i] != nullptr;
     }
     // Nothing resident: no reader has asked, so stay lazy — the first get
@@ -137,10 +134,7 @@ void ArchiveService::carry_shards(std::span<const archive::Archive::CompactedRun
     // here only forgoes the carry; the next get rescans and reports it.
     try {
       for (std::size_t i = 0; i < inputs.size(); ++i) {
-        if (inputs[i] != nullptr) continue;
-        const auto t0 = SteadyClock::now();
-        inputs[i] = resolve_shard(run.inputs[i], carried);
-        cost_ns += ns_since(t0);
+        if (inputs[i] == nullptr) inputs[i] = resolve_shard(run.inputs[i], carried);
       }
     } catch (const util::Error&) {
       continue;
@@ -148,8 +142,7 @@ void ArchiveService::carry_shards(std::span<const archive::Archive::CompactedRun
     auto merged = std::make_shared<core::Analysis>();
     for (const auto& shard : inputs) merged->merge(*shard);
     const std::uint64_t bytes = core::serialized_analysis_bytes(*merged);
-    cache_.insert(CacheKey{run.merged.id, run.merged.data_generation}, std::move(merged), bytes,
-                  cost_ns);
+    cache_.insert(CacheKey{run.merged.id, run.merged.data_generation}, std::move(merged), bytes);
   }
   if (stats != nullptr) stats->merge(carried);
 }
@@ -210,11 +203,9 @@ std::shared_ptr<const core::Analysis> ArchiveService::resolve_shard(
   // thread_local storage instead of a worker-slot array.  Its phase timers
   // stay off: no per-log decode/analyze clock calls here.
   thread_local archive::ShardScratch scratch;
-  const auto t0 = SteadyClock::now();
   std::shared_ptr<const core::Analysis> shard =
       archive::resolve_shard(archive_, p, scratch, opts_.mlp_depth, stats.query);
-  const std::uint64_t cost_ns = ns_since(t0);
-  cache_.insert(key, shard, core::serialized_analysis_bytes(*shard), cost_ns);
+  cache_.insert(key, shard, core::serialized_analysis_bytes(*shard));
   return shard;
 }
 
@@ -305,7 +296,6 @@ ArchiveService::GetResult ArchiveService::fold_pinned(const Pin& pin, std::size_
     entry->analysis = merged;
     entry->fingerprint = r.fingerprint;
     entry->identity = std::move(identity);
-    entry->cost_ns = (base != nullptr ? base->cost_ns : 0) + ns_since(t0);
     merged_.insert(std::move(entry), core::serialized_analysis_bytes(*merged), base.get());
   }
 

@@ -26,7 +26,7 @@
 // (partition id, data generation); a shard miss goes to the archive's one
 // resolver (archive::resolve_shard: the on-disk snapshot, else a segment
 // rescan), and the result is offered back to the cache charged at its
-// serialized size with its measured rebuild cost.
+// serialized size.
 #pragma once
 
 #include <atomic>
@@ -88,8 +88,8 @@ class ArchiveService {
     /// Answer memo keyed by folded identity, shared by whole and windowed
     /// gets (DESIGN.md §12).
     /// capacity_bytes = 0 turns memoization AND incremental prefix merging
-    /// off — every get resolves and merges all P shards (the bench's
-    /// linear-in-P lane).
+    /// off — every get resolves and merges all P shards, linear in the
+    /// partition count.
     MergedResultCache::Options merged;
     /// Workers for full merges: shard resolution fans out over a pool and
     /// the fold runs as a fixed-shape tree (Analysis::merge_ordered — bits
@@ -276,12 +276,12 @@ class ArchiveService {
   /// writer_mu_.
   void publish_locked();
   /// Cache each compaction output's shard as the merge of its inputs'
-  /// shards, charged their summed rebuild cost (DESIGN.md §12.3).  The
-  /// analysis state is cut-invariant, so that merge has exactly the bits a
-  /// rescan of the merged partition would produce.  A run with no input
-  /// resident in the shard cache is skipped; inputs that are not resident
-  /// resolve through resolve_shard (counted in `stats` when given).  Caller
-  /// holds writer_mu_ and runs this before publish_locked purges the inputs.
+  /// shards (DESIGN.md §12.3).  The analysis state is cut-invariant, so
+  /// that merge has exactly the bits a rescan of the merged partition
+  /// would produce.  A run with no input resident in the shard cache is
+  /// skipped; inputs that are not resident resolve through resolve_shard
+  /// (counted in `stats` when given).  Caller holds writer_mu_ and runs this
+  /// before publish_locked purges the inputs.
   void carry_shards(std::span<const archive::Archive::CompactedRun> runs, ServiceStats* stats);
   using Planner = std::function<std::vector<archive::CompactionPlan>(const archive::Manifest&)>;
   /// The one compaction body of compact() and compact_step(): under the
@@ -298,7 +298,7 @@ class ArchiveService {
 
   /// Resolve one partition's shard: the shared cache, else
   /// archive::resolve_shard (disk snapshot, else rescan) with this thread's
-  /// scratch, offered back to the cache with its measured cost.
+  /// scratch, offered back to the cache.
   std::shared_ptr<const core::Analysis> resolve_shard(const archive::PartitionInfo& p,
                                                       ServiceStats& stats);
   /// Resolve every shard of `parts`, on the merge pool when one is

@@ -100,11 +100,10 @@ PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions&
   };
 
   const std::uint64_t n_jobs = gen.config().n_jobs;
-  stats.block_jobs = opts.block_jobs != 0 ? opts.block_jobs : auto_block_jobs(n_jobs);
   stats.jobs = n_jobs;
 
   stats.bulk_blocks = run_stratum(
-      n_jobs, stats.block_jobs, result.bulk,
+      n_jobs, auto_block_jobs(n_jobs), result.bulk,
       [&](std::uint64_t lo, std::uint64_t hi, const WorkloadGenerator::JobSink& sink) {
         gen.generate_bulk_range(lo, hi, sink);
       });

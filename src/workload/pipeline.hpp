@@ -4,11 +4,11 @@
 // is generated from its own index-derived Rng stream, one core::Analysis
 // accumulator is kept per block, and block accumulators are merged in block
 // order.  The block partition is a pure function of the population size (see
-// PipelineOptions::block_jobs), so the merged analysis is bit-identical
-// across thread counts.  The bulk and huge strata are kept in separate
-// accumulators so benches can up-scale only the bulk (DESIGN.md §4); both
-// strata run through the same work-stealing scheduler: idle workers claim
-// blocks via a ticket counter.
+// auto_block_jobs), so the merged analysis is bit-identical across thread
+// counts.  The bulk and huge strata are kept in separate accumulators so
+// benches can up-scale only the bulk (DESIGN.md §4); both strata run
+// through the same work-stealing scheduler: idle workers claim blocks via a
+// ticket counter.
 #pragma once
 
 #include <cstddef>
@@ -32,17 +32,12 @@ struct PipelineOptions {
   bool roundtrip_logs = false;
   /// Log-format settings for the roundtrip (compression on/off, zlib level).
   darshan::WriteOptions write_options;
-  /// Jobs per scheduling block.  0 = auto: a pure function of n_jobs (never
-  /// of thread count), so the block partition — and with it every analysis
-  /// bit — is invariant under threads.
-  std::uint64_t block_jobs = 0;
 };
 
 /// Throughput telemetry for one run_pipeline call.
 struct PipelineStats {
   unsigned threads = 0;
-  std::uint64_t block_jobs = 0;   ///< resolved block size (bulk stratum)
-  std::uint64_t bulk_blocks = 0;
+  std::uint64_t bulk_blocks = 0;  ///< ceil(n_jobs / auto_block_jobs(n_jobs))
   std::uint64_t huge_blocks = 0;
   std::uint64_t jobs = 0;         ///< bulk + hero jobs executed
   std::uint64_t logs = 0;         ///< Darshan logs produced and analyzed

@@ -174,14 +174,12 @@ TEST(GenerationDelta, ClosedLoopDriverWithMemoAndMergePoolStaysBitIdentical) {
 
 service::CacheKey key(std::uint64_t id) { return service::CacheKey{id, 1}; }
 
-/// A memo entry over partitions `ids` (data generation 1), charged `cost_ns`.
-std::shared_ptr<const service::MergedResult> answer(std::vector<std::uint64_t> ids,
-                                                    std::uint64_t cost_ns = 1) {
+/// A memo entry over partitions `ids` (data generation 1).
+std::shared_ptr<const service::MergedResult> answer(std::vector<std::uint64_t> ids) {
   auto m = std::make_shared<service::MergedResult>();
   m->analysis = std::make_shared<const core::Analysis>();
   m->fingerprint = ids.empty() ? 0 : ids.back();
   for (const std::uint64_t id : ids) m->identity.push_back(key(id));
-  m->cost_ns = cost_ns;
   return m;
 }
 
@@ -233,22 +231,56 @@ TEST(GenerationDelta, MemoServesExactHitsThenLongestPrefixAndPurgesDeadIdentitie
   expect_reconciled(c);
 }
 
-TEST(GenerationDelta, MemoCountCapKeepsCostAdmissionAndEmptyIdentityMatchesOnlyExactly) {
+TEST(GenerationDelta, MemoEvictsItsColdestEntryAndEmptyIdentityMatchesOnlyExactly) {
   service::MergedResultCache::Options opts;
   opts.max_entries = 2;
   service::MergedResultCache memo(opts);
-  ASSERT_TRUE(memo.insert(answer({}, 10), 8));
-  ASSERT_TRUE(memo.insert(answer({7}, 1000), 8));
+  ASSERT_TRUE(memo.insert(answer({}), 8));
+  ASSERT_TRUE(memo.insert(answer({7}), 8));
   // An empty identity never stands in as a prefix.
   EXPECT_EQ(memo.lookup(keys({8})), nullptr);
   EXPECT_NE(memo.lookup(keys({})), nullptr);  // {7} is now the coldest
-  // Over the count cap, the cold {7} goes only to a costlier candidate.
-  EXPECT_FALSE(memo.insert(answer({9}, 5), 8));
-  EXPECT_TRUE(memo.insert(answer({9}, 5000), 8));
+  // Over the count cap, the coldest entry goes, whatever the newcomer.
+  EXPECT_TRUE(memo.insert(answer({9}), 8));
+  EXPECT_EQ(memo.lookup(keys({7})), nullptr);
+  EXPECT_NE(memo.lookup(keys({})), nullptr);  // {9} is now the coldest
+  EXPECT_TRUE(memo.insert(answer({10}), 8));
+  EXPECT_EQ(memo.lookup(keys({9})), nullptr);
+  EXPECT_NE(memo.lookup(keys({10})), nullptr);
+  service::CacheCounters c = memo.counters();
+  EXPECT_EQ(c.rejected, 0u);
+  EXPECT_EQ(c.evictions, 2u);
+  EXPECT_EQ(c.entries, 2u);
+  expect_reconciled(c);
+}
+
+TEST(GenerationDelta, MemoEvictsByBytesAndRejectsOnlyAnswersLargerThanItsCapacity) {
+  service::MergedResultCache::Options opts;
+  opts.capacity_bytes = 100;
+  opts.max_entries = 8;
+  service::MergedResultCache memo(opts);
+  const auto one = answer({1});
+  ASSERT_TRUE(memo.insert(one, 40));
+  ASSERT_TRUE(memo.insert(answer({2}), 40));
+  ASSERT_TRUE(memo.insert(answer({3}), 20));
+  EXPECT_NE(memo.lookup(keys({1})), nullptr);  // recency: {1}, {3}, {2}
+  // 50 bytes fit once the two coldest, {2} and {3}, have gone.
+  ASSERT_TRUE(memo.insert(answer({4}), 50));
+  EXPECT_EQ(memo.lookup(keys({2})), nullptr);
+  EXPECT_EQ(memo.lookup(keys({3})), nullptr);
+  EXPECT_NE(memo.lookup(keys({1})), nullptr);
+  // Larger than the whole capacity: rejected, and the base it extends stays.
+  EXPECT_FALSE(memo.insert(answer({1, 5}), 101, one.get()));
+  EXPECT_EQ(memo.lookup(keys({1})), one);
+  // The whole capacity fits: the base retires first, then the rest.
+  ASSERT_TRUE(memo.insert(answer({1, 5}), 100, one.get()));
+  EXPECT_EQ(memo.lookup(keys({1})), nullptr);
+  EXPECT_EQ(memo.lookup(keys({4})), nullptr);
   const service::CacheCounters c = memo.counters();
   EXPECT_EQ(c.rejected, 1u);
-  EXPECT_EQ(c.entries, 2u);
-  EXPECT_EQ(memo.lookup(keys({7})), nullptr);
+  EXPECT_EQ(c.evictions, 4u);
+  EXPECT_EQ(c.entries, 1u);
+  EXPECT_EQ(c.bytes_used, 100u);
   expect_reconciled(c);
 }
 

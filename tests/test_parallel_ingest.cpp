@@ -27,6 +27,7 @@
 #include "util/compress.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
+#include "util/vfs.hpp"
 #include "workload/generator.hpp"
 #include "workload/pipeline.hpp"
 
@@ -258,6 +259,36 @@ TEST_F(ParallelIngestTest, BuildErrorSurfacesAndCommitsNothing) {
   EXPECT_EQ(files.begin()->first, "manifest.bin");
 }
 
+// A write that fails after earlier cuts were staged (here the third cut's
+// segment) removes every partition the call staged: the directory is byte
+// for byte what it was, the manifest has not moved, and a retry through the
+// same handle commits the partition ids the failed call would have used.
+TEST_F(ParallelIngestTest, FailedGeneratedIngestRemovesStagedPartitions) {
+  IngestOptions opts;
+  opts.batches = 2;
+  opts.write_snapshots = true;
+  {
+    Archive ar = Archive::create(dir_);
+    ingest_generated(ar, make_gen(12, 3), opts);
+  }
+  const auto before = dir_files(dir_);
+  opts.batches = 4;
+  util::FaultVfs vfs(util::FaultPlan::parse("fail-write@3:*.seg*"));
+  Archive ar = Archive::open(dir_, vfs);
+  const std::uint64_t generation = ar.manifest().generation;
+  const std::size_t committed = ar.manifest().partitions.size();
+  const std::uint64_t next_id = ar.manifest().next_partition_id;
+  EXPECT_THROW((void)ingest_generated(ar, make_gen(24, 5), opts), util::IoError);
+  EXPECT_EQ(ar.manifest().generation, generation);
+  expect_same_files(before, dir_files(dir_), "failed write to the third cut's segment");
+
+  const IngestStats retry = ingest_generated(ar, make_gen(24, 5), opts);
+  EXPECT_EQ(ar.manifest().generation, generation + 1);
+  ASSERT_EQ(ar.manifest().partitions.size(), committed + retry.partitions);
+  EXPECT_EQ(ar.manifest().partitions[committed].id, next_id);
+  EXPECT_TRUE(ar.verify(true).ok());
+}
+
 // ---------------------------------------------------------------------------
 // The file-ingest path must honor its sharding knobs instead of dumping the
 // whole drop directory into one partition — and every sharding must census
@@ -380,13 +411,13 @@ TEST_F(ParallelIngestTest, FileIngestSnapshotsMatchTheRescan) {
   EXPECT_EQ(snap.manifest().generation, generation);
   expect_same_files(before, dir_files(dir_ / "snap"), "truncated file in the first partition");
 
-  // In the last partition the earlier partitions' staged files are left
-  // unreferenced; the manifest, and so the answer, do not move.
+  // In the last partition the earlier partitions' staged files are removed
+  // again; the directory, and so the answer, do not move.
   bad = files;
   bad.back() = truncated;
   EXPECT_THROW(ingest_log_files(snap, bad, opts), util::FormatError);
   EXPECT_EQ(snap.manifest().generation, generation);
-  EXPECT_EQ(dir_files(dir_ / "snap").at("manifest.bin"), before.at("manifest.bin"));
+  expect_same_files(before, dir_files(dir_ / "snap"), "truncated file in the last partition");
   Archive reopened = Archive::open(dir_ / "snap");
   EXPECT_EQ(reopened.manifest().generation, generation);
   EXPECT_EQ(state(reopened), want);

@@ -137,16 +137,8 @@ TEST(Pipeline, StatsReportCensusAndTiming) {
   EXPECT_GT(s.simulated_bytes, 0.0);
   EXPECT_GT(s.total_seconds, 0.0);
   EXPECT_EQ(s.huge_blocks, gen.huge_job_count());  // one hero job per block
-}
-
-TEST(Pipeline, ExplicitBlockSizeIsHonored) {
-  const WorkloadGenerator gen(SystemProfile::summit_2020(), cfg(10));
-  PipelineOptions opts;
-  opts.include_huge = false;
-  opts.block_jobs = 3;
-  const PipelineResult r = run_pipeline(gen, opts);
-  EXPECT_EQ(r.stats.block_jobs, 3u);
-  EXPECT_EQ(r.stats.bulk_blocks, 4u);  // ceil(10 / 3)
+  const std::uint64_t block = auto_block_jobs(20);
+  EXPECT_EQ(s.bulk_blocks, (20 + block - 1) / block);
 }
 
 TEST(Pipeline, HugeStratumLandsInTable4Census) {

@@ -1,8 +1,9 @@
 // Archive service tests: MVCC isolation under concurrent load, the bounded
-// shared snapshot cache (admission, eviction, counter reconciliation), the
-// latency histogram, the unified QueryStats/ServiceStats aggregation,
-// compaction carrying cached shards forward, and stale-read recovery when
-// an EXTERNAL compactor garbage-collects a pinned generation's files.
+// shared snapshot cache (LRU eviction, oversize rejection, counter
+// reconciliation), the latency histogram, the unified
+// QueryStats/ServiceStats aggregation, compaction carrying cached shards
+// forward, and stale-read recovery when an EXTERNAL compactor
+// garbage-collects a pinned generation's files.
 //
 // The load tests run under TSan in CI (label "tsan"), and the GC-failure
 // test injects faults through FaultVfs (label "faults").
@@ -156,17 +157,16 @@ std::shared_ptr<const core::Analysis> dummy_analysis() {
 }
 
 TEST(SnapshotCache, HitMissLruAndReconciliation) {
-  service::SnapshotCache cache({.capacity_bytes = 300, .shards = 1});
-  EXPECT_EQ(cache.shard_count(), 1u);
+  service::SnapshotCache cache({.capacity_bytes = 300});
 
   EXPECT_EQ(cache.get({1, 1}), nullptr);
-  EXPECT_TRUE(cache.insert({1, 1}, dummy_analysis(), 100, 50));
-  EXPECT_TRUE(cache.insert({2, 1}, dummy_analysis(), 100, 50));
-  EXPECT_TRUE(cache.insert({3, 1}, dummy_analysis(), 100, 50));
+  EXPECT_TRUE(cache.insert({1, 1}, dummy_analysis(), 100));
+  EXPECT_TRUE(cache.insert({2, 1}, dummy_analysis(), 100));
+  EXPECT_TRUE(cache.insert({3, 1}, dummy_analysis(), 100));
   EXPECT_NE(cache.get({1, 1}), nullptr);  // 1 is now most-recent
 
   // A fourth entry must evict; the LRU victim is 2 (1 was refreshed).
-  EXPECT_TRUE(cache.insert({4, 1}, dummy_analysis(), 100, 1000));
+  EXPECT_TRUE(cache.insert({4, 1}, dummy_analysis(), 100));
   EXPECT_EQ(cache.get({2, 1}), nullptr);
   EXPECT_NE(cache.get({1, 1}), nullptr);
   EXPECT_NE(cache.get({3, 1}), nullptr);
@@ -181,33 +181,47 @@ TEST(SnapshotCache, HitMissLruAndReconciliation) {
   EXPECT_EQ(c.insertions, c.entries + c.evictions + c.purged);
 }
 
-TEST(SnapshotCache, AdmissionRejectsCheapCandidatesAndOversizedEntries) {
-  service::SnapshotCache cache({.capacity_bytes = 200, .shards = 1});
-  EXPECT_TRUE(cache.insert({1, 1}, dummy_analysis(), 100, 1000));
-  EXPECT_TRUE(cache.insert({2, 1}, dummy_analysis(), 100, 1000));
+TEST(SnapshotCache, FullCacheEvictsInLruOrderAndRejectsOnlyOversizedEntries) {
+  service::SnapshotCache cache({.capacity_bytes = 200});
+  EXPECT_TRUE(cache.insert({1, 1}, dummy_analysis(), 50));
+  EXPECT_TRUE(cache.insert({2, 1}, dummy_analysis(), 50));
+  EXPECT_TRUE(cache.insert({3, 1}, dummy_analysis(), 100));
+  EXPECT_NE(cache.get({1, 1}), nullptr);   // recency: 1, 3, 2
+  EXPECT_NE(cache.peek({2, 1}), nullptr);  // a peek leaves 2 the coldest
 
-  // Cheap candidate may not displace expensive residents...
-  EXPECT_FALSE(cache.insert({3, 1}, dummy_analysis(), 100, 10));
-  EXPECT_NE(cache.get({1, 1}), nullptr);
-  EXPECT_NE(cache.get({2, 1}), nullptr);
-  // ...but an expensive one may.
-  EXPECT_TRUE(cache.insert({4, 1}, dummy_analysis(), 100, 5000));
-  // Larger than the whole shard: rejected outright, nothing evicted for it.
-  EXPECT_FALSE(cache.insert({5, 1}, dummy_analysis(), 500, 1u << 30));
+  // Any entry that fits gets in, evicting from the cold end until it does:
+  // 2, then 3, while the refreshed 1 stays.
+  EXPECT_TRUE(cache.insert({4, 1}, dummy_analysis(), 100));
+  EXPECT_EQ(cache.peek({2, 1}), nullptr);
+  EXPECT_EQ(cache.peek({3, 1}), nullptr);
+  EXPECT_NE(cache.peek({1, 1}), nullptr);
+  EXPECT_NE(cache.peek({4, 1}), nullptr);
+  EXPECT_EQ(cache.counters().bytes_used, 150u);
+  // An entry the size of the whole capacity evicts everything else.
+  EXPECT_TRUE(cache.insert({5, 1}, dummy_analysis(), 200));
+  EXPECT_EQ(cache.peek({1, 1}), nullptr);
+  EXPECT_EQ(cache.peek({4, 1}), nullptr);
+  // Larger than the whole capacity: rejected, and nothing evicted for it.
+  EXPECT_FALSE(cache.insert({6, 1}, dummy_analysis(), 201));
+  EXPECT_NE(cache.peek({5, 1}), nullptr);
 
   const service::CacheCounters c = cache.counters();
-  EXPECT_EQ(c.rejected, 2u);
+  EXPECT_EQ(c.rejected, 1u);
+  EXPECT_EQ(c.evictions, 4u);
+  EXPECT_EQ(c.entries, 1u);
+  EXPECT_EQ(c.bytes_used, 200u);
+  EXPECT_EQ(c.hits + c.misses, c.lookups);
   EXPECT_EQ(c.insertions, c.entries + c.evictions + c.purged);
 
   // Re-inserting a resident refreshes it without a new insertion.
-  EXPECT_TRUE(cache.insert({4, 1}, dummy_analysis(), 100, 5000));
+  EXPECT_TRUE(cache.insert({5, 1}, dummy_analysis(), 200));
   EXPECT_EQ(cache.counters().insertions, c.insertions);
 }
 
 TEST(SnapshotCache, PurgeDropsStaleGenerations) {
-  service::SnapshotCache cache({.capacity_bytes = 1 << 20, .shards = 4});
+  service::SnapshotCache cache({.capacity_bytes = 1 << 20});
   for (std::uint64_t id = 1; id <= 6; ++id) {
-    ASSERT_TRUE(cache.insert({id, 1}, dummy_analysis(), 10, 100));
+    ASSERT_TRUE(cache.insert({id, 1}, dummy_analysis(), 10));
   }
   // Entry values survive eviction for readers that hold them.
   const std::shared_ptr<const core::Analysis> held = cache.get({1, 1});
@@ -510,7 +524,6 @@ TEST(ArchiveService, CacheSmallerThanOneShardStillAnswersCorrectly) {
 
   service::ArchiveService::Options opts;
   opts.cache.capacity_bytes = 64;  // far below one serialized shard
-  opts.cache.shards = 1;
   opts.merged.capacity_bytes = 0;  // whole-answer memo off: every get rebuilds
   service::ArchiveService svc(dir, opts);
 
@@ -527,8 +540,9 @@ TEST(ArchiveService, CacheSmallerThanOneShardStillAnswersCorrectly) {
   for (std::thread& t : readers) t.join();
   EXPECT_FALSE(wrong);
 
-  // Every admission was rejected: the service degraded to rebuilding on
-  // every get, never caching, never deadlocking.
+  // Every shard was larger than the whole capacity and rejected: the
+  // service degraded to rebuilding on every get, never caching, never
+  // deadlocking.
   const service::CacheCounters c = svc.cache_counters();
   EXPECT_EQ(c.insertions, 0u);
   EXPECT_EQ(c.entries, 0u);

@@ -82,6 +82,33 @@ TEST(StreamLive, SoakEveryWindowedAnswerMatchesSerialReplay) {
   EXPECT_EQ(whole.fingerprint, svc.replay_serial(whole.pin).fingerprint());
 }
 
+// Readers racing the feeder and the compactor memoize answers for many
+// generations at once.  Every answer fits the memo, so the LRU rule takes
+// each one in (evicting the coldest) and none is rejected: a generation's
+// hot windowed answer is folded once, not again on every get.
+TEST(StreamLive, SoakWithReadersMemoizesEveryAnswer) {
+  const fs::path dir = fresh_dir("mlio_live_memo");
+  { archive::Archive::create(dir); }
+  ArchiveService::Options opts;
+  opts.stream.window_seconds = 86400;
+  ArchiveService svc(dir, opts);
+
+  LiveConfig cfg;
+  cfg.readers = 3;
+  cfg.compactor.interval = std::chrono::milliseconds(1);
+  const std::vector<ServiceFrame> pool = make_frame_pool(150, 7);
+  const LiveReport rep = run_live_soak(svc, cfg, pool);
+  EXPECT_TRUE(rep.ok());
+  EXPECT_GT(rep.window_gets, 0u);
+
+  const CacheCounters memo = svc.merged_counters();
+  EXPECT_GT(memo.insertions, 0u);
+  EXPECT_EQ(memo.rejected, 0u);
+  EXPECT_EQ(memo.hits + memo.misses, memo.lookups);
+  EXPECT_EQ(memo.insertions, memo.entries + memo.evictions + memo.purged);
+  EXPECT_EQ(svc.cache_counters().rejected, 0u);
+}
+
 TEST(StreamLive, CompactorBoundsLivePartitionsSubLinearInWindows) {
   const fs::path dir = fresh_dir("mlio_live_bound");
   { archive::Archive::create(dir); }
