@@ -49,6 +49,7 @@
 #include "archive/ingest.hpp"
 #include "archive/query.hpp"
 #include "archive/stream.hpp"
+#include "darshan/log_format.hpp"
 #include "service/driver.hpp"
 #include "workload/pipeline.hpp"
 #include "util/error.hpp"
@@ -79,7 +80,7 @@ struct Args {
   bool snapshots = false;
   bool write_snapshots = true;
   bool compress = true;
-  int zlib_level = 6;
+  int zlib_level = darshan::WriteOptions{}.zlib_level;
   unsigned mlp_depth = archive::kDefaultMlpDepth;
   bool deep = false;
   bool csv = false;

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
 #include <fstream>
 #include <string>
 
+#include "darshan/counters.hpp"
 #include "util/byte_io.hpp"
 #include "util/compress.hpp"
 #include "util/error.hpp"
@@ -53,6 +53,26 @@ void read_job_into(ByteReader& r, JobRecord& job) {
   }
 }
 
+// A record's bitmap is one u64 (write_body's shifts, low_bits,
+// RecordView::word), so every module has at most 64 words.
+constexpr bool fits_one_bitmap_word(std::size_t n_counters, std::size_t n_fcounters) {
+  return n_counters + n_fcounters <= 64;
+}
+static_assert(kModuleCount == 5, "check the new module's words below");
+static_assert(fits_one_bitmap_word(posix::COUNTER_COUNT, posix::FCOUNTER_COUNT));
+static_assert(fits_one_bitmap_word(mpiio::COUNTER_COUNT, mpiio::FCOUNTER_COUNT));
+static_assert(fits_one_bitmap_word(stdio::COUNTER_COUNT, stdio::FCOUNTER_COUNT));
+static_assert(fits_one_bitmap_word(lustre::COUNTER_COUNT, lustre::FCOUNTER_COUNT));
+static_assert(fits_one_bitmap_word(ssdext::COUNTER_COUNT, ssdext::FCOUNTER_COUNT));
+
+// Bitmap bytes of a record block holding `n_words` words.
+constexpr std::size_t bitmap_bytes(std::size_t n_words) { return (n_words + 7) / 8; }
+
+// The low `n` bits set, for n <= 64.
+constexpr std::uint64_t low_bits(std::size_t n) {
+  return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
+
 void write_body(ByteWriter& w, const LogData& log, LogIoBuffers& io) {
   write_job(w, log.job);
 
@@ -68,10 +88,8 @@ void write_body(ByteWriter& w, const LogData& log, LogIoBuffers& io) {
     w.str(path);
   }
 
-  // Group records by module, preserving relative order within a module.
-  // Fixed array buckets in numeric ModuleId order — identical iteration
-  // order to the std::map this replaces, so the emitted bytes are unchanged
-  // (the golden digests in test_executor pin this).
+  // Group records by module, preserving relative order within a module, in
+  // numeric ModuleId order.
   auto& by_module = io.module_buckets;
   for (auto& bucket : by_module) bucket.clear();
   for (const auto& rec : log.records) {
@@ -87,21 +105,32 @@ void write_body(ByteWriter& w, const LogData& log, LogIoBuffers& io) {
     const auto& recs = by_module[mi];
     if (recs.empty()) continue;
     const auto mod = static_cast<ModuleId>(mi);
+    const std::size_t nc = counter_count(mod);
+    const std::size_t nf = fcounter_count(mod);
     w.u8(static_cast<std::uint8_t>(mod));
-    w.u32(static_cast<std::uint32_t>(counter_count(mod)));
-    w.u32(static_cast<std::uint32_t>(fcounter_count(mod)));
+    w.u32(static_cast<std::uint32_t>(nc));
+    w.u32(static_cast<std::uint32_t>(nf));
     w.u32(static_cast<std::uint32_t>(recs.size()));
     for (const FileRecord* rec : recs) {
       w.u64(rec->record_id);
       w.u32(static_cast<std::uint32_t>(rec->rank));
-      if constexpr (std::endian::native == std::endian::little) {
-        // The mirror of materialize_body's bulk copy: on LE hosts the
-        // in-memory counter block is already the on-disk bytes.
-        w.bytes(std::as_bytes(std::span(rec->counters)));
-        w.bytes(std::as_bytes(std::span(rec->fcounters)));
-      } else {
-        for (const std::int64_t c : rec->counters) w.i64(c);
-        for (const double f : rec->fcounters) w.f64(f);
+      // Sparse block: the bitmap of non-zero words (zero by bit pattern, so
+      // -0.0 is stored), then those words in order.
+      std::uint64_t mask = 0;
+      for (std::size_t i = 0; i < nc; ++i) {
+        mask |= static_cast<std::uint64_t>(rec->counters[i] != 0) << i;
+      }
+      for (std::size_t i = 0; i < nf; ++i) {
+        mask |= static_cast<std::uint64_t>(std::bit_cast<std::uint64_t>(rec->fcounters[i]) != 0)
+                << (nc + i);
+      }
+      for (std::size_t b = 0; b < bitmap_bytes(nc + nf); ++b) {
+        w.u8(static_cast<std::uint8_t>(mask >> (8 * b)));
+      }
+      for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+        const auto i = static_cast<std::size_t>(std::countr_zero(m));
+        w.u64(i < nc ? static_cast<std::uint64_t>(rec->counters[i])
+                     : std::bit_cast<std::uint64_t>(rec->fcounters[i - nc]));
       }
     }
   }
@@ -151,20 +180,19 @@ void materialize_body(LogBody& walked, LogData& log, LogIoBuffers& io) {
     rec.record_id = view.record_id;
     rec.rank = view.rank;
     rec.module = view.module;
-    rec.counters.resize(counter_count(view.module));
-    rec.fcounters.resize(fcounter_count(view.module));
-    if constexpr (std::endian::native == std::endian::little) {
-      // The on-disk and in-memory layouts agree on LE hosts, so each block
-      // moves with one memcpy.
-      if (!rec.counters.empty()) {
-        std::memcpy(rec.counters.data(), view.counters, 8 * rec.counters.size());
+    // Zero-fill the dense blocks, then scatter the stored words.
+    const std::size_t nc = view.n_counters;
+    rec.counters.assign(nc, 0);
+    rec.fcounters.assign(fcounter_count(view.module), 0.0);
+    const std::byte* p = view.values;
+    for (std::uint64_t m = view.mask; m != 0; m &= m - 1, p += 8) {
+      const auto i = static_cast<std::size_t>(std::countr_zero(m));
+      const std::uint64_t word = util::load_le<std::uint64_t>(p);
+      if (i < nc) {
+        rec.counters[i] = static_cast<std::int64_t>(word);
+      } else {
+        rec.fcounters[i - nc] = std::bit_cast<double>(word);
       }
-      if (!rec.fcounters.empty()) {
-        std::memcpy(rec.fcounters.data(), view.fcounters, 8 * rec.fcounters.size());
-      }
-    } else {
-      for (std::size_t i = 0; i < rec.counters.size(); ++i) rec.counters[i] = view.c(i);
-      for (std::size_t i = 0; i < rec.fcounters.size(); ++i) rec.fcounters[i] = view.f(i);
     }
   }
   while (log.records.size() > used) {
@@ -313,6 +341,9 @@ void walk_log_body(std::span<const std::byte> body, LogBody& out) {
     }
     const std::uint32_t n_records = r.u32();
     if (n_records > r.remaining()) throw FormatError("record count exceeds body size");
+    const std::size_t n_words = std::size_t{n_counters} + n_fcounters;
+    const std::size_t n_bitmap = bitmap_bytes(n_words);
+    const std::uint64_t word_bits = low_bits(n_words);
     for (std::uint32_t i = 0; i < n_records; ++i) {
       // Sequence the reads explicitly: function-argument evaluation order is
       // unspecified, and these must happen in stream order.
@@ -320,8 +351,25 @@ void walk_log_body(std::span<const std::byte> body, LogBody& out) {
       rec.record_id = r.u64();
       rec.rank = static_cast<std::int32_t>(r.u32());
       rec.module = mod;
-      rec.counters = r.bytes(std::size_t{8} * n_counters).data();
-      rec.fcounters = r.bytes(std::size_t{8} * n_fcounters).data();
+      rec.n_counters = static_cast<std::uint8_t>(n_counters);
+      const std::byte* bitmap = r.bytes(n_bitmap).data();
+      std::uint64_t mask = 0;
+      for (std::size_t b = 0; b < n_bitmap; ++b) {
+        mask |= std::uint64_t{std::to_integer<std::uint8_t>(bitmap[b])} << (8 * b);
+      }
+      if ((mask & ~word_bits) != 0) {
+        throw FormatError("record bitmap sets a bit beyond the module's words");
+      }
+      const std::size_t n_set = static_cast<std::size_t>(popcount64(mask));
+      if (8 * n_set > r.remaining()) throw FormatError("record words exceed body size");
+      rec.mask = mask;
+      rec.values = r.bytes(8 * n_set).data();
+      // One encoding per record: a set bit stores a non-zero word.
+      bool zero = false;
+      for (std::size_t k = 0; k < n_set; ++k) {
+        zero |= util::load_le<std::uint64_t>(rec.values + 8 * k) == 0;
+      }
+      if (zero) throw FormatError("record bitmap marks a zero word");
     }
   }
 

@@ -215,6 +215,11 @@ LiveReport run_live_soak(ArchiveService& service, const LiveConfig& cfg,
   for (std::thread& t : threads) t.join();
   report.wall_seconds = static_cast<double>(ns_since(t_measure)) * 1e-9;
   service.stop_compactor();
+  // Drain what the stopped compactor left: run the leveled policy in the
+  // foreground until it has nothing to merge, so the final partition count
+  // is the policy's bound rather than a race with the end of the feed.
+  while (service.compact_step(cfg.compactor.policy).has_value()) {
+  }
 
   for (const ClientState& me : readers) {
     report.get_latency.merge(me.get_latency);

@@ -128,8 +128,9 @@ struct LiveReport {
 /// Run the live soak: stream `frame_pool` through the service's open window
 /// while `cfg.readers` clients hammer get_window and the background
 /// compactor races both.  Flushes the open window at the end, stops the
-/// compactor, then runs the replay oracle.  The service must not already
-/// have a running compactor.
+/// compactor, drains the leveled policy in the foreground (so the final
+/// partition count is the policy's fixed point), then runs the replay
+/// oracle.  The service must not already have a running compactor.
 LiveReport run_live_soak(ArchiveService& service, const LiveConfig& cfg,
                          const std::vector<ServiceFrame>& frame_pool);
 

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <span>
+#include <bit>
+#include <string_view>
 
 #include "darshan/counters.hpp"
-#include "darshan/log_format.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 #include "workload/generator.hpp"
@@ -204,20 +204,86 @@ TEST(Executor, EmptyDirectivesReportZero) {
 
 // --- Golden digests -------------------------------------------------------
 //
-// Hash the serialized (uncompressed) log stream of a fixed (system, seed,
-// jobs) matrix.  The digests below were pinned on the pre-refactor executor;
-// any hot-path restructuring (path interning, batched rank emission, layer
-// tables) must keep every byte of every generated log identical, so these
-// values must never change without an explicit format/population bump.
-// The name map serializes in the runtime's hash-map iteration order (see
-// Runtime::finalize_into), so the digests additionally pin that order.
+// Hash the generated logs of a fixed (system, seed, jobs) matrix field by
+// field: the job record and its metadata, the mount table, the names in
+// insertion order, each record's id, rank, module and every counter and
+// fcounter word (doubles by bit pattern), and the DXT events.  The walk
+// reads each LogData, not its serialized bytes, so the pins prove the
+// executor unchanged across log-format versions.  Any hot-path
+// restructuring (path interning, batched rank emission, layer tables) must
+// keep every generated field identical, so these values must never change
+// without an explicit population bump.  The names are hashed in the
+// runtime's hash-map iteration order (see Runtime::finalize_into), so the
+// digests additionally pin that order.
 
-std::uint64_t fnv1a(std::span<const std::byte> bytes, std::uint64_t h) {
-  for (const std::byte b : bytes) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 1099511628211ull;
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ull;
+
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
   }
-  return h;
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void str(std::string_view s) {
+    u64(s.size());
+    for (const char c : s) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+void hash_log(Fnv1a& f, const LogData& log) {
+  const darshan::JobRecord& job = log.job;
+  f.u64(job.job_id);
+  f.u64(job.user_id);
+  f.u64(job.nprocs);
+  f.u64(job.nnodes);
+  f.i64(job.start_time);
+  f.i64(job.end_time);
+  f.str(job.exe);
+  f.u64(job.metadata.size());
+  for (const auto& [k, v] : job.metadata) {
+    f.str(k);
+    f.str(v);
+  }
+  f.u64(log.mounts.size());
+  for (const darshan::MountEntry& m : log.mounts) {
+    f.str(m.prefix);
+    f.str(m.fs_type);
+  }
+  f.u64(log.names.size());
+  for (const auto& [id, path] : log.names) {
+    f.u64(id);
+    f.str(path);
+  }
+  f.u64(log.records.size());
+  for (const FileRecord& rec : log.records) {
+    f.u64(rec.record_id);
+    f.i64(rec.rank);
+    f.u64(static_cast<std::uint64_t>(rec.module));
+    f.u64(rec.counters.size());
+    for (const std::int64_t c : rec.counters) f.i64(c);
+    f.u64(rec.fcounters.size());
+    for (const double x : rec.fcounters) f.f64(x);
+  }
+  f.u64(log.dxt.size());
+  for (const darshan::DxtRecord& rec : log.dxt) {
+    f.u64(rec.record_id);
+    f.u64(static_cast<std::uint64_t>(rec.module));
+    f.u64(rec.events.size());
+    for (const darshan::DxtEvent& e : rec.events) {
+      f.u64(static_cast<std::uint64_t>(e.op));
+      f.i64(e.rank);
+      f.u64(e.offset);
+      f.u64(e.length);
+      f.f64(e.start);
+      f.f64(e.end);
+    }
+  }
 }
 
 std::uint64_t population_digest(const wl::SystemProfile& profile, std::uint64_t seed,
@@ -229,29 +295,26 @@ std::uint64_t population_digest(const wl::SystemProfile& profile, std::uint64_t 
   gc.files_per_log_scale = 0.25;
   const wl::WorkloadGenerator gen(profile, gc);
   const JobExecutor ex(wl::machine_for(profile), cfg);
-  darshan::WriteOptions wopts;
-  wopts.compress = false;
   darshan::LogData log;
-  darshan::LogIoBuffers io;
-  std::uint64_t h = 1469598103934665603ull;
+  Fnv1a f;
   gen.generate_bulk_range(0, jobs, [&](const JobSpec& spec) {
     ex.execute_into(spec, log);
-    h = fnv1a(darshan::write_log_bytes_into(log, io, wopts), h);
+    hash_log(f, log);
   });
-  return h;
+  return f.h;
 }
 
 TEST(Executor, GoldenDigestSummit) {
-  EXPECT_EQ(population_digest(wl::SystemProfile::summit_2020(), 42, 12), 16000429662034926591ull);
+  EXPECT_EQ(population_digest(wl::SystemProfile::summit_2020(), 42, 12), 8330356133369334639ull);
 }
 
 TEST(Executor, GoldenDigestCori) {
-  EXPECT_EQ(population_digest(wl::SystemProfile::cori_2019(), 42, 12), 11797263441408983634ull);
+  EXPECT_EQ(population_digest(wl::SystemProfile::cori_2019(), 42, 12), 6383985055691448516ull);
 }
 
 TEST(Executor, GoldenDigestSecondSeed) {
-  EXPECT_EQ(population_digest(wl::SystemProfile::summit_2020(), 7, 5), 4330737685399424862ull);
-  EXPECT_EQ(population_digest(wl::SystemProfile::cori_2019(), 7, 5), 14172711066723879781ull);
+  EXPECT_EQ(population_digest(wl::SystemProfile::summit_2020(), 7, 5), 5827509387740685342ull);
+  EXPECT_EQ(population_digest(wl::SystemProfile::cori_2019(), 7, 5), 3988876576809903865ull);
 }
 
 TEST(Executor, GoldenDigestWithExtensions) {
@@ -259,8 +322,9 @@ TEST(Executor, GoldenDigestWithExtensions) {
   ExecutorConfig cfg;
   cfg.enable_dxt = true;
   cfg.enable_ssd_ext = true;
-  EXPECT_EQ(population_digest(wl::SystemProfile::summit_2020(), 1234, 6, cfg), 8480845263817154199ull);
-  EXPECT_EQ(population_digest(wl::SystemProfile::cori_2019(), 1234, 6, cfg), 12078485423183031340ull);
+  EXPECT_EQ(population_digest(wl::SystemProfile::summit_2020(), 1234, 6, cfg),
+            14234275583718403522ull);
+  EXPECT_EQ(population_digest(wl::SystemProfile::cori_2019(), 1234, 6, cfg), 881376348221370745ull);
 }
 
 TEST(Executor, InvalidSpecThrows) {

@@ -3,12 +3,20 @@
 // tool pointed at a year of production logs will meet damaged files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "archive/scan.hpp"
 #include "core/analysis.hpp"
+#include "darshan/counters.hpp"
 #include "darshan/log_format.hpp"
 #include "darshan/runtime.hpp"
+#include "harness/record_block.hpp"
 #include "util/byte_io.hpp"
 #include "util/compress.hpp"
 #include "util/error.hpp"
@@ -169,6 +177,125 @@ TEST(FormatHostileCounts, ValidEmptyBodyStillParses) {
 }
 
 // ---------------------------------------------------------------------------
+// Hostile record blocks.  A record has exactly one encoding: its bitmap sets
+// no bit past the module's words, every set bit stores a non-zero word, and
+// the set words fit in the bytes left.  Each violation is rejected by the
+// walk with its own message, so a dropped check cannot hide behind a later
+// generic one.
+
+/// A body holding one POSIX region of one record, written as `block`
+/// writes it, then (unless `dxt` is false) an empty DXT region.
+template <typename Block>
+std::vector<std::byte> one_record_frame(Block&& block, bool dxt = true) {
+  auto w = minimal_body_prefix();
+  w.u32(1);  // one region
+  w.u8(static_cast<std::uint8_t>(ModuleId::kPosix));
+  w.u32(static_cast<std::uint32_t>(counter_count(ModuleId::kPosix)));
+  w.u32(static_cast<std::uint32_t>(fcounter_count(ModuleId::kPosix)));
+  w.u32(1);      // one record
+  w.u64(0x77);   // record_id
+  w.u32(0);      // rank
+  block(w);
+  if (dxt) w.u32(0);
+  return frame_body(w.view());
+}
+
+/// The FormatError message a frame's walk throws, or "" when it parses.
+std::string walk_error(std::span<const std::byte> frame) {
+  LogIoBuffers io;
+  LogBody body;
+  try {
+    walk_log_body(read_log_frame_body(frame, io), body);
+  } catch (const util::FormatError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr std::size_t kPosixWords =
+    std::size_t{posix::COUNTER_COUNT} + std::size_t{posix::FCOUNTER_COUNT};
+constexpr std::size_t kPosixBitmapBytes = (kPosixWords + 7) / 8;
+
+/// Append a POSIX bitmap with exactly the bits `bits` set.
+void write_bitmap(util::ByteWriter& w, std::uint64_t bits) {
+  for (std::size_t b = 0; b < kPosixBitmapBytes; ++b) {
+    w.u8(static_cast<std::uint8_t>(bits >> (8 * b)));
+  }
+}
+
+TEST(FormatRecordBlock, WellFormedBlocksParse) {
+  // The control for the rejections below: the same frame shape with an
+  // honest block parses, reads each word where its bit says, and reads 0
+  // elsewhere.
+  const auto frame = one_record_frame([](util::ByteWriter& w) {
+    const std::size_t write_time = std::size_t{posix::COUNTER_COUNT} + posix::F_WRITE_TIME;
+    write_bitmap(w, (std::uint64_t{1} << posix::BYTES_READ) | (std::uint64_t{1} << write_time));
+    w.i64(4096);
+    w.f64(-0.0);  // a set sign bit is a non-zero word
+  });
+  EXPECT_EQ(walk_error(frame), "");
+  const LogData log = read_log_bytes(frame);
+  ASSERT_EQ(log.records.size(), 1u);
+  EXPECT_EQ(log.records[0].c(posix::BYTES_READ), 4096);
+  EXPECT_EQ(log.records[0].c(posix::OPENS), 0);
+  EXPECT_TRUE(std::signbit(log.records[0].f(posix::F_WRITE_TIME)));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(log.records[0].f(posix::F_READ_TIME)), 0u);
+  // An all-zero record is a bitmap of zeros and no words.
+  EXPECT_EQ(walk_error(one_record_frame([](util::ByteWriter& w) { write_bitmap(w, 0); })), "");
+}
+
+TEST(FormatRecordBlock, BitBeyondTheModuleWordsThrows) {
+  for (std::size_t bit = kPosixWords; bit < 8 * kPosixBitmapBytes; ++bit) {
+    const auto frame = one_record_frame([&](util::ByteWriter& w) {
+      write_bitmap(w, (std::uint64_t{1} << bit) | 1u);
+      w.i64(1);  // word 0 (OPENS)
+      w.i64(2);  // the word the stray bit claims
+    });
+    EXPECT_EQ(walk_error(frame), "format error: record bitmap sets a bit beyond the module's words")
+        << "bit " << bit;
+    EXPECT_THROW((void)read_log_bytes(frame), util::FormatError) << "bit " << bit;
+  }
+}
+
+TEST(FormatRecordBlock, SetBitOnAZeroWordThrows) {
+  // Bits 0 and 1 set, the second stored word zero: the same record has a
+  // shorter encoding, so this one is refused.
+  const auto frame = one_record_frame([](util::ByteWriter& w) {
+    write_bitmap(w, 0b11);
+    w.i64(7);
+    w.i64(0);
+  });
+  EXPECT_EQ(walk_error(frame), "format error: record bitmap marks a zero word");
+  EXPECT_THROW((void)read_log_bytes(frame), util::FormatError);
+  // A zero fcounter word too (+0.0, all bits clear).
+  const auto ffr = one_record_frame([](util::ByteWriter& w) {
+    write_bitmap(w, std::uint64_t{1} << posix::COUNTER_COUNT);
+    w.f64(0.0);
+  });
+  EXPECT_EQ(walk_error(ffr), "format error: record bitmap marks a zero word");
+}
+
+TEST(FormatRecordBlock, SetWordsPastTheBodyEndThrow) {
+  // Every word set but only three stored, and no DXT count behind them: the
+  // popcount promises more bytes than the body holds.
+  const auto frame = one_record_frame(
+      [](util::ByteWriter& w) {
+        write_bitmap(w, (std::uint64_t{1} << kPosixWords) - 1);
+        for (int k = 0; k < 3; ++k) w.i64(k + 1);
+      },
+      /*dxt=*/false);
+  EXPECT_EQ(walk_error(frame), "format error: record words exceed body size");
+  EXPECT_THROW((void)read_log_bytes(frame), util::FormatError);
+
+  // A bitmap that ends the body: the bit in its last byte still claims a
+  // word, and nothing past the body's end is read.
+  const auto tail = one_record_frame(
+      [](util::ByteWriter& w) { write_bitmap(w, std::uint64_t{1} << (kPosixWords - 1)); },
+      /*dxt=*/false);
+  EXPECT_EQ(walk_error(tail), "format error: record words exceed body size");
+}
+
+// ---------------------------------------------------------------------------
 // The body kernel against the reference parse.  The archive's read path
 // walks each body in place (walk_log_body) into Analysis::add; the reference
 // parses the frame into a LogData (read_log_bytes) and adds that.  Over
@@ -219,6 +346,17 @@ TEST_P(KernelFuzz, MutatedBodiesRejectedAndAnalyzedAsByTheReference) {
   LogIoBuffers io;
   const auto body_view = read_log_frame_body(plain, io);
   const std::vector<std::byte> body(body_view.begin(), body_view.end());
+  // Where each record's bitmap sits in the body: just before its words.
+  std::vector<std::pair<std::size_t, std::size_t>> bitmaps;  // (offset, bytes)
+  {
+    LogBody walked;
+    walk_log_body(body, walked);
+    for (const RecordView& rec : walked.records) {
+      const std::size_t n = (counter_count(rec.module) + fcounter_count(rec.module) + 7) / 8;
+      bitmaps.emplace_back(static_cast<std::size_t>(rec.values - body.data()) - n, n);
+    }
+  }
+  ASSERT_FALSE(bitmaps.empty());
   util::Rng rng(GetParam() * 977 + 3);
   std::size_t accepted = 0;
   std::size_t rejected = 0;
@@ -235,11 +373,11 @@ TEST_P(KernelFuzz, MutatedBodiesRejectedAndAnalyzedAsByTheReference) {
   };
   check(plain, "unmutated");
   check(write_log_bytes(log), "unmutated, compressed");
-  for (int trial = 0; trial < 300; ++trial) {
+  for (int trial = 0; trial < 375; ++trial) {
     std::vector<std::byte> mutated = body;
-    const std::size_t pos = static_cast<std::size_t>(rng.uniform_u64(0, mutated.size() - 1));
+    std::size_t pos = static_cast<std::size_t>(rng.uniform_u64(0, mutated.size() - 1));
     std::string what = "trial " + std::to_string(trial) + " pos " + std::to_string(pos);
-    switch (trial % 4) {
+    switch (trial % 5) {
       case 0:  // one flipped byte
         mutated[pos] ^= static_cast<std::byte>(rng.uniform_u64(1, 255));
         break;
@@ -252,10 +390,18 @@ TEST_P(KernelFuzz, MutatedBodiesRejectedAndAnalyzedAsByTheReference) {
         mutated.resize(pos);
         what += " truncated";
         break;
-      default:  // a stray byte inserted
+      case 3:  // a stray byte inserted
         mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(pos),
                        static_cast<std::byte>(rng.uniform_u64(0, 255)));
         break;
+      default: {  // one bitmap bit flipped: a word gained or lost
+        const auto& [offset, n] = bitmaps[rng.uniform_u64(0, bitmaps.size() - 1)];
+        const std::size_t bit = static_cast<std::size_t>(rng.uniform_u64(0, 8 * n - 1));
+        pos = offset + bit / 8;
+        mutated[pos] ^= static_cast<std::byte>(1u << (bit % 8));
+        what += " bitmap bit " + std::to_string(bit) + " at " + std::to_string(pos);
+        break;
+      }
     }
     check(frame_body(mutated), what);
     // The same damage through the frame check: a single flipped frame byte.
@@ -358,10 +504,10 @@ TEST(BatchedScanHostileFrames, UnknownRecordIdsMidBatchParseCleanly) {
   w.u32(static_cast<std::uint32_t>(fcounter_count(ModuleId::kPosix)));
   w.u32(3);  // three records, none of whose ids the (empty) name map knows
   for (std::uint64_t r = 0; r < 3; ++r) {
-    w.u64(0xdeadbeef00 + r);  // record_id
-    w.u32(0);                 // rank
-    for (std::size_t c = 0; c < counter_count(ModuleId::kPosix); ++c) w.i64(1);
-    for (std::size_t c = 0; c < fcounter_count(ModuleId::kPosix); ++c) w.f64(0.5);
+    FileRecord rec(0xdeadbeef00 + r, 0, ModuleId::kPosix);
+    std::fill(rec.counters.begin(), rec.counters.end(), 1);
+    std::fill(rec.fcounters.begin(), rec.fcounters.end(), 0.5);
+    harness::write_record_block(w, rec);
   }
   w.u32(0);  // dxt
   const auto hostile = frame_body(w.view());

@@ -24,6 +24,7 @@
 #include "darshan/counters.hpp"
 #include "darshan/log_format.hpp"
 #include "darshan/runtime.hpp"
+#include "harness/record_block.hpp"
 #include "iosim/executor.hpp"
 #include "util/byte_io.hpp"
 #include "util/compress.hpp"
@@ -112,15 +113,50 @@ struct KernelScratch {
   core::AnalyzeScratch analyze;
 };
 
+// Every word of every walked record, read in place through c(i)/f(i), must
+// equal the word of the materialized FileRecord at the same position and of
+// the source record it was written from (the body groups records by module,
+// in order within a module), doubles by bit pattern.
+void expect_views_match(const darshan::LogBody& body, const LogData& parsed, const LogData& log,
+                        const char* what) {
+  std::vector<const darshan::FileRecord*> source;
+  for (std::size_t m = 0; m < darshan::kModuleCount; ++m) {
+    for (const darshan::FileRecord& rec : log.records) {
+      if (static_cast<std::size_t>(rec.module) == m) source.push_back(&rec);
+    }
+  }
+  ASSERT_EQ(body.records.size(), parsed.records.size()) << what;
+  ASSERT_EQ(body.records.size(), source.size()) << what;
+  for (std::size_t k = 0; k < body.records.size(); ++k) {
+    const darshan::RecordView& view = body.records[k];
+    for (const darshan::FileRecord* rec : {&parsed.records[k], source[k]}) {
+      ASSERT_EQ(view.record_id, rec->record_id) << what << " record " << k;
+      ASSERT_EQ(view.module, rec->module) << what << " record " << k;
+      EXPECT_EQ(view.rank, rec->rank) << what << " record " << k;
+      ASSERT_EQ(rec->counters.size(), darshan::counter_count(view.module));
+      ASSERT_EQ(rec->fcounters.size(), darshan::fcounter_count(view.module));
+      for (std::size_t i = 0; i < rec->counters.size(); ++i) {
+        EXPECT_EQ(view.c(i), rec->counters[i]) << what << " record " << k << " counter " << i;
+      }
+      for (std::size_t i = 0; i < rec->fcounters.size(); ++i) {
+        EXPECT_TRUE(same_bits(view.f(i), rec->fcounters[i]))
+            << what << " record " << k << " fcounter " << i;
+      }
+    }
+  }
+}
+
 // Run `frame`, which encodes `log`, through the body kernel: walk the body
 // in place, summarize it, add it.  The summaries and the Analysis state must
 // equal the reference's, both on the in-memory log and on the log
-// read_log_bytes parses back from the frame.
+// read_log_bytes parses back from the frame, and every in-place word must
+// equal its materialized and source word.
 void expect_frame_agrees(const LogData& log, std::vector<std::byte> frame, KernelScratch& ks,
                          const char* what) {
   ks.frame = std::move(frame);
   const LogData parsed = darshan::read_log_bytes(ks.frame);
   darshan::walk_log_body(darshan::read_log_frame_body(ks.frame, ks.io), ks.body);
+  expect_views_match(ks.body, parsed, log, what);
 
   std::uint64_t dropped_kernel = 0;
   std::uint64_t dropped_ref = 0;
@@ -309,10 +345,7 @@ TEST(IngestDifferential, BodyKernelEdgeCases) {
       w.u32(static_cast<std::uint32_t>(rec.counters.size()));
       w.u32(static_cast<std::uint32_t>(rec.fcounters.size()));
       w.u32(1);
-      w.u64(rec.record_id);
-      w.u32(static_cast<std::uint32_t>(rec.rank));
-      for (const std::int64_t c : rec.counters) w.i64(c);
-      for (const double f : rec.fcounters) w.f64(f);
+      harness::write_record_block(w, rec);
       w.u32(0);  // DXT
       util::ByteWriter f;
       f.u32(darshan::kLogMagic);
@@ -385,6 +418,45 @@ TEST(IngestDifferential, BodyKernelEdgeCases) {
       return r.module == ModuleId::kSsdExt;
     }));
     expect_kernel_agrees(log, ks, "lustre/ssd records");
+  }
+  {  // Sparse blocks at their extremes: an all-zero record (a bitmap and no
+     // words), -0.0 fcounters (a set sign bit is a stored word), and a record
+     // with every word set, negative counters among them.
+    LogData log;
+    log.job = small_job(2);
+    log.mounts = {{"/gpfs/alpine", "gpfs"}, {"/mnt/bb", "xfs"}};
+    const auto record = [&](const std::string& path, std::int32_t rank, ModuleId mod) {
+      darshan::FileRecord rec(darshan::hash_record_id(path), rank, mod);
+      log.names.try_emplace(rec.record_id, path);
+      return rec;
+    };
+    const darshan::FileRecord zero = record("/gpfs/alpine/zero", 0, ModuleId::kPosix);
+    darshan::FileRecord neg = record("/gpfs/alpine/negzero", -1, ModuleId::kPosix);
+    neg.counters[darshan::posix::BYTES_READ] = 1 << 16;
+    neg.fcounters[darshan::posix::F_READ_TIME] = -0.0;
+    neg.fcounters[darshan::posix::F_WRITE_TIME] = -0.0;
+    darshan::FileRecord full = record("/mnt/bb/full", 1, ModuleId::kStdio);
+    for (std::size_t i = 0; i < full.counters.size(); ++i) {
+      full.counters[i] = static_cast<std::int64_t>(i) - 3;
+    }
+    full.counters[3] = 99;  // the one zero above: every word is now non-zero
+    for (std::size_t i = 0; i < full.fcounters.size(); ++i) {
+      full.fcounters[i] = 0.5 * static_cast<double>(i + 1);
+    }
+    log.records = {zero, neg, full, record("/mnt/bb/zero", 0, ModuleId::kStdio)};
+    expect_kernel_agrees(log, ks, "sparse-block extremes");
+    const auto view_of = [&](const darshan::FileRecord& rec) {
+      const auto& views = ks.body.records;
+      return *std::find_if(views.begin(), views.end(), [&](const darshan::RecordView& v) {
+        return v.record_id == rec.record_id;
+      });
+    };
+    EXPECT_EQ(view_of(zero).mask, 0u);
+    EXPECT_EQ(std::popcount(view_of(neg).mask), 3);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(view_of(neg).f(darshan::posix::F_READ_TIME)),
+              std::bit_cast<std::uint64_t>(-0.0));
+    EXPECT_EQ(std::popcount(view_of(full).mask),
+              static_cast<int>(full.counters.size() + full.fcounters.size()));
   }
   {  // A non-empty DXT region: walked, checked and skipped by the kernel,
      // materialized intact by read_log_bytes.

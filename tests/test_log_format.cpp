@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
+#include <vector>
 
 #include "darshan/counters.hpp"
 #include "util/error.hpp"
@@ -77,6 +79,54 @@ TEST(LogFormat, BadVersionThrows) {
   auto bytes = write_log_bytes(random_log(5, 1));
   bytes[4] = std::byte{0x7f};
   EXPECT_THROW(read_log_bytes(bytes), util::FormatError);
+}
+
+TEST(LogFormat, VersionOneFrameIsRefused) {
+  // Version 1 stored dense record blocks; its frames have the same header,
+  // and the version is read before the body, so a v1 frame with a valid
+  // CRC is refused by name rather than misparsed.
+  WriteOptions raw;
+  raw.compress = false;
+  auto bytes = write_log_bytes(random_log(5, 3), raw);
+  ASSERT_EQ(bytes[4], std::byte{kLogVersion});
+  bytes[4] = std::byte{1};
+  try {
+    (void)read_log_bytes(bytes);
+    FAIL() << "a version-1 frame was read";
+  } catch (const util::FormatError& e) {
+    EXPECT_STREQ(e.what(), "format error: unsupported log version 1");
+  }
+}
+
+TEST(LogFormat, RecordBlockIsSparse) {
+  // One POSIX record with two non-zero words, OPENS (word 0) and a -0.0
+  // F_READ_TIME (word nc + 6): id, rank, a 6-byte bitmap for the 44 words,
+  // the two words, then the empty DXT region ends the body.
+  LogData log;
+  FileRecord rec(0x1122334455667788ull, 5, ModuleId::kPosix);
+  rec.counters[posix::OPENS] = 1;
+  rec.fcounters[posix::F_READ_TIME] = -0.0;
+  log.records.push_back(rec);
+  WriteOptions raw;
+  raw.compress = false;
+  const auto bytes = write_log_bytes(log, raw);
+  const std::size_t bit = std::size_t{posix::COUNTER_COUNT} + posix::F_READ_TIME;
+  ASSERT_EQ(bit, 41u);
+  const std::vector<std::uint8_t> tail = {
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // record_id
+      5, 0, 0, 0,                                      // rank
+      0x01, 0, 0, 0, 0, 0x02,                          // bitmap: bits 0 and 41
+      1, 0, 0, 0, 0, 0, 0, 0,                          // OPENS
+      0, 0, 0, 0, 0, 0, 0, 0x80,                       // -0.0
+      0, 0, 0, 0};                                     // DXT count
+  ASSERT_GE(bytes.size(), tail.size());
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(bytes[bytes.size() - tail.size() + i], std::byte{tail[i]}) << "tail byte " << i;
+  }
+  const LogData back = read_log_bytes(bytes);
+  ASSERT_EQ(back.records.size(), 1u);
+  EXPECT_TRUE(std::signbit(back.records[0].f(posix::F_READ_TIME)));
+  EXPECT_TRUE(log == back);
 }
 
 TEST(LogFormat, CorruptBodyThrows) {
