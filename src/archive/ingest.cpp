@@ -83,7 +83,6 @@ std::vector<Block> plan_blocks(const std::vector<Cut>& cuts) {
 /// the serializer's scratch plus the read-kernel state of snapshot-on-ingest.
 struct BlockScratch {
   wl::SerializeScratch serialize;
-  darshan::LogIoBuffers io;
   darshan::LogBody body;
   core::AnalyzeScratch analyze;
 };
@@ -154,22 +153,24 @@ IngestStats ingest_generated(Archive& archive, const wl::WorkloadGenerator& gen,
   const std::uint64_t base_id = archive.manifest().next_partition_id;
   const std::uint64_t commit_gen = archive.manifest().generation + 1;
 
-  // Pure compute on a pool thread: serialize the block, and fold its frames
-  // into a block shard when snapshots are on.
+  // Pure compute on a pool thread: serialize the block and, when snapshots
+  // are on, walk each log's body into a block shard while the serializer
+  // still holds it uncompressed, so no frame is inflated again.
   const auto build = [&](const Block& b) {
     thread_local BlockScratch ws;
     BuiltBlock out;
-    out.frames = wl::serialize_block(gen, cuts[b.cut].stratum, b.lo, b.hi, opts.write_options,
-                                     ws.serialize, &out.phases);
+    wl::BodyHook add_to_shard;
     if (opts.write_snapshots) {
-      const auto ts = SteadyClock::now();
       out.shard.emplace();
-      out.frames.for_each([&](const darshan::JobRecord&, std::span<const std::byte> frame) {
-        darshan::walk_log_body(darshan::read_log_frame_body(frame, ws.io), ws.body);
+      add_to_shard = [&](std::span<const std::byte> body) {
+        const auto ts = SteadyClock::now();
+        darshan::walk_log_body(body, ws.body);
         out.shard->add(ws.body, ws.analyze);
-      });
-      out.snapshot_ns = ns_since(ts);
+        out.snapshot_ns += ns_since(ts);
+      };
     }
+    out.frames = wl::serialize_block(gen, cuts[b.cut].stratum, b.lo, b.hi, opts.write_options,
+                                     ws.serialize, &out.phases, add_to_shard);
     return out;
   };
 

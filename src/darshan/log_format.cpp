@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -73,6 +74,136 @@ constexpr std::uint64_t low_bits(std::size_t n) {
   return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
 }
 
+// One stored counter: a zigzag LEB128 of at most 10 bytes whose last byte
+// is non-zero.  That one test rejects every overlong encoding and a stored
+// zero (zigzag(0) is the single byte 0x00), so each counter value has one
+// encoding; the 10th byte carries bit 63 alone, so it is 0 or 1.  This is
+// the byte-at-a-time decoder: read_counters' path near the body's end, for
+// varints longer than 8 bytes, and for every rejection message.
+[[gnu::noinline]] std::uint64_t read_counter_bytewise(const std::byte*& p,
+                                                      const std::byte* end) {
+  std::uint64_t z = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    if (p == end) throw FormatError("record counter varint runs past the body end");
+    const auto b = std::to_integer<std::uint64_t>(*p++);
+    if (shift == 63) {
+      if (b >= 0x80) throw FormatError("record counter varint is longer than 10 bytes");
+      if (b > 1) throw FormatError("record counter varint overflows 64 bits");
+    }
+    z |= (b & 0x7f) << shift;
+    if (b < 0x80) {
+      if (b == 0) {
+        throw FormatError(shift == 0 ? "record bitmap marks a zero word"
+                                     : "record counter varint is not minimal");
+      }
+      return static_cast<std::uint64_t>(util::zigzag_decode(z));
+    }
+  }
+}
+
+// Packs the 7-bit groups of 8 varint bytes (high bits already clear) into
+// the low 56 bits, low group first: pairs, then quads, then the two halves.
+inline std::uint64_t pack_groups(std::uint64_t z) {
+  z = (z & 0x007f007f007f007full) | ((z & 0x7f007f007f007f00ull) >> 1);
+  z = (z & 0x00003fff00003fffull) | ((z & 0x3fff00003fff0000ull) >> 2);
+  return (z & 0x000000000fffffffull) | ((z & 0x0fffffff00000000ull) >> 4);
+}
+
+// Decode `n` counters from p into the 8-byte words at `word`.  While 8
+// bytes are readable, one 8-byte load gives the last byte of each varint
+// ending in it (the bytes with a clear high bit), and the first two such
+// varints are decoded from it at once: one pack of the load's 7-bit groups
+// holds both values side by side, so neither waits on a branch on the
+// other's length.  The rules and messages are read_counter_bytewise's,
+// which decodes a varint of 9 or 10 bytes, one near the body's end, and any
+// it rejects.
+inline void read_counters(const std::byte*& p, const std::byte* end, std::byte* word,
+                          std::size_t n) {
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+  const auto low = [](int bits) { return ~std::uint64_t{0} >> (64 - bits); };
+  const auto put = [&](std::uint64_t z) {
+    util::store_le(word, static_cast<std::uint64_t>(util::zigzag_decode(z)));
+    word += 8;
+  };
+  for (std::size_t k = 0; k < n;) {
+    if (end - p >= 8) {
+      const std::uint64_t x = util::load_le<std::uint64_t>(p);
+      const std::uint64_t stops = ~x & kHigh;
+      const std::uint64_t second = stops & (stops - 1);
+      const std::uint64_t groups = pack_groups(x & kLow7);
+      if (second != 0 && k + 1 < n) {
+        const int n1 = (std::countr_zero(stops) >> 3) + 1;  // bytes of the first varint
+        const int n2 = (std::countr_zero(second) >> 3) + 1 - n1;
+        const std::uint64_t z1 = groups & low(7 * n1);
+        const std::uint64_t z2 = (groups >> (7 * n1)) & low(7 * n2);
+        if ((z1 >> (7 * n1 - 7)) == 0 || (z2 >> (7 * n2 - 7)) == 0) {
+          // A last byte of 0: the byte decoder throws on the first varint,
+          // or decodes it and throws on the second.
+          (void)read_counter_bytewise(p, end);
+          (void)read_counter_bytewise(p, end);
+        }
+        put(z1);
+        put(z2);
+        p += n1 + n2;
+        k += 2;
+        continue;
+      }
+      if (stops != 0) {
+        const int n1 = (std::countr_zero(stops) >> 3) + 1;
+        const std::uint64_t z1 = groups & low(7 * n1);
+        if ((z1 >> (7 * n1 - 7)) == 0) (void)read_counter_bytewise(p, end);  // throws
+        put(z1);
+        p += n1;
+        k += 1;
+        continue;
+      }
+    }
+    util::store_le(word, read_counter_bytewise(p, end));
+    word += 8;
+    k += 1;
+  }
+}
+
+// Grows out.words geometrically and re-points the views made so far (every
+// record in out.records: call it before adding the next one).
+[[gnu::noinline]] void grow_words(LogBody& out) {
+  std::vector<std::size_t> offsets;
+  offsets.reserve(out.records.size());
+  const auto* base = reinterpret_cast<const std::byte*>(out.words.data());
+  for (const RecordView& rec : out.records) {
+    offsets.push_back(static_cast<std::size_t>(rec.values - base));
+  }
+  out.words.resize(std::max<std::size_t>(2 * out.words.size(), 1024));
+  base = reinterpret_cast<const std::byte*>(out.words.data());
+  for (std::size_t i = 0; i < offsets.size(); ++i) out.records[i].values = base + offsets[i];
+}
+
+// Room for the next record's words (at most 64) after the first `n_stored`
+// of out.words.  The buffer only grows, so after the largest log so far
+// this is one compare.
+inline void reserve_record_words(LogBody& out, std::size_t n_stored) {
+  if (out.words.size() - n_stored < 64) grow_words(out);
+}
+
+// A record's rank: a zigzag LEB128 of an int32, so at most 5 bytes, with a
+// non-zero last byte unless it is the single byte of rank 0.
+inline std::int32_t read_rank(const std::byte*& p, const std::byte* end) {
+  std::uint64_t z = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    if (p == end) throw FormatError("record rank runs past the body end");
+    const auto b = std::to_integer<std::uint64_t>(*p++);
+    z |= (b & 0x7f) << shift;
+    if (b < 0x80) {
+      if (b == 0 && shift != 0) throw FormatError("record rank varint is not minimal");
+      break;
+    }
+    if (shift == 28) throw FormatError("record rank is out of int32 range");
+  }
+  if (z > 0xffffffffu) throw FormatError("record rank is out of int32 range");
+  return static_cast<std::int32_t>(util::zigzag_decode(z));
+}
+
 void write_body(ByteWriter& w, const LogData& log, LogIoBuffers& io) {
   write_job(w, log.job);
 
@@ -113,9 +244,10 @@ void write_body(ByteWriter& w, const LogData& log, LogIoBuffers& io) {
     w.u32(static_cast<std::uint32_t>(recs.size()));
     for (const FileRecord* rec : recs) {
       w.u64(rec->record_id);
-      w.u32(static_cast<std::uint32_t>(rec->rank));
+      w.uvarint(util::zigzag_encode(rec->rank));
       // Sparse block: the bitmap of non-zero words (zero by bit pattern, so
-      // -0.0 is stored), then those words in order.
+      // -0.0 is stored), then those words in order, each counter a zigzag
+      // varint and each fcounter its 8-byte bit pattern.
       std::uint64_t mask = 0;
       for (std::size_t i = 0; i < nc; ++i) {
         mask |= static_cast<std::uint64_t>(rec->counters[i] != 0) << i;
@@ -129,8 +261,11 @@ void write_body(ByteWriter& w, const LogData& log, LogIoBuffers& io) {
       }
       for (std::uint64_t m = mask; m != 0; m &= m - 1) {
         const auto i = static_cast<std::size_t>(std::countr_zero(m));
-        w.u64(i < nc ? static_cast<std::uint64_t>(rec->counters[i])
-                     : std::bit_cast<std::uint64_t>(rec->fcounters[i - nc]));
+        if (i < nc) {
+          w.uvarint(util::zigzag_encode(rec->counters[i]));
+        } else {
+          w.f64(rec->fcounters[i - nc]);
+        }
       }
     }
   }
@@ -328,6 +463,7 @@ void walk_log_body(std::span<const std::byte> body, LogBody& out) {
   }
 
   out.records.clear();
+  std::size_t n_stored = 0;  // words decoded into out.words so far
   const std::uint32_t n_regions = r.u32();
   if (n_regions > r.remaining()) throw FormatError("region count exceeds body size");
   for (std::uint32_t reg = 0; reg < n_regions; ++reg) {
@@ -344,33 +480,58 @@ void walk_log_body(std::span<const std::byte> body, LogBody& out) {
     const std::size_t n_words = std::size_t{n_counters} + n_fcounters;
     const std::size_t n_bitmap = bitmap_bytes(n_words);
     const std::uint64_t word_bits = low_bits(n_words);
+    const std::uint64_t counter_bits = low_bits(n_counters);
+    // The blocks are read through a cursor over the bytes left; the reader
+    // skips what they used.
+    const std::span<const std::byte> rest = r.rest();
+    const std::byte* p = rest.data();
+    const std::byte* const end = p + rest.size();
     for (std::uint32_t i = 0; i < n_records; ++i) {
-      // Sequence the reads explicitly: function-argument evaluation order is
-      // unspecified, and these must happen in stream order.
+      reserve_record_words(out, n_stored);
       RecordView& rec = out.records.emplace_back();
-      rec.record_id = r.u64();
-      rec.rank = static_cast<std::int32_t>(r.u32());
+      if (end - p < 8) throw FormatError("unexpected end of data");
+      rec.record_id = util::load_le<std::uint64_t>(p);
+      p += 8;
+      rec.rank = read_rank(p, end);
       rec.module = mod;
       rec.n_counters = static_cast<std::uint8_t>(n_counters);
-      const std::byte* bitmap = r.bytes(n_bitmap).data();
+      if (static_cast<std::size_t>(end - p) < n_bitmap) throw FormatError("unexpected end of data");
       std::uint64_t mask = 0;
       for (std::size_t b = 0; b < n_bitmap; ++b) {
-        mask |= std::uint64_t{std::to_integer<std::uint8_t>(bitmap[b])} << (8 * b);
+        mask |= std::uint64_t{std::to_integer<std::uint8_t>(p[b])} << (8 * b);
       }
+      p += n_bitmap;
       if ((mask & ~word_bits) != 0) {
         throw FormatError("record bitmap sets a bit beyond the module's words");
       }
-      const std::size_t n_set = static_cast<std::size_t>(popcount64(mask));
-      if (8 * n_set > r.remaining()) throw FormatError("record words exceed body size");
       rec.mask = mask;
-      rec.values = r.bytes(8 * n_set).data();
-      // One encoding per record: a set bit stores a non-zero word.
+      // Decode the set words into out.words: counters (the low bits) first,
+      // then the fcounters' bit patterns as stored.  Each counter takes at
+      // least a byte, which bounds the words by the bytes left.
+      const auto n_c = static_cast<std::size_t>(popcount64(mask & counter_bits));
+      const auto n_f = static_cast<std::size_t>(popcount64(mask)) - n_c;
+      if (n_c + 8 * n_f > static_cast<std::size_t>(end - p)) {
+        throw FormatError("record words exceed body size");
+      }
+      auto* word = reinterpret_cast<std::byte*>(out.words.data() + n_stored);
+      rec.values = word;
+      n_stored += n_c + n_f;
+      read_counters(p, end, word, n_c);
+      word += 8 * n_c;
+      if (8 * n_f > static_cast<std::size_t>(end - p)) {
+        throw FormatError("record words exceed body size");
+      }
+      // One encoding per record: a set fcounter bit stores a non-zero word.
+      // One loop copies and checks (a memcpy call per record cost more).
       bool zero = false;
-      for (std::size_t k = 0; k < n_set; ++k) {
-        zero |= util::load_le<std::uint64_t>(rec.values + 8 * k) == 0;
+      for (std::size_t k = 0; k < n_f; ++k, word += 8, p += 8) {
+        const auto f = util::load_le<std::uint64_t>(p);
+        zero |= f == 0;
+        util::store_le(word, f);
       }
       if (zero) throw FormatError("record bitmap marks a zero word");
     }
+    r.skip(static_cast<std::size_t>(p - rest.data()));
   }
 
   // DXT trace region (usually empty: tracing is off by default, as on the

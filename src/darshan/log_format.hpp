@@ -1,9 +1,9 @@
 // On-disk Darshan-style log format.
 //
-// Layout (all integers little-endian):
+// Layout (fixed-width integers little-endian):
 //
 //   u32  magic            "DSHN" (0x4e485344)
-//   u16  version          currently 2
+//   u16  version          currently 3
 //   u16  flags            bit 0: body is zlib-compressed
 //   u32  crc32            of the uncompressed body
 //   u64  body_size        uncompressed body size in bytes
@@ -15,16 +15,23 @@
 //   records: { u8 module, u32 counter_count, u32 fcounter_count,
 //   u32 record_count, records... }, then the DXT region.
 //
-// Record block (version 2): u64 record_id, u32 rank, then a bitmap of the
-// record's non-zero words, then only those words.  The words are the
-// module's counters followed by its fcounters (word nc + i is fcounter i),
-// so the bitmap is ceil((nc + nf) / 8) bytes, word i at bit i % 8 of byte
-// i / 8 (every module has at most 64 words).  A word is zero when its bit
-// pattern is: -0.0 is non-zero and is stored.  Each record has exactly one
-// encoding: no bit at or beyond nc + nf, and no stored word equal to zero.
-// Most counters of a production record are zero, so the sparse block is
-// about half the dense one's bytes and deflates in less time.  Version 1
-// (dense blocks of nc + nf words) is not read.
+// Record block (version 3): u64 record_id, the rank as a zigzag LEB128
+// varint, then a bitmap of the record's non-zero words, then only those
+// words.  The words are the module's counters followed by its fcounters
+// (word nc + i is fcounter i), so the bitmap is ceil((nc + nf) / 8) bytes,
+// word i at bit i % 8 of byte i / 8 (every module has at most 64 words).
+// A stored counter is a zigzag LEB128 varint (seven bits per byte, low
+// group first, the high bit set on every byte but the last; zigzag maps
+// 0, -1, 1, -2, ... to 0, 1, 2, 3, ...), and a stored fcounter is its
+// 8-byte bit pattern.  A word is zero when its bit pattern is: -0.0 is
+// non-zero and is stored.  Each record has exactly one encoding: the rank
+// is a minimal varint of an int32; no bit at or beyond nc + nf; a counter
+// varint is at most 10 bytes, its 10th byte at most 1 and its last byte
+// non-zero (which rejects an overlong varint and a stored zero at once);
+// and no stored fcounter word is zero.  Most counters of a production
+// record are zero and most of the rest are small, so the v3 block is about
+// two thirds of v2's (which stored each set word in 8 bytes) and a third of
+// v1's dense one.  Versions 1 and 2 are not read.
 //
 // Like real Darshan logs, a file is written once at job end and read by
 // analysis tooling, whole and in order, never at random.  Write and read
@@ -53,14 +60,14 @@
 namespace mlio::darshan {
 
 inline constexpr std::uint32_t kLogMagic = 0x4e485344;  // "DSHN"
-inline constexpr std::uint16_t kLogVersion = 2;
+inline constexpr std::uint16_t kLogVersion = 3;
 inline constexpr std::uint16_t kFlagCompressed = 0x1;
 
 struct WriteOptions {
   bool compress = true;
-  /// Level 2 on the sparse record blocks: 4% more bytes than level 6 for a
-  /// quarter less deflate time.  Level 6's faster decode repays its deflate
-  /// time only past about 23 inflates per log (DESIGN §10 has the curve).
+  /// Level 2 on the varint record blocks: 1.8% more bytes than level 6 for
+  /// a fifth less deflate time, and level 6 decodes no faster, so it never
+  /// repays its deflate time (DESIGN §10 has the curve).
   int zlib_level = 2;
 };
 
@@ -78,10 +85,10 @@ inline int popcount64(std::uint64_t x) {
 #endif
 }
 
-/// One file record of a walked body, read in place: the sparse record block
-/// stays in the body bytes (little-endian, unaligned) and a word is decoded
-/// on access.  Same accessor names as FileRecord, so code written against
-/// one record type reads the other.
+/// One file record of a walked body: the bitmap of its stored words and a
+/// pointer to those words, which the walk decoded into LogBody::words (8
+/// little-endian bytes each, in word order).  Same accessor names as
+/// FileRecord, so code written against one record type reads the other.
 struct RecordView {
   std::uint64_t record_id = 0;
   std::int32_t rank = kSharedRank;
@@ -115,17 +122,28 @@ struct DxtView {
 /// start f64, end f64.
 inline constexpr std::size_t kDxtEventBytes = 37;
 
-/// A log body validated and indexed in one pass, without copying it: the
-/// job record and mount table are decoded (their storage is reused across
-/// logs), everything else is a view into the body bytes and is valid only
-/// while those bytes are.
+/// A log body validated and indexed in one pass: the job record, the mount
+/// table and the records' stored words are decoded (their storage is reused
+/// across logs), the names and DXT events are views into the body bytes and
+/// are valid only while those bytes are.  Move-only: the record views point
+/// into `words`, which a copy would not carry along.
 struct LogBody {
+  LogBody() = default;
+  LogBody(const LogBody&) = delete;
+  LogBody& operator=(const LogBody&) = delete;
+  LogBody(LogBody&&) = default;
+  LogBody& operator=(LogBody&&) = default;
+
   JobRecord job;
   std::vector<MountEntry> mounts;
   /// Record id -> path, first entry wins for a repeated id (as in
   /// LogData::names); insertion order is the body's name order.
   util::FlatU64Map<std::string_view> names;
   std::vector<RecordView> records;  ///< body order: module regions, then records
+  /// Every record's stored words in body order, counters decoded from their
+  /// varints; each RecordView::values points at its record's first word.
+  /// Only grows: the words past the last record's are left over.
+  std::vector<std::uint64_t> words;
   std::vector<DxtView> dxt;
 
   /// Path for a record id, or empty view if unknown.
@@ -138,9 +156,10 @@ struct LogBody {
 /// The one body parser: walk `body` (an inflated, CRC-checked log body, as
 /// read_log_frame_body returns) into `out`.  Its checks define the body
 /// format: element counts against the bytes left, module ids, each region's
-/// counter layout, each record block's one encoding (no bitmap bit beyond
-/// the module's words, no stored zero word, the set words within the
-/// bytes left), the DXT structure and no trailing bytes.  Throws
+/// counter layout, each record block's one encoding (a minimal int32 rank,
+/// no bitmap bit beyond the module's words, each counter a minimal varint
+/// of at most 10 bytes and not zero, no zero fcounter word, the set words
+/// within the bytes left), the DXT structure and no trailing bytes.  Throws
 /// FormatError on the first violation; `out` is then unspecified.
 void walk_log_body(std::span<const std::byte> body, LogBody& out);
 

@@ -11,6 +11,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -34,44 +35,83 @@ T load_le(const std::byte* p) {
   return v;
 }
 
+/// Store `v` (an unsigned integer) little-endian at `p`, which needs no
+/// alignment: the mirror of load_le.
+template <typename T>
+void store_le(std::byte* p, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) p[i] = static_cast<std::byte>(v >> (8 * i));
+  }
+}
+
+/// Zigzag map of a signed integer onto an unsigned one, 0, -1, 1, -2, ... to
+/// 0, 1, 2, 3, ..., so a value of small magnitude has a short varint.
+constexpr std::uint64_t zigzag_encode(std::int64_t v) {
+  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
+}
+constexpr std::int64_t zigzag_decode(std::uint64_t z) {
+  return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
+}
+
 /// Append-only byte buffer with typed little-endian writes.
 ///
-/// The fixed-width writes are inline, the mirror of ByteReader's reads: one
-/// resize, then on little-endian hosts one unaligned store (the log encoder
-/// calls them once per header field).
+/// The writes are inline, the mirror of ByteReader's reads: one compare
+/// against the room left, then on little-endian hosts one unaligned store
+/// (the log encoder calls them once per field and counter).  The storage
+/// grows geometrically and only in grow(), so a write costs no vector
+/// bookkeeping.
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(std::byte{v}); }
+  void u8(std::uint8_t v) {
+    *room(1) = std::byte{v};
+    len_ += 1;
+  }
   void u16(std::uint16_t v) { fixed(v); }
   void u32(std::uint32_t v) { fixed(v); }
   void u64(std::uint64_t v) { fixed(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  /// LEB128: seven bits per byte, low group first, the high bit set on every
+  /// byte but the last; the shortest encoding of `v` (1 to 10 bytes).
+  void uvarint(std::uint64_t v) {
+    std::byte* const begin = room(10);
+    std::byte* out = begin;
+    for (; v >= 0x80; v >>= 7) *out++ = static_cast<std::byte>(v | 0x80);
+    *out++ = static_cast<std::byte>(v);
+    len_ += static_cast<std::size_t>(out - begin);
+  }
   /// Length-prefixed (u32) string.
   void str(std::string_view s);
   void bytes(std::span<const std::byte> data);
 
-  std::span<const std::byte> view() const { return buf_; }
-  std::vector<std::byte> take() { return std::move(buf_); }
-  std::size_t size() const { return buf_.size(); }
+  std::span<const std::byte> view() const { return {buf_.data(), len_}; }
+  std::vector<std::byte> take() {
+    buf_.resize(len_);
+    len_ = 0;
+    return std::exchange(buf_, {});
+  }
+  std::size_t size() const { return len_; }
   /// Forget the contents but keep the capacity — for buffer-reuse loops.
-  void clear() { buf_.clear(); }
+  void clear() { len_ = 0; }
 
  private:
+  /// Where the next `n` bytes go; len_ is advanced by the caller.
+  std::byte* room(std::size_t n) {
+    if (buf_.size() - len_ < n) grow(n);
+    return buf_.data() + len_;
+  }
+  void grow(std::size_t n);
+
   template <typename T>
   void fixed(T v) {
-    const std::size_t pos = buf_.size();
-    buf_.resize(pos + sizeof(T));
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(buf_.data() + pos, &v, sizeof(T));
-    } else {
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        buf_[pos + i] = static_cast<std::byte>(v >> (8 * i));
-      }
-    }
+    store_le(room(sizeof(T)), v);
+    len_ += sizeof(T);
   }
 
-  std::vector<std::byte> buf_;
+  std::vector<std::byte> buf_;  ///< storage: the first len_ bytes are written
+  std::size_t len_ = 0;
 };
 
 /// Sequential reader over a byte span; throws FormatError on underrun.
@@ -101,6 +141,13 @@ class ByteReader {
   std::string_view str_view();
   /// Read exactly n raw bytes.
   std::span<const std::byte> bytes(std::size_t n);
+  /// The bytes not read yet, for a caller that decodes them in place and
+  /// then skip()s what it used.
+  std::span<const std::byte> rest() const { return data_.subspan(pos_); }
+  void skip(std::size_t n) {
+    need(n);
+    pos_ += n;
+  }
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return pos_ == data_.size(); }

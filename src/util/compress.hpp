@@ -4,7 +4,8 @@
 // encoder's matchfinder and block state, and Inflater the fast decoder's
 // Huffman tables, so hot loops (the pipeline's log roundtrip path serializes
 // millions of logs) pay the allocation cost once per worker instead of once
-// per log.  zlib itself supplies only the CRC-32 reference and Adler-32.
+// per log.  The checksums (util/checksum.hpp) come with this header, so
+// the frame codecs need one include; nothing here links zlib.
 #pragma once
 
 #include <cstddef>
@@ -12,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "util/checksum.hpp"
 #include "util/deflate_fast.hpp"
 #include "util/inflate_fast.hpp"
 
@@ -54,19 +56,5 @@ std::vector<std::byte> zlib_compress(std::span<const std::byte> input, int level
 /// in the log header.  Throws FormatError on corrupt data or size mismatch.
 std::vector<std::byte> zlib_decompress(std::span<const std::byte> input,
                                        std::size_t expected_size);
-
-/// CRC-32 (zlib polynomial) of `input`.  On x86-64 CPUs with PCLMULQDQ and
-/// SSE4.1 (checked at run time) the 16-byte multiple of any span of at least
-/// 64 bytes is folded by carry-less multiplication and zlib's crc32 finishes
-/// the tail; elsewhere zlib computes all of it.  The result is zlib's either
-/// way.  Safe for buffers past zlib's 32-bit single-call bound: the input is
-/// fed in chunks (segment files on the scale path can exceed 4 GiB, and a
-/// truncated-length CRC would silently pass the wrong checksum into the
-/// manifest).
-std::uint32_t crc32(std::span<const std::byte> input);
-
-/// Chunked CRC seam: identical result to crc32() for any `chunk_bytes >= 1`.
-/// Exposed so tests can prove chunking invariance without a 4 GiB buffer.
-std::uint32_t crc32_chunked(std::span<const std::byte> input, std::size_t chunk_bytes);
 
 }  // namespace mlio::util

@@ -1,13 +1,12 @@
 #include "util/deflate_fast.hpp"
 
-#include <zlib.h>  // adler32 only
-
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 
+#include "util/checksum.hpp"
 #include "util/deflate_format.hpp"
 #include "util/error.hpp"
 
@@ -869,13 +868,8 @@ void deflate_zlib(std::span<const std::byte> input, int level, std::vector<std::
   }
   bw.align();
 
-  // Adler-32 trailer, big-endian; zlib's adler32 takes 32-bit lengths.
-  uLong adler = ::adler32(0L, nullptr, 0);
-  for (std::size_t off = 0; off < input.size();) {
-    const std::size_t chunk = std::min<std::size_t>(input.size() - off, std::size_t{1} << 30);
-    adler = ::adler32(adler, in + off, static_cast<uInt>(chunk));
-    off += chunk;
-  }
+  // Adler-32 trailer, big-endian.
+  const std::uint32_t adler = adler32(input);
   std::uint8_t* p = bw.position();
   for (int shift = 24; shift >= 0; shift -= 8) *p++ = static_cast<std::uint8_t>(adler >> shift);
   const auto size = static_cast<std::size_t>(p - begin);

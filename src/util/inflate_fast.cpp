@@ -1,12 +1,11 @@
 #include "util/inflate_fast.hpp"
 
-#include <zlib.h>
-
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
 
+#include "util/checksum.hpp"
 #include "util/deflate_format.hpp"
 #include "util/error.hpp"
 
@@ -607,10 +606,7 @@ void inflate_zlib(std::span<const std::byte> input, std::span<std::byte> out,
   std::uint32_t stored_adler = 0;  // trailer is big-endian
   for (int i = 0; i < 4; ++i) stored_adler = (stored_adler << 8) | dec.br.take(8);
   if (verify_checksum) {
-    const uLong computed = ::adler32(::adler32(0L, nullptr, 0),
-                                     reinterpret_cast<const Bytef*>(out.data()),
-                                     static_cast<uInt>(out.size()));
-    if (static_cast<std::uint32_t>(computed) != stored_adler) fail();
+    if (adler32(out) != stored_adler) fail();
   }
 }
 

@@ -129,7 +129,8 @@ PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions&
 
 FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t job_lo,
                            std::uint64_t job_hi, const darshan::WriteOptions& write_options,
-                           SerializeScratch& scratch, SerializePhases* phases) {
+                           SerializeScratch& scratch, SerializePhases* phases,
+                           const BodyHook& on_body) {
   const sim::JobExecutor executor(machine_for(gen.profile()));
   FrameBlock out;
   const auto emit = [&](const sim::JobSpec& spec) {
@@ -147,6 +148,7 @@ FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::u
     out.bytes.insert(out.bytes.end(), frame.begin(), frame.end());
     out.sizes.push_back(frame.size());
     out.jobs.push_back(scratch.log.job);
+    if (on_body) on_body(scratch.io.body.view());
   };
   if (stratum == Stratum::kBulk) {
     gen.generate_bulk_range(job_lo, job_hi, emit);

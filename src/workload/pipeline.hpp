@@ -108,13 +108,19 @@ struct FrameBlock {
   }
 };
 
+/// Called once per log with its uncompressed body, right after the log is
+/// framed; the bytes are valid for the call only.
+using BodyHook = std::function<void(std::span<const std::byte> body)>;
+
 /// Generate jobs [job_lo, job_hi) of a stratum, execute each on the
 /// profile's machine, and frame every log into one FrameBlock.  Pure compute
 /// against immutable inputs — safe on any thread with its own scratch.
-/// When `phases` is set, per-phase CPU time is added into it.
+/// When `phases` is set, per-phase CPU time is added into it (the hook's
+/// time is not); when `on_body` is set, it sees every log's body.
 FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t job_lo,
                            std::uint64_t job_hi, const darshan::WriteOptions& write_options,
-                           SerializeScratch& scratch, SerializePhases* phases = nullptr);
+                           SerializeScratch& scratch, SerializePhases* phases = nullptr,
+                           const BodyHook& on_body = nullptr);
 
 /// One serialized log: the framed on-disk bytes plus its job record.  The
 /// frame span is only valid for the duration of the callback.

@@ -135,9 +135,9 @@ TEST(DeflateFast, RoundTripsEveryShapeAtEveryLevel) {
 
 // The bodies the archive writes: generated Summit and Cori Darshan logs, at
 // every level, directly and through the frame writer.  At the default level
-// the encoder must not lose to zlib's deflate on size; at level 6 it writes
-// up to 1% more than zlib's on these sparse bodies (about 0.9% measured, a
-// known gap: see CHANGES.md), and the bound keeps that gap from growing.
+// the encoder must not lose to zlib's deflate on size; at level 6 it may
+// write up to 0.5% more than zlib's (0.06% measured on these varint bodies,
+// 0.9% on the format's earlier 8-byte words), so the gap cannot grow back.
 TEST(DeflateFast, DarshanBodiesRoundTrip) {
   Codec codec;
   darshan::LogIoBuffers io;
@@ -185,7 +185,7 @@ TEST(DeflateFast, DarshanBodiesRoundTrip) {
     }
   }
   EXPECT_LE(ours[default_level], zlibs[default_level]);
-  EXPECT_LE(ours[6] * 100, zlibs[6] * 101);
+  EXPECT_LE(ours[6] * 1000, zlibs[6] * 1005);
 }
 
 // Symbol frequencies in a Fibonacci sequence give an unlimited Huffman code

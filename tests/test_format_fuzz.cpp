@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -177,16 +178,20 @@ TEST(FormatHostileCounts, ValidEmptyBodyStillParses) {
 }
 
 // ---------------------------------------------------------------------------
-// Hostile record blocks.  A record has exactly one encoding: its bitmap sets
-// no bit past the module's words, every set bit stores a non-zero word, and
-// the set words fit in the bytes left.  Each violation is rejected by the
-// walk with its own message, so a dropped check cannot hide behind a later
-// generic one.
+// Hostile record blocks.  A record has exactly one encoding: its rank is a
+// minimal zigzag varint of an int32, its bitmap sets no bit past the
+// module's words, every set counter bit stores a minimal zigzag varint of at
+// most 10 bytes that is not zero, every set fcounter bit a non-zero 8-byte
+// pattern, and the set words fit in the bytes left.  Each violation is
+// rejected by the walk with its own message, so a dropped check cannot hide
+// behind a later generic one.
 
-/// A body holding one POSIX region of one record, written as `block`
-/// writes it, then (unless `dxt` is false) an empty DXT region.
+/// A body holding one POSIX region of one record whose rank is the bytes
+/// `rank` and whose bitmap and words `block` writes, then (unless `dxt` is
+/// false) an empty DXT region.
 template <typename Block>
-std::vector<std::byte> one_record_frame(Block&& block, bool dxt = true) {
+std::vector<std::byte> one_record_frame(Block&& block, bool dxt = true,
+                                        std::vector<std::uint8_t> rank = {0x00}) {
   auto w = minimal_body_prefix();
   w.u32(1);  // one region
   w.u8(static_cast<std::uint8_t>(ModuleId::kPosix));
@@ -194,7 +199,7 @@ std::vector<std::byte> one_record_frame(Block&& block, bool dxt = true) {
   w.u32(static_cast<std::uint32_t>(fcounter_count(ModuleId::kPosix)));
   w.u32(1);      // one record
   w.u64(0x77);   // record_id
-  w.u32(0);      // rank
+  for (const std::uint8_t b : rank) w.u8(b);
   block(w);
   if (dxt) w.u32(0);
   return frame_body(w.view());
@@ -223,6 +228,44 @@ void write_bitmap(util::ByteWriter& w, std::uint64_t bits) {
   }
 }
 
+/// A block storing OPENS (word 0) as the raw bytes `counter`.
+auto opens_as(std::vector<std::uint8_t> counter) {
+  return [counter = std::move(counter)](util::ByteWriter& w) {
+    write_bitmap(w, 1);
+    for (const std::uint8_t b : counter) w.u8(b);
+  };
+}
+
+/// The walker's message for a record whose counters hold the raw bytes
+/// `counter`, in each place the decoder treats differently: alone at the
+/// body's end (the byte-at-a-time decoder), alone and followed by an
+/// fcounter word (one varint per load), and before or after a one-byte
+/// counter, followed by the word (two varints per load, when both fit).
+/// Returns the one message, or the distinct messages joined by " | ".
+std::string counter_error(const std::vector<std::uint8_t>& counter) {
+  const std::uint64_t f0 = std::uint64_t{1} << posix::COUNTER_COUNT;  // fcounter 0
+  const auto with = [&](std::uint64_t bits, bool first, bool second) {
+    return one_record_frame([&](util::ByteWriter& w) {
+      write_bitmap(w, bits);
+      if (!first) w.u8(0x02);
+      for (const std::uint8_t b : counter) w.u8(b);
+      if (second) w.u8(0x02);
+      if ((bits & f0) != 0) w.f64(1.0);
+    });
+  };
+  const std::string errors[] = {
+      walk_error(one_record_frame(opens_as(counter))),
+      walk_error(with(1 | f0, true, false)),
+      walk_error(with(0b11 | f0, true, true)),
+      walk_error(with(0b11 | f0, false, false)),
+  };
+  std::string out = errors[0];
+  for (const std::string& e : errors) {
+    if (e != errors[0]) out += " | " + e;
+  }
+  return out;
+}
+
 TEST(FormatRecordBlock, WellFormedBlocksParse) {
   // The control for the rejections below: the same frame shape with an
   // honest block parses, reads each word where its bit says, and reads 0
@@ -230,7 +273,7 @@ TEST(FormatRecordBlock, WellFormedBlocksParse) {
   const auto frame = one_record_frame([](util::ByteWriter& w) {
     const std::size_t write_time = std::size_t{posix::COUNTER_COUNT} + posix::F_WRITE_TIME;
     write_bitmap(w, (std::uint64_t{1} << posix::BYTES_READ) | (std::uint64_t{1} << write_time));
-    w.i64(4096);
+    harness::write_zigzag_varint(w, 4096);
     w.f64(-0.0);  // a set sign bit is a non-zero word
   });
   EXPECT_EQ(walk_error(frame), "");
@@ -242,14 +285,33 @@ TEST(FormatRecordBlock, WellFormedBlocksParse) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(log.records[0].f(posix::F_READ_TIME)), 0u);
   // An all-zero record is a bitmap of zeros and no words.
   EXPECT_EQ(walk_error(one_record_frame([](util::ByteWriter& w) { write_bitmap(w, 0); })), "");
+  // The longest counters: 10 bytes, the last 1 (INT64_MIN, zigzag
+  // 2^64 - 1) or 9 bytes (zigzag below 2^63).
+  const auto longest = one_record_frame(
+      opens_as({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}));
+  EXPECT_EQ(walk_error(longest), "");
+  EXPECT_EQ(read_log_bytes(longest).records[0].c(posix::OPENS),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(walk_error(one_record_frame(
+                opens_as({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}))),
+            "");
+  // The same counters where the decoder takes them from 8-byte loads.
+  EXPECT_EQ(counter_error({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}), "");  // 8 bytes
+  EXPECT_EQ(counter_error({0xd7, 0x04}), "");  // -300
+  EXPECT_EQ(counter_error({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}), "");
+  // The extreme ranks: INT32_MIN is zigzag 2^32 - 1, five bytes.
+  const auto low_rank = one_record_frame([](util::ByteWriter& w) { write_bitmap(w, 0); }, true,
+                                         {0xff, 0xff, 0xff, 0xff, 0x0f});
+  EXPECT_EQ(walk_error(low_rank), "");
+  EXPECT_EQ(read_log_bytes(low_rank).records[0].rank, std::numeric_limits<std::int32_t>::min());
 }
 
 TEST(FormatRecordBlock, BitBeyondTheModuleWordsThrows) {
   for (std::size_t bit = kPosixWords; bit < 8 * kPosixBitmapBytes; ++bit) {
     const auto frame = one_record_frame([&](util::ByteWriter& w) {
       write_bitmap(w, (std::uint64_t{1} << bit) | 1u);
-      w.i64(1);  // word 0 (OPENS)
-      w.i64(2);  // the word the stray bit claims
+      harness::write_zigzag_varint(w, 1);  // word 0 (OPENS)
+      w.u64(2);                            // the word the stray bit claims
     });
     EXPECT_EQ(walk_error(frame), "format error: record bitmap sets a bit beyond the module's words")
         << "bit " << bit;
@@ -258,15 +320,10 @@ TEST(FormatRecordBlock, BitBeyondTheModuleWordsThrows) {
 }
 
 TEST(FormatRecordBlock, SetBitOnAZeroWordThrows) {
-  // Bits 0 and 1 set, the second stored word zero: the same record has a
-  // shorter encoding, so this one is refused.
-  const auto frame = one_record_frame([](util::ByteWriter& w) {
-    write_bitmap(w, 0b11);
-    w.i64(7);
-    w.i64(0);
-  });
-  EXPECT_EQ(walk_error(frame), "format error: record bitmap marks a zero word");
-  EXPECT_THROW((void)read_log_bytes(frame), util::FormatError);
+  // A set bit on a zero counter, the single byte 0x00 (zigzag(0)): the same
+  // record has a shorter encoding, so this one is refused.
+  EXPECT_EQ(counter_error({0x00}), "format error: record bitmap marks a zero word");
+  EXPECT_THROW((void)read_log_bytes(one_record_frame(opens_as({0x00}))), util::FormatError);
   // A zero fcounter word too (+0.0, all bits clear).
   const auto ffr = one_record_frame([](util::ByteWriter& w) {
     write_bitmap(w, std::uint64_t{1} << posix::COUNTER_COUNT);
@@ -275,13 +332,82 @@ TEST(FormatRecordBlock, SetBitOnAZeroWordThrows) {
   EXPECT_EQ(walk_error(ffr), "format error: record bitmap marks a zero word");
 }
 
+TEST(FormatRecordBlock, OverlongCounterThrows) {
+  // 1 (zigzag 2) padded to two bytes, zero padded to two, and a value
+  // padded to five: the last byte of each is 0x00, which the shortest
+  // encoding never ends on.
+  for (const auto& bytes : {std::vector<std::uint8_t>{0x82, 0x00},
+                            std::vector<std::uint8_t>{0x80, 0x00},
+                            std::vector<std::uint8_t>{0xff, 0xff, 0xff, 0x80, 0x00}}) {
+    EXPECT_EQ(counter_error(bytes), "format error: record counter varint is not minimal")
+        << bytes.size() << " bytes";
+    EXPECT_THROW((void)read_log_bytes(one_record_frame(opens_as(bytes))), util::FormatError);
+  }
+}
+
+TEST(FormatRecordBlock, ElevenByteCounterThrows) {
+  // The 10th byte continues: no 64-bit value takes an 11th byte.
+  const std::vector<std::uint8_t> bytes = {0x81, 0x80, 0x80, 0x80, 0x80, 0x80,
+                                           0x80, 0x80, 0x80, 0x80, 0x01};
+  EXPECT_EQ(counter_error(bytes), "format error: record counter varint is longer than 10 bytes");
+  EXPECT_THROW((void)read_log_bytes(one_record_frame(opens_as(bytes))), util::FormatError);
+}
+
+TEST(FormatRecordBlock, TenthByteAboveOneThrows) {
+  // The 10th byte holds bit 63 alone; 2 would be bit 64.
+  const std::vector<std::uint8_t> bytes = {0x81, 0x80, 0x80, 0x80, 0x80,
+                                           0x80, 0x80, 0x80, 0x80, 0x02};
+  EXPECT_EQ(counter_error(bytes), "format error: record counter varint overflows 64 bits");
+  EXPECT_THROW((void)read_log_bytes(one_record_frame(opens_as(bytes))), util::FormatError);
+}
+
+TEST(FormatRecordBlock, CounterVarintPastTheBodyEndThrows) {
+  // One counter set and the body ends inside its varint: the byte the
+  // bitmap promises is there, the varint's continuation is not.
+  for (const auto& bytes : {std::vector<std::uint8_t>{0x80, 0x80},
+                            std::vector<std::uint8_t>{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                                                      0xff, 0xff}}) {
+    const auto frame = one_record_frame(opens_as(bytes), /*dxt=*/false);
+    EXPECT_EQ(walk_error(frame), "format error: record counter varint runs past the body end")
+        << bytes.size() << " bytes";
+    EXPECT_THROW((void)read_log_bytes(frame), util::FormatError);
+  }
+}
+
+TEST(FormatRecordBlock, RankMustBeMinimalAndAnInt32) {
+  const auto no_words = [](util::ByteWriter& w) { write_bitmap(w, 0); };
+  const auto rank_error = [&](std::vector<std::uint8_t> rank) {
+    return walk_error(one_record_frame(no_words, true, std::move(rank)));
+  };
+  EXPECT_EQ(rank_error({0x0a}), "");  // rank 5
+  EXPECT_EQ(rank_error({0x01}), "");  // the shared rank, -1
+  EXPECT_EQ(rank_error({0x8a, 0x00}), "format error: record rank varint is not minimal");
+  EXPECT_EQ(rank_error({0x80, 0x00}), "format error: record rank varint is not minimal");
+  // zigzag 2^32: one past INT32_MIN's 2^32 - 1.
+  EXPECT_EQ(rank_error({0x80, 0x80, 0x80, 0x80, 0x10}),
+            "format error: record rank is out of int32 range");
+  // A sixth byte.
+  EXPECT_EQ(rank_error({0x80, 0x80, 0x80, 0x80, 0x80, 0x01}),
+            "format error: record rank is out of int32 range");
+  // The body ends inside the rank.
+  auto w = minimal_body_prefix();
+  w.u32(1);
+  w.u8(static_cast<std::uint8_t>(ModuleId::kPosix));
+  w.u32(static_cast<std::uint32_t>(counter_count(ModuleId::kPosix)));
+  w.u32(static_cast<std::uint32_t>(fcounter_count(ModuleId::kPosix)));
+  w.u32(1);
+  w.u64(0x77);
+  w.u8(0x80);
+  EXPECT_EQ(walk_error(frame_body(w.view())), "format error: record rank runs past the body end");
+}
+
 TEST(FormatRecordBlock, SetWordsPastTheBodyEndThrow) {
-  // Every word set but only three stored, and no DXT count behind them: the
-  // popcount promises more bytes than the body holds.
+  // Every word set but only three counters stored, and no DXT count behind
+  // them: the set bits promise more bytes than the body holds.
   const auto frame = one_record_frame(
       [](util::ByteWriter& w) {
         write_bitmap(w, (std::uint64_t{1} << kPosixWords) - 1);
-        for (int k = 0; k < 3; ++k) w.i64(k + 1);
+        for (int k = 0; k < 3; ++k) harness::write_zigzag_varint(w, k + 1);
       },
       /*dxt=*/false);
   EXPECT_EQ(walk_error(frame), "format error: record words exceed body size");
@@ -293,6 +419,19 @@ TEST(FormatRecordBlock, SetWordsPastTheBodyEndThrow) {
       [](util::ByteWriter& w) { write_bitmap(w, std::uint64_t{1} << (kPosixWords - 1)); },
       /*dxt=*/false);
   EXPECT_EQ(walk_error(tail), "format error: record words exceed body size");
+
+  // Every counter stored in two bytes, the last fcounter's word cut to six:
+  // the bytes left cover one byte per counter and every word, so the body
+  // runs out only after the counters are decoded.
+  const auto words = one_record_frame(
+      [](util::ByteWriter& w) {
+        write_bitmap(w, (std::uint64_t{1} << kPosixWords) - 1);
+        for (std::size_t k = 0; k < posix::COUNTER_COUNT; ++k) harness::write_zigzag_varint(w, 65);
+        for (std::size_t k = 0; k + 1 < posix::FCOUNTER_COUNT; ++k) w.f64(1.0);
+        for (int k = 0; k < 6; ++k) w.u8(0x3f);
+      },
+      /*dxt=*/false);
+  EXPECT_EQ(walk_error(words), "format error: record words exceed body size");
 }
 
 // ---------------------------------------------------------------------------
@@ -340,23 +479,61 @@ std::optional<std::vector<std::byte>> reference_state(std::span<const std::byte>
 
 class KernelFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Where the record blocks of a body keep their bitmaps and varints, found
+/// by a parse of the block layout written from the format description.
+struct BlockLayout {
+  std::vector<std::pair<std::size_t, std::size_t>> bitmaps;  ///< (offset, bytes)
+  std::vector<std::size_t> varint_bytes;  ///< offset of every rank and counter byte
+};
+
+BlockLayout block_layout(std::span<const std::byte> body) {
+  BlockLayout out;
+  util::ByteReader r(body);
+  const auto offset = [&] { return body.size() - r.remaining(); };
+  const auto varint = [&] {
+    for (bool more = true; more;) {
+      out.varint_bytes.push_back(offset());
+      more = (r.u8() & 0x80) != 0;
+    }
+  };
+  (void)r.u64(), (void)r.u32(), (void)r.u32(), (void)r.u32(), (void)r.i64(), (void)r.i64();
+  (void)r.str_view();
+  for (std::uint32_t n = r.u32(); n > 0; --n) (void)r.str_view(), (void)r.str_view();
+  for (std::uint32_t n = r.u32(); n > 0; --n) (void)r.str_view(), (void)r.str_view();
+  for (std::uint32_t n = r.u32(); n > 0; --n) (void)r.u64(), (void)r.str_view();
+  for (std::uint32_t regions = r.u32(); regions > 0; --regions) {
+    (void)r.u8();
+    const std::uint32_t nc = r.u32();
+    const std::uint32_t nf = r.u32();
+    for (std::uint32_t records = r.u32(); records > 0; --records) {
+      (void)r.u64();
+      varint();
+      const std::size_t n = (nc + nf + 7) / 8;
+      out.bitmaps.emplace_back(offset(), n);
+      std::uint64_t mask = 0;
+      for (std::size_t b = 0; b < n; ++b) mask |= std::uint64_t{r.u8()} << (8 * b);
+      for (; mask != 0; mask &= mask - 1) {
+        if (static_cast<std::uint32_t>(std::countr_zero(mask)) < nc) {
+          varint();
+        } else {
+          (void)r.u64();
+        }
+      }
+    }
+  }
+  return out;
+}
+
 TEST_P(KernelFuzz, MutatedBodiesRejectedAndAnalyzedAsByTheReference) {
   const LogData log = sample_log(GetParam());
   const std::vector<std::byte> plain = write_log_bytes(log, WriteOptions{false, 0});
   LogIoBuffers io;
   const auto body_view = read_log_frame_body(plain, io);
   const std::vector<std::byte> body(body_view.begin(), body_view.end());
-  // Where each record's bitmap sits in the body: just before its words.
-  std::vector<std::pair<std::size_t, std::size_t>> bitmaps;  // (offset, bytes)
-  {
-    LogBody walked;
-    walk_log_body(body, walked);
-    for (const RecordView& rec : walked.records) {
-      const std::size_t n = (counter_count(rec.module) + fcounter_count(rec.module) + 7) / 8;
-      bitmaps.emplace_back(static_cast<std::size_t>(rec.values - body.data()) - n, n);
-    }
-  }
+  const BlockLayout layout = block_layout(body);
+  const auto& bitmaps = layout.bitmaps;
   ASSERT_FALSE(bitmaps.empty());
+  ASSERT_FALSE(layout.varint_bytes.empty());
   util::Rng rng(GetParam() * 977 + 3);
   std::size_t accepted = 0;
   std::size_t rejected = 0;
@@ -373,11 +550,11 @@ TEST_P(KernelFuzz, MutatedBodiesRejectedAndAnalyzedAsByTheReference) {
   };
   check(plain, "unmutated");
   check(write_log_bytes(log), "unmutated, compressed");
-  for (int trial = 0; trial < 375; ++trial) {
+  for (int trial = 0; trial < 450; ++trial) {
     std::vector<std::byte> mutated = body;
     std::size_t pos = static_cast<std::size_t>(rng.uniform_u64(0, mutated.size() - 1));
     std::string what = "trial " + std::to_string(trial) + " pos " + std::to_string(pos);
-    switch (trial % 5) {
+    switch (trial % 6) {
       case 0:  // one flipped byte
         mutated[pos] ^= static_cast<std::byte>(rng.uniform_u64(1, 255));
         break;
@@ -394,6 +571,12 @@ TEST_P(KernelFuzz, MutatedBodiesRejectedAndAnalyzedAsByTheReference) {
         mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(pos),
                        static_cast<std::byte>(rng.uniform_u64(0, 255)));
         break;
+      case 4: {  // one continuation bit flipped: a varint ends early or runs on
+        pos = layout.varint_bytes[rng.uniform_u64(0, layout.varint_bytes.size() - 1)];
+        mutated[pos] ^= std::byte{0x80};
+        what += " continuation bit";
+        break;
+      }
       default: {  // one bitmap bit flipped: a word gained or lost
         const auto& [offset, n] = bitmaps[rng.uniform_u64(0, bitmaps.size() - 1)];
         const std::size_t bit = static_cast<std::size_t>(rng.uniform_u64(0, 8 * n - 1));

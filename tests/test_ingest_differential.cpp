@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "archive/archive.hpp"
@@ -457,6 +460,40 @@ TEST(IngestDifferential, BodyKernelEdgeCases) {
               std::bit_cast<std::uint64_t>(-0.0));
     EXPECT_EQ(std::popcount(view_of(full).mask),
               static_cast<int>(full.counters.size() + full.fcounters.size()));
+  }
+  {  // Zigzag varints at their extremes: INT64_MIN and INT64_MAX take all
+     // ten bytes, -1 and 1 one byte each, and the ranks span the int32
+     // range.  The values sit in counters the summaries do not read, beside
+     // honest transfer counters.
+    namespace pc = darshan::posix;
+    LogData log;
+    log.job = small_job(2);
+    log.mounts = {{"/gpfs/alpine", "gpfs"}};
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const std::pair<std::int32_t, std::array<std::int64_t, 5>> rows[] = {
+        {std::numeric_limits<std::int32_t>::min(), {kMin, kMax, -1, 1, -2}},
+        {std::numeric_limits<std::int32_t>::max(), {kMax, kMin, 1, -1, 2}},
+        {0, {-1, 1, kMin + 1, kMax - 1, 63}},
+        {-64, {64, -65, -64, 8191, -8192}},
+    };
+    for (const auto& [rank, values] : rows) {
+      const std::string path = "/gpfs/alpine/zz" + std::to_string(rank);
+      darshan::FileRecord rec(darshan::hash_record_id(path), rank, ModuleId::kPosix);
+      log.names.try_emplace(rec.record_id, path);
+      const std::size_t slots[] = {pc::SEEKS, pc::STATS, pc::FSYNCS, pc::CONSEC_READS,
+                                   pc::CONSEC_WRITES};
+      for (std::size_t k = 0; k < values.size(); ++k) rec.counters[slots[k]] = values[k];
+      rec.counters[pc::OPENS] = 1;
+      rec.counters[pc::BYTES_READ] = 4096;
+      rec.fcounters[pc::F_READ_TIME] = 0.125;
+      log.records.push_back(rec);
+    }
+    for (const bool compress : {false, true}) {
+      const auto frame = darshan::write_log_bytes(log, darshan::WriteOptions{compress, 2});
+      EXPECT_TRUE(darshan::read_log_bytes(frame) == log) << "compress " << compress;
+      expect_frame_agrees(log, frame, ks, "zigzag extremes");
+    }
   }
   {  // A non-empty DXT region: walked, checked and skipped by the kernel,
      // materialized intact by read_log_bytes.

@@ -81,42 +81,47 @@ TEST(LogFormat, BadVersionThrows) {
   EXPECT_THROW(read_log_bytes(bytes), util::FormatError);
 }
 
-TEST(LogFormat, VersionOneFrameIsRefused) {
-  // Version 1 stored dense record blocks; its frames have the same header,
-  // and the version is read before the body, so a v1 frame with a valid
-  // CRC is refused by name rather than misparsed.
+TEST(LogFormat, VersionTwoFrameIsRefused) {
+  // Version 2 stored every counter as an 8-byte word; its frames have the
+  // same header, and the version is read before the body, so a v2 frame
+  // with a valid CRC is refused by name rather than misparsed.
   WriteOptions raw;
   raw.compress = false;
   auto bytes = write_log_bytes(random_log(5, 3), raw);
   ASSERT_EQ(bytes[4], std::byte{kLogVersion});
-  bytes[4] = std::byte{1};
+  bytes[4] = std::byte{2};
   try {
     (void)read_log_bytes(bytes);
-    FAIL() << "a version-1 frame was read";
+    FAIL() << "a version-2 frame was read";
   } catch (const util::FormatError& e) {
-    EXPECT_STREQ(e.what(), "format error: unsupported log version 1");
+    EXPECT_STREQ(e.what(), "format error: unsupported log version 2");
   }
 }
 
 TEST(LogFormat, RecordBlockIsSparse) {
-  // One POSIX record with two non-zero words, OPENS (word 0) and a -0.0
-  // F_READ_TIME (word nc + 6): id, rank, a 6-byte bitmap for the 44 words,
-  // the two words, then the empty DXT region ends the body.
+  // One POSIX record on rank 5 with three non-zero words: OPENS = 1 (word
+  // 0), WRITES = -300 (word 2) and a -0.0 F_READ_TIME (word nc + 6).
+  // The block is the id, the rank as a zigzag varint, a 6-byte bitmap for
+  // the 44 words, each counter as a zigzag varint, the fcounter's 8 bytes,
+  // then the empty DXT region ends the body.
   LogData log;
   FileRecord rec(0x1122334455667788ull, 5, ModuleId::kPosix);
   rec.counters[posix::OPENS] = 1;
+  rec.counters[posix::WRITES] = -300;
   rec.fcounters[posix::F_READ_TIME] = -0.0;
   log.records.push_back(rec);
   WriteOptions raw;
   raw.compress = false;
   const auto bytes = write_log_bytes(log, raw);
+  ASSERT_EQ(posix::WRITES, 2u);
   const std::size_t bit = std::size_t{posix::COUNTER_COUNT} + posix::F_READ_TIME;
   ASSERT_EQ(bit, 41u);
   const std::vector<std::uint8_t> tail = {
       0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // record_id
-      5, 0, 0, 0,                                      // rank
-      0x01, 0, 0, 0, 0, 0x02,                          // bitmap: bits 0 and 41
-      1, 0, 0, 0, 0, 0, 0, 0,                          // OPENS
+      0x0a,                                            // rank 5: zigzag 10
+      0x05, 0, 0, 0, 0, 0x02,                          // bitmap: bits 0, 2 and 41
+      0x02,                                            // OPENS 1: zigzag 2
+      0xd7, 0x04,                                      // -300: zigzag 599 = 0x257
       0, 0, 0, 0, 0, 0, 0, 0x80,                       // -0.0
       0, 0, 0, 0};                                     // DXT count
   ASSERT_GE(bytes.size(), tail.size());
