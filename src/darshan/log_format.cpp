@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -77,11 +76,16 @@ constexpr std::uint64_t low_bits(std::size_t n) {
 // One stored counter: a zigzag LEB128 of at most 10 bytes whose last byte
 // is non-zero.  That one test rejects every overlong encoding and a stored
 // zero (zigzag(0) is the single byte 0x00), so each counter value has one
-// encoding; the 10th byte carries bit 63 alone, so it is 0 or 1.  This is
-// the byte-at-a-time decoder: read_counters' path near the body's end, for
-// varints longer than 8 bytes, and for every rejection message.
-[[gnu::noinline]] std::uint64_t read_counter_bytewise(const std::byte*& p,
-                                                      const std::byte* end) {
+// encoding; the 10th byte carries bit 63 alone, so it is 0 or 1.  Most
+// counters are one byte, 0x01 to 0x7f, which return before the loop.
+inline std::uint64_t read_counter(const std::byte*& p, const std::byte* end) {
+  if (p != end) {
+    const auto b = std::to_integer<std::uint64_t>(*p);
+    if (b - 1 < 0x7f) {
+      ++p;
+      return static_cast<std::uint64_t>(util::zigzag_decode(b));
+    }
+  }
   std::uint64_t z = 0;
   for (unsigned shift = 0;; shift += 7) {
     if (p == end) throw FormatError("record counter varint runs past the body end");
@@ -99,91 +103,6 @@ constexpr std::uint64_t low_bits(std::size_t n) {
       return static_cast<std::uint64_t>(util::zigzag_decode(z));
     }
   }
-}
-
-// Packs the 7-bit groups of 8 varint bytes (high bits already clear) into
-// the low 56 bits, low group first: pairs, then quads, then the two halves.
-inline std::uint64_t pack_groups(std::uint64_t z) {
-  z = (z & 0x007f007f007f007full) | ((z & 0x7f007f007f007f00ull) >> 1);
-  z = (z & 0x00003fff00003fffull) | ((z & 0x3fff00003fff0000ull) >> 2);
-  return (z & 0x000000000fffffffull) | ((z & 0x0fffffff00000000ull) >> 4);
-}
-
-// Decode `n` counters from p into the 8-byte words at `word`.  While 8
-// bytes are readable, one 8-byte load gives the last byte of each varint
-// ending in it (the bytes with a clear high bit), and the first two such
-// varints are decoded from it at once: one pack of the load's 7-bit groups
-// holds both values side by side, so neither waits on a branch on the
-// other's length.  The rules and messages are read_counter_bytewise's,
-// which decodes a varint of 9 or 10 bytes, one near the body's end, and any
-// it rejects.
-inline void read_counters(const std::byte*& p, const std::byte* end, std::byte* word,
-                          std::size_t n) {
-  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
-  constexpr std::uint64_t kHigh = 0x8080808080808080ull;
-  const auto low = [](int bits) { return ~std::uint64_t{0} >> (64 - bits); };
-  const auto put = [&](std::uint64_t z) {
-    util::store_le(word, static_cast<std::uint64_t>(util::zigzag_decode(z)));
-    word += 8;
-  };
-  for (std::size_t k = 0; k < n;) {
-    if (end - p >= 8) {
-      const std::uint64_t x = util::load_le<std::uint64_t>(p);
-      const std::uint64_t stops = ~x & kHigh;
-      const std::uint64_t second = stops & (stops - 1);
-      const std::uint64_t groups = pack_groups(x & kLow7);
-      if (second != 0 && k + 1 < n) {
-        const int n1 = (std::countr_zero(stops) >> 3) + 1;  // bytes of the first varint
-        const int n2 = (std::countr_zero(second) >> 3) + 1 - n1;
-        const std::uint64_t z1 = groups & low(7 * n1);
-        const std::uint64_t z2 = (groups >> (7 * n1)) & low(7 * n2);
-        if ((z1 >> (7 * n1 - 7)) == 0 || (z2 >> (7 * n2 - 7)) == 0) {
-          // A last byte of 0: the byte decoder throws on the first varint,
-          // or decodes it and throws on the second.
-          (void)read_counter_bytewise(p, end);
-          (void)read_counter_bytewise(p, end);
-        }
-        put(z1);
-        put(z2);
-        p += n1 + n2;
-        k += 2;
-        continue;
-      }
-      if (stops != 0) {
-        const int n1 = (std::countr_zero(stops) >> 3) + 1;
-        const std::uint64_t z1 = groups & low(7 * n1);
-        if ((z1 >> (7 * n1 - 7)) == 0) (void)read_counter_bytewise(p, end);  // throws
-        put(z1);
-        p += n1;
-        k += 1;
-        continue;
-      }
-    }
-    util::store_le(word, read_counter_bytewise(p, end));
-    word += 8;
-    k += 1;
-  }
-}
-
-// Grows out.words geometrically and re-points the views made so far (every
-// record in out.records: call it before adding the next one).
-[[gnu::noinline]] void grow_words(LogBody& out) {
-  std::vector<std::size_t> offsets;
-  offsets.reserve(out.records.size());
-  const auto* base = reinterpret_cast<const std::byte*>(out.words.data());
-  for (const RecordView& rec : out.records) {
-    offsets.push_back(static_cast<std::size_t>(rec.values - base));
-  }
-  out.words.resize(std::max<std::size_t>(2 * out.words.size(), 1024));
-  base = reinterpret_cast<const std::byte*>(out.words.data());
-  for (std::size_t i = 0; i < offsets.size(); ++i) out.records[i].values = base + offsets[i];
-}
-
-// Room for the next record's words (at most 64) after the first `n_stored`
-// of out.words.  The buffer only grows, so after the largest log so far
-// this is one compare.
-inline void reserve_record_words(LogBody& out, std::size_t n_stored) {
-  if (out.words.size() - n_stored < 64) grow_words(out);
 }
 
 // A record's rank: a zigzag LEB128 of an int32, so at most 5 bytes, with a
@@ -487,7 +406,11 @@ void walk_log_body(std::span<const std::byte> body, LogBody& out) {
     const std::byte* p = rest.data();
     const std::byte* const end = p + rest.size();
     for (std::uint32_t i = 0; i < n_records; ++i) {
-      reserve_record_words(out, n_stored);
+      // Room for this record's words.  A growth moves the buffer, so the
+      // views are pointed into it after the walk.
+      if (out.words.size() - n_stored < n_words) {
+        out.words.resize(std::max(2 * out.words.size(), n_stored + n_words));
+      }
       RecordView& rec = out.records.emplace_back();
       if (end - p < 8) throw FormatError("unexpected end of data");
       rec.record_id = util::load_le<std::uint64_t>(p);
@@ -514,10 +437,8 @@ void walk_log_body(std::span<const std::byte> body, LogBody& out) {
         throw FormatError("record words exceed body size");
       }
       auto* word = reinterpret_cast<std::byte*>(out.words.data() + n_stored);
-      rec.values = word;
       n_stored += n_c + n_f;
-      read_counters(p, end, word, n_c);
-      word += 8 * n_c;
+      for (std::size_t k = 0; k < n_c; ++k, word += 8) util::store_le(word, read_counter(p, end));
       if (8 * n_f > static_cast<std::size_t>(end - p)) {
         throw FormatError("record words exceed body size");
       }
@@ -532,6 +453,12 @@ void walk_log_body(std::span<const std::byte> body, LogBody& out) {
       if (zero) throw FormatError("record bitmap marks a zero word");
     }
     r.skip(static_cast<std::size_t>(p - rest.data()));
+  }
+  // Each record's words follow the previous record's.
+  const auto* values = reinterpret_cast<const std::byte*>(out.words.data());
+  for (RecordView& rec : out.records) {
+    rec.values = values;
+    values += 8 * static_cast<std::size_t>(popcount64(rec.mask));
   }
 
   // DXT trace region (usually empty: tracing is off by default, as on the

@@ -1,26 +1,20 @@
 #include "util/byte_io.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "util/vfs.hpp"
 
 namespace mlio::util {
 
-void ByteWriter::grow(std::size_t n) {
-  buf_.resize(std::max({2 * buf_.size(), len_ + n, std::size_t{256}}));
-}
-
 void ByteWriter::str(std::string_view s) {
   if (s.size() > 0xffffffffull) throw FormatError("string too long");
   u32(static_cast<std::uint32_t>(s.size()));
-  bytes({reinterpret_cast<const std::byte*>(s.data()), s.size()});
+  const auto* p = reinterpret_cast<const std::byte*>(s.data());
+  buf_.insert(buf_.end(), p, p + s.size());
 }
 
 void ByteWriter::bytes(std::span<const std::byte> data) {
-  if (data.empty()) return;
-  std::memcpy(room(data.size()), data.data(), data.size());
-  len_ += data.size();
+  buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
 std::string ByteReader::str() {

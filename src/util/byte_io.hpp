@@ -11,7 +11,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -57,17 +56,12 @@ constexpr std::int64_t zigzag_decode(std::uint64_t z) {
 
 /// Append-only byte buffer with typed little-endian writes.
 ///
-/// The writes are inline, the mirror of ByteReader's reads: one compare
-/// against the room left, then on little-endian hosts one unaligned store
-/// (the log encoder calls them once per field and counter).  The storage
-/// grows geometrically and only in grow(), so a write costs no vector
-/// bookkeeping.
+/// The fixed-width writes are inline, the mirror of ByteReader's reads: one
+/// resize, then on little-endian hosts one unaligned store (the log encoder
+/// calls them once per header field).
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) {
-    *room(1) = std::byte{v};
-    len_ += 1;
-  }
+  void u8(std::uint8_t v) { buf_.push_back(std::byte{v}); }
   void u16(std::uint16_t v) { fixed(v); }
   void u32(std::uint32_t v) { fixed(v); }
   void u64(std::uint64_t v) { fixed(v); }
@@ -76,42 +70,28 @@ class ByteWriter {
   /// LEB128: seven bits per byte, low group first, the high bit set on every
   /// byte but the last; the shortest encoding of `v` (1 to 10 bytes).
   void uvarint(std::uint64_t v) {
-    std::byte* const begin = room(10);
-    std::byte* out = begin;
-    for (; v >= 0x80; v >>= 7) *out++ = static_cast<std::byte>(v | 0x80);
-    *out++ = static_cast<std::byte>(v);
-    len_ += static_cast<std::size_t>(out - begin);
+    for (; v >= 0x80; v >>= 7) buf_.push_back(static_cast<std::byte>(v | 0x80));
+    buf_.push_back(static_cast<std::byte>(v));
   }
   /// Length-prefixed (u32) string.
   void str(std::string_view s);
   void bytes(std::span<const std::byte> data);
 
-  std::span<const std::byte> view() const { return {buf_.data(), len_}; }
-  std::vector<std::byte> take() {
-    buf_.resize(len_);
-    len_ = 0;
-    return std::exchange(buf_, {});
-  }
-  std::size_t size() const { return len_; }
+  std::span<const std::byte> view() const { return buf_; }
+  std::vector<std::byte> take() { return std::move(buf_); }
+  std::size_t size() const { return buf_.size(); }
   /// Forget the contents but keep the capacity — for buffer-reuse loops.
-  void clear() { len_ = 0; }
+  void clear() { buf_.clear(); }
 
  private:
-  /// Where the next `n` bytes go; len_ is advanced by the caller.
-  std::byte* room(std::size_t n) {
-    if (buf_.size() - len_ < n) grow(n);
-    return buf_.data() + len_;
-  }
-  void grow(std::size_t n);
-
   template <typename T>
   void fixed(T v) {
-    store_le(room(sizeof(T)), v);
-    len_ += sizeof(T);
+    const std::size_t pos = buf_.size();
+    buf_.resize(pos + sizeof(T));
+    store_le(buf_.data() + pos, v);
   }
 
-  std::vector<std::byte> buf_;  ///< storage: the first len_ bytes are written
-  std::size_t len_ = 0;
+  std::vector<std::byte> buf_;
 };
 
 /// Sequential reader over a byte span; throws FormatError on underrun.

@@ -237,11 +237,10 @@ auto opens_as(std::vector<std::uint8_t> counter) {
 }
 
 /// The walker's message for a record whose counters hold the raw bytes
-/// `counter`, in each place the decoder treats differently: alone at the
-/// body's end (the byte-at-a-time decoder), alone and followed by an
-/// fcounter word (one varint per load), and before or after a one-byte
-/// counter, followed by the word (two varints per load, when both fit).
-/// Returns the one message, or the distinct messages joined by " | ".
+/// `counter`, in four places: alone at the body's end, alone and followed
+/// by an fcounter word, and before or after a one-byte counter, followed by
+/// the word.  Returns the one message, or the distinct messages joined by
+/// " | ".
 std::string counter_error(const std::vector<std::uint8_t>& counter) {
   const std::uint64_t f0 = std::uint64_t{1} << posix::COUNTER_COUNT;  // fcounter 0
   const auto with = [&](std::uint64_t bits, bool first, bool second) {
@@ -295,7 +294,7 @@ TEST(FormatRecordBlock, WellFormedBlocksParse) {
   EXPECT_EQ(walk_error(one_record_frame(
                 opens_as({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}))),
             "");
-  // The same counters where the decoder takes them from 8-byte loads.
+  // The same counters with bytes after them and a counter before or after.
   EXPECT_EQ(counter_error({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}), "");  // 8 bytes
   EXPECT_EQ(counter_error({0xd7, 0x04}), "");  // -300
   EXPECT_EQ(counter_error({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}), "");
