@@ -16,8 +16,9 @@
 // (verifying the segment CRC first) for the read kernel, and
 // `scan_partition` replays them as parsed logs; `load_snapshot` returns the cached
 // analysis shard when it is present, uncorrupted, and stamped with the
-// partition's current data generation.  The incremental query engine on top
-// lives in archive/query.hpp.
+// partition's current data generation.  archive/query.hpp resolves one
+// partition's shard from these; the query engine on top is the archive
+// service (service/service.hpp).
 #pragma once
 
 #include <cstdint>
@@ -70,8 +71,8 @@ class Archive {
 
   /// Re-read the manifest from disk, replacing the in-memory view.  Lets a
   /// long-lived handle observe generations published by another process (the
-  /// service uses it to recover from a StaleReadError caused by an external
-  /// compactor).  Throws like open().
+  /// service uses it to recover when an external compactor deleted files
+  /// its pinned manifest still named).  Throws like open().
   void reload();
 
   /// One fully built but not yet published partition: its manifest entry
@@ -156,7 +157,7 @@ class Archive {
   std::vector<PartitionInfo> commit_group(std::span<const PendingPartition> group);
 
   /// Reusable decode state for scan_partition (scan.hpp); kept as a nested
-  /// alias because the query engine and tests name it through the Archive.
+  /// alias because the shard resolver and tests name it through the Archive.
   using ScanScratch = archive::ScanScratch;
 
   /// Decode a partition's frames in ingest order, calling `fn` with each

@@ -48,9 +48,9 @@ struct IngestOptions {
   darshan::WriteOptions write_options;
 };
 
-/// Phase timings follow the QueryStats convention: the *_ns phases are CPU
-/// time summed across build workers (thread-ns, not wall clock), except
-/// publish_ns which is wall time on the committing thread.
+/// Phase timings: the *_ns phases are CPU time summed across build workers
+/// (thread-ns, not wall clock), except publish_ns which is wall time on the
+/// committing thread.
 struct IngestStats {
   std::uint64_t partitions = 0;
   std::uint64_t groups = 0;  ///< manifest commits (generation bumps)

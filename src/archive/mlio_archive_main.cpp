@@ -28,18 +28,24 @@
 // machinery the crash-consistency tests use — which makes any failing
 // (seed, crash-index) pair reproducible from the shell.
 //
-// `query` prints the paper's Table 2/3/5/6 summaries over the whole archive
-// plus the cache telemetry (partitions scanned vs served from snapshots).
+// `query` answers through the archive service (service/service.hpp), the
+// same engine `serve` and the live soak run: one cold get, whole-archive or
+// over the last N windows.  It prints the paper's Table 2/3/5/6 summaries
+// over the whole archive (Table 2 and the ops timeline for a window) plus
+// the cache telemetry (partitions scanned vs served from snapshots).  A
+// whole-archive query writes its rebuilt shards back as snapshots unless
+// --no-write-snapshots; a windowed one writes nothing.  A compaction by
+// another process that deletes files the query pinned is retried inside
+// the service against the new manifest.
 // `serve` runs the in-process archive service's closed-loop client pool
 // against the directory and prints per-kind latency percentiles and, in
 // both modes, one `memo:` line of the answer memo's counters; every
 // concurrent answer is verified against a serial replay of its pinned
 // generation.
-// Exit status: 0 on success, 1 on a failed verify, corruption, or serving
-// divergence, 2 on usage errors, 3 when a --fault-spec crash point fired,
-// 4 when a query lost the race against a concurrent compaction (the pinned
-// generation's segments were already garbage-collected — rerun the query
-// to read the new generation).
+// Exit status: 0 on success, 1 on a failed verify, corruption, serving
+// divergence, or a query still losing the race against a concurrent
+// compaction after the service's retries, 2 on usage errors, 3 when a
+// --fault-spec crash point fired.
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -47,7 +53,6 @@
 #include <vector>
 
 #include "archive/ingest.hpp"
-#include "archive/query.hpp"
 #include "archive/stream.hpp"
 #include "darshan/log_format.hpp"
 #include "service/driver.hpp"
@@ -296,64 +301,8 @@ int cmd_ingest(const Args& a, util::Vfs& vfs) {
   return 0;
 }
 
-/// Windowed query: Table 2 over the last N windows only, plus the ops view
-/// (core/load_timeline over the selected partition suffix).
-int cmd_query_window(const Args& a, util::Vfs& vfs) {
-  archive::Archive ar = archive::Archive::open(a.dir, vfs);
-  archive::QueryOptions opts;
-  opts.threads = a.threads;
-  opts.mlp_depth = a.mlp_depth;
-  archive::WindowSelection sel;
-  const archive::QueryResult q = archive::query_window(ar, a.last_windows, opts, &sel);
-  const core::Analysis& an = q.analysis;
-
-  util::Table t({"metric", "value"});
-  t.add_row({"logs", util::format_count(static_cast<double>(an.summary().logs()))});
-  t.add_row({"jobs", util::format_count(static_cast<double>(an.summary().jobs()))});
-  t.add_row({"files", util::format_count(static_cast<double>(an.summary().files()))});
-  t.add_row({"node-hours", util::format_count(an.summary().node_hours())});
-  std::printf("\n== Census, last %llu window(s) (Table 2) ==\n",
-              static_cast<unsigned long long>(a.last_windows));
-  emit(a, t);
-  std::printf(
-      "\nwindow: %llu of %llu window(s) covered (%zu of %zu partition(s)%s); "
-      "%llu snapshot hit(s), %llu rescanned, %.3f s\n",
-      static_cast<unsigned long long>(sel.windows_covered),
-      static_cast<unsigned long long>(sel.newest_window), sel.count,
-      ar.manifest().partitions.size(),
-      sel.whole_archive() ? ", whole archive" : "",
-      static_cast<unsigned long long>(q.stats.snapshot_hits),
-      static_cast<unsigned long long>(q.stats.partitions_scanned), q.stats.total_seconds);
-
-  // Ops view of the same suffix: job concurrency over a day-long horizon.
-  const core::LoadTimeline tl = archive::window_timeline(ar, ar.manifest(), sel, 86400, 48);
-  std::printf("timeline: peak concurrency %u log(s), %.1f%% busy, PFS read %s/s mean\n",
-              tl.peak_concurrency(), 100.0 * tl.busy_fraction(),
-              util::format_bytes(tl.mean_throughput(core::Layer::kPfs, true)).c_str());
-  std::printf("analysis fingerprint: %016llx\n",
-              static_cast<unsigned long long>(an.fingerprint()));
-  return 0;
-}
-
-int cmd_query(const Args& a, util::Vfs& vfs) {
-  if (a.last_windows > 0) return cmd_query_window(a, vfs);
-  archive::Archive ar = archive::Archive::open(a.dir, vfs);
-  archive::QueryOptions opts;
-  opts.threads = a.threads;
-  opts.write_snapshots = a.write_snapshots;
-  opts.mlp_depth = a.mlp_depth;
-  const archive::QueryResult q = query_archive(ar, opts);
-  const core::Analysis& an = q.analysis;
-
-  {
-    util::Table t({"metric", "value"});
-    t.add_row({"logs", util::format_count(static_cast<double>(an.summary().logs()))});
-    t.add_row({"jobs", util::format_count(static_cast<double>(an.summary().jobs()))});
-    t.add_row({"files", util::format_count(static_cast<double>(an.summary().files()))});
-    t.add_row({"node-hours", util::format_count(an.summary().node_hours())});
-    std::printf("\n== Census (Table 2) ==\n");
-    emit(a, t);
-  }
+/// The paper's Tables 3-6 of a whole-archive answer.
+void print_layer_tables(const Args& a, const core::Analysis& an) {
   {
     util::Table t({"layer", "files", "read", "written", ">1TB rd", ">1TB wr"});
     for (std::size_t li = 0; li < core::kLayerCount; ++li) {
@@ -390,16 +339,62 @@ int cmd_query(const Args& a, util::Vfs& vfs) {
     std::printf("\n== Interface usage (Table 6) ==\n");
     emit(a, t);
   }
+}
 
-  const auto& s = q.stats;
-  std::printf(
-      "\nquery: %llu partition(s), %llu snapshot hit(s), %llu rescanned "
-      "(%llu logs decoded), %llu snapshot(s) written back, %.3f s\n",
-      static_cast<unsigned long long>(s.partitions),
-      static_cast<unsigned long long>(s.snapshot_hits),
-      static_cast<unsigned long long>(s.partitions_scanned),
-      static_cast<unsigned long long>(s.logs_scanned),
-      static_cast<unsigned long long>(s.snapshots_written), s.total_seconds);
+/// `query`: one cold get through the archive service — the whole archive,
+/// or with --last-windows N the partition suffix covering the last N
+/// windows, plus the ops view of that same pinned suffix.
+int cmd_query(const Args& a, util::Vfs& vfs) {
+  const bool windowed = a.last_windows > 0;
+  service::ArchiveService svc(
+      a.dir, service::query_options(a.threads, a.mlp_depth, a.write_snapshots, a.last_windows),
+      vfs);
+  const service::ArchiveService::GetResult r =
+      svc.get_window(a.last_windows, /*keep_analysis=*/true);
+  const core::Analysis& an = *r.analysis;
+  const archive::QueryStats& s = r.stats.query;
+
+  {
+    util::Table t({"metric", "value"});
+    t.add_row({"logs", util::format_count(static_cast<double>(an.summary().logs()))});
+    t.add_row({"jobs", util::format_count(static_cast<double>(an.summary().jobs()))});
+    t.add_row({"files", util::format_count(static_cast<double>(an.summary().files()))});
+    t.add_row({"node-hours", util::format_count(an.summary().node_hours())});
+    if (windowed) {
+      std::printf("\n== Census, last %llu window(s) (Table 2) ==\n",
+                  static_cast<unsigned long long>(a.last_windows));
+    } else {
+      std::printf("\n== Census (Table 2) ==\n");
+    }
+    emit(a, t);
+  }
+  if (windowed) {
+    const archive::WindowSelection& sel = r.windows;
+    std::printf(
+        "\nwindow: %llu of %llu window(s) covered (%zu of %zu partition(s)%s); "
+        "%llu snapshot hit(s), %llu rescanned, %.3f s\n",
+        static_cast<unsigned long long>(sel.windows_covered),
+        static_cast<unsigned long long>(sel.newest_window), sel.count,
+        r.pin.manifest().partitions.size(), sel.whole_archive() ? ", whole archive" : "",
+        static_cast<unsigned long long>(s.snapshot_hits),
+        static_cast<unsigned long long>(s.partitions_scanned), s.total_seconds);
+    // Ops view of the same suffix: job concurrency over a day-long horizon.
+    const core::LoadTimeline tl =
+        archive::window_timeline(svc.archive(), r.pin.manifest(), sel, 86400, 48);
+    std::printf("timeline: peak concurrency %u log(s), %.1f%% busy, PFS read %s/s mean\n",
+                tl.peak_concurrency(), 100.0 * tl.busy_fraction(),
+                util::format_bytes(tl.mean_throughput(core::Layer::kPfs, true)).c_str());
+  } else {
+    print_layer_tables(a, an);
+    std::printf(
+        "\nquery: %llu partition(s), %llu snapshot hit(s), %llu rescanned "
+        "(%llu logs decoded), %llu snapshot(s) written back, %.3f s\n",
+        static_cast<unsigned long long>(s.partitions),
+        static_cast<unsigned long long>(s.snapshot_hits),
+        static_cast<unsigned long long>(s.partitions_scanned),
+        static_cast<unsigned long long>(s.logs_scanned),
+        static_cast<unsigned long long>(s.snapshots_written), s.total_seconds);
+  }
   std::printf("analysis fingerprint: %016llx\n",
               static_cast<unsigned long long>(an.fingerprint()));
   return 0;
@@ -602,17 +597,6 @@ int main(int argc, char** argv) {
   } catch (const util::SimulatedCrash& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 3;
-  } catch (const archive::StaleReadError& e) {
-    // The pinned generation lost the race against a concurrent compaction:
-    // its segments were garbage-collected after this process read the
-    // manifest.  Distinct exit code so wrappers can retry the query.
-    std::fprintf(stderr,
-                 "stale read: %s\n"
-                 "(generation %llu was superseded by generation %llu; rerun to query the "
-                 "current generation)\n",
-                 e.what(), static_cast<unsigned long long>(e.pinned_generation()),
-                 static_cast<unsigned long long>(e.current_generation()));
-    return 4;
   } catch (const util::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

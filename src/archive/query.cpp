@@ -1,48 +1,10 @@
 #include "archive/query.hpp"
 
-#include <chrono>
+#include <algorithm>
+#include <optional>
 #include <span>
-#include <vector>
-
-#include "util/thread_pool.hpp"
 
 namespace mlio::archive {
-
-namespace {
-using SteadyClock = std::chrono::steady_clock;
-
-double seconds_since(SteadyClock::time_point t0) {
-  return std::chrono::duration<double>(SteadyClock::now() - t0).count();
-}
-
-/// A rebuild of `partition` failed; call from inside the catch handler.
-/// When the on-disk manifest has moved past the pinned one and no longer
-/// references that partition's data generation, the failure is a lost race
-/// with a concurrent compaction (its GC deleted the pinned segment), not
-/// corruption — report it as such.  Otherwise rethrow the original error.
-[[noreturn]] void rethrow_rebuild_error(const Archive& archive, const PartitionInfo& partition) {
-  try {
-    const Manifest fresh = read_manifest_bytes(archive.vfs().read_file(archive.manifest_path()));
-    if (fresh.generation > archive.manifest().generation) {
-      bool still_referenced = false;
-      for (const PartitionInfo& p : fresh.partitions) {
-        if (p.id == partition.id && p.data_generation == partition.data_generation) {
-          still_referenced = true;
-          break;
-        }
-      }
-      if (!still_referenced) {
-        throw StaleReadError(archive.manifest().generation, fresh.generation, partition.id);
-      }
-    }
-  } catch (const StaleReadError&) {
-    throw;
-  } catch (...) {
-    // The manifest probe itself failed — fall through to the original error.
-  }
-  throw;
-}
-}  // namespace
 
 void QueryStats::merge(const QueryStats& other) {
   partitions += other.partitions;
@@ -56,11 +18,7 @@ void QueryStats::merge(const QueryStats& other) {
   full_merges += other.full_merges;
   partitions_reused += other.partitions_reused;
   tree_merges += other.tree_merges;
-  scan_seconds += other.scan_seconds;
-  merge_seconds += other.merge_seconds;
   total_seconds += other.total_seconds;
-  decode_seconds += other.decode_seconds;
-  analyze_seconds += other.analyze_seconds;
 }
 
 std::shared_ptr<const core::Analysis> resolve_shard(const Archive& archive,
@@ -71,8 +29,6 @@ std::shared_ptr<const core::Analysis> resolve_shard(const Archive& archive,
     stats.snapshot_hits += 1;
     return std::make_shared<const core::Analysis>(*std::move(snap));
   }
-  const bool timed = scratch.phases.has_value();
-  scratch.scan.decode_seconds = timed ? &scratch.phases->decode_seconds : nullptr;
   ScanOptions scan_opts;
   scan_opts.mlp_depth = mlp_depth;
   auto shard = std::make_shared<core::Analysis>();
@@ -80,10 +36,8 @@ std::shared_ptr<const core::Analysis> resolve_shard(const Archive& archive,
   archive.scan_bodies(
       partition,
       [&](std::span<const std::byte> body) {
-        const auto t0 = timed ? SteadyClock::now() : SteadyClock::time_point{};
         darshan::walk_log_body(body, scratch.body);
         shard->add(scratch.body, scratch.analyze);
-        if (timed) scratch.phases->analyze_seconds += seconds_since(t0);
         logs += 1;
       },
       scratch.scan, scan_opts);
@@ -91,85 +45,6 @@ std::shared_ptr<const core::Analysis> resolve_shard(const Archive& archive,
   stats.partitions_scanned += 1;
   stats.logs_scanned += logs;
   return shard;
-}
-
-namespace {
-/// The one query body behind query_archive and query_window: resolve every
-/// partition of `parts` on the pool (one partition per block, each worker
-/// with its own scratch and stats), write rebuilt shards back as snapshot
-/// files on the worker that built them (write_snapshot_file touches no
-/// shared state) and register them in ONE manifest commit after the join,
-/// then fold the shards with the fixed-shape tree.  A failure is reported
-/// for the lowest-indexed failing partition, translated by
-/// rethrow_rebuild_error.
-QueryResult query_partitions(Archive& archive, std::span<const PartitionInfo> parts,
-                             const QueryOptions& opts, QueryScratch& scratch) {
-  const auto t0 = SteadyClock::now();
-  QueryResult result;
-  QueryStats& stats = result.stats;
-  stats.partitions = parts.size();
-
-  util::ThreadPool pool(opts.threads);
-  const unsigned workers = pool.thread_count();
-  if (scratch.size() < workers) scratch.resize(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    scratch[w].phases.emplace();  // timers cover this query alone
-  }
-  std::vector<QueryStats> worker_stats(workers);
-  std::vector<std::shared_ptr<const core::Analysis>> shards(parts.size());
-  std::vector<std::optional<Archive::SnapshotReceipt>> written(parts.size());
-  pool.parallel_for_dynamic(
-      0, parts.size(), 1, [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi, unsigned w) {
-        for (std::uint64_t i = lo; i < hi; ++i) {
-          try {
-            const std::uint64_t scanned = worker_stats[w].partitions_scanned;
-            shards[i] = resolve_shard(archive, parts[i], scratch[w], opts.mlp_depth,
-                                      worker_stats[w]);
-            // Only rescans are written back: a snapshot hit is already on disk.
-            if (opts.write_snapshots && worker_stats[w].partitions_scanned != scanned) {
-              written[i] = archive.write_snapshot_file(parts[i], *shards[i]);
-            }
-          } catch (...) {
-            rethrow_rebuild_error(archive, parts[i]);
-          }
-        }
-      });
-  for (unsigned w = 0; w < workers; ++w) {
-    stats.merge(worker_stats[w]);
-    stats.decode_seconds += scratch[w].phases->decode_seconds;
-    stats.analyze_seconds += scratch[w].phases->analyze_seconds;
-  }
-  std::vector<Archive::SnapshotReceipt> receipts;
-  for (const std::optional<Archive::SnapshotReceipt>& r : written) {
-    if (r) receipts.push_back(*r);
-  }
-  if (!receipts.empty()) stats.snapshots_written = archive.commit_snapshots(receipts);
-  stats.scan_seconds = seconds_since(t0);
-
-  // Merge as a tree on the pool (Analysis::merge_ordered gives the serial
-  // left fold's bits at any thread count).
-  const auto t_merge = SteadyClock::now();
-  std::vector<const core::Analysis*> shard_ptrs;
-  shard_ptrs.reserve(shards.size());
-  for (const auto& shard : shards) shard_ptrs.push_back(shard.get());
-  result.analysis = core::Analysis::merge_ordered(shard_ptrs, &pool);
-  stats.full_merges = 1;
-  stats.tree_merges = shard_ptrs.size() >= 2 ? 1 : 0;
-  stats.merge_seconds = seconds_since(t_merge);
-  stats.total_seconds = seconds_since(t0);
-  return result;
-}
-}  // namespace
-
-QueryResult query_archive(Archive& archive, const QueryOptions& opts) {
-  QueryScratch scratch;
-  return query_archive(archive, opts, scratch);
-}
-
-QueryResult query_archive(Archive& archive, const QueryOptions& opts, QueryScratch& scratch) {
-  // Copy the entries: the snapshot commit rewrites the manifest under them.
-  const std::vector<PartitionInfo> partitions = archive.manifest().partitions;
-  return query_partitions(archive, partitions, opts, scratch);
 }
 
 WindowSelection select_last_windows(const Manifest& m, std::uint64_t last_windows) {
@@ -209,18 +84,6 @@ WindowSelection select_last_windows(const Manifest& m, std::uint64_t last_window
     sel.windows_covered = sel.newest_window - wmin + 1;
   }
   return sel;
-}
-
-QueryResult query_window(Archive& archive, std::uint64_t last_windows, const QueryOptions& opts,
-                         WindowSelection* selection) {
-  const std::vector<PartitionInfo> partitions = archive.manifest().partitions;
-  const WindowSelection sel = select_last_windows(archive.manifest(), last_windows);
-  if (selection != nullptr) *selection = sel;
-  QueryOptions window_opts = opts;
-  window_opts.write_snapshots = false;
-  QueryScratch scratch;
-  return query_partitions(archive, std::span<const PartitionInfo>(partitions).subspan(sel.first),
-                          window_opts, scratch);
 }
 
 core::LoadTimeline window_timeline(const Archive& archive, const Manifest& m,

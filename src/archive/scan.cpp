@@ -1,7 +1,6 @@
 #include "archive/scan.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 
 #include "util/error.hpp"
@@ -9,8 +8,6 @@
 namespace mlio::archive {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 // Pull the leading cache lines of an upcoming buffer while the current one
 // is being worked: enough to cover a frame header plus the start of its
@@ -41,7 +38,6 @@ void scan_frames(std::span<const std::byte> segment, std::span<const IndexEntry>
   };
 
   const unsigned depth = std::max(1u, opts.mlp_depth);
-  const bool timed = scratch.decode_seconds != nullptr;
   // A batch never holds more logs than the partition has, so a deep (or
   // garbage) depth costs no more slots than there are entries.
   const std::size_t n = entries.size();
@@ -50,7 +46,6 @@ void scan_frames(std::span<const std::byte> segment, std::span<const IndexEntry>
   if (slots.size() < n_slots) slots.resize(n_slots);
   for (std::size_t base = 0; base < n; base += depth) {
     const std::size_t m = std::min<std::size_t>(depth, n - base);
-    const auto t0 = timed ? Clock::now() : Clock::time_point{};
     // Stage 1: frame decode (header checks, inflate, body CRC) for the
     // whole batch.  Touching frames two entries ahead before finishing the
     // current one keeps several independent miss chains in flight — one
@@ -70,9 +65,6 @@ void scan_frames(std::span<const std::byte> segment, std::span<const IndexEntry>
       slot.body = darshan::read_log_frame_body(
           segment.subspan(static_cast<std::size_t>(e.offset), static_cast<std::size_t>(e.size)),
           slot.io);
-    }
-    if (timed) {
-      *scratch.decode_seconds += std::chrono::duration<double>(Clock::now() - t0).count();
     }
     // Stage 2: consume in exact ingest order — the determinism contract.
     // The next slot's body was written by stage 1 a while ago and may have

@@ -48,11 +48,6 @@ struct ScanOptions {
 /// frames (and across partitions when the caller keeps the scratch), so a
 /// cold shard rebuild decodes with no per-log allocation.
 struct ScanScratch {
-  /// Wall-clock spent decoding frames (inflate + CRC) is added here.
-  /// Non-owning; null disables timing, so an untimed scan makes no clock
-  /// calls.
-  double* decode_seconds = nullptr;
-
   /// One decode slot per in-flight log; grown on use to min(mlp_depth, the
   /// scanned partition's log count).
   struct Slot {

@@ -13,8 +13,12 @@
 // deferred GC for that generation's files.  After the run, each distinct
 // generation is replayed serially (ArchiveService::replay_serial — cache
 // free, snapshot free, mlp_depth 1) and every concurrent answer must match
-// the replay bit for bit.  A divergence is a correctness bug, and
-// `mlio_archive serve` exits nonzero on it.
+// the replay bit for bit.  A divergence is a correctness bug in the
+// concurrent path (shard cache, answer memo, pins, merge tree), and
+// `mlio_archive serve` exits nonzero on it.  The replay decodes through the
+// same scan_bodies and walk_log_body as the resolver, so it cannot catch a
+// read-kernel bug; the pipeline oracle and test_ingest_differential check
+// the kernel against the writer's input.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -16,17 +18,8 @@ namespace mlio::service {
 namespace {
 using SteadyClock = std::chrono::steady_clock;
 
-std::uint64_t ns_since(SteadyClock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(SteadyClock::now() - t0).count());
-}
-
-/// Lock a mutex, charging the wait to `stats.queue_wait_ns`.
-std::unique_lock<std::mutex> timed_lock(std::mutex& mu, ServiceStats* stats) {
-  const auto t0 = SteadyClock::now();
-  std::unique_lock<std::mutex> lock(mu);
-  if (stats != nullptr) stats->queue_wait_ns += ns_since(t0);
-  return lock;
+double seconds_since(SteadyClock::time_point t0) {
+  return std::chrono::duration<double>(SteadyClock::now() - t0).count();
 }
 }  // namespace
 
@@ -200,8 +193,7 @@ std::shared_ptr<const core::Analysis> ArchiveService::resolve_shard(
     return hit;
   }
   // Clients are plain threads, so the reusable decode state lives in
-  // thread_local storage instead of a worker-slot array.  Its phase timers
-  // stay off: no per-log decode/analyze clock calls here.
+  // thread_local storage instead of a worker-slot array.
   thread_local archive::ShardScratch scratch;
   std::shared_ptr<const core::Analysis> shard =
       archive::resolve_shard(archive_, p, scratch, opts_.mlp_depth, stats.query);
@@ -212,21 +204,42 @@ std::shared_ptr<const core::Analysis> ArchiveService::resolve_shard(
 std::vector<std::shared_ptr<const core::Analysis>> ArchiveService::resolve_all(
     std::span<const archive::PartitionInfo> parts, ServiceStats& stats) {
   std::vector<std::shared_ptr<const core::Analysis>> shards(parts.size());
+  std::vector<std::optional<archive::Archive::SnapshotReceipt>> written(
+      opts_.write_snapshots ? parts.size() : 0);
+  const auto resolve = [&](std::size_t i, ServiceStats& s) {
+    const std::uint64_t scanned = s.query.partitions_scanned;
+    shards[i] = resolve_shard(parts[i], s);
+    // Only rescans are written back: a snapshot hit is already on disk.
+    // write_snapshot_file touches no shared state, so the thread that built
+    // the shard writes it.
+    if (opts_.write_snapshots && s.query.partitions_scanned != scanned) {
+      written[i] = archive_.write_snapshot_file(parts[i], *shards[i]);
+    }
+  };
   if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < parts.size(); ++i) shards[i] = resolve_shard(parts[i], stats);
-    return shards;
+    for (std::size_t i = 0; i < parts.size(); ++i) resolve(i, stats);
+  } else {
+    // Fan the resolutions out over the merge pool: every shard lands in its
+    // own slot and the per-worker stats fold after the join, so the shards —
+    // and therefore the fold — are bit-identical to the serial loop.
+    std::vector<ServiceStats> worker_stats(pool_->thread_count());
+    pool_->parallel_for_dynamic(
+        0, parts.size(), 1, [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi, unsigned w) {
+          for (std::uint64_t i = lo; i < hi; ++i) resolve(i, worker_stats[w]);
+        });
+    for (const ServiceStats& ws : worker_stats) stats.merge(ws);
   }
-  // Fan the resolutions out over the merge pool: every shard lands in its
-  // own slot and the per-worker stats fold after the join, so the shards —
-  // and therefore the fold — are bit-identical to the serial loop.
-  std::vector<ServiceStats> worker_stats(pool_->thread_count());
-  pool_->parallel_for_dynamic(
-      0, parts.size(), 1, [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi, unsigned w) {
-        for (std::uint64_t i = lo; i < hi; ++i) {
-          shards[i] = resolve_shard(parts[i], worker_stats[w]);
-        }
-      });
-  for (const ServiceStats& ws : worker_stats) stats.merge(ws);
+  std::vector<archive::Archive::SnapshotReceipt> receipts;
+  for (const std::optional<archive::Archive::SnapshotReceipt>& r : written) {
+    if (r) receipts.push_back(*r);
+  }
+  if (!receipts.empty()) {
+    // One manifest commit registers the batch, in partition order.
+    const std::scoped_lock lock(writer_mu_);
+    const std::size_t registered = archive_.commit_snapshots(receipts);
+    stats.query.snapshots_written += registered;
+    if (registered > 0) publish_locked();
+  }
   return shards;
 }
 
@@ -255,12 +268,11 @@ ArchiveService::GetResult ArchiveService::fold_pinned(const Pin& pin, std::size_
     r.stats.query.merged_hits = 1;
     r.fingerprint = base->fingerprint;
     if (keep_analysis) r.analysis = base->analysis;
-    r.stats.query.total_seconds = static_cast<double>(ns_since(t0)) * 1e-9;
+    r.stats.query.total_seconds = seconds_since(t0);
     return r;
   }
 
   std::shared_ptr<const core::Analysis> merged;
-  const auto t_scan = SteadyClock::now();
   if (base != nullptr) {
     // Prefix: an append grew the run, so merged(prefix) ⊕ delta shards
     // continues the canonical left fold bit-identically.
@@ -268,10 +280,9 @@ ArchiveService::GetResult ArchiveService::fold_pinned(const Pin& pin, std::size_
     r.stats.query.partitions_reused = reused;
     r.stats.query.prefix_merges = 1;
     auto extended = std::make_shared<core::Analysis>(*base->analysis);
-    for (std::size_t i = reused; i < parts.size(); ++i) {
-      extended->merge(*resolve_shard(parts[i], r.stats));
+    for (const auto& shard : resolve_all(parts.subspan(reused), r.stats)) {
+      extended->merge(*shard);
     }
-    r.stats.query.scan_seconds = static_cast<double>(ns_since(t_scan)) * 1e-9;
     merged = std::move(extended);
   } else {
     // Full fold: resolve every shard (on the merge pool when configured)
@@ -279,15 +290,11 @@ ArchiveService::GetResult ArchiveService::fold_pinned(const Pin& pin, std::size_
     // left fold.
     r.stats.query.full_merges = 1;
     const std::vector<std::shared_ptr<const core::Analysis>> shards = resolve_all(parts, r.stats);
-    r.stats.query.scan_seconds = static_cast<double>(ns_since(t_scan)) * 1e-9;
-
-    const auto t_merge = SteadyClock::now();
     std::vector<const core::Analysis*> ptrs;
     ptrs.reserve(shards.size());
     for (const auto& shard : shards) ptrs.push_back(shard.get());
     merged = std::make_shared<core::Analysis>(core::Analysis::merge_ordered(ptrs, pool_.get()));
     r.stats.query.tree_merges = pool_ != nullptr && ptrs.size() >= 2 ? 1 : 0;
-    r.stats.query.merge_seconds = static_cast<double>(ns_since(t_merge)) * 1e-9;
   }
   r.fingerprint = merged->fingerprint();
 
@@ -300,7 +307,7 @@ ArchiveService::GetResult ArchiveService::fold_pinned(const Pin& pin, std::size_
   }
 
   if (keep_analysis) r.analysis = std::move(merged);
-  r.stats.query.total_seconds = static_cast<double>(ns_since(t0)) * 1e-9;
+  r.stats.query.total_seconds = seconds_since(t0);
   return r;
 }
 
@@ -318,7 +325,7 @@ core::Analysis ArchiveService::replay_serial(const Pin& pin) const {
 
 ArchiveService::IngestResult ArchiveService::ingest(std::span<const ServiceFrame> frames,
                                                     ServiceStats* stats) {
-  std::unique_lock<std::mutex> lock = timed_lock(writer_mu_, stats);
+  const std::scoped_lock lock(writer_mu_);
   if (stats != nullptr) stats->requests += 1;
   archive::Archive::PartitionWriter w = archive_.begin_partition();
   for (const ServiceFrame& f : frames) w.append_frame(f.job, f.bytes);
@@ -333,7 +340,7 @@ std::vector<archive::Archive::CompactedRun> ArchiveService::compact_planned(
     const Planner& planner, ServiceStats* stats) {
   std::vector<archive::Archive::CompactedRun> runs;
   {
-    std::unique_lock<std::mutex> lock = timed_lock(writer_mu_, stats);
+    const std::scoped_lock lock(writer_mu_);
     if (stats != nullptr) stats->requests += 1;
     std::vector<std::filesystem::path> doomed;
     runs = archive_.compact(planner(archive_.manifest()), &doomed);
@@ -361,7 +368,7 @@ std::size_t ArchiveService::compact(std::uint64_t max_logs, ServiceStats* stats)
 
 ArchiveService::StreamResult ArchiveService::stream_append(std::span<const ServiceFrame> frames,
                                                            ServiceStats* stats) {
-  std::unique_lock<std::mutex> lock = timed_lock(writer_mu_, stats);
+  const std::scoped_lock lock(writer_mu_);
   if (stats != nullptr) stats->requests += 1;
   StreamResult r;
   for (const ServiceFrame& f : frames) {
@@ -376,7 +383,7 @@ ArchiveService::StreamResult ArchiveService::stream_append(std::span<const Servi
 }
 
 ArchiveService::StreamResult ArchiveService::stream_flush(ServiceStats* stats) {
-  std::unique_lock<std::mutex> lock = timed_lock(writer_mu_, stats);
+  const std::scoped_lock lock(writer_mu_);
   if (stats != nullptr) stats->requests += 1;
   StreamResult r;
   if (std::optional<archive::PartitionInfo> cut = ingester_.flush()) {
@@ -488,24 +495,26 @@ ArchiveService::GetResult ArchiveService::get_window_pinned(const Pin& pin,
 
 ArchiveService::GetResult ArchiveService::get_window(std::uint64_t last_windows,
                                                      bool keep_analysis) {
-  ServiceStats carried;  // wait + retry cost accumulated across attempts
   for (unsigned attempt = 0;; ++attempt) {
-    const auto t0 = SteadyClock::now();
-    Pin p = pin();
-    carried.queue_wait_ns += ns_since(t0);
     try {
-      GetResult r = get_window_pinned(p, last_windows, keep_analysis);
-      r.stats.queue_wait_ns += carried.queue_wait_ns;
-      r.stats.stale_retries += carried.stale_retries;
+      GetResult r = get_window_pinned(pin(), last_windows, keep_analysis);
+      r.stats.stale_retries += attempt;
       return r;
     } catch (const util::IoError&) {
       // Our own GC can't outrun a live pin, so a vanished file means an
       // external publish: resync from disk and retry, bounded.
-      if (attempt >= kMaxStaleRetries) throw;
-      carried.stale_retries += 1;
-      if (!refresh_from_disk()) throw;
+      if (attempt >= kMaxStaleRetries || !refresh_from_disk()) throw;
     }
   }
+}
+
+ArchiveService::Options query_options(unsigned threads, unsigned mlp_depth, bool write_back,
+                                      std::uint64_t last_windows) {
+  ArchiveService::Options o;
+  o.merge_threads = threads > 0 ? threads : std::max(1u, std::thread::hardware_concurrency());
+  o.mlp_depth = mlp_depth;
+  o.write_snapshots = write_back && last_windows == 0;
+  return o;
 }
 
 core::Analysis ArchiveService::replay_serial_window(const Pin& pin,

@@ -16,17 +16,19 @@
 //     pointer.  Compaction garbage-collection is DEFERRED: replaced files
 //     join a generation-stamped GC list and are deleted only when no live
 //     pin is older than the publishing generation, so the service's own
-//     readers can never lose the compaction race.  (External readers of the
-//     same directory still can — query_archive turns that into
-//     StaleReadError.  An *external* compactor racing this service shows up
-//     in get() as an IoError on a vanished file, and get() recovers by
-//     reloading the manifest from disk and re-pinning.)
+//     readers can never lose the compaction race.  (An *external*
+//     compactor — another process compacting the same directory — can: it
+//     shows up in get() as an IoError on a vanished file, and get()
+//     recovers by reloading the manifest from disk and re-pinning, at most
+//     kMaxStaleRetries times.)
 //
 // All readers share one bounded SnapshotCache of analysis shards keyed by
 // (partition id, data generation); a shard miss goes to the archive's one
 // resolver (archive::resolve_shard: the on-disk snapshot, else a segment
 // rescan), and the result is offered back to the cache charged at its
-// serialized size.
+// serialized size.  This is the archive's one query engine: `mlio_archive
+// query`, `serve`, the live soak and the repo benchmark all answer through
+// get_window.
 #pragma once
 
 #include <atomic>
@@ -70,13 +72,11 @@ struct ServiceFrame {
 struct ServiceStats {
   archive::QueryStats query;
   std::uint64_t requests = 0;       ///< requests folded into this instance
-  std::uint64_t queue_wait_ns = 0;  ///< time blocked on service locks
   std::uint64_t stale_retries = 0;  ///< re-pins after losing a GC race
 
   void merge(const ServiceStats& other) {
     query.merge(other.query);
     requests += other.requests;
-    queue_wait_ns += other.queue_wait_ns;
     stale_retries += other.stale_retries;
   }
 };
@@ -100,6 +100,15 @@ class ArchiveService {
     /// Logs in flight per scan during shard rebuilds (bit-identical at any
     /// depth — archive/scan.hpp).
     unsigned mlp_depth = archive::kDefaultMlpDepth;
+    /// Write back: each shard a get rebuilds from its segment is written
+    /// as the partition's snapshot file by the thread that built it, and
+    /// the batch is registered in ONE manifest commit after the get's
+    /// resolutions join, so the next cold get (this process or another) is
+    /// all snapshot hits.  Off by default, which keeps gets read-only: the
+    /// generation never moves under a reader.  Meant for one get at a time
+    /// (mlio_archive query's single cold get): two gets rescanning the
+    /// same partition at once would both write its snapshot file.
+    bool write_snapshots = false;
     /// Continuous mode: window cuts and caps for stream_append (archive/
     /// stream.hpp).  Only consulted by the streaming entry points.
     archive::StreamOptions stream;
@@ -251,13 +260,21 @@ class ArchiveService {
 
   /// Windowed verification oracle: serial, cache-free, snapshot-free replay
   /// of the pinned generation's selected suffix — every shard rebuilt from
-  /// its segment at mlp_depth 1, left-folded in manifest order.  It shares
-  /// no code with the resolver it checks (archive::resolve_shard).  Every
+  /// its segment at mlp_depth 1 through the LogData reader
+  /// (Archive::scan_partition), left-folded in manifest order.  Every
   /// concurrent get_window answer for (generation, last_windows) must match
-  /// its fingerprint bit for bit.
+  /// its fingerprint bit for bit.  It checks the cache, memo, pool and
+  /// merge tree, not the read kernel: both paths decode through scan_bodies
+  /// and darshan::walk_log_body.  The kernel is checked against the
+  /// writer's input instead, by the pipeline oracle (the archive's answer
+  /// equals run_pipeline's) and by test_ingest_differential.
   core::Analysis replay_serial_window(const Pin& pin, std::uint64_t last_windows) const;
 
   std::uint64_t generation() const;
+  /// The archive handle, for read-only scans of a pinned manifest's
+  /// partitions (archive::window_timeline).  Its own manifest() belongs to
+  /// the writer and moves under it: read the pin's.
+  const archive::Archive& archive() const { return archive_; }
   CacheCounters cache_counters() const { return cache_.counters(); }
   CacheCounters merged_counters() const { return merged_.counters(); }
   /// Files awaiting pin-gated deletion (tests assert it drains to 0).
@@ -304,7 +321,9 @@ class ArchiveService {
   /// Resolve every shard of `parts`, on the merge pool when one is
   /// configured (per-worker stats folded after the join; a failure
   /// surfaces as the lowest-indexed partition's error), serially
-  /// otherwise.
+  /// otherwise.  With Options::write_snapshots, the rescanned shards are
+  /// written back and committed (under writer_mu_, then published) before
+  /// it returns.
   std::vector<std::shared_ptr<const core::Analysis>> resolve_all(
       std::span<const archive::PartitionInfo> parts, ServiceStats& stats);
   /// The one fold path of get_pinned and get_window_pinned: the left fold
@@ -342,5 +361,12 @@ class ArchiveService {
   std::atomic<std::uint64_t> compactions_{0};
   std::atomic<std::uint64_t> compactor_errors_{0};
 };
+
+/// The options of one cold query as `mlio_archive query` runs it: `threads`
+/// merge workers (0 = every core), `mlp_depth` logs in flight per scan, and
+/// snapshot write-back when `write_back` is set and the query covers the
+/// whole archive (`last_windows` == 0).  A windowed query writes nothing.
+ArchiveService::Options query_options(unsigned threads, unsigned mlp_depth, bool write_back,
+                                      std::uint64_t last_windows);
 
 }  // namespace mlio::service

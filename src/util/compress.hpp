@@ -2,10 +2,11 @@
 //
 // The free functions are one-shot conveniences.  Deflater owns the fast
 // encoder's matchfinder and block state, and Inflater the fast decoder's
-// Huffman tables, so hot loops (the pipeline's log roundtrip path serializes
-// millions of logs) pay the allocation cost once per worker instead of once
-// per log.  The checksums (util/checksum.hpp) come with this header, so
-// the frame codecs need one include; nothing here links zlib.
+// Huffman tables, so hot loops (batch ingest serializes millions of logs,
+// and every shard rebuild inflates them) pay the allocation cost once per
+// worker instead of once per log.  The checksums (util/checksum.hpp) come
+// with this header, so the frame codecs need one include; nothing here
+// links zlib.
 #pragma once
 
 #include <cstddef>

@@ -27,10 +27,9 @@ double seconds_since(SteadyClock::time_point t0) {
 constexpr std::uint64_t kMaxAutoBlocks = 256;
 
 /// Per-worker reusable state: the scratch LogData every job is executed
-/// into, plus the codec buffers for the roundtrip path.
+/// into.
 struct WorkerScratch {
   darshan::LogData log;
-  darshan::LogIoBuffers io;
   sim::ExecStats exec;
   core::AnalyzeScratch analyze;
 };
@@ -72,10 +71,6 @@ PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions&
 
   auto consume = [&](core::Analysis& into, WorkerScratch& ws, const sim::JobSpec& spec) {
     executor.execute_into(spec, ws.log, &ws.exec);
-    if (opts.roundtrip_logs) {
-      const auto bytes = darshan::write_log_bytes_into(ws.log, ws.io, opts.write_options);
-      darshan::read_log_bytes_into(bytes, ws.io, ws.log);
-    }
     into.add(ws.log, ws.analyze);
   };
 

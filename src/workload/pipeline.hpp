@@ -27,11 +27,6 @@ namespace mlio::wl {
 struct PipelineOptions {
   unsigned threads = 0;       ///< 0 = hardware concurrency
   bool include_huge = true;   ///< generate the full-scale >1 TB stratum
-  /// Serialize every log through the on-disk format and parse it back before
-  /// analysis — slower, but exercises writer+reader on the whole population.
-  bool roundtrip_logs = false;
-  /// Log-format settings for the roundtrip (compression on/off, zlib level).
-  darshan::WriteOptions write_options;
 };
 
 /// Throughput telemetry for one run_pipeline call.
@@ -73,8 +68,8 @@ enum class Stratum { kBulk, kHuge };
 std::uint64_t auto_block_jobs(std::uint64_t n_jobs);
 
 /// Per-phase CPU time of serialized job blocks: serialize_block ADDS into
-/// the caller's struct, so one instance can accumulate over many blocks (the
-/// same convention as QueryStats' phase seconds: thread-time, not wall).
+/// the caller's struct, so one instance can accumulate over many blocks.
+/// Thread time, not wall: with N workers the sum can exceed the wall clock.
 struct SerializePhases {
   std::uint64_t serialize_ns = 0;  ///< generate + simulate (execute_into)
   std::uint64_t compress_ns = 0;   ///< frame + deflate (write_log_bytes_into)

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "archive/archive.hpp"
-#include "archive/query.hpp"
+#include "cold_query.hpp"
 #include "core/snapshot.hpp"
 #include "util/byte_io.hpp"
 #include "util/compress.hpp"
@@ -70,10 +70,9 @@ using CrashWorkload = std::function<void(const std::filesystem::path&, util::Vfs
 namespace detail {
 
 inline std::vector<std::byte> query_state(archive::Archive& ar, unsigned threads) {
-  archive::QueryOptions opts;
-  opts.threads = threads;
-  opts.write_snapshots = false;  // the check must never mutate the archive
-  return core::write_snapshot_bytes(query_archive(ar, opts).analysis, 0);
+  // The check must never mutate the archive: no write-back.
+  return core::write_snapshot_bytes(
+      *cold_get(ar, 0, threads, /*write_back=*/false).analysis, 0);
 }
 
 /// Order-independent digest of a directory: sorted (filename, size, crc).

@@ -1,7 +1,8 @@
 // End-to-end archive coverage: ingest -> query equals the in-memory
-// pipeline byte-for-byte when partition cuts equal pipeline block cuts;
-// snapshot caching serves repeat queries without rescanning a single
-// partition; incremental ingests only scan what changed.
+// pipeline byte-for-byte at every log codec setting; snapshot write-back
+// serves repeat queries without rescanning a single partition; incremental
+// ingests only scan what changed.  Every query is a cold get through the
+// archive service (harness/cold_query.hpp), as `mlio_archive query` asks.
 #include "archive/archive.hpp"
 
 #include <gtest/gtest.h>
@@ -9,9 +10,9 @@
 #include <filesystem>
 
 #include "archive/ingest.hpp"
-#include "archive/query.hpp"
 #include "archive/stream.hpp"
 #include "core/snapshot.hpp"
+#include "harness/cold_query.hpp"
 #include "util/byte_io.hpp"
 #include "util/error.hpp"
 #include "workload/pipeline.hpp"
@@ -20,6 +21,7 @@ namespace mlio::archive {
 namespace {
 
 namespace fs = std::filesystem;
+using harness::cold_get;
 
 class ArchiveTest : public ::testing::Test {
  protected:
@@ -52,7 +54,11 @@ TEST_F(ArchiveTest, TwoBatchIngestQueryMatchesPipelineByteForByte) {
   // the query result is byte-identical to a single run_pipeline pass over
   // the same seed.  The analysis state is cut-invariant (DESIGN.md §6), so
   // the pipeline's own blocks need not line up with the ingest batches:
-  // any cuts and any fold order give the same bytes.
+  // any cuts and any fold order give the same bytes.  The pipeline
+  // analyses the executor's logs without serializing them, so each archive
+  // below checks the whole writer -> reader chain against the writer's
+  // input: deflated at the encoder's extreme levels (the first and last
+  // rows of its parser table) and the default, and stored uncompressed.
   const auto gen = make_gen(40);
 
   wl::PipelineOptions popts;
@@ -60,34 +66,45 @@ TEST_F(ArchiveTest, TwoBatchIngestQueryMatchesPipelineByteForByte) {
   popts.threads = 2;
   const wl::PipelineResult reference = run_pipeline(gen, popts);
 
-  Archive ar = Archive::create(dir_);
-  IngestOptions iopts;
-  iopts.batches = 2;
-  iopts.include_huge = false;
-  const IngestStats ing = ingest_generated(ar, gen, iopts);
-  EXPECT_EQ(ing.partitions, 2u);
-  EXPECT_EQ(ing.logs, reference.stats.logs);
+  std::vector<darshan::WriteOptions> codecs(4);
+  codecs[0].zlib_level = 1;
+  codecs[2].zlib_level = 9;
+  codecs[3].compress = false;
+  for (const darshan::WriteOptions& codec : codecs) {
+    SCOPED_TRACE(codec.compress ? "zlib level " + std::to_string(codec.zlib_level)
+                                : std::string("uncompressed"));
+    fs::remove_all(dir_);
+    Archive ar = Archive::create(dir_);
+    IngestOptions iopts;
+    iopts.batches = 2;
+    iopts.include_huge = false;
+    iopts.write_options = codec;
+    const IngestStats ing = ingest_generated(ar, gen, iopts);
+    EXPECT_EQ(ing.partitions, 2u);
+    EXPECT_EQ(ing.logs, reference.stats.logs);
 
-  const QueryResult first = query_archive(ar);
-  EXPECT_EQ(first.stats.partitions, 2u);
-  EXPECT_EQ(first.stats.snapshot_hits, 0u);
-  EXPECT_EQ(first.stats.partitions_scanned, 2u);
-  EXPECT_EQ(first.stats.logs_scanned, ing.logs);
-  EXPECT_EQ(first.stats.snapshots_written, 2u);
+    const auto first = cold_get(ar);
+    EXPECT_EQ(first.stats.query.partitions, 2u);
+    EXPECT_EQ(first.stats.query.snapshot_hits, 0u);
+    EXPECT_EQ(first.stats.query.partitions_scanned, 2u);
+    EXPECT_EQ(first.stats.query.logs_scanned, ing.logs);
+    EXPECT_EQ(first.stats.query.snapshots_written, 2u);
 
-  EXPECT_EQ(first.analysis.fingerprint(), reference.bulk.fingerprint());
-  EXPECT_EQ(state(first.analysis), state(reference.bulk));
-  // combined() with an empty huge stratum is the bulk analysis, bit for bit.
-  EXPECT_EQ(state(first.analysis), state(reference.combined()));
+    EXPECT_EQ(first.analysis->fingerprint(), reference.bulk.fingerprint());
+    EXPECT_EQ(state(*first.analysis), state(reference.bulk));
+    // combined() with an empty huge stratum is the bulk analysis, bit for
+    // bit.
+    EXPECT_EQ(state(*first.analysis), state(reference.combined()));
 
-  // Second query: every shard comes from the snapshot cache — zero
-  // partitions rescanned, zero logs decoded, identical bytes.
-  const QueryResult second = query_archive(ar);
-  EXPECT_EQ(second.stats.snapshot_hits, 2u);
-  EXPECT_EQ(second.stats.partitions_scanned, 0u);
-  EXPECT_EQ(second.stats.logs_scanned, 0u);
-  EXPECT_EQ(second.stats.snapshots_written, 0u);
-  EXPECT_EQ(state(second.analysis), state(first.analysis));
+    // Second query: every shard comes from the written-back snapshots —
+    // zero partitions rescanned, zero logs decoded, identical bytes.
+    const auto second = cold_get(ar);
+    EXPECT_EQ(second.stats.query.snapshot_hits, 2u);
+    EXPECT_EQ(second.stats.query.partitions_scanned, 0u);
+    EXPECT_EQ(second.stats.query.logs_scanned, 0u);
+    EXPECT_EQ(second.stats.query.snapshots_written, 0u);
+    EXPECT_EQ(state(*second.analysis), state(*first.analysis));
+  }
 }
 
 TEST_F(ArchiveTest, IncrementalIngestOnlyScansNewPartitions) {
@@ -100,8 +117,8 @@ TEST_F(ArchiveTest, IncrementalIngestOnlyScansNewPartitions) {
   // expressible, so use two explicit batches through one generator instead.
   iopts.batches = 1;
   ingest_generated(ar, gen, iopts);
-  const QueryResult q1 = query_archive(ar);
-  EXPECT_EQ(q1.stats.partitions_scanned, 1u);
+  const auto q1 = cold_get(ar);
+  EXPECT_EQ(q1.stats.query.partitions_scanned, 1u);
 
   // Appending the huge stratum adds one partition; the bulk partition's
   // snapshot stays valid, so the next query rescans exactly the new one.
@@ -112,17 +129,17 @@ TEST_F(ArchiveTest, IncrementalIngestOnlyScansNewPartitions) {
                      });
   w.seal();
 
-  const QueryResult q2 = query_archive(ar);
-  EXPECT_EQ(q2.stats.partitions, 2u);
-  EXPECT_EQ(q2.stats.snapshot_hits, 1u);
-  EXPECT_EQ(q2.stats.partitions_scanned, 1u);
-  EXPECT_GT(q2.analysis.summary().logs(), q1.analysis.summary().logs());
+  const auto q2 = cold_get(ar);
+  EXPECT_EQ(q2.stats.query.partitions, 2u);
+  EXPECT_EQ(q2.stats.query.snapshot_hits, 1u);
+  EXPECT_EQ(q2.stats.query.partitions_scanned, 1u);
+  EXPECT_GT(q2.analysis->summary().logs(), q1.analysis->summary().logs());
 
   // And the cache converges: a third query is all hits, bit-identical.
-  const QueryResult q3 = query_archive(ar);
-  EXPECT_EQ(q3.stats.snapshot_hits, 2u);
-  EXPECT_EQ(q3.stats.partitions_scanned, 0u);
-  EXPECT_EQ(state(q3.analysis), state(q2.analysis));
+  const auto q3 = cold_get(ar);
+  EXPECT_EQ(q3.stats.query.snapshot_hits, 2u);
+  EXPECT_EQ(q3.stats.query.partitions_scanned, 0u);
+  EXPECT_EQ(state(*q3.analysis), state(*q2.analysis));
 }
 
 TEST_F(ArchiveTest, IngestTimeSnapshotsMakeTheFirstQueryWarm) {
@@ -134,10 +151,10 @@ TEST_F(ArchiveTest, IngestTimeSnapshotsMakeTheFirstQueryWarm) {
   iopts.write_snapshots = true;
   ingest_generated(ar, gen, iopts);
 
-  const QueryResult warm = query_archive(ar);
-  EXPECT_EQ(warm.stats.partitions, 3u);  // 2 bulk batches + huge
-  EXPECT_EQ(warm.stats.snapshot_hits, 3u);
-  EXPECT_EQ(warm.stats.partitions_scanned, 0u);
+  const auto warm = cold_get(ar);
+  EXPECT_EQ(warm.stats.query.partitions, 3u);  // 2 bulk batches + huge
+  EXPECT_EQ(warm.stats.query.snapshot_hits, 3u);
+  EXPECT_EQ(warm.stats.query.partitions_scanned, 0u);
 
   // The cached shards are bit-identical to what a rescan computes: a cold
   // archive with the same cuts and no ingest-time snapshots agrees exactly.
@@ -147,9 +164,9 @@ TEST_F(ArchiveTest, IngestTimeSnapshotsMakeTheFirstQueryWarm) {
   IngestOptions no_snap = iopts;
   no_snap.write_snapshots = false;
   ingest_generated(cold, gen, no_snap);
-  const QueryResult rescan = query_archive(cold);
-  EXPECT_EQ(rescan.stats.partitions_scanned, 3u);
-  EXPECT_EQ(state(warm.analysis), state(rescan.analysis));
+  const auto rescan = cold_get(cold);
+  EXPECT_EQ(rescan.stats.query.partitions_scanned, 3u);
+  EXPECT_EQ(state(*warm.analysis), state(*rescan.analysis));
   fs::remove_all(cold_dir);
 }
 
@@ -160,16 +177,10 @@ TEST_F(ArchiveTest, QueryIsThreadCountInvariant) {
   iopts.batches = 4;
   ingest_generated(ar, gen, iopts);
 
-  QueryOptions one;
-  one.threads = 1;
-  one.write_snapshots = false;
-  QueryOptions four;
-  four.threads = 4;
-  four.write_snapshots = false;
-  const QueryResult a = query_archive(ar, one);
-  const QueryResult b = query_archive(ar, four);
-  EXPECT_EQ(a.stats.partitions_scanned, b.stats.partitions_scanned);
-  EXPECT_EQ(state(a.analysis), state(b.analysis));
+  const auto a = cold_get(ar, 0, 1, /*write_back=*/false);
+  const auto b = cold_get(ar, 0, 4, /*write_back=*/false);
+  EXPECT_EQ(a.stats.query.partitions_scanned, b.stats.query.partitions_scanned);
+  EXPECT_EQ(state(*a.analysis), state(*b.analysis));
 }
 
 TEST_F(ArchiveTest, CompactMergesSmallPartitionsAndPreservesCounts) {
@@ -179,8 +190,8 @@ TEST_F(ArchiveTest, CompactMergesSmallPartitionsAndPreservesCounts) {
   iopts.batches = 5;
   iopts.include_huge = false;
   ingest_generated(ar, gen, iopts);
-  const QueryResult before = query_archive(ar);
-  ASSERT_EQ(before.stats.partitions, 5u);
+  const auto before = cold_get(ar);
+  ASSERT_EQ(before.stats.query.partitions, 5u);
 
   const std::vector<Archive::CompactedRun> runs =
       ar.compact(plan_small_runs(ar.manifest(), 1'000'000));
@@ -192,20 +203,20 @@ TEST_F(ArchiveTest, CompactMergesSmallPartitionsAndPreservesCounts) {
   // Compaction changes the merge tree (one sequential shard instead of a
   // five-shard fold), so double-precision sums may differ in the last bit —
   // but every integer census is grouping-invariant and must be preserved.
-  const QueryResult after = query_archive(ar);
-  EXPECT_EQ(after.stats.partitions_scanned, 1u);  // snapshots drop on compact
-  EXPECT_EQ(after.analysis.summary().logs(), before.analysis.summary().logs());
-  EXPECT_EQ(after.analysis.summary().jobs(), before.analysis.summary().jobs());
-  EXPECT_EQ(after.analysis.summary().files(), before.analysis.summary().files());
+  const auto after = cold_get(ar);
+  EXPECT_EQ(after.stats.query.partitions_scanned, 1u);  // snapshots drop on compact
+  EXPECT_EQ(after.analysis->summary().logs(), before.analysis->summary().logs());
+  EXPECT_EQ(after.analysis->summary().jobs(), before.analysis->summary().jobs());
+  EXPECT_EQ(after.analysis->summary().files(), before.analysis->summary().files());
   for (std::size_t li = 0; li < core::kLayerCount; ++li) {
     const auto layer = static_cast<core::Layer>(li);
-    EXPECT_EQ(after.analysis.access().layer(layer).files,
-              before.analysis.access().layer(layer).files);
-    EXPECT_EQ(after.analysis.interfaces().counts(layer).posix,
-              before.analysis.interfaces().counts(layer).posix);
+    EXPECT_EQ(after.analysis->access().layer(layer).files,
+              before.analysis->access().layer(layer).files);
+    EXPECT_EQ(after.analysis->interfaces().counts(layer).posix,
+              before.analysis->interfaces().counts(layer).posix);
   }
-  EXPECT_NEAR(after.analysis.summary().node_hours(), before.analysis.summary().node_hours(),
-              1e-6 * (1.0 + before.analysis.summary().node_hours()));
+  EXPECT_NEAR(after.analysis->summary().node_hours(), before.analysis->summary().node_hours(),
+              1e-6 * (1.0 + before.analysis->summary().node_hours()));
 
   // Log order survives compaction exactly: a fresh single-batch archive of
   // the same population queries to the same bytes as the compacted one.
@@ -215,7 +226,7 @@ TEST_F(ArchiveTest, CompactMergesSmallPartitionsAndPreservesCounts) {
   IngestOptions one_batch = iopts;
   one_batch.batches = 1;
   ingest_generated(ref, gen, one_batch);
-  EXPECT_EQ(state(query_archive(ref).analysis), state(after.analysis));
+  EXPECT_EQ(state(*cold_get(ref).analysis), state(*after.analysis));
   fs::remove_all(ref_dir);
 }
 
@@ -240,8 +251,8 @@ TEST_F(ArchiveTest, IngestLogFilesFormsOnePartition) {
   EXPECT_EQ(stats.partitions, 1u);
   EXPECT_EQ(stats.logs, files.size());
 
-  const QueryResult q = query_archive(ar);
-  EXPECT_EQ(q.analysis.summary().logs(), files.size());
+  const auto q = cold_get(ar);
+  EXPECT_EQ(q.analysis->summary().logs(), files.size());
   EXPECT_TRUE(ar.verify(true).ok());
   fs::remove_all(drop);
 }
@@ -252,9 +263,9 @@ TEST_F(ArchiveTest, OpenAndCreateGuardRails) {
   EXPECT_THROW(Archive::create(dir_), util::ConfigError);
   Archive reopened = Archive::open(dir_);
   EXPECT_EQ(reopened.manifest().partitions.size(), 0u);
-  const QueryResult q = query_archive(reopened);
-  EXPECT_EQ(q.stats.partitions, 0u);
-  EXPECT_EQ(q.analysis.summary().logs(), 0u);
+  const auto q = cold_get(reopened);
+  EXPECT_EQ(q.stats.query.partitions, 0u);
+  EXPECT_EQ(q.analysis->summary().logs(), 0u);
 }
 
 }  // namespace

@@ -10,11 +10,11 @@
 
 #include "archive/archive.hpp"
 #include "archive/ingest.hpp"
-#include "archive/query.hpp"
 #include "archive/stream.hpp"
 #include "core/snapshot.hpp"
 #include "darshan/log_format.hpp"
 #include "darshan/runtime.hpp"
+#include "harness/cold_query.hpp"
 #include "util/byte_io.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -24,6 +24,7 @@ namespace mlio::archive {
 namespace {
 
 namespace fs = std::filesystem;
+using harness::cold_get;
 
 class ArchiveCorruption : public ::testing::Test {
  protected:
@@ -45,7 +46,7 @@ class ArchiveCorruption : public ::testing::Test {
     iopts.include_huge = false;
     iopts.write_snapshots = true;
     ingest_generated(ar, gen, iopts);
-    clean_state_ = core::write_snapshot_bytes(query_archive(ar).analysis, 0);
+    clean_state_ = core::write_snapshot_bytes(*cold_get(ar).analysis, 0);
     ASSERT_TRUE(ar.verify(true).ok());
   }
   void TearDown() override { fs::remove_all(dir_); }
@@ -86,15 +87,15 @@ TEST_F(ArchiveCorruption, TruncatedSegmentFailsVerifyAndScan) {
   EXPECT_FALSE(rep.issues.empty());
 
   // The snapshot is still valid, so a query legitimately serves the cache...
-  const QueryResult cached = query_archive(ar);
-  EXPECT_EQ(cached.stats.snapshot_hits, 2u);
-  EXPECT_EQ(core::write_snapshot_bytes(cached.analysis, 0), clean_state_);
+  const auto cached = cold_get(ar);
+  EXPECT_EQ(cached.stats.query.snapshot_hits, 2u);
+  EXPECT_EQ(core::write_snapshot_bytes(*cached.analysis, 0), clean_state_);
 
   // ...but a forced rescan of the damaged partition must throw, not return
   // a partial analysis.
   fs::remove(part_file(0, "snap"));
   Archive reopened = Archive::open(dir_);
-  EXPECT_THROW(query_archive(reopened), util::FormatError);
+  EXPECT_THROW(cold_get(reopened), util::FormatError);
 }
 
 TEST_F(ArchiveCorruption, BitFlippedManifestFailsOpen) {
@@ -129,7 +130,7 @@ TEST_F(ArchiveCorruption, BitFlippedSegmentBodyIsNeverSilentlyWrong) {
 
   fs::remove(part_file(1, "snap"));
   Archive reopened = Archive::open(dir_);
-  EXPECT_THROW(query_archive(reopened), util::FormatError);
+  EXPECT_THROW(cold_get(reopened), util::FormatError);
 }
 
 TEST_F(ArchiveCorruption, CorruptSnapshotFallsBackToRescan) {
@@ -143,16 +144,16 @@ TEST_F(ArchiveCorruption, CorruptSnapshotFallsBackToRescan) {
 
   // ...and the query transparently rescans that partition, reproducing the
   // clean result bit for bit (and healing the cache).
-  const QueryResult q = query_archive(ar);
-  EXPECT_EQ(q.stats.snapshot_hits, 1u);
-  EXPECT_EQ(q.stats.partitions_scanned, 1u);
-  EXPECT_EQ(q.stats.snapshots_written, 1u);
-  EXPECT_EQ(core::write_snapshot_bytes(q.analysis, 0), clean_state_);
+  const auto q = cold_get(ar);
+  EXPECT_EQ(q.stats.query.snapshot_hits, 1u);
+  EXPECT_EQ(q.stats.query.partitions_scanned, 1u);
+  EXPECT_EQ(q.stats.query.snapshots_written, 1u);
+  EXPECT_EQ(core::write_snapshot_bytes(*q.analysis, 0), clean_state_);
 
   Archive healed = Archive::open(dir_);
   EXPECT_TRUE(healed.verify(true).ok());
-  const QueryResult warm = query_archive(healed);
-  EXPECT_EQ(warm.stats.partitions_scanned, 0u);
+  const auto warm = cold_get(healed);
+  EXPECT_EQ(warm.stats.query.partitions_scanned, 0u);
 }
 
 TEST_F(ArchiveCorruption, StaleSnapshotGenerationTriggersRescan) {
@@ -174,11 +175,11 @@ TEST_F(ArchiveCorruption, StaleSnapshotGenerationTriggersRescan) {
   EXPECT_EQ(rep.snapshots_valid, 1u);
 
   // The query must not trust the stale shard: partition 0 is rescanned.
-  const QueryResult q = query_archive(ar);
-  EXPECT_EQ(q.stats.snapshot_hits, 1u);
-  EXPECT_EQ(q.stats.partitions_scanned, 1u);
+  const auto q = cold_get(ar);
+  EXPECT_EQ(q.stats.query.snapshot_hits, 1u);
+  EXPECT_EQ(q.stats.query.partitions_scanned, 1u);
   // Same data, same cuts — the rescan reproduces the clean bits.
-  EXPECT_EQ(core::write_snapshot_bytes(q.analysis, 0), clean_state_);
+  EXPECT_EQ(core::write_snapshot_bytes(*q.analysis, 0), clean_state_);
 }
 
 TEST_F(ArchiveCorruption, MissingIndexFailsVerify) {
@@ -236,10 +237,9 @@ TEST_F(ArchiveCorruption, RandomMutationPropertySweep) {
     try {
       Archive ar = Archive::open(dir_);
       ar.verify(true);  // must not crash; issues are fine
-      QueryOptions opts;
-      opts.write_snapshots = false;  // the probe must not heal the archive
-      const QueryResult q = query_archive(ar, opts);
-      EXPECT_EQ(core::write_snapshot_bytes(q.analysis, 0), clean_state_)
+      // The probe must not heal the archive: no write-back.
+      const auto q = cold_get(ar, 0, 0, /*write_back=*/false);
+      EXPECT_EQ(core::write_snapshot_bytes(*q.analysis, 0), clean_state_)
           << "mutated " << files[target] << " changed the answer without an error";
     } catch (const util::Error&) {
       // FormatError / IoError are the contract for unmaskable damage.
@@ -432,8 +432,7 @@ TEST(WindowManifestFuzz, StaleGenerationStampOnWindowedPartitionForcesRescan) {
     (void)ing.append(log.job, darshan::write_log_bytes(log));
   }
   (void)ing.flush();
-  const std::vector<std::byte> clean =
-      core::write_snapshot_bytes(query_window(ar, 2).analysis, 0);
+  const std::vector<std::byte> clean = core::write_snapshot_bytes(*cold_get(ar, 2).analysis, 0);
 
   {  // Forge the stale stamp on the newest windowed partition.
     Manifest m = ar.manifest();
@@ -442,13 +441,10 @@ TEST(WindowManifestFuzz, StaleGenerationStampOnWindowedPartitionForcesRescan) {
     util::write_file_atomic(dir / "manifest.bin", write_manifest_bytes(m));
   }
   Archive reopened = Archive::open(dir);
-  QueryOptions qopts;
-  qopts.write_snapshots = false;
-  WindowSelection sel;
-  const QueryResult q = query_window(reopened, 2, qopts, &sel);
-  EXPECT_EQ(sel.count, 2u);
-  EXPECT_GT(q.stats.partitions_scanned, 0u);  // the stale shard was not trusted
-  EXPECT_EQ(core::write_snapshot_bytes(q.analysis, 0), clean);
+  const auto q = cold_get(reopened, 2);
+  EXPECT_EQ(q.windows.count, 2u);
+  EXPECT_GT(q.stats.query.partitions_scanned, 0u);  // the stale shard was not trusted
+  EXPECT_EQ(core::write_snapshot_bytes(*q.analysis, 0), clean);
   fs::remove_all(dir);
 }
 

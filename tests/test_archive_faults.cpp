@@ -16,10 +16,10 @@
 
 #include "archive/archive.hpp"
 #include "archive/ingest.hpp"
-#include "archive/query.hpp"
 #include "archive/stream.hpp"
 #include "core/snapshot.hpp"
 #include "darshan/log_format.hpp"
+#include "harness/cold_query.hpp"
 #include "harness/crash_sweep.hpp"
 #include "service/service.hpp"
 #include "util/byte_io.hpp"
@@ -62,10 +62,8 @@ core::Analysis shard_of(const std::vector<Frame>& frames, std::size_t lo, std::s
 }
 
 std::vector<std::byte> state(Archive& ar, unsigned threads = 1) {
-  QueryOptions opts;
-  opts.threads = threads;
-  opts.write_snapshots = false;
-  return core::write_snapshot_bytes(query_archive(ar, opts).analysis, 0);
+  return core::write_snapshot_bytes(
+      *harness::cold_get(ar, 0, threads, /*write_back=*/false).analysis, 0);
 }
 
 class ArchiveFaultsTest : public ::testing::Test {
@@ -499,18 +497,12 @@ TEST_F(ArchiveFaultsTest, ParallelRebuildThroughFaultVfs) {
   {
     util::FaultVfs vfs(util::FaultPlan::parse("seed=2;read-truncate@1:*.seg"));
     Archive ar = Archive::open(dir_, vfs);
-    QueryOptions opts;
-    opts.threads = 4;
-    opts.write_snapshots = false;
-    EXPECT_THROW(query_archive(ar, opts), util::FormatError);
+    EXPECT_THROW(state(ar, 4), util::FormatError);
   }
   {
     util::FaultVfs vfs(util::FaultPlan::parse("seed=2;bit-flip@2:*.idx"));
     Archive ar = Archive::open(dir_, vfs);
-    QueryOptions opts;
-    opts.threads = 4;
-    opts.write_snapshots = false;
-    EXPECT_THROW(query_archive(ar, opts), util::FormatError);
+    EXPECT_THROW(state(ar, 4), util::FormatError);
   }
 }
 

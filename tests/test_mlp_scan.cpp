@@ -13,9 +13,9 @@
 
 #include "archive/archive.hpp"
 #include "archive/ingest.hpp"
-#include "archive/query.hpp"
 #include "archive/scan.hpp"
 #include "core/analysis.hpp"
+#include "harness/cold_query.hpp"
 #include "workload/generator.hpp"
 #include "workload/pipeline.hpp"
 
@@ -56,13 +56,10 @@ class MlpScanTest : public ::testing::Test {
     dir_ = nullptr;
   }
 
-  static archive::QueryResult cold_query(unsigned mlp_depth, unsigned threads) {
+  static service::ArchiveService::GetResult cold_query(unsigned mlp_depth, unsigned threads) {
     archive::Archive ar = archive::Archive::open(*dir_);
-    archive::QueryOptions qo;
-    qo.threads = threads;
-    qo.write_snapshots = false;  // keep every query a cold rebuild
-    qo.mlp_depth = mlp_depth;
-    return query_archive(ar, qo);
+    // No write-back: keep every query a cold rebuild.
+    return harness::cold_get(ar, 0, threads, /*write_back=*/false, mlp_depth);
   }
 
   static const std::filesystem::path* dir_;
@@ -103,18 +100,18 @@ void expect_tables_identical(const core::Analysis& a, const core::Analysis& b) {
 TEST_F(MlpScanTest, DepthAndThreadSweepMatchesDepthOne) {
   // Baseline: one dependent decode→parse→consume chain per log on one
   // thread.
-  const archive::QueryResult base = cold_query(1, 1);
-  ASSERT_EQ(base.stats.logs_scanned, kPinnedLogs);
-  EXPECT_EQ(base.analysis.fingerprint(), kPinnedFingerprint);
+  const auto base = cold_query(1, 1);
+  ASSERT_EQ(base.stats.query.logs_scanned, kPinnedLogs);
+  EXPECT_EQ(base.analysis->fingerprint(), kPinnedFingerprint);
 
   for (const unsigned depth : {1u, 2u, 4u, 8u}) {
     for (const unsigned threads : {1u, 8u}) {
-      const archive::QueryResult q = cold_query(depth, threads);
+      const auto q = cold_query(depth, threads);
       SCOPED_TRACE("mlp_depth=" + std::to_string(depth) +
                    " threads=" + std::to_string(threads));
-      EXPECT_EQ(q.stats.logs_scanned, kPinnedLogs);
-      EXPECT_EQ(q.analysis.fingerprint(), kPinnedFingerprint);
-      expect_tables_identical(base.analysis, q.analysis);
+      EXPECT_EQ(q.stats.query.logs_scanned, kPinnedLogs);
+      EXPECT_EQ(q.analysis->fingerprint(), kPinnedFingerprint);
+      expect_tables_identical(*base.analysis, *q.analysis);
     }
   }
 }
@@ -123,10 +120,10 @@ TEST_F(MlpScanTest, OversizedAndZeroDepthsAreSafe) {
   // Depth 0 clamps to 1; a depth far beyond the partition's log count runs
   // one partial batch per partition.  Both must still land on the pin.
   for (const unsigned depth : {0u, 1024u}) {
-    const archive::QueryResult q = cold_query(depth, 2);
+    const auto q = cold_query(depth, 2);
     SCOPED_TRACE("mlp_depth=" + std::to_string(depth));
-    EXPECT_EQ(q.analysis.fingerprint(), kPinnedFingerprint);
-    EXPECT_EQ(q.stats.logs_scanned, kPinnedLogs);
+    EXPECT_EQ(q.analysis->fingerprint(), kPinnedFingerprint);
+    EXPECT_EQ(q.stats.query.logs_scanned, kPinnedLogs);
   }
 }
 
@@ -144,24 +141,6 @@ TEST_F(MlpScanTest, DeepScanAllocatesNoMoreSlotsThanLogs) {
   ar.scan_partition(p, [&](const darshan::LogData&) { logs += 1; }, scratch, opts);
   EXPECT_EQ(logs, p.log_count);
   EXPECT_LE(scratch.slots.size(), p.log_count);
-}
-
-TEST_F(MlpScanTest, QueryScratchReuseAcrossDepths) {
-  // One QueryScratch across every depth — slots sized for depth 8 get
-  // reused at depth 2, the depth-1 buffers get reused by a later pipelined
-  // scan.  Results must not depend on what the scratch previously held.
-  archive::Archive ar = archive::Archive::open(*dir_);
-  archive::QueryScratch scratch;
-  for (const unsigned depth : {8u, 2u, 1u, 4u}) {
-    archive::QueryOptions qo;
-    qo.threads = 2;
-    qo.write_snapshots = false;
-    qo.mlp_depth = depth;
-    const archive::QueryResult q = query_archive(ar, qo, scratch);
-    SCOPED_TRACE("mlp_depth=" + std::to_string(depth));
-    EXPECT_EQ(q.analysis.fingerprint(), kPinnedFingerprint);
-    EXPECT_EQ(q.stats.logs_scanned, kPinnedLogs);
-  }
 }
 
 }  // namespace

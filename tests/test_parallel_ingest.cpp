@@ -23,7 +23,7 @@
 #include "archive/archive.hpp"
 #include "archive/ingest.hpp"
 #include "archive/manifest.hpp"
-#include "archive/query.hpp"
+#include "harness/cold_query.hpp"
 #include "util/byte_io.hpp"
 #include "util/compress.hpp"
 #include "util/error.hpp"
@@ -70,12 +70,12 @@ void expect_same_files(const std::map<std::string, std::vector<std::byte>>& refe
   }
 }
 
-std::uint64_t query_fingerprint(Archive& ar) {
-  QueryOptions opts;
-  opts.threads = 1;
-  opts.write_snapshots = false;
-  return query_archive(ar, opts).analysis.fingerprint();
+/// A cold query on one worker that writes nothing back.
+service::ArchiveService::GetResult cold_get(Archive& ar) {
+  return harness::cold_get(ar, 0, 1, /*write_back=*/false);
 }
+
+std::uint64_t query_fingerprint(Archive& ar) { return cold_get(ar).fingerprint; }
 
 class ParallelIngestTest : public ::testing::Test {
  protected:
@@ -248,14 +248,11 @@ TEST_F(ParallelIngestTest, GeneratedIngestSnapshotsMatchTheRescan) {
   IngestOptions opts;
   opts.batches = 3;
   opts.ingest_threads = 2;
-  QueryOptions qo;
-  qo.threads = 1;
-  qo.write_snapshots = false;
   const auto answer = [&](Archive& ar) {
-    const QueryResult q = query_archive(ar, qo);
+    const auto q = cold_get(ar);
     util::ByteWriter w;
-    q.analysis.save(w);
-    return std::make_pair(q.stats, w.take());
+    q.analysis->save(w);
+    return std::make_pair(q.stats.query, w.take());
   };
 
   Archive plain = Archive::create(dir_ / "plain");
@@ -404,12 +401,9 @@ TEST_F(ParallelIngestTest, FileIngestSnapshotsMatchTheRescan) {
   IngestOptions opts;
   opts.batches = 2;
   opts.max_logs_per_partition = 3;
-  QueryOptions qo;
-  qo.threads = 1;
-  qo.write_snapshots = false;
   const auto state = [&](Archive& ar) {
     util::ByteWriter w;
-    query_archive(ar, qo).analysis.save(w);
+    cold_get(ar).analysis->save(w);
     return w.take();
   };
 
@@ -425,9 +419,9 @@ TEST_F(ParallelIngestTest, FileIngestSnapshotsMatchTheRescan) {
   EXPECT_TRUE(snap.verify(true).ok());
   EXPECT_EQ(snap.verify(false).snapshots_valid, partitions);
 
-  const QueryResult first = query_archive(snap, qo);
-  EXPECT_EQ(first.stats.snapshot_hits, partitions);
-  EXPECT_EQ(first.stats.logs_scanned, 0u);
+  const auto first = cold_get(snap);
+  EXPECT_EQ(first.stats.query.snapshot_hits, partitions);
+  EXPECT_EQ(first.stats.query.logs_scanned, 0u);
   const std::vector<std::byte> want = state(plain);
   EXPECT_EQ(state(snap), want);
 

@@ -51,24 +51,6 @@ TEST(Pipeline, DeterministicAcrossThreadCounts) {
             b.bulk.layers().job_exclusivity().pfs_only);
 }
 
-TEST(Pipeline, LogRoundtripDoesNotChangeResults) {
-  // Serializing every log through the on-disk format and parsing it back must
-  // be analysis-invariant: the format loses nothing the analyses consume.
-  const WorkloadGenerator gen(SystemProfile::cori_2019(), cfg(25));
-  PipelineOptions direct;
-  direct.include_huge = false;
-  PipelineOptions via_disk = direct;
-  via_disk.roundtrip_logs = true;
-  const PipelineResult a = run_pipeline(gen, direct);
-  const PipelineResult b = run_pipeline(gen, via_disk);
-  EXPECT_EQ(a.bulk.summary().files(), b.bulk.summary().files());
-  EXPECT_DOUBLE_EQ(a.bulk.access().layer(core::Layer::kPfs).bytes_written,
-                   b.bulk.access().layer(core::Layer::kPfs).bytes_written);
-  EXPECT_EQ(a.bulk.interfaces().counts(core::Layer::kPfs).stdio,
-            b.bulk.interfaces().counts(core::Layer::kPfs).stdio);
-  EXPECT_EQ(a.bulk.performance().observations(), b.bulk.performance().observations());
-}
-
 TEST(Pipeline, BitIdenticalAcrossThreads) {
   // The determinism contract: one Analysis per fixed-size block, merged in
   // block order, with block boundaries a pure function of the population.
@@ -99,29 +81,6 @@ TEST(Pipeline, BitIdenticalAcrossThreads) {
     const auto fn_base = base.huge.performance().cell(core::Layer::kPfs, 0, 5, false);
     EXPECT_EQ(fn.count, fn_base.count);
     EXPECT_EQ(fn.median, fn_base.median);  // exact: same merge order required
-  }
-}
-
-TEST(Pipeline, RoundtripHonorsWriteOptions) {
-  // The roundtrip must be analysis-invariant for any WriteOptions — and the
-  // options must actually be plumbed through (uncompressed logs parse too).
-  const WorkloadGenerator gen(SystemProfile::summit_2020(), cfg(15));
-  PipelineOptions direct;
-  direct.include_huge = false;
-  const std::uint64_t fp = run_pipeline(gen, direct).bulk.fingerprint();
-
-  PipelineOptions uncompressed = direct;
-  uncompressed.roundtrip_logs = true;
-  uncompressed.write_options.compress = false;
-  EXPECT_EQ(run_pipeline(gen, uncompressed).bulk.fingerprint(), fp);
-
-  // The encoder's extreme levels: the first and last rows of its parser
-  // table.
-  for (const int level : {1, 9}) {
-    PipelineOptions leveled = direct;
-    leveled.roundtrip_logs = true;
-    leveled.write_options.zlib_level = level;
-    EXPECT_EQ(run_pipeline(gen, leveled).bulk.fingerprint(), fp) << "level=" << level;
   }
 }
 

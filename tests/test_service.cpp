@@ -2,8 +2,8 @@
 // shared snapshot cache (LRU eviction, oversize rejection, counter
 // reconciliation), the latency histogram, the unified
 // QueryStats/ServiceStats aggregation, compaction carrying cached shards
-// forward, and stale-read recovery when an EXTERNAL compactor
-// garbage-collects a pinned generation's files.
+// forward, snapshot write-back, and stale-read recovery when an EXTERNAL
+// compactor garbage-collects a pinned generation's files.
 //
 // The load tests run under TSan in CI (label "tsan"), and the GC-failure
 // test injects faults through FaultVfs (label "faults").
@@ -18,11 +18,13 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "archive/ingest.hpp"
 #include "archive/query.hpp"
 #include "core/snapshot.hpp"
+#include "harness/cold_query.hpp"
 #include "service/driver.hpp"
 #include "service/service.hpp"
 #include "util/latency.hpp"
@@ -111,8 +113,7 @@ TEST(LatencyHistogram, QuantilesAndMerge) {
 TEST(StatsMerge, QueryStatsSumsEveryFieldAndSharesHitRate) {
   archive::QueryStats a;
   a.partitions = 3; a.snapshot_hits = 1; a.cache_hits = 2; a.partitions_scanned = 1;
-  a.logs_scanned = 40; a.snapshots_written = 1; a.scan_seconds = 0.5; a.merge_seconds = 0.25;
-  a.total_seconds = 1.0; a.decode_seconds = 0.1; a.analyze_seconds = 0.3;
+  a.logs_scanned = 40; a.snapshots_written = 1; a.total_seconds = 1.0;
   archive::QueryStats b = a;
   b.cache_hits = 4;
 
@@ -124,11 +125,7 @@ TEST(StatsMerge, QueryStatsSumsEveryFieldAndSharesHitRate) {
   EXPECT_EQ(m.partitions_scanned, 2u);
   EXPECT_EQ(m.logs_scanned, 80u);
   EXPECT_EQ(m.snapshots_written, 2u);
-  EXPECT_DOUBLE_EQ(m.scan_seconds, 1.0);
-  EXPECT_DOUBLE_EQ(m.merge_seconds, 0.5);
   EXPECT_DOUBLE_EQ(m.total_seconds, 2.0);
-  EXPECT_DOUBLE_EQ(m.decode_seconds, 0.2);
-  EXPECT_DOUBLE_EQ(m.analyze_seconds, 0.6);
 
   // One hit-rate definition for bench and service alike:
   // (cache + snapshot hits) / shards served.
@@ -138,15 +135,13 @@ TEST(StatsMerge, QueryStatsSumsEveryFieldAndSharesHitRate) {
 
   // ServiceStats embeds QueryStats and merges both layers.
   service::ServiceStats sa, sb;
-  sa.query = a; sa.requests = 1; sa.queue_wait_ns = 10; sa.stale_retries = 1;
-  sb.query = b; sb.requests = 2; sb.queue_wait_ns = 7; sb.stale_retries = 2;
+  sa.query = a; sa.requests = 1; sa.stale_retries = 1;
+  sb.query = b; sb.requests = 2; sb.stale_retries = 2;
   sa.merge(sb);
   EXPECT_EQ(sa.requests, 3u);
-  EXPECT_EQ(sa.queue_wait_ns, 17u);
   EXPECT_EQ(sa.stale_retries, 3u);
   EXPECT_EQ(sa.query.cache_hits, 6u);
-  EXPECT_DOUBLE_EQ(sa.query.scan_seconds, a.scan_seconds + b.scan_seconds);
-  EXPECT_DOUBLE_EQ(sa.query.merge_seconds, a.merge_seconds + b.merge_seconds);
+  EXPECT_DOUBLE_EQ(sa.query.total_seconds, a.total_seconds + b.total_seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -244,14 +239,15 @@ TEST(SnapshotCache, PurgeDropsStaleGenerations) {
 // ---------------------------------------------------------------------------
 // ArchiveService basics
 
-TEST(ArchiveService, GetMatchesQueryArchiveAndServesFromCache) {
+TEST(ArchiveService, GetMatchesPooledColdQueryAndServesFromCache) {
   const std::filesystem::path dir = fresh_dir("mlio_svc_basic");
   seed_archive(dir, shared_pool(), 3);
 
+  // Reference: a cold query on two merge workers that writes nothing back
+  // (`mlio_archive query --threads 2 --no-write-snapshots`).
   archive::Archive ar = archive::Archive::open(dir);
-  archive::QueryOptions qopts;
-  qopts.write_snapshots = false;
-  const std::uint64_t expected = query_archive(ar, qopts).analysis.fingerprint();
+  const std::uint64_t expected =
+      harness::cold_get(ar, 0, 2, /*write_back=*/false).analysis->fingerprint();
 
   service::ArchiveService svc(dir);
   const auto first = svc.get(/*keep_analysis=*/true);
@@ -273,6 +269,102 @@ TEST(ArchiveService, GetMatchesQueryArchiveAndServesFromCache) {
 
   // The serial-replay oracle agrees with the served answer.
   EXPECT_EQ(svc.replay_serial(second.pin).fingerprint(), expected);
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot write-back (Options::write_snapshots; `mlio_archive query` turns
+// it on for whole-archive queries)
+
+archive::Manifest disk_manifest(const std::filesystem::path& dir) {
+  return archive::Archive::open(dir).manifest();
+}
+
+std::size_t snapshot_files(const std::filesystem::path& dir) {
+  std::size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() == ".snap") n += 1;
+  }
+  return n;
+}
+
+TEST(WriteBack, ColdGetCommitsEveryRescanOnceAndTheNextServiceHitsThem) {
+  // Serial resolution and the merge pool write back the same way.
+  for (const unsigned threads : {0u, 2u}) {
+    SCOPED_TRACE("merge_threads=" + std::to_string(threads));
+    const std::filesystem::path dir = fresh_dir("mlio_svc_write_back");
+    seed_archive(dir, shared_pool(), 3);
+    const std::uint64_t g0 = disk_manifest(dir).generation;
+    service::ArchiveService::Options opts;
+    opts.merge_threads = threads;
+    opts.write_snapshots = true;
+
+    std::uint64_t fingerprint = 0;
+    {
+      service::ArchiveService svc(dir, opts);
+      const auto cold = svc.get();
+      EXPECT_EQ(cold.stats.query.partitions_scanned, 3u);
+      EXPECT_EQ(cold.stats.query.snapshots_written, 3u);
+      EXPECT_EQ(cold.generation, g0);  // the answer is the pinned generation's
+      // One manifest commit registered all three, and the service
+      // published it.
+      EXPECT_EQ(svc.generation(), g0 + 1);
+      fingerprint = cold.fingerprint;
+    }
+    const archive::Manifest m = disk_manifest(dir);
+    EXPECT_EQ(m.generation, g0 + 1);
+    for (const archive::PartitionInfo& p : m.partitions) {
+      EXPECT_TRUE(p.has_snapshot) << "partition " << p.id;
+      EXPECT_EQ(p.snapshot_generation, p.data_generation) << "partition " << p.id;
+    }
+    EXPECT_EQ(snapshot_files(dir), 3u);
+    EXPECT_TRUE(archive::Archive::open(dir).verify(true).ok());
+
+    // A second service's cold get is all snapshot hits, with the same
+    // answer, and has nothing to write.
+    service::ArchiveService svc(dir, opts);
+    const auto warm = svc.get();
+    EXPECT_EQ(warm.stats.query.snapshot_hits, 3u);
+    EXPECT_EQ(warm.stats.query.partitions_scanned, 0u);
+    EXPECT_EQ(warm.stats.query.snapshots_written, 0u);
+    EXPECT_EQ(warm.fingerprint, fingerprint);
+    EXPECT_EQ(svc.generation(), g0 + 1);
+
+    // A prefix merge writes back the one partition it rescans.
+    const std::vector<service::ServiceFrame>& pool = shared_pool();
+    const std::uint64_t g1 = svc.ingest(std::span(pool).first(4)).generation;
+    const auto grown = svc.get();
+    EXPECT_EQ(grown.stats.query.prefix_merges, 1u);
+    EXPECT_EQ(grown.stats.query.partitions_scanned, 1u);
+    EXPECT_EQ(grown.stats.query.snapshots_written, 1u);
+    EXPECT_EQ(svc.generation(), g1 + 1);
+    EXPECT_EQ(snapshot_files(dir), 4u);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(WriteBack, OffOrWindowedFromTheCliLeavesTheGenerationAlone) {
+  const std::filesystem::path dir = fresh_dir("mlio_svc_no_write_back");
+  seed_archive(dir, shared_pool(), 3);
+  const std::uint64_t g0 = disk_manifest(dir).generation;
+  // `query --no-write-snapshots`, then `query --last-windows 2`: the CLI's
+  // options turn write-back off for both.
+  for (const auto& [write_back, last_windows] :
+       {std::pair{false, std::uint64_t{0}}, std::pair{true, std::uint64_t{2}}}) {
+    SCOPED_TRACE("write_back=" + std::to_string(write_back) +
+                 " last_windows=" + std::to_string(last_windows));
+    const service::ArchiveService::Options opts =
+        service::query_options(2, archive::kDefaultMlpDepth, write_back, last_windows);
+    EXPECT_FALSE(opts.write_snapshots);
+    service::ArchiveService svc(dir, opts);
+    const auto cold = svc.get_window(last_windows);
+    EXPECT_EQ(cold.stats.query.partitions_scanned, 3u);
+    EXPECT_EQ(cold.stats.query.snapshots_written, 0u);
+    EXPECT_EQ(svc.generation(), g0);
+  }
+  EXPECT_EQ(disk_manifest(dir).generation, g0);
+  EXPECT_EQ(snapshot_files(dir), 0u);
+  EXPECT_TRUE(service::query_options(2, archive::kDefaultMlpDepth, true, 0).write_snapshots);
   std::filesystem::remove_all(dir);
 }
 
@@ -555,28 +647,6 @@ TEST(ArchiveService, CacheSmallerThanOneShardStillAnswersCorrectly) {
 
 // ---------------------------------------------------------------------------
 // Stale reads: an EXTERNAL compactor GCs a pinned generation's segments
-
-TEST(StaleRead, QueryArchiveThrowsStaleReadErrorAfterExternalCompaction) {
-  const std::filesystem::path dir = fresh_dir("mlio_svc_stale_query");
-  seed_archive(dir, shared_pool(), 3);
-
-  // Reader pins the 3-partition manifest; a second process compacts and
-  // immediately GCs the source segments (plain Archive::compact does not
-  // defer).
-  archive::Archive reader = archive::Archive::open(dir);
-  archive::Archive compactor = archive::Archive::open(dir);
-  ASSERT_FALSE(compactor.compact(archive::plan_small_runs(compactor.manifest(), ~0ull)).empty());
-  ASSERT_TRUE(compactor.gc_errors().empty());
-
-  try {
-    query_archive(reader, {});
-    FAIL() << "expected StaleReadError";
-  } catch (const archive::StaleReadError& e) {
-    EXPECT_LT(e.pinned_generation(), e.current_generation());
-    EXPECT_NE(std::string(e.what()).find("compaction"), std::string::npos);
-  }
-  std::filesystem::remove_all(dir);
-}
 
 TEST(StaleRead, ServiceRecoversByRefreshingFromDisk) {
   const std::filesystem::path dir = fresh_dir("mlio_svc_stale_recover");

@@ -19,10 +19,10 @@
 #include <vector>
 
 #include "archive/archive.hpp"
-#include "archive/query.hpp"
 #include "archive/stream.hpp"
 #include "darshan/log_format.hpp"
 #include "darshan/runtime.hpp"
+#include "harness/cold_query.hpp"
 #include "harness/crash_sweep.hpp"
 #include "util/rng.hpp"
 #include "util/vfs.hpp"
@@ -154,10 +154,8 @@ TEST_F(StreamFaultsTest, ReopenedArchivesAnswerWindowedQueries) {
       }
       newest = std::max(newest, p.window_max);
     }
-    WindowSelection sel;
-    const QueryResult q = query_window(ar, 2, {}, &sel);
-    ASSERT_EQ(sel.newest_window, newest);
-    (void)q;
+    const auto q = harness::cold_get(ar, 2);
+    ASSERT_EQ(q.windows.newest_window, newest);
     checked += 1;
   };
   live_workload(frames, /*snapshots=*/false)(dir, vfs);

@@ -14,11 +14,11 @@
 #include <vector>
 
 #include "archive/archive.hpp"
-#include "archive/query.hpp"
 #include "archive/stream.hpp"
 #include "core/snapshot.hpp"
 #include "darshan/log_format.hpp"
 #include "darshan/runtime.hpp"
+#include "harness/cold_query.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -129,10 +129,8 @@ fs::path fresh_dir(const std::string& name) {
 }
 
 std::vector<std::byte> state(Archive& ar) {
-  QueryOptions opts;
-  opts.threads = 1;
-  opts.write_snapshots = false;
-  return core::write_snapshot_bytes(query_archive(ar, opts).analysis, 0);
+  return core::write_snapshot_bytes(
+      *harness::cold_get(ar, 0, 1, /*write_back=*/false).analysis, 0);
 }
 
 TEST(StreamIngester, CutsOnWindowBoundary) {

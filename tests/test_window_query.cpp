@@ -24,6 +24,7 @@
 #include "core/snapshot.hpp"
 #include "darshan/log_format.hpp"
 #include "darshan/runtime.hpp"
+#include "harness/cold_query.hpp"
 #include "service/service.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -54,6 +55,13 @@ Frame make_frame(std::uint64_t job_id, std::int64_t start, std::uint64_t salt) {
   f.job = log.job;
   f.bytes = darshan::write_log_bytes(log);
   return f;
+}
+
+/// The last `n` windows of `ar` (0 = the whole archive), answered cold on
+/// `threads` merge workers (0 = every core), with nothing written back.
+service::ArchiveService::GetResult window_get(Archive& ar, std::uint64_t n,
+                                              unsigned threads = 0) {
+  return harness::cold_get(ar, n, threads, /*write_back=*/false);
 }
 
 fs::path fresh_dir(const std::string& name) {
@@ -98,14 +106,12 @@ core::Analysis oracle(const std::vector<Frame>& frames, const Manifest& m,
 void check_all_windows(Archive& ar, const std::vector<Frame>& frames,
                        std::uint64_t newest_window) {
   for (const unsigned threads : {1u, 4u}) {
-    QueryOptions qo;
-    qo.threads = threads;
     for (std::uint64_t n = 0; n <= newest_window + 2; ++n) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " n=" + std::to_string(n));
-      WindowSelection sel;
-      const QueryResult q = query_window(ar, n, qo, &sel);
+      const auto q = window_get(ar, n, threads);
+      const WindowSelection& sel = q.windows;
       EXPECT_EQ(sel.newest_window, newest_window);
-      EXPECT_EQ(state_bytes(q.analysis), state_bytes(oracle(frames, ar.manifest(), sel)));
+      EXPECT_EQ(state_bytes(*q.analysis), state_bytes(oracle(frames, ar.manifest(), sel)));
       if (n > 0 && !sel.whole_archive()) {
         EXPECT_GE(sel.windows_covered, n) << "selection must never silently truncate";
         EXPECT_EQ(sel.cutoff, newest_window - n + 1);
@@ -146,8 +152,7 @@ TEST(WindowQuery, AlignedCutsAreBitIdenticalToFrameOracleForEveryN) {
   check_all_windows(ar, frames, 8);
 
   // At aligned cuts the selection covers EXACTLY the requested windows.
-  WindowSelection sel;
-  (void)query_window(ar, 3, {}, &sel);
+  const WindowSelection sel = window_get(ar, 3).windows;
   EXPECT_EQ(sel.windows_covered, 3u);
   EXPECT_EQ(sel.count, 3u);
 }
@@ -196,25 +201,24 @@ TEST(WindowQuery, SnapshotAndRescanAnswersAreBitIdentical) {
   }
   (void)ing.flush();
 
-  WindowSelection sel;
-  const QueryResult from_snap = query_window(ar, 2, {}, &sel);
-  EXPECT_EQ(from_snap.stats.snapshot_hits, sel.count);
-  EXPECT_EQ(from_snap.stats.partitions_scanned, 0u);
+  const auto from_snap = window_get(ar, 2);
+  EXPECT_EQ(from_snap.stats.query.snapshot_hits, from_snap.windows.count);
+  EXPECT_EQ(from_snap.stats.query.partitions_scanned, 0u);
 
   // Drop the snapshots: the rescan path must produce the same bits.
   for (const PartitionInfo& p : ar.manifest().partitions) {
     fs::remove(ar.snapshot_path(p.id));
   }
   ar.reload();
-  const QueryResult rescanned = query_window(ar, 2);
-  EXPECT_GT(rescanned.stats.partitions_scanned, 0u);
-  EXPECT_EQ(state_bytes(rescanned.analysis), state_bytes(from_snap.analysis));
+  const auto rescanned = window_get(ar, 2);
+  EXPECT_GT(rescanned.stats.query.partitions_scanned, 0u);
+  EXPECT_EQ(state_bytes(*rescanned.analysis), state_bytes(*from_snap.analysis));
 }
 
 TEST(WindowQuery, OneResolverAgreesAcrossQueryServiceAndReplay) {
   // Every other window carries a snapshot (built straight from its frames),
-  // so each suffix mixes snapshot hits and rescans.  The pooled query at 1
-  // and 4 threads, the service cold (snapshot or rescan) and warm (shard
+  // so each suffix mixes snapshot hits and rescans.  Cold gets on 1 and 4
+  // merge workers, one service cold (snapshot or rescan) then warm (shard
   // cache), and the serial replay must all give the same state bytes, and
   // every resolving path must split its shards exactly by which windows
   // have snapshots.
@@ -239,13 +243,9 @@ TEST(WindowQuery, OneResolverAgreesAcrossQueryServiceAndReplay) {
   const std::vector<PartitionInfo>& parts = ar.manifest().partitions;
   for (std::uint64_t n = 0; n <= 10; ++n) {
     SCOPED_TRACE("n=" + std::to_string(n));
-    QueryOptions one;
-    one.threads = 1;
-    QueryOptions four;
-    four.threads = 4;
-    WindowSelection sel;
-    const QueryResult q1 = query_window(ar, n, one, &sel);
-    const QueryResult q4 = query_window(ar, n, four);
+    const auto q1 = window_get(ar, n, 1);
+    const auto q4 = window_get(ar, n, 4);
+    const WindowSelection& sel = q1.windows;
 
     std::uint64_t snapshots = 0, rescans = 0, rescanned_logs = 0;
     for (std::size_t i = sel.first; i < parts.size(); ++i) {
@@ -257,11 +257,11 @@ TEST(WindowQuery, OneResolverAgreesAcrossQueryServiceAndReplay) {
       }
     }
     EXPECT_EQ(snapshots + rescans, sel.count);
-    for (const QueryResult* q : {&q1, &q4}) {
-      EXPECT_EQ(q->stats.snapshot_hits, snapshots);
-      EXPECT_EQ(q->stats.partitions_scanned, rescans);
-      EXPECT_EQ(q->stats.logs_scanned, rescanned_logs);
-      EXPECT_EQ(q->stats.snapshots_written, 0u);
+    for (const auto* q : {&q1, &q4}) {
+      EXPECT_EQ(q->stats.query.snapshot_hits, snapshots);
+      EXPECT_EQ(q->stats.query.partitions_scanned, rescans);
+      EXPECT_EQ(q->stats.query.logs_scanned, rescanned_logs);
+      EXPECT_EQ(q->stats.query.snapshots_written, 0u);
     }
 
     service::ArchiveService::Options so;
@@ -279,12 +279,12 @@ TEST(WindowQuery, OneResolverAgreesAcrossQueryServiceAndReplay) {
     EXPECT_EQ(warm.stats.query.partitions_scanned, 0u);
 
     const std::vector<std::byte> expected = state_bytes(svc.replay_serial_window(cold.pin, n));
-    EXPECT_EQ(state_bytes(q1.analysis), expected);
-    EXPECT_EQ(state_bytes(q4.analysis), expected);
+    EXPECT_EQ(state_bytes(*q1.analysis), expected);
+    EXPECT_EQ(state_bytes(*q4.analysis), expected);
     EXPECT_EQ(state_bytes(*cold.analysis), expected);
     EXPECT_EQ(state_bytes(*warm.analysis), expected);
   }
-  // query_window wrote nothing back: the manifest never moved.
+  // The windowed gets wrote nothing back: the manifest never moved.
   EXPECT_EQ(Archive::open(dir).manifest().generation, generation);
 }
 
@@ -308,10 +308,8 @@ TEST(WindowQuery, CorruptSegmentInWindowFailsTheSameAtAnyThreadCount) {
 
   const std::string lower = ar.segment_path(parts[4].id).string();
   for (const unsigned threads : {1u, 4u, 4u, 4u, 4u}) {
-    QueryOptions qo;
-    qo.threads = threads;
     try {
-      (void)query_window(ar, 4, qo);
+      (void)window_get(ar, 4, threads);
       ADD_FAILURE() << "threads=" << threads << ": corrupt window answered";
     } catch (const util::FormatError& e) {
       EXPECT_NE(std::string(e.what()).find(lower), std::string::npos)
@@ -319,7 +317,7 @@ TEST(WindowQuery, CorruptSegmentInWindowFailsTheSameAtAnyThreadCount) {
     }
   }
   // A window past the damaged partitions still answers.
-  EXPECT_NO_THROW((void)query_window(ar, 1));
+  EXPECT_NO_THROW((void)window_get(ar, 1));
 }
 
 TEST(WindowQuery, SelectionEdgeCases) {
@@ -381,8 +379,7 @@ TEST(WindowQuery, TimelineCoversExactlyTheSelectedSuffix) {
   }
   (void)ing.flush();
 
-  WindowSelection sel;
-  (void)query_window(ar, 2, {}, &sel);
+  const WindowSelection sel = window_get(ar, 2).windows;
   ASSERT_EQ(sel.count, 2u);  // windows 3 and 4 -> the last two partitions
   const core::LoadTimeline tl = window_timeline(ar, ar.manifest(), sel, 500, 50);
 
