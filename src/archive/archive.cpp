@@ -123,11 +123,6 @@ void Archive::PartitionWriter::append_frame(const darshan::JobRecord& job,
   entries_.push_back(e);
 }
 
-void Archive::PartitionWriter::append(const darshan::LogData& log,
-                                      const darshan::WriteOptions& opts) {
-  append_frame(log.job, darshan::write_log_bytes(log, opts));
-}
-
 PartitionInfo Archive::PartitionWriter::seal() {
   MLIO_ASSERT(owner_ != nullptr);
   Archive& a = *owner_;
@@ -251,16 +246,6 @@ std::optional<core::Analysis> Archive::load_snapshot(const PartitionInfo& p) con
   } catch (const util::FormatError&) {
     return std::nullopt;
   }
-}
-
-void Archive::store_snapshot(std::uint64_t partition_id, const core::Analysis& shard) {
-  const auto it = std::find_if(manifest_.partitions.begin(), manifest_.partitions.end(),
-                               [&](const PartitionInfo& p) { return p.id == partition_id; });
-  if (it == manifest_.partitions.end()) {
-    throw util::ConfigError("store_snapshot: unknown partition " + std::to_string(partition_id));
-  }
-  const SnapshotReceipt receipt = write_snapshot_file(*it, shard);
-  commit_snapshots({&receipt, 1});
 }
 
 Archive::SnapshotReceipt Archive::write_snapshot_file(const PartitionInfo& p,

@@ -99,8 +99,6 @@ class Archive {
     /// Append one already-framed Darshan log (bytes as produced by
     /// darshan::write_log_bytes*).
     void append_frame(const darshan::JobRecord& job, std::span<const std::byte> frame);
-    /// Serialize-and-append convenience for pre-parsed logs.
-    void append(const darshan::LogData& log, const darshan::WriteOptions& opts = {});
     std::uint64_t log_count() const { return entries_.size(); }
 
     /// Write segment + index, register the partition, and return its info.
@@ -181,10 +179,6 @@ class Archive {
   /// (snapshot_generation != data_generation).  Invalid snapshots are never
   /// silently used — callers fall back to scan_partition.
   std::optional<core::Analysis> load_snapshot(const PartitionInfo& p) const;
-
-  /// Cache `shard` as the partition's snapshot, stamped with its current
-  /// data generation, and persist the manifest.
-  void store_snapshot(std::uint64_t partition_id, const core::Analysis& shard);
 
   /// One snapshot file written ahead of its manifest registration — the
   /// two-phase write path: workers emit files concurrently with

@@ -169,8 +169,8 @@ IngestStats ingest_generated(Archive& archive, const wl::WorkloadGenerator& gen,
         out.snapshot_ns += ns_since(ts);
       };
     }
-    out.frames = wl::serialize_block(gen, cuts[b.cut].stratum, b.lo, b.hi, opts.write_options,
-                                     ws.serialize, &out.phases, add_to_shard);
+    out.frames = wl::serialize_block(gen, cuts[b.cut].stratum, b.lo, b.hi, ws.serialize,
+                                     &out.phases, add_to_shard);
     return out;
   };
 

@@ -45,7 +45,6 @@ struct IngestOptions {
   /// Upper bound on logs per partition for ingest_log_files (0 = none):
   /// the file list is split into max(batches, ceil(n / bound)) even shards.
   std::uint64_t max_logs_per_partition = 0;
-  darshan::WriteOptions write_options;
 };
 
 /// Phase timings: the *_ns phases are CPU time summed across build workers

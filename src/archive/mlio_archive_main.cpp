@@ -3,19 +3,19 @@
 //   mlio_archive ingest  --dir D [--system Cori|Summit] [--jobs N] [--seed S]
 //                        [--batches B] [--logs-scale X] [--files-scale X]
 //                        [--threads T] [--no-huge]
-//                        [--snapshots] [--no-compress] [--zlib-level L]
+//                        [--snapshots]
 //   mlio_archive ingest  --dir D --from SRCDIR [--part-logs N]
 //                        (every regular file, sharded into partitions)
 //   mlio_archive ingest  --dir D --window SEC [--window-logs N]
 //                        (continuous mode: stream generated logs through
 //                        time-windowed partition cuts)
-//   mlio_archive query   --dir D [--threads T] [--mlp-depth K]
-//                        [--no-write-snapshots] [--csv] [--last-windows N]
+//   mlio_archive query   --dir D [--threads T] [--no-write-snapshots] [--csv]
+//                        [--last-windows N]
 //   mlio_archive verify  --dir D [--deep]
 //   mlio_archive compact --dir D [--max-logs N | --leveled [--fanout F]]
 //   mlio_archive serve   --dir D --requests N [--clients C] [--warmup W]
 //                        [--seed S] [--cache-mb M] [--merged-cache-mb M]
-//                        [--merge-threads T] [--mix G:I:C] [--mlp-depth K]
+//                        [--merge-threads T] [--mix G:I:C]
 //   mlio_archive serve   --dir D --follow [--jobs N] [--clients C]
 //                        [--window SEC] [--window-logs N] [--last-windows N]
 //                        [--fanout F] (live soak: stream ingest + windowed
@@ -46,6 +46,7 @@
 // divergence, or a query still losing the race against a concurrent
 // compaction after the service's retries, 2 on usage errors, 3 when a
 // --fault-spec crash point fired.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -84,9 +85,6 @@ struct Args {
   bool huge = true;
   bool snapshots = false;
   bool write_snapshots = true;
-  bool compress = true;
-  int zlib_level = darshan::WriteOptions{}.zlib_level;
-  unsigned mlp_depth = archive::kDefaultMlpDepth;
   bool deep = false;
   bool csv = false;
   // serve
@@ -114,18 +112,18 @@ struct Args {
       "  ingest:  --system Cori|Summit --jobs N --seed S --batches B\n"
       "           --logs-scale X --files-scale X --no-huge\n"
       "           --threads T (0 = all cores; build workers)\n"
-      "           --snapshots --no-compress --zlib-level L\n"
+      "           --snapshots\n"
       "           (or --from SRCDIR to ingest existing log files;\n"
       "            --part-logs N bounds logs per partition)\n"
       "           (or --window SEC [--window-logs N] to stream through\n"
       "            time-windowed partition cuts)\n"
-      "  query:   --threads T --mlp-depth K --no-write-snapshots --csv\n"
+      "  query:   --threads T --no-write-snapshots --csv\n"
       "           --last-windows N (fold only the last N time windows)\n"
       "  verify:  --deep\n"
       "  compact: --max-logs N | --leveled [--fanout F]\n"
       "  serve:   --requests N --clients C --warmup W --seed S --cache-mb M\n"
       "           --merged-cache-mb M (0 = no memoization) --merge-threads T\n"
-      "           --mix G:I:C --mlp-depth K\n"
+      "           --mix G:I:C\n"
       "           (or --follow [--jobs N] [--window SEC] [--window-logs N]\n"
       "            [--last-windows N] [--fanout F]: live soak — streaming\n"
       "            ingest + windowed reads + background leveled compactor)\n"
@@ -157,8 +155,6 @@ Args parse(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--files-scale")) a.files_scale = std::strtod(next("--files-scale"), nullptr);
     else if (!std::strcmp(argv[i], "--threads")) a.threads = static_cast<unsigned>(std::strtoul(next("--threads"), nullptr, 10));
     else if (!std::strcmp(argv[i], "--part-logs")) a.part_logs = std::strtoull(next("--part-logs"), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--zlib-level")) a.zlib_level = static_cast<int>(std::strtol(next("--zlib-level"), nullptr, 10));
-    else if (!std::strcmp(argv[i], "--mlp-depth")) a.mlp_depth = static_cast<unsigned>(std::strtoul(next("--mlp-depth"), nullptr, 10));
     else if (!std::strcmp(argv[i], "--requests")) a.requests = std::strtoull(next("--requests"), nullptr, 10);
     else if (!std::strcmp(argv[i], "--clients")) a.clients = static_cast<unsigned>(std::strtoul(next("--clients"), nullptr, 10));
     else if (!std::strcmp(argv[i], "--warmup")) a.warmup = std::strtoull(next("--warmup"), nullptr, 10);
@@ -182,7 +178,6 @@ Args parse(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--no-huge")) a.huge = false;
     else if (!std::strcmp(argv[i], "--snapshots")) a.snapshots = true;
     else if (!std::strcmp(argv[i], "--no-write-snapshots")) a.write_snapshots = false;
-    else if (!std::strcmp(argv[i], "--no-compress")) a.compress = false;
     else if (!std::strcmp(argv[i], "--deep")) a.deep = true;
     else if (!std::strcmp(argv[i], "--csv")) a.csv = true;
     else if (!std::strcmp(argv[i], "--help")) usage(0);
@@ -220,13 +215,17 @@ int cmd_ingest_stream(const Args& a, util::Vfs& vfs) {
   const wl::SystemProfile& profile =
       a.system == "Summit" ? wl::SystemProfile::summit_2020() : wl::SystemProfile::cori_2019();
   const wl::WorkloadGenerator gen(profile, cfg);
-  darshan::WriteOptions write_options;
-  write_options.compress = a.compress;
-  write_options.zlib_level = a.zlib_level;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, a.jobs, write_options,
-                     [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
-                       (void)ing.append(job, frame);
-                     });
+  // serialize_logs buffers its whole range, so feed it consecutive ranges
+  // of kFeedJobs: at most one range's frames are held at a time.  Each job
+  // draws from its own index-derived RNG stream, so the frames, and the
+  // archive, do not depend on the range size.
+  constexpr std::uint64_t kFeedJobs = 64;
+  for (std::uint64_t lo = 0; lo < a.jobs; lo += kFeedJobs) {
+    wl::serialize_logs(gen, wl::Stratum::kBulk, lo, std::min(a.jobs, lo + kFeedJobs),
+                       [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
+                         (void)ing.append(job, frame);
+                       });
+  }
   (void)ing.flush();
 
   const archive::StreamStats& st = ing.stats();
@@ -260,8 +259,6 @@ int cmd_ingest(const Args& a, util::Vfs& vfs) {
   opts.write_snapshots = a.snapshots;
   opts.ingest_threads = a.threads;
   opts.max_logs_per_partition = a.part_logs;
-  opts.write_options.compress = a.compress;
-  opts.write_options.zlib_level = a.zlib_level;
 
   archive::IngestStats stats;
   if (!a.from.empty()) {
@@ -347,7 +344,7 @@ void print_layer_tables(const Args& a, const core::Analysis& an) {
 int cmd_query(const Args& a, util::Vfs& vfs) {
   const bool windowed = a.last_windows > 0;
   service::ArchiveService svc(
-      a.dir, service::query_options(a.threads, a.mlp_depth, a.write_snapshots, a.last_windows),
+      a.dir, service::query_options(a.threads, a.write_snapshots, a.last_windows),
       vfs);
   const service::ArchiveService::GetResult r =
       svc.get_window(a.last_windows, /*keep_analysis=*/true);
@@ -433,7 +430,6 @@ int cmd_serve_follow(const Args& a, util::Vfs& vfs) {
   sopts.cache.capacity_bytes = a.cache_mb << 20;
   sopts.merged.capacity_bytes = a.merged_cache_mb << 20;
   sopts.merge_threads = a.merge_threads;
-  sopts.mlp_depth = a.mlp_depth;
   sopts.stream.window_seconds = a.window > 0 ? a.window : 3600;
   sopts.stream.max_window_logs = a.window_logs;
   service::ArchiveService svc(a.dir, sopts, vfs);
@@ -497,7 +493,6 @@ int cmd_serve(const Args& a, util::Vfs& vfs) {
   sopts.cache.capacity_bytes = a.cache_mb << 20;
   sopts.merged.capacity_bytes = a.merged_cache_mb << 20;
   sopts.merge_threads = a.merge_threads;
-  sopts.mlp_depth = a.mlp_depth;
   service::ArchiveService svc(a.dir, sopts, vfs);
 
   service::WorkloadConfig wcfg;

@@ -23,14 +23,11 @@ void QueryStats::merge(const QueryStats& other) {
 
 std::shared_ptr<const core::Analysis> resolve_shard(const Archive& archive,
                                                     const PartitionInfo& partition,
-                                                    ShardScratch& scratch, unsigned mlp_depth,
-                                                    QueryStats& stats) {
+                                                    ShardScratch& scratch, QueryStats& stats) {
   if (std::optional<core::Analysis> snap = archive.load_snapshot(partition)) {
     stats.snapshot_hits += 1;
     return std::make_shared<const core::Analysis>(*std::move(snap));
   }
-  ScanOptions scan_opts;
-  scan_opts.mlp_depth = mlp_depth;
   auto shard = std::make_shared<core::Analysis>();
   std::uint64_t logs = 0;
   archive.scan_bodies(
@@ -40,7 +37,7 @@ std::shared_ptr<const core::Analysis> resolve_shard(const Archive& archive,
         shard->add(scratch.body, scratch.analyze);
         logs += 1;
       },
-      scratch.scan, scan_opts);
+      scratch.scan, ScanOptions{});
   shard->order_samples();
   stats.partitions_scanned += 1;
   stats.logs_scanned += logs;

@@ -71,18 +71,18 @@ struct QueryStats {
 };
 
 /// Resolve one partition's shard: its valid snapshot, else a rescan of its
-/// segment at `mlp_depth`, each validated body walked straight into the
-/// shard (Analysis::add of a LogBody).  The shard is built in place in
-/// shared storage, its sample cells value-ordered once, ready for a cache
-/// to keep and for merges to read without a copy.  Counts the outcome into
-/// `stats` (snapshot_hits, or partitions_scanned and logs_scanned).  Throws
-/// what scan_bodies throws on a damaged or vanished segment (the service
-/// retries a vanished one against a fresh manifest).  Safe to call
-/// concurrently for any partitions, each caller with its own scratch.
+/// segment at the default scan depth, each validated body walked straight
+/// into the shard (Analysis::add of a LogBody).  The shard is built in
+/// place in shared storage, its sample cells value-ordered once, ready for
+/// a cache to keep and for merges to read without a copy.  Counts the
+/// outcome into `stats` (snapshot_hits, or partitions_scanned and
+/// logs_scanned).  Throws what scan_bodies throws on a damaged or vanished
+/// segment (the service retries a vanished one against a fresh manifest).
+/// Safe to call concurrently for any partitions, each caller with its own
+/// scratch.
 std::shared_ptr<const core::Analysis> resolve_shard(const Archive& archive,
                                                     const PartitionInfo& partition,
-                                                    ShardScratch& scratch, unsigned mlp_depth,
-                                                    QueryStats& stats);
+                                                    ShardScratch& scratch, QueryStats& stats);
 
 /// The partition suffix answering "the last N windows" (DESIGN.md §14).
 /// Selection is PARTITION-granular: walking back from the manifest tail,

@@ -35,7 +35,7 @@ namespace mlio::archive {
 /// pipelines keep paying off for metadata-heavy scans — tiny frames
 /// scattered across a large segment — but crowd the cache once the batch's
 /// decoded bodies stop fitting, so the default sits at the knee of the
-/// record-heavy case and the knob covers the rest.
+/// record-heavy case.
 inline constexpr unsigned kDefaultMlpDepth = 2;
 
 struct ScanOptions {

@@ -6,26 +6,20 @@
 
 namespace mlio::core {
 
-std::vector<std::byte> write_snapshot_bytes(const Analysis& analysis, std::uint64_t tag,
-                                            const SnapshotWriteOptions& opts) {
+std::vector<std::byte> write_snapshot_bytes(const Analysis& analysis, std::uint64_t tag) {
   util::ByteWriter body;
   analysis.save(body);
 
   util::ByteWriter frame;
   frame.u32(kSnapshotMagic);
   frame.u16(kSnapshotVersion);
-  frame.u16(opts.compress ? kSnapshotFlagCompressed : 0);
+  frame.u16(kSnapshotFlagCompressed);
   frame.u64(tag);
   frame.u32(util::crc32(body.view()));
   frame.u64(body.size());
-  if (opts.compress) {
-    const std::vector<std::byte> packed = util::zlib_compress(body.view(), opts.zlib_level);
-    frame.u64(packed.size());
-    frame.bytes(packed);
-  } else {
-    frame.u64(body.size());
-    frame.bytes(body.view());
-  }
+  const std::vector<std::byte> packed = util::zlib_compress(body.view());
+  frame.u64(packed.size());
+  frame.bytes(packed);
   return frame.take();
 }
 
@@ -45,24 +39,21 @@ Analysis read_snapshot_bytes(std::span<const std::byte> data, std::uint64_t* tag
   const std::span<const std::byte> stored = r.bytes(static_cast<std::size_t>(stored_size));
   if (!r.at_end()) throw util::FormatError("snapshot: trailing bytes");
 
-  std::vector<std::byte> unpacked;
-  std::span<const std::byte> body = stored;
-  if ((flags & kSnapshotFlagCompressed) != 0) {
-    // Bound the pre-allocation before trusting body_size: zlib cannot expand
-    // beyond ~1032x, so anything larger is a corrupted header, not data.
-    if (body_size > stored_size * 1040 + 4096) {
-      throw util::FormatError("snapshot: implausible uncompressed size");
-    }
-    // Fast whole-buffer inflate; the frame CRC below covers the body, so the
-    // Adler-32 trailer pass is redundant.  The engine keeps its window state
-    // per thread, so warm queries loading many snapshots allocate nothing.
-    thread_local util::Inflater inflater;
-    inflater.decompress(stored, static_cast<std::size_t>(body_size), unpacked,
-                        /*verify_checksum=*/false);
-    body = unpacked;
-  } else if (body_size != stored_size) {
-    throw util::FormatError("snapshot: body size mismatch");
+  if ((flags & kSnapshotFlagCompressed) == 0) {
+    throw util::FormatError("snapshot: uncompressed body");
   }
+  // Bound the pre-allocation before trusting body_size: zlib cannot expand
+  // beyond ~1032x, so anything larger is a corrupted header, not data.
+  if (body_size > stored_size * 1040 + 4096) {
+    throw util::FormatError("snapshot: implausible uncompressed size");
+  }
+  // Fast whole-buffer inflate; the frame CRC below covers the body, so the
+  // Adler-32 trailer pass is redundant.  The engine keeps its window state
+  // per thread, so warm queries loading many snapshots allocate nothing.
+  std::vector<std::byte> body;
+  thread_local util::Inflater inflater;
+  inflater.decompress(stored, static_cast<std::size_t>(body_size), body,
+                      /*verify_checksum=*/false);
   if (util::crc32(body) != crc) throw util::FormatError("snapshot: CRC mismatch");
 
   Analysis analysis;

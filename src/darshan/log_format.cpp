@@ -278,8 +278,7 @@ void materialize_body(LogBody& walked, LogData& log, LogIoBuffers& io) {
 
 }  // namespace
 
-std::span<const std::byte> write_log_bytes_into(const LogData& log, LogIoBuffers& io,
-                                                const WriteOptions& opts) {
+std::span<const std::byte> write_log_bytes_into(const LogData& log, LogIoBuffers& io) {
   io.body.clear();
   write_body(io.body, log, io);
   const auto body_bytes = io.body.view();
@@ -287,29 +286,23 @@ std::span<const std::byte> write_log_bytes_into(const LogData& log, LogIoBuffers
   io.frame.clear();
   io.frame.u32(kLogMagic);
   io.frame.u16(kLogVersion);
-  io.frame.u16(opts.compress ? kFlagCompressed : 0);
+  io.frame.u16(kFlagCompressed);
   io.frame.u32(util::crc32(body_bytes));
   io.frame.u64(body_bytes.size());
-  if (opts.compress) {
-    io.deflater.compress(body_bytes, opts.zlib_level, io.packed);
-    io.frame.u64(io.packed.size());
-    io.frame.bytes(io.packed);
-  } else {
-    io.frame.u64(body_bytes.size());
-    io.frame.bytes(body_bytes);
-  }
+  io.deflater.compress(body_bytes, io.packed);
+  io.frame.u64(io.packed.size());
+  io.frame.bytes(io.packed);
   return io.frame.view();
 }
 
-std::vector<std::byte> write_log_bytes(const LogData& log, const WriteOptions& opts) {
+std::vector<std::byte> write_log_bytes(const LogData& log) {
   LogIoBuffers io;
-  write_log_bytes_into(log, io, opts);
+  write_log_bytes_into(log, io);
   return io.frame.take();
 }
 
-void write_log_file(const LogData& log, const std::filesystem::path& path,
-                    const WriteOptions& opts) {
-  const auto bytes = write_log_bytes(log, opts);
+void write_log_file(const LogData& log, const std::filesystem::path& path) {
+  const auto bytes = write_log_bytes(log);
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) throw util::Error("cannot open for writing: " + path.string());
   f.write(reinterpret_cast<const char*>(bytes.data()),

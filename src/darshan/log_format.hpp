@@ -4,7 +4,9 @@
 //
 //   u32  magic            "DSHN" (0x4e485344)
 //   u16  version          currently 3
-//   u16  flags            bit 0: body is zlib-compressed
+//   u16  flags            bit 0: body is zlib-compressed (the writer always
+//                         sets it; a frame without it, as builds with an
+//                         uncompressed option wrote, is still read)
 //   u32  crc32            of the uncompressed body
 //   u64  body_size        uncompressed body size in bytes
 //   u64  stored_size      size of the (possibly compressed) body that follows
@@ -62,14 +64,6 @@ namespace mlio::darshan {
 inline constexpr std::uint32_t kLogMagic = 0x4e485344;  // "DSHN"
 inline constexpr std::uint16_t kLogVersion = 3;
 inline constexpr std::uint16_t kFlagCompressed = 0x1;
-
-struct WriteOptions {
-  bool compress = true;
-  /// Level 2 on the varint record blocks: 1.8% more bytes than level 6 for
-  /// a fifth less deflate time, and level 6 decodes no faster, so it never
-  /// repays its deflate time (DESIGN §10 has the curve).
-  int zlib_level = 2;
-};
 
 /// Population count, inline: on a baseline x86-64 build (no POPCNT)
 /// std::popcount is a call into libgcc, and the record accessors below
@@ -185,15 +179,14 @@ struct LogIoBuffers {
   std::vector<FileRecord> record_pool;
 };
 
-/// Serialize a log to bytes / a file.
-std::vector<std::byte> write_log_bytes(const LogData& log, const WriteOptions& opts = {});
-void write_log_file(const LogData& log, const std::filesystem::path& path,
-                    const WriteOptions& opts = {});
+/// Serialize a log to bytes / a file.  The body is always deflated, with
+/// util/deflate_fast.hpp's one setting.
+std::vector<std::byte> write_log_bytes(const LogData& log);
+void write_log_file(const LogData& log, const std::filesystem::path& path);
 
 /// Buffer-reuse variant: serializes into `io` and returns a view of the
 /// framed bytes, valid until the next write into the same `io`.
-std::span<const std::byte> write_log_bytes_into(const LogData& log, LogIoBuffers& io,
-                                                const WriteOptions& opts = {});
+std::span<const std::byte> write_log_bytes_into(const LogData& log, LogIoBuffers& io);
 
 /// Parse a log from bytes / a file.  Throws FormatError on malformed input
 /// (bad magic, version, CRC, truncated regions, counter-count mismatches,

@@ -211,7 +211,7 @@ void Runtime::trace_batch(const FileHandle& h, std::int32_t rank, DxtOp op,
       dkey ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank)) * 0x9e3779b9ull);
   std::uint64_t& cursor = dxt_offsets_[okey];
 
-  const std::uint64_t traced = std::min<std::uint64_t>(n_ops, opts_.dxt_events_per_batch);
+  const std::uint64_t traced = std::min<std::uint64_t>(n_ops, kDxtEventsPerBatch);
   const double per_op = traced > 0 ? elapsed / static_cast<double>(traced) : 0.0;
   for (std::uint64_t i = 0; i < traced; ++i) {
     DxtEvent e;

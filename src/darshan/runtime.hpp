@@ -52,13 +52,14 @@ struct RankSegment {
   double meta_elapsed = 0;       ///< per-row metadata seconds
 };
 
+/// Cap on traced events per (file, module) batch, mirroring DXT's bounded
+/// trace buffers.
+inline constexpr std::uint32_t kDxtEventsPerBatch = 16;
+
 struct RuntimeOptions {
   /// Capture DXT traces for POSIX and MPI-IO (never STDIO, as in real
   /// Darshan).  Off by default — DXT was disabled on both study systems.
   bool enable_dxt = false;
-  /// Cap on traced events per (file, module) batch, mirroring DXT's bounded
-  /// trace buffers.
-  std::uint32_t dxt_events_per_batch = 16;
 };
 
 class Runtime {

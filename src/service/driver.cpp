@@ -51,7 +51,7 @@ std::vector<ServiceFrame> make_frame_pool(std::uint64_t n_jobs, std::uint64_t se
   cfg.files_per_log_scale = 0.2;
   const wl::WorkloadGenerator gen(wl::SystemProfile::cori_2019(), cfg);
   std::vector<ServiceFrame> frames;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, n_jobs, {},
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, n_jobs,
                      [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
                        frames.push_back({job, {frame.begin(), frame.end()}});
                      });
@@ -70,7 +70,6 @@ WorkloadReport run_closed_loop(ArchiveService& service, const WorkloadConfig& cf
   std::map<std::uint64_t, GenerationEvidence> evidence;  // generation -> answers
 
   const auto record_answer = [&](const ArchiveService::GetResult& r) {
-    if (!cfg.verify) return;
     const std::scoped_lock lock(evidence_mu);
     GenerationEvidence& ev = evidence[r.generation];
     if (!ev.pin.valid()) ev.pin = r.pin;  // retains the generation's files
@@ -161,7 +160,6 @@ LiveReport run_live_soak(ArchiveService& service, const LiveConfig& cfg,
   std::mutex evidence_mu;
   std::map<std::uint64_t, GenerationEvidence> evidence;  // generation -> answers
   const auto record_answer = [&](const ArchiveService::GetResult& r) {
-    if (!cfg.verify) return;
     const std::scoped_lock lock(evidence_mu);
     GenerationEvidence& ev = evidence[r.generation];
     if (!ev.pin.valid()) ev.pin = r.pin;  // retains the generation's files

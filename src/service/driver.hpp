@@ -43,7 +43,6 @@ struct WorkloadConfig {
 
   std::uint64_t logs_per_ingest = 4;    ///< frames appended per ingest request
   std::uint64_t compact_max_logs = 48;  ///< Archive::compact threshold
-  bool verify = true;                   ///< serial-replay every observed generation
 };
 
 struct WorkloadReport {
@@ -99,7 +98,6 @@ struct LiveConfig {
   std::uint64_t seed = 42;
   std::uint64_t last_windows = 4;  ///< windowed query span (0 = whole archive)
   ArchiveService::CompactorOptions compactor;  ///< background policy + poll
-  bool verify = true;  ///< serial-replay every observed (generation, window)
 };
 
 struct LiveReport {

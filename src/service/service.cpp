@@ -196,7 +196,7 @@ std::shared_ptr<const core::Analysis> ArchiveService::resolve_shard(
   // thread_local storage instead of a worker-slot array.
   thread_local archive::ShardScratch scratch;
   std::shared_ptr<const core::Analysis> shard =
-      archive::resolve_shard(archive_, p, scratch, opts_.mlp_depth, stats.query);
+      archive::resolve_shard(archive_, p, scratch, stats.query);
   cache_.insert(key, shard, core::serialized_analysis_bytes(*shard));
   return shard;
 }
@@ -508,11 +508,10 @@ ArchiveService::GetResult ArchiveService::get_window(std::uint64_t last_windows,
   }
 }
 
-ArchiveService::Options query_options(unsigned threads, unsigned mlp_depth, bool write_back,
+ArchiveService::Options query_options(unsigned threads, bool write_back,
                                       std::uint64_t last_windows) {
   ArchiveService::Options o;
   o.merge_threads = threads > 0 ? threads : std::max(1u, std::thread::hardware_concurrency());
-  o.mlp_depth = mlp_depth;
   o.write_snapshots = write_back && last_windows == 0;
   return o;
 }

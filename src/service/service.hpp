@@ -97,9 +97,6 @@ class ArchiveService {
     /// serial, which is right when client threads already saturate the
     /// machine.
     unsigned merge_threads = 0;
-    /// Logs in flight per scan during shard rebuilds (bit-identical at any
-    /// depth — archive/scan.hpp).
-    unsigned mlp_depth = archive::kDefaultMlpDepth;
     /// Write back: each shard a get rebuilds from its segment is written
     /// as the partition's snapshot file by the thread that built it, and
     /// the batch is registered in ONE manifest commit after the get's
@@ -363,10 +360,10 @@ class ArchiveService {
 };
 
 /// The options of one cold query as `mlio_archive query` runs it: `threads`
-/// merge workers (0 = every core), `mlp_depth` logs in flight per scan, and
-/// snapshot write-back when `write_back` is set and the query covers the
-/// whole archive (`last_windows` == 0).  A windowed query writes nothing.
-ArchiveService::Options query_options(unsigned threads, unsigned mlp_depth, bool write_back,
+/// merge workers (0 = every core) and snapshot write-back when `write_back`
+/// is set and the query covers the whole archive (`last_windows` == 0).  A
+/// windowed query writes nothing.
+ArchiveService::Options query_options(unsigned threads, bool write_back,
                                       std::uint64_t last_windows);
 
 }  // namespace mlio::service

@@ -10,9 +10,8 @@ namespace mlio::util {
 // corrupt/hostile headers, not a real limit.
 constexpr std::size_t kMaxZlibSingleShot = std::numeric_limits<std::uint32_t>::max();
 
-void Deflater::compress(std::span<const std::byte> input, int level,
-                        std::vector<std::byte>& out) {
-  deflate_zlib(input, level, out, scratch_);
+void Deflater::compress(std::span<const std::byte> input, std::vector<std::byte>& out) {
+  deflate_zlib(input, out, scratch_);
 }
 
 void Inflater::decompress(std::span<const std::byte> input, std::size_t expected_size,
@@ -27,18 +26,10 @@ void Inflater::decompress(std::span<const std::byte> input, std::size_t expected
   inflate_zlib(input, out, scratch_, verify_checksum);
 }
 
-std::vector<std::byte> zlib_compress(std::span<const std::byte> input, int level) {
+std::vector<std::byte> zlib_compress(std::span<const std::byte> input) {
   Deflater deflater;
   std::vector<std::byte> out;
-  deflater.compress(input, level, out);
-  return out;
-}
-
-std::vector<std::byte> zlib_decompress(std::span<const std::byte> input,
-                                       std::size_t expected_size) {
-  Inflater inflater;
-  std::vector<std::byte> out;
-  inflater.decompress(input, expected_size, out);
+  deflater.compress(input, out);
   return out;
 }
 

@@ -1,6 +1,6 @@
 // zlib-stream (DEFLATE) helpers used by the Darshan log format.
 //
-// The free functions are one-shot conveniences.  Deflater owns the fast
+// zlib_compress is a one-shot convenience.  Deflater owns the fast
 // encoder's matchfinder and block state, and Inflater the fast decoder's
 // Huffman tables, so hot loops (batch ingest serializes millions of logs,
 // and every shard rebuild inflates them) pay the allocation cost once per
@@ -24,10 +24,9 @@ namespace mlio::util {
 /// so one instance serves any number of buffers; not thread-safe.
 class Deflater {
  public:
-  /// Deflate `input` at `level` (1..9) into `out` (capacity is reused) with
-  /// the whole-buffer encoder in util/deflate_fast.hpp.  Throws ConfigError
-  /// on a bad level.
-  void compress(std::span<const std::byte> input, int level, std::vector<std::byte>& out);
+  /// Deflate `input` into `out` (capacity is reused) with the whole-buffer
+  /// encoder in util/deflate_fast.hpp.
+  void compress(std::span<const std::byte> input, std::vector<std::byte>& out);
 
  private:
   DeflateScratch scratch_;  ///< matchfinder and block state reused across streams
@@ -49,13 +48,7 @@ class Inflater {
   InflateScratch scratch_;  ///< Huffman-table storage reused across streams
 };
 
-/// Deflate `input` at the given level (1..9, zlib's scale; 6 is the format
-/// default).
-std::vector<std::byte> zlib_compress(std::span<const std::byte> input, int level = 6);
-
-/// Inflate `input`; `expected_size` is the exact decompressed size recorded
-/// in the log header.  Throws FormatError on corrupt data or size mismatch.
-std::vector<std::byte> zlib_decompress(std::span<const std::byte> input,
-                                       std::size_t expected_size);
+/// Deflate `input` as Deflater::compress does, into a new buffer.
+std::vector<std::byte> zlib_compress(std::span<const std::byte> input);
 
 }  // namespace mlio::util

@@ -43,27 +43,14 @@ constexpr unsigned kNumPrecodeSyms = 19;
 constexpr unsigned kEndOfBlock = 256;
 constexpr unsigned kMaxPrecodeBits = 7;
 
-/// One row per zlib level: how many chain candidates a search visits, the
-/// length at which a match is taken without looking further, and how many
-/// positions ahead the parser looks for a better match before taking one
-/// (0: greedy).  libdeflate's rows for levels 2-9, except that level 6
-/// searches 24 candidates, not 35: on the dense (version 1) Darshan log
-/// bodies that was about 12% faster for 0.2% more bytes.  On the sparse
-/// bodies the log format writes now, level 2 (the format's default) gives
-/// 2% fewer bytes than zlib's level 2, and level 6 0.7% more than zlib's.
-struct LevelParams {
-  std::uint32_t max_search_depth;
-  std::uint32_t nice_len;
-  unsigned lazy;
-};
-constexpr LevelParams kLevels[9] = {
-    {2, 32, 0},    {6, 10, 0},    {12, 14, 0},   {16, 30, 0},   {16, 30, 1},
-    {24, 65, 1},   {100, 130, 1}, {300, 258, 2}, {600, 258, 2},
-};
-// A lookahead search gets depth >> step; it must stay positive.
-static_assert(std::ranges::all_of(kLevels, [](const LevelParams& p) {
-  return (p.max_search_depth >> p.lazy) >= 1;
-}));
+/// The parser: a greedy one (take the longest match at each position),
+/// visiting at most kMaxSearchDepth chain candidates per search and taking
+/// a match of kNiceLength bytes without looking further -- libdeflate's
+/// level-2 row.  On the log bodies it writes 1.5% fewer bytes than zlib's
+/// level 2.  Level 6's lazy row stores 1.8% less for a fifth more deflate
+/// time and decodes no faster, so it never repays (DESIGN §10 has the curve).
+constexpr std::uint32_t kMaxSearchDepth = 6;
+constexpr std::uint32_t kNiceLength = 10;
 
 // ---------------------------------------------------------------------------
 // Little-endian loads.
@@ -302,40 +289,33 @@ struct Code {
 
 // Minimum match length by the number of distinct literals in use: with few
 // distinct literals, literals are cheap and short matches do not pay.
-std::uint32_t choose_min_match_len(unsigned num_used_literals, std::uint32_t max_search_depth) {
+std::uint32_t choose_min_match_len(unsigned num_used_literals) {
   static constexpr std::uint8_t kMinLens[80] = {
       9, 9, 9, 9, 9, 9, 8, 8, 7, 7, 6, 6, 6, 6, 6, 6, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5,
       5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 4, 4, 4, 4, 4, 4, 4,
       4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4};
   if (num_used_literals >= std::size(kMinLens)) return kMinMatch;
-  std::uint32_t min_len = kMinLens[num_used_literals];
-  // With a shallow search, long matches are hard to find.
-  if (max_search_depth < 16) {
-    min_len = std::min<std::uint32_t>(min_len, max_search_depth < 5    ? 4
-                                               : max_search_depth < 10 ? 5
-                                                                       : 7);
-  }
-  return min_len;
+  // With a shallow search, long matches are hard to find: ask for 5 at most.
+  static_assert(kMaxSearchDepth >= 5 && kMaxSearchDepth < 10);
+  return std::min<std::uint32_t>(kMinLens[num_used_literals], 5);
 }
 
-std::uint32_t initial_min_match_len(const std::uint8_t* data, std::size_t len,
-                                    std::uint32_t max_search_depth) {
+std::uint32_t initial_min_match_len(const std::uint8_t* data, std::size_t len) {
   // Short blocks likely go out static, where short matches are cheap.
   if (len < 512) return kMinMatch;
   bool used[256] = {};
   len = std::min<std::size_t>(len, 4096);
   for (std::size_t i = 0; i < len; ++i) used[data[i]] = true;
-  return choose_min_match_len(static_cast<unsigned>(std::count(used, used + 256, true)),
-                              max_search_depth);
+  return choose_min_match_len(static_cast<unsigned>(std::count(used, used + 256, true)));
 }
 
-std::uint32_t recalc_min_match_len(const Freqs& freqs, std::uint32_t max_search_depth) {
+std::uint32_t recalc_min_match_len(const Freqs& freqs) {
   std::uint32_t total = 0;
   for (unsigned i = 0; i < 256; ++i) total += freqs.litlen[i];
   const std::uint32_t cutoff = total >> 10;  // ignore literals used very rarely
   unsigned used = 0;
   for (unsigned i = 0; i < 256; ++i) used += freqs.litlen[i] > cutoff ? 1 : 0;
-  return choose_min_match_len(used, max_search_depth);
+  return choose_min_match_len(used);
 }
 
 // ---------------------------------------------------------------------------
@@ -624,7 +604,7 @@ struct DeflateScratch::State {
     seq->litrun_and_len = 0;
   }
 
-  void parse(const std::uint8_t* in, std::size_t n, const LevelParams& p, BitWriter& bw);
+  void parse(const std::uint8_t* in, std::size_t n, BitWriter& bw);
   void finish_block(BitWriter& bw, const std::uint8_t* block, std::size_t len, bool final);
 };
 
@@ -633,33 +613,20 @@ DeflateScratch::~DeflateScratch() = default;
 DeflateScratch::DeflateScratch(DeflateScratch&&) noexcept = default;
 DeflateScratch& DeflateScratch::operator=(DeflateScratch&&) noexcept = default;
 
-// libdeflate's lazy parser.  At each position take the longest match; with
-// lazy steps enabled, look for a longer (or closer) one at the next one or
-// two positions first and emit literals instead if it is found there.
-void DeflateScratch::State::parse(const std::uint8_t* in, std::size_t n, const LevelParams& p,
-                                  BitWriter& bw) {
+// libdeflate's greedy parser: at each position take the longest match.
+void DeflateScratch::State::parse(const std::uint8_t* in, std::size_t n, BitWriter& bw) {
   mf.reset();
   const std::uint8_t* in_next = in;
   const std::uint8_t* const in_end = in + n;
   const std::uint8_t* base = in;
   std::uint32_t max_len = kMaxMatch;
-  std::uint32_t nice_len = std::min(p.nice_len, kMaxMatch);
+  std::uint32_t nice_len = kNiceLength;
   std::uint32_t hashes[2] = {0, 0};
   if (n >= 4) {
     const std::uint32_t seq4 = load_le32(in);
     hashes[0] = lz_hash(seq4 & 0xFFFFFF, kHash3Bits);
     hashes[1] = lz_hash(seq4, kHash4Bits);
   }
-  const auto search = [&](const std::uint8_t* at, std::uint32_t best_len, std::uint32_t depth,
-                          std::uint32_t& offset) {
-    const auto remaining = static_cast<std::size_t>(in_end - at);
-    if (remaining < kMaxMatch) {
-      max_len = static_cast<std::uint32_t>(remaining);
-      nice_len = std::min(nice_len, max_len);
-    }
-    return mf.longest_match(base, at, best_len, max_len, nice_len, depth, hashes, offset);
-  };
-  const auto bsr = [](std::uint32_t v) { return static_cast<int>(std::bit_width(v)) - 1; };
 
   do {
     const std::uint8_t* const block_begin = in_next;
@@ -670,59 +637,28 @@ void DeflateScratch::State::parse(const std::uint8_t* in, std::size_t n, const L
     const std::uint8_t* next_recalc =
         in_next + std::min<std::size_t>(static_cast<std::size_t>(in_end - in_next), 10000);
     begin_block();
-    std::uint32_t min_len = initial_min_match_len(
-        in_next, static_cast<std::size_t>(max_block_end - in_next), p.max_search_depth);
+    std::uint32_t min_len =
+        initial_min_match_len(in_next, static_cast<std::size_t>(max_block_end - in_next));
     do {
       if (in_next >= next_recalc) {
-        min_len = recalc_min_match_len(freqs, p.max_search_depth);
+        min_len = recalc_min_match_len(freqs);
         next_recalc += std::min(in_end - next_recalc, in_next - block_begin);
       }
-      std::uint32_t cur_offset = 0;
-      std::uint32_t cur_len = search(in_next, min_len - 1, p.max_search_depth, cur_offset);
-      if (cur_len < min_len || (cur_len == kMinMatch && cur_offset > 8192)) {
+      const auto remaining = static_cast<std::size_t>(in_end - in_next);
+      if (remaining < kMaxMatch) {
+        max_len = static_cast<std::uint32_t>(remaining);
+        nice_len = std::min(nice_len, max_len);
+      }
+      std::uint32_t offset = 0;
+      const std::uint32_t len = mf.longest_match(base, in_next, min_len - 1, max_len, nice_len,
+                                                 kMaxSearchDepth, hashes, offset);
+      if (len < min_len || (len == kMinMatch && offset > 8192)) {
         choose_literal(*in_next++);
         continue;
       }
-      ++in_next;
-      for (;;) {  // a match of cur_len starts at in_next - 1
-        if (p.lazy == 0 || cur_len >= nice_len) {
-          choose_match(cur_len, cur_offset);
-          mf.skip_bytes(base, in_next, in_end, cur_len - 1, hashes);
-          in_next += cur_len - 1;
-          break;
-        }
-        std::uint32_t next_offset = 0;
-        std::uint32_t next_len =
-            search(in_next++, cur_len - 1, p.max_search_depth >> 1, next_offset);
-        if (next_len >= cur_len &&
-            4 * static_cast<int>(next_len - cur_len) + (bsr(cur_offset) - bsr(next_offset)) > 2) {
-          choose_literal(in_next[-2]);
-          cur_len = next_len;
-          cur_offset = next_offset;
-          continue;
-        }
-        if (p.lazy == 1) {
-          choose_match(cur_len, cur_offset);
-          mf.skip_bytes(base, in_next, in_end, cur_len - 2, hashes);
-          in_next += cur_len - 2;
-          break;
-        }
-        next_len = search(in_next++, cur_len - 1, p.max_search_depth >> 2, next_offset);
-        if (next_len >= cur_len &&
-            4 * static_cast<int>(next_len - cur_len) + (bsr(cur_offset) - bsr(next_offset)) > 6) {
-          choose_literal(in_next[-3]);
-          choose_literal(in_next[-2]);
-          cur_len = next_len;
-          cur_offset = next_offset;
-          continue;
-        }
-        choose_match(cur_len, cur_offset);
-        if (cur_len > 3) {
-          mf.skip_bytes(base, in_next, in_end, cur_len - 3, hashes);
-          in_next += cur_len - 3;
-        }
-        break;
-      }
+      choose_match(len, offset);
+      mf.skip_bytes(base, in_next + 1, in_end, len - 1, hashes);
+      in_next += len;
     } while (in_next < max_block_end && seq < seqs + kSeqStoreLength);
     finish_block(bw, block_begin, static_cast<std::size_t>(in_next - block_begin),
                  in_next == in_end);
@@ -840,23 +776,20 @@ void DeflateScratch::State::finish_block(BitWriter& bw, const std::uint8_t* bloc
 
 std::size_t deflate_zlib_bound(std::size_t n) { return n + 5 * (n / 4096 + 1) + 6; }
 
-void deflate_zlib(std::span<const std::byte> input, int level, std::vector<std::byte>& out,
+void deflate_zlib(std::span<const std::byte> input, std::vector<std::byte>& out,
                   DeflateScratch& scratch) {
-  if (level < 1 || level > 9) throw ConfigError("zlib level must be in [1, 9]");
   if (!scratch.state_) scratch.state_ = std::make_unique_for_overwrite<DeflateScratch::State>();
   DeflateScratch::State& st = *scratch.state_;
-  const LevelParams& params = kLevels[level - 1];
 
   const std::size_t bound = deflate_zlib_bound(input.size());
   out.resize(bound + 8);  // the bit writer's 8-byte stores
   auto* const begin = reinterpret_cast<std::uint8_t*>(out.data());
-  // RFC 1950 header: deflate with a 32 KiB window; FLEVEL as zlib sets it.
-  const unsigned flevel = level == 1 ? 0 : level < 6 ? 1 : level == 6 ? 2 : 3;
-  const unsigned cmf = 0x78;
-  unsigned flg = flevel << 6;
-  flg += (31 - (cmf * 256 + flg) % 31) % 31;  // FCHECK
-  begin[0] = static_cast<std::uint8_t>(cmf);
-  begin[1] = static_cast<std::uint8_t>(flg);
+  // RFC 1950 header: deflate with a 32 KiB window, FLEVEL 1 (the tag zlib
+  // writes at levels 2-5) and the FCHECK that makes it a multiple of 31.
+  constexpr unsigned kCmf = 0x78;
+  constexpr unsigned kFlg = (1u << 6) + (31 - (kCmf * 256 + (1u << 6)) % 31) % 31;
+  begin[0] = static_cast<std::uint8_t>(kCmf);
+  begin[1] = static_cast<std::uint8_t>(kFlg);
 
   BitWriter bw(begin + 2);
   const auto* in = reinterpret_cast<const std::uint8_t*>(input.data());
@@ -864,7 +797,7 @@ void deflate_zlib(std::span<const std::byte> input, int level, std::vector<std::
     st.begin_block();
     st.finish_block(bw, in, 0, true);
   } else {
-    st.parse(in, input.size(), params, bw);
+    st.parse(in, input.size(), bw);
   }
   bw.align();
 

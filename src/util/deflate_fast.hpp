@@ -9,9 +9,8 @@
 //   * a hash-chain matchfinder over the 32 KiB window — a 3-byte hash head
 //     table, a 4-byte hash head table and a `next` chain, holding 16-bit
 //     positions relative to a base that slides every 32 KiB;
-//   * one lazy parser driven by a per-level (search depth, nice length,
-//     lazy steps) row; levels 1-4 take no lazy step (greedy), 5-7 one,
-//     8-9 two;
+//   * one greedy parser with libdeflate's level-2 search depth and nice
+//     length, the one setting every frame and snapshot is written with;
 //   * blocks ended at a size cap or when the sequence store fills, and
 //     each emitted as stored, static or dynamic Huffman, whichever costs
 //     the fewest bits exactly;
@@ -22,7 +21,7 @@
 //
 // The stream is a standard zlib stream: zlib's inflate and
 // util::inflate_zlib both decode it.  The compressed bytes differ from
-// zlib's deflate at the same level; nothing depends on them.
+// zlib's deflate at level 2; nothing depends on them.
 #pragma once
 
 #include <cstddef>
@@ -51,17 +50,15 @@ class DeflateScratch {
   DeflateScratch& operator=(DeflateScratch&&) noexcept;
 
  private:
-  friend void deflate_zlib(std::span<const std::byte>, int, std::vector<std::byte>&,
-                           DeflateScratch&);
+  friend void deflate_zlib(std::span<const std::byte>, std::vector<std::byte>&, DeflateScratch&);
   struct State;
   std::unique_ptr<State> state_;
 };
 
 /// Compress `input` into `out` (resized to the stream's length; capacity is
-/// reused) as one complete zlib stream.  `level` (1..9) selects a row of
-/// the parser table; throws ConfigError outside that range.  The output is
-/// a deterministic function of (input, level).
-void deflate_zlib(std::span<const std::byte> input, int level, std::vector<std::byte>& out,
+/// reused) as one complete zlib stream.  The output is a deterministic
+/// function of the input.
+void deflate_zlib(std::span<const std::byte> input, std::vector<std::byte>& out,
                   DeflateScratch& scratch);
 
 }  // namespace mlio::util

@@ -2,65 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <span>
 
 #include "util/byte_io.hpp"
 #include "util/error.hpp"
 
 namespace mlio::util {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-void RunningStats::save(ByteWriter& w) const {
-  w.u64(n_);
-  w.f64(mean_);
-  w.f64(m2_);
-  w.f64(min_);
-  w.f64(max_);
-}
-
-void RunningStats::load(ByteReader& r) {
-  n_ = r.u64();
-  mean_ = r.f64();
-  m2_ = r.f64();
-  min_ = r.f64();
-  max_ = r.f64();
-}
-
-double RunningStats::variance() const {
-  return n_ >= 2 ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 BottomKSample::BottomKSample(std::size_t capacity) : capacity_(capacity) {
   MLIO_ASSERT(capacity_ > 0);

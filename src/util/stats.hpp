@@ -1,4 +1,4 @@
-// Streaming statistics: moments, quantiles and exact sums.
+// Streaming statistics: quantiles and exact sums.
 //
 // The performance analysis (§3.4) needs boxplot five-number summaries per
 // (layer, interface, transfer-bin) cell.  Cells can hold millions of samples
@@ -16,32 +16,6 @@ namespace mlio::util {
 
 class ByteReader;
 class ByteWriter;
-
-/// Welford running moments plus min/max.  Mergeable.
-class RunningStats {
- public:
-  void add(double x);
-  void merge(const RunningStats& other);
-
-  /// Exact state round-trip (load(save(x)) == x bit-for-bit).
-  void save(ByteWriter& w) const;
-  void load(ByteReader& r);
-
-  std::uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< population variance; 0 when n < 2
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Boxplot summary.
 struct FiveNumber {

@@ -123,8 +123,7 @@ PipelineResult run_pipeline(const WorkloadGenerator& gen, const PipelineOptions&
 }
 
 FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t job_lo,
-                           std::uint64_t job_hi, const darshan::WriteOptions& write_options,
-                           SerializeScratch& scratch, SerializePhases* phases,
+                           std::uint64_t job_hi, SerializeScratch& scratch, SerializePhases* phases,
                            const BodyHook& on_body) {
   const sim::JobExecutor executor(machine_for(gen.profile()));
   FrameBlock out;
@@ -132,7 +131,7 @@ FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::u
     const auto t0 = phases ? SteadyClock::now() : SteadyClock::time_point{};
     executor.execute_into(spec, scratch.log);
     const auto t1 = phases ? SteadyClock::now() : SteadyClock::time_point{};
-    const auto frame = darshan::write_log_bytes_into(scratch.log, scratch.io, write_options);
+    const auto frame = darshan::write_log_bytes_into(scratch.log, scratch.io);
     if (phases) {
       const auto t2 = SteadyClock::now();
       phases->serialize_ns += static_cast<std::uint64_t>(
@@ -154,8 +153,7 @@ FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::u
 }
 
 void serialize_logs(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t job_lo,
-                    std::uint64_t job_hi, const darshan::WriteOptions& write_options,
-                    const SerializedLogSink& sink) {
+                    std::uint64_t job_hi, const SerializedLogSink& sink) {
   if (job_hi <= job_lo) return;
   const std::uint64_t n = job_hi - job_lo;
   const std::uint64_t block = auto_block_jobs(n);
@@ -167,8 +165,7 @@ void serialize_logs(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t
   std::vector<SerializeScratch> scratch(pool.thread_count());
   pool.parallel_for_dynamic(
       0, n, block, [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi, unsigned w) {
-        blocks[b] = serialize_block(gen, stratum, job_lo + lo, job_lo + hi, write_options,
-                                    scratch[w]);
+        blocks[b] = serialize_block(gen, stratum, job_lo + lo, job_lo + hi, scratch[w]);
       });
   for (const FrameBlock& fb : blocks) fb.for_each(sink);
 }

@@ -113,8 +113,7 @@ using BodyHook = std::function<void(std::span<const std::byte> body)>;
 /// When `phases` is set, per-phase CPU time is added into it (the hook's
 /// time is not); when `on_body` is set, it sees every log's body.
 FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t job_lo,
-                           std::uint64_t job_hi, const darshan::WriteOptions& write_options,
-                           SerializeScratch& scratch, SerializePhases* phases = nullptr,
+                           std::uint64_t job_hi, SerializeScratch& scratch, SerializePhases* phases = nullptr,
                            const BodyHook& on_body = nullptr);
 
 /// One serialized log: the framed on-disk bytes plus its job record.  The
@@ -129,7 +128,6 @@ using SerializedLogSink =
 /// before delivery, so callers should serialize in bounded ranges.  Called
 /// from inside a pool task, the blocks run inline on that task's thread.
 void serialize_logs(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t job_lo,
-                    std::uint64_t job_hi, const darshan::WriteOptions& write_options,
-                    const SerializedLogSink& sink);
+                    std::uint64_t job_hi, const SerializedLogSink& sink);
 
 }  // namespace mlio::wl

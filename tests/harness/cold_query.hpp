@@ -17,11 +17,11 @@ namespace mlio::harness {
 /// shards back when `write_back` is set and the query is whole-archive.
 /// The pin is dropped before the service goes, and `ar` reloads its
 /// manifest afterwards, so it sees the snapshots a write-back get committed.
-inline service::ArchiveService::GetResult cold_get(
-    archive::Archive& ar, std::uint64_t last_windows = 0, unsigned threads = 0,
-    bool write_back = true, unsigned mlp_depth = archive::kDefaultMlpDepth) {
-  service::ArchiveService svc(
-      ar.dir(), service::query_options(threads, mlp_depth, write_back, last_windows), ar.vfs());
+inline service::ArchiveService::GetResult cold_get(archive::Archive& ar,
+                                                   std::uint64_t last_windows = 0,
+                                                   unsigned threads = 0, bool write_back = true) {
+  service::ArchiveService svc(ar.dir(), service::query_options(threads, write_back, last_windows),
+                              ar.vfs());
   service::ArchiveService::GetResult r = svc.get_window(last_windows, /*keep_analysis=*/true);
   r.pin = {};
   ar.reload();

@@ -1,5 +1,6 @@
 // End-to-end archive coverage: ingest -> query equals the in-memory
-// pipeline byte-for-byte at every log codec setting; snapshot write-back
+// pipeline byte-for-byte, and an archive of uncompressed frames answers
+// with the same bits; snapshot write-back
 // serves repeat queries without rescanning a single partition; incremental
 // ingests only scan what changed.  Every query is a cold get through the
 // archive service (harness/cold_query.hpp), as `mlio_archive query` asks.
@@ -13,6 +14,7 @@
 #include "archive/stream.hpp"
 #include "core/snapshot.hpp"
 #include "harness/cold_query.hpp"
+#include "harness/plain_frame.hpp"
 #include "util/byte_io.hpp"
 #include "util/error.hpp"
 #include "workload/pipeline.hpp"
@@ -55,10 +57,9 @@ TEST_F(ArchiveTest, TwoBatchIngestQueryMatchesPipelineByteForByte) {
   // the same seed.  The analysis state is cut-invariant (DESIGN.md §6), so
   // the pipeline's own blocks need not line up with the ingest batches:
   // any cuts and any fold order give the same bytes.  The pipeline
-  // analyses the executor's logs without serializing them, so each archive
-  // below checks the whole writer -> reader chain against the writer's
-  // input: deflated at the encoder's extreme levels (the first and last
-  // rows of its parser table) and the default, and stored uncompressed.
+  // analyses the executor's logs without serializing them, so the archive
+  // checks the whole writer -> deflate -> inflate -> reader chain against
+  // the writer's input.
   const auto gen = make_gen(40);
 
   wl::PipelineOptions popts;
@@ -66,45 +67,79 @@ TEST_F(ArchiveTest, TwoBatchIngestQueryMatchesPipelineByteForByte) {
   popts.threads = 2;
   const wl::PipelineResult reference = run_pipeline(gen, popts);
 
-  std::vector<darshan::WriteOptions> codecs(4);
-  codecs[0].zlib_level = 1;
-  codecs[2].zlib_level = 9;
-  codecs[3].compress = false;
-  for (const darshan::WriteOptions& codec : codecs) {
-    SCOPED_TRACE(codec.compress ? "zlib level " + std::to_string(codec.zlib_level)
-                                : std::string("uncompressed"));
-    fs::remove_all(dir_);
-    Archive ar = Archive::create(dir_);
-    IngestOptions iopts;
-    iopts.batches = 2;
-    iopts.include_huge = false;
-    iopts.write_options = codec;
-    const IngestStats ing = ingest_generated(ar, gen, iopts);
-    EXPECT_EQ(ing.partitions, 2u);
-    EXPECT_EQ(ing.logs, reference.stats.logs);
+  Archive ar = Archive::create(dir_);
+  IngestOptions iopts;
+  iopts.batches = 2;
+  iopts.include_huge = false;
+  const IngestStats ing = ingest_generated(ar, gen, iopts);
+  EXPECT_EQ(ing.partitions, 2u);
+  EXPECT_EQ(ing.logs, reference.stats.logs);
 
-    const auto first = cold_get(ar);
-    EXPECT_EQ(first.stats.query.partitions, 2u);
-    EXPECT_EQ(first.stats.query.snapshot_hits, 0u);
-    EXPECT_EQ(first.stats.query.partitions_scanned, 2u);
-    EXPECT_EQ(first.stats.query.logs_scanned, ing.logs);
-    EXPECT_EQ(first.stats.query.snapshots_written, 2u);
+  const auto first = cold_get(ar);
+  EXPECT_EQ(first.stats.query.partitions, 2u);
+  EXPECT_EQ(first.stats.query.snapshot_hits, 0u);
+  EXPECT_EQ(first.stats.query.partitions_scanned, 2u);
+  EXPECT_EQ(first.stats.query.logs_scanned, ing.logs);
+  EXPECT_EQ(first.stats.query.snapshots_written, 2u);
 
-    EXPECT_EQ(first.analysis->fingerprint(), reference.bulk.fingerprint());
-    EXPECT_EQ(state(*first.analysis), state(reference.bulk));
-    // combined() with an empty huge stratum is the bulk analysis, bit for
-    // bit.
-    EXPECT_EQ(state(*first.analysis), state(reference.combined()));
+  EXPECT_EQ(first.analysis->fingerprint(), reference.bulk.fingerprint());
+  EXPECT_EQ(state(*first.analysis), state(reference.bulk));
+  // combined() with an empty huge stratum is the bulk analysis, bit for
+  // bit.
+  EXPECT_EQ(state(*first.analysis), state(reference.combined()));
 
-    // Second query: every shard comes from the written-back snapshots —
-    // zero partitions rescanned, zero logs decoded, identical bytes.
-    const auto second = cold_get(ar);
-    EXPECT_EQ(second.stats.query.snapshot_hits, 2u);
-    EXPECT_EQ(second.stats.query.partitions_scanned, 0u);
-    EXPECT_EQ(second.stats.query.logs_scanned, 0u);
-    EXPECT_EQ(second.stats.query.snapshots_written, 0u);
-    EXPECT_EQ(state(*second.analysis), state(*first.analysis));
+  // Second query: every shard comes from the written-back snapshots —
+  // zero partitions rescanned, zero logs decoded, identical bytes.
+  const auto second = cold_get(ar);
+  EXPECT_EQ(second.stats.query.snapshot_hits, 2u);
+  EXPECT_EQ(second.stats.query.partitions_scanned, 0u);
+  EXPECT_EQ(second.stats.query.logs_scanned, 0u);
+  EXPECT_EQ(second.stats.query.snapshots_written, 0u);
+  EXPECT_EQ(state(*second.analysis), state(*first.analysis));
+}
+
+TEST_F(ArchiveTest, UncompressedFramesAnswerAsTheDeflatedArchive) {
+  // The writer always deflates, but archives written with the old
+  // uncompressed option hold flag-0 frames, and the reader must keep
+  // answering them.  The same two batches, each frame re-framed
+  // uncompressed, must pass a deep verify and give the deflated archive's
+  // answer bit for bit.
+  const auto gen = make_gen(40);
+  constexpr std::uint64_t kBatches = 2;
+  const std::uint64_t n_jobs = 40;
+
+  Archive deflated = Archive::create(dir_ / "deflated");
+  IngestOptions iopts;
+  iopts.batches = kBatches;
+  iopts.include_huge = false;
+  const IngestStats ing = ingest_generated(deflated, gen, iopts);
+
+  Archive plain = Archive::create(dir_ / "plain");
+  std::uint64_t plain_bytes = 0;
+  for (std::uint64_t b = 0; b < kBatches; ++b) {
+    Archive::PartitionWriter w = plain.begin_partition();
+    wl::serialize_logs(gen, wl::Stratum::kBulk, n_jobs * b / kBatches,
+                       n_jobs * (b + 1) / kBatches,
+                       [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
+                         const std::vector<std::byte> raw = harness::plain_reframe(frame);
+                         ASSERT_EQ(raw[6], std::byte{0});  // flags: uncompressed
+                         plain_bytes += raw.size();
+                         w.append_frame(job, raw);
+                       });
+    (void)w.seal();
   }
+  EXPECT_GT(plain_bytes, ing.bytes);
+
+  const Archive::VerifyReport v = plain.verify(/*deep=*/true);
+  EXPECT_TRUE(v.ok()) << (v.issues.empty() ? "" : v.issues.front());
+  EXPECT_EQ(v.partitions, kBatches);
+  EXPECT_EQ(v.logs_checked, ing.logs);
+
+  const auto want = cold_get(deflated, 0, 0, /*write_back=*/false);
+  const auto got = cold_get(plain, 0, 0, /*write_back=*/false);
+  EXPECT_EQ(got.stats.query.logs_scanned, ing.logs);
+  EXPECT_EQ(got.analysis->fingerprint(), want.analysis->fingerprint());
+  EXPECT_EQ(state(*got.analysis), state(*want.analysis));
 }
 
 TEST_F(ArchiveTest, IncrementalIngestOnlyScansNewPartitions) {
@@ -123,7 +158,7 @@ TEST_F(ArchiveTest, IncrementalIngestOnlyScansNewPartitions) {
   // Appending the huge stratum adds one partition; the bulk partition's
   // snapshot stays valid, so the next query rescans exactly the new one.
   Archive::PartitionWriter w = ar.begin_partition();
-  wl::serialize_logs(gen, wl::Stratum::kHuge, 0, gen.huge_job_count(), {},
+  wl::serialize_logs(gen, wl::Stratum::kHuge, 0, gen.huge_job_count(),
                      [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
                        w.append_frame(job, frame);
                      });
@@ -238,7 +273,7 @@ TEST_F(ArchiveTest, IngestLogFilesFormsOnePartition) {
   fs::remove_all(drop);
   fs::create_directories(drop);
   std::vector<fs::path> files;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 10, {},
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 10,
                      [&](const darshan::JobRecord&, std::span<const std::byte> frame) {
                        const fs::path p = drop / ("log" + std::to_string(files.size()) + ".darshan");
                        util::write_file_atomic(p, frame);

@@ -48,7 +48,7 @@ std::vector<Frame> capture_frames(std::uint64_t n_jobs, std::uint64_t seed) {
   cfg.files_per_log_scale = 0.2;
   const wl::WorkloadGenerator gen(wl::SystemProfile::cori_2019(), cfg);
   std::vector<Frame> frames;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, n_jobs, {},
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, n_jobs,
                      [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
                        frames.push_back({job, {frame.begin(), frame.end()}});
                      });
@@ -102,7 +102,10 @@ TEST_F(ArchiveFaultsTest, CrashSweepIngestSnapshotCompact) {
         w.append_frame(frames[i].job, frames[i].bytes);
       }
       const PartitionInfo info = w.seal();
-      if (shards[p] != nullptr) ar.store_snapshot(info.id, *shards[p]);
+      if (shards[p] != nullptr) {
+        const Archive::SnapshotReceipt receipt = ar.write_snapshot_file(info, *shards[p]);
+        (void)ar.commit_snapshots({&receipt, 1});
+      }
     }
     (void)ar.compact(plan_small_runs(ar.manifest(), 1'000'000));
   };
@@ -171,7 +174,9 @@ TEST_F(ArchiveFaultsTest, CrashSweepSecondSeed) {
     Archive::PartitionWriter w = ar.begin_partition();
     for (const Frame& f : frames) w.append_frame(f.job, f.bytes);
     const PartitionInfo info = w.seal();
-    ar.store_snapshot(info.id, shard_of(frames, 0, frames.size()));
+    const Archive::SnapshotReceipt receipt =
+        ar.write_snapshot_file(info, shard_of(frames, 0, frames.size()));
+    (void)ar.commit_snapshots({&receipt, 1});
   };
   harness::CrashSweepOptions opts;
   opts.seed = 1234;

@@ -20,6 +20,13 @@ std::vector<std::byte> to_bytes(const std::string& s) {
   return v;
 }
 
+std::vector<std::byte> inflate(std::span<const std::byte> packed, std::size_t expected_size) {
+  Inflater inflater;
+  std::vector<std::byte> out;
+  inflater.decompress(packed, expected_size, out);
+  return out;
+}
+
 std::uint32_t zlib_adler(std::span<const std::byte> s, std::uint32_t start = 1) {
   return static_cast<std::uint32_t>(
       ::adler32(start, reinterpret_cast<const Bytef*>(s.data()), static_cast<uInt>(s.size())));
@@ -34,7 +41,7 @@ TEST(Compress, Roundtrip) {
   const auto input = to_bytes(std::string(10000, 'x') + "tail");
   const auto packed = zlib_compress(input);
   EXPECT_LT(packed.size(), input.size());
-  const auto back = zlib_decompress(packed, input.size());
+  const auto back = inflate(packed, input.size());
   EXPECT_EQ(back, input);
 }
 
@@ -42,31 +49,26 @@ TEST(Compress, RoundtripIncompressibleData) {
   Rng rng(1);
   std::vector<std::byte> input(4096);
   for (auto& b : input) b = static_cast<std::byte>(rng.next() & 0xff);
-  const auto packed = zlib_compress(input, 9);
-  const auto back = zlib_decompress(packed, input.size());
+  const auto packed = zlib_compress(input);
+  const auto back = inflate(packed, input.size());
   EXPECT_EQ(back, input);
 }
 
 TEST(Compress, EmptyInput) {
   const std::vector<std::byte> empty;
   const auto packed = zlib_compress(empty);
-  EXPECT_TRUE(zlib_decompress(packed, 0).empty());
+  EXPECT_TRUE(inflate(packed, 0).empty());
 }
 
 TEST(Compress, CorruptDataThrows) {
   auto packed = zlib_compress(to_bytes("hello world hello world"));
   packed[packed.size() / 2] ^= std::byte{0xff};
-  EXPECT_THROW(zlib_decompress(packed, 23), FormatError);
+  EXPECT_THROW(inflate(packed, 23), FormatError);
 }
 
 TEST(Compress, WrongExpectedSizeThrows) {
   const auto packed = zlib_compress(to_bytes("abcdef"));
-  EXPECT_THROW(zlib_decompress(packed, 3), FormatError);
-}
-
-TEST(Compress, InvalidLevelThrows) {
-  EXPECT_THROW(zlib_compress(to_bytes("x"), 0), ConfigError);
-  EXPECT_THROW(zlib_compress(to_bytes("x"), 10), ConfigError);
+  EXPECT_THROW(inflate(packed, 3), FormatError);
 }
 
 TEST(Compress, Crc32KnownVector) {

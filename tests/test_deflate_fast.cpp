@@ -8,7 +8,6 @@
 #include <zlib.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -20,7 +19,6 @@
 #include "harness/deflate_streams.hpp"
 #include "iosim/executor.hpp"
 #include "util/deflate_fast.hpp"
-#include "util/error.hpp"
 #include "util/inflate_fast.hpp"
 #include "workload/generator.hpp"
 #include "workload/pipeline.hpp"
@@ -53,11 +51,11 @@ struct Codec {
   InflateScratch inflate;
 };
 
-/// Encode `raw` at `level` and check the stream: within the bound, decoded
-/// by zlib and by inflate_zlib to the input.  Returns the stream.
-Bytes roundtrip(Codec& codec, const Bytes& raw, int level) {
+/// Encode `raw` and check the stream: within the bound, decoded by zlib and
+/// by inflate_zlib to the input.  Returns the stream.
+Bytes roundtrip(Codec& codec, const Bytes& raw) {
   Bytes stream;
-  deflate_zlib(raw, level, stream, codec.deflate);
+  deflate_zlib(raw, stream, codec.deflate);
   EXPECT_LE(stream.size(), deflate_zlib_bound(raw.size()));
   EXPECT_TRUE(zlib_inflate(stream, raw.size()) == raw);
   Bytes out(raw.size());
@@ -101,11 +99,11 @@ unsigned first_block_type(const Bytes& stream) {
   return (static_cast<unsigned>(stream.at(2)) >> 1) & 3u;
 }
 
-std::string where(const std::string& what, std::size_t n, int level) {
-  return what + " n=" + std::to_string(n) + " level=" + std::to_string(level);
+std::string where(const std::string& what, std::size_t n) {
+  return what + " n=" + std::to_string(n);
 }
 
-TEST(DeflateFast, RoundTripsEveryShapeAtEveryLevel) {
+TEST(DeflateFast, RoundTripsEveryShape) {
   Codec codec;
   struct Input {
     std::string name;
@@ -120,24 +118,21 @@ TEST(DeflateFast, RoundTripsEveryShapeAtEveryLevel) {
     inputs.push_back({names[mode], make_payload(mode, 70000, 7 + static_cast<unsigned>(mode))});
   }
   for (const Input& in : inputs) {
-    for (int level = 1; level <= 9; ++level) {
-      SCOPED_TRACE(where(in.name, in.raw.size(), level));
-      const Bytes stream = roundtrip(codec, in.raw, level);
-      if (in.name == "random") {
-        EXPECT_EQ(first_block_type(stream), 0u);  // stored
-      } else if (in.name == "zeros") {
-        // Maximum-length, distance-1 matches: a few hundred bytes at most.
-        EXPECT_LT(stream.size(), 1000u);
-      }
+    SCOPED_TRACE(where(in.name, in.raw.size()));
+    const Bytes stream = roundtrip(codec, in.raw);
+    if (in.name == "random") {
+      EXPECT_EQ(first_block_type(stream), 0u);  // stored
+    } else if (in.name == "zeros") {
+      // Maximum-length, distance-1 matches: a few hundred bytes at most.
+      EXPECT_LT(stream.size(), 1000u);
     }
   }
 }
 
-// The bodies the archive writes: generated Summit and Cori Darshan logs, at
-// every level, directly and through the frame writer.  At the default level
-// the encoder must not lose to zlib's deflate on size; at level 6 it may
-// write up to 0.5% more than zlib's (0.06% measured on these varint bodies,
-// 0.9% on the format's earlier 8-byte words), so the gap cannot grow back.
+// The bodies the archive writes: generated Summit and Cori Darshan logs,
+// directly and through the frame writer.  The encoder runs libdeflate's
+// level-2 row, so it must not lose to zlib's level 2 on size, and its zlib
+// header is the one zlib writes at that level.
 TEST(DeflateFast, DarshanBodiesRoundTrip) {
   Codec codec;
   darshan::LogIoBuffers io;
@@ -154,38 +149,31 @@ TEST(DeflateFast, DarshanBodiesRoundTrip) {
     const sim::JobExecutor executor(wl::machine_for(profile));
     gen.generate_bulk_range(0, cfg.n_jobs, [&](const sim::JobSpec& spec) {
       executor.execute_into(spec, log);
-      const auto plain = darshan::write_log_bytes_into(log, io, {.compress = false});
-      const std::span<const std::byte> body = darshan::read_log_frame_body(plain, io);
-      bodies.emplace_back(body.begin(), body.end());
-      for (int level = 1; level <= 9; ++level) {
-        SCOPED_TRACE("log " + std::to_string(bodies.size()) + " level " + std::to_string(level));
-        const auto frame =
-            darshan::write_log_bytes_into(log, io, {.compress = true, .zlib_level = level});
-        const std::span<const std::byte> read = darshan::read_log_frame_body(frame, io);
-        EXPECT_TRUE(std::equal(read.begin(), read.end(), bodies.back().begin(),
-                               bodies.back().end()));
-      }
+      const auto frame = darshan::write_log_bytes_into(log, io);
+      bodies.emplace_back(io.body.view().begin(), io.body.view().end());
+      SCOPED_TRACE("log " + std::to_string(bodies.size()));
+      const std::span<const std::byte> read = darshan::read_log_frame_body(frame, io);
+      EXPECT_TRUE(
+          std::equal(read.begin(), read.end(), bodies.back().begin(), bodies.back().end()));
     });
   }
   ASSERT_GT(bodies.size(), 60u);
-  const auto default_level = static_cast<std::size_t>(darshan::WriteOptions{}.zlib_level);
-  std::array<std::size_t, 10> ours{}, zlibs{};  // total stream bytes by level
+  std::size_t ours = 0, zlibs = 0;  // total stream bytes
   for (const Bytes& body : bodies) {
-    for (int level = 1; level <= 9; ++level) {
-      SCOPED_TRACE(where("darshan body", body.size(), level));
-      const auto l = static_cast<std::size_t>(level);
-      ours[l] += roundtrip(codec, body, level).size();
-      uLongf n = compressBound(static_cast<uLong>(body.size()));
-      Bytes z(n);
-      ASSERT_EQ(compress2(reinterpret_cast<Bytef*>(z.data()), &n,
-                          reinterpret_cast<const Bytef*>(body.data()),
-                          static_cast<uLong>(body.size()), level),
-                Z_OK);
-      zlibs[l] += n;
-    }
+    SCOPED_TRACE(where("darshan body", body.size()));
+    const Bytes stream = roundtrip(codec, body);
+    ours += stream.size();
+    uLongf n = compressBound(static_cast<uLong>(body.size()));
+    Bytes z(n);
+    ASSERT_EQ(compress2(reinterpret_cast<Bytef*>(z.data()), &n,
+                        reinterpret_cast<const Bytef*>(body.data()),
+                        static_cast<uLong>(body.size()), 2),
+              Z_OK);
+    zlibs += n;
+    EXPECT_EQ(stream[0], z[0]);  // CMF
+    EXPECT_EQ(stream[1], z[1]);  // FLG: FLEVEL 1 and its FCHECK
   }
-  EXPECT_LE(ours[default_level], zlibs[default_level]);
-  EXPECT_LE(ours[6] * 1000, zlibs[6] * 1005);
+  EXPECT_LE(ours, zlibs);
 }
 
 // Symbol frequencies in a Fibonacci sequence give an unlimited Huffman code
@@ -209,11 +197,9 @@ TEST(DeflateFast, LiteralCodesAreLengthLimitedTo15Bits) {
   }
   std::shuffle(raw.begin(), raw.end(), rng);
   Codec codec;
-  for (int level = 1; level <= 9; ++level) {
-    SCOPED_TRACE(where("fibonacci", raw.size(), level));
-    const Bytes stream = roundtrip(codec, raw, level);
-    EXPECT_EQ(harness::first_block_max_litlen_bits(stream), 15u);
-  }
+  SCOPED_TRACE(where("fibonacci", raw.size()));
+  const Bytes stream = roundtrip(codec, raw);
+  EXPECT_EQ(harness::first_block_max_litlen_bits(stream), 15u);
 }
 
 // Sizes around the 32 KiB window and its slide, with matches reaching back
@@ -228,10 +214,8 @@ TEST(DeflateFast, WindowBoundaries) {
     for (std::size_t i = 32767; i < n; ++i) {
       if (i % 4096 < 3000) raw[i] = raw[i - ((i / 4096) % 2 == 0 ? 32767 : 32766)];
     }
-    for (const int level : {1, 4, 6, 9}) {
-      SCOPED_TRACE(where("window", n, level));
-      roundtrip(codec, raw, level);
-    }
+    SCOPED_TRACE(where("window", n));
+    roundtrip(codec, raw);
   }
 }
 
@@ -253,51 +237,45 @@ TEST(DeflateFast, BlocksEndAtTheCapOrAFullStore) {
     std::copy_n(dict.begin() + token, 4, tokens.begin() + static_cast<std::ptrdiff_t>(i));
   }
   Codec codec;
-  for (int level = 1; level <= 9; ++level) {
-    const auto blocks = [&](const Bytes& raw, const std::string& what) {
-      SCOPED_TRACE(where(what, raw.size(), level));
-      const std::vector<std::size_t> sizes =
-          zlib_block_sizes(roundtrip(codec, raw, level), raw.size());
-      EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), std::size_t{0}), raw.size());
-      for (std::size_t b = 0; b + 1 < sizes.size(); ++b) EXPECT_GE(sizes[b], kMinBlock);
-      return sizes;
-    };
-    EXPECT_EQ(blocks(make_payload(2, kCap + kMinBlock - 1, 1), "text").size(), 1u);
-    const std::vector<std::size_t> text = blocks(make_payload(2, 650000, 1), "text");
-    ASSERT_EQ(text.size(), 3u);
-    for (const std::size_t b : {text[0], text[1]}) {
-      EXPECT_GE(b, kCap);
-      EXPECT_LT(b, kCap + 258);
-    }
-    const std::vector<std::size_t> store = blocks(tokens, "tokens");
-    ASSERT_GE(store.size(), 3u);
-    for (std::size_t b = 0; b + 1 < store.size(); ++b) {
-      EXPECT_GE(store[b], kFullStore);
-      EXPECT_LT(store[b], kCap);
-    }
+  const auto blocks = [&](const Bytes& raw, const std::string& what) {
+    SCOPED_TRACE(where(what, raw.size()));
+    const std::vector<std::size_t> sizes = zlib_block_sizes(roundtrip(codec, raw), raw.size());
+    EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), std::size_t{0}), raw.size());
+    for (std::size_t b = 0; b + 1 < sizes.size(); ++b) EXPECT_GE(sizes[b], kMinBlock);
+    return sizes;
+  };
+  EXPECT_EQ(blocks(make_payload(2, kCap + kMinBlock - 1, 1), "text").size(), 1u);
+  const std::vector<std::size_t> text = blocks(make_payload(2, 650000, 1), "text");
+  ASSERT_EQ(text.size(), 3u);
+  for (const std::size_t b : {text[0], text[1]}) {
+    EXPECT_GE(b, kCap);
+    EXPECT_LT(b, kCap + 258);
+  }
+  const std::vector<std::size_t> store = blocks(tokens, "tokens");
+  ASSERT_GE(store.size(), 3u);
+  for (std::size_t b = 0; b + 1 < store.size(); ++b) {
+    EXPECT_GE(store[b], kFullStore);
+    EXPECT_LT(store[b], kCap);
   }
 }
 
 TEST(DeflateFast, OutputIsDeterministic) {
   const Bytes text = make_payload(2, 90000, 1);
   const Bytes skewed = make_payload(harness::kSkewedShape, 50000, 2);
-  for (int level = 1; level <= 9; ++level) {
-    SCOPED_TRACE("level " + std::to_string(level));
-    DeflateScratch fresh_a, fresh_b, reused;
-    Bytes a, b, r;
-    deflate_zlib(text, level, a, fresh_a);
-    deflate_zlib(text, level, b, fresh_b);
-    EXPECT_EQ(a, b);
-    // A scratch reused across other inputs and levels carries nothing over.
-    deflate_zlib(skewed, level, r, reused);
-    deflate_zlib(text, 10 - level, r, reused);
-    deflate_zlib(text, level, r, reused);
-    EXPECT_EQ(a, r);
-    Bytes s;
-    deflate_zlib(skewed, level, s, fresh_a);
-    deflate_zlib(skewed, level, r, reused);
-    EXPECT_EQ(s, r);
-  }
+  DeflateScratch fresh_a, fresh_b, reused;
+  Bytes a, b, r;
+  deflate_zlib(text, a, fresh_a);
+  deflate_zlib(text, b, fresh_b);
+  EXPECT_EQ(a, b);
+  // A scratch reused across other inputs carries nothing over.
+  deflate_zlib(skewed, r, reused);
+  deflate_zlib(make_payload(harness::kRandomShape, 40000, 4), r, reused);
+  deflate_zlib(text, r, reused);
+  EXPECT_EQ(a, r);
+  Bytes s;
+  deflate_zlib(skewed, s, fresh_a);
+  deflate_zlib(skewed, r, reused);
+  EXPECT_EQ(s, r);
 }
 
 TEST(DeflateFast, IncompressibleInputStaysWithinBound) {
@@ -306,19 +284,9 @@ TEST(DeflateFast, IncompressibleInputStaysWithinBound) {
        {std::size_t{0}, std::size_t{1}, std::size_t{100}, std::size_t{32768}, std::size_t{65535},
         std::size_t{65536}, std::size_t{65537}, std::size_t{200000}, std::size_t{1} << 20}) {
     const Bytes raw = make_payload(harness::kRandomShape, n, 3 * n + 1);
-    for (const int level : {1, 6, 9}) {
-      SCOPED_TRACE(where("random", n, level));
-      roundtrip(codec, raw, level);  // checks the bound
-    }
+    SCOPED_TRACE(where("random", n));
+    roundtrip(codec, raw);  // checks the bound
   }
-}
-
-TEST(DeflateFast, RejectsLevelsOutsideOneToNine) {
-  DeflateScratch scratch;
-  Bytes out;
-  const Bytes raw(10, std::byte{1});
-  EXPECT_THROW(deflate_zlib(raw, 0, out, scratch), ConfigError);
-  EXPECT_THROW(deflate_zlib(raw, 10, out, scratch), ConfigError);
 }
 
 // Seeded property test: lengths 0-200 KB (log-uniform), alphabets of 1-256
@@ -331,7 +299,6 @@ TEST(DeflateFast, RandomInputsRoundTrip) {
     const auto n = static_cast<std::size_t>(
         std::exp(std::uniform_real_distribution<double>(0, std::log(200001.0))(rng)) - 1);
     const unsigned alphabet = 1 + static_cast<unsigned>(rng() % 256);
-    const int level = 1 + static_cast<int>(rng() % 9);
     Bytes raw;
     raw.reserve(n);
     while (raw.size() < n) {
@@ -353,8 +320,8 @@ TEST(DeflateFast, RandomInputsRoundTrip) {
       }
     }
     SCOPED_TRACE("case " + std::to_string(c) + " alphabet " + std::to_string(alphabet) + " " +
-                 where("random mix", n, level));
-    roundtrip(codec, raw, level);
+                 where("random mix", n));
+    roundtrip(codec, raw);
     if (HasFailure()) break;  // the first failing case is the one to replay
   }
 }

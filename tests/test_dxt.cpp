@@ -64,14 +64,13 @@ TEST(Dxt, NeverTracesStdio) {
 }
 
 TEST(Dxt, BatchEventCapBounds) {
-  RuntimeOptions opts = dxt_on();
-  opts.dxt_events_per_batch = 8;
+  const RuntimeOptions opts = dxt_on();
   Runtime rt(job(1), mounts(), opts);
   auto h = rt.open_file(ModuleId::kPosix, 0, "/gpfs/alpine/big.bin", 0);
   rt.record_writes(h, 0, 1000, 1000000, 0, 5.0);
   const LogData log = rt.finalize(0, 10);
   ASSERT_EQ(log.dxt.size(), 1u);
-  EXPECT_EQ(log.dxt[0].events.size(), 8u);
+  EXPECT_EQ(log.dxt[0].events.size(), kDxtEventsPerBatch);
   // Untraced ops still advance the cursor, so a following batch continues
   // from the true end of the file.
   Runtime rt2(job(1), mounts(), opts);

@@ -17,6 +17,7 @@
 #include "darshan/counters.hpp"
 #include "darshan/log_format.hpp"
 #include "darshan/runtime.hpp"
+#include "harness/plain_frame.hpp"
 #include "harness/record_block.hpp"
 #include "util/byte_io.hpp"
 #include "util/compress.hpp"
@@ -115,24 +116,10 @@ util::ByteWriter minimal_body_prefix() {
   return w;
 }
 
-// Wrap a body in a valid uncompressed frame (correct magic/version/CRC), so
-// the parse reaches the body and the count guards are what rejects it.
-std::vector<std::byte> frame_body(std::span<const std::byte> body) {
-  util::ByteWriter f;
-  f.u32(kLogMagic);
-  f.u16(kLogVersion);
-  f.u16(0);  // uncompressed
-  f.u32(util::crc32(body));
-  f.u64(body.size());
-  f.u64(body.size());
-  f.bytes(body);
-  return f.take();
-}
-
 TEST(FormatHostileCounts, OversizedRegionCountThrows) {
   auto w = minimal_body_prefix();
   w.u32(0xffffffffu);  // region count far beyond the remaining bytes
-  const auto framed = frame_body(w.view());
+  const auto framed = harness::plain_frame(w.view());
   EXPECT_THROW((void)read_log_bytes(framed), util::FormatError);
 }
 
@@ -143,7 +130,7 @@ TEST(FormatHostileCounts, OversizedRecordCountThrows) {
   w.u32(static_cast<std::uint32_t>(counter_count(ModuleId::kPosix)));
   w.u32(static_cast<std::uint32_t>(fcounter_count(ModuleId::kPosix)));
   w.u32(0xffffffffu);  // record count far beyond the remaining bytes
-  const auto framed = frame_body(w.view());
+  const auto framed = harness::plain_frame(w.view());
   EXPECT_THROW((void)read_log_bytes(framed), util::FormatError);
 }
 
@@ -153,7 +140,7 @@ TEST(FormatHostileCounts, OversizedNameAndMountCountsThrow) {
     w.u64(1); w.u32(0); w.u32(1); w.u32(1); w.i64(0); w.i64(1);
     w.str(""); w.u32(0);
     w.u32(0xffffffffu);  // mount count
-    EXPECT_THROW((void)read_log_bytes(frame_body(w.view())), util::FormatError);
+    EXPECT_THROW((void)read_log_bytes(harness::plain_frame(w.view())), util::FormatError);
   }
   {
     util::ByteWriter w;
@@ -161,7 +148,7 @@ TEST(FormatHostileCounts, OversizedNameAndMountCountsThrow) {
     w.str(""); w.u32(0);
     w.u32(0);            // mounts
     w.u32(0xffffffffu);  // name count
-    EXPECT_THROW((void)read_log_bytes(frame_body(w.view())), util::FormatError);
+    EXPECT_THROW((void)read_log_bytes(harness::plain_frame(w.view())), util::FormatError);
   }
 }
 
@@ -171,7 +158,7 @@ TEST(FormatHostileCounts, ValidEmptyBodyStillParses) {
   auto w = minimal_body_prefix();
   w.u32(0);  // regions
   w.u32(0);  // dxt
-  const LogData log = read_log_bytes(frame_body(w.view()));
+  const LogData log = read_log_bytes(harness::plain_frame(w.view()));
   EXPECT_EQ(log.job.job_id, 1u);
   EXPECT_TRUE(log.records.empty());
   EXPECT_TRUE(log.names.empty());
@@ -202,7 +189,7 @@ std::vector<std::byte> one_record_frame(Block&& block, bool dxt = true,
   for (const std::uint8_t b : rank) w.u8(b);
   block(w);
   if (dxt) w.u32(0);
-  return frame_body(w.view());
+  return harness::plain_frame(w.view());
 }
 
 /// The FormatError message a frame's walk throws, or "" when it parses.
@@ -397,7 +384,8 @@ TEST(FormatRecordBlock, RankMustBeMinimalAndAnInt32) {
   w.u32(1);
   w.u64(0x77);
   w.u8(0x80);
-  EXPECT_EQ(walk_error(frame_body(w.view())), "format error: record rank runs past the body end");
+  EXPECT_EQ(walk_error(harness::plain_frame(w.view())),
+            "format error: record rank runs past the body end");
 }
 
 TEST(FormatRecordBlock, SetWordsPastTheBodyEndThrow) {
@@ -525,7 +513,7 @@ BlockLayout block_layout(std::span<const std::byte> body) {
 
 TEST_P(KernelFuzz, MutatedBodiesRejectedAndAnalyzedAsByTheReference) {
   const LogData log = sample_log(GetParam());
-  const std::vector<std::byte> plain = write_log_bytes(log, WriteOptions{false, 0});
+  const std::vector<std::byte> plain = harness::plain_log_frame(log);
   LogIoBuffers io;
   const auto body_view = read_log_frame_body(plain, io);
   const std::vector<std::byte> body(body_view.begin(), body_view.end());
@@ -585,7 +573,7 @@ TEST_P(KernelFuzz, MutatedBodiesRejectedAndAnalyzedAsByTheReference) {
         break;
       }
     }
-    check(frame_body(mutated), what);
+    check(harness::plain_frame(mutated), what);
     // The same damage through the frame check: a single flipped frame byte.
     std::vector<std::byte> frame = write_log_bytes(log);
     frame[pos % frame.size()] ^= std::byte{0x40};
@@ -666,7 +654,7 @@ TEST(BatchedScanHostileFrames, TruncatedNameMapMidBatchThrows) {
   auto body = w.take();
   body[body.size() - 4] = std::byte{0xE8};
   body[body.size() - 3] = std::byte{0x03};
-  const auto hostile = frame_body(body);
+  const auto hostile = harness::plain_frame(body);
   for (const unsigned depth : {1u, 2u, 4u, 8u}) {
     Segment seg = good_segment(5);
     seg.append(hostile);
@@ -692,7 +680,7 @@ TEST(BatchedScanHostileFrames, UnknownRecordIdsMidBatchParseCleanly) {
     harness::write_record_block(w, rec);
   }
   w.u32(0);  // dxt
-  const auto hostile = frame_body(w.view());
+  const auto hostile = harness::plain_frame(w.view());
   for (const unsigned depth : {1u, 2u, 4u, 8u}) {
     Segment seg = good_segment(5);
     seg.append(hostile);

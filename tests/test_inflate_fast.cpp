@@ -15,7 +15,9 @@
 
 #include "darshan/log_format.hpp"
 #include "harness/deflate_streams.hpp"
+#include "harness/plain_frame.hpp"
 #include "iosim/executor.hpp"
+#include "util/compress.hpp"
 #include "util/error.hpp"
 #include "util/inflate_fast.hpp"
 #include "workload/generator.hpp"
@@ -81,9 +83,12 @@ TEST(InflateFast, SkewedShapeReachesSubTables) {
   EXPECT_GT(first_block_max_litlen_bits(stream), 11u);
 }
 
-// The bodies the archive reads: generated Darshan logs framed at zlib levels
-// 1 and 6 must inflate to exactly the body the writer serialized, through
-// the decoder directly (Adler-32 checked) and through the frame reader.
+// The bodies the archive reads: generated Darshan logs.  The writer's frame
+// must be the body's CRC and size around util::zlib_compress's stream, and
+// that stream and zlib's compress2 at every level 1-9 (the streams an
+// archive written by another encoder would hold) must inflate to exactly
+// the body the writer serialized, through the decoder directly (Adler-32
+// checked) and through the frame reader.
 TEST(InflateFast, DarshanFramesDecodeToTheBodyWritten) {
   InflateScratch scratch;
   darshan::LogIoBuffers io;
@@ -100,20 +105,29 @@ TEST(InflateFast, DarshanFramesDecodeToTheBodyWritten) {
     const sim::JobExecutor executor(wl::machine_for(profile));
     gen.generate_bulk_range(0, cfg.n_jobs, [&](const sim::JobSpec& spec) {
       executor.execute_into(spec, log);
-      // An uncompressed frame's payload is the body itself.
-      const auto plain = darshan::write_log_bytes_into(log, io, {.compress = false});
-      const std::span<const std::byte> view = darshan::read_log_frame_body(plain, io);
-      const Bytes body(view.begin(), view.end());
-      const std::size_t header = plain.size() - body.size();
-      for (const int level : {1, 6}) {
+      const std::span<const std::byte> frame = darshan::write_log_bytes_into(log, io);
+      const Bytes body(io.body.view().begin(), io.body.view().end());
+      const Bytes ours = zlib_compress(body);
+      EXPECT_TRUE(std::ranges::equal(
+          frame, harness::log_frame(body, ours, darshan::kFlagCompressed)));
+      for (int level = 0; level <= 9; ++level) {  // 0: ours
         SCOPED_TRACE("frame " + std::to_string(frames) + " level " + std::to_string(level));
-        const auto frame =
-            darshan::write_log_bytes_into(log, io, {.compress = true, .zlib_level = level});
+        Bytes stream = ours;
+        if (level > 0) {
+          uLongf n = compressBound(static_cast<uLong>(body.size()));
+          stream.resize(n);
+          ASSERT_EQ(compress2(reinterpret_cast<Bytef*>(stream.data()), &n,
+                              reinterpret_cast<const Bytef*>(body.data()),
+                              static_cast<uLong>(body.size()), level),
+                    Z_OK);
+          stream.resize(n);
+        }
         Bytes out(body.size());
-        inflate_zlib(frame.subspan(header), out, scratch, /*verify_checksum=*/true);
+        inflate_zlib(stream, out, scratch, /*verify_checksum=*/true);
         EXPECT_EQ(out, body);
-        const std::span<const std::byte> read = darshan::read_log_frame_body(frame, io);
-        EXPECT_TRUE(std::equal(read.begin(), read.end(), body.begin(), body.end()));
+        const Bytes framed = harness::log_frame(body, stream, darshan::kFlagCompressed);
+        const std::span<const std::byte> read = darshan::read_log_frame_body(framed, io);
+        EXPECT_TRUE(std::ranges::equal(read, body));
       }
       ++frames;
     });

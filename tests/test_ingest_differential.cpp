@@ -27,6 +27,7 @@
 #include "darshan/log_format.hpp"
 #include "darshan/runtime.hpp"
 #include "harness/cold_query.hpp"
+#include "harness/plain_frame.hpp"
 #include "harness/record_block.hpp"
 #include "iosim/executor.hpp"
 #include "util/byte_io.hpp"
@@ -225,10 +226,9 @@ TEST(IngestDifferential, SerializedLogsRoundTrip) {
   darshan::LogIoBuffers rio;
   LogData parsed;
   core::SummarizeScratch scratch;
-  const darshan::WriteOptions wopts{false, 0};
 
   for_each_generated_log(wl::SystemProfile::summit_2020(), 8, 7, [&](const LogData& log) {
-    const auto frame = darshan::write_log_bytes_into(log, wio, wopts);
+    const auto frame = darshan::write_log_bytes_into(log, wio);
     darshan::read_log_bytes_into(frame, rio, parsed);
     EXPECT_TRUE(parsed.names == log.names);
     EXPECT_TRUE(parsed.mounts == log.mounts);
@@ -350,19 +350,10 @@ TEST(IngestDifferential, BodyKernelEdgeCases) {
       w.u32(1);
       harness::write_record_block(w, rec);
       w.u32(0);  // DXT
-      util::ByteWriter f;
-      f.u32(darshan::kLogMagic);
-      f.u16(darshan::kLogVersion);
-      f.u16(0);  // uncompressed
-      f.u32(util::crc32(w.view()));
-      f.u64(w.size());
-      f.u64(w.size());
-      f.bytes(w.view());
-      return f.take();
+      return harness::plain_frame(w.view());
     };
-    // With one name the hand-written frame is the writer's own.
-    ASSERT_EQ(frame_with_names({"/gpfs/alpine/dup"}),
-              darshan::write_log_bytes(log, darshan::WriteOptions{false, 0}));
+    // With one name the hand-written body is the writer's own.
+    ASSERT_EQ(frame_with_names({"/gpfs/alpine/dup"}), harness::plain_log_frame(log));
     expect_frame_agrees(log, frame_with_names({"/gpfs/alpine/dup", "/mnt/bb/WRONG"}), ks,
                         "duplicate name ids");
     EXPECT_EQ(ks.body.names.size(), 1u);
@@ -490,7 +481,8 @@ TEST(IngestDifferential, BodyKernelEdgeCases) {
       log.records.push_back(rec);
     }
     for (const bool compress : {false, true}) {
-      const auto frame = darshan::write_log_bytes(log, darshan::WriteOptions{compress, 2});
+      const auto frame =
+          compress ? darshan::write_log_bytes(log) : harness::plain_log_frame(log);
       EXPECT_TRUE(darshan::read_log_bytes(frame) == log) << "compress " << compress;
       expect_frame_agrees(log, frame, ks, "zigzag extremes");
     }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "darshan/counters.hpp"
+#include "harness/plain_frame.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -49,10 +50,11 @@ TEST(LogFormat, RoundtripCompressed) {
 }
 
 TEST(LogFormat, RoundtripUncompressed) {
+  // The writer always deflates; a flag-0 frame (as the old uncompressed
+  // option wrote) must still read back.
   const LogData log = random_log(2, 10);
-  WriteOptions opts;
-  opts.compress = false;
-  const auto bytes = write_log_bytes(log, opts);
+  const auto bytes = harness::plain_log_frame(log);
+  ASSERT_EQ(bytes[6], std::byte{0});  // flags
   EXPECT_TRUE(log == read_log_bytes(bytes));
 }
 
@@ -64,9 +66,9 @@ TEST(LogFormat, RoundtripEmptyLog) {
 
 TEST(LogFormat, CompressionShrinksTypicalLogs) {
   const LogData log = random_log(3, 200);
-  WriteOptions raw;
-  raw.compress = false;
-  EXPECT_LT(write_log_bytes(log).size(), write_log_bytes(log, raw).size());
+  const auto bytes = write_log_bytes(log);
+  EXPECT_EQ(bytes[6], std::byte{kFlagCompressed});
+  EXPECT_LT(bytes.size(), harness::plain_log_frame(log).size());
 }
 
 TEST(LogFormat, BadMagicThrows) {
@@ -85,9 +87,7 @@ TEST(LogFormat, VersionTwoFrameIsRefused) {
   // Version 2 stored every counter as an 8-byte word; its frames have the
   // same header, and the version is read before the body, so a v2 frame
   // with a valid CRC is refused by name rather than misparsed.
-  WriteOptions raw;
-  raw.compress = false;
-  auto bytes = write_log_bytes(random_log(5, 3), raw);
+  auto bytes = harness::plain_log_frame(random_log(5, 3));
   ASSERT_EQ(bytes[4], std::byte{kLogVersion});
   bytes[4] = std::byte{2};
   try {
@@ -110,9 +110,7 @@ TEST(LogFormat, RecordBlockIsSparse) {
   rec.counters[posix::WRITES] = -300;
   rec.fcounters[posix::F_READ_TIME] = -0.0;
   log.records.push_back(rec);
-  WriteOptions raw;
-  raw.compress = false;
-  const auto bytes = write_log_bytes(log, raw);
+  const auto bytes = harness::plain_log_frame(log);
   ASSERT_EQ(posix::WRITES, 2u);
   const std::size_t bit = std::size_t{posix::COUNTER_COUNT} + posix::F_READ_TIME;
   ASSERT_EQ(bit, 41u);
@@ -141,9 +139,7 @@ TEST(LogFormat, CorruptBodyThrows) {
 }
 
 TEST(LogFormat, CrcCatchesUncompressedCorruption) {
-  WriteOptions raw;
-  raw.compress = false;
-  auto bytes = write_log_bytes(random_log(7, 5), raw);
+  auto bytes = harness::plain_log_frame(random_log(7, 5));
   bytes[bytes.size() - 1] ^= std::byte{0x01};
   EXPECT_THROW(read_log_bytes(bytes), util::FormatError);
 }

@@ -1,18 +1,21 @@
 // Differential pins for the MLP-aware cold scan: the software-pipelined
 // scan (K logs in flight, batched lookups, prefetch) must be bit-identical
-// to the depth-1 scan on one thread — same Analysis fingerprint, same
-// Table 2 census and Table 3/4 layer-volume numbers down to the double bit
-// patterns — for every mlp_depth × thread-count combination, and the whole
-// family is pinned to the fingerprint captured before the overhaul.
+// to the depth-1 scan — same Analysis fingerprint, same Table 2 census and
+// Table 3/4 layer-volume numbers down to the double bit patterns — at every
+// depth through scan_bodies, and the service's cold get (the default depth)
+// at every merge-thread count.  The whole family is pinned to the
+// fingerprint captured before the overhaul.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <vector>
 
 #include "archive/archive.hpp"
 #include "archive/ingest.hpp"
+#include "archive/query.hpp"
 #include "archive/scan.hpp"
 #include "core/analysis.hpp"
 #include "harness/cold_query.hpp"
@@ -56,10 +59,34 @@ class MlpScanTest : public ::testing::Test {
     dir_ = nullptr;
   }
 
-  static service::ArchiveService::GetResult cold_query(unsigned mlp_depth, unsigned threads) {
+  static service::ArchiveService::GetResult cold_query(unsigned threads) {
     archive::Archive ar = archive::Archive::open(*dir_);
     // No write-back: keep every query a cold rebuild.
-    return harness::cold_get(ar, 0, threads, /*write_back=*/false, mlp_depth);
+    return harness::cold_get(ar, 0, threads, /*write_back=*/false);
+  }
+
+  /// Every partition scanned on this thread through scan_bodies at
+  /// `depth`, each body walked into one analysis as resolve_shard walks a
+  /// shard (the analysis is cut-invariant, so one accumulator for all
+  /// partitions gives the merged shards' bits).  `logs` counts the bodies.
+  static core::Analysis scan_at_depth(unsigned depth, std::uint64_t& logs) {
+    archive::Archive ar = archive::Archive::open(*dir_);
+    archive::ShardScratch scratch;
+    archive::ScanOptions opts;
+    opts.mlp_depth = depth;
+    core::Analysis all;
+    logs = 0;
+    for (const archive::PartitionInfo& p : ar.manifest().partitions) {
+      ar.scan_bodies(
+          p,
+          [&](std::span<const std::byte> body) {
+            darshan::walk_log_body(body, scratch.body);
+            all.add(scratch.body, scratch.analyze);
+            logs += 1;
+          },
+          scratch.scan, opts);
+    }
+    return all;
   }
 
   static const std::filesystem::path* dir_;
@@ -97,22 +124,29 @@ void expect_tables_identical(const core::Analysis& a, const core::Analysis& b) {
   }
 }
 
-TEST_F(MlpScanTest, DepthAndThreadSweepMatchesDepthOne) {
-  // Baseline: one dependent decode→parse→consume chain per log on one
-  // thread.
-  const auto base = cold_query(1, 1);
-  ASSERT_EQ(base.stats.query.logs_scanned, kPinnedLogs);
-  EXPECT_EQ(base.analysis->fingerprint(), kPinnedFingerprint);
+TEST_F(MlpScanTest, DepthSweepMatchesDepthOne) {
+  // Baseline: one dependent decode→parse→consume chain per log.
+  std::uint64_t logs = 0;
+  const core::Analysis base = scan_at_depth(1, logs);
+  ASSERT_EQ(logs, kPinnedLogs);
+  EXPECT_EQ(base.fingerprint(), kPinnedFingerprint);
 
-  for (const unsigned depth : {1u, 2u, 4u, 8u}) {
-    for (const unsigned threads : {1u, 8u}) {
-      const auto q = cold_query(depth, threads);
-      SCOPED_TRACE("mlp_depth=" + std::to_string(depth) +
-                   " threads=" + std::to_string(threads));
-      EXPECT_EQ(q.stats.query.logs_scanned, kPinnedLogs);
-      EXPECT_EQ(q.analysis->fingerprint(), kPinnedFingerprint);
-      expect_tables_identical(*base.analysis, *q.analysis);
-    }
+  for (const unsigned depth : {2u, 4u, 8u}) {
+    SCOPED_TRACE("mlp_depth=" + std::to_string(depth));
+    const core::Analysis a = scan_at_depth(depth, logs);
+    EXPECT_EQ(logs, kPinnedLogs);
+    EXPECT_EQ(a.fingerprint(), kPinnedFingerprint);
+    expect_tables_identical(base, a);
+  }
+
+  // The service's cold get scans at the default depth; its merge pool and
+  // fold tree must land on the same bits at any thread count.
+  for (const unsigned threads : {1u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto q = cold_query(threads);
+    EXPECT_EQ(q.stats.query.logs_scanned, kPinnedLogs);
+    EXPECT_EQ(q.analysis->fingerprint(), kPinnedFingerprint);
+    expect_tables_identical(base, *q.analysis);
   }
 }
 
@@ -120,17 +154,17 @@ TEST_F(MlpScanTest, OversizedAndZeroDepthsAreSafe) {
   // Depth 0 clamps to 1; a depth far beyond the partition's log count runs
   // one partial batch per partition.  Both must still land on the pin.
   for (const unsigned depth : {0u, 1024u}) {
-    const auto q = cold_query(depth, 2);
     SCOPED_TRACE("mlp_depth=" + std::to_string(depth));
-    EXPECT_EQ(q.analysis->fingerprint(), kPinnedFingerprint);
-    EXPECT_EQ(q.stats.query.logs_scanned, kPinnedLogs);
+    std::uint64_t logs = 0;
+    EXPECT_EQ(scan_at_depth(depth, logs).fingerprint(), kPinnedFingerprint);
+    EXPECT_EQ(logs, kPinnedLogs);
   }
 }
 
 TEST_F(MlpScanTest, DeepScanAllocatesNoMoreSlotsThanLogs) {
   // A depth far beyond a partition's log count sizes the decode slots to
-  // the logs, not the depth: a garbage --mlp-depth must not allocate
-  // billions of slots.
+  // the logs, not the depth: a garbage depth must not allocate billions of
+  // slots.
   archive::Archive ar = archive::Archive::open(*dir_);
   const archive::PartitionInfo& p = ar.manifest().partitions.front();
   ASSERT_LT(p.log_count, 1024u);
@@ -138,7 +172,7 @@ TEST_F(MlpScanTest, DeepScanAllocatesNoMoreSlotsThanLogs) {
   archive::ScanOptions opts;
   opts.mlp_depth = 1024;
   std::uint64_t logs = 0;
-  ar.scan_partition(p, [&](const darshan::LogData&) { logs += 1; }, scratch, opts);
+  ar.scan_bodies(p, [&](std::span<const std::byte>) { logs += 1; }, scratch, opts);
   EXPECT_EQ(logs, p.log_count);
   EXPECT_LE(scratch.slots.size(), p.log_count);
 }

@@ -182,7 +182,7 @@ TEST_F(ParallelIngestTest, GroupCommitMatchesPerSealBytes) {
     for (std::uint64_t b = 0; b < batches; ++b) {
       Archive::PartitionWriter w = ar.begin_partition();
       wl::serialize_logs(gen, wl::Stratum::kBulk, n_jobs * b / batches,
-                         n_jobs * (b + 1) / batches, {},
+                         n_jobs * (b + 1) / batches,
                          [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
                            w.append_frame(job, frame);
                          });
@@ -279,11 +279,21 @@ TEST_F(ParallelIngestTest, BuildErrorSurfacesAndCommitsNothing) {
   Archive ar = Archive::create(dir_);
   const std::uint64_t generation = ar.manifest().generation;
 
+  // A profile naming no known machine: wl::machine_for throws ConfigError
+  // inside serialize_block, so every build fails.
+  wl::SystemProfile unknown = wl::SystemProfile::cori_2019();
+  unknown.system = "Unknown";
+  wl::GeneratorConfig cfg;
+  cfg.seed = 5;
+  cfg.n_jobs = 24;
+  cfg.logs_per_job_scale = 0.2;
+  cfg.files_per_log_scale = 0.2;
+  const wl::WorkloadGenerator gen(unknown, cfg);
+
   IngestOptions opts;
   opts.batches = 8;
   opts.ingest_threads = 3;
-  opts.write_options.zlib_level = 42;  // every build throws ConfigError
-  EXPECT_THROW((void)ingest_generated(ar, make_gen(24, 5), opts), util::ConfigError);
+  EXPECT_THROW((void)ingest_generated(ar, gen, opts), util::ConfigError);
   EXPECT_EQ(ar.manifest().generation, generation);
   EXPECT_TRUE(ar.manifest().partitions.empty());
   const auto files = dir_files(dir_);
@@ -329,7 +339,7 @@ TEST_F(ParallelIngestTest, FileIngestHonorsShardingKnobs) {
   // Materialize 7 standalone log files from the generator's frames.
   const wl::WorkloadGenerator gen = make_gen(12, 21);
   std::vector<fs::path> files;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 12, {},
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 12,
                      [&](const darshan::JobRecord&, std::span<const std::byte> frame) {
                        const fs::path f =
                            dir_ / ("log" + std::to_string(files.size()) + ".darshan");
@@ -389,7 +399,7 @@ TEST_F(ParallelIngestTest, FileIngestSnapshotsMatchTheRescan) {
   const fs::path drop = dir_ / "drop";
   fs::create_directories(drop);
   std::vector<fs::path> files;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 12, {},
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 12,
                      [&](const darshan::JobRecord&, std::span<const std::byte> frame) {
                        const fs::path f =
                            drop / ("log" + std::to_string(files.size()) + ".darshan");
@@ -501,7 +511,7 @@ TEST_F(ParallelIngestTest, ChunkedCrcMatchesSingleShot) {
 // a typed error, never a silent truncation.
 TEST_F(ParallelIngestTest, InflateRejectsOverlargeExpectedSize) {
   const std::vector<std::byte> plain(64, std::byte{0x5a});
-  const std::vector<std::byte> packed = util::zlib_compress(plain, 6);
+  const std::vector<std::byte> packed = util::zlib_compress(plain);
   util::Inflater inf;
   std::vector<std::byte> out;
   inf.decompress(packed, plain.size(), out);
@@ -519,7 +529,7 @@ TEST_F(ParallelIngestTest, CommitGroupRejectsGapsAndStaleStamps) {
 
   const auto build_at = [&](std::uint64_t id) {
     Archive::PartitionWriter w = ar.begin_partition_at(id);
-    wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 3, {},
+    wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 3,
                        [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
                          w.append_frame(job, frame);
                        });

@@ -354,7 +354,7 @@ TEST(WriteBack, OffOrWindowedFromTheCliLeavesTheGenerationAlone) {
     SCOPED_TRACE("write_back=" + std::to_string(write_back) +
                  " last_windows=" + std::to_string(last_windows));
     const service::ArchiveService::Options opts =
-        service::query_options(2, archive::kDefaultMlpDepth, write_back, last_windows);
+        service::query_options(2, write_back, last_windows);
     EXPECT_FALSE(opts.write_snapshots);
     service::ArchiveService svc(dir, opts);
     const auto cold = svc.get_window(last_windows);
@@ -364,7 +364,7 @@ TEST(WriteBack, OffOrWindowedFromTheCliLeavesTheGenerationAlone) {
   }
   EXPECT_EQ(disk_manifest(dir).generation, g0);
   EXPECT_EQ(snapshot_files(dir), 0u);
-  EXPECT_TRUE(service::query_options(2, archive::kDefaultMlpDepth, true, 0).write_snapshots);
+  EXPECT_TRUE(service::query_options(2, true, 0).write_snapshots);
   std::filesystem::remove_all(dir);
 }
 

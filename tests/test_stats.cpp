@@ -19,54 +19,6 @@
 namespace mlio::util {
 namespace {
 
-TEST(RunningStats, MatchesDirectComputation) {
-  RunningStats s;
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 10.0};
-  for (const double x : xs) s.add(x);
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 10.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 20.0);
-  double var = 0;
-  for (const double x : xs) var += (x - 4.0) * (x - 4.0);
-  var /= 5.0;
-  EXPECT_NEAR(s.variance(), var, 1e-12);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, MergeEqualsSequential) {
-  RunningStats a, b, all;
-  Rng rng(5);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.lognormal(0, 1);
-    (i < 400 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, b;
-  a.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 3.0);
-}
-
 /// Distinct hash keys for observation i, as Analysis derives them.
 std::uint64_t key_of(std::uint64_t i) {
   std::uint64_t state = i;

@@ -234,7 +234,9 @@ TEST(WindowQuery, OneResolverAgreesAcrossQueryServiceAndReplay) {
           shard.add(darshan::read_log_bytes(f.bytes));
         }
       }
-      ar.store_snapshot(ar.manifest().partitions[i].id, shard);
+      const Archive::SnapshotReceipt receipt =
+          ar.write_snapshot_file(ar.manifest().partitions[i], shard);
+      (void)ar.commit_snapshots({&receipt, 1});
     }
   }
 
