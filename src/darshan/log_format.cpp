@@ -19,21 +19,6 @@ using util::FormatError;
 
 namespace {
 
-void write_job(ByteWriter& w, const JobRecord& job) {
-  w.u64(job.job_id);
-  w.u32(job.user_id);
-  w.u32(job.nprocs);
-  w.u32(job.nnodes);
-  w.i64(job.start_time);
-  w.i64(job.end_time);
-  w.str(job.exe);
-  w.u32(static_cast<std::uint32_t>(job.metadata.size()));
-  for (const auto& [k, v] : job.metadata) {
-    w.str(k);
-    w.str(v);
-  }
-}
-
 // Keeps job.exe's string capacity across logs.  The metadata map still pays
 // its node allocations: typically one entry per log.
 void read_job_into(ByteReader& r, JobRecord& job) {
@@ -53,7 +38,7 @@ void read_job_into(ByteReader& r, JobRecord& job) {
   }
 }
 
-// A record's bitmap is one u64 (write_body's shifts, low_bits,
+// A record's bitmap is one u64 (write_record_block's shifts, low_bits,
 // RecordView::word), so every module has at most 64 words.
 constexpr bool fits_one_bitmap_word(std::size_t n_counters, std::size_t n_fcounters) {
   return n_counters + n_fcounters <= 64;
@@ -123,88 +108,11 @@ inline std::int32_t read_rank(const std::byte*& p, const std::byte* end) {
   return static_cast<std::int32_t>(util::zigzag_decode(z));
 }
 
-void write_body(ByteWriter& w, const LogData& log, LogIoBuffers& io) {
-  write_job(w, log.job);
-
-  w.u32(static_cast<std::uint32_t>(log.mounts.size()));
-  for (const auto& m : log.mounts) {
-    w.str(m.prefix);
-    w.str(m.fs_type);
-  }
-
-  w.u32(static_cast<std::uint32_t>(log.names.size()));
-  for (const auto& [id, path] : log.names) {
-    w.u64(id);
-    w.str(path);
-  }
-
-  // Group records by module, preserving relative order within a module, in
-  // numeric ModuleId order.
-  auto& by_module = io.module_buckets;
-  for (auto& bucket : by_module) bucket.clear();
-  for (const auto& rec : log.records) {
-    by_module[static_cast<std::size_t>(rec.module)].push_back(&rec);
-  }
-
-  std::uint32_t n_regions = 0;
-  for (const auto& bucket : by_module) {
-    if (!bucket.empty()) ++n_regions;
-  }
-  w.u32(n_regions);
-  for (std::size_t mi = 0; mi < by_module.size(); ++mi) {
-    const auto& recs = by_module[mi];
-    if (recs.empty()) continue;
-    const auto mod = static_cast<ModuleId>(mi);
-    const std::size_t nc = counter_count(mod);
-    const std::size_t nf = fcounter_count(mod);
-    w.u8(static_cast<std::uint8_t>(mod));
-    w.u32(static_cast<std::uint32_t>(nc));
-    w.u32(static_cast<std::uint32_t>(nf));
-    w.u32(static_cast<std::uint32_t>(recs.size()));
-    for (const FileRecord* rec : recs) {
-      w.u64(rec->record_id);
-      w.uvarint(util::zigzag_encode(rec->rank));
-      // Sparse block: the bitmap of non-zero words (zero by bit pattern, so
-      // -0.0 is stored), then those words in order, each counter a zigzag
-      // varint and each fcounter its 8-byte bit pattern.
-      std::uint64_t mask = 0;
-      for (std::size_t i = 0; i < nc; ++i) {
-        mask |= static_cast<std::uint64_t>(rec->counters[i] != 0) << i;
-      }
-      for (std::size_t i = 0; i < nf; ++i) {
-        mask |= static_cast<std::uint64_t>(std::bit_cast<std::uint64_t>(rec->fcounters[i]) != 0)
-                << (nc + i);
-      }
-      for (std::size_t b = 0; b < bitmap_bytes(nc + nf); ++b) {
-        w.u8(static_cast<std::uint8_t>(mask >> (8 * b)));
-      }
-      for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-        const auto i = static_cast<std::size_t>(std::countr_zero(m));
-        if (i < nc) {
-          w.uvarint(util::zigzag_encode(rec->counters[i]));
-        } else {
-          w.f64(rec->fcounters[i - nc]);
-        }
-      }
-    }
-  }
-
-  // DXT trace region (usually empty: tracing is off by default, as on the
-  // study systems).
-  w.u32(static_cast<std::uint32_t>(log.dxt.size()));
-  for (const DxtRecord& rec : log.dxt) {
-    w.u64(rec.record_id);
-    w.u8(static_cast<std::uint8_t>(rec.module));
-    w.u32(static_cast<std::uint32_t>(rec.events.size()));
-    for (const DxtEvent& e : rec.events) {
-      w.u8(static_cast<std::uint8_t>(e.op));
-      w.u32(static_cast<std::uint32_t>(e.rank));
-      w.u64(e.offset);
-      w.u64(e.length);
-      w.f64(e.start);
-      w.f64(e.end);
-    }
-  }
+// LEB128 of `v` at `p` (ByteWriter::uvarint's bytes); returns the end.
+inline std::byte* put_uvarint(std::byte* p, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) *p++ = static_cast<std::byte>(v | 0x80);
+  *p++ = static_cast<std::byte>(v);
+  return p;
 }
 
 // Materialize a walk into `log`, recycling its vectors.  log.records is
@@ -278,11 +186,130 @@ void materialize_body(LogBody& walked, LogData& log, LogIoBuffers& io) {
 
 }  // namespace
 
-std::span<const std::byte> write_log_bytes_into(const LogData& log, LogIoBuffers& io) {
-  io.body.clear();
-  write_body(io.body, log, io);
-  const auto body_bytes = io.body.view();
+void write_job(ByteWriter& w, const JobRecord& job) {
+  w.u64(job.job_id);
+  w.u32(job.user_id);
+  w.u32(job.nprocs);
+  w.u32(job.nnodes);
+  w.i64(job.start_time);
+  w.i64(job.end_time);
+  w.str(job.exe);
+  w.u32(static_cast<std::uint32_t>(job.metadata.size()));
+  for (const auto& [k, v] : job.metadata) {
+    w.str(k);
+    w.str(v);
+  }
+}
 
+void write_mounts(ByteWriter& w, std::span<const MountEntry> mounts) {
+  w.u32(static_cast<std::uint32_t>(mounts.size()));
+  for (const auto& m : mounts) {
+    w.str(m.prefix);
+    w.str(m.fs_type);
+  }
+}
+
+void write_region_header(ByteWriter& w, ModuleId module, std::uint32_t n_records) {
+  w.u8(static_cast<std::uint8_t>(module));
+  w.u32(static_cast<std::uint32_t>(counter_count(module)));
+  w.u32(static_cast<std::uint32_t>(fcounter_count(module)));
+  w.u32(n_records);
+}
+
+void write_record_block(ByteWriter& w, std::uint64_t record_id, std::int32_t rank,
+                        std::span<const std::uint64_t> words, std::size_t n_counters) {
+  MLIO_ASSERT(words.size() <= 64);
+  // The block is at most the id, a 5-byte rank, an 8-byte bitmap and 64
+  // words of at most 10 bytes: written through a pointer into that much
+  // room, with no capacity check per byte.
+  std::byte* p = w.reserve_tail(8 + 5 + 8 + 64 * 10);
+  util::store_le(p, record_id);
+  p = put_uvarint(p + 8, util::zigzag_encode(rank));
+  // Sparse block: the bitmap of non-zero words (zero by bit pattern, so
+  // -0.0 is stored), then those words in order, each counter a zigzag
+  // varint and each fcounter its 8-byte bit pattern.
+  std::uint64_t mask = 0;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    mask |= static_cast<std::uint64_t>(words[i] != 0) << i;
+  }
+  util::store_le(p, mask);  // the room holds all 8 bytes; the block keeps its bitmap's
+  p += bitmap_bytes(words.size());
+  for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(m));
+    if (i < n_counters) {
+      p = put_uvarint(p, util::zigzag_encode(static_cast<std::int64_t>(words[i])));
+    } else {
+      util::store_le(p, words[i]);
+      p += 8;
+    }
+  }
+  w.commit(p);
+}
+
+void write_dxt_region(ByteWriter& w, std::span<const DxtRecord> dxt) {
+  w.u32(static_cast<std::uint32_t>(dxt.size()));
+  for (const DxtRecord& rec : dxt) {
+    w.u64(rec.record_id);
+    w.u8(static_cast<std::uint8_t>(rec.module));
+    w.u32(static_cast<std::uint32_t>(rec.events.size()));
+    for (const DxtEvent& e : rec.events) {
+      w.u8(static_cast<std::uint8_t>(e.op));
+      w.u32(static_cast<std::uint32_t>(e.rank));
+      w.u64(e.offset);
+      w.u64(e.length);
+      w.f64(e.start);
+      w.f64(e.end);
+    }
+  }
+}
+
+void write_log_body(ByteWriter& w, const LogData& log, LogIoBuffers& io) {
+  write_job(w, log.job);
+  write_mounts(w, log.mounts);
+  write_names(w, log.names);
+
+  // Group records by module, preserving relative order within a module, in
+  // numeric ModuleId order.
+  auto& by_module = io.module_buckets;
+  for (auto& bucket : by_module) bucket.clear();
+  for (const auto& rec : log.records) {
+    by_module[static_cast<std::size_t>(rec.module)].push_back(&rec);
+  }
+
+  std::uint32_t n_regions = 0;
+  for (const auto& bucket : by_module) {
+    if (!bucket.empty()) ++n_regions;
+  }
+  w.u32(n_regions);
+  std::array<std::uint64_t, 64> words;
+  for (std::size_t mi = 0; mi < by_module.size(); ++mi) {
+    const auto& recs = by_module[mi];
+    if (recs.empty()) continue;
+    const auto mod = static_cast<ModuleId>(mi);
+    const std::size_t nc = counter_count(mod);
+    const std::size_t nf = fcounter_count(mod);
+    write_region_header(w, mod, static_cast<std::uint32_t>(recs.size()));
+    for (const FileRecord* rec : recs) {
+      MLIO_ASSERT(rec->counters.size() == nc && rec->fcounters.size() == nf);
+      // The record's words as the block encoder takes them: the counters'
+      // two's complement, then the fcounters' bit patterns.
+      for (std::size_t i = 0; i < nc; ++i) {
+        words[i] = static_cast<std::uint64_t>(rec->counters[i]);
+      }
+      for (std::size_t i = 0; i < nf; ++i) {
+        words[nc + i] = std::bit_cast<std::uint64_t>(rec->fcounters[i]);
+      }
+      write_record_block(w, rec->record_id, rec->rank, {words.data(), nc + nf}, nc);
+    }
+  }
+
+  // DXT trace region (usually empty: tracing is off by default, as on the
+  // study systems).
+  write_dxt_region(w, log.dxt);
+}
+
+std::span<const std::byte> frame_log_body(LogIoBuffers& io) {
+  const auto body_bytes = io.body.view();
   io.frame.clear();
   io.frame.u32(kLogMagic);
   io.frame.u16(kLogVersion);
@@ -293,6 +320,12 @@ std::span<const std::byte> write_log_bytes_into(const LogData& log, LogIoBuffers
   io.frame.u64(io.packed.size());
   io.frame.bytes(io.packed);
   return io.frame.view();
+}
+
+std::span<const std::byte> write_log_bytes_into(const LogData& log, LogIoBuffers& io) {
+  io.body.clear();
+  write_log_body(io.body, log, io);
+  return frame_log_body(io);
 }
 
 std::vector<std::byte> write_log_bytes(const LogData& log) {

@@ -44,6 +44,13 @@
 // of times over its life (DESIGN §10 counts them).  The record block and
 // the default deflate level are picked on CPU per log over that one write
 // and those few reads, then on compactness.
+//
+// The body has one encoder, exported piece by piece (write_job ...
+// write_record_block ... write_dxt_region): write_log_body composes it for
+// a LogData, and darshan::Runtime::write_body composes it for the
+// runtime's record table, so the ingest path frames (frame_log_body)
+// bodies that were never a LogData.  Both give the same bytes for the same
+// log.
 #pragma once
 
 #include <array>
@@ -167,7 +174,7 @@ struct LogIoBuffers {
   std::vector<std::byte> unpacked;   ///< decompressed body (read path)
   util::Deflater deflater;
   util::Inflater inflater;
-  /// Per-module record buckets for write_body's region grouping, in
+  /// Per-module record buckets for write_log_body's region grouping, in
   /// numeric ModuleId order; reused across logs.
   std::array<std::vector<const FileRecord*>, kModuleCount> module_buckets;
   /// The walk under read_log_body_into, reused across logs.
@@ -179,13 +186,48 @@ struct LogIoBuffers {
   std::vector<FileRecord> record_pool;
 };
 
+/// The body encoder, piece by piece in body order: job record, mount table,
+/// name map, `n_regions` (u32) and each module region (its header, then its
+/// record blocks), then the DXT region.  write_log_body composes them for a
+/// LogData; darshan::Runtime composes them for its record table.  Either way
+/// a log has one body encoding.
+void write_job(util::ByteWriter& w, const JobRecord& job);
+void write_mounts(util::ByteWriter& w, std::span<const MountEntry> mounts);
+/// The name map in the iteration order of `names` (any map of record id to
+/// path): a u32 count, then each id and its path.
+template <class Names>
+void write_names(util::ByteWriter& w, const Names& names) {
+  w.u32(static_cast<std::uint32_t>(names.size()));
+  for (const auto& [id, path] : names) {
+    w.u64(id);
+    w.str(path);
+  }
+}
+void write_region_header(util::ByteWriter& w, ModuleId module, std::uint32_t n_records);
+/// One record block.  `words` are the record's words as RecordView::word
+/// reads them: its module's counters (two's complement), then its fcounters'
+/// bit patterns; the first `n_counters` are counters.
+void write_record_block(util::ByteWriter& w, std::uint64_t record_id, std::int32_t rank,
+                        std::span<const std::uint64_t> words, std::size_t n_counters);
+void write_dxt_region(util::ByteWriter& w, std::span<const DxtRecord> dxt);
+
+/// The uncompressed body of `log`: its records grouped into module regions
+/// in numeric ModuleId order, in their LogData order within a region.
+void write_log_body(util::ByteWriter& w, const LogData& log, LogIoBuffers& io);
+
+/// Frame the body in `io.body`: CRC-32 it, deflate it and write the header
+/// and payload into `io.frame`.  Returns the framed bytes, valid until the
+/// next write into the same `io`.
+std::span<const std::byte> frame_log_body(LogIoBuffers& io);
+
 /// Serialize a log to bytes / a file.  The body is always deflated, with
 /// util/deflate_fast.hpp's one setting.
 std::vector<std::byte> write_log_bytes(const LogData& log);
 void write_log_file(const LogData& log, const std::filesystem::path& path);
 
-/// Buffer-reuse variant: serializes into `io` and returns a view of the
-/// framed bytes, valid until the next write into the same `io`.
+/// Buffer-reuse variant: write_log_body into `io.body`, then frame_log_body.
+/// Returns a view of the framed bytes, valid until the next write into the
+/// same `io`.
 std::span<const std::byte> write_log_bytes_into(const LogData& log, LogIoBuffers& io);
 
 /// Parse a log from bytes / a file.  Throws FormatError on malformed input

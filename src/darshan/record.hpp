@@ -67,11 +67,6 @@ struct LogData {
   std::vector<FileRecord> records;
   /// DXT trace segments (empty unless tracing was enabled; §2.2).
   std::vector<DxtRecord> dxt;
-  /// Scratch sizing hint, not part of the log (never serialized or
-  /// compared): pre-reduction record count of the run last finalized into
-  /// this LogData, used by Runtime::adopt_scratch to pre-size its tables
-  /// when the scratch log cycles through a hot loop.
-  std::size_t prior_live_records = 0;
 
   /// Path for a record id, or empty view if unknown.
   std::string_view path_of(std::uint64_t record_id) const {

@@ -1,7 +1,11 @@
 #include "darshan/runtime.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <string>
 
+#include "darshan/log_format.hpp"
 #include "util/bins.hpp"
 #include "util/error.hpp"
 
@@ -15,77 +19,166 @@ namespace {
 constexpr std::size_t kFirstEndIdx = 3;
 constexpr std::size_t kFirstTimeIdx = 6;
 
-void init_fcounters(FileRecord& rec) {
-  for (std::size_t i = 0; i < rec.fcounters.size() && i < kFirstTimeIdx; ++i) {
-    rec.fcounters[i] = -1.0;
+/// The word of an unset start/end timestamp.
+constexpr std::uint64_t kUnsetStamp = std::bit_cast<std::uint64_t>(-1.0);
+
+/// Slot value of a rank with no row (a row's slot holds its offset + 1).
+constexpr std::uint32_t kNoRow = 0;
+
+/// What a table buffer may keep beyond twice the last job's use.  Below it
+/// a buffer is never trimmed, so the common small jobs reuse it unchanged.
+constexpr std::size_t kRetainFloorBytes = 128 * 1024;
+
+/// Empty `v` for the next job.  When it holds more than twice what this job
+/// used plus kRetainFloorBytes, its storage is first cut to the larger of
+/// twice this job's use and the floor; returns whether it was.
+template <class T>
+bool trim(std::vector<T>& v) {
+  const std::size_t used = v.size();
+  const std::size_t floor = kRetainFloorBytes / sizeof(T);
+  const bool over = v.capacity() > 2 * used + floor;
+  if (over) {
+    std::vector<T> fresh;
+    fresh.reserve(std::max(2 * used, floor));
+    v.swap(fresh);
   }
+  v.clear();
+  return over;
 }
-
-void stamp_min(double& slot, double t) {
-  if (slot < 0.0 || t < slot) slot = t;
-}
-
-void stamp_max(double& slot, double t) { slot = std::max(slot, t); }
 
 }  // namespace
 
-std::size_t Runtime::KeyHash::operator()(const Key& k) const noexcept {
-  std::uint64_t h = k.record_id;
-  h ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.rank)) << 8) ^ k.module;
-  h *= 0x9e3779b97f4a7c15ull;
-  return static_cast<std::size_t>(h ^ (h >> 32));
-}
+/// One row of the table: its module's counters, then its fcounters' bit
+/// patterns.
+struct Runtime::Row {
+  std::uint64_t* w;
+  std::size_t nc;
 
-Runtime::Runtime(JobRecord job, std::vector<MountEntry> mounts, const RuntimeOptions& opts)
-    : job_(std::move(job)), mounts_(std::move(mounts)), opts_(opts) {
-  if (job_.nprocs == 0) throw util::ConfigError("Runtime: nprocs must be >= 1");
-}
-
-FileRecord Runtime::new_record(std::uint64_t record_id, std::int32_t rank, ModuleId module) {
-  if (pool_.empty()) {
-    FileRecord rec(record_id, rank, module);
-    init_fcounters(rec);
-    return rec;
+  std::int64_t& c(std::size_t i) const { return reinterpret_cast<std::int64_t&>(w[i]); }
+  double f(std::size_t i) const { return std::bit_cast<double>(w[nc + i]); }
+  void set_f(std::size_t i, double v) const { w[nc + i] = std::bit_cast<std::uint64_t>(v); }
+  void add_f(std::size_t i, double v) const { set_f(i, f(i) + v); }
+  void stamp_min(std::size_t i, double t) const {
+    const double s = f(i);
+    if (s < 0.0 || t < s) set_f(i, t);
   }
-  // Reuse a spent record's counter buffers (assign reallocates only if the
-  // recycled capacity is short).
-  FileRecord rec = std::move(pool_.back());
-  pool_.pop_back();
-  rec.record_id = record_id;
-  rec.rank = rank;
-  rec.module = module;
-  rec.counters.assign(counter_count(module), 0);
-  rec.fcounters.assign(fcounter_count(module), 0.0);
-  init_fcounters(rec);
-  return rec;
+  void stamp_max(std::size_t i, double t) const { set_f(i, std::max(f(i), t)); }
+};
+
+Runtime::Runtime(JobRecord job, std::vector<MountEntry> mounts, const RuntimeOptions& opts) {
+  begin(std::move(job), mounts, opts);
 }
 
-std::size_t Runtime::fetch_index(ModuleId module, std::uint64_t record_id, std::int32_t rank) {
-  const Key key{record_id, rank, static_cast<std::uint8_t>(module)};
-  const auto [it, inserted] = index_.try_emplace(key, records_.size());
-  if (inserted) records_.push_back(new_record(record_id, rank, module));
-  return it->second;
+void Runtime::begin(JobRecord job, std::span<const MountEntry> mounts,
+                    const RuntimeOptions& opts) {
+  if (job.nprocs == 0) throw util::ConfigError("Runtime: nprocs must be >= 1");
+  clear();
+  job_ = std::move(job);
+  mounts_.assign(mounts.begin(), mounts.end());
+  opts_ = opts;
 }
 
-void Runtime::adopt_scratch(LogData& scratch) {
-  // O(1): steal the emitted records of the previous run; new_record reuses
-  // their counter buffers.  Deliberately nothing more — stashing the
-  // reduced-away husks as well was measured slower than letting them free:
-  // the per-record shuttle costs more than the allocations it saves, and an
-  // uncapped carry would grow the pool to the largest job ever seen.
-  pool_.swap(scratch.records);
-  scratch.records.clear();
-  // Pre-size the tables from the previous run: jobs in a stream are rarely
-  // the same size, but the previous run's record count is a good-enough
-  // hint to skip most rehash/regrow churn, and a one-job-sized overshoot is
-  // harmless (unlike a high-water mark, it resets every job).
-  const std::size_t hint = std::max(pool_.size(), scratch.prior_live_records);
-  records_.reserve(hint);
-  index_.reserve(hint + hint / 4);
+void Runtime::clear() {
+  for (auto& index : group_index_) index.clear();
+  for (auto& groups : groups_) groups.clear();
+  slots_.clear();
+  n_words_ = 0;
+  rows_ = 0;
+  // A new map, not a cleared one (`names_ = {}` would clear it too): the
+  // body lists names in iteration order, which follows the bucket count.
+  names_ = decltype(names_)();
+  dxt_.clear();
+  dxt_offsets_.clear();
 }
 
-FileRecord& Runtime::fetch(ModuleId module, std::uint64_t record_id, std::int32_t rank) {
-  return records_[fetch_index(module, record_id, rank)];
+void Runtime::reset() {
+  // Buffers follow the job just closed: one that a larger job grew is cut
+  // back to this job's use, so a worker does not keep the largest job's
+  // table for the rest of its life.
+  for (std::size_t m = 0; m < kModuleCount; ++m) {
+    if (trim(groups_[m])) group_index_[m] = {};
+  }
+  trim(slots_);
+  // The same rule for the row buffer, counted in chunks.
+  const std::size_t used_chunks = (n_words_ + kChunkWords - 1) / kChunkWords;
+  const std::size_t floor_chunks = kRetainFloorBytes / (8 * kChunkWords);
+  if (chunks_.size() > 2 * used_chunks + floor_chunks) {
+    chunks_.resize(std::max(2 * used_chunks, floor_chunks));
+    chunks_.shrink_to_fit();
+  }
+  clear();
+}
+
+void Runtime::check_ranks(std::int64_t lo, std::int64_t hi) const {
+  // Dense rank slots rely on this bound, and so does the shared-record
+  // reduction, which counts a group's rows against nprocs.
+  if (lo < kSharedRank || hi >= static_cast<std::int64_t>(job_.nprocs)) {
+    throw util::ConfigError("Runtime: rank " + std::to_string(lo < kSharedRank ? lo : hi) +
+                            " outside [-1, nprocs = " + std::to_string(job_.nprocs) + ")");
+  }
+}
+
+Runtime::Group& Runtime::group_of(ModuleId module, std::uint64_t record_id) {
+  const auto m = static_cast<std::size_t>(module);
+  std::vector<Group>& groups = groups_[m];
+  const auto [index, inserted] =
+      group_index_[m].try_emplace(record_id, static_cast<std::uint32_t>(groups.size()));
+  if (inserted) {
+    Group& g = groups.emplace_back();
+    g.record_id = record_id;
+    g.module = module;
+    g.n_counters = static_cast<std::uint8_t>(counter_count(module));
+    g.n_words = static_cast<std::uint8_t>(g.n_counters + fcounter_count(module));
+    g.first_slot = static_cast<std::uint32_t>(slots_.size());
+    return g;
+  }
+  return groups[*index];
+}
+
+std::uint32_t* Runtime::slots_for(Group& g, std::size_t n) {
+  if (n > g.n_slots) {
+    if (g.first_slot + g.n_slots != slots_.size()) {
+      // Another group's slots follow: move this group's to the end, where
+      // they can grow.
+      const std::size_t at = slots_.size();
+      slots_.resize(at + g.n_slots);
+      std::copy_n(slots_.data() + g.first_slot, g.n_slots, slots_.data() + at);
+      g.first_slot = static_cast<std::uint32_t>(at);
+    }
+    MLIO_ASSERT(g.first_slot + n < std::numeric_limits<std::uint32_t>::max());
+    slots_.resize(g.first_slot + n, kNoRow);
+    g.n_slots = static_cast<std::uint32_t>(n);
+  }
+  return slots_.data() + g.first_slot;
+}
+
+Runtime::Row Runtime::row_at(Group& g, std::uint32_t* slots, std::size_t slot) {
+  std::uint32_t& at = slots[slot];
+  if (at == kNoRow) {
+    // A row never straddles two chunks: one that would starts the next.
+    std::size_t off = n_words_;
+    if (off % kChunkWords + g.n_words > kChunkWords) off += kChunkWords - off % kChunkWords;
+    MLIO_ASSERT(off + g.n_words < std::numeric_limits<std::uint32_t>::max());
+    if (off / kChunkWords == chunks_.size()) {
+      chunks_.push_back(std::make_unique_for_overwrite<std::uint64_t[]>(kChunkWords));
+    }
+    std::uint64_t* const w = word_at(off);
+    const std::size_t nf = g.n_words - g.n_counters;
+    std::fill_n(w, g.n_words, std::uint64_t{0});
+    std::fill_n(w + g.n_counters, std::min(nf, kFirstTimeIdx), kUnsetStamp);
+    n_words_ = off + g.n_words;
+    at = static_cast<std::uint32_t>(off + 1);
+    g.n_rows += 1;
+    rows_ += 1;
+  }
+  return Row{word_at(at - 1), g.n_counters};
+}
+
+Runtime::Row Runtime::fetch(ModuleId module, std::uint64_t record_id, std::int32_t rank) {
+  check_ranks(rank, rank);
+  Group& g = group_of(module, record_id);
+  const auto slot = static_cast<std::size_t>(rank + 1);
+  return row_at(g, slots_for(g, slot + 1), slot);
 }
 
 std::uint64_t Runtime::intern_path(std::string_view path) {
@@ -101,100 +194,100 @@ FileHandle Runtime::open_file(ModuleId module, std::int32_t rank, std::string_vi
 
 FileHandle Runtime::open_file(ModuleId module, std::int32_t rank, std::uint64_t path_id,
                               double t) {
-  const std::uint64_t rid = path_id;
-  FileRecord& rec = fetch(module, rid, rank);
+  const Row rec = fetch(module, path_id, rank);
   switch (module) {
-    case ModuleId::kPosix: rec.counters[posix::OPENS] += 1; break;
-    case ModuleId::kMpiIo: rec.counters[mpiio::INDEP_OPENS] += 1; break;
-    case ModuleId::kStdio: rec.counters[stdio::OPENS] += 1; break;
+    case ModuleId::kPosix: rec.c(posix::OPENS) += 1; break;
+    case ModuleId::kMpiIo: rec.c(mpiio::INDEP_OPENS) += 1; break;
+    case ModuleId::kStdio: rec.c(stdio::OPENS) += 1; break;
     case ModuleId::kLustre:
-    case ModuleId::kSsdExt: break;  // synthetic records carry no open counts
+    case ModuleId::kSsdExt:
+      return FileHandle{path_id, module};  // synthetic records carry no open counts
   }
-  if (module != ModuleId::kLustre) {
-    stamp_min(rec.fcounters[posix::F_OPEN_START_TIMESTAMP], t);
-  }
-  return FileHandle{rid, module};
+  rec.stamp_min(posix::F_OPEN_START_TIMESTAMP, t);
+  return FileHandle{path_id, module};
 }
 
 void Runtime::record_reads(const FileHandle& h, std::int32_t rank, std::uint64_t op_size,
                            std::uint64_t n_ops, double start, double elapsed, bool sequential) {
+  check_ranks(rank, rank);
   if (n_ops == 0) return;
-  FileRecord& rec = fetch(h.module, h.record_id, rank);
+  if (h.module == ModuleId::kLustre || h.module == ModuleId::kSsdExt) {
+    throw util::ConfigError("geometry/extension records carry no I/O operations");
+  }
+  const Row rec = fetch(h.module, h.record_id, rank);
   const auto ops = static_cast<std::int64_t>(n_ops);
   const auto bytes = static_cast<std::int64_t>(op_size * n_ops);
   const std::size_t bin = util::BinSpec::darshan_request_bins().index_of(op_size);
 
   switch (h.module) {
     case ModuleId::kPosix:
-      rec.counters[posix::READS] += ops;
-      rec.counters[posix::BYTES_READ] += bytes;
-      rec.counters[posix::SIZE_READ_0_100 + bin] += ops;
+      rec.c(posix::READS) += ops;
+      rec.c(posix::BYTES_READ) += bytes;
+      rec.c(posix::SIZE_READ_0_100 + bin) += ops;
       if (sequential) {
-        rec.counters[posix::SEQ_READS] += ops;
-        rec.counters[posix::CONSEC_READS] += ops > 0 ? ops - 1 : 0;
+        rec.c(posix::SEQ_READS) += ops;
+        rec.c(posix::CONSEC_READS) += ops > 0 ? ops - 1 : 0;
       }
-      rec.counters[posix::MAX_BYTE_READ] =
-          std::max(rec.counters[posix::MAX_BYTE_READ], rec.counters[posix::BYTES_READ] - 1);
+      rec.c(posix::MAX_BYTE_READ) =
+          std::max(rec.c(posix::MAX_BYTE_READ), rec.c(posix::BYTES_READ) - 1);
       break;
     case ModuleId::kMpiIo:
-      rec.counters[mpiio::INDEP_READS] += ops;
-      rec.counters[mpiio::BYTES_READ] += bytes;
-      rec.counters[mpiio::SIZE_READ_AGG_0_100 + bin] += ops;
+      rec.c(mpiio::INDEP_READS) += ops;
+      rec.c(mpiio::BYTES_READ) += bytes;
+      rec.c(mpiio::SIZE_READ_AGG_0_100 + bin) += ops;
       break;
-    case ModuleId::kStdio:
-      rec.counters[stdio::READS] += ops;
-      rec.counters[stdio::BYTES_READ] += bytes;
-      rec.counters[stdio::MAX_BYTE_READ] =
-          std::max(rec.counters[stdio::MAX_BYTE_READ], rec.counters[stdio::BYTES_READ] - 1);
+    default:
+      rec.c(stdio::READS) += ops;
+      rec.c(stdio::BYTES_READ) += bytes;
+      rec.c(stdio::MAX_BYTE_READ) =
+          std::max(rec.c(stdio::MAX_BYTE_READ), rec.c(stdio::BYTES_READ) - 1);
       break;
-    case ModuleId::kLustre:
-    case ModuleId::kSsdExt:
-      throw util::ConfigError("geometry/extension records carry no I/O operations");
   }
-  stamp_min(rec.fcounters[posix::F_READ_START_TIMESTAMP], start);
-  stamp_max(rec.fcounters[posix::F_READ_END_TIMESTAMP], start + elapsed);
-  rec.fcounters[posix::F_READ_TIME] += elapsed;
+  rec.stamp_min(posix::F_READ_START_TIMESTAMP, start);
+  rec.stamp_max(posix::F_READ_END_TIMESTAMP, start + elapsed);
+  rec.add_f(posix::F_READ_TIME, elapsed);
   trace_batch(h, rank, DxtOp::kRead, op_size, n_ops, start, elapsed);
 }
 
 void Runtime::record_writes(const FileHandle& h, std::int32_t rank, std::uint64_t op_size,
                             std::uint64_t n_ops, double start, double elapsed, bool sequential) {
+  check_ranks(rank, rank);
   if (n_ops == 0) return;
-  FileRecord& rec = fetch(h.module, h.record_id, rank);
+  if (h.module == ModuleId::kLustre || h.module == ModuleId::kSsdExt) {
+    throw util::ConfigError("geometry/extension records carry no I/O operations");
+  }
+  const Row rec = fetch(h.module, h.record_id, rank);
   const auto ops = static_cast<std::int64_t>(n_ops);
   const auto bytes = static_cast<std::int64_t>(op_size * n_ops);
   const std::size_t bin = util::BinSpec::darshan_request_bins().index_of(op_size);
 
   switch (h.module) {
     case ModuleId::kPosix:
-      rec.counters[posix::WRITES] += ops;
-      rec.counters[posix::BYTES_WRITTEN] += bytes;
-      rec.counters[posix::SIZE_WRITE_0_100 + bin] += ops;
+      rec.c(posix::WRITES) += ops;
+      rec.c(posix::BYTES_WRITTEN) += bytes;
+      rec.c(posix::SIZE_WRITE_0_100 + bin) += ops;
       if (sequential) {
-        rec.counters[posix::SEQ_WRITES] += ops;
-        rec.counters[posix::CONSEC_WRITES] += ops > 0 ? ops - 1 : 0;
+        rec.c(posix::SEQ_WRITES) += ops;
+        rec.c(posix::CONSEC_WRITES) += ops > 0 ? ops - 1 : 0;
       }
-      rec.counters[posix::MAX_BYTE_WRITTEN] = std::max(
-          rec.counters[posix::MAX_BYTE_WRITTEN], rec.counters[posix::BYTES_WRITTEN] - 1);
+      rec.c(posix::MAX_BYTE_WRITTEN) =
+          std::max(rec.c(posix::MAX_BYTE_WRITTEN), rec.c(posix::BYTES_WRITTEN) - 1);
       break;
     case ModuleId::kMpiIo:
-      rec.counters[mpiio::INDEP_WRITES] += ops;
-      rec.counters[mpiio::BYTES_WRITTEN] += bytes;
-      rec.counters[mpiio::SIZE_WRITE_AGG_0_100 + bin] += ops;
+      rec.c(mpiio::INDEP_WRITES) += ops;
+      rec.c(mpiio::BYTES_WRITTEN) += bytes;
+      rec.c(mpiio::SIZE_WRITE_AGG_0_100 + bin) += ops;
       break;
-    case ModuleId::kStdio:
-      rec.counters[stdio::WRITES] += ops;
-      rec.counters[stdio::BYTES_WRITTEN] += bytes;
-      rec.counters[stdio::MAX_BYTE_WRITTEN] = std::max(
-          rec.counters[stdio::MAX_BYTE_WRITTEN], rec.counters[stdio::BYTES_WRITTEN] - 1);
+    default:
+      rec.c(stdio::WRITES) += ops;
+      rec.c(stdio::BYTES_WRITTEN) += bytes;
+      rec.c(stdio::MAX_BYTE_WRITTEN) =
+          std::max(rec.c(stdio::MAX_BYTE_WRITTEN), rec.c(stdio::BYTES_WRITTEN) - 1);
       break;
-    case ModuleId::kLustre:
-    case ModuleId::kSsdExt:
-      throw util::ConfigError("geometry/extension records carry no I/O operations");
   }
-  stamp_min(rec.fcounters[posix::F_WRITE_START_TIMESTAMP], start);
-  stamp_max(rec.fcounters[posix::F_WRITE_END_TIMESTAMP], start + elapsed);
-  rec.fcounters[posix::F_WRITE_TIME] += elapsed;
+  rec.stamp_min(posix::F_WRITE_START_TIMESTAMP, start);
+  rec.stamp_max(posix::F_WRITE_END_TIMESTAMP, start + elapsed);
+  rec.add_f(posix::F_WRITE_TIME, elapsed);
   trace_batch(h, rank, DxtOp::kWrite, op_size, n_ops, start, elapsed);
 }
 
@@ -230,34 +323,14 @@ void Runtime::trace_batch(const FileHandle& h, std::int32_t rank, DxtOp op,
 
 void Runtime::record_meta(const FileHandle& h, std::int32_t rank, std::uint64_t n_ops,
                           double elapsed) {
-  FileRecord& rec = fetch(h.module, h.record_id, rank);
+  if (h.module == ModuleId::kLustre || h.module == ModuleId::kSsdExt) {
+    throw util::ConfigError("geometry/extension records carry no I/O operations");
+  }
+  const Row rec = fetch(h.module, h.record_id, rank);
   const auto ops = static_cast<std::int64_t>(n_ops);
-  switch (h.module) {
-    case ModuleId::kPosix: rec.counters[posix::STATS] += ops; break;
-    case ModuleId::kStdio: rec.counters[stdio::FLUSHES] += ops; break;
-    case ModuleId::kMpiIo: break;
-    case ModuleId::kLustre:
-    case ModuleId::kSsdExt:
-      throw util::ConfigError("geometry/extension records carry no I/O operations");
-  }
-  rec.fcounters[posix::F_META_TIME] += elapsed;
-}
-
-std::vector<std::size_t>& Runtime::rank_rows(ModuleId module, std::uint64_t record_id,
-                                             std::int32_t rank0, std::uint32_t n_ranks) {
-  for (RankRowCache& e : row_cache_) {
-    if (e.record_id == record_id && e.module == static_cast<std::uint8_t>(module) &&
-        e.rank0 == rank0 && e.rows.size() == n_ranks) {
-      return e.rows;
-    }
-  }
-  RankRowCache& e = row_cache_[row_cache_victim_];
-  row_cache_victim_ = (row_cache_victim_ + 1) % row_cache_.size();
-  e.record_id = record_id;
-  e.module = static_cast<std::uint8_t>(module);
-  e.rank0 = rank0;
-  e.rows.assign(n_ranks, kNoRow);
-  return e.rows;
+  if (h.module == ModuleId::kPosix) rec.c(posix::STATS) += ops;
+  if (h.module == ModuleId::kStdio) rec.c(stdio::FLUSHES) += ops;
+  rec.add_f(posix::F_META_TIME, elapsed);
 }
 
 void Runtime::record_reads_ranks(ModuleId module, std::uint64_t path_id,
@@ -276,6 +349,9 @@ void Runtime::record_ranks(ModuleId module, std::uint64_t path_id, const RankSeg
     throw util::ConfigError("geometry/extension records carry no I/O operations");
   }
   if (seg.n_ranks == 0) return;
+  check_ranks(seg.rank0, std::int64_t{seg.rank0} + seg.n_ranks - 1);
+  // A zero-byte fan-out over several rows emits none of them (see below).
+  if (seg.per_rank_bytes == 0 && seg.n_plus_one == 0 && seg.n_ranks > 1) return;
 
   const std::uint64_t op = std::max<std::uint64_t>(1, seg.op_size);
   const auto& bins = util::BinSpec::darshan_request_bins();
@@ -353,41 +429,39 @@ void Runtime::record_ranks(ModuleId module, std::uint64_t path_id, const RankSeg
       is_read ? posix::F_READ_END_TIMESTAMP : posix::F_WRITE_END_TIMESTAMP;
   const std::size_t ftime_idx = is_read ? posix::F_READ_TIME : posix::F_WRITE_TIME;
 
-  auto apply = [&](FileRecord& rec, std::int64_t ops, std::int64_t bytes, std::size_t bin,
+  auto apply = [&](const Row& rec, std::int64_t ops, std::int64_t bytes, std::size_t bin,
                    double elapsed) {
-    rec.counters[ops_idx] += ops;
-    rec.counters[bytes_idx] += bytes;
-    if (has_bins) rec.counters[size0_idx + bin] += ops;
+    rec.c(ops_idx) += ops;
+    rec.c(bytes_idx) += bytes;
+    if (has_bins) rec.c(size0_idx + bin) += ops;
     if (has_seq) {
-      rec.counters[seq_idx] += ops;
-      rec.counters[consec_idx] += ops - 1;
+      rec.c(seq_idx) += ops;
+      rec.c(consec_idx) += ops - 1;
     }
-    if (has_max) {
-      rec.counters[max_idx] = std::max(rec.counters[max_idx], rec.counters[bytes_idx] - 1);
-    }
-    stamp_min(rec.fcounters[fstart_idx], seg.start);
-    stamp_max(rec.fcounters[fend_idx], seg.start + elapsed);
-    rec.fcounters[ftime_idx] += elapsed;
+    if (has_max) rec.c(max_idx) = std::max(rec.c(max_idx), rec.c(bytes_idx) - 1);
+    rec.stamp_min(fstart_idx, seg.start);
+    rec.stamp_max(fend_idx, seg.start + elapsed);
+    rec.add_f(ftime_idx, elapsed);
   };
 
-  std::vector<std::size_t>& rows = rank_rows(module, path_id, seg.rank0, seg.n_ranks);
+  // The group is found once; its rank slots cover the whole range up front,
+  // so the rows below are plain slot reads.
+  Group& g = group_of(module, path_id);
+  std::uint32_t* const slots =
+      slots_for(g, static_cast<std::size_t>(seg.rank0 + 1) + seg.n_ranks);
   auto emit_row = [&](std::uint32_t r, const Variant& v) {
     const std::int32_t rank = seg.rank0 + static_cast<std::int32_t>(r);
-    std::size_t idx = rows[r];
-    if (idx == kNoRow) rows[r] = idx = fetch_index(module, path_id, rank);
-    FileRecord& rec = records_[idx];
+    const Row rec = row_at(g, slots, static_cast<std::size_t>(rank + 1));
 
     // Open: counter + earliest-open timestamp, as open_file does.
-    rec.counters[open_idx] += 1;
-    stamp_min(rec.fcounters[posix::F_OPEN_START_TIMESTAMP], seg.start);
+    rec.c(open_idx) += 1;
+    rec.stamp_min(posix::F_OPEN_START_TIMESTAMP, seg.start);
 
     if (v.ops > 0) apply(rec, v.ops, v.bytes, op_bin, seg.elapsed);
-    if (v.tail > 0) {
-      apply(rec, 1, static_cast<std::int64_t>(v.tail), v.tail_bin, 0.0);
-    }
+    if (v.tail > 0) apply(rec, 1, static_cast<std::int64_t>(v.tail), v.tail_bin, 0.0);
     if (seg.meta_ops > 0) {
-      if (has_meta) rec.counters[meta_idx] += meta_ops;
-      rec.fcounters[posix::F_META_TIME] += seg.meta_elapsed;
+      if (has_meta) rec.c(meta_idx) += meta_ops;
+      rec.add_f(posix::F_META_TIME, seg.meta_elapsed);
     }
     if (dxt) {
       if (v.ops > 0) {
@@ -408,42 +482,65 @@ void Runtime::record_ranks(ModuleId module, std::uint64_t path_id, const RankSeg
   }
 }
 
-void Runtime::record_lustre(std::string_view path, std::int64_t stripe_size,
+void Runtime::record_lustre(std::uint64_t path_id, std::int64_t stripe_size,
                             std::int64_t stripe_width, std::int64_t stripe_offset,
                             std::int64_t mdts, std::int64_t osts) {
-  const std::uint64_t rid = hash_record_id(path);
-  names_.try_emplace(rid, std::string(path));
-  FileRecord& rec = fetch(ModuleId::kLustre, rid, kSharedRank);
-  rec.counters[lustre::STRIPE_SIZE] = stripe_size;
-  rec.counters[lustre::STRIPE_WIDTH] = stripe_width;
-  rec.counters[lustre::STRIPE_OFFSET] = stripe_offset;
-  rec.counters[lustre::MDTS] = mdts;
-  rec.counters[lustre::OSTS] = osts;
+  const Row rec = fetch(ModuleId::kLustre, path_id, kSharedRank);
+  rec.c(lustre::STRIPE_SIZE) = stripe_size;
+  rec.c(lustre::STRIPE_WIDTH) = stripe_width;
+  rec.c(lustre::STRIPE_OFFSET) = stripe_offset;
+  rec.c(lustre::MDTS) = mdts;
+  rec.c(lustre::OSTS) = osts;
 }
 
-void Runtime::record_ssd(std::string_view path, std::uint64_t rewrite_bytes,
+void Runtime::record_ssd(std::uint64_t path_id, std::uint64_t rewrite_bytes,
                          std::uint64_t seq_write_bytes, std::uint64_t random_write_bytes,
                          std::uint64_t static_bytes, std::uint64_t dynamic_bytes, double waf) {
-  const std::uint64_t rid = hash_record_id(path);
-  names_.try_emplace(rid, std::string(path));
-  FileRecord& rec = fetch(ModuleId::kSsdExt, rid, kSharedRank);
-  rec.counters[ssdext::REWRITE_BYTES] += static_cast<std::int64_t>(rewrite_bytes);
-  rec.counters[ssdext::SEQ_WRITE_BYTES] += static_cast<std::int64_t>(seq_write_bytes);
-  rec.counters[ssdext::RANDOM_WRITE_BYTES] += static_cast<std::int64_t>(random_write_bytes);
-  rec.counters[ssdext::STATIC_BYTES] += static_cast<std::int64_t>(static_bytes);
-  rec.counters[ssdext::DYNAMIC_BYTES] += static_cast<std::int64_t>(dynamic_bytes);
-  rec.counters[ssdext::WAF_X1000] =
-      std::max(rec.counters[ssdext::WAF_X1000], static_cast<std::int64_t>(waf * 1000.0));
+  const Row rec = fetch(ModuleId::kSsdExt, path_id, kSharedRank);
+  rec.c(ssdext::REWRITE_BYTES) += static_cast<std::int64_t>(rewrite_bytes);
+  rec.c(ssdext::SEQ_WRITE_BYTES) += static_cast<std::int64_t>(seq_write_bytes);
+  rec.c(ssdext::RANDOM_WRITE_BYTES) += static_cast<std::int64_t>(random_write_bytes);
+  rec.c(ssdext::STATIC_BYTES) += static_cast<std::int64_t>(static_bytes);
+  rec.c(ssdext::DYNAMIC_BYTES) += static_cast<std::int64_t>(dynamic_bytes);
+  rec.c(ssdext::WAF_X1000) =
+      std::max(rec.c(ssdext::WAF_X1000), static_cast<std::int64_t>(waf * 1000.0));
 }
 
-void Runtime::reduce_into(FileRecord& shared, const FileRecord& rank_rec) {
-  MLIO_ASSERT(shared.module == rank_rec.module);
-  // All counters are additive except at most two max-reduced slots per
-  // module: run a branchless (vectorizable) add over the whole array, then
-  // fix the max slots up from their saved values.
+void Runtime::close(std::int64_t start_epoch, std::int64_t end_epoch) {
+  job_.start_time = start_epoch;
+  job_.end_time = end_epoch;
+  // Record order is (module, record id, rank): each module's groups are
+  // sorted by record id, and a group's slots are already in rank order.
+  for (auto& groups : groups_) {
+    std::sort(groups.begin(), groups.end(),
+              [](const Group& a, const Group& b) { return a.record_id < b.record_id; });
+  }
+}
+
+bool Runtime::reduced(const Group& g) const {
+  return g.module != ModuleId::kLustre && g.module != ModuleId::kSsdExt && job_.nprocs > 1 &&
+         g.n_rows == job_.nprocs;
+}
+
+template <class Emit>
+void Runtime::emit_group(const Group& g, const Emit& emit) const {
+  const std::uint32_t* const slots = slots_.data() + g.first_slot;
+  if (!reduced(g)) {
+    // Partial access keeps its per-rank records (the paper's §3.4
+    // explicitly excludes these from performance analysis).
+    for (std::size_t s = 0; s < g.n_slots; ++s) {
+      if (slots[s] != kNoRow) emit(static_cast<std::int32_t>(s) - 1, word_at(slots[s] - 1));
+    }
+    return;
+  }
+  // Every rank of the job touched the file: collapse the rows, in rank
+  // order, into one shared record.  All counters are additive except at
+  // most two max-reduced slots per module.
+  const std::size_t nc = g.n_counters;
+  const std::size_t nw = g.n_words;
   std::size_t max_slots[2];
   std::size_t n_max = 0;
-  switch (shared.module) {
+  switch (g.module) {
     case ModuleId::kPosix:
       max_slots[n_max++] = posix::MAX_BYTE_READ;
       max_slots[n_max++] = posix::MAX_BYTE_WRITTEN;
@@ -452,31 +549,48 @@ void Runtime::reduce_into(FileRecord& shared, const FileRecord& rank_rec) {
       max_slots[n_max++] = stdio::MAX_BYTE_READ;
       max_slots[n_max++] = stdio::MAX_BYTE_WRITTEN;
       break;
-    case ModuleId::kSsdExt:
-      max_slots[n_max++] = ssdext::WAF_X1000;
-      break;
-    case ModuleId::kMpiIo:
-    case ModuleId::kLustre:
+    default:
       break;
   }
-  std::int64_t saved[2] = {0, 0};
-  for (std::size_t s = 0; s < n_max; ++s) saved[s] = shared.counters[max_slots[s]];
-  std::int64_t* dst = shared.counters.data();
-  const std::int64_t* src = rank_rec.counters.data();
-  const std::size_t n = shared.counters.size();
-  for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
-  for (std::size_t s = 0; s < n_max; ++s) {
-    shared.counters[max_slots[s]] = std::max(saved[s], rank_rec.counters[max_slots[s]]);
-  }
-  for (std::size_t i = 0; i < shared.fcounters.size(); ++i) {
-    if (i < kFirstEndIdx) {
-      if (rank_rec.fcounters[i] >= 0.0) stamp_min(shared.fcounters[i], rank_rec.fcounters[i]);
-    } else if (i < kFirstTimeIdx) {
-      stamp_max(shared.fcounters[i], rank_rec.fcounters[i]);
-    } else {
-      shared.fcounters[i] = std::max(shared.fcounters[i], rank_rec.fcounters[i]);
+  std::array<std::uint64_t, 64> shared;
+  std::fill_n(shared.begin(), nw, std::uint64_t{0});
+  std::fill_n(shared.begin() + static_cast<std::ptrdiff_t>(nc),
+              std::min(nw - nc, kFirstTimeIdx), kUnsetStamp);
+  const Row out{shared.data(), nc};
+  for (std::size_t s = 0; s < g.n_slots; ++s) {
+    if (slots[s] == kNoRow) continue;
+    const std::uint64_t* const row = word_at(slots[s] - 1);
+    std::int64_t saved[2] = {0, 0};
+    for (std::size_t m = 0; m < n_max; ++m) saved[m] = out.c(max_slots[m]);
+    // A branchless (vectorizable) add over the whole array, then the max
+    // slots fixed up from their saved values.
+    for (std::size_t i = 0; i < nc; ++i) shared[i] += row[i];
+    for (std::size_t m = 0; m < n_max; ++m) {
+      out.c(max_slots[m]) = std::max(saved[m], static_cast<std::int64_t>(row[max_slots[m]]));
+    }
+    for (std::size_t i = 0; i < nw - nc; ++i) {
+      const double f = std::bit_cast<double>(row[nc + i]);
+      if (i < kFirstEndIdx) {
+        if (f >= 0.0) out.stamp_min(i, f);
+      } else {
+        out.stamp_max(i, f);
+      }
     }
   }
+  emit(kSharedRank, shared.data());
+}
+
+void Runtime::take_dxt(std::vector<DxtRecord>& out) {
+  out.clear();
+  out.reserve(dxt_.size());
+  for (auto& [key, rec] : dxt_) {
+    (void)key;
+    out.push_back(std::move(rec));
+  }
+  std::sort(out.begin(), out.end(), [](const DxtRecord& a, const DxtRecord& b) {
+    if (a.module != b.module) return a.module < b.module;
+    return a.record_id < b.record_id;
+  });
 }
 
 LogData Runtime::finalize(std::int64_t start_epoch, std::int64_t end_epoch) {
@@ -486,100 +600,73 @@ LogData Runtime::finalize(std::int64_t start_epoch, std::int64_t end_epoch) {
 }
 
 void Runtime::finalize_into(std::int64_t start_epoch, std::int64_t end_epoch, LogData& out) {
-  LogData& log = out;
-  log.job = job_;
-  log.job.start_time = start_epoch;
-  log.job.end_time = end_epoch;
-  log.mounts = std::move(mounts_);
-  // Move the names in the hash map's iteration order: write_body emits them
-  // in insertion order, and the golden frame digests in test_executor pin
-  // that order (a hashtable artifact, not first-sight order).
-  log.names.clear();
-  log.names.reserve(names_.size());
-  for (auto& [id, path] : names_) log.names.try_emplace(id, std::move(path));
-  names_.clear();
-  log.dxt.clear();
-  log.dxt.reserve(dxt_.size());
-  for (auto& [key, rec] : dxt_) {
-    (void)key;
-    log.dxt.push_back(std::move(rec));
+  close(start_epoch, end_epoch);
+  out.job = job_;
+  out.mounts = mounts_;
+  // The names go in the hash map's iteration order: write_log_body emits
+  // them in insertion order, and the golden frame digests in test_executor
+  // pin that order (a hashtable artifact, not first-sight order).
+  out.names.clear();
+  out.names.reserve(names_.size());
+  for (auto& [id, path] : names_) out.names.try_emplace(id, std::move(path));
+  take_dxt(out.dxt);
+
+  // Records are reused element-wise, so their counter storage survives.
+  std::size_t n = 0;
+  for (const auto& groups : groups_) {
+    for (const Group& g : groups) {
+      const std::size_t nc = g.n_counters;
+      const std::size_t nf = g.n_words - nc;
+      emit_group(g, [&](std::int32_t rank, const std::uint64_t* words) {
+        if (n == out.records.size()) out.records.emplace_back();
+        FileRecord& rec = out.records[n++];
+        rec.record_id = g.record_id;
+        rec.rank = rank;
+        rec.module = g.module;
+        rec.counters.resize(nc);
+        rec.fcounters.resize(nf);
+        for (std::size_t i = 0; i < nc; ++i) {
+          rec.counters[i] = static_cast<std::int64_t>(words[i]);
+        }
+        for (std::size_t i = 0; i < nf; ++i) {
+          rec.fcounters[i] = std::bit_cast<double>(words[nc + i]);
+        }
+      });
+    }
   }
-  std::sort(log.dxt.begin(), log.dxt.end(), [](const DxtRecord& a, const DxtRecord& b) {
-    if (a.module != b.module) return a.module < b.module;
-    return a.record_id < b.record_id;
-  });
-  dxt_.clear();
-  dxt_offsets_.clear();
-
-  finalize_records_sorted(log);
-
-  // Reduced-away husks and unused pool leftovers are freed here rather than
-  // recycled: only the emitted records round-trip through adopt_scratch
-  // (see there for why).
-  pool_.clear();
-  log.prior_live_records = records_.size();
-
-  index_.clear();
-  records_.clear();
-  // Cached row indices point into the cleared records_ vector.
-  for (RankRowCache& e : row_cache_) {
-    e.module = 0xff;
-    e.rows.clear();
-  }
+  out.records.resize(n);
+  reset();
 }
 
-void Runtime::finalize_records_sorted(LogData& log) {
-  // Sort compact keys (not the 64-byte records) into the final (module,
-  // record id, rank) order: every (module, record id) group becomes a
-  // contiguous run, so the shared-record collapse needs no per-log hash map
-  // of index vectors, and no second sort — a reduced shared record inherits
-  // its run's position (kSharedRank sorts before every explicit rank).
-  // Ranks are created in ascending order per record, so the rank-ascending
-  // reduction below adds fcounters in the same order the grouped version
-  // did (bit-identical floats).
-  order_.clear();
-  order_.reserve(records_.size());
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const FileRecord& rec = records_[i];
-    order_.push_back(SortKey{rec.record_id, static_cast<std::uint32_t>(i), rec.rank,
-                             static_cast<std::uint8_t>(rec.module)});
-  }
-  std::sort(order_.begin(), order_.end(), [](const SortKey& a, const SortKey& b) {
-    if (a.module != b.module) return a.module < b.module;
-    if (a.record_id != b.record_id) return a.record_id < b.record_id;
-    return a.rank < b.rank;
-  });
+void Runtime::write_body(std::int64_t start_epoch, std::int64_t end_epoch,
+                         util::ByteWriter& body) {
+  close(start_epoch, end_epoch);
+  body.clear();
+  write_job(body, job_);
+  write_mounts(body, mounts_);
+  write_names(body, names_);
 
-  log.records.clear();
-  log.records.reserve(records_.size());
-  for (std::size_t lo = 0; lo < order_.size();) {
-    std::size_t hi = lo + 1;
-    while (hi < order_.size() && order_[hi].module == order_[lo].module &&
-           order_[hi].record_id == order_[lo].record_id) {
-      ++hi;
-    }
-    FileRecord& first = records_[order_[lo].idx];
-    const std::size_t n_ranks = hi - lo;
-    const bool already_shared = n_ranks == 1 && first.rank == kSharedRank;
-    const bool all_ranks = job_.nprocs > 1 && n_ranks == job_.nprocs;
-    if (already_shared || first.module == ModuleId::kLustre ||
-        first.module == ModuleId::kSsdExt) {
-      log.records.push_back(std::move(first));
-    } else if (all_ranks) {
-      // Every rank of the job touched the file: collapse into one shared
-      // record.
-      FileRecord shared = new_record(first.record_id, kSharedRank, first.module);
-      for (std::size_t i = lo; i < hi; ++i) reduce_into(shared, records_[order_[i].idx]);
-      log.records.push_back(std::move(shared));
-    } else {
-      // Partial access: keep per-rank records (the paper's §3.4 explicitly
-      // excludes these from performance analysis).
-      for (std::size_t i = lo; i < hi; ++i) {
-        log.records.push_back(std::move(records_[order_[i].idx]));
-      }
-    }
-    lo = hi;
+  // A region's header counts its records, so count them first.
+  std::array<std::uint32_t, kModuleCount> n_records{};
+  for (std::size_t m = 0; m < kModuleCount; ++m) {
+    for (const Group& g : groups_[m]) n_records[m] += reduced(g) ? 1 : g.n_rows;
   }
+  body.u32(static_cast<std::uint32_t>(
+      std::count_if(n_records.begin(), n_records.end(), [](std::uint32_t n) { return n > 0; })));
+  for (std::size_t m = 0; m < kModuleCount; ++m) {
+    if (n_records[m] == 0) continue;
+    write_region_header(body, static_cast<ModuleId>(m), n_records[m]);
+    for (const Group& g : groups_[m]) {
+      emit_group(g, [&](std::int32_t rank, const std::uint64_t* words) {
+        write_record_block(body, g.record_id, rank, {words, g.n_words}, g.n_counters);
+      });
+    }
+  }
+
+  std::vector<DxtRecord> dxt;
+  take_dxt(dxt);
+  write_dxt_region(body, dxt);
+  reset();
 }
 
 }  // namespace mlio::darshan

@@ -73,6 +73,18 @@ darshan::LogData JobExecutor::execute(const JobSpec& spec) const {
 
 void JobExecutor::execute_into(const JobSpec& spec, darshan::LogData& out,
                                ExecStats* stats) const {
+  Runtime rt;
+  const std::int64_t end_epoch = run(spec, rt, stats);
+  rt.finalize_into(spec.start_epoch, end_epoch, out);
+}
+
+void JobExecutor::execute_body(const JobSpec& spec, Runtime& rt, util::ByteWriter& body,
+                               ExecStats* stats) const {
+  const std::int64_t end_epoch = run(spec, rt, stats);
+  rt.write_body(spec.start_epoch, end_epoch, body);
+}
+
+std::int64_t JobExecutor::run(const JobSpec& spec, Runtime& rt, ExecStats* stats) const {
   if (spec.nprocs == 0 || spec.nnodes == 0) {
     throw util::ConfigError("JobSpec: nprocs and nnodes must be positive");
   }
@@ -89,8 +101,7 @@ void JobExecutor::execute_into(const JobSpec& spec, darshan::LogData& out,
 
   darshan::RuntimeOptions rt_opts;
   rt_opts.enable_dxt = cfg_.enable_dxt;
-  Runtime rt(job, machine_.mounts(), rt_opts);
-  rt.adopt_scratch(out);  // recycle the scratch log's record buffers
+  rt.begin(std::move(job), machine_.mounts(), rt_opts);
   Clock clock;
 
   // Per-layer contention is sampled once per job: a job experiences one
@@ -149,10 +160,16 @@ void JobExecutor::execute_into(const JobSpec& spec, darshan::LogData& out,
     req.perf = &lf->perf;
     req.node_local = lf->node_local;
 
-    // Interned on first emission, so a file with no traffic never registers
-    // a name.
+    // Interned on first emission, so a file with no traffic registers its
+    // name only when a geometry or extension record needs it.
     std::uint64_t path_id = 0;
     bool path_interned = false;
+    const auto intern = [&] {
+      if (!path_interned) {
+        path_id = rt.intern_path(file.path);
+        path_interned = true;
+      }
+    };
 
     auto emit_segment = [&](Direction dir, std::uint64_t bytes, std::uint64_t op_size) {
       if (bytes == 0) return;
@@ -178,10 +195,7 @@ void JobExecutor::execute_into(const JobSpec& spec, darshan::LogData& out,
 
       // One interned id, both op splits precomputed, one bulk fan-out per
       // module: the runtime spreads the segment over all rank rows.
-      if (!path_interned) {
-        path_id = rt.intern_path(file.path);
-        path_interned = true;
-      }
+      intern();
       darshan::RankSegment seg;
       seg.rank0 = use_shared_rank ? kSharedRank : 0;
       seg.n_ranks = emit_ranks;
@@ -248,7 +262,8 @@ void JobExecutor::execute_into(const JobSpec& spec, darshan::LogData& out,
 
     // Lustre geometry record for PFS files on Cori.
     if (lf->lustre != nullptr) {
-      rt.record_lustre(file.path, static_cast<std::int64_t>(placement.stripe_size),
+      intern();
+      rt.record_lustre(path_id, static_cast<std::int64_t>(placement.stripe_size),
                        placement.targets, placement.start_target, lf->lustre->config().mdts,
                        lf->lustre->config().osts);
     }
@@ -264,7 +279,8 @@ void JobExecutor::execute_into(const JobSpec& spec, darshan::LogData& out,
         waf = lf->node_local->write_amplification(
             std::max<std::uint64_t>(1, file.write_op_size), file.sequential, file.rewrites);
       }
-      rt.record_ssd(file.path, rewrite, seq, rnd, file.write_bytes - dynamic, dynamic, waf);
+      intern();
+      rt.record_ssd(path_id, rewrite, seq, rnd, file.write_bytes - dynamic, dynamic, waf);
     }
     if (stats != nullptr) stats->files += 1;
   }
@@ -273,7 +289,7 @@ void JobExecutor::execute_into(const JobSpec& spec, darshan::LogData& out,
   // reproduces Table 2's ~2 node-hours per log given the node-count mix.
   const double compute = rng.uniform_real(20.0, 1200.0);
   const auto duration = static_cast<std::int64_t>(std::ceil(clock.now + compute));
-  rt.finalize_into(spec.start_epoch, spec.start_epoch + std::max<std::int64_t>(1, duration), out);
+  return spec.start_epoch + std::max<std::int64_t>(1, duration);
 }
 
 StagingReport JobExecutor::estimate_staging(const JobSpec& spec) const {

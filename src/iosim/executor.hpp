@@ -1,11 +1,15 @@
 // Job executor: runs a JobSpec against a Machine, timing every access with
 // the PerfModel and reporting the I/O into a darshan::Runtime, yielding the
-// LogData that the job's Darshan instrumentation would have produced.
+// log that the job's Darshan instrumentation would have produced: as the
+// uncompressed log body written straight from the runtime's table
+// (execute_body, the ingest path), or as a LogData (execute_into, the
+// reference path the pipeline and its oracles analyse).
 #pragma once
 
 #include <cstdint>
 
 #include "darshan/record.hpp"
+#include "darshan/runtime.hpp"
 #include "iosim/ioplan.hpp"
 #include "iosim/machine.hpp"
 
@@ -67,6 +71,14 @@ class JobExecutor {
   void execute_into(const JobSpec& spec, darshan::LogData& out,
                     ExecStats* stats = nullptr) const;
 
+  /// Execute the plan through `rt` and write the job's uncompressed log
+  /// body into `body` (cleared first): the bytes darshan::write_log_body
+  /// writes for execute_into's LogData, with no LogData built.  `rt` is the
+  /// caller's per-thread runtime, reused job after job; afterwards
+  /// rt.job() is the job record.
+  void execute_body(const JobSpec& spec, darshan::Runtime& rt, util::ByteWriter& body,
+                    ExecStats* stats = nullptr) const;
+
   /// Estimate the PFS<->BB staging cost of the job's directives (runs outside
   /// the job's Darshan window, as DataWarp stages before start / after exit).
   StagingReport estimate_staging(const JobSpec& spec) const;
@@ -75,6 +87,9 @@ class JobExecutor {
 
  private:
   struct Clock;
+
+  /// Begin the job in `rt` and report all its I/O; returns its end epoch.
+  std::int64_t run(const JobSpec& spec, darshan::Runtime& rt, ExecStats* stats) const;
 
   const Machine& machine_;
   ExecutorConfig cfg_;

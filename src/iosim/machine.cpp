@@ -48,6 +48,7 @@ Machine::Machine(std::string name, std::uint32_t compute_nodes, double node_link
     f.lustre = dynamic_cast<const LustreLayer*>(f.layer);
     f.node_local = dynamic_cast<const NodeLocalLayer*>(f.layer);
     f.burst_buffer = dynamic_cast<const BurstBufferLayer*>(f.layer);
+    mounts_.push_back(darshan::MountEntry{f.layer->mount_prefix(), f.layer->fs_type()});
   }
 }
 
@@ -144,15 +145,6 @@ std::size_t Machine::layer_index(const StorageLayer* l) const {
     if (f.layer == l) return f.index;
   }
   throw util::ConfigError("Machine: layer not owned by this machine");
-}
-
-std::vector<darshan::MountEntry> Machine::mounts() const {
-  std::vector<darshan::MountEntry> out;
-  out.reserve(layers_.size());
-  for (const auto& l : layers_) {
-    out.push_back(darshan::MountEntry{l->mount_prefix(), l->fs_type()});
-  }
-  return out;
 }
 
 }  // namespace mlio::sim

@@ -67,7 +67,7 @@ class Machine {
   std::size_t layer_index(const StorageLayer* l) const;
 
   /// Mount table recorded into every Darshan log of this machine.
-  std::vector<darshan::MountEntry> mounts() const;
+  const std::vector<darshan::MountEntry>& mounts() const { return mounts_; }
 
  private:
   std::string name_;
@@ -75,6 +75,7 @@ class Machine {
   double node_link_bw_;
   std::vector<std::unique_ptr<StorageLayer>> layers_;
   std::vector<LayerFacts> facts_;
+  std::vector<darshan::MountEntry> mounts_;
   PerfModel model_;
 };
 

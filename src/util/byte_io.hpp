@@ -77,6 +77,19 @@ class ByteWriter {
   void str(std::string_view s);
   void bytes(std::span<const std::byte> data);
 
+  /// Room for at most `n` more bytes: returns where they start.  The caller
+  /// writes through the pointer, then commit()s the end of what it wrote;
+  /// the room past it is dropped.  For an encoder with a small bound on its
+  /// output, which then checks capacity once rather than per byte.
+  std::byte* reserve_tail(std::size_t n) {
+    const std::size_t pos = buf_.size();
+    buf_.resize(pos + n);
+    return buf_.data() + pos;
+  }
+  void commit(const std::byte* end) {
+    buf_.resize(static_cast<std::size_t>(end - buf_.data()));
+  }
+
   std::span<const std::byte> view() const { return buf_; }
   std::vector<std::byte> take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }

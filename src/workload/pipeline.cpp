@@ -129,9 +129,9 @@ FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::u
   FrameBlock out;
   const auto emit = [&](const sim::JobSpec& spec) {
     const auto t0 = phases ? SteadyClock::now() : SteadyClock::time_point{};
-    executor.execute_into(spec, scratch.log);
+    executor.execute_body(spec, scratch.runtime, scratch.io.body);
     const auto t1 = phases ? SteadyClock::now() : SteadyClock::time_point{};
-    const auto frame = darshan::write_log_bytes_into(scratch.log, scratch.io);
+    const auto frame = darshan::frame_log_body(scratch.io);
     if (phases) {
       const auto t2 = SteadyClock::now();
       phases->serialize_ns += static_cast<std::uint64_t>(
@@ -141,7 +141,7 @@ FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::u
     }
     out.bytes.insert(out.bytes.end(), frame.begin(), frame.end());
     out.sizes.push_back(frame.size());
-    out.jobs.push_back(scratch.log.job);
+    out.jobs.push_back(scratch.runtime.job());
     if (on_body) on_body(scratch.io.body.view());
   };
   if (stratum == Stratum::kBulk) {

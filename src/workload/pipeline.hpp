@@ -71,15 +71,16 @@ std::uint64_t auto_block_jobs(std::uint64_t n_jobs);
 /// the caller's struct, so one instance can accumulate over many blocks.
 /// Thread time, not wall: with N workers the sum can exceed the wall clock.
 struct SerializePhases {
-  std::uint64_t serialize_ns = 0;  ///< generate + simulate (execute_into)
-  std::uint64_t compress_ns = 0;   ///< frame + deflate (write_log_bytes_into)
+  std::uint64_t serialize_ns = 0;  ///< generate + simulate + body (execute_body)
+  std::uint64_t compress_ns = 0;   ///< CRC + deflate + header (frame_log_body)
 };
 
-/// Per-thread reusable state of serialize_block: the LogData every job is
-/// executed into and the codec buffers (deflate tables included) its frames
-/// are written through.  Keep one per thread and reuse it across blocks.
+/// Per-thread reusable state of serialize_block: the runtime every job is
+/// executed into (its record table's buffers follow the current job) and
+/// the codec buffers (deflate tables included) its bodies are framed
+/// through.  Keep one per thread and reuse it across blocks.
 struct SerializeScratch {
-  darshan::LogData log;
+  darshan::Runtime runtime;
   darshan::LogIoBuffers io;
 };
 
@@ -108,8 +109,10 @@ struct FrameBlock {
 using BodyHook = std::function<void(std::span<const std::byte> body)>;
 
 /// Generate jobs [job_lo, job_hi) of a stratum, execute each on the
-/// profile's machine, and frame every log into one FrameBlock.  Pure compute
-/// against immutable inputs — safe on any thread with its own scratch.
+/// profile's machine, and frame every log into one FrameBlock.  Each body
+/// is written straight from the runtime's table: no LogData is built.  Pure
+/// compute against immutable inputs — safe on any thread with its own
+/// scratch.
 /// When `phases` is set, per-phase CPU time is added into it (the hook's
 /// time is not); when `on_body` is set, it sees every log's body.
 FrameBlock serialize_block(const WorkloadGenerator& gen, Stratum stratum, std::uint64_t job_lo,

@@ -141,7 +141,7 @@ TEST(Dataset, RequestHistogramsComeFromPosix) {
 
 TEST(Dataset, LustreRecordsDoNotCreateFiles) {
   Runtime rt(job(1), {{"/global/cscratch1", "lustre"}});
-  rt.record_lustre("/global/cscratch1/x.h5", 1 << 20, 4, 0, 5, 248);
+  rt.record_lustre(rt.intern_path("/global/cscratch1/x.h5"), 1 << 20, 4, 0, 5, 248);
   const LogData log = rt.finalize(0, 1);
   EXPECT_TRUE(summarize_log(log).empty());
 }

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "darshan/counters.hpp"
+#include "darshan/log_format.hpp"
+#include "darshan/runtime.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 #include "workload/generator.hpp"
@@ -325,6 +330,141 @@ TEST(Executor, GoldenDigestWithExtensions) {
   EXPECT_EQ(population_digest(wl::SystemProfile::summit_2020(), 1234, 6, cfg),
             14234275583718403522ull);
   EXPECT_EQ(population_digest(wl::SystemProfile::cori_2019(), 1234, 6, cfg), 881376348221370745ull);
+}
+
+// --- The direct body writer -----------------------------------------------
+//
+// execute_body writes each log body straight from the runtime's table;
+// execute_into builds the reference LogData.  Every body must be the bytes
+// write_log_body writes for that LogData.
+
+/// Jobs of a generated population, bulk and (optionally) hero strata.
+std::vector<JobSpec> population(const wl::SystemProfile& profile, std::uint64_t seed,
+                                std::uint64_t jobs, bool huge) {
+  wl::GeneratorConfig gc;
+  gc.seed = seed;
+  gc.n_jobs = jobs;
+  gc.logs_per_job_scale = 0.25;
+  gc.files_per_log_scale = 0.25;
+  const wl::WorkloadGenerator gen(profile, gc);
+  std::vector<JobSpec> specs;
+  const auto keep = [&](const JobSpec& spec) { specs.push_back(spec); };
+  gen.generate_bulk_range(0, jobs, keep);
+  if (huge) gen.generate_huge_range(0, gen.huge_job_count(), keep);
+  return specs;
+}
+
+/// The ingest population: 300 Summit-2020 and 300 Cori-2019 jobs at 1/4
+/// logs and files, with the hero stratum, under the default generator seed.
+std::vector<std::pair<const Machine*, JobSpec>> ingest_population() {
+  std::vector<std::pair<const Machine*, JobSpec>> out;
+  for (const wl::SystemProfile& profile :
+       {wl::SystemProfile::summit_2020(), wl::SystemProfile::cori_2019()}) {
+    const Machine& m = wl::machine_for(profile);
+    for (JobSpec& spec : population(profile, wl::GeneratorConfig{}.seed, 300, true)) {
+      out.emplace_back(&m, std::move(spec));
+    }
+  }
+  return out;
+}
+
+/// execute_body's bytes through `rt` against write_log_body of
+/// execute_into's LogData, for one job.
+void expect_same_body(const JobExecutor& ex, const JobSpec& spec, darshan::Runtime& rt) {
+  util::ByteWriter direct;
+  ex.execute_body(spec, rt, direct);
+  LogData log;
+  ex.execute_into(spec, log);
+  darshan::LogIoBuffers io;
+  darshan::write_log_body(io.body, log, io);
+  ASSERT_EQ(direct.size(), io.body.size()) << "job " << spec.job_id;
+  EXPECT_TRUE(std::ranges::equal(direct.view(), io.body.view())) << "job " << spec.job_id;
+  EXPECT_TRUE(rt.job() == log.job) << "job " << spec.job_id;
+}
+
+TEST(Executor, DirectBodyMatchesTheLogDataBodyOverTheIngestPopulation) {
+  // One runtime for the whole sweep, as a serializing worker keeps it.
+  darshan::Runtime rt;
+  std::size_t logs = 0;
+  for (const auto& [machine, spec] : ingest_population()) {
+    expect_same_body(JobExecutor(*machine), spec, rt);
+    logs += 1;
+  }
+  EXPECT_EQ(logs, 2416u);
+}
+
+TEST(Executor, DirectBodyMatchesTheLogDataBodyWithExtensions) {
+  // The DXT + SSD-extension configuration GoldenDigestWithExtensions pins.
+  ExecutorConfig cfg;
+  cfg.enable_dxt = true;
+  cfg.enable_ssd_ext = true;
+  darshan::Runtime rt;
+  for (const wl::SystemProfile& profile :
+       {wl::SystemProfile::summit_2020(), wl::SystemProfile::cori_2019()}) {
+    const JobExecutor ex(wl::machine_for(profile), cfg);
+    for (const JobSpec& spec : population(profile, 1234, 6, false)) expect_same_body(ex, spec, rt);
+  }
+}
+
+TEST(Executor, DirectBodyMatchesTheLogDataBodyForARepeatedPath) {
+  // One path named by two FileAccessSpecs: the second finds the first's
+  // groups and adds to their rows, over a different rank range.
+  ExecutorConfig cfg;
+  cfg.enable_dxt = true;
+  cfg.enable_ssd_ext = true;
+  const Machine m = Machine::cori();
+  const JobExecutor ex(m, cfg);
+  JobSpec spec = base_spec();
+  FileAccessSpec a;
+  a.path = "/global/cscratch1/sd/twice.h5";
+  a.iface = Interface::kMpiIo;
+  a.ranks = 3;
+  a.read_bytes = 5 * kMB + 3;
+  a.read_op_size = 64 * 1000;
+  FileAccessSpec b = a;
+  b.shared = true;
+  b.write_bytes = 7 * kMB;
+  FileAccessSpec c;
+  c.path = "/var/opt/cray/dws/job/twice.out";
+  c.write_bytes = 2;  // fewer bytes than ranks: only the remainder rows
+  c.ranks = 4;
+  FileAccessSpec d = c;
+  d.write_bytes = 9 * kMB;
+  d.rewrites = 2;
+  spec.files = {a, c, b, d};
+  darshan::Runtime rt;
+  expect_same_body(ex, spec, rt);
+  LogData log;
+  ex.execute_into(spec, log);
+  EXPECT_EQ(log.names.size(), 2u);
+}
+
+TEST(Executor, RetainedTableFollowsTheCurrentJob) {
+  // The runtime a worker keeps must not hold the largest job's table for
+  // the rest of its life: after a small job, its retained words follow the
+  // small job.
+  const auto jobs = ingest_population();
+  darshan::Runtime rt;
+  util::ByteWriter body;
+  std::size_t largest = 0, smallest = 0, most_words = 0, least_bytes = SIZE_MAX;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    darshan::Runtime fresh;
+    JobExecutor(*jobs[i].first).execute_body(jobs[i].second, fresh, body);
+    if (fresh.retained_words() > most_words) {
+      most_words = fresh.retained_words();
+      largest = i;
+    }
+    if (body.size() < least_bytes) {
+      least_bytes = body.size();
+      smallest = i;
+    }
+  }
+  JobExecutor(*jobs[largest].first).execute_body(jobs[largest].second, rt, body);
+  // The largest job (9,164 rows) needs about 3.2 MB of words.
+  EXPECT_GT(rt.retained_words() * 8, std::size_t{2} << 20);
+  JobExecutor(*jobs[smallest].first).execute_body(jobs[smallest].second, rt, body);
+  // A job of a few rows fits one 64 KiB chunk: twice that plus 128 KiB.
+  EXPECT_LE(rt.retained_words() * 8, std::size_t{256} << 10);
 }
 
 TEST(Executor, InvalidSpecThrows) {

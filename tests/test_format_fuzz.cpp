@@ -45,8 +45,8 @@ LogData sample_log(std::uint64_t seed) {
     rt.record_reads(h, 0, rng.log_uniform_u64(64, 1 << 20), rng.uniform_u64(1, 50), 0.0, 0.5);
     rt.record_writes(h, 0, rng.log_uniform_u64(64, 1 << 20), rng.uniform_u64(1, 50), 0.5, 0.5);
   }
-  rt.record_lustre("/gpfs/alpine/f1", 1 << 20, 4, 0, 5, 248);
-  rt.record_ssd("/mnt/bb/f0", 100, 200, 50, 150, 100, 1.5);
+  rt.record_lustre(rt.intern_path("/gpfs/alpine/f1"), 1 << 20, 4, 0, 5, 248);
+  rt.record_ssd(rt.intern_path("/mnt/bb/f0"), 100, 200, 50, 150, 100, 1.5);
   return rt.finalize(0, 100);
 }
 

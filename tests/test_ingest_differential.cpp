@@ -299,8 +299,8 @@ TEST(IngestDifferential, EdgeCaseLogs) {
   }
   {  // Lustre/SSDEXT-only log: no data-interface records, no summaries.
     Runtime rt(small_job(1), {{"/global/cscratch1", "lustre"}, {"/mnt/bb", "xfs"}});
-    rt.record_lustre("/global/cscratch1/x.h5", 1 << 20, 4, 0, 5, 248);
-    rt.record_ssd("/mnt/bb/y", 100, 200, 50, 150, 100, 1.5);
+    rt.record_lustre(rt.intern_path("/global/cscratch1/x.h5"), 1 << 20, 4, 0, 5, 248);
+    rt.record_ssd(rt.intern_path("/mnt/bb/y"), 100, 200, 50, 150, 100, 1.5);
     const LogData log = rt.finalize(0, 1);
     expect_paths_agree(log, scratch, "lustre/ssd only");
     EXPECT_TRUE(core::summarize_log(log, scratch).empty());
@@ -402,8 +402,8 @@ TEST(IngestDifferential, BodyKernelEdgeCases) {
     }
     auto hs = rt.open_file(ModuleId::kStdio, 0, "/mnt/bb/y", 0);
     rt.record_reads(hs, 0, 300, 5, 0, 0.2);
-    rt.record_lustre("/global/cscratch1/x.h5", 1 << 20, 4, 0, 5, 248);
-    rt.record_ssd("/mnt/bb/y", 100, 200, 50, 150, 100, 1.5);
+    rt.record_lustre(rt.intern_path("/global/cscratch1/x.h5"), 1 << 20, 4, 0, 5, 248);
+    rt.record_ssd(rt.intern_path("/mnt/bb/y"), 100, 200, 50, 150, 100, 1.5);
     const LogData log = rt.finalize(0, 1);
     ASSERT_TRUE(std::any_of(log.records.begin(), log.records.end(), [](const auto& r) {
       return r.module == ModuleId::kLustre;

@@ -5,6 +5,8 @@
 #include <algorithm>
 
 #include "darshan/counters.hpp"
+#include "darshan/log_format.hpp"
+#include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace mlio::darshan {
@@ -136,7 +138,7 @@ TEST(Runtime, SerialJobIsNotReduced) {
 
 TEST(Runtime, LustreGeometryRecord) {
   Runtime rt(make_job(2), mounts());
-  rt.record_lustre("/gpfs/alpine/striped.h5", 1 << 20, 8, 17, 5, 248);
+  rt.record_lustre(rt.intern_path("/gpfs/alpine/striped.h5"), 1 << 20, 8, 17, 5, 248);
   const LogData log = rt.finalize(0, 1);
   ASSERT_EQ(log.records.size(), 1u);
   const FileRecord& r = log.records[0];
@@ -229,9 +231,9 @@ TEST(Runtime, HandleReuseAcrossReadWriteSegments) {
   EXPECT_DOUBLE_EQ(r.f(posix::F_OPEN_START_TIMESTAMP), 0.0);  // earliest open wins
 }
 
-TEST(Runtime, AdoptScratchKeepsOutputIdentical) {
-  auto drive = [](Runtime& rt) {
-    for (int f = 0; f < 6; ++f) {
+TEST(Runtime, ReusedRuntimeKeepsOutputIdentical) {
+  auto drive = [](Runtime& rt, int files) {
+    for (int f = 0; f < files; ++f) {
       const std::string path = "/gpfs/alpine/re" + std::to_string(f);
       for (std::int32_t rank = 0; rank < 2; ++rank) {
         const auto h = rt.open_file(ModuleId::kPosix, rank, path, 0.0);
@@ -240,17 +242,18 @@ TEST(Runtime, AdoptScratchKeepsOutputIdentical) {
     }
   };
   Runtime fresh(make_job(2), mounts());
-  drive(fresh);
+  drive(fresh, 6);
   const LogData ref = fresh.finalize(0, 1);
 
-  // Populate a scratch log, then recycle its buffers through a second run.
-  Runtime warm(make_job(2), mounts());
-  drive(warm);
-  LogData scratch = warm.finalize(0, 1);
-  Runtime recycled(make_job(2), mounts());
-  recycled.adopt_scratch(scratch);
-  drive(recycled);
-  recycled.finalize_into(0, 1, scratch);
+  // One runtime runs a larger job, then the same job again, through one
+  // recycled scratch log: the second log must be the fresh runtime's.
+  Runtime reused(make_job(2), mounts());
+  LogData scratch;
+  drive(reused, 40);
+  reused.finalize_into(0, 1, scratch);
+  reused.begin(make_job(2), mounts());
+  drive(reused, 6);
+  reused.finalize_into(0, 1, scratch);
   EXPECT_TRUE(scratch == ref);
 }
 
@@ -309,6 +312,111 @@ TEST(Runtime, RankSegmentMatchesPerRankCalls) {
   ASSERT_EQ(a.records.size(), b.records.size());
   EXPECT_TRUE(a.records == b.records);
   EXPECT_TRUE(a == b);
+}
+
+TEST(Runtime, RanksOutsideTheJobThrow) {
+  // A 3-process job: rows for ranks {0, 1, 5} of one file must not count as
+  // three of three ranks and collapse into a shared record.
+  Runtime rt(make_job(3), mounts());
+  const std::uint64_t id = rt.intern_path("/gpfs/alpine/r.bin");
+  const FileHandle h = rt.open_file(ModuleId::kPosix, 0, id, 0.0);
+  rt.open_file(ModuleId::kPosix, 1, id, 0.0);
+  rt.open_file(ModuleId::kPosix, kSharedRank, id, 0.0);
+  EXPECT_THROW(rt.open_file(ModuleId::kPosix, 5, id, 0.0), util::ConfigError);
+  EXPECT_THROW(rt.open_file(ModuleId::kPosix, 3, "/gpfs/alpine/r.bin", 0.0), util::ConfigError);
+  EXPECT_THROW(rt.open_file(ModuleId::kPosix, -2, id, 0.0), util::ConfigError);
+  EXPECT_THROW(rt.record_reads(h, 5, 100, 1, 0.0, 0.1), util::ConfigError);
+  EXPECT_THROW(rt.record_writes(h, -2, 100, 1, 0.0, 0.1), util::ConfigError);
+  EXPECT_THROW(rt.record_meta(h, 3, 1, 0.1), util::ConfigError);
+  RankSegment seg;
+  seg.rank0 = 1;
+  seg.n_ranks = 3;  // ranks 1..3
+  seg.per_rank_bytes = 100;
+  EXPECT_THROW(rt.record_reads_ranks(ModuleId::kPosix, id, seg), util::ConfigError);
+  seg.rank0 = -2;
+  seg.n_ranks = 1;
+  EXPECT_THROW(rt.record_writes_ranks(ModuleId::kPosix, id, seg), util::ConfigError);
+  seg.rank0 = kSharedRank;
+  seg.n_ranks = 4;  // ranks -1..2: in range
+  rt.record_reads_ranks(ModuleId::kPosix, id, seg);
+
+  EXPECT_EQ(rt.live_records(), 4u);
+  const LogData log = rt.finalize(0, 1);
+  // Four rows of a 3-process job (the shared row among them) stay per rank.
+  ASSERT_EQ(log.records.size(), 4u);
+  EXPECT_EQ(log.records[0].rank, kSharedRank);
+  EXPECT_EQ(log.records[3].rank, 2);
+}
+
+/// write_body's bytes against write_log_body of finalize_into's LogData for
+/// the same events, reported into two runtimes by `drive`.
+template <class Drive>
+void expect_same_body(std::uint32_t nprocs, const RuntimeOptions& opts, const Drive& drive) {
+  Runtime direct(make_job(nprocs), mounts(), opts);
+  Runtime reference(make_job(nprocs), mounts(), opts);
+  drive(direct);
+  drive(reference);
+  util::ByteWriter body;
+  direct.write_body(10, 20, body);
+  const LogData log = reference.finalize(10, 20);
+  LogIoBuffers io;
+  write_log_body(io.body, log, io);
+  ASSERT_EQ(body.size(), io.body.size());
+  EXPECT_TRUE(std::ranges::equal(body.view(), io.body.view()));
+  EXPECT_TRUE(direct.job() == log.job);
+}
+
+TEST(Runtime, SharedRowSortsBeforeRankRows) {
+  // Only the per-rank API can put a shared-rank row beside per-rank rows.
+  // Slot 0 (the shared rank) must come first, as kSharedRank sorts first:
+  // in a partial group it is the first record, and in a group with as many
+  // rows as ranks it is reduced first.
+  auto drive = [](Runtime& rt) {
+    const std::uint64_t partial = rt.intern_path("/gpfs/alpine/partial");
+    const std::uint64_t full = rt.intern_path("/gpfs/alpine/full");
+    for (const std::int32_t rank : {2, kSharedRank, 0}) {
+      const FileHandle h = rt.open_file(ModuleId::kPosix, rank, partial, 0.5 + rank);
+      rt.record_writes(h, rank, 4096, 3 + static_cast<std::uint64_t>(rank + 1), 0.5, 0.25);
+    }
+    for (const std::int32_t rank : {3, 1, kSharedRank, 0, 2}) {
+      const FileHandle h = rt.open_file(ModuleId::kStdio, rank, full, 1.0 / (rank + 2));
+      rt.record_reads(h, rank, 100, 7, 0.1 * (rank + 2), 0.3 / (rank + 2));
+      rt.record_meta(h, rank, 1, 0.01 * (rank + 2));
+    }
+  };
+  expect_same_body(5, {}, drive);
+  expect_same_body(5, {.enable_dxt = true}, drive);
+
+  Runtime rt(make_job(5), mounts());
+  drive(rt);
+  const LogData log = rt.finalize(0, 1);
+  ASSERT_EQ(log.records.size(), 4u);  // partial: 3 rows; full: 1 shared
+  EXPECT_EQ(log.records[0].module, ModuleId::kPosix);
+  EXPECT_EQ(log.records[0].rank, kSharedRank);
+  EXPECT_EQ(log.records[1].rank, 0);
+  EXPECT_EQ(log.records[2].rank, 2);
+  EXPECT_EQ(log.records[3].module, ModuleId::kStdio);
+  EXPECT_EQ(log.records[3].rank, kSharedRank);
+  EXPECT_EQ(log.records[3].c(stdio::READS), 35);
+}
+
+TEST(Runtime, DirectBodyCoversEveryModule) {
+  auto drive = [](Runtime& rt) {
+    const std::uint64_t a = rt.intern_path("/gpfs/alpine/a");
+    const std::uint64_t b = rt.intern_path("/mnt/bb/b");
+    RankSegment seg{0, 4, 3, 10000, 4096, 0.5, 1.25, true, 1, 0.01};
+    rt.record_reads_ranks(ModuleId::kMpiIo, a, seg);
+    rt.record_reads_ranks(ModuleId::kPosix, a, seg);
+    seg.rank0 = kSharedRank;
+    seg.n_ranks = 1;
+    rt.record_writes_ranks(ModuleId::kStdio, b, seg);
+    rt.record_lustre(a, 1 << 20, 8, 17, 5, 248);
+    rt.record_ssd(b, 100, 200, 50, 150, 100, 1.5);
+    rt.intern_path("/mnt/bb/never-touched");
+  };
+  expect_same_body(4, {}, drive);
+  expect_same_body(4, {.enable_dxt = true}, drive);
+  expect_same_body(1, {}, [](Runtime&) {});  // no records at all
 }
 
 TEST(Runtime, DeterministicRecordOrder) {

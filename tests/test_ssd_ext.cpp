@@ -30,8 +30,8 @@ TEST(SsdExt, RuntimeRecordsAndRoundtrips) {
   job.nprocs = 1;
   job.nnodes = 1;
   darshan::Runtime rt(job, {{"/mnt/bb", "xfs"}});
-  rt.record_ssd("/mnt/bb/ckpt.chk", /*rewrite=*/2 * kMB, /*seq=*/3 * kMB, /*random=*/0,
-                /*static=*/1 * kMB, /*dynamic=*/2 * kMB, /*waf=*/1.75);
+  rt.record_ssd(rt.intern_path("/mnt/bb/ckpt.chk"), /*rewrite=*/2 * kMB, /*seq=*/3 * kMB,
+                /*random=*/0, /*static=*/1 * kMB, /*dynamic=*/2 * kMB, /*waf=*/1.75);
   const LogData log = rt.finalize(0, 1);
   ASSERT_EQ(log.records.size(), 1u);
   EXPECT_EQ(log.records[0].module, ModuleId::kSsdExt);
