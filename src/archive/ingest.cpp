@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <filesystem>
-#include <future>
-#include <memory>
 #include <optional>
-#include <thread>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mlio::archive {
 
@@ -21,14 +16,6 @@ std::uint64_t ns_since(SteadyClock::time_point t0) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(SteadyClock::now() - t0).count());
 }
-
-/// Block futures kept in flight per build worker.  The calling thread takes
-/// blocks in order, so while it waits on one heavy job's block the other
-/// workers can only run ahead by the window.  Measured on perfbench's
-/// `ingest` (2 workers): 2 per worker ran 4.5 K logs/s, 4 ran 5.5 K, 8 ran
-/// 6.1 K and 16 ran 6.3 K.  8 keeps most of the gain while the built blocks
-/// held stay a small share of the open partition.
-constexpr std::size_t kBlocksInFlightPerWorker = 8;
 
 /// One planned partition: a job range of a stratum.  The cut list is a pure
 /// function of (n_jobs, batches) — the determinism contract's "fixed cuts".
@@ -55,26 +42,18 @@ std::vector<Cut> plan_cuts(const wl::WorkloadGenerator& gen, const IngestOptions
 /// One job block of a cut: the unit of build work.
 struct Block {
   std::size_t cut = 0;
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
+  wl::JobBlock jobs;
 };
 
-/// Every cut's job blocks in (cut, block) order: the serialize_logs auto
-/// rule for bulk cuts, one job per block for the hero stratum (few jobs,
-/// each heavy).  A cut always yields at least one block, so an empty cut
-/// still forms its (empty) partition.
-std::vector<Block> plan_blocks(const std::vector<Cut>& cuts) {
+/// Every cut's job blocks in (cut, block) order, by wl::plan_blocks.  A cut
+/// always yields at least one block, so an empty cut still forms its
+/// (empty) partition.
+std::vector<Block> plan_cut_blocks(const std::vector<Cut>& cuts) {
   std::vector<Block> blocks;
   for (std::size_t k = 0; k < cuts.size(); ++k) {
-    const Cut& c = cuts[k];
-    const std::uint64_t size =
-        c.stratum == wl::Stratum::kHuge ? 1 : wl::auto_block_jobs(c.hi - c.lo);
-    std::uint64_t lo = c.lo;
-    do {
-      const std::uint64_t hi = std::min(c.hi, lo + size);
-      blocks.push_back({k, lo, hi});
-      lo = hi;
-    } while (lo < c.hi);
+    for (const wl::JobBlock& jobs : wl::plan_blocks(cuts[k].stratum, cuts[k].lo, cuts[k].hi)) {
+      blocks.push_back({k, jobs});
+    }
   }
   return blocks;
 }
@@ -149,15 +128,16 @@ IngestStats ingest_generated(Archive& archive, const wl::WorkloadGenerator& gen,
   const auto t0 = SteadyClock::now();
   IngestStats stats;
   const std::vector<Cut> cuts = plan_cuts(gen, opts);
-  const std::vector<Block> blocks = plan_blocks(cuts);
+  const std::vector<Block> blocks = plan_cut_blocks(cuts);
   const std::uint64_t base_id = archive.manifest().next_partition_id;
   const std::uint64_t commit_gen = archive.manifest().generation + 1;
 
   // Pure compute on a pool thread: serialize the block and, when snapshots
   // are on, walk each log's body into a block shard while the serializer
   // still holds it uncompressed, so no frame is inflated again.
-  const auto build = [&](const Block& b) {
+  const auto build = [&](std::size_t i) {
     thread_local BlockScratch ws;
+    const Block& b = blocks[i];
     BuiltBlock out;
     wl::BodyHook add_to_shard;
     if (opts.write_snapshots) {
@@ -169,68 +149,46 @@ IngestStats ingest_generated(Archive& archive, const wl::WorkloadGenerator& gen,
         out.snapshot_ns += ns_since(ts);
       };
     }
-    out.frames = wl::serialize_block(gen, cuts[b.cut].stratum, b.lo, b.hi, ws.serialize,
+    out.frames = wl::serialize_block(gen, cuts[b.cut].stratum, b.jobs.lo, b.jobs.hi, ws.serialize,
                                      &out.phases, add_to_shard);
     return out;
   };
 
-  // The calling thread keeps a window of block futures on the pool, takes
-  // them in (cut, block) order, appends each block's frames to its cut's
-  // writer, and stages the partition at the cut's last block — so every
-  // file operation happens here, in the same order at any worker count.  A
-  // build error surfaces at its block's get(), the lowest failing block's
-  // whatever the timing, and the pool's destructor drains the blocks still
-  // queued before the exception leaves.  Any util::Error before the commit
-  // first removes the partitions already staged.
+  // The calling thread takes the built blocks in (cut, block) order,
+  // appends each block's frames to its cut's writer, and stages the
+  // partition at the cut's last block — so every file operation happens
+  // here, in the same order at any worker count.  Any util::Error before
+  // the commit, a build error included, first removes the partitions
+  // already staged.
   std::vector<Archive::PendingPartition> group;
   group.reserve(cuts.size());
   std::optional<Archive::PartitionWriter> writer;
   std::optional<core::Analysis> cut_shard;
-  std::deque<std::future<BuiltBlock>> inflight;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t workers =
-      std::min<std::size_t>(opts.ingest_threads != 0 ? opts.ingest_threads : hw, blocks.size());
-  util::ThreadPool pool(static_cast<unsigned>(workers));  // after everything its tasks reference
-  const std::size_t window = kBlocksInFlightPerWorker * workers;
-  std::size_t next = 0;
-  const auto submit_next = [&] {
-    auto task = std::make_shared<std::packaged_task<BuiltBlock()>>(
-        [&build, &b = blocks[next]] { return build(b); });
-    inflight.push_back(task->get_future());
-    pool.submit([task] { (*task)(); });
-    next += 1;
-  };
-  while (next < std::min(window, blocks.size())) submit_next();
-
-  try {
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      BuiltBlock built = inflight.front().get();
-      inflight.pop_front();
-      if (next < blocks.size()) submit_next();
-
-      const Block& b = blocks[i];
-      if (!writer) writer.emplace(archive.begin_partition_at(base_id + b.cut));
-      built.frames.for_each([&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
-        writer->append_frame(job, frame);
-      });
-      stats.logs += built.frames.sizes.size();
-      stats.bytes += built.frames.bytes.size();
-      stats.serialize_ns += built.phases.serialize_ns;
-      stats.compress_ns += built.phases.compress_ns;
-      stats.snapshot_ns += built.snapshot_ns;
-      if (built.shard) {
-        const auto ts = SteadyClock::now();
-        if (!cut_shard) cut_shard.emplace();
-        cut_shard->merge(*built.shard);
-        stats.snapshot_ns += ns_since(ts);
-      }
-
-      if (i + 1 < blocks.size() && blocks[i + 1].cut == b.cut) continue;
-      stage_partition(archive, *writer, commit_gen, cut_shard ? &*cut_shard : nullptr, group,
-                      stats);
-      writer.reset();
-      cut_shard.reset();
+  const auto take = [&](std::size_t i, BuiltBlock built) {
+    const Block& b = blocks[i];
+    if (!writer) writer.emplace(archive.begin_partition_at(base_id + b.cut));
+    built.frames.for_each([&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
+      writer->append_frame(job, frame);
+    });
+    stats.logs += built.frames.sizes.size();
+    stats.bytes += built.frames.bytes.size();
+    stats.serialize_ns += built.phases.serialize_ns;
+    stats.compress_ns += built.phases.compress_ns;
+    stats.snapshot_ns += built.snapshot_ns;
+    if (built.shard) {
+      const auto ts = SteadyClock::now();
+      if (!cut_shard) cut_shard.emplace();
+      cut_shard->merge(*built.shard);
+      stats.snapshot_ns += ns_since(ts);
     }
+
+    if (i + 1 < blocks.size() && blocks[i + 1].cut == b.cut) return;
+    stage_partition(archive, *writer, commit_gen, cut_shard ? &*cut_shard : nullptr, group, stats);
+    writer.reset();
+    cut_shard.reset();
+  };
+  try {
+    wl::build_in_order(blocks.size(), opts.ingest_threads, build, take);
   } catch (const util::Error&) {
     unstage(archive, group);
     throw;

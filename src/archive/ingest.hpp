@@ -6,11 +6,12 @@
 // as ONE group: every partition of an ingest call is staged to disk first
 // and registered by a single Archive::commit_group manifest write (one
 // generation bump, one fsync-rename-dirsync per call).  The generated path
-// splits each cut into job blocks and builds them on one pool of
-// `ingest_threads` workers (generate, execute, serialize, deflate, optional
-// block shard — pure compute via wl::serialize_block); the calling thread
-// takes the blocks in (cut, block) order, appends their frames, and stages
-// each partition at its cut's last block.  All file I/O stays on the
+// splits each cut into job blocks (wl::plan_blocks) and builds them through
+// wl::build_in_order on one pool of `ingest_threads` workers (generate,
+// execute, serialize, deflate, optional block shard — pure compute via
+// wl::serialize_block); the calling thread takes the blocks in (cut, block)
+// order, appends their frames, and stages each partition at its cut's last
+// block.  All file I/O stays on the
 // calling thread in partition-id order, so the VFS op sequence — and the
 // archive bytes — are identical at every thread count (DESIGN.md §13).
 // A util::Error before the group commit removes, best effort, the files of

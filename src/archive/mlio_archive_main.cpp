@@ -6,7 +6,7 @@
 //                        [--snapshots]
 //   mlio_archive ingest  --dir D --from SRCDIR [--part-logs N]
 //                        (every regular file, sharded into partitions)
-//   mlio_archive ingest  --dir D --window SEC [--window-logs N]
+//   mlio_archive ingest  --dir D --window SEC [--window-logs N] [--threads T]
 //                        (continuous mode: stream generated logs through
 //                        time-windowed partition cuts)
 //   mlio_archive query   --dir D [--threads T] [--no-write-snapshots] [--csv]
@@ -215,17 +215,10 @@ int cmd_ingest_stream(const Args& a, util::Vfs& vfs) {
   const wl::SystemProfile& profile =
       a.system == "Summit" ? wl::SystemProfile::summit_2020() : wl::SystemProfile::cori_2019();
   const wl::WorkloadGenerator gen(profile, cfg);
-  // serialize_logs buffers its whole range, so feed it consecutive ranges
-  // of kFeedJobs: at most one range's frames are held at a time.  Each job
-  // draws from its own index-derived RNG stream, so the frames, and the
-  // archive, do not depend on the range size.
-  constexpr std::uint64_t kFeedJobs = 64;
-  for (std::uint64_t lo = 0; lo < a.jobs; lo += kFeedJobs) {
-    wl::serialize_logs(gen, wl::Stratum::kBulk, lo, std::min(a.jobs, lo + kFeedJobs),
-                       [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
-                         (void)ing.append(job, frame);
-                       });
-  }
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, a.jobs, a.threads,
+                     [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
+                       (void)ing.append(job, frame);
+                     });
   (void)ing.flush();
 
   const archive::StreamStats& st = ing.stats();

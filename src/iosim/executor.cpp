@@ -20,6 +20,15 @@ using darshan::Runtime;
 
 namespace {
 
+/// Shared files of jobs with at most this many ranks are recorded per rank
+/// (exercising the runtime's shared-record reduction); larger jobs record
+/// the pre-aggregated rank -1 record directly, as an optimization with
+/// identical output.
+constexpr std::uint32_t kMaxExplicitRanks = 64;
+/// Non-shared multi-rank files spread their traffic over at most this many
+/// explicit rank records.
+constexpr std::uint32_t kMaxPartialRanks = 4;
+
 ModuleId module_for(Interface iface) {
   switch (iface) {
     case Interface::kPosix: return ModuleId::kPosix;
@@ -59,11 +68,7 @@ struct JobExecutor::Clock {
 };
 
 JobExecutor::JobExecutor(const Machine& machine, const ExecutorConfig& cfg)
-    : machine_(machine), cfg_(cfg) {
-  if (cfg_.max_partial_ranks == 0 || cfg_.max_explicit_ranks == 0) {
-    throw util::ConfigError("ExecutorConfig: rank limits must be positive");
-  }
-}
+    : machine_(machine), cfg_(cfg) {}
 
 darshan::LogData JobExecutor::execute(const JobSpec& spec) const {
   darshan::LogData log;
@@ -73,7 +78,10 @@ darshan::LogData JobExecutor::execute(const JobSpec& spec) const {
 
 void JobExecutor::execute_into(const JobSpec& spec, darshan::LogData& out,
                                ExecStats* stats) const {
-  Runtime rt;
+  // One runtime per thread, reused job after job: its buffers are trimmed
+  // to the last job's use when a job closes, so what a thread keeps follows
+  // its current job, not its largest.
+  thread_local Runtime rt;
   const std::int64_t end_epoch = run(spec, rt, stats);
   rt.finalize_into(spec.start_epoch, end_epoch, out);
 }
@@ -138,11 +146,11 @@ std::int64_t JobExecutor::run(const JobSpec& spec, Runtime& rt, ExecStats* stats
 
     const ModuleId mod = module_for(file.iface);
     // Shared files of small jobs exercise the per-rank reduction path.
-    const bool explicit_ranks = file.shared ? spec.nprocs <= cfg_.max_explicit_ranks
+    const bool explicit_ranks = file.shared ? spec.nprocs <= kMaxExplicitRanks
                                             : true;
     const std::uint32_t explicit_count =
         file.shared ? (explicit_ranks ? spec.nprocs : 1)
-                    : std::min(ranks, cfg_.max_partial_ranks);
+                    : std::min(ranks, kMaxPartialRanks);
 
     AccessRequest req;
     req.layer = layer;

@@ -16,14 +16,6 @@
 namespace mlio::sim {
 
 struct ExecutorConfig {
-  /// Shared files of jobs with at most this many ranks are recorded per rank
-  /// (exercising the runtime's shared-record reduction); larger jobs record
-  /// the pre-aggregated rank -1 record directly, as an optimization with
-  /// identical output.
-  std::uint32_t max_explicit_ranks = 64;
-  /// Non-shared multi-rank files spread their traffic over at most this many
-  /// explicit rank records.
-  std::uint32_t max_partial_ranks = 4;
   /// Capture DXT traces (POSIX/MPI-IO only; §2.2 — off on the study systems).
   bool enable_dxt = false;
   /// Emit Recommendation-4 SSDEXT records for files on flash-backed layers.
@@ -31,8 +23,8 @@ struct ExecutorConfig {
 };
 
 /// Hot-path telemetry accumulated across execute_into calls — how much
-/// record-keeping the executed jobs induced (the denominator of the
-/// pipeline's opens/s and rows/s throughput numbers).
+/// record-keeping the executed jobs induced (perfbench's traced ingest
+/// reports it per log).
 struct ExecStats {
   std::uint64_t jobs = 0;       ///< execute_into calls
   std::uint64_t files = 0;      ///< FileAccessSpec entries executed
@@ -65,9 +57,10 @@ class JobExecutor {
   darshan::LogData execute(const JobSpec& spec) const;
 
   /// Same, but fills `out` in place, recycling its vectors' capacity.  The
-  /// pipeline threads one scratch LogData per worker through this to avoid
-  /// per-job allocation churn.  `stats`, when non-null, accumulates hot-path
-  /// telemetry (not thread-safe: callers keep one per worker).
+  /// pipeline threads one scratch LogData per worker through this, and the
+  /// job runs through one runtime per calling thread, reused job after job,
+  /// to avoid per-job allocation churn.  `stats`, when non-null, accumulates
+  /// hot-path telemetry (not thread-safe: callers keep one per worker).
   void execute_into(const JobSpec& spec, darshan::LogData& out,
                     ExecStats* stats = nullptr) const;
 

@@ -51,7 +51,7 @@ std::vector<ServiceFrame> make_frame_pool(std::uint64_t n_jobs, std::uint64_t se
   cfg.files_per_log_scale = 0.2;
   const wl::WorkloadGenerator gen(wl::SystemProfile::cori_2019(), cfg);
   std::vector<ServiceFrame> frames;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, n_jobs,
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, n_jobs, /*workers=*/0,
                      [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
                        frames.push_back({job, {frame.begin(), frame.end()}});
                      });

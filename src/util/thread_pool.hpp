@@ -2,12 +2,13 @@
 //
 // The generation→simulation→analysis pipeline is embarrassingly parallel per
 // job.  Determinism is preserved by (a) seeding each job's Rng from its index
-// (never from thread identity) and (b) merging per-block accumulators in
-// index order.  parallel_for_dynamic hands fixed-size blocks to idle workers
-// via an atomic ticket counter.  Block boundaries depend only on (range,
-// block size), never on thread count or timing, so callers that keep one
-// accumulator per block and merge in block order get bit-identical results
-// no matter which worker ran which block.
+// (never from thread identity) and (b) folding into accumulators whose state
+// does not depend on how the jobs were split or in which order the parts
+// merge.  parallel_for_dynamic hands fixed-size blocks to idle workers via an
+// atomic ticket counter.  Block boundaries depend only on (range, block
+// size), never on thread count or timing; the worker slot passed to the body
+// does depend on timing, so a caller keeping one accumulator per worker slot
+// relies on (b).
 //
 // Nested parallelism: calling parallel_for_dynamic from inside a worker task
 // would deadlock a fully-busy pool (the inner call waits on workers that are

@@ -73,7 +73,7 @@ TEST_F(ArchiveTest, TwoBatchIngestQueryMatchesPipelineByteForByte) {
   iopts.include_huge = false;
   const IngestStats ing = ingest_generated(ar, gen, iopts);
   EXPECT_EQ(ing.partitions, 2u);
-  EXPECT_EQ(ing.logs, reference.stats.logs);
+  EXPECT_EQ(ing.logs, reference.bulk.summary().logs() + reference.huge.summary().logs());
 
   const auto first = cold_get(ar);
   EXPECT_EQ(first.stats.query.partitions, 2u);
@@ -119,7 +119,7 @@ TEST_F(ArchiveTest, UncompressedFramesAnswerAsTheDeflatedArchive) {
   for (std::uint64_t b = 0; b < kBatches; ++b) {
     Archive::PartitionWriter w = plain.begin_partition();
     wl::serialize_logs(gen, wl::Stratum::kBulk, n_jobs * b / kBatches,
-                       n_jobs * (b + 1) / kBatches,
+                       n_jobs * (b + 1) / kBatches, /*workers=*/0,
                        [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
                          const std::vector<std::byte> raw = harness::plain_reframe(frame);
                          ASSERT_EQ(raw[6], std::byte{0});  // flags: uncompressed
@@ -158,7 +158,7 @@ TEST_F(ArchiveTest, IncrementalIngestOnlyScansNewPartitions) {
   // Appending the huge stratum adds one partition; the bulk partition's
   // snapshot stays valid, so the next query rescans exactly the new one.
   Archive::PartitionWriter w = ar.begin_partition();
-  wl::serialize_logs(gen, wl::Stratum::kHuge, 0, gen.huge_job_count(),
+  wl::serialize_logs(gen, wl::Stratum::kHuge, 0, gen.huge_job_count(), /*workers=*/0,
                      [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
                        w.append_frame(job, frame);
                      });
@@ -273,7 +273,7 @@ TEST_F(ArchiveTest, IngestLogFilesFormsOnePartition) {
   fs::remove_all(drop);
   fs::create_directories(drop);
   std::vector<fs::path> files;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 10,
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 10, /*workers=*/0,
                      [&](const darshan::JobRecord&, std::span<const std::byte> frame) {
                        const fs::path p = drop / ("log" + std::to_string(files.size()) + ".darshan");
                        util::write_file_atomic(p, frame);

@@ -48,7 +48,7 @@ std::vector<Frame> capture_frames(std::uint64_t n_jobs, std::uint64_t seed) {
   cfg.files_per_log_scale = 0.2;
   const wl::WorkloadGenerator gen(wl::SystemProfile::cori_2019(), cfg);
   std::vector<Frame> frames;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, n_jobs,
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, n_jobs, /*workers=*/0,
                      [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
                        frames.push_back({job, {frame.begin(), frame.end()}});
                      });

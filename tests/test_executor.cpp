@@ -92,7 +92,7 @@ TEST(Executor, LargeJobSharedFileUsesDirectSharedPath) {
   const Machine m = Machine::summit();
   const JobExecutor ex(m);
   JobSpec spec = base_spec();
-  spec.nprocs = 4096;  // above max_explicit_ranks
+  spec.nprocs = 4096;  // above the executor's explicit-rank limit (64)
   spec.nnodes = 98;
   FileAccessSpec f;
   f.path = "/gpfs/alpine/p/big.h5";

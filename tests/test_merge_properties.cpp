@@ -39,7 +39,7 @@ std::vector<darshan::LogData> sample_logs(std::uint64_t n_jobs, std::uint64_t se
   cfg.files_per_log_scale = 0.2;
   const wl::WorkloadGenerator gen(wl::SystemProfile::summit_2020(), cfg);
   std::vector<darshan::LogData> logs;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, n_jobs,
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, n_jobs, /*workers=*/0,
                      [&](const darshan::JobRecord&, std::span<const std::byte> frame) {
                        logs.push_back(darshan::read_log_bytes(frame));
                      });
@@ -187,7 +187,7 @@ std::vector<darshan::LogData> dense_logs(std::uint64_t n_jobs, std::uint64_t see
   cfg.n_jobs = n_jobs;
   const wl::WorkloadGenerator gen(wl::SystemProfile::summit_2020(), cfg);
   std::vector<darshan::LogData> logs;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, n_jobs,
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, n_jobs, /*workers=*/0,
                      [&](const darshan::JobRecord&, std::span<const std::byte> frame) {
                        logs.push_back(darshan::read_log_bytes(frame));
                      });

@@ -182,7 +182,7 @@ TEST_F(ParallelIngestTest, GroupCommitMatchesPerSealBytes) {
     for (std::uint64_t b = 0; b < batches; ++b) {
       Archive::PartitionWriter w = ar.begin_partition();
       wl::serialize_logs(gen, wl::Stratum::kBulk, n_jobs * b / batches,
-                         n_jobs * (b + 1) / batches,
+                         n_jobs * (b + 1) / batches, /*workers=*/0,
                          [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
                            w.append_frame(job, frame);
                          });
@@ -274,7 +274,8 @@ TEST_F(ParallelIngestTest, GeneratedIngestSnapshotsMatchTheRescan) {
 // ---------------------------------------------------------------------------
 // A failing build surfaces on the committing thread, in cut order, after the
 // pool has drained the builds still queued: with every cut failing, the
-// first cut's error leaves before anything is staged or committed.
+// first cut's error leaves before anything is staged or committed, at every
+// worker count.  The same profile fails serialize_logs the same way.
 TEST_F(ParallelIngestTest, BuildErrorSurfacesAndCommitsNothing) {
   Archive ar = Archive::create(dir_);
   const std::uint64_t generation = ar.manifest().generation;
@@ -290,15 +291,26 @@ TEST_F(ParallelIngestTest, BuildErrorSurfacesAndCommitsNothing) {
   cfg.files_per_log_scale = 0.2;
   const wl::WorkloadGenerator gen(unknown, cfg);
 
-  IngestOptions opts;
-  opts.batches = 8;
-  opts.ingest_threads = 3;
-  EXPECT_THROW((void)ingest_generated(ar, gen, opts), util::ConfigError);
-  EXPECT_EQ(ar.manifest().generation, generation);
-  EXPECT_TRUE(ar.manifest().partitions.empty());
-  const auto files = dir_files(dir_);
-  ASSERT_EQ(files.size(), 1u);  // the manifest alone: no staged partition
-  EXPECT_EQ(files.begin()->first, "manifest.bin");
+  for (const unsigned workers : {1u, 3u, 4u}) {
+    IngestOptions opts;
+    opts.batches = 8;
+    opts.ingest_threads = workers;
+    EXPECT_THROW((void)ingest_generated(ar, gen, opts), util::ConfigError) << workers;
+    EXPECT_EQ(ar.manifest().generation, generation);
+    EXPECT_TRUE(ar.manifest().partitions.empty());
+    const auto files = dir_files(dir_);
+    ASSERT_EQ(files.size(), 1u);  // the manifest alone: no staged partition
+    EXPECT_EQ(files.begin()->first, "manifest.bin");
+
+    std::uint64_t delivered = 0;
+    EXPECT_THROW(wl::serialize_logs(gen, wl::Stratum::kBulk, 0, cfg.n_jobs, workers,
+                                    [&](const darshan::JobRecord&, std::span<const std::byte>) {
+                                      delivered += 1;
+                                    }),
+                 util::ConfigError)
+        << workers;
+    EXPECT_EQ(delivered, 0u);
+  }
 }
 
 // A write that fails after earlier cuts were staged (here the third cut's
@@ -339,7 +351,7 @@ TEST_F(ParallelIngestTest, FileIngestHonorsShardingKnobs) {
   // Materialize 7 standalone log files from the generator's frames.
   const wl::WorkloadGenerator gen = make_gen(12, 21);
   std::vector<fs::path> files;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 12,
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 12, /*workers=*/0,
                      [&](const darshan::JobRecord&, std::span<const std::byte> frame) {
                        const fs::path f =
                            dir_ / ("log" + std::to_string(files.size()) + ".darshan");
@@ -399,7 +411,7 @@ TEST_F(ParallelIngestTest, FileIngestSnapshotsMatchTheRescan) {
   const fs::path drop = dir_ / "drop";
   fs::create_directories(drop);
   std::vector<fs::path> files;
-  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 12,
+  wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 12, /*workers=*/0,
                      [&](const darshan::JobRecord&, std::span<const std::byte> frame) {
                        const fs::path f =
                            drop / ("log" + std::to_string(files.size()) + ".darshan");
@@ -529,7 +541,7 @@ TEST_F(ParallelIngestTest, CommitGroupRejectsGapsAndStaleStamps) {
 
   const auto build_at = [&](std::uint64_t id) {
     Archive::PartitionWriter w = ar.begin_partition_at(id);
-    wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 3,
+    wl::serialize_logs(gen, wl::Stratum::kBulk, 0, 3, /*workers=*/0,
                        [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
                          w.append_frame(job, frame);
                        });

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstddef>
+#include <span>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -52,11 +61,12 @@ TEST(Pipeline, DeterministicAcrossThreadCounts) {
 }
 
 TEST(Pipeline, BitIdenticalAcrossThreads) {
-  // The determinism contract: one Analysis per fixed-size block, merged in
-  // block order, with block boundaries a pure function of the population.
-  // On a skewed population (full huge stratum included), every analysis bit
-  // — summary counts, CDF bins, performance moments — must be identical
-  // across thread counts.
+  // The determinism contract: one Analysis per worker, merged at the end,
+  // over block boundaries that are a pure function of the population.  The
+  // analysis state is cut-invariant, so which worker folded which block
+  // does not matter: on a skewed population (full huge stratum included),
+  // every analysis bit — summary counts, CDF bins, performance moments —
+  // must be identical across thread counts.
   const WorkloadGenerator gen(SystemProfile::cori_2019(), cfg(30));
 
   auto run = [&](unsigned threads) {
@@ -84,20 +94,100 @@ TEST(Pipeline, BitIdenticalAcrossThreads) {
   }
 }
 
-TEST(Pipeline, StatsReportCensusAndTiming) {
-  const WorkloadGenerator gen(SystemProfile::cori_2019(), cfg(20));
-  PipelineOptions opts;
-  opts.threads = 2;
-  const PipelineResult r = run_pipeline(gen, opts);
-  const PipelineStats& s = r.stats;
-  EXPECT_EQ(s.threads, 2u);
-  EXPECT_EQ(s.jobs, 20u + gen.huge_job_count());
-  EXPECT_EQ(s.logs, r.bulk.summary().logs() + r.huge.summary().logs());
-  EXPECT_GT(s.simulated_bytes, 0.0);
-  EXPECT_GT(s.total_seconds, 0.0);
-  EXPECT_EQ(s.huge_blocks, gen.huge_job_count());  // one hero job per block
-  const std::uint64_t block = auto_block_jobs(20);
-  EXPECT_EQ(s.bulk_blocks, (20 + block - 1) / block);
+TEST(Pipeline, BlockPlanIsAPureFunctionOfTheRange) {
+  // Bulk: at most 256 equal blocks, the last one short; hero: one job per
+  // block; an empty range: one empty block.  The blocks tile the range.
+  const auto tiles = [](const std::vector<JobBlock>& blocks, std::uint64_t lo, std::uint64_t hi) {
+    std::uint64_t at = lo;
+    for (const JobBlock& b : blocks) {
+      if (b.lo != at || b.hi < b.lo) return false;
+      at = b.hi;
+    }
+    return at == hi;
+  };
+  const std::vector<JobBlock> bulk = plan_blocks(Stratum::kBulk, 10, 1010);
+  EXPECT_EQ(bulk.size(), 250u);  // 1000 jobs in blocks of 4
+  EXPECT_EQ(bulk.front().hi - bulk.front().lo, 4u);
+  EXPECT_TRUE(tiles(bulk, 10, 1010));
+  EXPECT_EQ(plan_blocks(Stratum::kBulk, 0, 1001).size(), 251u);  // blocks of 4, one short
+  EXPECT_EQ(plan_blocks(Stratum::kBulk, 0, 20).size(), 20u);
+  const std::vector<JobBlock> huge = plan_blocks(Stratum::kHuge, 3, 1003);
+  EXPECT_EQ(huge.size(), 1000u);
+  EXPECT_TRUE(tiles(huge, 3, 1003));
+  for (const Stratum stratum : {Stratum::kBulk, Stratum::kHuge}) {
+    const std::vector<JobBlock> empty = plan_blocks(stratum, 7, 7);
+    ASSERT_EQ(empty.size(), 1u);
+    EXPECT_EQ(empty[0].lo, 7u);
+    EXPECT_EQ(empty[0].hi, 7u);
+  }
+}
+
+// The frames of a job range, as (job id, frame bytes) in delivery order.
+using Frames = std::vector<std::pair<std::uint64_t, std::vector<std::byte>>>;
+
+TEST(Pipeline, SerializeLogsDeliversTheBlockFramesInGenerationOrder) {
+  // serialize_logs at any worker count delivers exactly serialize_block's
+  // frames over the whole range, in generation order: a bulk range with
+  // more blocks than the 1-worker window (8), one with fewer blocks than
+  // workers, and a hero range.
+  const WorkloadGenerator gen(SystemProfile::cori_2019(), cfg(60));
+  ASSERT_GE(gen.huge_job_count(), 3u);
+  struct Range {
+    Stratum stratum;
+    std::uint64_t lo;
+    std::uint64_t hi;
+  };
+  for (const Range& r : {Range{Stratum::kBulk, 5, 47}, Range{Stratum::kBulk, 50, 52},
+                         Range{Stratum::kHuge, 0, 3}}) {
+    SerializeScratch scratch;
+    Frames expected;
+    serialize_block(gen, r.stratum, r.lo, r.hi, scratch)
+        .for_each([&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
+          expected.emplace_back(job.job_id, std::vector<std::byte>(frame.begin(), frame.end()));
+        });
+    ASSERT_FALSE(expected.empty());
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      Frames got;
+      serialize_logs(gen, r.stratum, r.lo, r.hi, workers,
+                     [&](const darshan::JobRecord& job, std::span<const std::byte> frame) {
+                       got.emplace_back(job.job_id,
+                                        std::vector<std::byte>(frame.begin(), frame.end()));
+                     });
+      EXPECT_EQ(got, expected) << "jobs [" << r.lo << ", " << r.hi << ") workers=" << workers;
+    }
+  }
+}
+
+TEST(Pipeline, BuildInOrderTakesBlocksInOrderAndRaisesTheLowestFailingBlock) {
+  // Blocks 5 and 11 fail.  From 2 workers on, the window (16+) holds both
+  // at once and block 11 may fail first; the error that leaves is block
+  // 5's, after blocks 0..4 were taken in order, and no build is still
+  // running when it does.
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    std::atomic<int> running{0};
+    std::vector<std::size_t> taken;
+    const auto build = [&](std::size_t b) {
+      running += 1;
+      if (b == 11 || b == 5) {
+        running -= 1;
+        throw util::FormatError("block " + std::to_string(b));
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(b % 3 == 0 ? 200 : 0));
+      running -= 1;
+      return b * 10;
+    };
+    try {
+      build_in_order(40, workers, build, [&](std::size_t b, std::size_t built) {
+        EXPECT_EQ(built, b * 10);
+        taken.push_back(b);
+      });
+      ADD_FAILURE() << "no error at workers=" << workers;
+    } catch (const util::FormatError& e) {
+      EXPECT_STREQ(e.what(), "format error: block 5") << "workers=" << workers;
+    }
+    EXPECT_EQ(taken, (std::vector<std::size_t>{0, 1, 2, 3, 4})) << "workers=" << workers;
+    EXPECT_EQ(running.load(), 0) << "workers=" << workers;
+  }
 }
 
 TEST(Pipeline, HugeStratumLandsInTable4Census) {
